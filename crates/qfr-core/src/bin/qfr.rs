@@ -10,25 +10,95 @@
 //! qfr info
 //! ```
 //!
-//! Argument parsing is hand-rolled (no CLI dependency); every flag has a
-//! sensible paper-matching default.
+//! Argument parsing is hand-rolled (no CLI dependency) and strict: every
+//! flag has a paper-matching default, and an unknown flag, an unparsable
+//! value or a conflicting combination is a one-line error with exit
+//! status 2.
 
 use qfr_cache::{CacheConfig, FragmentCache};
-use qfr_core::{EngineKind, RamanWorkflow, ServiceConfig, SpectrumRequest, SpectrumService};
+use qfr_core::{
+    EngineKind, HessianOperator, RamanWorkflow, ResponseSource, RunPlan, ServiceConfig,
+    ShardConfig, SpectrumRequest, SpectrumService, WorkflowError,
+};
 use qfr_geom::{io, MolecularSystem, ProteinBuilder, SolvatedSystem, WaterBoxBuilder};
 use qfr_linalg::batch::OffloadMode;
 use qfr_linalg::GemmPrecision;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+/// A usage error: one line on stderr, exit status 2.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
-fn parse<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    arg_value(args, flag).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+/// Value-taking flags selecting the system, shared by every subcommand.
+const SYSTEM_VALUES: &str = "--protein --waters --scenario --solvate --seed";
 
-fn has(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+/// The checked command line of one subcommand: `(flag, value)` pairs, each
+/// flag known to the subcommand and given at most once.
+struct Args(Vec<(String, Option<String>)>);
+
+impl Args {
+    /// Checks `argv` against the subcommand's space-separated
+    /// value-taking flags (`SYSTEM_VALUES` plus `values`), its `switches`,
+    /// and its `requires` pairs (`(flag, flag it is meaningless without)`).
+    fn parse(argv: &[String], values: &str, switches: &str, requires: &[(&str, &str)]) -> Self {
+        let listed = |list: &str, flag: &str| list.split_whitespace().any(|f| f == flag);
+        let mut parsed: Vec<(String, Option<String>)> = Vec::new();
+        let mut tokens = argv.iter();
+        while let Some(flag) = tokens.next() {
+            if parsed.iter().any(|(seen, _)| seen == flag) {
+                fail(format!("{flag} given more than once"));
+            }
+            let value = if listed(switches, flag) {
+                None
+            } else if listed(SYSTEM_VALUES, flag) || listed(values, flag) {
+                match tokens.next() {
+                    Some(value) => Some(value.clone()),
+                    None => fail(format!("{flag} needs a value")),
+                }
+            } else {
+                fail(format!("unknown flag '{flag}' (run `qfr` for usage)"));
+            };
+            parsed.push((flag.clone(), value));
+        }
+        let args = Self(parsed);
+        for (flag, parent) in requires.iter().chain(&[("--solvate", "--protein")]) {
+            if args.has(flag) && !args.has(parent) {
+                fail(format!("{flag} only applies with {parent}"));
+            }
+        }
+        args
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(f, _)| f == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.0.iter().find(|(f, _)| f == flag).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The flag's value parsed as `T`, `None` when the flag is absent.
+    fn get<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.value(flag).map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                let what = std::any::type_name::<T>();
+                fail(format!("{flag} takes a value of type {what}, got '{v}'"))
+            })
+        })
+    }
+
+    fn get_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
+        self.get(flag).unwrap_or(default)
+    }
+
+    /// At most one of `flags` may be present.
+    fn exclusive(&self, flags: &[&str]) {
+        let given: Vec<&str> = flags.iter().copied().filter(|f| self.has(f)).collect();
+        if given.len() > 1 {
+            fail(format!("{} are mutually exclusive", given.join(" and ")));
+        }
+    }
 }
 
 fn usage() -> ! {
@@ -37,11 +107,11 @@ fn usage() -> ! {
          qfr spectrum  (--protein N | --waters N | --scenario NAME)\n                \
          [--solvate PAD] [--sigma S]\n                \
          [--lambda L] [--lanczos K] [--seed SEED] [--temperature T]\n                \
-         [--ir] [--json FILE] [--xyz FILE] [--dense | --stream]\n                \
+         [--ir] [--json FILE] [--xyz FILE]\n                \
          [--dfpt] [--offload batched|scattered] [--precision f64|mixed]\n                \
-         [--shards K [--spill DIR] [--tile-rows N]]\n                \
-         [--sched LEADERS [--workers W] [--checkpoint FILE\n                 \
-         [--checkpoint-interval N]]] [--checkpoint FILE]\n                \
+         [--dense | --stream | --shards K [--spill DIR] [--tile-rows N]]\n                \
+         [--sched LEADERS [--workers W]]\n                \
+         [--checkpoint FILE [--checkpoint-interval N]]\n                \
          [--cache [--cache-mb MB] [--warm N]]\n                \
          [--trace FILE] [--metrics] [--metrics-out FILE]\n  \
          qfr decompose (--protein N | --waters N | --scenario NAME)\n                \
@@ -49,41 +119,114 @@ fn usage() -> ! {
          qfr serve    (--protein N | --waters N | --scenario NAME)\n                \
          [--requests R] [--distinct D]\n                \
          [--workers W] [--max-active A] [--max-queued Q]\n                \
-         [--batch-window B] [--cache-mb MB] [--sigma S] [--seed SEED]\n  \
+         [--batch-window B] [--cache-mb MB] [--sigma S] [--lambda L]\n                \
+         [--lanczos K] [--seed SEED] [--metrics]\n  \
          qfr info"
     );
     std::process::exit(2);
 }
 
-fn build_system(args: &[String]) -> MolecularSystem {
-    build_seeded_system(args, parse(args, "--seed", 42))
+fn build_system(args: &Args) -> MolecularSystem {
+    build_seeded_system(args, args.get_or("--seed", 42))
 }
 
-fn build_seeded_system(args: &[String], seed: u64) -> MolecularSystem {
-    if let Some(name) = arg_value(args, "--scenario") {
-        return qfr_geom::build_scenario(&name, seed).unwrap_or_else(|| {
-            eprintln!(
+fn build_seeded_system(args: &Args, seed: u64) -> MolecularSystem {
+    args.exclusive(&["--scenario", "--protein", "--waters"]);
+    if let Some(name) = args.value("--scenario") {
+        qfr_geom::build_scenario(name, seed).unwrap_or_else(|| {
+            fail(format!(
                 "unknown scenario '{name}' (available: {})",
                 qfr_geom::SCENARIO_NAMES.join(", ")
-            );
-            std::process::exit(2);
-        });
-    }
-    if let Some(n) = arg_value(args, "--protein").and_then(|v| v.parse::<usize>().ok()) {
+            ))
+        })
+    } else if let Some(n) = args.get("--protein") {
         let protein = ProteinBuilder::new(n).seed(seed).build();
-        if let Some(pad) = arg_value(args, "--solvate").and_then(|v| v.parse::<f64>().ok()) {
-            return SolvatedSystem::build(&protein, pad, 3.1, 2.4, seed + 1);
+        match args.get::<f64>("--solvate") {
+            Some(pad) => SolvatedSystem::build(&protein, pad, 3.1, 2.4, seed + 1),
+            None => protein,
         }
-        return protein;
+    } else if let Some(n) = args.get("--waters") {
+        WaterBoxBuilder::new(n).seed(seed).build()
+    } else {
+        usage()
     }
-    if let Some(n) = arg_value(args, "--waters").and_then(|v| v.parse::<usize>().ok()) {
-        return WaterBoxBuilder::new(n).seed(seed).build();
-    }
-    usage()
 }
 
-fn cmd_spectrum(args: &[String]) {
-    let trace_path = arg_value(args, "--trace");
+/// The run plan the mode flags describe. `--dense`, `--stream` and
+/// `--shards` pick the operator, `--sched` the response source;
+/// combinations no plan can honour are rejected by `execute`.
+fn run_plan(args: &Args) -> RunPlan {
+    args.exclusive(&["--dense", "--stream", "--shards"]);
+    let operator = if args.has("--dense") {
+        HessianOperator::DenseReference
+    } else if args.has("--stream") {
+        HessianOperator::MatrixFree
+    } else if let Some(shards) = args.get("--shards") {
+        let spill = args.value("--spill").unwrap_or("target/spill");
+        let tile_rows = args.get_or("--tile-rows", 512);
+        HessianOperator::Sharded(ShardConfig::new(shards, spill).tile_rows(tile_rows))
+    } else {
+        HessianOperator::InCore
+    };
+    let source = match args.get("--sched") {
+        Some(n_leaders) => ResponseSource::Scheduler(qfr_sched::RuntimeConfig {
+            n_leaders,
+            workers_per_leader: args.get_or("--workers", 2),
+            ..Default::default()
+        }),
+        None => ResponseSource::Rayon,
+    };
+    // Periodic saves rewrite the whole file, so only the scheduled path —
+    // where a killed run is the expected case — defaults to them.
+    let interval = if args.has("--sched") { 64 } else { 0 };
+    RunPlan {
+        checkpoint: args.value("--checkpoint").map(std::path::PathBuf::from),
+        checkpoint_interval: args.get_or("--checkpoint-interval", interval),
+        ..RunPlan::new(source, operator)
+    }
+}
+
+fn cmd_spectrum(argv: &[String]) {
+    let args = &Args::parse(
+        argv,
+        "--sigma --lambda --lanczos --temperature --json --xyz --offload --precision \
+         --shards --spill --tile-rows --sched --workers --checkpoint --checkpoint-interval \
+         --cache-mb --warm --trace --metrics-out",
+        "--ir --dense --stream --dfpt --cache --metrics",
+        &[
+            ("--spill", "--shards"),
+            ("--tile-rows", "--shards"),
+            ("--workers", "--sched"),
+            ("--checkpoint-interval", "--checkpoint"),
+            ("--cache-mb", "--cache"),
+            ("--warm", "--cache"),
+        ],
+    );
+    let plan = run_plan(args);
+    // --offload selects how the DFPT engine executes its gathered job
+    // streams; spectra are bit-identical in both modes (ablation knob).
+    let offload = match args.value("--offload") {
+        None | Some("batched") => OffloadMode::default(),
+        Some("scattered") => OffloadMode::Scattered,
+        Some(other) => fail(format!("--offload takes 'batched' or 'scattered', got '{other}'")),
+    };
+    // --precision selects the DFPT batch kernels' element width: f64
+    // (default, bit-identical to the reference kernels) or mixed (f32
+    // packed panels, f64 accumulation — validated by a max-|Δ| tolerance
+    // of 1e-3 x the f64 spectrum's peak, not bit parity).
+    let precision = match args.value("--precision") {
+        None | Some("f64") => GemmPrecision::F64,
+        Some("mixed") => GemmPrecision::MixedF32,
+        Some(other) => fail(format!("--precision takes 'f64' or 'mixed', got '{other}'")),
+    };
+    // Every value is parsed before any work starts.
+    let temperature: Option<f64> = args.get("--temperature");
+    let warm: usize = args.get_or("--warm", 0);
+    let sigma: Option<f64> = args.get("--sigma");
+    let (lambda, lanczos) = (args.get_or("--lambda", 4.0), args.get_or("--lanczos", 140));
+    let cache_mb: usize = args.get_or("--cache-mb", 256);
+
+    let trace_path = args.value("--trace");
     if trace_path.is_some() {
         qfr_obs::trace::enable();
     }
@@ -94,128 +237,59 @@ fn cmd_spectrum(args: &[String]) {
         system.residues.len(),
         system.n_waters
     );
-    if let Some(path) = arg_value(args, "--xyz") {
-        std::fs::write(&path, io::to_xyz(&system, "qfr spectrum input")).expect("write xyz");
+    if let Some(path) = args.value("--xyz") {
+        std::fs::write(path, io::to_xyz(&system, "qfr spectrum input")).expect("write xyz");
         println!("geometry written to {path}");
     }
 
-    let sigma = parse(args, "--sigma", if system.n_waters > 0 { 20.0 } else { 5.0 });
-    // --offload selects how the DFPT engine executes its gathered job
-    // streams; spectra are bit-identical in both modes (ablation knob).
-    let offload = match arg_value(args, "--offload").as_deref() {
-        None | Some("batched") => OffloadMode::default(),
-        Some("scattered") => OffloadMode::Scattered,
-        Some(other) => {
-            eprintln!("error: --offload takes 'batched' or 'scattered', got '{other}'");
-            std::process::exit(2);
-        }
-    };
-    // --precision selects the DFPT batch kernels' element width: f64
-    // (default, bit-identical to the reference kernels) or mixed (f32
-    // packed panels, f64 accumulation — validated by a max-|Δ| tolerance
-    // of 1e-3 x the f64 spectrum's peak, not bit parity).
-    let precision = match arg_value(args, "--precision").as_deref() {
-        None | Some("f64") => GemmPrecision::F64,
-        Some("mixed") => GemmPrecision::MixedF32,
-        Some(other) => {
-            eprintln!("error: --precision takes 'f64' or 'mixed', got '{other}'");
-            std::process::exit(2);
-        }
-    };
+    let sigma = sigma.unwrap_or(if system.n_waters > 0 { 20.0 } else { 5.0 });
     let mut workflow = RamanWorkflow::new(system)
         .sigma(sigma)
-        .lambda(parse(args, "--lambda", 4.0))
-        .lanczos_steps(parse(args, "--lanczos", 140))
+        .lambda(lambda)
+        .lanczos_steps(lanczos)
         .offload(offload)
         .precision(precision);
-    if has(args, "--dfpt") {
+    if args.has("--dfpt") {
         workflow = workflow.engine(EngineKind::ModelDfpt);
     }
     // --cache attaches a content-addressed fragment result cache;
     // --warm N re-runs the workflow N extra times against the warm cache
     // (hit-rate demonstration — spectra are bit-identical regardless).
-    let cache = if has(args, "--cache") {
-        let mb: usize = parse(args, "--cache-mb", 256);
-        let cache = std::sync::Arc::new(FragmentCache::new(CacheConfig {
-            max_bytes: mb << 20,
+    let cache = args.has("--cache").then(|| {
+        std::sync::Arc::new(FragmentCache::new(CacheConfig {
+            max_bytes: cache_mb << 20,
             ..CacheConfig::default()
-        }));
-        workflow = workflow.with_cache(std::sync::Arc::clone(&cache));
-        Some(cache)
-    } else {
-        None
-    };
-    let mut result = if has(args, "--dense") {
-        workflow.run_dense_reference()
-    } else if has(args, "--stream") {
-        workflow.run_streamed()
-    } else if let Some(shards) = arg_value(args, "--shards") {
-        // --shards K: out-of-core sharded assembly — spill one file per
-        // contiguous atom range under --spill, stream the solver SpMV
-        // tile-by-tile. Bit-identical to the in-core run for every K.
-        // Composes with --sched: missing shards then build through the
-        // fault-tolerant scheduler.
-        let k: usize = shards.parse().ok().filter(|&k| k > 0).unwrap_or_else(|| {
-            eprintln!("error: --shards takes a positive shard count, got '{shards}'");
-            std::process::exit(2);
-        });
-        let spill = arg_value(args, "--spill").unwrap_or_else(|| "target/spill".into());
-        let mut cfg =
-            qfr_core::ShardConfig::new(k, &spill).tile_rows(parse(args, "--tile-rows", 512));
-        if let Some(leaders) = arg_value(args, "--sched") {
-            let n_leaders: usize = leaders.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                eprintln!("error: --sched takes a positive leader count, got '{leaders}'");
-                std::process::exit(2);
-            });
-            cfg = cfg.scheduled(qfr_sched::RuntimeConfig {
-                n_leaders,
-                workers_per_leader: parse(args, "--workers", 2),
-                ..Default::default()
-            });
-        }
-        println!("sharded: K={k}, spill dir {spill}, tile rows {}", cfg.tile_rows);
-        workflow.run_sharded(cfg)
-    } else if let Some(leaders) = arg_value(args, "--sched") {
-        let n_leaders: usize = leaders.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-            eprintln!("error: --sched takes a positive leader count, got '{leaders}'");
-            std::process::exit(2);
-        });
-        let runtime = qfr_sched::RuntimeConfig {
-            n_leaders,
-            workers_per_leader: parse(args, "--workers", 2),
-            ..Default::default()
-        };
-        // --sched --checkpoint FILE: incremental checkpoint/restart of the
-        // scheduled engine stage (resumes from FILE when it exists).
-        workflow.run_scheduled_with(qfr_core::ScheduledConfig {
-            runtime,
-            checkpoint: arg_value(args, "--checkpoint").map(std::path::PathBuf::from),
-            checkpoint_interval: parse(args, "--checkpoint-interval", 64),
-        })
-    } else if let Some(ckpt) = arg_value(args, "--checkpoint") {
-        workflow.run_with_checkpoint(std::path::Path::new(&ckpt))
-    } else {
-        workflow.run()
+        }))
+    });
+    if let Some(cache) = &cache {
+        workflow = workflow.with_cache(std::sync::Arc::clone(cache));
     }
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+    if let HessianOperator::Sharded(cfg) = &plan.operator {
+        let ShardConfig { shards, spill, tile_rows } = cfg;
+        println!("sharded: K={shards}, spill dir {}, tile rows {tile_rows}", spill.display());
+    }
+    let mut result = workflow.execute(plan).unwrap_or_else(|e| match e {
+        WorkflowError::UnsupportedPlan(_) => fail(e),
+        _ => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     });
 
-    if let Some(t) = arg_value(args, "--temperature").and_then(|v| v.parse::<f64>().ok()) {
+    if let Some(t) = temperature {
         result.spectrum.apply_bose_factor(t);
         result.ir.apply_bose_factor(t);
         println!("applied Bose factor at {t} K");
     }
 
     if let Some(cache) = &cache {
-        for i in 0..parse(args, "--warm", 0usize) {
-            let warm = workflow.run().unwrap_or_else(|e| {
+        for i in 0..warm {
+            let rerun = workflow.run().unwrap_or_else(|e| {
                 eprintln!("error: warm run {i}: {e}");
                 std::process::exit(1);
             });
             assert_eq!(
-                warm.spectrum.intensities, result.spectrum.intensities,
+                rerun.spectrum.intensities, result.spectrum.intensities,
                 "cache broke bit-identity"
             );
         }
@@ -253,7 +327,7 @@ fn cmd_spectrum(args: &[String]) {
         "Raman bands (cm-1): {:?}",
         result.spectrum.peaks_above(0.05).iter().map(|p| p.round()).collect::<Vec<_>>()
     );
-    if has(args, "--ir") {
+    if args.has("--ir") {
         println!(
             "IR bands    (cm-1): {:?}",
             result.ir.peaks_above(0.05).iter().map(|p| p.round()).collect::<Vec<_>>()
@@ -262,34 +336,35 @@ fn cmd_spectrum(args: &[String]) {
     }
     println!("\nRaman spectrum:\n{}", result.spectrum.ascii_plot(25, 55));
 
-    if let Some(path) = arg_value(args, "--json") {
-        std::fs::write(&path, result.to_json()).expect("write json");
+    if let Some(path) = args.value("--json") {
+        std::fs::write(path, result.to_json()).expect("write json");
         println!("record written to {path}");
     }
 
     // --metrics prints the full span/counter report, then the deterministic
     // counter block between sentinel lines so CI (and `diff`) can extract
     // and compare it byte-for-byte across same-seed runs.
-    if has(args, "--metrics") {
+    if args.has("--metrics") {
         println!("\n{}", qfr_obs::report());
         println!("-- deterministic counters --");
         print!("{}", qfr_obs::counter::deterministic_report());
         println!("-- end deterministic counters --");
     }
-    if let Some(path) = arg_value(args, "--metrics-out") {
-        std::fs::write(&path, qfr_obs::counter::deterministic_report()).expect("write metrics");
+    if let Some(path) = args.value("--metrics-out") {
+        std::fs::write(path, qfr_obs::counter::deterministic_report()).expect("write metrics");
         println!("deterministic counters written to {path}");
     }
     if let Some(path) = trace_path {
-        qfr_obs::trace::save(std::path::Path::new(&path)).expect("write trace");
+        qfr_obs::trace::save(std::path::Path::new(path)).expect("write trace");
         qfr_obs::trace::disable();
         println!("chrome trace written to {path}");
     }
 }
 
-fn cmd_decompose(args: &[String]) {
+fn cmd_decompose(argv: &[String]) {
+    let args = &Args::parse(argv, "--lambda", "", &[]);
     let system = build_system(args);
-    let workflow = RamanWorkflow::new(system).lambda(parse(args, "--lambda", 4.0));
+    let workflow = RamanWorkflow::new(system).lambda(args.get_or("--lambda", 4.0));
     let d = workflow.decompose();
     println!("system: {} atoms", workflow.system().n_atoms());
     println!("{}", d.stats.summary());
@@ -307,16 +382,24 @@ fn cmd_decompose(args: &[String]) {
 /// cache), waits for all of them, and reports per-request and cache-wide
 /// statistics. There is no network listener — this is the in-process
 /// demonstration of the service's admission, batching and cache sharing.
-fn cmd_serve(args: &[String]) {
-    let requests: usize = parse(args, "--requests", 6);
-    let distinct: usize = std::cmp::max(parse(args, "--distinct", 2), 1);
-    let base_seed: u64 = parse(args, "--seed", 42);
-    let cache_mb: usize = parse(args, "--cache-mb", 256);
+fn cmd_serve(argv: &[String]) {
+    let args = &Args::parse(
+        argv,
+        "--requests --distinct --workers --max-active --max-queued --batch-window --cache-mb \
+         --sigma --lambda --lanczos",
+        "--metrics",
+        &[],
+    );
+    let requests: usize = args.get_or("--requests", 6);
+    let distinct: usize = std::cmp::max(args.get_or("--distinct", 2), 1);
+    let base_seed: u64 = args.get_or("--seed", 42);
+    let cache_mb: usize = args.get_or("--cache-mb", 256);
+    let (lambda, lanczos) = (args.get_or("--lambda", 4.0), args.get_or("--lanczos", 140));
     let config = ServiceConfig {
-        workers: parse(args, "--workers", 4),
-        max_active: parse(args, "--max-active", 4),
-        max_queued: parse(args, "--max-queued", 16),
-        batch_window: parse(args, "--batch-window", 32),
+        workers: args.get_or("--workers", 4),
+        max_active: args.get_or("--max-active", 4),
+        max_queued: args.get_or("--max-queued", 16),
+        batch_window: args.get_or("--batch-window", 32),
         engine: EngineKind::ForceField,
         cache: Some(std::sync::Arc::new(FragmentCache::new(CacheConfig {
             max_bytes: cache_mb << 20,
@@ -328,15 +411,13 @@ fn cmd_serve(args: &[String]) {
 
     let variants: Vec<MolecularSystem> =
         (0..distinct).map(|d| build_seeded_system(args, base_seed + d as u64)).collect();
-    let sigma = parse(args, "--sigma", if variants[0].n_waters > 0 { 20.0 } else { 5.0 });
+    let sigma = args.get_or("--sigma", if variants[0].n_waters > 0 { 20.0 } else { 5.0 });
 
     let mut handles = Vec::new();
     for r in 0..requests {
         let system = variants[r % distinct].clone();
-        let request = SpectrumRequest::new(system)
-            .sigma(sigma)
-            .lambda(parse(args, "--lambda", 4.0))
-            .lanczos_steps(parse(args, "--lanczos", 140));
+        let request =
+            SpectrumRequest::new(system).sigma(sigma).lambda(lambda).lanczos_steps(lanczos);
         match service.submit(request) {
             Ok(handle) => {
                 println!("request {:>2}: admitted (variant {})", handle.id(), r % distinct);
@@ -371,7 +452,7 @@ fn cmd_serve(args: &[String]) {
         s.near_hits,
         s.evictions
     );
-    if has(args, "--metrics") {
+    if args.has("--metrics") {
         println!("\n{}", qfr_obs::report());
     }
 }

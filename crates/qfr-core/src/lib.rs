@@ -32,6 +32,7 @@
 
 pub mod checkpoint;
 pub mod modes;
+mod pipeline;
 pub mod report;
 pub mod service;
 pub mod shard;
@@ -43,4 +44,7 @@ pub use report::{RamanResult, RecoverySummary, StageTimings};
 pub use service::{RequestHandle, ServiceConfig, ServiceError, SpectrumRequest, SpectrumService};
 pub use shard::{ShardError, ShardPlan, ShardStore};
 pub use streamed::StreamedHessian;
-pub use workflow::{EngineKind, RamanWorkflow, ScheduledConfig, ShardConfig, WorkflowError};
+pub use workflow::{
+    EngineKind, HessianOperator, RamanWorkflow, ResponseSource, RunPlan, ScheduledConfig,
+    ShardConfig, WorkflowError,
+};

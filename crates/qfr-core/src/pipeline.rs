@@ -1,0 +1,248 @@
+//! The staged QF-RAMAN pipeline shared by [`crate::RamanWorkflow::execute`]
+//! and [`crate::SpectrumService`]: `prepare` (decompose + validate) →
+//! `responses` → `operator` → `solve` → `finish`. What the responses and
+//! operator stages do belongs to the caller (they are the two axes of
+//! [`crate::RunPlan`]; the service's pool drain rounds are one more
+//! response executor); everything every run shares lives here exactly once.
+
+use crate::report::{RamanResult, RecoverySummary, StageTimings};
+use crate::workflow::{EngineKind, ResponseSource, WorkflowError};
+use qfr_fragment::{
+    assemble, Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentResponse,
+    MassWeighted,
+};
+use qfr_geom::MolecularSystem;
+use qfr_linalg::batch::OffloadMode;
+use qfr_linalg::sparse::MatVec;
+use qfr_linalg::{CsrMatrix, GemmPrecision};
+use qfr_sched::{FragmentWorkItem, RunReport};
+use qfr_solver::{ir_lanczos, raman_dense_reference, raman_lanczos, RamanOptions, RamanSpectrum};
+use rayon::prelude::*;
+use std::borrow::Cow;
+
+/// Largest fragment (atoms incl. link H) the model-DFPT engine accepts:
+/// its cost is `O((3m)²)` energy evaluations per fragment.
+pub(crate) const DFPT_FRAGMENT_CAP: usize = 12;
+
+/// Span names of one pipeline front end.
+pub(crate) struct Stages {
+    decompose: &'static str,
+    engine: &'static str,
+    assemble: &'static str,
+    solver: &'static str,
+}
+
+pub(crate) const WORKFLOW: Stages = Stages {
+    decompose: "workflow.decompose",
+    engine: "workflow.engine",
+    assemble: "workflow.assemble",
+    solver: "workflow.solver",
+};
+
+pub(crate) const SERVICE: Stages = Stages {
+    decompose: "service.decompose",
+    engine: "service.engine",
+    assemble: "service.assemble",
+    solver: "service.solver",
+};
+
+pub(crate) fn make_engine(
+    kind: EngineKind,
+    offload: OffloadMode,
+    precision: GemmPrecision,
+) -> Box<dyn FragmentEngine + Send + Sync> {
+    match kind {
+        EngineKind::ForceField => Box::new(qfr_model::ForceFieldEngine::new()),
+        EngineKind::ModelDfpt => {
+            let mut config = qfr_dfpt::DfptEngineConfig::default();
+            config.scf.offload = offload;
+            config.response.offload = offload;
+            config.scf.precision = precision;
+            config.response.precision = precision;
+            Box::new(qfr_dfpt::DfptEngine { config })
+        }
+    }
+}
+
+/// One run of the pipeline: the front end whose spans it reports under,
+/// what every stage needs, and the stage timings so far.
+pub(crate) struct Pipeline<'a> {
+    stages: &'static Stages,
+    system: &'a MolecularSystem,
+    raman: &'a RamanOptions,
+    timings: StageTimings,
+}
+
+fn validate(
+    system: &MolecularSystem,
+    engine: EngineKind,
+    decomposition: &Decomposition,
+) -> Result<(), WorkflowError> {
+    if system.n_atoms() == 0 {
+        return Err(WorkflowError::EmptySystem);
+    }
+    let errs = system.validate();
+    if !errs.is_empty() {
+        return Err(WorkflowError::InvalidSystem(errs));
+    }
+    if engine == EngineKind::ModelDfpt {
+        let largest = decomposition.jobs.iter().map(|j| j.size()).max().unwrap_or(0);
+        if largest > DFPT_FRAGMENT_CAP {
+            return Err(WorkflowError::DfptTooLarge {
+                largest_fragment: largest,
+                cap: DFPT_FRAGMENT_CAP,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The one executor switch: runs `work(item.id)` for every item on the
+/// plan's response source. `work` returns `false` on failure — the
+/// scheduler retries or quarantines the item, the in-order loop stops at
+/// the first failure. Only the scheduler has recovery to report.
+pub(crate) fn dispatch(
+    source: &ResponseSource,
+    items: Vec<FragmentWorkItem>,
+    work: impl Fn(usize) -> bool + Sync,
+) -> Option<RunReport> {
+    match source {
+        ResponseSource::Rayon => {
+            items.par_iter().for_each(|item| {
+                work(item.id as usize);
+            });
+            None
+        }
+        ResponseSource::Sequential => {
+            let _ = items.iter().all(|item| work(item.id as usize));
+            None
+        }
+        ResponseSource::Scheduler(runtime) => Some(qfr_sched::run_master_leader_worker(
+            Box::new(qfr_sched::SizeSensitivePolicy::with_defaults(items)),
+            |item| work(item.id as usize),
+            runtime.clone(),
+        )),
+    }
+}
+
+/// Scheduler recovery counters at the workflow level; `resumed` counts the
+/// work items restored from disk instead of dispatched.
+pub(crate) fn recovery_summary(
+    report: &RunReport,
+    resumed: usize,
+    cache_hits: u64,
+) -> RecoverySummary {
+    RecoverySummary {
+        retries: report.retries,
+        eager_retries: report.eager_retries,
+        resumed_jobs: resumed,
+        reissues: report.reissues,
+        duplicates_suppressed: report.duplicates_suppressed,
+        quarantined_jobs: report.quarantined_fragments.len(),
+        unfinished_jobs: report.unfinished_fragments,
+        leaders_died: report.leaders_died,
+        cache_hits,
+    }
+}
+
+impl<'a> Pipeline<'a> {
+    /// Stage 1: decompose the system and validate it against the engine.
+    pub(crate) fn prepare(
+        stages: &'static Stages,
+        system: &'a MolecularSystem,
+        params: DecompositionParams,
+        engine: EngineKind,
+        raman: &'a RamanOptions,
+    ) -> Result<(Self, Decomposition), WorkflowError> {
+        let mut timings = StageTimings::default();
+        let (decomposition, dt) =
+            qfr_obs::timed(stages.decompose, || Decomposition::new(system, params));
+        timings.decompose_s = dt;
+        validate(system, engine, &decomposition)?;
+        Ok((Self { stages, system, raman, timings }, decomposition))
+    }
+
+    /// Stage 2, run by the caller: `f` serves the work items.
+    pub(crate) fn responses<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        let (out, dt) = qfr_obs::timed(self.stages.engine, f);
+        self.timings.engine_s = dt;
+        out
+    }
+
+    /// Stage 3: `f` makes the Hessian operator available.
+    pub(crate) fn operator<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        let (out, dt) = qfr_obs::timed(self.stages.assemble, f);
+        self.timings.assemble_s = dt;
+        out
+    }
+
+    /// Stage 3 for the in-core operator: Eq. (1) assembly plus mass
+    /// weighting over every job that has a response. An empty slot
+    /// (quarantined or abandoned work) is left out, yielding a partial
+    /// operator.
+    pub(crate) fn assemble_in_core(
+        &mut self,
+        jobs: &[FragmentJob],
+        slots: Vec<Option<FragmentResponse>>,
+    ) -> MassWeighted {
+        let system = self.system;
+        self.operator(|| {
+            let kept: Cow<'_, [FragmentJob]> = if slots.iter().all(Option::is_some) {
+                Cow::Borrowed(jobs)
+            } else {
+                (jobs.iter().zip(&slots))
+                    .filter(|(_, slot)| slot.is_some())
+                    .map(|(job, _)| job.clone())
+                    .collect()
+            };
+            let responses: Vec<FragmentResponse> = slots.into_iter().flatten().collect();
+            let assembled = assemble::assemble(&kept, &responses, system.n_atoms());
+            MassWeighted::new(&assembled, &system.masses())
+        })
+    }
+
+    /// Stage 4: Raman and IR spectra of `op` — any Hessian operator — from
+    /// the mass-weighted derivative vectors. `dense_of` swaps the Raman
+    /// solve for the dense-diagonalization reference over that matrix
+    /// (small systems).
+    pub(crate) fn solve(
+        &mut self,
+        op: &dyn MatVec,
+        dense_of: Option<&CsrMatrix>,
+        dalpha: &[Vec<f64>; 6],
+        dmu: &[Vec<f64>; 3],
+    ) -> (RamanSpectrum, RamanSpectrum) {
+        let opts = self.raman;
+        let (spectra, dt) = qfr_obs::timed(self.stages.solver, || {
+            let spectrum = match dense_of {
+                Some(h) => raman_dense_reference(&h.to_dense(), dalpha, opts),
+                None => raman_lanczos(op, dalpha, opts),
+            };
+            (spectrum, ir_lanczos(op, dmu, opts))
+        });
+        self.timings.solver_s = dt;
+        spectra
+    }
+
+    /// Stage 5: the run record.
+    pub(crate) fn finish(
+        self,
+        (spectrum, ir): (RamanSpectrum, RamanSpectrum),
+        decomposition: Decomposition,
+        hessian_nnz: usize,
+        engine: &dyn FragmentEngine,
+        recovery: Option<RecoverySummary>,
+    ) -> RamanResult {
+        RamanResult {
+            spectrum,
+            ir,
+            stats: decomposition.stats,
+            n_atoms: self.system.n_atoms(),
+            dof: self.system.dof(),
+            hessian_nnz,
+            engine: engine.name().to_string(),
+            timings: self.timings,
+            recovery,
+        }
+    }
+}

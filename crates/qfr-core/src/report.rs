@@ -24,10 +24,11 @@ impl StageTimings {
     }
 }
 
-/// Recovery counters of a fault-tolerant scheduled engine stage
-/// ([`crate::RamanWorkflow::run_scheduled`]). Mirrors
-/// `qfr_sched::RunReport`'s recovery fields at the workflow level, where
-/// each scheduled "fragment" is one decomposition job.
+/// Recovery counters of a response stage run under
+/// [`crate::ResponseSource::Scheduler`] (the service fills in `cache_hits`
+/// only). Mirrors `qfr_sched::RunReport`'s recovery fields at the workflow
+/// level, where each scheduled "fragment" is one work item: a
+/// decomposition job, or a shard under [`crate::HessianOperator::Sharded`].
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct RecoverySummary {
     /// Failure-triggered re-queues during the engine stage.
@@ -35,8 +36,8 @@ pub struct RecoverySummary {
     /// Retries scheduled eagerly at the *first* failed copy of an attempt
     /// (equals `retries` under the always-eager protocol).
     pub eager_retries: usize,
-    /// Jobs restored from the checkpoint instead of recomputed (0 for
-    /// uncheckpointed runs).
+    /// Work items restored from disk instead of recomputed: checkpointed
+    /// jobs, or valid shard spill files.
     pub resumed_jobs: usize,
     /// Straggler duplicates issued to idle leaders.
     pub reissues: usize,
@@ -82,8 +83,8 @@ pub struct RamanResult {
     pub engine: String,
     /// Per-stage wall times.
     pub timings: StageTimings,
-    /// Recovery counters when the engine stage ran through the
-    /// fault-tolerant scheduler (`None` for the plain rayon path).
+    /// Recovery counters when the responses came from the scheduler or
+    /// the service (`None` for the rayon and sequential sources).
     pub recovery: Option<RecoverySummary>,
 }
 

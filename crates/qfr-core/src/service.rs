@@ -32,19 +32,16 @@
 //! no-bleed test pins this by checking service results bit-identical to
 //! solo runs.
 
-use crate::report::{RamanResult, RecoverySummary, StageTimings};
+use crate::pipeline::{self, Pipeline, SERVICE};
+use crate::report::{RamanResult, RecoverySummary};
 use crate::workflow::{EngineKind, WorkflowError};
 use qfr_cache::{CacheConfig, FragmentCache, HitKind};
-use qfr_fragment::{
-    assemble, Decomposition, DecompositionParams, FragmentEngine, FragmentResponse,
-    FragmentStructure, MassWeighted,
-};
+use qfr_fragment::{DecompositionParams, FragmentEngine, FragmentResponse, FragmentStructure};
 use qfr_geom::MolecularSystem;
-use qfr_solver::{ir_lanczos, raman_lanczos, RamanOptions};
+use qfr_solver::RamanOptions;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::Instant;
 
 // Accepted requests and enqueued fragments are pure functions of the
 // submitted workload (when nothing is rejected), so they sit in the
@@ -253,12 +250,7 @@ impl SpectrumService {
             .cache
             .clone()
             .unwrap_or_else(|| Arc::new(FragmentCache::new(CacheConfig::default())));
-        let engine: Box<dyn FragmentEngine + Send + Sync> = match config.engine {
-            EngineKind::ForceField => Box::new(qfr_model::ForceFieldEngine::new()),
-            EngineKind::ModelDfpt => {
-                Box::new(qfr_dfpt::DfptEngine { config: qfr_dfpt::DfptEngineConfig::default() })
-            }
-        };
+        let engine = pipeline::make_engine(config.engine, Default::default(), Default::default());
         let pool = qfr_sched::WorkerPool::new(config.workers);
         Self {
             inner: Arc::new(ServiceInner {
@@ -333,109 +325,61 @@ impl SpectrumService {
 }
 
 impl ServiceInner {
-    fn validate(&self, request: &SpectrumRequest, d: &Decomposition) -> Result<(), WorkflowError> {
-        if request.system.n_atoms() == 0 {
-            return Err(WorkflowError::EmptySystem);
-        }
-        let errs = request.system.validate();
-        if !errs.is_empty() {
-            return Err(WorkflowError::InvalidSystem(errs));
-        }
-        if self.config.engine == EngineKind::ModelDfpt {
-            let cap = 12; // same cap RamanWorkflow applies
-            let largest = d.jobs.iter().map(|j| j.size()).max().unwrap_or(0);
-            if largest > cap {
-                return Err(WorkflowError::DfptTooLarge { largest_fragment: largest, cap });
-            }
-        }
-        Ok(())
-    }
-
-    /// Serves one request end to end on its coordinator thread; only the
-    /// fragment computes go through the shared pool (as drain rounds), so
-    /// coordinators can block on their slots without starving the pool.
+    /// Serves one request end to end on its coordinator thread: the shared
+    /// pipeline stages, with the pool's drain rounds as the response
+    /// executor — coordinators block on their slots without starving the
+    /// pool.
     fn serve(inner: &Arc<Self>, request: SpectrumRequest) -> Result<RamanResult, ServiceError> {
-        let mut timings = StageTimings::default();
-        let (decomposition, dt) = qfr_obs::timed("service.decompose", || {
-            Decomposition::new(&request.system, request.params)
-        });
-        timings.decompose_s = dt;
-        inner.validate(&request, &decomposition).map_err(ServiceError::Workflow)?;
-
+        let SpectrumRequest { system, params, raman } = &request;
+        let (mut pipeline, decomposition) =
+            Pipeline::prepare(&SERVICE, system, *params, inner.config.engine, raman)
+                .map_err(ServiceError::Workflow)?;
         let jobs = &decomposition.jobs;
         FRAGMENTS.add(jobs.len() as u64);
-        let engine_span = qfr_obs::span("service.engine");
-        let t = Instant::now();
-        let out = Arc::new(RequestSlots {
-            state: Mutex::new(SlotState {
-                responses: vec![None; jobs.len()],
-                remaining: jobs.len(),
-            }),
-            done_cv: Condvar::new(),
-            hits: AtomicU64::new(0),
-        });
 
-        // Enqueue every fragment, then submit enough drain rounds to
-        // cover them. A round takes up to `batch_window` items from the
-        // *front* of the shared queue, so overlapping requests mix into
-        // common rounds (cross-request batching); cumulative round
-        // capacity covers every enqueued item, so none is stranded.
-        {
-            let mut pending = inner.pending.lock().expect("pending poisoned");
-            for (index, job) in jobs.iter().enumerate() {
-                pending.push_back(PendingItem {
-                    frag: job.structure(&request.system),
-                    out: Arc::clone(&out),
-                    index,
-                });
+        let (slots, cache_hits) = pipeline.responses(|| {
+            let out = Arc::new(RequestSlots {
+                state: Mutex::new(SlotState {
+                    responses: vec![None; jobs.len()],
+                    remaining: jobs.len(),
+                }),
+                done_cv: Condvar::new(),
+                hits: AtomicU64::new(0),
+            });
+            // Enqueue every fragment, then submit enough drain rounds to
+            // cover them. A round takes up to `batch_window` items from the
+            // *front* of the shared queue, so overlapping requests mix into
+            // common rounds (cross-request batching); cumulative round
+            // capacity covers every enqueued item, so none is stranded.
+            {
+                let mut pending = inner.pending.lock().expect("pending poisoned");
+                for (index, job) in jobs.iter().enumerate() {
+                    pending.push_back(PendingItem {
+                        frag: job.structure(system),
+                        out: Arc::clone(&out),
+                        index,
+                    });
+                }
             }
-        }
-        let window = inner.config.batch_window.max(1);
-        for _ in 0..jobs.len().div_ceil(window) {
-            let worker = Arc::clone(inner);
-            inner.pool.submit(move || worker.drain_round());
-        }
-
-        // Wait for this request's slots; rounds for other requests keep
-        // flowing on the pool meanwhile.
-        let responses: Vec<FragmentResponse> = {
+            let window = inner.config.batch_window.max(1);
+            for _ in 0..jobs.len().div_ceil(window) {
+                let worker = Arc::clone(inner);
+                inner.pool.submit(move || worker.drain_round());
+            }
+            // Wait for this request's slots; rounds for other requests keep
+            // flowing on the pool meanwhile.
             let mut st = out.state.lock().expect("slots poisoned");
             while st.remaining > 0 {
                 st = out.done_cv.wait(st).expect("slots poisoned");
             }
-            st.responses.iter_mut().map(|s| s.take().expect("slot filled")).collect()
-        };
-        timings.engine_s = t.elapsed().as_secs_f64();
-        drop(engine_span);
-
-        let n_atoms = request.system.n_atoms();
-        let (mw, dt) = qfr_obs::timed("service.assemble", || {
-            let assembled = assemble::assemble(jobs, &responses, n_atoms);
-            MassWeighted::new(&assembled, &request.system.masses())
+            (std::mem::take(&mut st.responses), out.hits.load(Ordering::Relaxed))
         });
-        timings.assemble_s = dt;
 
-        let ((spectrum, ir), dt) = qfr_obs::timed("service.solver", || {
-            let spectrum = raman_lanczos(&mw.hessian, &mw.dalpha, &request.raman);
-            let ir = ir_lanczos(&mw.hessian, &mw.dmu, &request.raman);
-            (spectrum, ir)
-        });
-        timings.solver_s = dt;
-
-        Ok(RamanResult {
-            spectrum,
-            ir,
-            stats: decomposition.stats,
-            n_atoms,
-            dof: request.system.dof(),
-            hessian_nnz: mw.hessian.nnz(),
-            engine: inner.engine.name().to_string(),
-            timings,
-            recovery: Some(RecoverySummary {
-                cache_hits: out.hits.load(Ordering::Relaxed),
-                ..RecoverySummary::default()
-            }),
-        })
+        let mw = pipeline.assemble_in_core(jobs, slots);
+        let spectra = pipeline.solve(&mw.hessian, None, &mw.dalpha, &mw.dmu);
+        let recovery = RecoverySummary { cache_hits, ..RecoverySummary::default() };
+        let engine = inner.engine.as_ref();
+        Ok(pipeline.finish(spectra, decomposition, mw.hessian.nnz(), engine, Some(recovery)))
     }
 
     /// One cross-request dispatch round: take up to `batch_window`

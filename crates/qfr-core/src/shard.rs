@@ -17,7 +17,7 @@
 //! Magic `QFRS`, version u32 (= 1), fingerprint u64, then the geometry
 //! header (`n_atoms`, `K`, shard index, atom range, `tile_rows`, tile
 //! count, present-tile count — all u64), a tile presence bitmap of
-//! `ceil(n_tiles/8)` bytes in the checkpoint-v2 layout (bit `t` of byte
+//! `ceil(n_tiles/8)` bytes in the checkpoint bitmap layout (bit `t` of byte
 //! `t/8`), the total nnz (u64), the mass-weighted ∂α (6 rows) and ∂μ
 //! (3 rows) spans as f64 arrays over the shard's dof window, a per-tile
 //! nnz table (u64 each, absent tiles zero), and finally one CSR block per
@@ -341,7 +341,7 @@ pub struct ShardMeta {
     pub tile_rows: usize,
     /// Tiles the geometry implies.
     pub n_tiles: usize,
-    /// Per-tile presence (checkpoint-v2 bitmap layout).
+    /// Per-tile presence (checkpoint bitmap layout).
     pub present: Vec<bool>,
     /// Total stored non-zeros.
     pub nnz: u64,

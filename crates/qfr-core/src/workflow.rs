@@ -1,17 +1,23 @@
-//! The end-to-end Raman workflow builder.
+//! The end-to-end Raman workflow: a builder, one [`RunPlan`]-driven staged
+//! pipeline ([`RamanWorkflow::execute`]), and the `run_*` facades that name
+//! its common plans.
 
-use crate::report::{RamanResult, RecoverySummary, StageTimings};
+use crate::checkpoint::{load_partial, save_partial};
+use crate::pipeline::{self, dispatch, Pipeline, WORKFLOW};
+use crate::report::{RamanResult, RecoverySummary};
+use crate::shard::{self, ShardPlan, ShardStore};
 use qfr_cache::{FragmentCache, HitKind};
 use qfr_fragment::{
-    assemble, Decomposition, DecompositionParams, FragmentEngine, FragmentResponse, MassWeighted,
+    Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentResponse,
 };
 use qfr_geom::MolecularSystem;
-use qfr_model::ForceFieldEngine;
-use qfr_solver::{ir_lanczos, raman_dense_reference, raman_lanczos, RamanOptions};
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use qfr_linalg::GemmPrecision;
+use qfr_sched::FragmentWorkItem;
+use qfr_solver::{RamanOptions, RamanSpectrum, ShardedOperator};
+use std::collections::HashSet;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 // Checkpoint lifecycle counters. Save counts trigger on the exact number of
 // first-time slot fills (each job fills its slot exactly once, whatever the
@@ -29,14 +35,9 @@ static CHECKPOINT_JOBS_RESUMED: qfr_obs::Counter =
 pub struct ScheduledConfig {
     /// Scheduler shape and fault/recovery policy.
     pub runtime: qfr_sched::RuntimeConfig,
-    /// When set, completed per-job responses are persisted here
-    /// periodically (format v2, partial saves) and on completion; on the
-    /// next run with the same system/λ, only jobs missing from the
-    /// checkpoint — plus any that were quarantined, whose responses are
-    /// excluded from the final save — are re-enqueued.
-    pub checkpoint: Option<std::path::PathBuf>,
-    /// Persist after every `checkpoint_interval` newly completed jobs
-    /// (0 disables periodic saves; the final save still happens).
+    /// See [`RunPlan::checkpoint`].
+    pub checkpoint: Option<PathBuf>,
+    /// See [`RunPlan::checkpoint_interval`].
     pub checkpoint_interval: usize,
 }
 
@@ -51,10 +52,8 @@ impl Default for ScheduledConfig {
     }
 }
 
-/// Configuration of an out-of-core sharded run
-/// ([`RamanWorkflow::run_sharded`]): the atom partition, the spill
-/// directory, the solver tile height, and an optional scheduler shape for
-/// fault-tolerant shard building.
+/// Shape of the out-of-core operator ([`HessianOperator::Sharded`]): the
+/// atom partition, the spill directory and the solver tile height.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Number of contiguous atom-range shards `K`.
@@ -62,22 +61,15 @@ pub struct ShardConfig {
     /// Directory receiving one `shard-NNNNN.qfrs` spill file per shard
     /// (created if absent). Re-running with the same directory resumes:
     /// shards whose file is valid for this system/λ/K/tiling are skipped.
-    pub spill: std::path::PathBuf,
+    pub spill: PathBuf,
     /// Dof rows per solver tile (peak solver residency is one tile).
     pub tile_rows: usize,
-    /// When set, shard builds run through the fault-tolerant
-    /// master/leader/worker scheduler (one work item per missing shard,
-    /// cost linear in owned atoms); quarantined shards' spill files are
-    /// deleted — untrusted — and their rows stream as zero, the same
-    /// partial-spectrum semantics as [`RamanWorkflow::run_scheduled`].
-    pub runtime: Option<qfr_sched::RuntimeConfig>,
 }
 
 impl ShardConfig {
-    /// `K` shards spilling under `spill`, default tiling (512 dof rows),
-    /// sequential shard builds.
-    pub fn new(shards: usize, spill: impl Into<std::path::PathBuf>) -> Self {
-        Self { shards, spill: spill.into(), tile_rows: 512, runtime: None }
+    /// `K` shards spilling under `spill`, default tiling (512 dof rows).
+    pub fn new(shards: usize, spill: impl Into<PathBuf>) -> Self {
+        Self { shards, spill: spill.into(), tile_rows: 512 }
     }
 
     /// Overrides the solver tile height.
@@ -85,11 +77,112 @@ impl ShardConfig {
         self.tile_rows = rows;
         self
     }
+}
 
-    /// Builds missing shards through the scheduler.
-    pub fn scheduled(mut self, runtime: qfr_sched::RuntimeConfig) -> Self {
-        self.runtime = Some(runtime);
-        self
+/// First axis of a [`RunPlan`]: who executes the per-fragment work items.
+/// Every source serves a job the same way — checkpoint slot, then the
+/// attached cache, then the engine — so the spectrum does not depend on it.
+#[derive(Debug, Clone)]
+pub enum ResponseSource {
+    /// Rayon map over the work items.
+    Rayon,
+    /// In-order loop on the calling thread (profiling/debugging).
+    Sequential,
+    /// The fault-tolerant master/leader/worker scheduler of `qfr-sched`,
+    /// one work item per job (or per shard under
+    /// [`HessianOperator::Sharded`]). The run always produces a result:
+    /// items quarantined after exhausting their retry budget — or
+    /// abandoned because every leader died — are left out, yielding a
+    /// *partial* spectrum, and [`RamanResult::recovery`] reports the
+    /// scheduler's counters.
+    Scheduler(qfr_sched::RuntimeConfig),
+}
+
+/// Second axis of a [`RunPlan`]: how the mass-weighted Hessian reaches the
+/// solver (always through `qfr_linalg::sparse::MatVec`).
+#[derive(Debug, Clone)]
+pub enum HessianOperator {
+    /// Eq. (1) assembled into one in-core CSR matrix.
+    InCore,
+    /// In-core assembly, Raman solve by dense diagonalization (small
+    /// systems; validation and the Fig. 12 cross-checks).
+    DenseReference,
+    /// Assembly sharded by contiguous atom ranges and spilled to disk; the
+    /// solver streams the SpMV tile by tile ([`crate::shard`]). Bit-identical
+    /// to [`InCore`](Self::InCore) for every `K`. Unscheduled builds run in
+    /// shard order so one shard is resident at a time; under
+    /// [`ResponseSource::Scheduler`] a quarantined shard's file is deleted
+    /// and its rows stream as zero.
+    Sharded(ShardConfig),
+    /// Never materialized: every solver matvec recomputes the fragment
+    /// blocks through [`crate::StreamedHessian`], and the derivative
+    /// vectors come from one accumulation pass. Memory scales with the job
+    /// *descriptions* only.
+    MatrixFree,
+}
+
+/// What one [`RamanWorkflow::execute`] call does: a response source, a
+/// Hessian operator and an optional response checkpoint.
+#[derive(Debug, Clone)]
+pub struct RunPlan {
+    /// Who executes the work items.
+    pub source: ResponseSource,
+    /// How the Hessian is applied.
+    pub operator: HessianOperator,
+    /// When set, per-job responses present in this file (same system/λ)
+    /// pre-fill their slots and only the missing jobs are computed; the
+    /// slots are persisted when the response stage ends. A quarantined
+    /// job's salvaged response is excluded from the save, so the next run
+    /// re-attempts it.
+    pub checkpoint: Option<PathBuf>,
+    /// Also persist after every `checkpoint_interval` newly computed jobs
+    /// (0: only at the end).
+    pub checkpoint_interval: usize,
+}
+
+impl RunPlan {
+    /// A plan without a checkpoint.
+    pub fn new(source: ResponseSource, operator: HessianOperator) -> Self {
+        Self { source, operator, checkpoint: None, checkpoint_interval: 0 }
+    }
+
+    /// The combinations a plan cannot honour, rejected before any work or
+    /// file I/O. Checkpoint, cache and spill keys cover geometry, not
+    /// element width, so mixed precision may neither write files an f64
+    /// run would resume nor resume files an f64 run wrote.
+    fn check(&self, precision: GemmPrecision) -> Result<(), WorkflowError> {
+        use HessianOperator::{MatrixFree, Sharded};
+        use ResponseSource::Scheduler;
+        let mixed = precision == GemmPrecision::MixedF32;
+        let checkpointed = self.checkpoint.is_some();
+        let why = match (&self.source, &self.operator) {
+            _ if mixed && checkpointed => {
+                "mixed precision cannot write or resume a checkpoint \
+                 (its key does not encode element width)"
+            }
+            (_, Sharded(_)) if mixed => {
+                "mixed precision cannot write or resume shard spill \
+                 (its key does not encode element width)"
+            }
+            (_, Sharded(_) | MatrixFree) if checkpointed => {
+                "a response checkpoint needs an operator that stores responses (in-core or dense)"
+            }
+            (Scheduler(_), MatrixFree) => {
+                "the matrix-free operator accumulates in one pass and cannot run under the scheduler"
+            }
+            (_, Sharded(cfg)) if cfg.shards == 0 || cfg.tile_rows == 0 => {
+                "sharding needs a positive shard count and tile height"
+            }
+            (Scheduler(rt), _)
+                if rt.n_leaders == 0
+                    || rt.workers_per_leader == 0
+                    || rt.recovery.max_attempts == 0 =>
+            {
+                "the scheduler needs a leader, a worker per leader and an attempt per task"
+            }
+            _ => return Ok(()),
+        };
+        Err(WorkflowError::UnsupportedPlan(why))
     }
 }
 
@@ -120,6 +213,8 @@ pub enum WorkflowError {
     },
     /// Spill I/O or format failure in an out-of-core sharded run.
     Spill(crate::shard::ShardError),
+    /// The [`RunPlan`] combines options that cannot be honoured together.
+    UnsupportedPlan(&'static str),
 }
 
 impl std::fmt::Display for WorkflowError {
@@ -134,6 +229,7 @@ impl std::fmt::Display for WorkflowError {
                 "model-DFPT engine capped at {cap}-atom fragments, largest is {largest_fragment}"
             ),
             WorkflowError::Spill(e) => write!(f, "shard spill error: {e}"),
+            WorkflowError::UnsupportedPlan(why) => write!(f, "unsupported run plan: {why}"),
         }
     }
 }
@@ -147,15 +243,12 @@ pub struct RamanWorkflow {
     decomposition: DecompositionParams,
     engine: EngineKind,
     raman: RamanOptions,
-    parallel: bool,
-    /// Cap on fragment size when the DFPT engine is selected.
-    dfpt_fragment_cap: usize,
     /// How the DFPT engine executes its gathered dense-algebra job
     /// streams (ignored by the force-field engine).
     offload: qfr_linalg::batch::OffloadMode,
     /// Element width the DFPT engine's batch kernels run at — `F64`
     /// (default) or the opt-in `MixedF32` floor (DESIGN.md §15).
-    precision: qfr_linalg::GemmPrecision,
+    precision: GemmPrecision,
     /// Content-addressed fragment result cache shared across runs (and,
     /// through [`crate::SpectrumService`], across concurrent requests).
     cache: Option<Arc<FragmentCache>>,
@@ -170,10 +263,8 @@ impl RamanWorkflow {
             decomposition: DecompositionParams::default(),
             engine: EngineKind::ForceField,
             raman: RamanOptions::default(),
-            parallel: true,
-            dfpt_fragment_cap: 12,
             offload: qfr_linalg::batch::OffloadMode::default(),
-            precision: qfr_linalg::GemmPrecision::default(),
+            precision: GemmPrecision::default(),
             cache: None,
         }
     }
@@ -203,21 +294,9 @@ impl RamanWorkflow {
         self
     }
 
-    /// Toggles GAGQ augmentation (ablation).
-    pub fn use_gagq(mut self, on: bool) -> Self {
-        self.raman.use_gagq = on;
-        self
-    }
-
     /// Overrides the full Raman solver options.
     pub fn raman_options(mut self, opts: RamanOptions) -> Self {
         self.raman = opts;
-        self
-    }
-
-    /// Disables rayon fragment parallelism (profiling/debugging).
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
         self
     }
 
@@ -235,8 +314,10 @@ impl RamanWorkflow {
     /// reference kernels; `MixedF32` packs `f32` operand panels with `f64`
     /// accumulation — the opt-in accelerator floor, validated by max-|Δ|
     /// tolerance against the f64 spectrum rather than bit parity
-    /// (DESIGN.md §15). Ignored by the force-field engine.
-    pub fn precision(mut self, prec: qfr_linalg::GemmPrecision) -> Self {
+    /// (DESIGN.md §15). Ignored by the force-field engine. A `MixedF32`
+    /// run never reads or fills the cache, and plans that would write a
+    /// checkpoint or spill are rejected ([`WorkflowError::UnsupportedPlan`]).
+    pub fn precision(mut self, prec: GemmPrecision) -> Self {
         self.precision = prec;
         self
     }
@@ -267,191 +348,59 @@ impl RamanWorkflow {
         Decomposition::new(&self.system, self.decomposition)
     }
 
-    fn make_engine(&self) -> Box<dyn FragmentEngine> {
-        match self.engine {
-            EngineKind::ForceField => Box::new(ForceFieldEngine::new()),
-            EngineKind::ModelDfpt => {
-                let mut config = qfr_dfpt::DfptEngineConfig::default();
-                config.scf.offload = self.offload;
-                config.response.offload = self.offload;
-                config.scf.precision = self.precision;
-                config.response.precision = self.precision;
-                Box::new(qfr_dfpt::DfptEngine { config })
-            }
-        }
-    }
-
-    /// One fragment response, served from the cache when one is attached
-    /// (counting a hit into `hits`) and computed by `engine` otherwise.
-    /// Exact hits are bit-identical to a fresh compute, so every run mode
-    /// produces the same spectrum with and without a cache.
-    fn compute_response(
-        &self,
-        engine: &dyn FragmentEngine,
-        job: &qfr_fragment::FragmentJob,
-        hits: &AtomicU64,
-    ) -> FragmentResponse {
-        let frag = job.structure(&self.system);
-        // Cache keys are geometry-only, so responses computed at different
-        // element widths would collide under one key. F64 is the only
-        // precision the cache (and checkpoint pre-warm) serves; mixed runs
-        // always compute fresh.
-        let cache = match self.precision {
-            qfr_linalg::GemmPrecision::F64 => &self.cache,
-            qfr_linalg::GemmPrecision::MixedF32 => &None,
+    /// Runs the pipeline — decompose, validate, responses, operator,
+    /// solve — as `plan` describes. Every `run_*` method is a facade over
+    /// this. Legal plans differ in executor, residency and fault tolerance,
+    /// never in physics: every operator except the dense reference and the
+    /// matrix-free one (both agree to solver accuracy) yields spectra
+    /// bit-identical to [`run`](Self::run) when no work is quarantined.
+    pub fn execute(&self, plan: RunPlan) -> Result<RamanResult, WorkflowError> {
+        plan.check(self.precision)?;
+        let (mut pipeline, decomposition) = Pipeline::prepare(
+            &WORKFLOW,
+            &self.system,
+            self.decomposition,
+            self.engine,
+            &self.raman,
+        )?;
+        let engine = pipeline::make_engine(self.engine, self.offload, self.precision);
+        let run = Run {
+            workflow: self,
+            plan: &plan,
+            decomposition: &decomposition,
+            engine: engine.as_ref(),
+            hits: AtomicU64::new(0),
         };
-        match cache {
-            Some(cache) => {
-                let (resp, kind) = cache.get_or_compute(&frag, || engine.compute(&frag));
-                if kind != HitKind::Miss {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }
-                (*resp).clone()
-            }
-            None => engine.compute(&frag),
-        }
+        let (spectra, hessian_nnz, recovery) = match &plan.operator {
+            HessianOperator::InCore => run.assembled(false, &mut pipeline),
+            HessianOperator::DenseReference => run.assembled(true, &mut pipeline),
+            HessianOperator::Sharded(cfg) => run.sharded(cfg, &mut pipeline)?,
+            HessianOperator::MatrixFree => run.matrix_free(&mut pipeline),
+        };
+        Ok(pipeline.finish(spectra, decomposition, hessian_nnz, engine.as_ref(), recovery))
     }
 
-    /// Treats checkpointed responses as a pre-warmed cache slice: each one
-    /// is installed under its fragment's exact geometry key so later jobs
-    /// (and later requests sharing the cache) hit instead of recomputing.
-    fn prewarm_cache(&self, jobs: &[qfr_fragment::FragmentJob], responses: &[FragmentResponse]) {
-        let Some(cache) = &self.cache else { return };
-        for (job, resp) in jobs.iter().zip(responses) {
-            cache.insert_precomputed(&job.structure(&self.system), resp.clone());
-        }
-    }
-
-    fn validate(&self, decomposition: &Decomposition) -> Result<(), WorkflowError> {
-        if self.system.n_atoms() == 0 {
-            return Err(WorkflowError::EmptySystem);
-        }
-        let errs = self.system.validate();
-        if !errs.is_empty() {
-            return Err(WorkflowError::InvalidSystem(errs));
-        }
-        if self.engine == EngineKind::ModelDfpt {
-            let largest = decomposition.jobs.iter().map(|j| j.size()).max().unwrap_or(0);
-            if largest > self.dfpt_fragment_cap {
-                return Err(WorkflowError::DfptTooLarge {
-                    largest_fragment: largest,
-                    cap: self.dfpt_fragment_cap,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs the full pipeline with the Lanczos/GAGQ solver.
+    /// Rayon responses, in-core operator, Lanczos/GAGQ solver.
     pub fn run(&self) -> Result<RamanResult, WorkflowError> {
-        self.run_inner(false)
+        self.execute(RunPlan::new(ResponseSource::Rayon, HessianOperator::InCore))
     }
 
-    /// Like [`run`](Self::run), but loads per-fragment responses from
-    /// `checkpoint` when a valid one exists for this system/λ, and writes
-    /// one after computing otherwise — the restart path for long engine
-    /// stages.
+    /// Like [`run`](Self::run) with [`RunPlan::checkpoint`] set — the
+    /// restart path for long engine stages.
     pub fn run_with_checkpoint(
         &self,
         checkpoint: &std::path::Path,
     ) -> Result<RamanResult, WorkflowError> {
-        // Checkpoint fingerprints cover geometry, not element width: a
-        // mixed-precision run must neither resurrect f64 responses nor
-        // write mixed ones an f64 resume would pick up. Mixed runs skip
-        // the checkpoint machinery entirely.
-        if self.precision == qfr_linalg::GemmPrecision::MixedF32 {
-            return self.run();
-        }
-        let mut timings = StageTimings::default();
-        let (decomposition, dt) = qfr_obs::timed("workflow.decompose", || self.decompose());
-        timings.decompose_s = dt;
-        self.validate(&decomposition)?;
-        let engine = self.make_engine();
-
-        let engine_span = qfr_obs::span("workflow.engine");
-        let t = Instant::now();
-        let hits = AtomicU64::new(0);
-        let responses =
-            match crate::checkpoint::load_responses(checkpoint, &decomposition, &self.system) {
-                Ok(r) => {
-                    // A loaded checkpoint is a pre-warmed cache slice: expose
-                    // its responses to every other run sharing the cache.
-                    self.prewarm_cache(&decomposition.jobs, &r);
-                    r
-                }
-                Err(_) => {
-                    let r: Vec<FragmentResponse> = if self.parallel {
-                        decomposition
-                            .jobs
-                            .par_iter()
-                            .map(|job| self.compute_response(engine.as_ref(), job, &hits))
-                            .collect()
-                    } else {
-                        decomposition
-                            .jobs
-                            .iter()
-                            .map(|job| self.compute_response(engine.as_ref(), job, &hits))
-                            .collect()
-                    };
-                    // A failed save must not fail the run; the result is
-                    // complete either way.
-                    let _ = crate::checkpoint::save_responses(
-                        checkpoint,
-                        &decomposition,
-                        &self.system,
-                        &r,
-                    );
-                    r
-                }
-            };
-        timings.engine_s = t.elapsed().as_secs_f64();
-        drop(engine_span);
-
-        let (mw, dt) = qfr_obs::timed("workflow.assemble", || {
-            let assembled =
-                assemble::assemble(&decomposition.jobs, &responses, self.system.n_atoms());
-            MassWeighted::new(&assembled, &self.system.masses())
-        });
-        timings.assemble_s = dt;
-
-        let ((spectrum, ir), dt) = qfr_obs::timed("workflow.solver", || {
-            let spectrum = raman_lanczos(&mw.hessian, &mw.dalpha, &self.raman);
-            let ir = ir_lanczos(&mw.hessian, &mw.dmu, &self.raman);
-            (spectrum, ir)
-        });
-        timings.solver_s = dt;
-
-        Ok(RamanResult {
-            spectrum,
-            ir,
-            stats: decomposition.stats,
-            n_atoms: self.system.n_atoms(),
-            dof: self.system.dof(),
-            hessian_nnz: mw.hessian.nnz(),
-            engine: engine.name().to_string(),
-            timings,
-            recovery: None,
-        })
+        let plan = RunPlan::new(ResponseSource::Rayon, HessianOperator::InCore);
+        self.execute(RunPlan { checkpoint: Some(checkpoint.to_path_buf()), ..plan })
     }
 
-    /// Runs the pipeline with the dense-diagonalization reference solver
-    /// (small systems; validation and the Fig. 12 cross-checks).
+    /// Like [`run`](Self::run) with [`HessianOperator::DenseReference`].
     pub fn run_dense_reference(&self) -> Result<RamanResult, WorkflowError> {
-        self.run_inner(true)
+        self.execute(RunPlan::new(ResponseSource::Rayon, HessianOperator::DenseReference))
     }
 
-    /// Runs the pipeline with the engine stage executed through the
-    /// fault-tolerant master/leader/worker scheduler of `qfr-sched`
-    /// instead of the plain rayon map.
-    ///
-    /// Each decomposition job becomes one scheduler work item (its id is
-    /// the job index). The run **always** produces a result: jobs
-    /// quarantined after exhausting their retry budget — or abandoned
-    /// because every leader died — are simply left out of the assembly,
-    /// yielding a *partial* spectrum, and the scheduler's recovery
-    /// counters are reported in [`RamanResult::recovery`]. A response
-    /// computed during an attempt that later failed is still salvaged
-    /// unless its job was quarantined (best-effort semantics).
+    /// Like [`run`](Self::run) with [`ResponseSource::Scheduler`].
     pub fn run_scheduled(
         &self,
         sched: qfr_sched::RuntimeConfig,
@@ -460,489 +409,288 @@ impl RamanWorkflow {
     }
 
     /// [`run_scheduled`](Self::run_scheduled) with incremental
-    /// checkpointing: when [`ScheduledConfig::checkpoint`] is set, a valid
-    /// checkpoint for this system/λ pre-fills the per-job result slots and
-    /// only the *missing* jobs are enqueued into the scheduler; completed
-    /// responses are persisted every `checkpoint_interval` first-time
-    /// completions and once more at the end. The final save is
-    /// **quarantine-aware**: a quarantined job's salvaged response is
-    /// excluded, so the next run re-attempts it instead of trusting it.
+    /// checkpointing.
     pub fn run_scheduled_with(&self, cfg: ScheduledConfig) -> Result<RamanResult, WorkflowError> {
-        use qfr_sched::{run_master_leader_worker, FragmentWorkItem, SizeSensitivePolicy};
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
+        let ScheduledConfig { runtime, checkpoint, checkpoint_interval } = cfg;
+        let plan = RunPlan::new(ResponseSource::Scheduler(runtime), HessianOperator::InCore);
+        self.execute(RunPlan { checkpoint, checkpoint_interval, ..plan })
+    }
 
-        let mut timings = StageTimings::default();
-        let (decomposition, dt) = qfr_obs::timed("workflow.decompose", || self.decompose());
-        timings.decompose_s = dt;
-        self.validate(&decomposition)?;
-        let engine = self.make_engine();
-        let n_atoms = self.system.n_atoms();
+    /// Like [`run`](Self::run) with [`HessianOperator::MatrixFree`].
+    pub fn run_streamed(&self) -> Result<RamanResult, WorkflowError> {
+        self.execute(RunPlan::new(ResponseSource::Rayon, HessianOperator::MatrixFree))
+    }
 
-        let engine_span = qfr_obs::span("workflow.engine");
-        let t = Instant::now();
-        let jobs = &decomposition.jobs;
+    /// Like [`run`](Self::run) with [`HessianOperator::Sharded`].
+    pub fn run_sharded(&self, cfg: ShardConfig) -> Result<RamanResult, WorkflowError> {
+        self.execute(RunPlan::new(ResponseSource::Rayon, HessianOperator::Sharded(cfg)))
+    }
+}
 
-        // Resume: a loadable checkpoint pre-fills slots; an absent,
-        // mismatched or corrupt file simply means a cold start.
-        let resumed: Vec<Option<FragmentResponse>> = match &cfg.checkpoint {
-            Some(path) => crate::checkpoint::load_partial(path, &decomposition, &self.system)
-                .unwrap_or_else(|_| vec![None; jobs.len()]),
-            None => vec![None; jobs.len()],
+/// Spectra, stored Hessian non-zeros and scheduler recovery of one run.
+type Solved = ((RamanSpectrum, RamanSpectrum), usize, Option<RecoverySummary>);
+
+/// One `execute` call past `prepare`: the responses and operator stages.
+struct Run<'a> {
+    workflow: &'a RamanWorkflow,
+    plan: &'a RunPlan,
+    decomposition: &'a Decomposition,
+    engine: &'a dyn FragmentEngine,
+    /// Responses served from the cache instead of the engine.
+    hits: AtomicU64,
+}
+
+impl Run<'_> {
+    /// One fragment response: from the attached cache (counting a hit)
+    /// when it has one, from the engine otherwise. Exact hits are
+    /// bit-identical to a fresh compute.
+    fn response(&self, job: &FragmentJob) -> FragmentResponse {
+        let frag = job.structure(&self.workflow.system);
+        // Cache keys are geometry-only, so responses computed at different
+        // element widths would collide under one key: F64 is the only
+        // precision the cache serves, mixed runs always compute fresh.
+        let cache = match self.workflow.precision {
+            GemmPrecision::F64 => self.workflow.cache.as_ref(),
+            GemmPrecision::MixedF32 => None,
         };
-        let resumed_jobs = resumed.iter().filter(|s| s.is_some()).count();
-        if resumed_jobs > 0 {
-            CHECKPOINT_JOBS_RESUMED.add(resumed_jobs as u64);
-            qfr_obs::trace::instant("checkpoint.resume", &[("jobs", resumed_jobs as i64)]);
-            // Checkpoint-as-cache-slice: resumed responses also warm the
-            // attached cache so sibling runs can hit on them.
-            if let Some(cache) = &self.cache {
-                for (job, slot) in jobs.iter().zip(&resumed) {
-                    if let Some(resp) = slot {
-                        cache.insert_precomputed(&job.structure(&self.system), resp.clone());
-                    }
+        match cache {
+            Some(cache) => {
+                let (resp, kind) = cache.get_or_compute(&frag, || self.engine.compute(&frag));
+                if kind != HitKind::Miss {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
                 }
+                (*resp).clone()
             }
+            None => self.engine.compute(&frag),
         }
-        let slots: Vec<Mutex<Option<FragmentResponse>>> =
-            resumed.into_iter().map(Mutex::new).collect();
+    }
 
-        // Only jobs without a checkpointed response enter the scheduler;
-        // item ids stay the job indices.
-        let items: Vec<FragmentWorkItem> = jobs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| slots[*i].lock().expect("slot poisoned").is_none())
-            .map(|(i, job)| FragmentWorkItem::new(i as u32, job.size() as u32))
-            .collect();
+    fn cache_hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
 
-        let filled = AtomicUsize::new(0);
-        let hits = AtomicU64::new(0);
-        let save_snapshot = |reason: &str| {
-            let Some(path) = cfg.checkpoint.as_deref() else { return };
+    /// Responses stage for the operators that assemble from stored
+    /// responses: one slot per job, pre-filled from the checkpoint, the
+    /// missing ones dispatched on the plan's source. An empty slot in the
+    /// result is a job that was quarantined or never finished.
+    fn stored_responses(&self) -> (Vec<Option<FragmentResponse>>, Option<RecoverySummary>) {
+        let system = &self.workflow.system;
+        let jobs = &self.decomposition.jobs;
+        let checkpoint = self.plan.checkpoint.as_deref();
+        let save = |slots: &[Option<FragmentResponse>], reason: &str| {
+            let Some(path) = checkpoint else { return };
             CHECKPOINT_SAVES.incr();
             qfr_obs::trace::instant("checkpoint.save", &[]);
-            // try_lock: a slot whose engine call is still running is simply
-            // absent from this snapshot — the save *count* stays a pure
-            // function of the completion count either way.
-            let snapshot: Vec<Option<FragmentResponse>> =
-                slots.iter().map(|s| s.try_lock().ok().and_then(|g| g.clone())).collect();
-            if let Err(e) =
-                crate::checkpoint::save_partial(path, &decomposition, &self.system, &snapshot)
-            {
-                // A failed save must not fail the run.
+            // A failed save must not fail the run.
+            if let Err(e) = save_partial(path, self.decomposition, system, slots) {
                 eprintln!("warning: {reason} checkpoint save failed: {e}");
             }
         };
-        let report = run_master_leader_worker(
-            Box::new(SizeSensitivePolicy::with_defaults(items)),
-            |item| {
-                // Exactly-once compute: the slot lock is held across the
-                // engine call, so a retry or straggler re-issue of an
-                // already-computed fragment blocks until the first copy
-                // fills the slot, then skips the recompute. This keeps the
-                // engine-level counters (fragments, SCF solves, FLOPs)
-                // deterministic under scheduling: each fragment is computed
-                // exactly once no matter how many copies were dispatched.
-                let mut slot = slots[item.id as usize].lock().expect("slot poisoned");
-                if slot.is_none() {
-                    let job = &jobs[item.id as usize];
-                    *slot = Some(self.compute_response(engine.as_ref(), job, &hits));
-                    drop(slot);
-                    // fetch_add hands every first fill a unique count, so
-                    // the set of counts hitting the interval — and hence
-                    // the number of periodic saves — is deterministic.
-                    let count = filled.fetch_add(1, Ordering::SeqCst) + 1;
-                    if cfg.checkpoint_interval > 0 && count % cfg.checkpoint_interval == 0 {
-                        save_snapshot("periodic");
+
+        // Resume: an absent, mismatched or corrupt file is a cold start.
+        let resumed = checkpoint
+            .and_then(|path| load_partial(path, self.decomposition, system).ok())
+            .unwrap_or_else(|| vec![None; jobs.len()]);
+        let resumed_jobs = resumed.iter().flatten().count();
+        if resumed_jobs > 0 {
+            CHECKPOINT_JOBS_RESUMED.add(resumed_jobs as u64);
+            qfr_obs::trace::instant("checkpoint.resume", &[("jobs", resumed_jobs as i64)]);
+            // A loaded checkpoint is a pre-warmed cache slice: sibling runs
+            // sharing the cache hit on its responses.
+            if let Some(cache) = &self.workflow.cache {
+                for (job, resp) in jobs.iter().zip(&resumed) {
+                    if let Some(resp) = resp {
+                        cache.insert_precomputed(&job.structure(system), resp.clone());
                     }
                 }
-                true
-            },
-            cfg.runtime,
-        );
-        timings.engine_s = t.elapsed().as_secs_f64();
-        drop(engine_span);
+            }
+        }
+        // Item ids are job indices.
+        let items: Vec<FragmentWorkItem> = (jobs.iter().zip(&resumed).enumerate())
+            .filter(|(_, (_, slot))| slot.is_none())
+            .map(|(i, (job, _))| FragmentWorkItem::new(i as u32, job.size() as u32))
+            .collect();
+        let slots: Vec<Mutex<Option<FragmentResponse>>> =
+            resumed.into_iter().map(Mutex::new).collect();
 
-        // Partial assembly: keep every job with a computed response whose
-        // task was not quarantined.
-        let assemble_span = qfr_obs::span("workflow.assemble");
-        let t = Instant::now();
-        let quarantined: std::collections::HashSet<u32> =
-            report.quarantined_fragments.iter().copied().collect();
-        let final_slots: Vec<Option<FragmentResponse>> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                if quarantined.contains(&(i as u32)) {
-                    None // salvaged but untrusted: recompute on restart
-                } else {
-                    slot.into_inner().expect("slot poisoned")
+        let filled = AtomicUsize::new(0);
+        let interval = self.plan.checkpoint_interval;
+        let report = dispatch(&self.plan.source, items, |i| {
+            // Exactly-once compute: the slot lock is held across the engine
+            // call, so a retry or straggler re-issue of a computed job
+            // blocks until the first copy fills the slot, then skips. Each
+            // job is computed once however many copies were dispatched,
+            // which keeps the engine-level counters deterministic.
+            let mut slot = slots[i].lock().expect("slot poisoned");
+            if slot.is_none() {
+                *slot = Some(self.response(&jobs[i]));
+                drop(slot);
+                // fetch_add hands every first fill a unique count, so the
+                // number of periodic saves is deterministic.
+                let count = filled.fetch_add(1, Ordering::SeqCst) + 1;
+                if checkpoint.is_some() && interval > 0 && count % interval == 0 {
+                    // try_lock: a slot whose engine call is still running
+                    // is simply absent from this snapshot.
+                    let snapshot: Vec<Option<FragmentResponse>> =
+                        slots.iter().map(|s| s.try_lock().ok().and_then(|g| g.clone())).collect();
+                    save(&snapshot, "periodic");
                 }
+            }
+            true
+        });
+
+        // A response salvaged from a quarantined task is untrusted: it is
+        // kept out of the save (so a restart recomputes it) and out of the
+        // assembly.
+        let quarantined: HashSet<u32> =
+            report.iter().flat_map(|r| r.quarantined_fragments.iter().copied()).collect();
+        let slots: Vec<Option<FragmentResponse>> = (slots.into_iter().enumerate())
+            .map(|(i, slot)| {
+                let slot = slot.into_inner().expect("slot poisoned");
+                slot.filter(|_| !quarantined.contains(&(i as u32)))
             })
             .collect();
-        if cfg.checkpoint.is_some() {
-            let Some(path) = cfg.checkpoint.as_deref() else { unreachable!() };
-            CHECKPOINT_SAVES.incr();
-            qfr_obs::trace::instant("checkpoint.save", &[]);
-            if let Err(e) =
-                crate::checkpoint::save_partial(path, &decomposition, &self.system, &final_slots)
-            {
-                eprintln!("warning: final checkpoint save failed: {e}");
-            }
-        }
-        let mut kept_jobs = Vec::new();
-        let mut kept_responses = Vec::new();
-        for (job, slot) in jobs.iter().zip(final_slots) {
-            if let Some(resp) = slot {
-                kept_jobs.push(job.clone());
-                kept_responses.push(resp);
-            }
-        }
-        let assembled = assemble::assemble(&kept_jobs, &kept_responses, n_atoms);
-        let mw = MassWeighted::new(&assembled, &self.system.masses());
-        timings.assemble_s = t.elapsed().as_secs_f64();
-        drop(assemble_span);
-
-        let ((spectrum, ir), dt) = qfr_obs::timed("workflow.solver", || {
-            let spectrum = raman_lanczos(&mw.hessian, &mw.dalpha, &self.raman);
-            let ir = ir_lanczos(&mw.hessian, &mw.dmu, &self.raman);
-            (spectrum, ir)
-        });
-        timings.solver_s = dt;
-
-        Ok(RamanResult {
-            spectrum,
-            ir,
-            stats: decomposition.stats,
-            n_atoms,
-            dof: self.system.dof(),
-            hessian_nnz: mw.hessian.nnz(),
-            engine: engine.name().to_string(),
-            timings,
-            recovery: Some(RecoverySummary {
-                retries: report.retries,
-                eager_retries: report.eager_retries,
-                resumed_jobs,
-                reissues: report.reissues,
-                duplicates_suppressed: report.duplicates_suppressed,
-                quarantined_jobs: report.quarantined_fragments.len(),
-                unfinished_jobs: report.unfinished_fragments,
-                leaders_died: report.leaders_died,
-                cache_hits: hits.load(Ordering::Relaxed),
-            }),
-        })
+        save(&slots, "final");
+        let recovery =
+            report.map(|r| pipeline::recovery_summary(&r, resumed_jobs, self.cache_hits()));
+        (slots, recovery)
     }
 
-    /// Runs the pipeline in matrix-free streaming mode: the Hessian is
-    /// never materialized — every Lanczos matvec recomputes the fragment
-    /// blocks through [`crate::StreamedHessian`] — and the derivative
-    /// vectors are accumulated in a single engine pass. Memory scales with
-    /// the job *descriptions* only, which is what makes the paper's
-    /// 10⁸-atom regime approachable (their trade: recompute across 96,000
-    /// nodes; ours: recompute across rayon threads).
-    pub fn run_streamed(&self) -> Result<RamanResult, WorkflowError> {
-        let mut timings = StageTimings::default();
-        let (decomposition, dt) = qfr_obs::timed("workflow.decompose", || self.decompose());
-        timings.decompose_s = dt;
-        self.validate(&decomposition)?;
-        let engine = self.make_engine();
-
-        // Single accumulation pass for the derivative vectors (no stored
-        // per-fragment responses).
-        let engine_span = qfr_obs::span("workflow.engine");
-        let t = Instant::now();
-        let dof = self.system.dof();
-        let inv_sqrt: Vec<f64> = self.system.masses().iter().map(|m| 1.0 / m.sqrt()).collect();
-        let zero = || {
-            (
-                std::array::from_fn::<Vec<f64>, 6, _>(|_| vec![0.0; dof]),
-                std::array::from_fn::<Vec<f64>, 3, _>(|_| vec![0.0; dof]),
-            )
-        };
-        let merge = |mut a: ([Vec<f64>; 6], [Vec<f64>; 3]), b: ([Vec<f64>; 6], [Vec<f64>; 3])| {
-            for c in 0..6 {
-                for (x, y) in a.0[c].iter_mut().zip(&b.0[c]) {
-                    *x += y;
-                }
-            }
-            for c in 0..3 {
-                for (x, y) in a.1[c].iter_mut().zip(&b.1[c]) {
-                    *x += y;
-                }
-            }
-            a
-        };
-        let accumulate = |mut acc: ([Vec<f64>; 6], [Vec<f64>; 3]),
-                          job: &qfr_fragment::FragmentJob| {
-            let resp = engine.compute(&job.structure(&self.system));
-            for (la, &ga) in job.atoms.iter().enumerate() {
-                for da in 0..3 {
-                    let col = 3 * ga + da;
-                    let w = inv_sqrt[ga];
-                    for c in 0..6 {
-                        acc.0[c][col] += job.coefficient * w * resp.dalpha[(c, 3 * la + da)];
-                    }
-                    for c in 0..3 {
-                        acc.1[c][col] += job.coefficient * w * resp.dmu[(c, 3 * la + da)];
-                    }
-                }
-            }
-            acc
-        };
-        let (dalpha_mw, dmu_mw) = if self.parallel {
-            decomposition.jobs.par_iter().fold(zero, &accumulate).reduce(zero, merge)
-        } else {
-            decomposition.jobs.iter().fold(zero(), accumulate)
-        };
-        timings.engine_s = t.elapsed().as_secs_f64();
-        drop(engine_span);
-
-        let ((spectrum, ir), dt) = qfr_obs::timed("workflow.solver", || {
-            let streamed =
-                crate::StreamedHessian::new(&self.system, &decomposition, engine.as_ref());
-            let spectrum = raman_lanczos(&streamed, &dalpha_mw, &self.raman);
-            let ir = ir_lanczos(&streamed, &dmu_mw, &self.raman);
-            (spectrum, ir)
-        });
-        timings.solver_s = dt;
-
-        Ok(RamanResult {
-            spectrum,
-            ir,
-            stats: decomposition.stats,
-            n_atoms: self.system.n_atoms(),
-            dof,
-            hessian_nnz: 0, // never materialized
-            engine: engine.name().to_string(),
-            timings,
-            recovery: None,
-        })
+    /// In-core CSR operator (and its dense-reference variant).
+    fn assembled(&self, dense: bool, pipeline: &mut Pipeline) -> Solved {
+        let (slots, recovery) = pipeline.responses(|| self.stored_responses());
+        let mw = pipeline.assemble_in_core(&self.decomposition.jobs, slots);
+        let dense_of = dense.then_some(&mw.hessian);
+        let spectra = pipeline.solve(&mw.hessian, dense_of, &mw.dalpha, &mw.dmu);
+        (spectra, mw.hessian.nnz(), recovery)
     }
 
-    /// Runs the pipeline out of core: the Eq. (1) assembly is sharded by
-    /// contiguous atom ranges ([`crate::ShardPlan`]), each shard's
-    /// mass-weighted Hessian rows and ∂α/∂μ spans are spilled to one file
-    /// under [`ShardConfig::spill`], and the Lanczos/GAGQ solver streams
-    /// the SpMV tile-by-tile over the spill files — peak residency is one
-    /// shard during the build and one tile (plus the Lanczos vectors)
-    /// during the solve, `O(n/K + window)` instead of `O(n)`.
-    ///
-    /// The spectrum is **bit-identical** for every `K` (including the
-    /// in-core `run()` when every job succeeds): rows partition exactly by
-    /// shard, each shard replays the global job order restricted to its
-    /// rows, the triplet sort is stable, mass weighting applies the same
-    /// factors in the same order, and the streamed SpMV computes the same
-    /// per-row dot products — `ablation_shards` pins this in CI.
-    ///
-    /// Re-running with the same spill directory resumes: shards whose file
-    /// matches this system/λ/K/tiling are skipped (`shard.shards_resumed`
-    /// counts them) and only missing or stale shards rebuild. With
-    /// [`ShardConfig::runtime`] set, builds go through the fault-tolerant
-    /// scheduler; a shard quarantined after exhausting its retry budget
-    /// has its file deleted and its rows stream as zero (partial
-    /// spectrum), mirroring [`run_scheduled`](Self::run_scheduled).
-    pub fn run_sharded(&self, cfg: ShardConfig) -> Result<RamanResult, WorkflowError> {
-        use crate::shard::{self, ShardPlan};
-        use qfr_solver::ShardedOperator;
-
-        let mut timings = StageTimings::default();
-        let (decomposition, dt) = qfr_obs::timed("workflow.decompose", || self.decompose());
-        timings.decompose_s = dt;
-        self.validate(&decomposition)?;
-        let engine = self.make_engine();
-        let n_atoms = self.system.n_atoms();
-        let plan = ShardPlan::new(n_atoms, cfg.shards);
-        let base = crate::checkpoint::fingerprint(&decomposition, &self.system);
+    /// Out-of-core operator: work items are shards, built straight to
+    /// spill files; nothing but one shard's responses is ever resident.
+    fn sharded(&self, cfg: &ShardConfig, pipeline: &mut Pipeline) -> Result<Solved, WorkflowError> {
+        let system = &self.workflow.system;
+        let plan = ShardPlan::new(system.n_atoms(), cfg.shards);
+        let base = crate::checkpoint::fingerprint(self.decomposition, system);
         let fp = |s: usize| shard::shard_fingerprint(base, &plan, s, cfg.tile_rows);
         let path = |s: usize| shard::shard_path(&cfg.spill, s);
-        std::fs::create_dir_all(&cfg.spill)
-            .map_err(|e| WorkflowError::Spill(shard::ShardError::Io(e)))?;
+        let valid = |s: usize| shard::shard_file_valid(&path(s), &plan, s, cfg.tile_rows, fp(s));
+        std::fs::create_dir_all(&cfg.spill).map_err(|e| WorkflowError::Spill(e.into()))?;
 
         // Resume: shards whose spill file is complete and keyed to this
         // exact system/λ/K/tiling are skipped; anything else rebuilds.
-        let valid: Vec<bool> = (0..plan.k())
-            .map(|s| shard::shard_file_valid(&path(s), &plan, s, cfg.tile_rows, fp(s)))
+        // Item ids are shard indices, cost linear in owned atoms.
+        let items: Vec<FragmentWorkItem> = qfr_sched::shard_range_workload(&plan.ranges())
+            .into_iter()
+            .filter(|item| !valid(item.id as usize))
             .collect();
-        let resumed_shards = valid.iter().filter(|&&v| v).count();
+        let resumed_shards = plan.k() - items.len();
         shard::note_shards_resumed(resumed_shards);
         if resumed_shards > 0 {
             qfr_obs::trace::instant("shard.resume", &[("shards", resumed_shards as i64)]);
         }
 
-        let engine_span = qfr_obs::span("workflow.engine");
-        let t = Instant::now();
-        let hits = AtomicU64::new(0);
-        let jobs = &decomposition.jobs;
-        let build_one = |s: usize| {
-            shard::build_shard(
-                &path(s),
-                &self.system,
-                jobs,
-                &plan,
-                s,
-                cfg.tile_rows,
-                fp(s),
-                |job| self.compute_response(engine.as_ref(), job, &hits),
-            )
+        // Unscheduled builds go in shard order whatever the source, so
+        // exactly one shard's builders and one live response are resident.
+        let source = match &self.plan.source {
+            scheduler @ ResponseSource::Scheduler(_) => scheduler,
+            _ => &ResponseSource::Sequential,
         };
-        let recovery = match &cfg.runtime {
-            None => {
-                // Sequential shard loop: exactly one shard's builders and
-                // one live response resident at a time.
-                for s in 0..plan.k() {
-                    if !valid[s] {
-                        build_one(s).map_err(WorkflowError::Spill)?;
-                    }
+        let guards: Vec<Mutex<()>> = (0..plan.k()).map(|_| Mutex::new(())).collect();
+        let failure = Mutex::new(None);
+        let report = pipeline.responses(|| {
+            dispatch(source, items, |s| {
+                // Exactly-once build: the guard serializes copies of one
+                // shard, and a retry or straggler re-issue finds the first
+                // copy's file valid and skips — `shard.shards_built` stays
+                // a pure function of the missing-shard set.
+                let _g = guards[s].lock().expect("shard guard poisoned");
+                if valid(s) {
+                    return true;
                 }
-                None
-            }
-            Some(runtime) => {
-                use qfr_sched::{
-                    run_master_leader_worker, shard_range_workload, SizeSensitivePolicy,
-                };
-                // One work item per *missing* shard; item id == shard index,
-                // cost linear in owned atoms.
-                let items: Vec<_> = shard_range_workload(&plan.ranges())
-                    .into_iter()
-                    .filter(|item| !valid[item.id as usize])
-                    .collect();
-                let guards: Vec<std::sync::Mutex<()>> =
-                    (0..plan.k()).map(|_| std::sync::Mutex::new(())).collect();
-                let report = run_master_leader_worker(
-                    Box::new(SizeSensitivePolicy::with_defaults(items)),
-                    |item| {
-                        let s = item.id as usize;
-                        // Exactly-once build: the guard serializes copies of
-                        // the same shard, and a retry or straggler re-issue
-                        // finds the first copy's file already valid and
-                        // skips the rebuild — `shard.shards_built` stays a
-                        // pure function of the missing-shard set.
-                        let _g = guards[s].lock().expect("shard guard poisoned");
-                        if shard::shard_file_valid(&path(s), &plan, s, cfg.tile_rows, fp(s)) {
-                            return true;
-                        }
-                        match build_one(s) {
-                            Ok(()) => true,
-                            Err(e) => {
-                                eprintln!("warning: shard {s} build failed: {e}");
-                                false
-                            }
-                        }
-                    },
-                    runtime.clone(),
+                let jobs = &self.decomposition.jobs;
+                let built = shard::build_shard(
+                    &path(s),
+                    system,
+                    jobs,
+                    &plan,
+                    s,
+                    cfg.tile_rows,
+                    fp(s),
+                    |job| self.response(job),
                 );
-                // A quarantined shard's file is untrusted (its attempts kept
-                // failing): delete it so this solve streams its rows as zero
-                // and a restart recomputes it — the same recompute-on-restart
-                // contract the scheduled checkpoint path applies to
-                // quarantined jobs.
+                if let Err(e) = built {
+                    eprintln!("warning: shard {s} build failed: {e}");
+                    *failure.lock().expect("failure slot poisoned") = Some(e);
+                    return false;
+                }
+                true
+            })
+        });
+        let recovery = match report {
+            // No scheduler, no retry: a failed build fails the run.
+            None => match failure.into_inner().expect("failure slot poisoned") {
+                Some(e) => return Err(WorkflowError::Spill(e)),
+                None => None,
+            },
+            Some(report) => {
+                // A quarantined shard's file is untrusted (its attempts
+                // kept failing): delete it so this solve streams its rows
+                // as zero and a restart recomputes it.
                 for &s in &report.quarantined_fragments {
                     let _ = std::fs::remove_file(path(s as usize));
                 }
-                Some(RecoverySummary {
-                    retries: report.retries,
-                    eager_retries: report.eager_retries,
-                    resumed_jobs: resumed_shards,
-                    reissues: report.reissues,
-                    duplicates_suppressed: report.duplicates_suppressed,
-                    quarantined_jobs: report.quarantined_fragments.len(),
-                    unfinished_jobs: report.unfinished_fragments,
-                    leaders_died: report.leaders_died,
-                    cache_hits: hits.load(Ordering::Relaxed),
-                })
+                Some(pipeline::recovery_summary(&report, resumed_shards, self.cache_hits()))
             }
         };
-        timings.engine_s = t.elapsed().as_secs_f64();
-        drop(engine_span);
 
-        // "Assembly" is now just opening the spill directory: headers and
-        // derivative spans load; the Hessian tiles stay on disk.
-        let assemble_span = qfr_obs::span("workflow.assemble");
-        let t = Instant::now();
-        let store = shard::ShardStore::open(&cfg.spill, plan, cfg.tile_rows, base)
+        // "Assembly" is opening the spill directory: headers and derivative
+        // spans load; the Hessian tiles stay on disk.
+        let store = pipeline
+            .operator(|| ShardStore::open(&cfg.spill, plan, cfg.tile_rows, base))
             .map_err(WorkflowError::Spill)?;
-        let hessian_nnz = store.nnz();
-        timings.assemble_s = t.elapsed().as_secs_f64();
-        drop(assemble_span);
-
-        let ((spectrum, ir), dt) = qfr_obs::timed("workflow.solver", || {
-            let op = ShardedOperator::new(&store);
-            let spectrum = raman_lanczos(&op, store.dalpha(), &self.raman);
-            let ir = ir_lanczos(&op, store.dmu(), &self.raman);
-            (spectrum, ir)
-        });
-        timings.solver_s = dt;
-
-        Ok(RamanResult {
-            spectrum,
-            ir,
-            stats: decomposition.stats,
-            n_atoms,
-            dof: self.system.dof(),
-            hessian_nnz,
-            engine: engine.name().to_string(),
-            timings,
-            recovery,
-        })
+        let op = ShardedOperator::new(&store);
+        let spectra = pipeline.solve(&op, None, store.dalpha(), store.dmu());
+        Ok((spectra, store.nnz(), recovery))
     }
 
-    fn run_inner(&self, dense: bool) -> Result<RamanResult, WorkflowError> {
-        let mut timings = StageTimings::default();
-
-        let (decomposition, dt) = qfr_obs::timed("workflow.decompose", || self.decompose());
-        timings.decompose_s = dt;
-        self.validate(&decomposition)?;
-
-        let engine = self.make_engine();
-        let engine_span = qfr_obs::span("workflow.engine");
-        let t = Instant::now();
-        let hits = AtomicU64::new(0);
-        let responses: Vec<FragmentResponse> = if self.parallel {
-            decomposition
-                .jobs
-                .par_iter()
-                .map(|job| self.compute_response(engine.as_ref(), job, &hits))
-                .collect()
-        } else {
-            decomposition
-                .jobs
-                .iter()
-                .map(|job| self.compute_response(engine.as_ref(), job, &hits))
-                .collect()
-        };
-        timings.engine_s = t.elapsed().as_secs_f64();
-        drop(engine_span);
-
-        let (mw, dt) = qfr_obs::timed("workflow.assemble", || {
-            let assembled =
-                assemble::assemble(&decomposition.jobs, &responses, self.system.n_atoms());
-            MassWeighted::new(&assembled, &self.system.masses())
+    /// Matrix-free operator: one pass accumulates the mass-weighted
+    /// derivative vectors, no response outlives its work item.
+    fn matrix_free(&self, pipeline: &mut Pipeline) -> Solved {
+        let system = &self.workflow.system;
+        let jobs = &self.decomposition.jobs;
+        let dof = system.dof();
+        let inv_sqrt: Vec<f64> = system.masses().iter().map(|m| 1.0 / m.sqrt()).collect();
+        let acc = Mutex::new((
+            std::array::from_fn::<Vec<f64>, 6, _>(|_| vec![0.0; dof]),
+            std::array::from_fn::<Vec<f64>, 3, _>(|_| vec![0.0; dof]),
+        ));
+        let items: Vec<FragmentWorkItem> = (jobs.iter().enumerate())
+            .map(|(i, job)| FragmentWorkItem::new(i as u32, job.size() as u32))
+            .collect();
+        pipeline.responses(|| {
+            dispatch(&self.plan.source, items, |i| {
+                let job = &jobs[i];
+                let resp = self.response(job);
+                let mut acc = acc.lock().expect("accumulator poisoned");
+                for (la, &ga) in job.atoms.iter().enumerate() {
+                    for da in 0..3 {
+                        let col = 3 * ga + da;
+                        let w = inv_sqrt[ga];
+                        for c in 0..6 {
+                            acc.0[c][col] += job.coefficient * w * resp.dalpha[(c, 3 * la + da)];
+                        }
+                        for c in 0..3 {
+                            acc.1[c][col] += job.coefficient * w * resp.dmu[(c, 3 * la + da)];
+                        }
+                    }
+                }
+                true
+            })
         });
-        timings.assemble_s = dt;
-
-        let ((spectrum, ir), dt) = qfr_obs::timed("workflow.solver", || {
-            let spectrum = if dense {
-                raman_dense_reference(&mw.hessian.to_dense(), &mw.dalpha, &self.raman)
-            } else {
-                raman_lanczos(&mw.hessian, &mw.dalpha, &self.raman)
-            };
-            let ir = ir_lanczos(&mw.hessian, &mw.dmu, &self.raman);
-            (spectrum, ir)
-        });
-        timings.solver_s = dt;
-
-        Ok(RamanResult {
-            spectrum,
-            ir,
-            stats: decomposition.stats,
-            n_atoms: self.system.n_atoms(),
-            dof: self.system.dof(),
-            hessian_nnz: mw.hessian.nnz(),
-            engine: engine.name().to_string(),
-            timings,
-            recovery: None,
-        })
+        let (dalpha, dmu) = acc.into_inner().expect("accumulator poisoned");
+        let streamed = crate::StreamedHessian::new(system, self.decomposition, self.engine);
+        let spectra = pipeline.solve(&streamed, None, &dalpha, &dmu);
+        (spectra, 0, None) // never materialized: no stored non-zeros
     }
 }
 
@@ -1006,7 +754,9 @@ mod tests {
     fn sequential_matches_parallel() {
         let system = WaterBoxBuilder::new(8).seed(5).build();
         let par = RamanWorkflow::new(system.clone()).run().unwrap();
-        let seq = RamanWorkflow::new(system).sequential().run().unwrap();
+        let seq = RamanWorkflow::new(system)
+            .execute(RunPlan::new(ResponseSource::Sequential, HessianOperator::InCore))
+            .unwrap();
         let sim = par.spectrum.cosine_similarity(&seq.spectrum);
         assert!(sim > 0.999999, "parallelism changed the physics: {sim}");
     }
@@ -1118,43 +868,6 @@ mod tests {
         assert!(recovery.retries >= 1, "the failing task retries before quarantine");
         let total: f64 = result.spectrum.intensities.iter().sum();
         assert!(total > 0.0, "partial spectrum must still carry signal");
-    }
-
-    #[test]
-    fn sharded_run_bit_identical_to_in_core() {
-        let system = WaterBoxBuilder::new(10).seed(51).build();
-        let wf = RamanWorkflow::new(system).sigma(25.0).lanczos_steps(40);
-        let in_core = wf.run().unwrap();
-        let dir = std::env::temp_dir().join("qfr_wf_shard_test");
-        for k in [1, 4, 16] {
-            let spill = dir.join(format!("k{k}"));
-            let result = wf.run_sharded(ShardConfig::new(k, &spill).tile_rows(7)).unwrap();
-            // Bit-identity, not cosine similarity: stable triplet sort +
-            // row-partitioned streaming makes every f64 op identical.
-            assert_eq!(result.spectrum.intensities, in_core.spectrum.intensities, "K={k}");
-            assert_eq!(result.ir.intensities, in_core.ir.intensities, "K={k}");
-            assert_eq!(result.hessian_nnz, in_core.hessian_nnz, "K={k}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_resume_skips_valid_shards() {
-        let system = WaterBoxBuilder::new(8).seed(52).build();
-        let wf = RamanWorkflow::new(system).sigma(25.0).lanczos_steps(40);
-        let dir = std::env::temp_dir().join("qfr_wf_shard_resume_test");
-        std::fs::remove_dir_all(&dir).ok();
-        let cfg = || ShardConfig::new(3, &dir);
-        let built = qfr_obs::counter::value_of("shard.shards_built").unwrap_or(0);
-        let first = wf.run_sharded(cfg()).unwrap();
-        assert_eq!(qfr_obs::counter::value_of("shard.shards_built"), Some(built + 3));
-        let resumed = qfr_obs::counter::value_of("shard.shards_resumed").unwrap_or(0);
-        let second = wf.run_sharded(cfg()).unwrap();
-        // Nothing rebuilt, all three resumed, same bits out.
-        assert_eq!(qfr_obs::counter::value_of("shard.shards_built"), Some(built + 3));
-        assert_eq!(qfr_obs::counter::value_of("shard.shards_resumed"), Some(resumed + 3));
-        assert_eq!(first.spectrum.intensities, second.spectrum.intensities);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,0 +1,120 @@
+//! `qfr spectrum` command-line contract: malformed input is a one-line
+//! error with exit status 2, and every mode flag runs the plan it names —
+//! its spectrum record matches an in-process `run()`.
+
+use qfr_core::RamanWorkflow;
+use qfr_geom::WaterBoxBuilder;
+use serde_json::Value;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const SYSTEM: [&str; 5] = ["spectrum", "--waters", "8", "--lanczos", "60"];
+
+fn qfr(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_qfr")).args(args).output().expect("spawn qfr")
+}
+
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("qfr_cli_tests").join(name);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+fn intensities(record: &Value) -> Vec<f64> {
+    let values = record["intensities"].as_array().expect("intensities array");
+    values.iter().map(|v| v.as_f64().expect("number")).collect()
+}
+
+fn cosine(a: &[f64], b: &[f64]) -> f64 {
+    let dot = |x: &[f64], y: &[f64]| x.iter().zip(y).map(|(p, q)| p * q).sum::<f64>();
+    dot(a, b) / (dot(a, a) * dot(b, b)).sqrt()
+}
+
+fn with<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+    [&SYSTEM[..], extra].concat()
+}
+
+fn assert_usage_error(args: &[&str], mentions: &str) {
+    let out = qfr(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2; stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?} must print one line, got: {stderr}");
+    assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    assert!(stderr.contains(mentions), "{args:?}: '{mentions}' missing from: {stderr}");
+}
+
+#[test]
+fn malformed_command_lines_exit_2_with_one_line() {
+    let dir = temp_dir("errors");
+    let checkpoint = dir.join("mixed.qfrc");
+
+    // An unparsable value is not the default.
+    assert_usage_error(&["spectrum", "--waters", "8", "--lanczos", "abc"], "--lanczos");
+    assert_usage_error(&["spectrum", "--waters", "many"], "--waters");
+    assert_usage_error(&with(&["--precision", "f16"]), "--precision");
+    // Unknown, valueless, repeated and orphaned flags are not ignored.
+    assert_usage_error(&with(&["--bogus"]), "--bogus");
+    assert_usage_error(&with(&["--json"]), "--json");
+    assert_usage_error(&with(&["--sigma", "5", "--sigma", "6"]), "--sigma");
+    assert_usage_error(&with(&["--tile-rows", "64"]), "--shards");
+    // Conflicting modes do not silently pick one.
+    assert_usage_error(&with(&["--dense", "--shards", "2"]), "--dense and --shards");
+    assert_usage_error(&["spectrum", "--waters", "8", "--protein", "4"], "--protein and --waters");
+    // Plans the pipeline cannot honour are usage errors too, and touch no file.
+    assert_usage_error(&with(&["--shards", "0"]), "shard count");
+    assert_usage_error(&with(&["--stream", "--sched", "2"]), "matrix-free");
+    let checkpoint_arg = checkpoint.to_str().expect("utf-8 temp path");
+    for mode in [&["--stream"][..], &["--shards", "2"], &["--precision", "mixed"]] {
+        assert_usage_error(
+            &with(&[mode, &["--checkpoint", checkpoint_arg]].concat()),
+            "checkpoint",
+        );
+    }
+    assert!(!checkpoint.exists(), "a rejected plan wrote a checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_mode_flag_reproduces_run() {
+    let dir = temp_dir("modes");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_owned();
+    let system = WaterBoxBuilder::new(8).seed(42).build();
+    let reference = RamanWorkflow::new(system).sigma(20.0).lanczos_steps(60).run().expect("run()");
+    let reference: Value = serde_json::from_str(&reference.to_json()).expect("reference record");
+
+    let (spill, checkpoint, sched_checkpoint) =
+        (path("spill"), path("plain.qfrc"), path("sched.qfrc"));
+    let modes: [(&str, &[&str], bool); 7] = [
+        ("default", &[], true),
+        ("dense", &["--dense"], false),
+        ("stream", &["--stream"], false),
+        ("shards", &["--shards", "3", "--spill", &spill, "--tile-rows", "16"], true),
+        ("sched", &["--sched", "2", "--workers", "1"], true),
+        ("checkpoint", &["--checkpoint", &checkpoint], true),
+        (
+            "sched+checkpoint",
+            &["--sched", "2", "--checkpoint", &sched_checkpoint, "--checkpoint-interval", "8"],
+            true,
+        ),
+    ];
+    for (name, flags, exact) in modes {
+        let json = path(&format!("{name}.json"));
+        let out = qfr(&[&SYSTEM[..], flags, &["--json", &json]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{name}: {stderr}");
+        let text = std::fs::read_to_string(&json).expect("spectrum record");
+        let record: Value = serde_json::from_str(&text).expect("record parses");
+        assert_eq!(record["wavenumbers"], reference["wavenumbers"], "{name}");
+        if exact {
+            assert_eq!(record["intensities"], reference["intensities"], "{name}");
+            assert_eq!(record["hessian_nnz"], reference["hessian_nnz"], "{name}");
+        } else {
+            let sim = cosine(&intensities(&record), &intensities(&reference));
+            assert!(sim > 0.995, "{name}: cosine similarity {sim}");
+        }
+    }
+    assert!(Path::new(&checkpoint).exists() && Path::new(&sched_checkpoint).exists());
+    assert!(Path::new(&spill).join("shard-00002.qfrs").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}

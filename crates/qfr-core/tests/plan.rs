@@ -1,0 +1,226 @@
+//! The `RunPlan` contract: every response-source × operator × checkpoint
+//! cell either reproduces `run()` or is rejected up front with
+//! `WorkflowError::UnsupportedPlan` — never a silent downgrade.
+//!
+//! `model.engine.fragments` is a process global, so every test takes
+//! `GUARD` and reads deltas inside the critical section.
+
+use qfr_core::checkpoint::{load_partial, save_partial};
+use qfr_core::{
+    HessianOperator, RamanResult, RamanWorkflow, ResponseSource, RunPlan, ScheduledConfig,
+    ShardConfig, WorkflowError,
+};
+use qfr_geom::WaterBoxBuilder;
+use qfr_linalg::GemmPrecision;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+
+static GUARD: Mutex<()> = Mutex::new(());
+
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    GUARD.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+fn workflow() -> RamanWorkflow {
+    let system = WaterBoxBuilder::new(8).seed(61).build();
+    RamanWorkflow::new(system).sigma(30.0).lanczos_steps(60)
+}
+
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("qfr_plan_tests").join(name);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+fn runtime() -> qfr_sched::RuntimeConfig {
+    qfr_sched::RuntimeConfig { n_leaders: 2, workers_per_leader: 2, ..Default::default() }
+}
+
+fn engine_fragments() -> u64 {
+    qfr_obs::counter::value_of("model.engine.fragments").unwrap_or(0)
+}
+
+fn assert_bit_identical(got: &RamanResult, want: &RamanResult, cell: &str) {
+    assert_eq!(got.spectrum.intensities, want.spectrum.intensities, "Raman, {cell}");
+    assert_eq!(got.ir.intensities, want.ir.intensities, "IR, {cell}");
+}
+
+fn assert_rejected(result: Result<RamanResult, WorkflowError>, cell: &str) {
+    match result {
+        Err(WorkflowError::UnsupportedPlan(_)) => {}
+        other => panic!("{cell}: expected UnsupportedPlan, got {:?}", other.map(|r| r.n_atoms)),
+    }
+}
+
+#[test]
+fn every_plan_cell_matches_run_or_is_rejected() {
+    let _g = lock();
+    let dir = temp_dir("cells");
+    let reference = workflow().run().expect("reference run");
+
+    let sources = [
+        ("rayon", ResponseSource::Rayon),
+        ("sequential", ResponseSource::Sequential),
+        ("scheduler", ResponseSource::Scheduler(runtime())),
+    ];
+    let operators = |spill: &Path| {
+        [
+            ("in-core", HessianOperator::InCore),
+            ("dense", HessianOperator::DenseReference),
+            ("sharded", HessianOperator::Sharded(ShardConfig::new(3, spill).tile_rows(7))),
+            ("matrix-free", HessianOperator::MatrixFree),
+        ]
+    };
+    for (source_name, source) in &sources {
+        for checkpointed in [false, true] {
+            let spill = dir.join(format!("spill-{source_name}-{checkpointed}"));
+            for (operator_name, operator) in operators(&spill) {
+                let cell = format!("{source_name} x {operator_name} x checkpoint={checkpointed}");
+                let checkpoint = dir.join(format!("{cell}.qfrc"));
+                let plan = RunPlan {
+                    checkpoint: checkpointed.then(|| checkpoint.clone()),
+                    checkpoint_interval: 4,
+                    ..RunPlan::new(source.clone(), operator.clone())
+                };
+                let stores_responses = matches!(operator_name, "in-core" | "dense");
+                let legal = (!checkpointed || stores_responses)
+                    && (*source_name, operator_name) != ("scheduler", "matrix-free");
+                let result = workflow().execute(plan);
+                if !legal {
+                    assert_rejected(result, &cell);
+                    assert!(!checkpoint.exists(), "{cell}: a rejected plan wrote a checkpoint");
+                    if operator_name == "sharded" {
+                        assert!(
+                            !spill.exists(),
+                            "{cell}: a rejected plan created a spill directory"
+                        );
+                    }
+                    continue;
+                }
+                let result = result.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                assert_eq!(result.recovery.is_some(), *source_name == "scheduler", "{cell}");
+                assert_eq!(checkpoint.exists(), checkpointed, "{cell}");
+                match operator_name {
+                    // The dense reference and the matrix-free operator agree
+                    // with Lanczos-on-CSR to solver accuracy, as their
+                    // dedicated tests pin; the dense plan's IR is Lanczos
+                    // on the same CSR matrix.
+                    "dense" => {
+                        let sim = result.spectrum.cosine_similarity(&reference.spectrum);
+                        assert!(sim > 0.995, "{cell}: cosine similarity {sim}");
+                        assert_eq!(result.ir.intensities, reference.ir.intensities, "{cell}");
+                    }
+                    "matrix-free" => {
+                        assert_eq!(result.hessian_nnz, 0, "{cell}: must not materialize");
+                        let sim = result.spectrum.cosine_similarity(&reference.spectrum);
+                        assert!(sim > 0.99999, "{cell}: Raman cosine similarity {sim}");
+                        let sim = result.ir.cosine_similarity(&reference.ir);
+                        assert!(sim > 0.99999, "{cell}: IR cosine similarity {sim}");
+                    }
+                    _ => {
+                        assert_bit_identical(&result, &reference, &cell);
+                        assert_eq!(result.hessian_nnz, reference.hessian_nnz, "{cell}");
+                    }
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_plan_shapes_are_rejected() {
+    let _g = lock();
+    let dir = temp_dir("shapes");
+    let sharded = |shards, tile_rows| {
+        let cfg = ShardConfig::new(shards, dir.join("spill")).tile_rows(tile_rows);
+        RunPlan::new(ResponseSource::Rayon, HessianOperator::Sharded(cfg))
+    };
+    assert_rejected(workflow().execute(sharded(0, 7)), "zero shards");
+    assert_rejected(workflow().execute(sharded(3, 0)), "zero tile rows");
+    let leaderless = qfr_sched::RuntimeConfig { n_leaders: 0, ..runtime() };
+    assert_rejected(workflow().run_scheduled(leaderless), "zero leaders");
+    assert!(!dir.join("spill").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Checkpoint and spill keys cover geometry, not element width. The
+/// scheduled and sharded paths used to load and save them under
+/// `MixedF32` regardless, so a later f64 run resumed mixed-precision
+/// responses. Now the plan is rejected before any file is touched.
+#[test]
+fn mixed_precision_never_reaches_checkpoint_or_spill() {
+    let _g = lock();
+    let dir = temp_dir("mixed");
+    let (checkpoint, spill) = (dir.join("mixed.qfrc"), dir.join("spill"));
+    let mixed = workflow().precision(GemmPrecision::MixedF32);
+    let scheduled = || ScheduledConfig {
+        runtime: runtime(),
+        checkpoint: Some(checkpoint.clone()),
+        checkpoint_interval: 4,
+    };
+    let shards = || ShardConfig::new(3, &spill).tile_rows(7);
+
+    assert_rejected(mixed.run_with_checkpoint(&checkpoint), "mixed x checkpoint");
+    assert_rejected(mixed.run_scheduled_with(scheduled()), "mixed x scheduler x checkpoint");
+    assert_rejected(mixed.run_sharded(shards()), "mixed x sharded");
+    assert!(!checkpoint.exists(), "a rejected mixed plan wrote a checkpoint");
+    assert!(!spill.exists(), "a rejected mixed plan created a spill directory");
+    // Without files to leak into, mixed precision runs.
+    mixed.run().expect("plain mixed run");
+    mixed.run_scheduled(runtime()).expect("scheduled mixed run");
+
+    // The f64 runs that follow start cold and match a fresh f64 run.
+    let fresh = workflow().run().expect("fresh f64 run");
+    let before = engine_fragments();
+    let resumed = workflow().run_scheduled_with(scheduled()).expect("f64 checkpointed run");
+    assert_eq!(engine_fragments() - before, fresh.stats.n_jobs as u64, "nothing to resume");
+    assert_eq!(resumed.recovery.as_ref().expect("scheduled").resumed_jobs, 0);
+    assert_bit_identical(&resumed, &fresh, "f64 after mixed, checkpoint");
+    let sharded = workflow().run_sharded(shards()).expect("f64 sharded run");
+    assert_bit_identical(&sharded, &fresh, "f64 after mixed, sharded");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A complete checkpoint is a partial one with every slot present: the
+/// unscheduled path resumes a partial file and computes only the rest.
+#[test]
+fn plain_checkpoint_run_recomputes_only_missing_jobs() {
+    let _g = lock();
+    let dir = temp_dir("partial");
+    let path = dir.join("partial.qfrc");
+    let wf = workflow();
+    let fresh = wf.run().expect("fresh run");
+    let n_jobs = fresh.stats.n_jobs;
+
+    let before = engine_fragments();
+    let first = wf.run_with_checkpoint(&path).expect("cold checkpointed run");
+    assert_eq!(engine_fragments() - before, n_jobs as u64, "cold run computes every job");
+    assert_bit_identical(&first, &fresh, "cold checkpointed run");
+
+    // Blank every third slot — byte-wise what a periodic save of a killed
+    // scheduled run leaves behind.
+    let d = wf.decompose();
+    let mut slots = load_partial(&path, &d, wf.system()).expect("load complete checkpoint");
+    assert!(slots.iter().all(Option::is_some), "final save holds every job");
+    let mut missing = 0;
+    for slot in slots.iter_mut().step_by(3) {
+        *slot = None;
+        missing += 1;
+    }
+    save_partial(&path, &d, wf.system(), &slots).expect("write partial checkpoint");
+
+    let before = engine_fragments();
+    let resumed = wf.run_with_checkpoint(&path).expect("resumed run");
+    assert_eq!(engine_fragments() - before, missing, "only the missing jobs recompute");
+    assert_bit_identical(&resumed, &fresh, "resumed run");
+    let slots = load_partial(&path, &d, wf.system()).expect("reload checkpoint");
+    assert!(slots.iter().all(Option::is_some), "the resumed run completes the file");
+
+    let before = engine_fragments();
+    let again = wf.run_with_checkpoint(&path).expect("fully resumed run");
+    assert_eq!(engine_fragments() - before, 0, "a complete file leaves nothing to compute");
+    assert_bit_identical(&again, &fresh, "fully resumed run");
+    std::fs::remove_dir_all(&dir).ok();
+}

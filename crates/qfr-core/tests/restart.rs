@@ -1,6 +1,6 @@
 //! Checkpoint/restart integration tests for the scheduled runtime.
 //!
-//! These exercise the v2 partial-checkpoint format end to end: a run is
+//! These exercise the partial-checkpoint format end to end: a run is
 //! "killed" after a partial save (simulated by blanking slots of a saved
 //! checkpoint — byte-wise exactly what a periodic mid-run save writes),
 //! then rerun with the same seed. The deterministic engine counter

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use qfr_core::shard::{shard_path, ShardPlan};
-use qfr_core::{RamanWorkflow, ShardConfig};
+use qfr_core::{HessianOperator, RamanWorkflow, ResponseSource, RunPlan, ShardConfig};
 use qfr_geom::WaterBoxBuilder;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -60,7 +60,7 @@ fn killed_shard_build_restarts_from_spill() {
 
     // Scheduled sharded run where shard 0's build fails on every attempt:
     // the runtime injects the fault *after* the workload, so the task
-    // quarantines even though a file was written — and run_sharded must
+    // quarantines even though a file was written — and the pipeline must
     // then distrust and delete that file so a restart recomputes it.
     let mut rt = runtime();
     rt.faults = qfr_sched::FaultPlan::none().permanent([0]);
@@ -71,7 +71,10 @@ fn killed_shard_build_restarts_from_spill() {
     };
     let before_built = shards_built();
     let faulty = workflow()
-        .run_sharded(ShardConfig::new(k, &spill).tile_rows(7).scheduled(rt))
+        .execute(RunPlan::new(
+            ResponseSource::Scheduler(rt),
+            HessianOperator::Sharded(ShardConfig::new(k, &spill).tile_rows(7)),
+        ))
         .expect("faulty sharded run");
     let built = shards_built() - before_built;
     let recovery = faulty.recovery.as_ref().expect("scheduled run reports recovery");
@@ -158,6 +161,44 @@ fn foreign_geometry_spill_is_rejected_and_rebuilt() {
     assert_eq!(sharded.hessian_nnz, reference.hessian_nnz);
 
     std::fs::remove_dir_all(&spill).ok();
+}
+
+#[test]
+fn sharded_run_bit_identical_to_in_core() {
+    let _g = lock();
+    let system = WaterBoxBuilder::new(10).seed(51).build();
+    let wf = RamanWorkflow::new(system).sigma(25.0).lanczos_steps(40);
+    let in_core = wf.run().unwrap();
+    let dir = temp_spill("bit_identical");
+    for k in [1, 4, 16] {
+        let spill = dir.join(format!("k{k}"));
+        let result = wf.run_sharded(ShardConfig::new(k, &spill).tile_rows(7)).unwrap();
+        // Bit-identity, not cosine similarity: stable triplet sort +
+        // row-partitioned streaming makes every f64 op identical.
+        assert_eq!(result.spectrum.intensities, in_core.spectrum.intensities, "K={k}");
+        assert_eq!(result.ir.intensities, in_core.ir.intensities, "K={k}");
+        assert_eq!(result.hessian_nnz, in_core.hessian_nnz, "K={k}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sharded_resume_skips_valid_shards() {
+    let _g = lock();
+    let system = WaterBoxBuilder::new(8).seed(52).build();
+    let wf = RamanWorkflow::new(system).sigma(25.0).lanczos_steps(40);
+    let dir = temp_spill("resume_skips");
+    let cfg = || ShardConfig::new(3, &dir);
+    let built = qfr_obs::counter::value_of("shard.shards_built").unwrap_or(0);
+    let first = wf.run_sharded(cfg()).unwrap();
+    assert_eq!(qfr_obs::counter::value_of("shard.shards_built"), Some(built + 3));
+    let resumed = qfr_obs::counter::value_of("shard.shards_resumed").unwrap_or(0);
+    let second = wf.run_sharded(cfg()).unwrap();
+    // Nothing rebuilt, all three resumed, same bits out.
+    assert_eq!(qfr_obs::counter::value_of("shard.shards_built"), Some(built + 3));
+    assert_eq!(qfr_obs::counter::value_of("shard.shards_resumed"), Some(resumed + 3));
+    assert_eq!(first.spectrum.intensities, second.spectrum.intensities);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {

@@ -1147,37 +1147,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_flops_match_scattered_and_count_savings() {
-        let jobs = tagged_mixed();
-        let scope = crate::flops::FlopScope::start();
-        let _ = execute_jobs_scattered(&jobs);
-        let scattered_flops = scope.finish().flops;
-        let saved_before = crate::syrk::flops_saved_symmetry();
-        let scope = crate::flops::FlopScope::start();
-        let _ = execute_jobs_packed(&jobs, 32);
-        let packed_flops = scope.finish().flops;
-        assert_eq!(packed_flops, scattered_flops, "padding must not inflate FLOPs");
-        assert!(
-            crate::syrk::flops_saved_symmetry() > saved_before,
-            "batched triangle jobs must credit the symmetry counter"
-        );
-    }
-
-    #[test]
-    fn syrk_and_packed_bytes_counters_advance() {
-        let jobs = tagged_mixed();
-        let syrk_before = BATCH_SYRK_JOBS.get();
-        let bytes_before = BATCH_PACKED_BYTES.get();
-        let _ = execute_jobs_packed(&jobs, 32);
-        assert_eq!(
-            BATCH_SYRK_JOBS.get() - syrk_before,
-            4,
-            "four triangle-family jobs in the mixed set"
-        );
-        assert!(BATCH_PACKED_BYTES.get() > bytes_before);
-    }
-
-    #[test]
     fn degenerate_tagged_jobs_fall_back() {
         let jobs = vec![
             BatchJob::gemm(DMatrix::zeros(0, 4), DMatrix::zeros(4, 3)),

@@ -142,24 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_term_reduces_flops_by_about_two_thirds() {
-        let x = sample(64, 32, 23);
-        let g = sample(64, 32, 24);
-        crate::flops::reset();
-        let s = crate::flops::FlopScope::start();
-        let _ = cross_term_naive(&x, &g);
-        let naive_flops = s.finish().flops;
-        let s = crate::flops::FlopScope::start();
-        let _ = symmetric_cross_term(&x, &g);
-        let fast_flops = s.finish().flops;
-        // Paper: strength reduced by 2/3; allow slack for the transpose-add.
-        assert!(
-            (fast_flops as f64) < 0.45 * naive_flops as f64,
-            "fast {fast_flops} vs naive {naive_flops}"
-        );
-    }
-
-    #[test]
     fn sandwich_reduction_is_exact() {
         let x = sample(30, 10, 25);
         let g = sample(30, 10, 26);
@@ -167,23 +149,6 @@ mod tests {
         let naive = sandwich_naive(&x, &p, &g);
         let fast = symmetric_sandwich(&x, &p, &g);
         assert!(naive.max_abs_diff(&fast) < 1e-11);
-    }
-
-    #[test]
-    fn sandwich_reduction_halves_gemm_flops() {
-        let x = sample(48, 16, 28);
-        let g = sample(48, 16, 29);
-        let p = sym_sample(16, 30);
-        let s = crate::flops::FlopScope::start();
-        let _ = sandwich_naive(&x, &p, &g);
-        let naive_flops = s.finish().flops;
-        let s = crate::flops::FlopScope::start();
-        let _ = symmetric_sandwich(&x, &p, &g);
-        let fast_flops = s.finish().flops;
-        assert!(
-            (fast_flops as f64) < 0.62 * naive_flops as f64,
-            "fast {fast_flops} vs naive {naive_flops}"
-        );
     }
 
     #[test]
