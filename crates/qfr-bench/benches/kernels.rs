@@ -97,11 +97,10 @@ fn bench_spmv(c: &mut Criterion) {
     let m = b.build();
     let x: Vec<f64> = (0..n).map(|i| (i % 13) as f64 - 6.0).collect();
     let mut y = vec![0.0; n];
-    group.bench_function("serial_60k", |bch| {
-        bch.iter(|| m.spmv_serial(black_box(&x), black_box(&mut y)))
-    });
-    group.bench_function("parallel_60k", |bch| {
-        bch.iter(|| m.spmv(black_box(&x), black_box(&mut y)))
+    group.bench_function("spmv_60k", |bch| bch.iter(|| m.spmv(black_box(&x), black_box(&mut y))));
+    let (x10, mut y10) = (x.repeat(10), vec![0.0; 10 * n]);
+    group.bench_function("spmm10_60k", |bch| {
+        bch.iter(|| m.spmm(10, black_box(&x10), black_box(&mut y10)))
     });
     group.finish();
 }

@@ -16,7 +16,7 @@
 //! | `stats_decomposition` | Section VI-A decomposition statistics |
 //! | `ablation_balancer` | policy ablation (design-choice study) |
 //! | `ablation_offload_stride` | batch-stride ablation |
-//! | `ablation_gagq` | GAGQ vs plain Gauss vs dense accuracy + KPM baseline |
+//! | `ablation_gagq` | GAGQ vs plain Gauss vs dense accuracy |
 //! | `ablation_fold` | chain fold vs concap statistics |
 //! | `ablation_faults` | failure-rate sweep + straggler re-issue study |
 //! | `ablation_symmetry` | Section V-D strength reduction: syrk kernels + merged displaced-SCF sweep |

@@ -16,7 +16,9 @@ use qfr_linalg::batch::OffloadMode;
 use qfr_linalg::sparse::MatVec;
 use qfr_linalg::{CsrMatrix, GemmPrecision};
 use qfr_sched::{FragmentWorkItem, RunReport};
-use qfr_solver::{ir_lanczos, raman_dense_reference, raman_lanczos, RamanOptions, RamanSpectrum};
+use qfr_solver::{
+    ir_lanczos, raman_dense_reference, raman_ir_lanczos, RamanOptions, RamanSpectrum,
+};
 use rayon::prelude::*;
 use std::borrow::Cow;
 
@@ -213,12 +215,11 @@ impl<'a> Pipeline<'a> {
         dmu: &[Vec<f64>; 3],
     ) -> (RamanSpectrum, RamanSpectrum) {
         let opts = self.raman;
-        let (spectra, dt) = qfr_obs::timed(self.stages.solver, || {
-            let spectrum = match dense_of {
-                Some(h) => raman_dense_reference(&h.to_dense(), dalpha, opts),
-                None => raman_lanczos(op, dalpha, opts),
-            };
-            (spectrum, ir_lanczos(op, dmu, opts))
+        let (spectra, dt) = qfr_obs::timed(self.stages.solver, || match dense_of {
+            Some(h) => {
+                (raman_dense_reference(&h.to_dense(), dalpha, opts), ir_lanczos(op, dmu, opts))
+            }
+            None => raman_ir_lanczos(op, dalpha, dmu, opts),
         });
         self.timings.solver_s = dt;
         spectra

@@ -41,7 +41,7 @@ use qfr_geom::MolecularSystem;
 use qfr_solver::RamanOptions;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 // Accepted requests and enqueued fragments are pure functions of the
 // submitted workload (when nothing is rejected), so they sit in the
@@ -174,7 +174,7 @@ impl std::error::Error for ServiceError {}
 #[derive(Debug)]
 pub struct RequestHandle {
     id: u64,
-    rx: mpsc::Receiver<Result<RamanResult, ServiceError>>,
+    coordinator: std::thread::JoinHandle<Result<RamanResult, ServiceError>>,
 }
 
 impl RequestHandle {
@@ -183,9 +183,13 @@ impl RequestHandle {
         self.id
     }
 
-    /// Blocks until the request finishes.
+    /// Blocks until the request finishes. The result arrives by joining
+    /// the coordinator thread, so its allocator arena is back on the free
+    /// list before the caller can submit again: closed-loop clients reuse
+    /// arenas instead of growing a new one (and its retained heap) whenever
+    /// a submit races the previous coordinator's exit.
     pub fn wait(self) -> Result<RamanResult, ServiceError> {
-        self.rx.recv().unwrap_or(Err(ServiceError::Lost))
+        self.coordinator.join().unwrap_or(Err(ServiceError::Lost))
     }
 }
 
@@ -293,9 +297,8 @@ impl SpectrumService {
         }
         REQUESTS.incr();
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
         let inner = Arc::clone(&self.inner);
-        std::thread::Builder::new()
+        let coordinator = std::thread::Builder::new()
             .name(format!("qfr-serve-{id}"))
             .spawn(move || {
                 // Hold a running slot while computing; admitted requests
@@ -317,10 +320,10 @@ impl SpectrumService {
                     adm.in_flight -= 1;
                 }
                 inner.admission_cv.notify_all();
-                let _ = tx.send(result);
+                result
             })
             .expect("spawn request coordinator");
-        Ok(RequestHandle { id, rx })
+        Ok(RequestHandle { id, coordinator })
     }
 }
 

@@ -183,6 +183,26 @@ fn sharded_run_bit_identical_to_in_core() {
 }
 
 #[test]
+fn sharded_solve_streams_every_tile_once_per_step() {
+    let _g = lock();
+    let system = WaterBoxBuilder::new(10).seed(51).build();
+    let (k, tile_rows, steps) = (4, 7, 40);
+    let n_tiles: usize = (ShardPlan::new(system.n_atoms(), k).ranges().iter())
+        .map(|atoms| (3 * atoms.len()).div_ceil(tile_rows))
+        .sum();
+    let wf = RamanWorkflow::new(system).sigma(25.0).lanczos_steps(steps);
+    let dir = temp_spill("tiles_per_step");
+    let count = |name: &str| qfr_obs::counter::value_of(name).unwrap_or(0);
+    let (tiles, column_steps) = (count("shard.tiles_streamed"), count("solver.lanczos.steps"));
+    wf.run_sharded(ShardConfig::new(k, &dir).tile_rows(tile_rows)).unwrap();
+    // The ten start vectors (7 Raman + 3 IR) advance as one panel: a step
+    // is one pass over the tiles, not ten.
+    assert_eq!(count("solver.lanczos.steps") - column_steps, 10 * steps as u64);
+    assert_eq!(count("shard.tiles_streamed") - tiles, (n_tiles * steps) as u64);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn sharded_resume_skips_valid_shards() {
     let _g = lock();
     let system = WaterBoxBuilder::new(8).seed(52).build();

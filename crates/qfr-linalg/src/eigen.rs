@@ -176,7 +176,7 @@ pub(crate) fn sort_by_eigenvalue(d: &mut [f64], v: &mut DMatrix) {
     d.copy_from_slice(&sorted_d);
     let old = v.clone();
     for (newj, &oldj) in order.iter().enumerate() {
-        for i in 0..n {
+        for i in 0..v.rows() {
             v[(i, newj)] = old[(i, oldj)];
         }
     }

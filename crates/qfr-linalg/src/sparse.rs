@@ -18,6 +18,22 @@ pub trait MatVec: Sync {
     fn dim(&self) -> usize;
     /// Computes `y = A x`. `y` is fully overwritten.
     fn apply(&self, x: &[f64], y: &mut [f64]);
+    /// Computes `Y = A X` for row-major `dim x p` panels (entry `(i, c)` at
+    /// `i * p + c`). Column `c` of `Y` must carry exactly the bits `apply`
+    /// produces for column `c` of `X`, so a solver's per-column arithmetic
+    /// depends neither on the panel width nor on the operator. The default
+    /// gathers each column and calls `apply`; operators that can serve all
+    /// columns from one pass over their data override it.
+    fn apply_panel(&self, p: usize, x: &[f64], y: &mut [f64]) {
+        let n = self.dim();
+        assert!(x.len() == n * p && y.len() == n * p, "apply_panel: panel size mismatch");
+        let (mut xc, mut yc) = (vec![0.0; n], vec![0.0; n]);
+        for c in 0..p {
+            xc.iter_mut().enumerate().for_each(|(i, xi)| *xi = x[i * p + c]);
+            self.apply(&xc, &mut yc);
+            yc.iter().enumerate().for_each(|(i, yi)| y[i * p + c] = *yi);
+        }
+    }
 }
 
 impl MatVec for DMatrix {
@@ -174,35 +190,39 @@ impl CsrMatrix {
         }
     }
 
-    /// Sequential SpMV `y = A x`.
-    pub fn spmv_serial(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "spmv: x length mismatch");
-        assert_eq!(y.len(), self.rows, "spmv: y length mismatch");
-        crate::flops::add(2 * self.nnz() as u64);
-        for i in 0..self.rows {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
-            }
-            y[i] = acc;
-        }
+    /// SpMV `y = A x`: the one-column case of [`CsrMatrix::spmm`].
+    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
+        self.spmm(1, x, y);
     }
 
-    /// Rayon-parallel SpMV `y = A x`, row-partitioned.
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "spmv: x length mismatch");
-        assert_eq!(y.len(), self.rows, "spmv: y length mismatch");
-        crate::flops::add(2 * self.nnz() as u64);
-        y.par_iter_mut().enumerate().for_each(|(i, yi)| {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
+    /// Panel SpMV `Y = A X` over row-major panels of `p` columns (`X` is
+    /// `cols x p`, `Y` is `rows x p`): one pass over the CSR arrays serves
+    /// every column, row-partitioned under rayon. Each `Y[i, c]` is the
+    /// sum over row `i`'s entries in ascending `k`, from 0.0 — the same
+    /// bits for any `p`.
+    pub fn spmm(&self, p: usize, x: &[f64], y: &mut [f64]) {
+        assert!(x.len() == self.cols * p && y.len() == self.rows * p, "spmm: panel size mismatch");
+        crate::flops::add(2 * (self.nnz() * p) as u64);
+        if p == 0 {
+            return;
+        }
+        y.par_chunks_mut(p).enumerate().for_each(|(i, yi)| {
+            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+            let (cols, vals) = (&self.col_idx[lo..hi], &self.values[lo..hi]);
+            // One sweep over the row serves up to 12 columns from register
+            // accumulators (six SSE2 registers); wider panels take further
+            // sweeps while the row's entries are still in L1.
+            for (c0, out) in (0..p).step_by(12).zip(yi.chunks_mut(12)) {
+                macro_rules! sweep {
+                    ($($w:literal)*) => {
+                        match out.len() {
+                            $($w => row_chunk::<$w>(cols, vals, &x[c0..], p, out),)*
+                            _ => unreachable!("chunk width is 1..=12"),
+                        }
+                    };
+                }
+                sweep!(1 2 3 4 5 6 7 8 9 10 11 12);
             }
-            *yi = acc;
         });
     }
 
@@ -260,6 +280,21 @@ impl CsrMatrix {
     }
 }
 
+/// `out[c] = Σ_k vals[k] * x[cols[k] * p + c]` for `c < W = out.len()`, each
+/// column summed from 0.0 in ascending `k`.
+#[inline(always)]
+fn row_chunk<const W: usize>(cols: &[u32], vals: &[f64], x: &[f64], p: usize, out: &mut [f64]) {
+    let mut acc = [0.0; W];
+    for (&col, &v) in cols.iter().zip(vals) {
+        let at = col as usize * p;
+        let xr: &[f64; W] = x[at..at + W].try_into().expect("chunk width");
+        for c in 0..W {
+            acc[c] += v * xr[c];
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
 impl MatVec for CsrMatrix {
     fn dim(&self) -> usize {
         assert_eq!(self.rows, self.cols, "MatVec requires a square matrix");
@@ -268,6 +303,10 @@ impl MatVec for CsrMatrix {
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.spmv(x, y);
+    }
+
+    fn apply_panel(&self, p: usize, x: &[f64], y: &mut [f64]) {
+        self.spmm(p, x, y);
     }
 }
 
@@ -331,34 +370,9 @@ mod tests {
         let m = small_csr();
         let d = m.to_dense();
         let x = vec![1.0, -2.0, 0.5];
-        let mut y1 = vec![0.0; 3];
-        let mut y2 = vec![0.0; 3];
-        m.spmv_serial(&x, &mut y1);
-        m.spmv(&x, &mut y2);
-        let yd = d.matvec(&x);
-        assert_eq!(y1, yd);
-        assert_eq!(y2, yd);
-    }
-
-    #[test]
-    fn spmv_parallel_large_random() {
-        // A banded matrix large enough to exercise the rayon path.
-        let n = 5000;
-        let mut b = TripletBuilder::new(n, n);
-        for i in 0..n {
-            b.push(i, i, 2.0);
-            if i + 1 < n {
-                b.push(i, i + 1, -1.0);
-                b.push(i + 1, i, -1.0);
-            }
-        }
-        let m = b.build();
-        let x: Vec<f64> = (0..n).map(|i| (i % 13) as f64 - 6.0).collect();
-        let mut y_par = vec![0.0; n];
-        let mut y_ser = vec![0.0; n];
-        m.spmv(&x, &mut y_par);
-        m.spmv_serial(&x, &mut y_ser);
-        assert_eq!(y_par, y_ser);
+        let mut y = vec![0.0; 3];
+        m.spmv(&x, &mut y);
+        assert_eq!(y, d.matvec(&x));
     }
 
     #[test]
@@ -375,6 +389,45 @@ mod tests {
             outs.push(y);
         }
         assert_eq!(outs[0], outs[1]);
+    }
+
+    #[test]
+    fn apply_panel_is_per_column_apply_bit_for_bit() {
+        // Irregular rows (0..=12 entries), values without short binary
+        // expansions so any reordering of a row sum would show.
+        let n = 61;
+        let mut b = TripletBuilder::new(n, n);
+        for i in 0..n {
+            for t in 0..(i * 5) % 13 {
+                b.push(i, (i * 7 + t * 11) % n, 1.0 / (1.0 + ((i + 3 * t) % 17) as f64) - 0.3);
+            }
+        }
+        let csr = b.build();
+        let dense = csr.to_dense();
+        let ops: [&dyn MatVec; 2] = [&csr, &dense]; // override and provided default
+        for p in [1, 2, 3, 5, 7, 10, 11] {
+            let x: Vec<f64> = (0..n * p).map(|t| ((t * 37 + p) % 29) as f64 / 7.0 - 2.0).collect();
+            for op in ops {
+                let mut y = vec![f64::NAN; n * p];
+                op.apply_panel(p, &x, &mut y);
+                for c in 0..p {
+                    let xc: Vec<f64> = (0..n).map(|i| x[i * p + c]).collect();
+                    let mut yc = vec![0.0; n];
+                    op.apply(&xc, &mut yc);
+                    let got: Vec<f64> = (0..n).map(|i| y[i * p + c]).collect();
+                    assert_eq!(got, yc, "p = {p}, column {c}");
+                }
+            }
+            // And the CSR kernel is the plain ascending-k row sum.
+            let mut y = vec![f64::NAN; n * p];
+            csr.spmm(p, &x, &mut y);
+            for (i, yi) in y.chunks(p).enumerate() {
+                for (c, got) in yi.iter().enumerate() {
+                    let sum = csr.row_entries(i).fold(0.0, |acc, (j, v)| acc + v * x[j * p + c]);
+                    assert_eq!(*got, sum, "p = {p}, entry ({i}, {c})");
+                }
+            }
+        }
     }
 
     #[test]

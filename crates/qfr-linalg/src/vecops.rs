@@ -66,6 +66,48 @@ pub fn normalize(x: &mut [f64]) -> f64 {
     n
 }
 
+/// Column dot products of two row-major `n x p` panels (entry `(i, c)` at
+/// `i * p + c`, `p = out.len() > 0`): `out[c] = Σ_i x[i, c] * y[i, c]`,
+/// each summed from 0.0 in ascending `i` whatever `p` is, so a column's
+/// value does not depend on the panel around it. Like the two kernels
+/// below, panics on panels that are not `n x p`.
+pub fn panel_dot(x: &[f64], y: &[f64], out: &mut [f64]) {
+    let p = out.len();
+    assert!(x.len() == y.len() && x.len() % p == 0, "panel_dot: panel shape mismatch");
+    crate::flops::add(2 * x.len() as u64);
+    out.fill(0.0);
+    for (xr, yr) in x.chunks_exact(p).zip(y.chunks_exact(p)) {
+        for ((o, a), b) in out.iter_mut().zip(xr).zip(yr) {
+            *o += a * b;
+        }
+    }
+}
+
+/// Column-wise `y[:, c] <- a[c] * x[:, c] + y[:, c]` on `n x p` panels,
+/// `p = a.len() > 0`.
+pub fn panel_axpy(a: &[f64], x: &[f64], y: &mut [f64]) {
+    let p = a.len();
+    assert!(x.len() == y.len() && x.len() % p == 0, "panel_axpy: panel shape mismatch");
+    crate::flops::add(2 * x.len() as u64);
+    for (xr, yr) in x.chunks_exact(p).zip(y.chunks_exact_mut(p)) {
+        for ((yi, xi), ac) in yr.iter_mut().zip(xr).zip(a) {
+            *yi += ac * xi;
+        }
+    }
+}
+
+/// Column-wise `x[:, c] <- s[c] * x[:, c]` on an `n x p` panel,
+/// `p = s.len() > 0`.
+pub fn panel_scale(s: &[f64], x: &mut [f64]) {
+    assert_eq!(x.len() % s.len(), 0, "panel_scale: panel shape mismatch");
+    crate::flops::add(x.len() as u64);
+    for xr in x.chunks_exact_mut(s.len()) {
+        for (xi, sc) in xr.iter_mut().zip(s) {
+            *xi *= sc;
+        }
+    }
+}
+
 /// Entry-wise `z = x - y` into a fresh vector.
 pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
     assert_eq!(x.len(), y.len(), "sub: length mismatch");
@@ -140,6 +182,37 @@ mod tests {
         let mut y = vec![1.0; n];
         axpy(-0.5, &x, &mut y);
         assert!(y.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn panel_kernels_match_the_vector_kernels_per_column() {
+        let (n, p) = (37, 3);
+        let x: Vec<f64> = (0..n * p).map(|t| ((t * 13) % 11) as f64 / 3.0 - 1.5).collect();
+        let y: Vec<f64> = (0..n * p).map(|t| ((t * 7) % 19) as f64 / 9.0 - 1.0).collect();
+        let column = |v: &[f64], c: usize| -> Vec<f64> { (0..n).map(|i| v[i * p + c]).collect() };
+        let coef = [0.7, -1.3, 0.0];
+
+        let mut dots = [f64::NAN; 3];
+        panel_dot(&x, &y, &mut dots);
+        let mut axpyd = y.clone();
+        panel_axpy(&coef, &x, &mut axpyd);
+        let mut scaled = x.clone();
+        panel_scale(&coef, &mut scaled);
+        for c in 0..p {
+            let (xc, mut yc) = (column(&x, c), column(&y, c));
+            assert_eq!(dots[c], dot(&xc, &yc));
+            axpy(coef[c], &xc, &mut yc);
+            assert_eq!(column(&axpyd, c), yc);
+            let mut sc = xc;
+            scale(coef[c], &mut sc);
+            assert_eq!(column(&scaled, c), sc);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "panel shape mismatch")]
+    fn ragged_panel_panics() {
+        panel_dot(&[1.0; 7], &[1.0; 7], &mut [0.0; 2]);
     }
 
     #[test]

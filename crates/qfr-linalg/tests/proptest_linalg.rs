@@ -194,6 +194,19 @@ proptest! {
     }
 
     #[test]
+    fn first_row_quadrature_equals_full_eigensolve_bit_for_bit(diag in prop::collection::vec(-5.0..5.0f64, 1..24), subs in prop::collection::vec(-3.0..3.0f64, 23)) {
+        // Zero and repeated subdiagonal entries included: deflation and
+        // the tie order of equal eigenvalues must agree too.
+        let n = diag.len();
+        let sub: Vec<f64> = subs[..n - 1].iter().map(|&b| if b.abs() < 0.3 { 0.0 } else { b }).collect();
+        let (nodes, weights) = gauss_quadrature_nodes(&diag, &sub);
+        let (vals, vecs) = tridiagonal_eigen(&diag, &sub);
+        let first_row_sq: Vec<f64> = (0..n).map(|j| vecs[(0, j)] * vecs[(0, j)]).collect();
+        prop_assert_eq!(nodes, vals);
+        prop_assert_eq!(weights, first_row_sq);
+    }
+
+    #[test]
     fn strength_reduction_identities(npts in 4..24usize, nb in 2..10usize, seed in 0u64..500) {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(99);
         let mut gen = move || {

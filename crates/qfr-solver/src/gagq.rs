@@ -42,15 +42,20 @@ impl Quadrature {
 
 static GAGQ_RULES: qfr_obs::Counter = qfr_obs::Counter::deterministic("solver.gagq.rules");
 
-/// The plain k-node Gauss rule from a Lanczos result.
-pub fn gauss_quadrature(lz: &LanczosResult) -> Quadrature {
+/// The Gauss rule of the tridiagonal `(diag, sub)`, scaled by `|d|²`.
+fn scaled_rule(lz: &LanczosResult, diag: &[f64], sub: &[f64]) -> Quadrature {
     GAGQ_RULES.incr();
-    let (nodes, mut weights) = gauss_quadrature_nodes(&lz.alpha, &lz.beta);
+    let (nodes, mut weights) = gauss_quadrature_nodes(diag, sub);
     let scale = lz.start_norm * lz.start_norm;
     for w in &mut weights {
         *w *= scale;
     }
     Quadrature { nodes, weights }
+}
+
+/// The plain k-node Gauss rule from a Lanczos result.
+pub fn gauss_quadrature(lz: &LanczosResult) -> Quadrature {
+    scaled_rule(lz, &lz.alpha, &lz.beta)
 }
 
 /// Spalević's generalized averaged rule with `2m−1` nodes from an `m`-step
@@ -81,13 +86,7 @@ pub fn averaged_quadrature(lz: &LanczosResult) -> Quadrature {
     }
     debug_assert_eq!(diag.len(), size);
     debug_assert_eq!(sub.len(), size - 1);
-    GAGQ_RULES.incr();
-    let (nodes, mut weights) = gauss_quadrature_nodes(&diag, &sub);
-    let scale = lz.start_norm * lz.start_norm;
-    for w in &mut weights {
-        *w *= scale;
-    }
-    Quadrature { nodes, weights }
+    scaled_rule(lz, &diag, &sub)
 }
 
 #[cfg(test)]

@@ -14,28 +14,23 @@
 //! `ρ(ω) = I_⊥ / I_∥` distinguishes totally symmetric modes (ρ < 3/4)
 //! from the rest (ρ = 3/4).
 
-use crate::gagq::{averaged_quadrature, gauss_quadrature, Quadrature};
-use crate::lanczos::lanczos;
-use crate::raman::RamanOptions;
+use crate::gagq::Quadrature;
+use crate::raman::{quadratures, raman_rules, RamanOptions, COMPONENT_MULTIPLICITY};
 use crate::spectrum::SpectralDensity;
 use qfr_linalg::sparse::MatVec;
-use qfr_linalg::vecops;
-
-fn quad(h: &dyn MatVec, d: &[f64], opts: &RamanOptions) -> Quadrature {
-    let lz = lanczos(h, d, opts.lanczos_steps);
-    if opts.use_gagq {
-        averaged_quadrature(&lz)
-    } else {
-        gauss_quadrature(&lz)
-    }
-}
 
 /// IR spectrum from the mass-weighted Hessian and the three mass-weighted
 /// dipole-derivative vectors.
 pub fn ir_lanczos(h: &dyn MatVec, dmu: &[Vec<f64>; 3], opts: &RamanOptions) -> SpectralDensity {
+    let starts: Vec<&[f64]> = dmu.iter().map(Vec::as_slice).collect();
+    ir_from_rules(&quadratures(h, &starts, opts), opts)
+}
+
+/// Sum of the three dipole-component functionals.
+pub(crate) fn ir_from_rules(rules: &[Quadrature], opts: &RamanOptions) -> SpectralDensity {
     let mut spec = SpectralDensity::zeros(opts.grid_lo, opts.grid_hi, opts.grid_points);
-    for d in dmu {
-        spec.accumulate_quadrature(&quad(h, d, opts), opts.sigma, 1.0, opts.acoustic_floor);
+    for rule in rules {
+        spec.accumulate_quadrature(rule, opts.sigma, 1.0, opts.acoustic_floor);
     }
     spec
 }
@@ -67,31 +62,21 @@ impl PolarizedRaman {
     }
 }
 
-/// Computes the polarized Raman spectra via 7 quadratures (iso + 6
-/// components), like [`crate::raman::raman_lanczos`] but splitting the
+/// Computes the polarized Raman spectra from the same seven-column panel
+/// as [`crate::raman::raman_lanczos`] (iso + 6 components), splitting the
 /// invariants.
 pub fn raman_polarized(
     h: &dyn MatVec,
     dalpha: &[Vec<f64>; 6],
     opts: &RamanOptions,
 ) -> PolarizedRaman {
-    let n = h.dim();
-    let mut d_iso = vec![0.0; n];
-    for c in 0..3 {
-        vecops::axpy(1.0, &dalpha[c], &mut d_iso);
-    }
+    let rules = raman_rules(h, dalpha, &[], opts);
     let mut s_iso = SpectralDensity::zeros(opts.grid_lo, opts.grid_hi, opts.grid_points);
-    s_iso.accumulate_quadrature(&quad(h, &d_iso, opts), opts.sigma, 1.0, opts.acoustic_floor);
+    s_iso.accumulate_quadrature(&rules[0], opts.sigma, 1.0, opts.acoustic_floor);
 
-    let mult = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0];
     let mut s_full = SpectralDensity::zeros(opts.grid_lo, opts.grid_hi, opts.grid_points);
-    for (c, &m) in mult.iter().enumerate() {
-        s_full.accumulate_quadrature(
-            &quad(h, &dalpha[c], opts),
-            opts.sigma,
-            m,
-            opts.acoustic_floor,
-        );
+    for (rule, &m) in rules[1..].iter().zip(&COMPONENT_MULTIPLICITY) {
+        s_full.accumulate_quadrature(rule, opts.sigma, m, opts.acoustic_floor);
     }
 
     let mut parallel = SpectralDensity::zeros(opts.grid_lo, opts.grid_hi, opts.grid_points);

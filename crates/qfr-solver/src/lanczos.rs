@@ -1,11 +1,24 @@
-//! The Lanczos process with full reorthogonalization.
+//! The Lanczos process, advanced in lockstep over a panel of start vectors.
 //!
 //! A `k`-step Lanczos run on a symmetric operator `H` with starting vector
-//! `q_1 = d/|d|` produces orthonormal `q_1..q_k` and a tridiagonal `T_k`
-//! with `H Q_k = Q_k T_k + β_k q_{k+1} e_kᵀ` (Eq. (6) of the paper). For the
-//! modest `k` the spectral solver needs (tens to a few hundred), full
-//! reorthogonalization against all stored vectors is affordable and keeps
-//! the quadrature weights clean — exactly the regime the paper operates in.
+//! `q_1 = d/|d|` produces a tridiagonal `T_k` with
+//! `H Q_k = Q_k T_k + β_k q_{k+1} e_kᵀ` (Eq. (6) of the paper). The
+//! quadrature downstream reads `T_k` and nothing else, so the recurrence
+//! holds three `dim × p` panels (`q_{j-1}`, `q_j`, `w`) for its `p` start
+//! vectors and applies `H` to the whole panel once per step: one pass over
+//! the operator's data serves every column. Without reorthogonalization
+//! converged Ritz values reappear as ghosts, but a ghost only splits the
+//! weight of the eigenvalue it copies between coincident nodes — a
+//! σ-broadened Gauss/GAGQ sum cannot tell.
+//!
+//! Only a run long enough to exhaust the space (`k ≥ n`) needs more: there
+//! `T` is meant to be *exact*, which rounding would spoil, and the basis is
+//! at most `n × n ≤ k²` numbers per column — so those runs keep their
+//! vectors and reorthogonalize twice against all of them. The choice is
+//! read from `(k, n)`; nothing selects it.
+//!
+//! Every per-column reduction runs in ascending row index whatever `p` is,
+//! so a column's `α/β` are the same bits in any panel, over any operator.
 
 use qfr_linalg::sparse::MatVec;
 use qfr_linalg::vecops;
@@ -13,8 +26,13 @@ use qfr_linalg::vecops;
 static LANCZOS_RUNS: qfr_obs::Counter = qfr_obs::Counter::deterministic("solver.lanczos.runs");
 static LANCZOS_STEPS: qfr_obs::Counter = qfr_obs::Counter::deterministic("solver.lanczos.steps");
 
+/// A column has found an invariant subspace when its residual norm falls
+/// to this fraction of the running `‖T‖` estimate (the largest `|α_j|`,
+/// `β_j` seen so far) — both sides scale with `H`, neither with `d`.
+const BREAKDOWN_REL: f64 = 1e-12;
+
 /// Output of a Lanczos run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LanczosResult {
     /// Diagonal entries α_1..α_m of `T` (m ≤ requested k on breakdown).
     pub alpha: Vec<f64>,
@@ -34,69 +52,106 @@ impl LanczosResult {
     }
 }
 
-/// Runs `k` Lanczos steps of `h` starting from `d`.
+/// Runs `k` Lanczos steps of `h` starting from `d`: the one-column case of
+/// [`lanczos_panel`], panicking as it does if `d.len() != h.dim()`.
+pub fn lanczos(h: &dyn MatVec, d: &[f64], k: usize) -> LanczosResult {
+    lanczos_panel(h, &[d], k).pop().expect("one result per start vector")
+}
+
+/// Runs `k` Lanczos steps of `h` from every start vector at once, one
+/// [`MatVec::apply_panel`] per step; result `c` belongs to `starts[c]`.
 ///
-/// Returns early (fewer steps) on invariant-subspace breakdown. A zero `d`
-/// yields an empty result with `start_norm == 0`.
+/// A column stops early (fewer steps) on invariant-subspace breakdown and a
+/// zero start vector yields an empty result with `start_norm == 0`; such
+/// columns are frozen at zero while the rest advance.
 ///
 /// # Panics
-/// Panics if `d.len() != h.dim()`.
-pub fn lanczos(h: &dyn MatVec, d: &[f64], k: usize) -> LanczosResult {
-    let n = h.dim();
-    assert_eq!(d.len(), n, "starting vector length mismatch");
-    let start_norm = vecops::norm2(d);
-    if start_norm == 0.0 || k == 0 || n == 0 {
-        return LanczosResult { alpha: vec![], beta: vec![], beta_last: 0.0, start_norm };
+/// Panics if a start vector's length is not `h.dim()`.
+pub fn lanczos_panel(h: &dyn MatVec, starts: &[&[f64]], k: usize) -> Vec<LanczosResult> {
+    let (n, p) = (h.dim(), starts.len());
+    if p == 0 {
+        return Vec::new();
     }
+    let mut q = vec![0.0; n * p];
+    for (c, d) in starts.iter().enumerate() {
+        assert_eq!(d.len(), n, "starting vector length mismatch");
+        for (i, di) in d.iter().enumerate() {
+            q[i * p + c] = *di;
+        }
+    }
+    // One scalar per column, reused for every reduction and coefficient.
+    let mut col = vec![0.0; p];
+    vecops::panel_dot(&q, &q, &mut col);
+    let mut out: Vec<LanczosResult> =
+        col.iter().map(|s| LanczosResult { start_norm: s.sqrt(), ..Default::default() }).collect();
+    let mut live: Vec<bool> = out.iter().map(|o| o.start_norm != 0.0 && k > 0).collect();
+    if !live.contains(&true) {
+        return out;
+    }
+    LANCZOS_RUNS.add(live.iter().filter(|&&l| l).count() as u64);
 
-    let mut q: Vec<Vec<f64>> = Vec::with_capacity(k);
-    let mut q1 = d.to_vec();
-    vecops::scale(1.0 / start_norm, &mut q1);
-    q.push(q1);
-
-    let mut alpha = Vec::with_capacity(k);
-    let mut beta: Vec<f64> = Vec::with_capacity(k.saturating_sub(1));
-    let mut beta_last = 0.0;
-    let mut w = vec![0.0; n];
+    for c in 0..p {
+        col[c] = if live[c] { 1.0 / out[c].start_norm } else { 0.0 };
+    }
+    vecops::panel_scale(&col, &mut q);
+    let (mut q_prev, mut w) = (vec![0.0; n * p], vec![0.0; n * p]);
+    let mut basis = (k >= n).then(|| vec![q.clone()]);
+    let mut neg_beta = vec![0.0; p];
+    let mut t_norm = vec![0.0_f64; p];
+    let negate = |v: &mut [f64]| v.iter_mut().for_each(|x| *x = -*x);
 
     for j in 0..k {
-        h.apply(&q[j], &mut w);
-        let a_j = vecops::dot(&q[j], &w);
-        alpha.push(a_j);
-        // w <- w - a_j q_j - b_{j-1} q_{j-1}
-        vecops::axpy(-a_j, &q[j], &mut w);
-        if j > 0 {
-            let b_prev = beta[j - 1];
-            vecops::axpy(-b_prev, &q[j - 1], &mut w);
+        h.apply_panel(p, &q, &mut w);
+        vecops::panel_dot(&q, &w, &mut col);
+        for c in (0..p).filter(|&c| live[c]) {
+            out[c].alpha.push(col[c]);
+            t_norm[c] = t_norm[c].max(col[c].abs());
         }
-        // Full reorthogonalization (twice is enough, and cheap at small k).
-        for _ in 0..2 {
-            for qi in &q {
-                let c = vecops::dot(qi, &w);
-                if c != 0.0 {
-                    vecops::axpy(-c, qi, &mut w);
+        // w <- w - a_j q_j - b_{j-1} q_{j-1}
+        negate(&mut col);
+        vecops::panel_axpy(&col, &q, &mut w);
+        if j > 0 {
+            vecops::panel_axpy(&neg_beta, &q_prev, &mut w);
+        }
+        if let Some(basis) = &basis {
+            // Full reorthogonalization (twice is enough).
+            for _ in 0..2 {
+                for qi in basis {
+                    vecops::panel_dot(qi, &w, &mut col);
+                    negate(&mut col);
+                    vecops::panel_axpy(&col, qi, &mut w);
                 }
             }
         }
-        let b_j = vecops::norm2(&w);
-        if j + 1 == k {
-            beta_last = b_j;
+        vecops::panel_dot(&w, &w, &mut col);
+        for c in 0..p {
+            let b_j = col[c].sqrt();
+            if live[c] && j + 1 == k {
+                out[c].beta_last = b_j;
+            }
+            // Otherwise the column ends on an invariant subspace: T is
+            // exact and beta_last stays 0.
+            live[c] = live[c] && j + 1 < k && b_j > BREAKDOWN_REL * t_norm[c];
+            if live[c] {
+                out[c].beta.push(b_j);
+                t_norm[c] = t_norm[c].max(b_j);
+            }
+            // 1/b_j turns w into q_{j+1}; 0 freezes a finished column.
+            (neg_beta[c], col[c]) = if live[c] { (-b_j, 1.0 / b_j) } else { (0.0, 0.0) };
+        }
+        if !live.contains(&true) {
             break;
         }
-        if b_j < 1e-12 * start_norm.max(1.0) {
-            // Invariant subspace: T is exact, stop early.
-            beta_last = 0.0;
-            break;
+        vecops::panel_scale(&col, &mut w);
+        std::mem::swap(&mut q_prev, &mut q);
+        std::mem::swap(&mut q, &mut w);
+        if let Some(basis) = &mut basis {
+            basis.push(q.clone());
         }
-        beta.push(b_j);
-        let mut qn = std::mem::replace(&mut w, vec![0.0; n]);
-        vecops::scale(1.0 / b_j, &mut qn);
-        q.push(qn);
     }
 
-    LANCZOS_RUNS.incr();
-    LANCZOS_STEPS.add(alpha.len() as u64);
-    LanczosResult { alpha, beta, beta_last, start_norm }
+    LANCZOS_STEPS.add(out.iter().map(|o| o.steps() as u64).sum());
+    out
 }
 
 #[cfg(test)]
@@ -168,6 +223,48 @@ mod tests {
         assert_eq!(res.steps(), 1);
         assert!((res.alpha[0] - 1.0).abs() < 1e-14);
         assert_eq!(res.beta_last, 0.0);
+    }
+
+    #[test]
+    fn breakdown_test_ignores_the_scale_of_the_start_vectors() {
+        // Regression: the threshold was `1e-12 * |d|`, compared with a
+        // residual that scales with H — large start vectors "broke down"
+        // after one step. Powers of two, so every scaled quantity is exact.
+        let n = 40;
+        let mut a = DMatrix::zeros(n, n);
+        for i in 0..n {
+            a[(i, i)] = 2.0 + 0.05 * i as f64;
+            if i + 1 < n {
+                a[(i, i + 1)] = -1.0;
+                a[(i + 1, i)] = -1.0;
+            }
+        }
+        let dmu: [Vec<f64>; 3] =
+            std::array::from_fn(|c| (0..n).map(|i| 1.0 + ((i * (c + 2)) % 5) as f64).collect());
+        let opts = crate::RamanOptions { lanczos_steps: 10, sigma: 20.0, ..Default::default() };
+        let base = lanczos_panel(&a, &dmu.each_ref().map(Vec::as_slice), 10);
+        let base_spec = crate::ir_lanczos(&a, &dmu, &opts);
+        assert!(base.iter().all(|r| r.steps() == 10));
+        for s in [2.0_f64.powi(40), 2.0_f64.powi(-40)] {
+            let scaled: [Vec<f64>; 3] = dmu.each_ref().map(|d| d.iter().map(|x| x * s).collect());
+            let runs = lanczos_panel(&a, &scaled.each_ref().map(Vec::as_slice), 10);
+            for (r, b) in runs.iter().zip(&base) {
+                assert_eq!(r.alpha, b.alpha, "scale {s:e}");
+                assert_eq!(r.beta, b.beta, "scale {s:e}");
+                assert_eq!(r.beta_last, b.beta_last, "scale {s:e}");
+                assert_eq!(r.start_norm, s * b.start_norm, "scale {s:e}");
+            }
+            let spec = crate::ir_lanczos(&a, &scaled, &opts);
+            let squared: Vec<f64> = base_spec.intensities.iter().map(|x| s * s * x).collect();
+            assert_eq!(spec.intensities, squared, "scale {s:e}");
+        }
+        assert!(base_spec.intensities.iter().any(|&x| x > 0.0));
+    }
+
+    #[test]
+    fn zero_operator_breaks_down_instead_of_dividing_by_zero() {
+        let res = lanczos(&DMatrix::zeros(5, 5), &[1.0; 5], 3);
+        assert_eq!((res.steps(), res.alpha[0], res.beta_last), (1, 0.0, 0.0));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! averaged Gauss quadrature* (GAGQ) of Reichel–Spalević: the Lanczos
 //! tridiagonal `T_k` is augmented to a `(2k−1) x (2k−1)` matrix `T̂` whose
 //! Gauss-type rule has almost twice the degree of exactness at negligible
-//! extra cost. Only `k` sparse matrix–vector products with `H` are needed
-//! per starting vector.
+//! extra cost. Only `k` passes over `H` are needed, each shared by all the
+//! starting vectors of a panel.
 //!
 //! [`raman`] combines seven such quadratures (the isotropic combination and
 //! the six tensor components) into the orientation-averaged Raman intensity
@@ -26,7 +26,6 @@
 
 pub mod gagq;
 pub mod infrared;
-pub mod kpm;
 pub mod lanczos;
 pub mod raman;
 pub mod sharded;
@@ -34,8 +33,9 @@ pub mod spectrum;
 
 pub use gagq::{averaged_quadrature, gauss_quadrature};
 pub use infrared::{ir_lanczos, raman_polarized, PolarizedRaman};
-pub use kpm::{chebyshev_moments, raman_kpm, ChebyshevMoments};
-pub use lanczos::{lanczos, LanczosResult};
-pub use raman::{raman_dense_reference, raman_lanczos, RamanOptions, RamanSpectrum};
+pub use lanczos::{lanczos, lanczos_panel, LanczosResult};
+pub use raman::{
+    raman_dense_reference, raman_ir_lanczos, raman_lanczos, RamanOptions, RamanSpectrum,
+};
 pub use sharded::{CsrTile, ShardedOperator, TileSource};
 pub use spectrum::{gaussian_broadening, SpectralDensity};

@@ -11,8 +11,9 @@
 //! component `c`), each squared mode sum becomes a matrix functional
 //! `d_cᵀ δ(ω−H) d_c`, because `∂α/∂Q_p = d · e_p` (Eq. (2)) and the `e_p`
 //! are the eigenvectors of `H`. The isotropic cross terms use the combined
-//! vector `d_iso = d_xx + d_yy + d_zz`. Seven Lanczos runs therefore yield
-//! the full orientation-averaged intensity without any eigenvectors:
+//! vector `d_iso = d_xx + d_yy + d_zz`. Seven Lanczos columns of one panel
+//! therefore yield the full orientation-averaged intensity without any
+//! eigenvectors:
 //!
 //! ```text
 //! I(ω) = (3/2) S_iso(ω)
@@ -21,8 +22,8 @@
 //!
 //! with `S_v(ω) = vᵀ g_σ(ω−H) v`.
 
-use crate::gagq::{averaged_quadrature, gauss_quadrature};
-use crate::lanczos::lanczos;
+use crate::gagq::{averaged_quadrature, gauss_quadrature, Quadrature};
+use crate::lanczos::lanczos_panel;
 use crate::spectrum::SpectralDensity;
 use qfr_linalg::eigen::symmetric_eigen;
 use qfr_linalg::sparse::MatVec;
@@ -68,36 +69,64 @@ pub type RamanSpectrum = SpectralDensity;
 
 /// Weight of each tensor component in the anisotropic sum of Eq. (4):
 /// diagonal components once, off-diagonals twice (ij and ji).
-const COMPONENT_MULTIPLICITY: [f64; 6] = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0];
+pub(crate) const COMPONENT_MULTIPLICITY: [f64; 6] = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0];
+
+/// The Gauss/GAGQ rule of every start vector, from one lockstep panel run.
+pub(crate) fn quadratures(
+    h: &dyn MatVec,
+    starts: &[&[f64]],
+    opts: &RamanOptions,
+) -> Vec<Quadrature> {
+    let rule = if opts.use_gagq { averaged_quadrature } else { gauss_quadrature };
+    lanczos_panel(h, starts, opts.lanczos_steps).iter().map(rule).collect()
+}
+
+/// Rules of the seven Raman start vectors — `d_iso = d_xx + d_yy + d_zz`,
+/// then the six components — followed by those of `more`, all one panel.
+pub(crate) fn raman_rules(
+    h: &dyn MatVec,
+    dalpha: &[Vec<f64>; 6],
+    more: &[Vec<f64>],
+    opts: &RamanOptions,
+) -> Vec<Quadrature> {
+    let mut d_iso = vec![0.0; dalpha[0].len()];
+    for c in 0..3 {
+        vecops::axpy(1.0, &dalpha[c], &mut d_iso);
+    }
+    let starts: Vec<&[f64]> =
+        std::iter::once(&d_iso).chain(dalpha).chain(more).map(Vec::as_slice).collect();
+    quadratures(h, &starts, opts)
+}
+
+/// Eq. (4) from the first seven of [`raman_rules`]: the isotropic part, then
+/// every component with its multiplicity.
+fn raman_from_rules(rules: &[Quadrature], opts: &RamanOptions) -> RamanSpectrum {
+    let mut spec = SpectralDensity::zeros(opts.grid_lo, opts.grid_hi, opts.grid_points);
+    spec.accumulate_quadrature(&rules[0], opts.sigma, 1.5, opts.acoustic_floor);
+    for (rule, &mult) in rules[1..].iter().zip(&COMPONENT_MULTIPLICITY) {
+        spec.accumulate_quadrature(rule, opts.sigma, 10.5 * mult, opts.acoustic_floor);
+    }
+    spec
+}
 
 /// Computes the Raman spectrum via Lanczos/GAGQ from the mass-weighted
 /// Hessian operator and the six mass-weighted polarizability-derivative
 /// vectors (components xx, yy, zz, xy, xz, yz).
 pub fn raman_lanczos(h: &dyn MatVec, dalpha: &[Vec<f64>; 6], opts: &RamanOptions) -> RamanSpectrum {
-    let mut spec = SpectralDensity::zeros(opts.grid_lo, opts.grid_hi, opts.grid_points);
+    raman_from_rules(&raman_rules(h, dalpha, &[], opts), opts)
+}
 
-    let quad = |d: &[f64]| {
-        let lz = lanczos(h, d, opts.lanczos_steps);
-        if opts.use_gagq {
-            averaged_quadrature(&lz)
-        } else {
-            gauss_quadrature(&lz)
-        }
-    };
-
-    // Isotropic part: d_iso = d_xx + d_yy + d_zz.
-    let n = h.dim();
-    let mut d_iso = vec![0.0; n];
-    for c in 0..3 {
-        vecops::axpy(1.0, &dalpha[c], &mut d_iso);
-    }
-    spec.accumulate_quadrature(&quad(&d_iso), opts.sigma, 1.5, opts.acoustic_floor);
-
-    // Anisotropic part: every component with its multiplicity.
-    for (c, &mult) in COMPONENT_MULTIPLICITY.iter().enumerate() {
-        spec.accumulate_quadrature(&quad(&dalpha[c]), opts.sigma, 10.5 * mult, opts.acoustic_floor);
-    }
-    spec
+/// Raman and IR spectra from one ten-column panel: each Lanczos step is a
+/// single pass over the operator. Bit-identical to [`raman_lanczos`] and
+/// [`crate::ir_lanczos`] called one after the other.
+pub fn raman_ir_lanczos(
+    h: &dyn MatVec,
+    dalpha: &[Vec<f64>; 6],
+    dmu: &[Vec<f64>; 3],
+    opts: &RamanOptions,
+) -> (RamanSpectrum, SpectralDensity) {
+    let rules = raman_rules(h, dalpha, dmu, opts);
+    (raman_from_rules(&rules[..7], opts), crate::infrared::ir_from_rules(&rules[7..], opts))
 }
 
 /// Dense reference: diagonalizes the mass-weighted Hessian, forms
@@ -170,6 +199,34 @@ mod tests {
         let fast = raman_lanczos(&h, &dalpha, &opts);
         let sim = dense.cosine_similarity(&fast);
         assert!(sim > 0.99, "cosine similarity {sim}");
+    }
+
+    #[test]
+    fn both_sides_of_the_exhaustive_run_boundary() {
+        let k = 20;
+        let opts =
+            RamanOptions { lanczos_steps: k, sigma: 40.0, grid_points: 401, ..Default::default() };
+        // k >= n keeps the basis and reorthogonalizes: T is exact.
+        for n in [k, k - 1] {
+            let (h, dalpha) = synthetic_problem(n, 6);
+            let sim = raman_dense_reference(&h, &dalpha, &opts)
+                .cosine_similarity(&raman_lanczos(&h, &dalpha, &opts));
+            assert!(sim > 0.9999, "n = {n}: cosine similarity {sim}");
+        }
+        // n = k + 1 is the smallest three-vector run. A truncated rule on a
+        // tiny random matrix is not converged either way; what must hold
+        // is that it is still a quadrature rule of the right mass.
+        let (h, dalpha) = synthetic_problem(k + 1, 6);
+        for d in &dalpha {
+            let lz = crate::lanczos(&h, d, k);
+            assert_eq!(lz.steps(), k);
+            let norm2 = vecops::dot(d, d);
+            for q in [gauss_quadrature(&lz), averaged_quadrature(&lz)] {
+                let mass = q.apply(|_| 1.0);
+                assert!((mass - norm2).abs() < 1e-8 * norm2, "mass {mass} vs {norm2}");
+                assert!(q.weights.iter().all(|&w| w >= 0.0), "negative weight");
+            }
+        }
     }
 
     #[test]

@@ -4,17 +4,18 @@
 //! address space. [`TileSource`] abstracts a store that owns the matrix as
 //! horizontal CSR *tiles* — contiguous row windows, typically spilled to
 //! disk by `qfr_core::shard` — and [`ShardedOperator`] turns any such store
-//! into a [`MatVec`] the Lanczos/KPM loops can drive: each `apply` walks
+//! into a [`MatVec`] the Lanczos loop can drive: each `apply_panel` walks
 //! the tiles **in ascending row order**, loads one tile at a time, computes
-//! its row window of `y = H x`, and drops it. Peak residency of the solver
-//! stage is therefore one tile plus the Lanczos vectors —
-//! `O(n/K + lanczos_window)` — instead of the whole matrix.
+//! its row window of `Y = H X` for every column of the panel, and drops it
+//! — one tile pass per Lanczos step however many start vectors advance.
+//! Peak residency of the solver stage is therefore one tile plus the three
+//! Lanczos panels instead of the whole matrix.
 //!
 //! Bit parity with the in-core path: tiles partition the rows exactly, each
 //! tile stores its rows' CSR entries in the same ascending-column order the
-//! in-core [`CsrMatrix`] does, and `y[i]` is a single dot product over row
-//! `i`'s entries in either layout — the same f64 operations in the same
-//! order, hence bit-identical `y` and bit-identical spectra.
+//! in-core [`CsrMatrix`] does, and `Y[i, c]` is a single dot product over
+//! row `i`'s entries in either layout — the same f64 operations in the same
+//! order, hence bit-identical `Y` and bit-identical spectra.
 
 use qfr_linalg::sparse::MatVec;
 use qfr_linalg::CsrMatrix;
@@ -64,14 +65,19 @@ impl MatVec for ShardedOperator<'_> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.dim(), "sharded apply: x length mismatch");
-        assert_eq!(y.len(), self.dim(), "sharded apply: y length mismatch");
+        self.apply_panel(1, x, y);
+    }
+
+    /// One `load_tile` per tile serves all `p` columns.
+    fn apply_panel(&self, p: usize, x: &[f64], y: &mut [f64]) {
+        let n = self.dim();
+        assert!(x.len() == n * p && y.len() == n * p, "sharded apply: panel size mismatch");
         // Missing tiles contribute zero rows (partial spectrum).
         y.fill(0.0);
         for t in 0..self.source.n_tiles() {
             let Some(tile) = self.source.load_tile(t) else { continue };
-            let rows = tile.matrix.rows();
-            tile.matrix.spmv_serial(x, &mut y[tile.row0..tile.row0 + rows]);
+            let rows = tile.row0..tile.row0 + tile.matrix.rows();
+            tile.matrix.spmm(p, x, &mut y[rows.start * p..rows.end * p]);
         }
     }
 }
@@ -174,25 +180,121 @@ mod tests {
     }
 
     #[test]
-    fn lanczos_over_tiles_matches_in_core() {
-        let n = 90;
-        let full = banded(n);
-        // Symmetrize for Lanczos (banded() above is deliberately not).
-        let mut b = TripletBuilder::new(n, n);
-        for i in 0..n {
-            for (j, v) in full.row_entries(i) {
-                b.push(i, j, v);
-                b.push(j, i, v);
+    fn tiled_apply_panel_is_per_column_apply_bit_for_bit() {
+        let n = 123;
+        let mut src = SlicedMatrix::new(banded(n), 40);
+        src.missing = vec![2];
+        let op = ShardedOperator::new(&src);
+        for p in [1, 3, 7, 10] {
+            let x: Vec<f64> = (0..n * p).map(|t| ((t * 31 + 7) % 17) as f64 / 3.0 - 2.5).collect();
+            let mut y = vec![7.0; n * p];
+            op.apply_panel(p, &x, &mut y);
+            for c in 0..p {
+                let xc: Vec<f64> = (0..n).map(|i| x[i * p + c]).collect();
+                let mut yc = vec![7.0; n];
+                op.apply(&xc, &mut yc);
+                let got: Vec<f64> = (0..n).map(|i| y[i * p + c]).collect();
+                assert_eq!(got, yc, "p = {p}, column {c}");
             }
         }
-        let sym = b.build();
-        let src = SlicedMatrix::new(sym.clone(), 13);
-        let op = ShardedOperator::new(&src);
-        let d: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
-        let in_core = crate::lanczos(&sym, &d, 30);
-        let tiled = crate::lanczos(&op, &d, 30);
-        assert_eq!(in_core.alpha, tiled.alpha, "bit-identical Lanczos recursion");
-        assert_eq!(in_core.beta, tiled.beta);
-        assert_eq!(in_core.beta_last, tiled.beta_last);
+    }
+
+    /// Implements `dim`/`apply` only, like the benchmark's timing adapter:
+    /// the panel reaches it through the provided `apply_panel`.
+    struct ApplyOnly<'a>(&'a dyn MatVec);
+
+    impl MatVec for ApplyOnly<'_> {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.0.apply(x, y);
+        }
+    }
+
+    /// Symmetric, with dofs 0 and 1 coupled only to each other: a start
+    /// vector there breaks down after two steps.
+    fn symmetric_with_invariant_pair(n: usize) -> CsrMatrix {
+        let mut b = TripletBuilder::new(n, n);
+        b.push(0, 0, 1.5);
+        b.push(1, 1, 0.5);
+        b.push(0, 1, 0.25);
+        b.push(1, 0, 0.25);
+        for i in 2..n {
+            b.push(i, i, 2.0 + (i % 9) as f64 * 0.37);
+            for off in [1, 7] {
+                if i + off < n {
+                    let v = 1.0 / (3.0 + ((i * off) % 5) as f64);
+                    b.push(i, i + off, v);
+                    b.push(i + off, i, v);
+                }
+            }
+        }
+        b.build()
+    }
+
+    fn same_bits(a: &crate::LanczosResult, b: &crate::LanczosResult, what: &str) {
+        assert_eq!(a.alpha, b.alpha, "{what}: alpha");
+        assert_eq!(a.beta, b.beta, "{what}: beta");
+        assert_eq!(a.beta_last.to_bits(), b.beta_last.to_bits(), "{what}: beta_last");
+        assert_eq!(a.start_norm.to_bits(), b.start_norm.to_bits(), "{what}: start_norm");
+    }
+
+    #[test]
+    fn panel_columns_equal_solo_runs_over_every_operator() {
+        // (n, k): a three-vector run and one that keeps its basis (k >= n).
+        for (n, k) in [(90, 30), (24, 24)] {
+            let sym = symmetric_with_invariant_pair(n);
+            let dense = sym.to_dense();
+            let tiles = SlicedMatrix::new(sym.clone(), 13);
+            let mut holed = SlicedMatrix::new(sym.clone(), 13);
+            holed.missing = vec![1];
+            let (tiled, holed) = (ShardedOperator::new(&tiles), ShardedOperator::new(&holed));
+            let apply_only = ApplyOnly(&sym);
+
+            // Column 1 is zero, column 2 breaks down early.
+            let mut starts: Vec<Vec<f64>> = (0..10)
+                .map(|c| (0..n).map(|i| 1.0 + ((i * (c + 3) + c) % 7) as f64 * 0.31).collect())
+                .collect();
+            starts[1] = vec![0.0; n];
+            starts[2] = vec![0.0; n];
+            starts[2][0] = 3.0;
+            let starts: Vec<&[f64]> = starts.iter().map(Vec::as_slice).collect();
+
+            let ops: [(&str, &dyn MatVec); 5] = [
+                ("csr", &sym),
+                ("tiles", &tiled),
+                ("apply-only", &apply_only),
+                ("dense", &dense),
+                ("missing tile", &holed),
+            ];
+            for (name, op) in ops {
+                for p in [1, 3, 7, 10] {
+                    let panel = crate::lanczos_panel(op, &starts[..p], k);
+                    assert_eq!(panel.len(), p);
+                    for (c, col) in panel.iter().enumerate() {
+                        let what = format!("{name}, n = {n}, p = {p}, column {c}");
+                        same_bits(col, &crate::lanczos(op, starts[c], k), &what);
+                        // Same bits whatever serves the rows: CSR, tiles, or
+                        // per-column `apply` behind the default panel.
+                        if matches!(name, "tiles" | "apply-only") {
+                            same_bits(col, &crate::lanczos(&sym, starts[c], k), &what);
+                        }
+                    }
+                    if p >= 3 {
+                        assert_eq!(panel[1].steps(), 0, "zero column stays empty");
+                        assert_eq!(panel[1].start_norm, 0.0);
+                        // (Zeroed rows make the operator rank-deficient and
+                        // couple the pair to nothing at all.)
+                        if name != "missing tile" {
+                            assert_eq!(panel[2].steps(), 2, "{name}: invariant pair");
+                            assert_eq!(panel[2].beta_last, 0.0);
+                            assert_eq!(panel[0].steps(), k, "{name}: live column runs on");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

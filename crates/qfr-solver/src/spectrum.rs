@@ -26,6 +26,10 @@ pub fn gaussian(t: f64, sigma: f64) -> f64 {
     (-t * t / (2.0 * s2)).exp() / (2.0 * std::f64::consts::PI * s2).sqrt()
 }
 
+/// Broadening visits only grid points within this many σ of a stick: beyond
+/// `sqrt(2 ln 1e16) σ` the Gaussian is below 1e-16 (an ulp) of its peak.
+const WINDOW_SIGMAS: f64 = 8.584;
+
 /// A spectral density sampled on a wavenumber grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpectralDensity {
@@ -46,18 +50,27 @@ impl SpectralDensity {
         }
     }
 
+    /// Adds `amplitude * g_σ(ν − ν_j)` on the grid points within
+    /// [`WINDOW_SIGMAS`]`·σ` of `ν_j`; sticks at or below `floor_cm` are
+    /// skipped.
+    fn add_stick(&mut self, nu_j: f64, amplitude: f64, sigma: f64, floor_cm: f64) {
+        if nu_j <= floor_cm {
+            return;
+        }
+        let reach = WINDOW_SIGMAS * sigma;
+        let lo = self.wavenumbers.partition_point(|&nu| nu < nu_j - reach);
+        let hi = self.wavenumbers.partition_point(|&nu| nu <= nu_j + reach);
+        for (nu, out) in self.wavenumbers[lo..hi].iter().zip(&mut self.intensities[lo..hi]) {
+            *out += amplitude * gaussian(nu - nu_j, sigma);
+        }
+    }
+
     /// Accumulates `scale * Σ_j w_j g_σ(ν − ν_j)` for a quadrature rule
     /// whose nodes are eigenvalues of the mass-weighted Hessian. Negative-
     /// wavenumber nodes (acoustic noise) below `floor_cm` are skipped.
     pub fn accumulate_quadrature(&mut self, q: &Quadrature, sigma: f64, scale: f64, floor_cm: f64) {
         for (&node, &w) in q.nodes.iter().zip(&q.weights) {
-            let nu_j = node_to_wavenumber(node);
-            if nu_j <= floor_cm {
-                continue;
-            }
-            for (nu, out) in self.wavenumbers.iter().zip(self.intensities.iter_mut()) {
-                *out += scale * w * gaussian(nu - nu_j, sigma);
-            }
+            self.add_stick(node_to_wavenumber(node), scale * w, sigma, floor_cm);
         }
     }
 
@@ -65,12 +78,7 @@ impl SpectralDensity {
     /// intensity)` pairs — the dense-reference path.
     pub fn accumulate_sticks(&mut self, sticks: &[(f64, f64)], sigma: f64, floor_cm: f64) {
         for &(nu_j, int) in sticks {
-            if nu_j <= floor_cm {
-                continue;
-            }
-            for (nu, out) in self.wavenumbers.iter().zip(self.intensities.iter_mut()) {
-                *out += int * gaussian(nu - nu_j, sigma);
-            }
+            self.add_stick(nu_j, int, sigma, floor_cm);
         }
     }
 
@@ -196,6 +204,22 @@ mod tests {
         assert!((peaks[0] - 1000.0).abs() <= 5.0);
         assert!((peaks[1] - 3000.0).abs() <= 5.0);
         assert_eq!(s.peak(), Some(3000.0));
+    }
+
+    #[test]
+    fn windowed_broadening_equals_the_full_sum() {
+        let sticks: Vec<(f64, f64)> =
+            (0..300).map(|j| (13.0 * j as f64 + 0.37, 1.0 + ((j * 7) % 11) as f64)).collect();
+        for sigma in [5.0, 20.0, 60.0] {
+            let windowed = gaussian_broadening(&sticks, 0.0, 4000.0, 2001, sigma);
+            let full: Vec<f64> = (windowed.wavenumbers.iter())
+                .map(|nu| sticks.iter().map(|&(nu_j, a)| a * gaussian(nu - nu_j, sigma)).sum())
+                .collect();
+            let max = full.iter().fold(0.0_f64, |m, &x| m.max(x));
+            for (w, f) in windowed.intensities.iter().zip(&full) {
+                assert!((w - f).abs() <= 1e-12 * max, "sigma {sigma}: {w} vs {f}");
+            }
+        }
     }
 
     #[test]
