@@ -4,9 +4,9 @@
 //! The policy interface is a pull model: leaders (real threads in
 //! [`crate::runtime`], simulated nodes in [`crate::simulator`]) ask the
 //! master for the next task; the policy decides what to hand out and at
-//! what granularity. Failed or straggling tasks can be pushed back with
-//! [`Policy::requeue`], mirroring the paper's "processed for a long time
-//! but not yet completed" re-queueing.
+//! what granularity. A policy hands every fragment out once; retries and
+//! the paper's "processed for a long time but not yet completed" re-issue
+//! are the [`ledger`](crate::ledger)'s queues, not the policy's.
 
 use crate::task::{FragmentWorkItem, Task};
 
@@ -14,9 +14,6 @@ use crate::task::{FragmentWorkItem, Task};
 pub trait Policy: Send {
     /// Next task, or `None` when the pool is drained.
     fn next_task(&mut self) -> Option<Task>;
-
-    /// Returns a task to the pool (straggler / failure re-queue).
-    fn requeue(&mut self, task: Task);
 
     /// Fragments not yet handed out (excluding in-flight ones).
     fn remaining_fragments(&self) -> usize;
@@ -53,7 +50,6 @@ impl Default for SizeSensitiveConfig {
 pub struct SizeSensitivePolicy {
     /// Remaining fragments, sorted ascending by cost (served from the back).
     pool: Vec<FragmentWorkItem>,
-    requeued: Vec<Task>,
     cfg: SizeSensitiveConfig,
     initial_count: usize,
     next_id: u32,
@@ -64,7 +60,7 @@ impl SizeSensitivePolicy {
     pub fn new(mut fragments: Vec<FragmentWorkItem>, cfg: SizeSensitiveConfig) -> Self {
         fragments.sort_by(|a, b| a.cost().total_cmp(&b.cost()).then(a.id.cmp(&b.id)));
         let initial_count = fragments.len();
-        Self { pool: fragments, requeued: Vec::new(), cfg, initial_count, next_id: 0 }
+        Self { pool: fragments, cfg, initial_count, next_id: 0 }
     }
 
     /// Default configuration constructor.
@@ -81,9 +77,6 @@ impl SizeSensitivePolicy {
 
 impl Policy for SizeSensitivePolicy {
     fn next_task(&mut self) -> Option<Task> {
-        if let Some(t) = self.requeued.pop() {
-            return Some(t);
-        }
         self.pool.last()?;
         // Shrinking-granularity tail (Fig. 4(c)): once only a small share
         // of the pool remains, cap the pack size at `ceil(remaining /
@@ -117,12 +110,8 @@ impl Policy for SizeSensitivePolicy {
         }
     }
 
-    fn requeue(&mut self, task: Task) {
-        self.requeued.push(task);
-    }
-
     fn remaining_fragments(&self) -> usize {
-        self.pool.len() + self.requeued.iter().map(|t| t.len()).sum::<usize>()
+        self.pool.len()
     }
 }
 
@@ -152,10 +141,6 @@ impl Policy for RoundRobinPolicy {
         self.tasks.pop()
     }
 
-    fn requeue(&mut self, task: Task) {
-        self.tasks.push(task);
-    }
-
     fn remaining_fragments(&self) -> usize {
         self.tasks.iter().map(|t| t.len()).sum()
     }
@@ -167,7 +152,6 @@ impl Policy for RoundRobinPolicy {
 #[derive(Debug)]
 pub struct SortedSingletonPolicy {
     pool: Vec<FragmentWorkItem>,
-    requeued: Vec<Task>,
     next_id: u32,
 }
 
@@ -175,27 +159,20 @@ impl SortedSingletonPolicy {
     /// Builds the policy (largest served first).
     pub fn new(mut fragments: Vec<FragmentWorkItem>) -> Self {
         fragments.sort_by(|a, b| a.cost().total_cmp(&b.cost()).then(a.id.cmp(&b.id)));
-        Self { pool: fragments, requeued: Vec::new(), next_id: 0 }
+        Self { pool: fragments, next_id: 0 }
     }
 }
 
 impl Policy for SortedSingletonPolicy {
     fn next_task(&mut self) -> Option<Task> {
-        if let Some(t) = self.requeued.pop() {
-            return Some(t);
-        }
         let f = self.pool.pop()?;
         let id = self.next_id;
         self.next_id += 1;
         Some(Task { id, fragments: vec![f] })
     }
 
-    fn requeue(&mut self, task: Task) {
-        self.requeued.push(task);
-    }
-
     fn remaining_fragments(&self) -> usize {
-        self.pool.len() + self.requeued.iter().map(|t| t.len()).sum::<usize>()
+        self.pool.len()
     }
 }
 
@@ -222,10 +199,6 @@ impl RandomPolicy {
 impl Policy for RandomPolicy {
     fn next_task(&mut self) -> Option<Task> {
         self.inner.next_task()
-    }
-
-    fn requeue(&mut self, task: Task) {
-        self.inner.requeue(task);
     }
 
     fn remaining_fragments(&self) -> usize {
@@ -312,19 +285,6 @@ mod tests {
         for w in tail.windows(2) {
             assert!(w[1] >= w[0], "tail granularity must shrink toward the end");
         }
-    }
-
-    #[test]
-    fn requeue_serves_task_again() {
-        let frags = water_dimer_workload(10);
-        let mut p = SizeSensitivePolicy::with_defaults(frags);
-        let t = p.next_task().unwrap();
-        let tid = t.id;
-        let tlen = t.len();
-        p.requeue(t);
-        let again = p.next_task().unwrap();
-        assert_eq!(again.id, tid);
-        assert_eq!(again.len(), tlen);
     }
 
     #[test]

@@ -12,32 +12,9 @@
 //! quarantine trajectory in both executors, and [`FaultPlan::forecast`]
 //! can predict the recovery counters exactly.
 //!
-//! # Recovery semantics (the contract both executors implement)
-//!
-//! - **Attempts**: execution attempt `a` of a task fails iff any of its
-//!   fragments fails at attempt `a` ([`FaultPlan::fragment_fails`]) or the
-//!   user workload reports failure. Attempts are numbered from 0 per task.
-//! - **Eager retry with backoff**: a failed attempt `a` re-queues the task
-//!   with attempt `a + 1` after a delay of `backoff_base * 2^a`, unless
-//!   `a + 1 == max_attempts`. The retry is scheduled at the *first* failed
-//!   copy of the attempt: failure is pure in `(fragment, attempt)`, so
-//!   every other copy of the attempt is doomed and waiting for it would
-//!   only delay recovery. Acknowledgements carry an `(attempt, copy)` tag,
-//!   and the master drops any whose attempt no longer matches the in-flight
-//!   entry (a stale straggler copy of a concluded attempt).
-//! - **Quarantine**: a task whose `max_attempts` attempts all failed is
-//!   quarantined — its fragments are reported in the run report instead of
-//!   being retried forever (or hanging the run).
-//! - **Straggler re-issue**: when a leader is idle, the pool is empty, and
-//!   an in-flight task is older than `straggler_factor x` the mean
-//!   completed-task duration, a *duplicate copy* of the same attempt is
-//!   issued to the idle leader. The first successful copy wins; the
-//!   loser's completion is suppressed, so `tasks_executed`,
-//!   `fragments_done` and busy time count each fragment exactly once.
-//! - **Leader death**: a leader scheduled to die stops executing after
-//!   completing its quota; any assignment it still receives bounces back
-//!   to the master and is re-dispatched (same attempt — a dead leader is
-//!   not the task's fault).
+//! What the executors do about an injected fault — retry, quarantine,
+//! re-issue, bounce — is the recovery contract stated in [`crate::ledger`];
+//! this module only decides *what* fails, stalls or dies.
 
 use crate::task::Task;
 use std::collections::{BTreeMap, BTreeSet};
@@ -241,7 +218,10 @@ pub struct RecoveryPolicy {
     pub backoff_base: f64,
     /// Straggler re-issue threshold: an in-flight task older than
     /// `factor x` the mean completed-task duration is duplicated to an
-    /// idle leader. `None` disables re-issue. **On by default.**
+    /// idle leader. `None` disables re-issue. **On by default** wherever the
+    /// ledger runs: always in the threaded runtime, and in the simulator
+    /// whenever the fault plan is active (`simulate` gates on
+    /// [`FaultPlan::is_active`]).
     pub straggler_factor: Option<f64>,
 }
 

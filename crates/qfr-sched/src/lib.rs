@@ -28,38 +28,17 @@
 //!
 //! # Recovery-semantics contract
 //!
-//! Both executors implement the same recovery contract (defined in detail
-//! in [`fault`]):
-//!
-//! 1. **Eager retry with exponential backoff** — a failed attempt `a` of a
-//!    task re-queues it at attempt `a + 1` after `backoff_base * 2^a`, held
-//!    in a master-side delay queue (never through [`Policy::requeue`]). The
-//!    retry is scheduled at the *first* failed copy of the attempt; every
-//!    acknowledgement carries an `(attempt, copy)` tag, and stale acks of a
-//!    concluded attempt are dropped (`stale_dropped` in the reports)
-//!    instead of corrupting the current attempt's bookkeeping.
-//! 2. **Quarantine** — after [`RecoveryPolicy::max_attempts`] failed
-//!    attempts the task's fragments are reported as
-//!    `quarantined_fragments` in the run report; the run completes with a
-//!    partial result instead of hanging.
-//! 3. **Straggler re-issue** (on by default) — an idle leader duplicates an
-//!    in-flight task older than `straggler_factor x` the mean completed
-//!    duration; at most two copies of an attempt exist at once.
-//! 4. **Exactly-once crediting** — the first successful copy wins;
-//!    `tasks_executed`, `fragments_done` and busy time count each fragment
-//!    exactly once, and losers only increment `duplicates_suppressed`.
-//! 5. **Conservation** — every run satisfies (and asserts)
-//!    `fragments_done + quarantined + unfinished == distinct input
-//!    fragments`.
-//!
-//! Because injected failures are pure functions of `(fragment, attempt)`,
-//! the retry/eager-retry/quarantine counters of both executors match
-//! [`FaultPlan::forecast`] exactly for the same plan and decomposition.
+//! Both executors drive one task state machine, the recovery [`ledger`],
+//! whose module doc is the normative statement of the contract: eager
+//! retry with backoff, quarantine, straggler re-issue, exactly-once
+//! crediting and fragment conservation. Retries and quarantines therefore
+//! match [`FaultPlan::forecast`] exactly in either executor.
 
 #![forbid(unsafe_code)]
 
 pub mod balancer;
 pub mod fault;
+pub mod ledger;
 pub mod machine;
 pub mod offload;
 pub mod pool;

@@ -1,83 +1,32 @@
 //! The real master/leader/worker runtime on OS threads (Fig. 3).
 //!
-//! - The **master** owns the scheduling policy and serves task-assignment
-//!   requests over crossbeam channels (the `leader-available` /
-//!   `task-assignment` signals of Fig. 4(a)).
+//! - The **master** serves task-assignment requests over crossbeam channels
+//!   (the `leader-available` / `task-assignment` signals of Fig. 4(a)). It
+//!   decides nothing itself: every message becomes a transition of the
+//!   recovery [`ledger`] on the wall clock, and the assignments the ledger
+//!   returns are sent out.
 //! - Each **leader** pulls tasks, partitions every fragment's displacement
 //!   set statically across its **workers** (scoped threads), and reports
-//!   completion or failure back to the master.
+//!   completion or failure back to the master. A leader scheduled to die
+//!   ([`FaultPlan::kill_leader_after`]) bounces what it still receives.
 //! - **Prefetching** (Fig. 4(d)): a leader requests its next task while the
 //!   current one is still executing, hiding the master round-trip.
 //!
-//! # Recovery semantics
-//!
-//! The master implements the contract documented in [`crate::fault`]:
-//!
-//! - A failed attempt is **retried eagerly with exponential backoff**: the
-//!   retry is scheduled at the *first* failed copy of the attempt (failure
-//!   is pure in `(fragment, attempt)`, so every copy of a failed attempt is
-//!   doomed — waiting for a straggler duplicate to also fail would only
-//!   delay recovery). The task waits `backoff_base * 2^attempt` in a
-//!   master-held delay queue — it does *not* go back through
-//!   [`Policy::requeue`] — until [`RecoveryPolicy::max_attempts`] attempts
-//!   have failed, after which the task is **quarantined** and its fragments
-//!   reported in [`RunReport::quarantined_fragments`] instead of hanging
-//!   the run.
-//! - Every `Completed`/`Failed`/`Returned` acknowledgement is **tagged
-//!   with `(attempt, copy)`**; the master drops messages whose attempt no
-//!   longer matches the in-flight entry (a straggler copy of an already
-//!   concluded attempt), counting them in [`RunReport::stale_dropped`].
-//!   Without the tag a stale copy of attempt *n* could corrupt the
-//!   bookkeeping of the in-flight attempt *n+1* of the same task.
-//! - **Straggler re-issue** (the paper's "processed for a long time but not
-//!   yet completed" rule, on by default): an idle leader receives a
-//!   duplicate copy of an in-flight task older than `straggler_factor x`
-//!   the mean completed-task duration. Completion is **exactly-once**: the
-//!   first successful copy wins; the loser only increments
-//!   [`RunReport::duplicates_suppressed`], so `tasks_executed`,
-//!   `fragments_done` and per-leader busy time count each fragment once.
-//! - A **dead leader** (scheduled via [`FaultPlan::kill_leader_after`])
-//!   bounces any assignment it still receives back to the master, which
-//!   re-dispatches it at the same attempt. If every leader dies, the run
-//!   returns with [`RunReport::unfinished_fragments`] set rather than
-//!   deadlocking.
-//!
-//! Conservation invariant (asserted on every run):
-//! `fragments_done + quarantined + unfinished == distinct input fragments`.
+//! The recovery contract — eager retry, quarantine, straggler re-issue,
+//! exactly-once crediting, conservation — is stated once, in
+//! [`crate::ledger`]. What stays here is the leader-side arbiter of
+//! exactly-once crediting: a stale copy's result is real work, so the
+//! leaders, not the ledger, decide which successful copy of a task counts.
 
 use crate::balancer::Policy;
 use crate::fault::{FaultPlan, RecoveryPolicy};
+use crate::ledger::{self, Assignment, Ledger, Outcome, Totals};
 use crate::task::{FragmentWorkItem, Task};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use qfr_obs::trace;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
-
-// Task lifecycle counters, shared with the simulator so either executor
-// feeds the same `--metrics` report. Enqueues, completions, retries and
-// quarantines are pure functions of the workload and the `FaultPlan` seed
-// (failure is decided per (fragment, attempt)); straggler re-issues,
-// suppressed duplicates and leader deaths depend on wall-clock races and
-// are therefore reported but never baselined.
-pub(crate) static TASKS_ENQUEUED: qfr_obs::Counter =
-    qfr_obs::Counter::deterministic("sched.tasks.enqueued");
-pub(crate) static TASKS_COMPLETED: qfr_obs::Counter =
-    qfr_obs::Counter::deterministic("sched.tasks.completed");
-pub(crate) static TASKS_RETRIED: qfr_obs::Counter =
-    qfr_obs::Counter::deterministic("sched.tasks.retried");
-pub(crate) static TASKS_QUARANTINED: qfr_obs::Counter =
-    qfr_obs::Counter::deterministic("sched.tasks.quarantined");
-pub(crate) static REISSUES: qfr_obs::Counter = qfr_obs::Counter::timing_sensitive("sched.reissues");
-pub(crate) static DUPLICATES_SUPPRESSED: qfr_obs::Counter =
-    qfr_obs::Counter::timing_sensitive("sched.duplicates_suppressed");
-pub(crate) static LEADERS_DIED: qfr_obs::Counter =
-    qfr_obs::Counter::timing_sensitive("sched.leaders_died");
-// Stale acknowledgements (a copy of an attempt that already concluded)
-// exist only when a straggler duplicate raced an eager retry, so the count
-// is timing-sensitive in the threaded runtime.
-pub(crate) static STALE_DROPPED: qfr_obs::Counter =
-    qfr_obs::Counter::timing_sensitive("sched.stale_dropped");
 
 /// Runtime shape and fault/recovery configuration.
 #[derive(Debug, Clone)]
@@ -146,13 +95,7 @@ impl RunReport {
     /// Relative busy-time deviation range across leaders
     /// `((min-mean)/mean, (max-mean)/mean)` — the Fig. 8 metric.
     pub fn busy_variation(&self) -> (f64, f64) {
-        let mean = self.leader_busy.iter().sum::<f64>() / self.leader_busy.len().max(1) as f64;
-        if mean <= 0.0 {
-            return (0.0, 0.0);
-        }
-        let min = self.leader_busy.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = self.leader_busy.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        ((min - mean) / mean, (max - mean) / mean)
+        busy_variation(&self.leader_busy)
     }
 
     /// Whether every input fragment completed (nothing quarantined or
@@ -183,64 +126,210 @@ impl RunReport {
     }
 }
 
-/// One unit of work sent to a leader: a task, its attempt number, and the
-/// copy index within that attempt (straggler duplicates get copy ≥ 1).
-#[derive(Debug, Clone)]
-struct Assignment {
-    task: Task,
-    attempt: u32,
-    copy: u32,
+/// Relative deviation range of per-leader busy times
+/// `((min-mean)/mean, (max-mean)/mean)` — the Fig. 8 metric.
+pub(crate) fn busy_variation(busy: &[f64]) -> (f64, f64) {
+    let mean = busy.iter().sum::<f64>() / busy.len().max(1) as f64;
+    if mean <= 0.0 {
+        return (0.0, 0.0);
+    }
+    let min = busy.iter().cloned().fold(f64::INFINITY, f64::min);
+    let max = busy.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    ((min - mean) / mean, (max - mean) / mean)
 }
 
-/// A leader's task mailbox (`None` = shut down).
-type TaskChannel = (Sender<Option<Assignment>>, Receiver<Option<Assignment>>);
-
-// Completion, failure and bounce acknowledgements carry the `(attempt,
-// copy)` tag of the assignment they answer: the master matches the attempt
-// against the in-flight entry and drops stale copies of attempts that an
-// eager retry already concluded (the tag is what makes eager retry safe).
+// Acknowledgements carry the `(attempt, copy)` tag of the assignment they
+// answer; the ledger matches it against the in-flight entry.
 enum MasterMsg {
     Available { leader: usize },
-    Completed { leader: usize, task_id: u32, attempt: u32, copy: u32, seconds: f64 },
-    Failed { leader: usize, task_id: u32, attempt: u32, copy: u32 },
-    Returned { leader: usize, task_id: u32, attempt: u32 },
+    Ack { leader: usize, task_id: u32, attempt: u32, copy: u32, outcome: Outcome },
     Died { leader: usize },
 }
 
-/// Master-side bookkeeping for one in-flight task attempt.
-struct InFlight {
-    task: Task,
-    attempt: u32,
-    issued: Instant,
-    /// Copies issued for this attempt (caps the duplicate storm at 2).
-    copies: u32,
-    /// Copies still outstanding.
-    live: u32,
-    holders: Vec<usize>,
-    completed: bool,
-}
+/// What the master sends a leader: an assignment, or `None` to shut down.
+type LeaderMsg = Option<Assignment>;
 
+/// The leader-side arbiter of exactly-once crediting across straggler
+/// duplicates and stale copies.
 #[derive(Default)]
-struct MasterOut {
-    retries: usize,
-    eager_retries: usize,
-    stale_dropped: usize,
-    reissues: usize,
-    leaders_died: usize,
-    quarantined: Vec<u32>,
-    unfinished: usize,
+struct Arbiter {
+    /// Task ids whose first successful copy already reported.
+    won_tasks: HashSet<u32>,
+    done_fragments: HashSet<u32>,
+    tasks_executed: usize,
+    duplicates_suppressed: usize,
 }
 
-fn outstanding_fragments(
-    in_flight: &HashMap<u32, InFlight>,
-    ready: &[(Task, u32)],
-    delayed: &[(Instant, Task, u32)],
-    policy_remaining: usize,
-) -> usize {
-    policy_remaining
-        + ready.iter().map(|(t, _)| t.len()).sum::<usize>()
-        + delayed.iter().map(|(_, t, _)| t.len()).sum::<usize>()
-        + in_flight.values().filter(|e| !e.completed).map(|e| e.task.len()).sum::<usize>()
+impl Arbiter {
+    /// Whether this successful copy of `task` is the first; only the first
+    /// credits the task and its fragments.
+    fn first_success(&mut self, task: &Task) -> bool {
+        let first = self.won_tasks.insert(task.id);
+        if first {
+            self.done_fragments.extend(task.fragment_ids());
+            self.tasks_executed += 1;
+        } else {
+            self.duplicates_suppressed += 1;
+        }
+        first
+    }
+}
+
+/// Translates leader messages into ledger transitions at `t0.elapsed()` and
+/// sends out what the ledger assigns, until the ledger is finished.
+fn master_loop(
+    mut ledger: Ledger,
+    inbox: Receiver<MasterMsg>,
+    leaders: Vec<Sender<LeaderMsg>>,
+    t0: Instant,
+) -> Totals {
+    let clock = || t0.elapsed().as_secs_f64();
+    let mut assigned = Vec::new();
+    loop {
+        let wake = ledger.dispatch(clock(), &mut assigned);
+        for a in assigned.drain(..) {
+            leaders[a.leader].send(Some(a)).ok();
+        }
+        if ledger.finished() {
+            for mailbox in &leaders {
+                mailbox.send(None).ok();
+            }
+            break;
+        }
+        // Time-based work (a backoff expiring, a straggler maturing) must
+        // be picked up without waiting for another message.
+        let msg = match wake {
+            Some(at) => inbox.recv_timeout(Duration::from_secs_f64((at - clock()).max(0.0))),
+            None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match msg {
+            Ok(MasterMsg::Available { leader }) => ledger.leader_idle(leader),
+            Ok(MasterMsg::Ack { leader, task_id, attempt, copy, outcome }) => {
+                ledger.ack(clock(), leader, task_id, attempt, copy, outcome);
+            }
+            Ok(MasterMsg::Died { leader }) => ledger.leader_died(leader),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    ledger.into_totals()
+}
+
+/// Executes one attempt of `task`: its fragments are split statically
+/// across the leader's workers. True iff every fragment succeeded.
+fn execute<F>(task: &Task, attempt: u32, cfg: &RuntimeConfig, workload: &F) -> bool
+where
+    F: Fn(&FragmentWorkItem) -> bool + Sync,
+{
+    let chunk = task.fragments.len().div_ceil(cfg.workers_per_leader);
+    std::thread::scope(|workers| {
+        let handles: Vec<_> = task
+            .fragments
+            .chunks(chunk)
+            .map(|fragments| {
+                workers.spawn(move || {
+                    // `&`, not `&&`: a failed attempt still runs every
+                    // fragment, like a real partitioned job.
+                    fragments
+                        .iter()
+                        .map(|f| workload(f) && !cfg.faults.fragment_fails(f.id, attempt))
+                        .fold(true, |ok, succeeded| ok & succeeded)
+                })
+            })
+            .collect();
+        handles.into_iter().fold(true, |ok, h| ok & h.join().expect("worker panicked"))
+    })
+}
+
+/// One leader: pulls assignments until the master shuts it down and returns
+/// its busy seconds (first successful executions only).
+fn leader_loop<F>(
+    leader: usize,
+    cfg: &RuntimeConfig,
+    workload: &F,
+    arbiter: &Mutex<Arbiter>,
+    mailbox: Receiver<LeaderMsg>,
+    to_master: Sender<MasterMsg>,
+) -> f64
+where
+    F: Fn(&FragmentWorkItem) -> bool + Sync,
+{
+    let death_quota = cfg.faults.death_after(leader);
+    let mut busy = 0.0;
+    let mut executed = 0usize;
+    let mut dead = false;
+    let mut pending: Option<Assignment> = None;
+    to_master.send(MasterMsg::Available { leader }).ok();
+    loop {
+        let Assignment { task, attempt, copy, .. } = match pending.take() {
+            Some(a) => a,
+            None => match mailbox.recv() {
+                Ok(Some(a)) => a,
+                _ => break,
+            },
+        };
+        let ack = |outcome| MasterMsg::Ack { leader, task_id: task.id, attempt, copy, outcome };
+        if dead {
+            to_master.send(ack(Outcome::Returned)).ok();
+            continue;
+        }
+        // Prefetch: ask for the next task before executing.
+        if cfg.prefetch {
+            trace::instant("task.prefetch", &[("leader", leader as i64)]);
+            to_master.send(MasterMsg::Available { leader }).ok();
+        }
+        let exec_span = qfr_obs::span("sched.task.execute");
+        let start = Instant::now();
+        let ok = execute(&task, attempt, cfg, workload);
+        // Injected straggler latency: stretch this copy's execution by the
+        // plan's multiplier.
+        let stretch = cfg.faults.latency_multiplier(task.id, attempt, copy);
+        if stretch > 1.0 {
+            std::thread::sleep(start.elapsed().mul_f64(stretch - 1.0));
+        }
+        let seconds = start.elapsed().as_secs_f64();
+        drop(exec_span);
+        executed += 1;
+        if ok {
+            if arbiter.lock().first_success(&task) {
+                busy += seconds;
+                ledger::credit_completion(task.id, attempt, leader);
+            } else {
+                ledger::credit_duplicate();
+            }
+            to_master.send(ack(Outcome::Completed { seconds })).ok();
+        } else {
+            trace::instant(
+                "task.fail",
+                &[
+                    ("task", i64::from(task.id)),
+                    ("attempt", i64::from(attempt)),
+                    ("copy", i64::from(copy)),
+                    ("leader", leader as i64),
+                ],
+            );
+            to_master.send(ack(Outcome::Failed)).ok();
+        }
+        if death_quota.is_some_and(|q| executed >= q) {
+            dead = true;
+            to_master.send(MasterMsg::Died { leader }).ok();
+        }
+        if !cfg.prefetch {
+            if !dead {
+                to_master.send(MasterMsg::Available { leader }).ok();
+            }
+        } else {
+            match mailbox.try_recv() {
+                Ok(Some(a)) => pending = Some(a),
+                // A `None` here is the master's shutdown broadcast: honor
+                // it instead of silently swallowing it and deadlocking in
+                // recv().
+                Ok(None) => break,
+                Err(_) => {}
+            }
+        }
+    }
+    busy
 }
 
 /// Runs a workload through the three-level hierarchy.
@@ -251,535 +340,64 @@ fn outstanding_fragments(
 /// task, which the master retries with backoff up to
 /// `cfg.recovery.max_attempts` total attempts before quarantining it.
 pub fn run_master_leader_worker<F>(
-    mut policy: Box<dyn Policy>,
+    policy: Box<dyn Policy>,
     workload: F,
     cfg: RuntimeConfig,
 ) -> RunReport
 where
     F: Fn(&FragmentWorkItem) -> bool + Sync,
 {
-    assert!(cfg.n_leaders > 0 && cfg.workers_per_leader > 0);
-    assert!(cfg.recovery.max_attempts >= 1, "need at least one attempt per task");
-    let initial_fragments = policy.remaining_fragments();
-    let (to_master, master_rx): (Sender<MasterMsg>, Receiver<MasterMsg>) = unbounded();
+    assert!(cfg.workers_per_leader > 0, "need at least one worker per leader");
+    let ledger = Ledger::new(policy, cfg.recovery, cfg.n_leaders);
+    let (to_master, inbox) = unbounded();
     // Unbounded so the master's final None broadcast can never block.
-    let leader_channels: Vec<TaskChannel> = (0..cfg.n_leaders).map(|_| unbounded()).collect();
-
-    let busy: Vec<Mutex<f64>> = (0..cfg.n_leaders).map(|_| Mutex::new(0.0)).collect();
-    let done_fragments = Mutex::new(HashSet::<u32>::new());
-    // Task ids whose first successful copy already reported: the arbiter
-    // for exactly-once crediting across straggler duplicates.
-    let won_tasks = Mutex::new(HashSet::<u32>::new());
-    let counters = Mutex::new((0usize, 0usize)); // (tasks_executed, duplicates_suppressed)
-    let master_out = Mutex::new(MasterOut::default());
+    let (mailboxes, mailbox_rxs): (Vec<_>, Vec<_>) =
+        (0..cfg.n_leaders).map(|_| unbounded::<LeaderMsg>()).unzip();
+    let arbiter = Mutex::new(Arbiter::default());
 
     let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        // ---------------- master ----------------
-        let master_senders: Vec<Sender<Option<Assignment>>> =
-            leader_channels.iter().map(|(s, _)| s.clone()).collect();
-        let out_ref = &master_out;
-        let cfg_ref = &cfg;
-        scope.spawn(move || {
-            let rec = cfg_ref.recovery;
-            let mut in_flight: HashMap<u32, InFlight> = HashMap::new();
-            let mut ready: Vec<(Task, u32)> = Vec::new();
-            let mut delayed: Vec<(Instant, Task, u32)> = Vec::new();
-            let mut waiting: Vec<usize> = Vec::new();
-            let mut dead = vec![false; cfg_ref.n_leaders];
-            let mut mean_acc = (0.0f64, 0usize); // (sum seconds, count)
-            let mut retries = 0usize;
-            let mut eager_retries = 0usize;
-            let mut stale_dropped = 0usize;
-            let mut reissues = 0usize;
-            let mut leaders_died = 0usize;
-            let mut quarantined: Vec<u32> = Vec::new();
-            let unfinished;
-            loop {
-                // While leaders are parked and time-based work exists
-                // (straggler aging, backoff expiry), poll with a timeout so
-                // it gets picked up without waiting for another message.
-                let poll =
-                    !waiting.is_empty() && (rec.straggler_factor.is_some() || !delayed.is_empty());
-                let msg = if poll {
-                    match master_rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok(m) => Some(m),
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
-                        Err(_) => {
-                            unfinished = outstanding_fragments(
-                                &in_flight,
-                                &ready,
-                                &delayed,
-                                policy.remaining_fragments(),
-                            );
-                            break;
-                        }
-                    }
-                } else {
-                    match master_rx.recv() {
-                        Ok(m) => Some(m),
-                        Err(_) => {
-                            unfinished = outstanding_fragments(
-                                &in_flight,
-                                &ready,
-                                &delayed,
-                                policy.remaining_fragments(),
-                            );
-                            break;
-                        }
-                    }
-                };
-                match msg {
-                    Some(MasterMsg::Available { leader }) if !dead[leader] => {
-                        waiting.push(leader);
-                    }
-                    Some(MasterMsg::Available { .. }) => {}
-                    Some(MasterMsg::Completed { leader, task_id, attempt, copy, seconds }) => {
-                        match in_flight.get_mut(&task_id) {
-                            Some(e) if e.attempt == attempt => {
-                                e.live -= 1;
-                                e.holders.retain(|&l| l != leader);
-                                if !e.completed {
-                                    e.completed = true;
-                                    mean_acc.0 += seconds;
-                                    mean_acc.1 += 1;
-                                }
-                                if e.live == 0 {
-                                    in_flight.remove(&task_id);
-                                }
-                            }
-                            // A copy of an attempt that already concluded
-                            // (an eager retry removed or replaced the
-                            // entry): drop it — acting on it would corrupt
-                            // the current attempt's bookkeeping.
-                            _ => {
-                                stale_dropped += 1;
-                                STALE_DROPPED.incr();
-                                trace::instant(
-                                    "task.stale_drop",
-                                    &[
-                                        ("task", i64::from(task_id)),
-                                        ("attempt", i64::from(attempt)),
-                                        ("copy", i64::from(copy)),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                    Some(MasterMsg::Failed { leader, task_id, attempt, copy }) => {
-                        match in_flight.get_mut(&task_id) {
-                            Some(e) if e.attempt == attempt => {
-                                if e.completed {
-                                    // Another copy of this attempt already
-                                    // won (impure workload): just retire
-                                    // this copy.
-                                    e.live -= 1;
-                                    e.holders.retain(|&l| l != leader);
-                                    if e.live == 0 {
-                                        in_flight.remove(&task_id);
-                                    }
-                                } else {
-                                    // Eager retry: failure is pure in
-                                    // (fragment, attempt), so the first
-                                    // failed copy dooms every other copy of
-                                    // this attempt — conclude now instead
-                                    // of waiting for stragglers; their
-                                    // acks will stale-drop.
-                                    let e = in_flight.remove(&task_id).expect("matched above");
-                                    let next = e.attempt + 1;
-                                    if next >= rec.max_attempts {
-                                        TASKS_QUARANTINED.incr();
-                                        trace::instant(
-                                            "task.quarantine",
-                                            &[("task", i64::from(task_id))],
-                                        );
-                                        quarantined.extend(e.task.fragment_ids());
-                                    } else {
-                                        retries += 1;
-                                        // Every retry is scheduled at the
-                                        // first failed copy, so the eager
-                                        // count equals the retry count and
-                                        // stays forecast-exact.
-                                        eager_retries += 1;
-                                        TASKS_RETRIED.incr();
-                                        trace::instant(
-                                            "task.retry",
-                                            &[
-                                                ("task", i64::from(task_id)),
-                                                ("attempt", i64::from(next)),
-                                            ],
-                                        );
-                                        let delay =
-                                            Duration::from_secs_f64(rec.backoff_after(e.attempt));
-                                        delayed.push((Instant::now() + delay, e.task, next));
-                                    }
-                                }
-                            }
-                            _ => {
-                                stale_dropped += 1;
-                                STALE_DROPPED.incr();
-                                trace::instant(
-                                    "task.stale_drop",
-                                    &[
-                                        ("task", i64::from(task_id)),
-                                        ("attempt", i64::from(attempt)),
-                                        ("copy", i64::from(copy)),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                    Some(MasterMsg::Returned { leader, task_id, attempt }) => {
-                        // Bounced off a dead leader: the copy never ran, so
-                        // re-dispatch at the same attempt, no penalty.
-                        match in_flight.get_mut(&task_id) {
-                            Some(e) if e.attempt == attempt => {
-                                e.live -= 1;
-                                e.copies = e.copies.saturating_sub(1);
-                                e.holders.retain(|&l| l != leader);
-                                if e.live == 0 {
-                                    let e = in_flight.remove(&task_id).expect("matched above");
-                                    if !e.completed {
-                                        ready.push((e.task, e.attempt));
-                                    }
-                                }
-                            }
-                            _ => {
-                                stale_dropped += 1;
-                                STALE_DROPPED.incr();
-                                trace::instant(
-                                    "task.stale_drop",
-                                    &[
-                                        ("task", i64::from(task_id)),
-                                        ("attempt", i64::from(attempt)),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                    Some(MasterMsg::Died { leader }) if !dead[leader] => {
-                        dead[leader] = true;
-                        leaders_died += 1;
-                        LEADERS_DIED.incr();
-                        trace::instant("leader.death", &[("leader", leader as i64)]);
-                        waiting.retain(|&l| l != leader);
-                    }
-                    Some(MasterMsg::Died { .. }) => {}
-                    None => {}
-                }
-
-                // Promote delayed retries whose backoff has expired.
-                let now = Instant::now();
-                let mut i = 0;
-                while i < delayed.len() {
-                    if delayed[i].0 <= now {
-                        let (_, task, attempt) = delayed.swap_remove(i);
-                        ready.push((task, attempt));
-                    } else {
-                        i += 1;
-                    }
-                }
-
-                // Feed idle leaders: retries first, then the policy pool.
-                while !waiting.is_empty() {
-                    let next = ready.pop().or_else(|| {
-                        policy.next_task().map(|t| {
-                            TASKS_ENQUEUED.incr();
-                            (t, 0)
-                        })
-                    });
-                    let Some((task, attempt)) = next else { break };
-                    let leader = waiting.pop().expect("checked non-empty");
-                    trace::instant(
-                        "task.enqueue",
-                        &[
-                            ("task", i64::from(task.id)),
-                            ("attempt", i64::from(attempt)),
-                            ("leader", leader as i64),
-                        ],
-                    );
-                    in_flight.insert(
-                        task.id,
-                        InFlight {
-                            task: task.clone(),
-                            attempt,
-                            issued: Instant::now(),
-                            copies: 1,
-                            live: 1,
-                            holders: vec![leader],
-                            completed: false,
-                        },
-                    );
-                    master_senders[leader].send(Some(Assignment { task, attempt, copy: 0 })).ok();
-                }
-
-                // Serve still-idle leaders with duplicate copies of
-                // stragglers (the paper's "mark un-processed again" rule).
-                if let Some(factor) = rec.straggler_factor {
-                    if mean_acc.1 > 0 {
-                        let mean = mean_acc.0 / mean_acc.1 as f64;
-                        let mut w = 0;
-                        while w < waiting.len() {
-                            let leader = waiting[w];
-                            let candidate = in_flight.values_mut().find(|e| {
-                                !e.completed
-                                    && e.copies < 2
-                                    && !e.holders.contains(&leader)
-                                    && e.issued.elapsed().as_secs_f64() > factor * mean
-                            });
-                            let Some(e) = candidate else {
-                                w += 1;
-                                continue;
-                            };
-                            let copy = e.copies;
-                            e.copies += 1;
-                            e.live += 1;
-                            e.holders.push(leader);
-                            reissues += 1;
-                            REISSUES.incr();
-                            trace::instant(
-                                "task.reissue",
-                                &[
-                                    ("task", i64::from(e.task.id)),
-                                    ("copy", i64::from(copy)),
-                                    ("leader", leader as i64),
-                                ],
-                            );
-                            master_senders[leader]
-                                .send(Some(Assignment {
-                                    task: e.task.clone(),
-                                    attempt: e.attempt,
-                                    copy,
-                                }))
-                                .ok();
-                            waiting.swap_remove(w);
-                        }
-                    }
-                }
-
-                // Termination: all work concluded, or every leader died.
-                let work_done = ready.is_empty()
-                    && delayed.is_empty()
-                    && policy.remaining_fragments() == 0
-                    && in_flight.values().all(|e| e.completed);
-                let all_dead = dead.iter().all(|&d| d);
-                if work_done || all_dead {
-                    unfinished = outstanding_fragments(
-                        &in_flight,
-                        &ready,
-                        &delayed,
-                        policy.remaining_fragments(),
-                    );
-                    for s in &master_senders {
-                        s.send(None).ok();
-                    }
-                    break;
-                }
-            }
-            let mut out = out_ref.lock();
-            quarantined.sort_unstable();
-            out.retries = retries;
-            out.eager_retries = eager_retries;
-            out.stale_dropped = stale_dropped;
-            out.reissues = reissues;
-            out.leaders_died = leaders_died;
-            out.quarantined = quarantined;
-            out.unfinished = unfinished;
-        });
-
-        // ---------------- leaders ----------------
-        for (leader_id, (_, task_rx)) in leader_channels.iter().enumerate() {
-            let to_master = to_master.clone();
-            let task_rx = task_rx.clone();
-            let workload = &workload;
-            let busy_slot = &busy[leader_id];
-            let done_ref = &done_fragments;
-            let won_ref = &won_tasks;
-            let counters_ref = &counters;
-            let cfg_ref = &cfg;
-            scope.spawn(move || {
-                let death_quota = cfg_ref.faults.death_after(leader_id);
-                let mut executed = 0usize;
-                let mut leader_dead = false;
-                let mut pending: Option<Assignment> = None;
-                to_master.send(MasterMsg::Available { leader: leader_id }).ok();
-                loop {
-                    let assignment = match pending.take() {
-                        Some(a) => a,
-                        None => match task_rx.recv() {
-                            Ok(Some(a)) => a,
-                            _ => break,
-                        },
-                    };
-                    if leader_dead {
-                        to_master
-                            .send(MasterMsg::Returned {
-                                leader: leader_id,
-                                task_id: assignment.task.id,
-                                attempt: assignment.attempt,
-                            })
-                            .ok();
-                        continue;
-                    }
-                    // Prefetch: ask for the next task before executing.
-                    if cfg_ref.prefetch {
-                        trace::instant("task.prefetch", &[("leader", leader_id as i64)]);
-                        to_master.send(MasterMsg::Available { leader: leader_id }).ok();
-                    }
-                    let Assignment { task, attempt, copy } = assignment;
-                    let faults = &cfg_ref.faults;
-                    let exec_span = qfr_obs::span("sched.task.execute");
-                    let start = Instant::now();
-                    // Partition each fragment's work across the leader's
-                    // workers: fragments of the task are split statically.
-                    let results: Vec<(u32, bool)> = std::thread::scope(|ws| {
-                        let chunks: Vec<&[FragmentWorkItem]> = task
-                            .fragments
-                            .chunks(task.fragments.len().div_ceil(cfg_ref.workers_per_leader))
-                            .collect();
-                        let handles: Vec<_> = chunks
-                            .into_iter()
-                            .map(|chunk| {
-                                ws.spawn(move || {
-                                    chunk
-                                        .iter()
-                                        .map(|f| {
-                                            (
-                                                f.id,
-                                                workload(f)
-                                                    && !faults.fragment_fails(f.id, attempt),
-                                            )
-                                        })
-                                        .collect::<Vec<_>>()
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("worker panicked"))
-                            .collect()
-                    });
-                    // Injected straggler latency: stretch this copy's
-                    // execution by the plan's multiplier.
-                    let stretch = faults.latency_multiplier(task.id, attempt, copy);
-                    if stretch > 1.0 {
-                        std::thread::sleep(start.elapsed().mul_f64(stretch - 1.0));
-                    }
-                    let seconds = start.elapsed().as_secs_f64();
-                    drop(exec_span);
-                    executed += 1;
-                    let ok = results.iter().all(|&(_, s)| s);
-                    if ok {
-                        // Exactly-once: only the first successful copy
-                        // credits busy time, tasks_executed and fragments.
-                        let first = won_ref.lock().insert(task.id);
-                        if first {
-                            *busy_slot.lock() += seconds;
-                            {
-                                let mut done = done_ref.lock();
-                                for f in &task.fragments {
-                                    done.insert(f.id);
-                                }
-                            }
-                            counters_ref.lock().0 += 1;
-                            TASKS_COMPLETED.incr();
-                            trace::instant(
-                                "task.complete",
-                                &[
-                                    ("task", i64::from(task.id)),
-                                    ("attempt", i64::from(attempt)),
-                                    ("leader", leader_id as i64),
-                                ],
-                            );
-                        } else {
-                            counters_ref.lock().1 += 1;
-                            DUPLICATES_SUPPRESSED.incr();
-                        }
-                        to_master
-                            .send(MasterMsg::Completed {
-                                leader: leader_id,
-                                task_id: task.id,
-                                attempt,
-                                copy,
-                                seconds,
-                            })
-                            .ok();
-                    } else {
-                        trace::instant(
-                            "task.fail",
-                            &[
-                                ("task", i64::from(task.id)),
-                                ("attempt", i64::from(attempt)),
-                                ("copy", i64::from(copy)),
-                                ("leader", leader_id as i64),
-                            ],
-                        );
-                        to_master
-                            .send(MasterMsg::Failed {
-                                leader: leader_id,
-                                task_id: task.id,
-                                attempt,
-                                copy,
-                            })
-                            .ok();
-                    }
-                    if death_quota.is_some_and(|q| executed >= q) {
-                        leader_dead = true;
-                        to_master.send(MasterMsg::Died { leader: leader_id }).ok();
-                    }
-                    if !cfg_ref.prefetch {
-                        if !leader_dead {
-                            to_master.send(MasterMsg::Available { leader: leader_id }).ok();
-                        }
-                    } else {
-                        match task_rx.try_recv() {
-                            Ok(Some(a)) => pending = Some(a),
-                            // A `None` here is the master's shutdown
-                            // broadcast: honor it instead of silently
-                            // swallowing it and deadlocking in recv().
-                            Ok(None) => break,
-                            Err(_) => {}
-                        }
-                    }
-                }
-            });
-        }
+    let (mut totals, leader_busy) = std::thread::scope(|scope| {
+        let master = scope.spawn(move || master_loop(ledger, inbox, mailboxes, t0));
+        let leaders: Vec<_> = mailbox_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(leader, mailbox)| {
+                let to_master = to_master.clone();
+                let (cfg, workload, arbiter) = (&cfg, &workload, &arbiter);
+                scope.spawn(move || leader_loop(leader, cfg, workload, arbiter, mailbox, to_master))
+            })
+            .collect();
         drop(to_master);
+        let totals = master.join().expect("master panicked");
+        let busy: Vec<f64> =
+            leaders.into_iter().map(|h| h.join().expect("leader panicked")).collect();
+        (totals, busy)
     });
-
     let makespan = t0.elapsed().as_secs_f64();
-    let (tasks_executed, duplicates_suppressed) = *counters.lock();
-    let done = done_fragments.into_inner();
-    let fragments_done = done.len();
-    let mut out = master_out.into_inner();
+
+    let arbiter = arbiter.into_inner();
     // Salvage reconciliation: under an *impure* workload a straggler copy of
     // an earlier attempt can succeed (and credit its fragments) after the
     // master eagerly quarantined the task — the stale ack is dropped, but
     // the result is real. Keep the credit and un-quarantine those
     // fragments; under a pure FaultPlan this is a no-op, so the forecast
     // parity guarantees are untouched.
-    out.quarantined.retain(|f| !done.contains(f));
-    let report = RunReport {
+    totals.quarantined.retain(|f| !arbiter.done_fragments.contains(f));
+    totals.assert_conserved(arbiter.done_fragments.len());
+    RunReport {
         makespan,
-        leader_busy: busy.iter().map(|b| *b.lock()).collect(),
-        tasks_executed,
-        fragments_done,
-        retries: out.retries,
-        eager_retries: out.eager_retries,
-        stale_dropped: out.stale_dropped,
-        reissues: out.reissues,
-        duplicates_suppressed,
-        quarantined_fragments: out.quarantined,
-        unfinished_fragments: out.unfinished,
-        leaders_died: out.leaders_died,
-    };
-    assert_eq!(
-        report.fragments_done + report.quarantined_fragments.len() + report.unfinished_fragments,
-        initial_fragments,
-        "fragment conservation violated: every input fragment must be done, \
-         quarantined, or reported unfinished exactly once"
-    );
-    report
+        leader_busy,
+        tasks_executed: arbiter.tasks_executed,
+        fragments_done: arbiter.done_fragments.len(),
+        retries: totals.retries,
+        eager_retries: totals.retries,
+        stale_dropped: totals.stale_dropped,
+        reissues: totals.reissues,
+        duplicates_suppressed: arbiter.duplicates_suppressed,
+        quarantined_fragments: totals.quarantined,
+        unfinished_fragments: totals.unfinished,
+        leaders_died: totals.leaders_died,
+    }
 }
 
 #[cfg(test)]
