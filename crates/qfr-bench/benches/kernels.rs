@@ -5,7 +5,7 @@
 //! expressions of Fig. 6.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qfr_linalg::batch::{execute_batched, execute_scattered, GemmJob};
+use qfr_linalg::batch::{execute_jobs, BatchJob, OffloadMode};
 use qfr_linalg::fft::Grid3;
 use qfr_linalg::sparse::TripletBuilder;
 use qfr_linalg::{blas, gemm, DMatrix};
@@ -38,10 +38,11 @@ fn bench_gemm(c: &mut Criterion) {
                 out
             })
         });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("packed", n), &n, |bch, _| {
             bch.iter(|| {
                 let mut out = DMatrix::zeros(n, n);
-                gemm::gemm_parallel(&mut out, black_box(&a), black_box(&b), 1.0, 0.0);
+                let prec = qfr_linalg::GemmPrecision::F64;
+                gemm::gemm_packed(&mut out, black_box(&a), black_box(&b), 1.0, 0.0, prec);
                 out
             })
         });
@@ -52,11 +53,13 @@ fn bench_gemm(c: &mut Criterion) {
 fn bench_batched_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched_gemm");
     // The paper's regime: many scattered ~24x24 GEMMs.
-    let jobs: Vec<GemmJob> =
-        (0..128).map(|i| GemmJob::new(sample(24, 24, i), sample(24, 24, 500 + i))).collect();
-    group.bench_function("scattered_128x24", |b| b.iter(|| execute_scattered(black_box(&jobs))));
+    let jobs: Vec<BatchJob> =
+        (0..128).map(|i| BatchJob::gemm(sample(24, 24, i), sample(24, 24, 500 + i))).collect();
+    group.bench_function("scattered_128x24", |b| {
+        b.iter(|| execute_jobs(black_box(&jobs), OffloadMode::Scattered))
+    });
     group.bench_function("batched_stride32_128x24", |b| {
-        b.iter(|| execute_batched(black_box(&jobs), 32))
+        b.iter(|| execute_jobs(black_box(&jobs), OffloadMode::Batched { stride: 32 }))
     });
     group.finish();
 }

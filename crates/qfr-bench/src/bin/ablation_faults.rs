@@ -193,7 +193,7 @@ fn main() {
     // through the recovery machinery — kernel speed, elastic offloading,
     // and failure recovery in one study. The f64 modes must agree
     // bit-identically; mixed must sit within its max-|Δ| spectrum
-    // tolerance (DESIGN.md §15).
+    // tolerance (DESIGN.md §10).
     header("Kernel mode x fault rate — measured DFPT speed priced through recovery");
     use qfr_core::EngineKind;
     use qfr_linalg::batch::OffloadMode;

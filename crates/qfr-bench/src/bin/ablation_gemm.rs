@@ -1,8 +1,8 @@
-//! Packed-panel GEMM microkernel ablation (DESIGN.md §15).
+//! Packed-panel GEMM microkernel ablation (DESIGN.md §10).
 //!
-//! Sweeps fragment-realistic GEMM shapes across the four kernel modes —
-//! slice-tiled blocked (the pre-PR floor), packed serial, packed parallel,
-//! and packed mixed-precision — reporting achieved GFLOP/s per mode plus
+//! Sweeps fragment-realistic GEMM shapes across the three kernel modes —
+//! slice-tiled blocked, packed f64 and packed mixed-precision — reporting
+//! achieved GFLOP/s per mode plus
 //! the mixed-mode max error against the f64 reference and its analytic
 //! tolerance. Ends with an end-to-end check: a model-DFPT Raman spectrum
 //! computed under `GemmPrecision::MixedF32` must stay within a max-|Δ|
@@ -11,8 +11,8 @@
 //!
 //! Floor-gated metrics (`baselines/bench_floors.json`):
 //! - `speedup_packed_large` — packed vs blocked GFLOP/s, worst of the
-//!   256/512 size classes, must stay ≥ 1.0 (measured ≥ 1.3 on the CI
-//!   host);
+//!   256/512 size classes; the floor sits at the measured value minus
+//!   noise;
 //! - `mixed_err_ratio` / `e2e_err_ratio` — measured mixed error over its
 //!   tolerance, must stay ≤ 1.0.
 
@@ -20,7 +20,7 @@ use qfr_bench::{fast_mode, header, row, scaled, write_record};
 use qfr_core::{EngineKind, RamanWorkflow};
 use qfr_geom::WaterBoxBuilder;
 use qfr_linalg::flops;
-use qfr_linalg::gemm::{gemm_blocked, gemm_packed, gemm_packed_parallel, gemm_packed_prec};
+use qfr_linalg::gemm::{gemm_blocked, gemm_packed};
 use qfr_linalg::{DMatrix, GemmPrecision};
 use std::time::Instant;
 
@@ -48,7 +48,6 @@ struct ShapeResult {
     large: bool,
     gflops_blocked: f64,
     gflops_packed: f64,
-    gflops_packed_par: f64,
     gflops_mixed: f64,
     mixed_err: f64,
     mixed_tol: f64,
@@ -65,17 +64,14 @@ fn sweep_shape(label: &'static str, m: usize, n: usize, k: usize, large: bool) -
     let mut c = DMatrix::zeros(m, n);
     let s_blocked = best_seconds(reps, || gemm_blocked(&mut c, &a, &b, 1.0, 0.0));
     let mut c_packed = DMatrix::zeros(m, n);
-    let s_packed = best_seconds(reps, || gemm_packed(&mut c_packed, &a, &b, 1.0, 0.0));
-    let mut c_par = DMatrix::zeros(m, n);
-    let s_par = best_seconds(reps, || gemm_packed_parallel(&mut c_par, &a, &b, 1.0, 0.0));
+    let s_packed =
+        best_seconds(reps, || gemm_packed(&mut c_packed, &a, &b, 1.0, 0.0, GemmPrecision::F64));
     let mut c_mixed = DMatrix::zeros(m, n);
-    let s_mixed = best_seconds(reps, || {
-        gemm_packed_prec(&mut c_mixed, &a, &b, 1.0, 0.0, GemmPrecision::MixedF32)
-    });
+    let s_mixed =
+        best_seconds(reps, || gemm_packed(&mut c_mixed, &a, &b, 1.0, 0.0, GemmPrecision::MixedF32));
     // f64 packed kernels are value-identical to blocked; pin that here so
     // the speedup numbers are never comparing different results.
     assert_eq!(c.as_slice(), c_packed.as_slice(), "packed f64 diverged from blocked");
-    assert_eq!(c.as_slice(), c_par.as_slice(), "packed parallel diverged from blocked");
     // Mixed mode: two f32 operand roundings per product, k products per
     // entry, f64 accumulation exact relative to that.
     let mixed_tol = 3.0 * (f32::EPSILON as f64) * k as f64 * a.max_abs() * b.max_abs();
@@ -85,7 +81,6 @@ fn sweep_shape(label: &'static str, m: usize, n: usize, k: usize, large: bool) -
         large,
         gflops_blocked: gf / s_blocked,
         gflops_packed: gf / s_packed,
-        gflops_packed_par: gf / s_par,
         gflops_mixed: gf / s_mixed,
         mixed_err,
         mixed_tol,
@@ -108,8 +103,8 @@ fn main() {
         ("grid-panel 512x32x32", 512, 32, 32, false),
         ("fock 64x64x512", 64, 64, 512, false),
     ];
-    let widths = [22, 9, 9, 9, 9, 9, 12];
-    row(&["shape", "blocked", "packed", "pack-par", "mixed", "speedup", "mix-err/tol"], &widths);
+    let widths = [22, 9, 9, 9, 9, 12];
+    row(&["shape", "blocked", "packed", "mixed", "speedup", "mix-err/tol"], &widths);
     let mut results = Vec::new();
     for &(label, m, n, k, large) in shapes {
         let r = sweep_shape(label, m, n, k, large);
@@ -118,7 +113,6 @@ fn main() {
                 r.label,
                 &format!("{:.2}", r.gflops_blocked),
                 &format!("{:.2}", r.gflops_packed),
-                &format!("{:.2}", r.gflops_packed_par),
                 &format!("{:.2}", r.gflops_mixed),
                 &format!("{:.2}x", r.gflops_packed / r.gflops_blocked),
                 &format!("{:.3}", r.mixed_err / r.mixed_tol),
@@ -177,12 +171,11 @@ fn main() {
         .map(|r| {
             format!(
                 "{{\"shape\":\"{}\",\"gflops_blocked\":{:.4},\"gflops_packed\":{:.4},\
-                 \"gflops_packed_par\":{:.4},\"gflops_mixed\":{:.4},\
+                 \"gflops_mixed\":{:.4},\
                  \"mixed_err\":{:.6e},\"mixed_tol\":{:.6e}}}",
                 r.label,
                 r.gflops_blocked,
                 r.gflops_packed,
-                r.gflops_packed_par,
                 r.gflops_mixed,
                 r.mixed_err,
                 r.mixed_tol

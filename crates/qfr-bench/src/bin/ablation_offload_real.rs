@@ -17,6 +17,7 @@ use qfr_dfpt::scf::{ScfConfig, ScfResult, ScfSolver};
 use qfr_fragment::{Decomposition, DecompositionParams, JobKind};
 use qfr_geom::ProteinBuilder;
 use qfr_linalg::batch::{BatchJob, OffloadMode};
+use qfr_linalg::GemmPrecision;
 use qfr_sched::machine::MachineModel;
 use qfr_sched::offload::{offload_comparison, CpuAccelerator, ModeledAccelerator};
 
@@ -78,12 +79,13 @@ fn main() {
     let cpu = CpuAccelerator;
     let reps = scaled(5, 2);
     let (mut scattered_s, mut batched_s) = (f64::INFINITY, f64::INFINITY);
+    let execute = |mode| cpu.execute_jobs(&jobs, mode, GemmPrecision::F64);
     for _ in 0..reps {
-        scattered_s = scattered_s.min(cpu.execute_jobs(&jobs, OffloadMode::Scattered).1);
-        batched_s = batched_s.min(cpu.execute_jobs(&jobs, OffloadMode::Batched { stride: 32 }).1);
+        scattered_s = scattered_s.min(execute(OffloadMode::Scattered).1);
+        batched_s = batched_s.min(execute(OffloadMode::Batched { stride: 32 }).1);
     }
-    let (out_s, _) = cpu.execute_jobs(&jobs, OffloadMode::Scattered);
-    let (out_b, _) = cpu.execute_jobs(&jobs, OffloadMode::Batched { stride: 32 });
+    let (out_s, _) = execute(OffloadMode::Scattered);
+    let (out_b, _) = execute(OffloadMode::Batched { stride: 32 });
     let identical = out_s.iter().zip(&out_b).all(|(a, b)| a.as_slice() == b.as_slice());
     assert!(identical, "batched execution must be bit-identical to scattered");
 

@@ -98,7 +98,7 @@ fn main() {
         // for the cycle's real GEMM job stream (stride 32, as in the
         // paper).
         let jobs = n1_phase_gemm_jobs(&scf, &resp_fast.p1, batch);
-        let host_seconds = |j: &qfr_linalg::batch::GemmJob| j.flops() as f64 / 30e9; // ~30 GFLOPS host core
+        let host_seconds = |j: &qfr_linalg::batch::BatchJob| j.flops() as f64 / 30e9; // ~30 GFLOPS host core
         let scattered_host: f64 = jobs.iter().map(host_seconds).sum::<f64>().max(1e-12);
         let gain_orise = scattered_host / orise.batched_seconds(&jobs, 32).max(1e-12);
         let gain_sunway = scattered_host / sunway.batched_seconds(&jobs, 32).max(1e-12);

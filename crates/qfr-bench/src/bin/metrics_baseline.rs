@@ -25,7 +25,7 @@ use qfr_geom::WaterBoxBuilder;
 use qfr_sched::balancer::SizeSensitivePolicy;
 use qfr_sched::fault::{FaultPlan, RecoveryPolicy};
 use qfr_sched::machine::MachineModel;
-use qfr_sched::offload::{CpuAccelerator, ModeledAccelerator};
+use qfr_sched::offload::ModeledAccelerator;
 use qfr_sched::simulator::{simulate, SimConfig};
 use qfr_sched::task::protein_workload;
 
@@ -71,7 +71,6 @@ fn run_pinned_workloads() {
     let accel = ModeledAccelerator::from_machine(&MachineModel::orise());
     let _ = accel.scattered_seconds(&jobs);
     let _ = accel.batched_seconds(&jobs, 32);
-    let _ = CpuAccelerator.batched_seconds(&jobs, 32);
 
     // 4. Simulator fault run with an MTBF-derived failure rate (an
     //    800-hour ORISE campaign over 2,000 tasks ≈ 4.8% per attempt —
@@ -156,7 +155,7 @@ fn run_pinned_workloads() {
     }
 
     // 8. Packed-panel kernels + the opt-in mixed-precision floor
-    //    (DESIGN.md §15): one fixed-seed GEMM through the packed f64
+    //    (DESIGN.md §10): one fixed-seed GEMM through the packed f64
     //    driver and one mixed model-DFPT spectrum. Pins
     //    `linalg.gemm.packed_calls` and `linalg.gemm.flops_f32` (and the
     //    gate asserts both are nonzero below). The mixed run bypasses the
@@ -165,7 +164,7 @@ fn run_pinned_workloads() {
     let a = qfr_linalg::DMatrix::from_fn(96, 64, |i, j| ((i * 31 + j * 7) % 17) as f64 - 8.0);
     let b = qfr_linalg::DMatrix::from_fn(64, 80, |i, j| ((i * 13 + j * 5) % 19) as f64 - 9.0);
     let mut c = qfr_linalg::DMatrix::zeros(96, 80);
-    qfr_linalg::gemm::gemm_packed(&mut c, &a, &b, 1.0, 0.0);
+    qfr_linalg::gemm::gemm_packed(&mut c, &a, &b, 1.0, 0.0, qfr_linalg::GemmPrecision::F64);
     let mixed = RamanWorkflow::new(WaterBoxBuilder::new(2).seed(11).build())
         .sigma(25.0)
         .lanczos_steps(40)
@@ -221,7 +220,7 @@ fn main() {
     assert!(bonds_cut > 0, "fragment.graph.bonds_cut must be > 0 on the pinned workload");
     // The packed-panel driver and the mixed-precision floor must both have
     // fired: zeros mean the packed dispatch or the f32 FLOP accounting
-    // regressed (DESIGN.md §15).
+    // regressed (DESIGN.md §10).
     let packed_calls = qfr_obs::counter::value_of("linalg.gemm.packed_calls").unwrap_or(0);
     assert!(packed_calls > 0, "linalg.gemm.packed_calls must be > 0 on the pinned workload");
     let flops_f32 = qfr_obs::counter::value_of("linalg.gemm.flops_f32").unwrap_or(0);

@@ -11,6 +11,7 @@ use qfr_fragment::{
     Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentResponse,
 };
 use qfr_geom::MolecularSystem;
+use qfr_linalg::batch::OffloadMode;
 use qfr_linalg::GemmPrecision;
 use qfr_sched::FragmentWorkItem;
 use qfr_solver::{RamanOptions, RamanSpectrum, ShardedOperator};
@@ -150,12 +151,15 @@ impl RunPlan {
     /// file I/O. Checkpoint, cache and spill keys cover geometry, not
     /// element width, so mixed precision may neither write files an f64
     /// run would resume nor resume files an f64 run wrote.
-    fn check(&self, precision: GemmPrecision) -> Result<(), WorkflowError> {
+    fn check(&self, precision: GemmPrecision, offload: OffloadMode) -> Result<(), WorkflowError> {
         use HessianOperator::{MatrixFree, Sharded};
         use ResponseSource::Scheduler;
         let mixed = precision == GemmPrecision::MixedF32;
         let checkpointed = self.checkpoint.is_some();
         let why = match (&self.source, &self.operator) {
+            _ if offload == (OffloadMode::Batched { stride: 0 }) => {
+                "batched offload needs a positive padding stride"
+            }
             _ if mixed && checkpointed => {
                 "mixed precision cannot write or resume a checkpoint \
                  (its key does not encode element width)"
@@ -245,9 +249,9 @@ pub struct RamanWorkflow {
     raman: RamanOptions,
     /// How the DFPT engine executes its gathered dense-algebra job
     /// streams (ignored by the force-field engine).
-    offload: qfr_linalg::batch::OffloadMode,
+    offload: OffloadMode,
     /// Element width the DFPT engine's batch kernels run at — `F64`
-    /// (default) or the opt-in `MixedF32` floor (DESIGN.md §15).
+    /// (default) or the opt-in `MixedF32` floor (DESIGN.md §10).
     precision: GemmPrecision,
     /// Content-addressed fragment result cache shared across runs (and,
     /// through [`crate::SpectrumService`], across concurrent requests).
@@ -263,7 +267,7 @@ impl RamanWorkflow {
             decomposition: DecompositionParams::default(),
             engine: EngineKind::ForceField,
             raman: RamanOptions::default(),
-            offload: qfr_linalg::batch::OffloadMode::default(),
+            offload: OffloadMode::default(),
             precision: GemmPrecision::default(),
             cache: None,
         }
@@ -304,7 +308,7 @@ impl RamanWorkflow {
     /// dense-algebra job streams (batched size-class launches by default;
     /// scattered per-job execution for ablations). Results are
     /// bit-identical in both modes.
-    pub fn offload(mut self, mode: qfr_linalg::batch::OffloadMode) -> Self {
+    pub fn offload(mut self, mode: OffloadMode) -> Self {
         self.offload = mode;
         self
     }
@@ -314,7 +318,7 @@ impl RamanWorkflow {
     /// reference kernels; `MixedF32` packs `f32` operand panels with `f64`
     /// accumulation — the opt-in accelerator floor, validated by max-|Δ|
     /// tolerance against the f64 spectrum rather than bit parity
-    /// (DESIGN.md §15). Ignored by the force-field engine. A `MixedF32`
+    /// (DESIGN.md §10). Ignored by the force-field engine. A `MixedF32`
     /// run never reads or fills the cache, and plans that would write a
     /// checkpoint or spill are rejected ([`WorkflowError::UnsupportedPlan`]).
     pub fn precision(mut self, prec: GemmPrecision) -> Self {
@@ -355,7 +359,7 @@ impl RamanWorkflow {
     /// matrix-free one (both agree to solver accuracy) yields spectra
     /// bit-identical to [`run`](Self::run) when no work is quarantined.
     pub fn execute(&self, plan: RunPlan) -> Result<RamanResult, WorkflowError> {
-        plan.check(self.precision)?;
+        plan.check(self.precision, self.offload)?;
         let (mut pipeline, decomposition) = Pipeline::prepare(
             &WORKFLOW,
             &self.system,

@@ -5,7 +5,7 @@
 //! through this one chokepoint, which dispatches to
 //! [`qfr_sched::CpuAccelerator`] under the caller's
 //! [`OffloadMode`] and returns results in job-index order. Keeping a single
-//! dispatch point makes the determinism argument local (DESIGN.md §11):
+//! dispatch point makes the determinism argument local (DESIGN.md §10):
 //! gather order is the loop order of the caller, execution computes each
 //! job independently of its batch companions, and scatter-back is indexed —
 //! so results are identical in both modes and independent of batching
@@ -17,7 +17,7 @@ use qfr_linalg::{DMatrix, GemmPrecision};
 /// Executes a gathered job stream through the shared CPU accelerator,
 /// returning results in job order. `prec` selects the element width the
 /// batch kernels run at ([`GemmPrecision::F64`] by default everywhere;
-/// `MixedF32` is the opt-in accelerator floor of DESIGN.md §15).
+/// `MixedF32` is the opt-in accelerator floor of DESIGN.md §10).
 pub fn dispatch_jobs(jobs: &[BatchJob], mode: OffloadMode, prec: GemmPrecision) -> Vec<DMatrix> {
-    qfr_sched::CpuAccelerator.execute_jobs_prec(jobs, mode, prec).0
+    qfr_sched::CpuAccelerator.execute_jobs(jobs, mode, prec).0
 }

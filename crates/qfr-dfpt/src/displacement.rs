@@ -16,7 +16,7 @@
 use crate::response::{solve_response, CyclePhases, ResponseConfig, ResponseResult};
 use crate::scf::ScfResult;
 use qfr_fragment::FragmentStructure;
-use qfr_linalg::batch::GemmJob;
+use qfr_linalg::batch::BatchJob;
 use qfr_linalg::blas;
 use qfr_linalg::DMatrix;
 use std::time::Instant;
@@ -171,14 +171,12 @@ fn pulay_kernel(scf: &ScfResult, cfg: &DisplacementConfig) -> (DMatrix, usize) {
 /// The scattered GEMM jobs of one n(1) phase: `X_batch × P1` per grid
 /// batch. The elastic offloading experiments (Fig. 9 / `qfr-sched`) batch
 /// these by stride-32 size class.
-pub fn n1_phase_gemm_jobs(scf: &ScfResult, p1: &DMatrix, batch_size: usize) -> Vec<GemmJob> {
+pub fn n1_phase_gemm_jobs(scf: &ScfResult, p1: &DMatrix, batch_size: usize) -> Vec<BatchJob> {
+    let p1 = std::sync::Arc::new(p1.clone());
     scf.grid
         .batches(batch_size)
         .into_iter()
-        .map(|b| {
-            let x = scf.basis.evaluate(&scf.grid.points[b]);
-            GemmJob::new(x, p1.clone())
-        })
+        .map(|b| BatchJob::gemm(scf.basis.evaluate(&scf.grid.points[b]), p1.clone()))
         .collect()
 }
 

@@ -31,7 +31,7 @@
 //! phases 1/2/4) no longer call kernels directly: they *gather*
 //! kernel-tagged [`qfr_linalg::batch::BatchJob`] streams and dispatch them
 //! through `qfr_sched::CpuAccelerator` — the paper's elastic workload
-//! offloading executed for real (Section V-C, DESIGN.md §11). The
+//! offloading executed for real (Section V-C, DESIGN.md §10). The
 //! [`response::solve_responses`] set driver additionally gathers jobs
 //! *across* response tasks (field directions × displaced geometries) in
 //! deterministic lockstep.

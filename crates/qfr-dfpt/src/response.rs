@@ -17,7 +17,7 @@
 //! Wall time and FLOPs are accumulated per phase into [`CyclePhases`],
 //! which Table I and Fig. 9 read out.
 //!
-//! Execution model (PR 6, DESIGN.md §11): the GEMM/SYRK work of phases 1,
+//! Execution model (PR 6, DESIGN.md §10): the GEMM/SYRK work of phases 1,
 //! 2 and 4 is *gathered* into kernel-tagged job streams and dispatched
 //! through [`crate::dispatch::dispatch_jobs`] — one batched launch family
 //! per phase instead of one kernel call per matrix. [`solve_responses`]
@@ -54,7 +54,7 @@ pub struct ResponseConfig {
     /// single launches.
     pub offload: qfr_linalg::batch::OffloadMode,
     /// Element width the batch kernels run at — `F64` (default) or the
-    /// opt-in `MixedF32` floor (DESIGN.md §15).
+    /// opt-in `MixedF32` floor (DESIGN.md §10).
     pub precision: qfr_linalg::GemmPrecision,
 }
 

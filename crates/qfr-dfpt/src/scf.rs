@@ -42,7 +42,7 @@ pub struct ScfConfig {
     /// How the gathered density/Fock job streams are executed.
     pub offload: OffloadMode,
     /// Element width the batch kernels run at — `F64` (default) or the
-    /// opt-in `MixedF32` floor (DESIGN.md §15).
+    /// opt-in `MixedF32` floor (DESIGN.md §10).
     pub precision: qfr_linalg::GemmPrecision,
 }
 
@@ -249,7 +249,7 @@ impl ScfSolver {
 /// `L⁻¹ M L⁻ᵀ` for symmetric `M`, via the triangle-only similarity kernel
 /// (neither transpose is materialized; result exactly symmetric by mirror).
 pub(crate) fn sandwich_linv(l_inv: &DMatrix, m: &DMatrix) -> DMatrix {
-    qfr_linalg::syrk::similarity_transform(l_inv, m)
+    qfr_linalg::syrk::similarity_transform(l_inv, m, qfr_linalg::GemmPrecision::F64)
 }
 
 /// Aufbau occupations: 2 electrons per orbital, one possibly fractional.

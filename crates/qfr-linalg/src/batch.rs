@@ -1,30 +1,36 @@
-//! Batched GEMM with stride-32 size classes — the compute kernel behind the
-//! paper's *elastic workload offloading* (Section V-C).
+//! Batched dense kernels with stride-32 size classes — the compute layer
+//! behind the paper's *elastic workload offloading* (Section V-C) composed
+//! with its symmetry-aware strength reduction (Section V-D).
 //!
-//! A single fragment's DFPT cycle issues thousands of tiny GEMMs (each
+//! A single fragment's DFPT cycle issues thousands of tiny products (each
 //! ~0.01 s on a CPU core in the paper's profile), far too small to offload
 //! individually. QF-RAMAN gathers them, pads every operand to a multiple of
-//! 32 in each dimension, and batches all GEMMs of equal padded shape into one
-//! accelerator launch. This module implements exactly that policy:
-//! [`BatchGemmPlan`] groups jobs into [`SizeClass`]es, and
-//! [`execute_batched`] runs one parallel "launch" per class. The scattered
-//! reference path [`execute_scattered`] runs jobs one at a time, which is
-//! what the Fig. 9 speedup bench compares against (combined with the
-//! launch-overhead model in `qfr-sched::offload`).
+//! 32 in each dimension, and batches all products of equal padded shape
+//! into one accelerator launch. Here that is one data format and one
+//! executor:
 //!
-//! Beyond the plain-GEMM job type, [`BatchJob`] tags each job with a
-//! [`BatchKernel`], so one batch can carry general GEMMs *and* the
-//! triangle-only SYRK/congruence/similarity jobs of the Section V-D
-//! strength reduction — the composition the paper credits for the
-//! 3.7× → 8.2× average speedup. [`execute_jobs_packed`] runs a single
-//! launch per size class: row-major operands are read in place, panels
-//! that must be materialized (transform intermediates, transposed views)
-//! are staged in one contiguous padded slab per class, and every worker
-//! computes only its job's *real* dimensions in an outer-product order
-//! whose per-entry accumulation is bitwise identical to the scattered
-//! reference kernels — so padding burns memory, never FLOPs, and results
-//! match value for value. See DESIGN.md §11 for the gather points and the
-//! determinism argument.
+//! - a [`BatchJob`] is a [`BatchKernel`] tag (general GEMM or one of the
+//!   triangle-only SYRK/congruence/similarity kernels) plus two
+//!   `Arc`-shared operands;
+//! - [`BatchJob::class`] rounds its `(m, n, k)` up to the stride, giving
+//!   the [`BatchClass`] it launches with;
+//! - a [`BatchPlan`] groups a job stream by class — one launch per class —
+//!   and prices what an accelerator that really pads would execute
+//!   ([`BatchPlan::padded_flops`], [`BatchPlan::padding_overhead`]; the
+//!   Fig. 9 model in `qfr-sched::offload` reads these);
+//! - [`execute_jobs_prec`] runs the stream under an [`OffloadMode`]: the
+//!   scattered reference (one `crate::gemm` / `crate::syrk` call per job)
+//!   or the packed launch per class.
+//!
+//! On the host, padding exists only in the *layout*: row-major operands are
+//! read in place, panels that must be materialized (transform
+//! intermediates, transposed views) are staged in one contiguous padded
+//! slab per class, and every worker computes only its job's *real*
+//! dimensions in an outer-product order whose per-entry accumulation is
+//! bitwise identical to the scattered reference kernels — so padding burns
+//! memory, never FLOPs, and both modes agree value for value within one
+//! precision. See DESIGN.md §10 for the gather points and the determinism
+//! argument.
 
 use crate::gemm::{self, GemmPrecision};
 use crate::matrix::DMatrix;
@@ -98,176 +104,6 @@ impl Default for OffloadMode {
     }
 }
 
-/// One `C = A * B` job destined for batching.
-#[derive(Debug, Clone)]
-pub struct GemmJob {
-    /// Left operand (`m x k`).
-    pub a: DMatrix,
-    /// Right operand (`k x n`).
-    pub b: DMatrix,
-}
-
-impl GemmJob {
-    /// Creates a job, validating inner dimensions.
-    pub fn new(a: DMatrix, b: DMatrix) -> Self {
-        assert_eq!(a.cols(), b.rows(), "GemmJob: inner dimensions differ");
-        Self { a, b }
-    }
-
-    /// Unpadded output shape `(m, n)`.
-    pub fn out_shape(&self) -> (usize, usize) {
-        (self.a.rows(), self.b.cols())
-    }
-
-    /// FLOPs this job costs (unpadded).
-    pub fn flops(&self) -> u64 {
-        crate::flops::gemm_flops(self.a.rows(), self.b.cols(), self.a.cols())
-    }
-}
-
-/// Padded GEMM dimensions `(m, n, k)`, each rounded up to the batching
-/// stride. Jobs sharing a class are dispatched in one launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SizeClass {
-    /// Padded output rows.
-    pub m: usize,
-    /// Padded output cols.
-    pub n: usize,
-    /// Padded inner dimension.
-    pub k: usize,
-}
-
-impl SizeClass {
-    /// Classifies a job under the given stride (`ceil(d/stride)*stride` per
-    /// dimension), mirroring the paper's `32*ceil(M/32) x 32*ceil(N/32)`
-    /// padding rule.
-    pub fn of(job: &GemmJob, stride: usize) -> Self {
-        assert!(stride > 0, "stride must be positive");
-        let round = |d: usize| d.div_ceil(stride) * stride;
-        Self { m: round(job.a.rows()), n: round(job.b.cols()), k: round(job.a.cols()) }
-    }
-
-    /// FLOPs of one padded GEMM of this class.
-    pub fn padded_flops(&self) -> u64 {
-        crate::flops::gemm_flops(self.m, self.n, self.k)
-    }
-}
-
-/// Grouping of job indices into size classes.
-#[derive(Debug, Clone)]
-pub struct BatchGemmPlan {
-    stride: usize,
-    /// `(class, job indices)`, sorted by class for determinism.
-    classes: Vec<(SizeClass, Vec<usize>)>,
-}
-
-impl BatchGemmPlan {
-    /// Builds the plan for `jobs` under the given padding stride.
-    pub fn build(jobs: &[GemmJob], stride: usize) -> Self {
-        let mut map: std::collections::BTreeMap<SizeClass, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (i, job) in jobs.iter().enumerate() {
-            map.entry(SizeClass::of(job, stride)).or_default().push(i);
-        }
-        Self { stride, classes: map.into_iter().collect() }
-    }
-
-    /// The padding stride this plan was built with.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Number of batched launches (= number of distinct size classes).
-    pub fn launch_count(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Iterates `(class, indices)` groups.
-    pub fn groups(&self) -> impl Iterator<Item = (&SizeClass, &[usize])> {
-        self.classes.iter().map(|(c, idx)| (c, idx.as_slice()))
-    }
-
-    /// Total *padded* FLOPs the plan will execute (includes padding waste).
-    pub fn padded_flops(&self) -> u64 {
-        self.classes.iter().map(|(c, idx)| c.padded_flops() * idx.len() as u64).sum()
-    }
-
-    /// Fraction of padded FLOPs that are waste relative to the exact job
-    /// FLOPs. 0 means every job already matched its class exactly.
-    pub fn padding_overhead(&self, jobs: &[GemmJob]) -> f64 {
-        let exact: u64 = jobs.iter().map(|j| j.flops()).sum();
-        let padded = self.padded_flops();
-        if exact == 0 {
-            return 0.0;
-        }
-        (padded as f64 - exact as f64) / exact as f64
-    }
-}
-
-/// Executes jobs one at a time (the pre-optimization "scattered" path).
-pub fn execute_scattered(jobs: &[GemmJob]) -> Vec<DMatrix> {
-    jobs.iter()
-        .map(|job| {
-            let mut c = DMatrix::zeros(job.a.rows(), job.b.cols());
-            gemm::gemm_blocked(&mut c, &job.a, &job.b, 1.0, 0.0);
-            c
-        })
-        .collect()
-}
-
-/// Executes jobs batched by size class: every class becomes one parallel
-/// launch over its padded members; results are unpadded back to the exact
-/// output shapes and returned in the original job order.
-pub fn execute_batched(jobs: &[GemmJob], stride: usize) -> Vec<DMatrix> {
-    let plan = BatchGemmPlan::build(jobs, stride);
-    execute_planned(jobs, &plan)
-}
-
-/// Executes jobs under a pre-built plan (lets callers reuse/inspect plans).
-pub fn execute_planned(jobs: &[GemmJob], plan: &BatchGemmPlan) -> Vec<DMatrix> {
-    BATCH_JOBS.add(jobs.len() as u64);
-    BATCH_LAUNCHES.add(plan.launch_count() as u64);
-    BATCH_LAUNCHES_SAVED.add(jobs.len().saturating_sub(plan.launch_count()) as u64);
-    let mut results: Vec<Option<DMatrix>> = vec![None; jobs.len()];
-    for (class, indices) in plan.groups() {
-        // One parallel "launch" per class; each worker pads its own operands
-        // so no serial pre-pass (or intermediate padded-operand Vec) is
-        // needed before the launch. Operands already matching their class
-        // shape (stride-1 plans, exact multiples) are borrowed as-is.
-        let outputs: Vec<(usize, DMatrix)> = indices
-            .par_iter()
-            .map(|&i| {
-                let job = &jobs[i];
-                let a = pad_to(&job.a, class.m, class.k);
-                let b = pad_to(&job.b, class.k, class.n);
-                let mut c = DMatrix::zeros(class.m, class.n);
-                gemm::gemm_blocked(&mut c, &a, &b, 1.0, 0.0);
-                (i, c)
-            })
-            .collect();
-        for (i, c) in outputs {
-            let (m, n) = jobs[i].out_shape();
-            // The padded output *is* the result when nothing was padded.
-            results[i] = Some(if (m, n) == (class.m, class.n) { c } else { c.block(0, 0, m, n) });
-        }
-    }
-    results.into_iter().map(|r| r.expect("every job belongs to exactly one size class")).collect()
-}
-
-/// Zero-pads `m` to `rows x cols`, or borrows it unchanged when it already
-/// has exactly that shape (the `execute_planned` copy-skip).
-fn pad_to(m: &DMatrix, rows: usize, cols: usize) -> std::borrow::Cow<'_, DMatrix> {
-    if m.shape() == (rows, cols) {
-        std::borrow::Cow::Borrowed(m)
-    } else {
-        std::borrow::Cow::Owned(m.zero_padded(rows, cols))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Kernel-tagged jobs: GEMM + the triangle family in one batch.
-// ---------------------------------------------------------------------------
-
 /// Dense kernel variant a batched job executes. The triangle-family
 /// variants mirror the `crate::syrk` reference kernels exactly (same
 /// ascending-inner-index accumulation, same reduced FLOP accounting), so
@@ -284,6 +120,21 @@ pub enum BatchKernel {
     Congruence,
     /// `C = A M Aᵀ` for symmetric `M` (`A` is `n x k`, `M` is `k x k`).
     Similarity,
+}
+
+/// `(general-GEMM, triangle)` FLOPs of one `kernel` product with output
+/// `m x n` and inner dimension `k` — the one place the per-kernel cost is
+/// written. The triangle part is the *reduced* count (one triangle
+/// computed, the other mirrored); the transforms pay a general first
+/// product `n x k x k` plus a triangle second product.
+fn kernel_flops(kernel: BatchKernel, m: usize, n: usize, k: usize) -> (u64, u64) {
+    match kernel {
+        BatchKernel::Gemm => (crate::flops::gemm_flops(m, n, k), 0),
+        BatchKernel::SymmetricProduct => (0, crate::syrk::triangle_flops(n, k)),
+        BatchKernel::Congruence | BatchKernel::Similarity => {
+            (crate::flops::gemm_flops(n, k, k), crate::syrk::triangle_flops(n, k))
+        }
+    }
 }
 
 /// One kernel-tagged job destined for batching.
@@ -371,14 +222,8 @@ impl BatchJob {
     /// (triangle-only compute for the symmetric family).
     pub fn flops(&self) -> u64 {
         let (m, n, k) = self.dims();
-        let triangle = |n: u64, k: u64| n * (n + 1) * k;
-        match self.kernel {
-            BatchKernel::Gemm => crate::flops::gemm_flops(m, n, k),
-            BatchKernel::SymmetricProduct => triangle(n as u64, k as u64),
-            BatchKernel::Congruence | BatchKernel::Similarity => {
-                crate::flops::gemm_flops(n, k, k) + triangle(n as u64, k as u64)
-            }
-        }
+        let (general, triangle) = kernel_flops(self.kernel, m, n, k);
+        general + triangle
     }
 
     /// Classifies the job under the given padding stride.
@@ -405,6 +250,15 @@ pub struct BatchClass {
 }
 
 impl BatchClass {
+    /// FLOPs of one job of this class executed at its *padded* dimensions —
+    /// what an accelerator that really pads pays per launch slot, and what
+    /// `qfr-sched::offload`'s cost model charges. (The host executor
+    /// computes real dimensions only and books [`BatchJob::flops`].)
+    pub fn padded_flops(&self) -> u64 {
+        let (general, triangle) = kernel_flops(self.kernel, self.m, self.n, self.k);
+        general + triangle
+    }
+
     /// Padded panel lengths `(a, b, c)` in `f64`s per job slot — the data
     /// footprint one launch slot presents to an accelerator's DMA (operand
     /// panels in the kernel's row view, plus the padded output). Feeds the
@@ -420,9 +274,8 @@ impl BatchClass {
     }
 
     /// Scratch `f64`s one job slot stages in the per-class packed buffer.
-    /// Row-view operands are read in place (the copy-skip of
-    /// `execute_planned`, taken to its logical end), so only panels that
-    /// must be *materialized* are staged: the transposed `Aᵀ` view of
+    /// Row-view operands are read in place, so only panels that must be
+    /// *materialized* are staged: the transposed `Aᵀ` view of
     /// [`BatchKernel::Similarity`] and the transform intermediate
     /// `T = Aᵀ M` (stored transposed so the triangle pass reads contiguous
     /// rows).
@@ -468,97 +321,85 @@ impl BatchPlan {
     pub fn groups(&self) -> impl Iterator<Item = (&BatchClass, &[usize])> {
         self.classes.iter().map(|(c, idx)| (c, idx.as_slice()))
     }
+
+    /// Total *padded* FLOPs of the plan (includes padding waste).
+    pub fn padded_flops(&self) -> u64 {
+        self.classes.iter().map(|(c, idx)| c.padded_flops() * idx.len() as u64).sum()
+    }
+
+    /// Fraction of padded FLOPs that are waste relative to the exact FLOPs
+    /// of `jobs` (the stream the plan was built from). 0 means every job
+    /// already matched its class exactly.
+    pub fn padding_overhead(&self, jobs: &[BatchJob]) -> f64 {
+        let exact: u64 = jobs.iter().map(BatchJob::flops).sum();
+        if exact == 0 {
+            return 0.0;
+        }
+        (self.padded_flops() as f64 - exact as f64) / exact as f64
+    }
 }
 
-/// Executes kernel-tagged jobs under the given mode: the scattered
-/// reference path or the packed batch path. Both return results in job
-/// order and agree value for value.
+/// [`execute_jobs_prec`] at [`GemmPrecision::F64`]. Kept as a named
+/// shorthand because `benchmark/src/probes.rs` imports it and `benchmark/`
+/// is frozen by the benchmark contract.
 pub fn execute_jobs(jobs: &[BatchJob], mode: OffloadMode) -> Vec<DMatrix> {
     execute_jobs_prec(jobs, mode, GemmPrecision::F64)
 }
 
-/// [`execute_jobs`] under an explicit [`GemmPrecision`] — how offloaded
-/// batches run in the accelerators' mixed-precision mode. Within one
-/// precision the two offload modes still agree value for value; across
-/// precisions the contract is the mixed-mode error bound (DESIGN.md §15).
+/// Executes a job stream under `mode` at element width `prec` — the one
+/// executor: the scattered reference (one `crate::gemm` / `crate::syrk`
+/// call per job) or one packed launch per [`BatchClass`]. Results come
+/// back in job order. Within one precision the two modes agree value for
+/// value and book the same FLOPs, `linalg.syrk.calls` and symmetry
+/// savings; across precisions the contract is the mixed-mode error bound
+/// (DESIGN.md §10).
 pub fn execute_jobs_prec(
     jobs: &[BatchJob],
     mode: OffloadMode,
     prec: GemmPrecision,
 ) -> Vec<DMatrix> {
     match mode {
-        OffloadMode::Scattered => execute_jobs_scattered_prec(jobs, prec),
-        OffloadMode::Batched { stride } => execute_jobs_packed_prec(jobs, stride, prec),
+        OffloadMode::Scattered => run_scattered(jobs, prec),
+        OffloadMode::Batched { stride } => run_packed(jobs, stride, prec),
     }
 }
 
-/// Executes kernel-tagged jobs one at a time with the reference kernels
-/// ([`gemm::matmul`] and the `crate::syrk` family) — the scattered path the
-/// hot loops used before gathering.
-pub fn execute_jobs_scattered(jobs: &[BatchJob]) -> Vec<DMatrix> {
-    execute_jobs_scattered_prec(jobs, GemmPrecision::F64)
-}
-
-/// [`execute_jobs_scattered`] under an explicit [`GemmPrecision`].
-pub fn execute_jobs_scattered_prec(jobs: &[BatchJob], prec: GemmPrecision) -> Vec<DMatrix> {
+/// One reference-kernel call per job, serially — the path the hot loops
+/// used before gathering, and what the bit-parity tests compare against.
+fn run_scattered(jobs: &[BatchJob], prec: GemmPrecision) -> Vec<DMatrix> {
     jobs.iter()
         .map(|job| match job.kernel {
             BatchKernel::Gemm => {
                 let mut c = DMatrix::zeros(job.a.rows(), job.b.cols());
-                gemm::gemm_auto_prec(&mut c, &job.a, &job.b, 1.0, 0.0, prec);
+                gemm::gemm_dispatch(&mut c, &job.a, &job.b, 1.0, 0.0, prec);
                 c
             }
             BatchKernel::SymmetricProduct => {
                 let n = job.a.cols();
                 let mut c = DMatrix::zeros(n, n);
-                crate::syrk::symmetric_product_prec(1.0, &job.a, &job.b, 0.0, &mut c, prec);
+                crate::syrk::symmetric_product(1.0, &job.a, &job.b, 0.0, &mut c, prec);
                 c
             }
-            BatchKernel::Congruence => crate::syrk::congruence_transform_prec(&job.a, &job.b, prec),
-            BatchKernel::Similarity => crate::syrk::similarity_transform_prec(&job.a, &job.b, prec),
+            BatchKernel::Congruence => crate::syrk::congruence_transform(&job.a, &job.b, prec),
+            BatchKernel::Similarity => crate::syrk::similarity_transform(&job.a, &job.b, prec),
         })
         .collect()
 }
 
-/// Executes kernel-tagged jobs batched by size class, one launch per
-/// class: row-major operands are read in place, panels that must be
-/// materialized are staged into one contiguous padded buffer (uniform
-/// slot strides, `BatchClass::staging_elems`), and results are written
-/// directly into their final storage and placed back in job-index order.
+/// One launch per size class: row-major operands are read in place, panels
+/// that must be materialized are staged into one contiguous padded buffer
+/// (uniform slot strides, `BatchClass::staging_elems`), and results are
+/// written directly into their final storage and placed back in job-index
+/// order.
 ///
 /// Padding exists only in the *layout*: every worker computes its job's
-/// real dimensions, so values match [`execute_jobs_scattered`] exactly and
-/// the stride never inflates FLOPs. FLOPs and the symmetry-savings counter
-/// are accounted identically to the scattered kernels.
-pub fn execute_jobs_packed(jobs: &[BatchJob], stride: usize) -> Vec<DMatrix> {
-    execute_jobs_packed_prec(jobs, stride, GemmPrecision::F64)
-}
-
-/// [`execute_jobs_packed`] under an explicit [`GemmPrecision`].
-pub fn execute_jobs_packed_prec(
-    jobs: &[BatchJob],
-    stride: usize,
-    prec: GemmPrecision,
-) -> Vec<DMatrix> {
+/// real dimensions, so values match [`run_scattered`] exactly and the
+/// stride never inflates FLOPs. Mixed mode rounds every operand read to
+/// `f32` (bitwise the value the packed GEMM driver packs) and accumulates
+/// in `f64`, so the two modes agree under `MixedF32` exactly like they do
+/// under `F64`.
+fn run_packed(jobs: &[BatchJob], stride: usize, prec: GemmPrecision) -> Vec<DMatrix> {
     let plan = BatchPlan::build(jobs, stride);
-    execute_jobs_planned_prec(jobs, &plan, prec)
-}
-
-/// Packed execution under a pre-built [`BatchPlan`].
-pub fn execute_jobs_planned(jobs: &[BatchJob], plan: &BatchPlan) -> Vec<DMatrix> {
-    execute_jobs_planned_prec(jobs, plan, GemmPrecision::F64)
-}
-
-/// [`execute_jobs_planned`] under an explicit [`GemmPrecision`]. Mixed
-/// mode rounds every operand read to `f32` (bitwise the value the packed
-/// GEMM driver packs) and accumulates in `f64`, so batched-mixed and
-/// scattered-mixed results agree value for value exactly like the f64
-/// paths do.
-pub fn execute_jobs_planned_prec(
-    jobs: &[BatchJob],
-    plan: &BatchPlan,
-    prec: GemmPrecision,
-) -> Vec<DMatrix> {
     BATCH_JOBS.add(jobs.len() as u64);
     BATCH_LAUNCHES.add(plan.launch_count() as u64);
     BATCH_LAUNCHES_SAVED.add(jobs.len().saturating_sub(plan.launch_count()) as u64);
@@ -575,12 +416,11 @@ pub fn execute_jobs_planned_prec(
             out_elems += m * n;
         }
         BATCH_PACKED_BYTES.add(8 * ((la + lb) * indices.len() + out_elems) as u64);
-        // One launch per class. Row-view operands are read in place (the
-        // copy-skip of `execute_planned`, taken to its logical end); only
-        // panels that must be *materialized* — the transform intermediates
-        // and Similarity's transposed A view — are staged, one contiguous
-        // padded slot per job, in a reused thread-local scratch so hot
-        // response cycles do not pay mmap/page-fault churn per dispatch.
+        // One launch per class. Only panels that must be *materialized* —
+        // the transform intermediates and Similarity's transposed A view —
+        // are staged, one contiguous padded slot per job, in a reused
+        // thread-local scratch so hot response cycles do not pay
+        // mmap/page-fault churn per dispatch.
         // Each worker writes its result straight into the output's backing
         // storage (real row stride), so results never take a second
         // staging pass. `with_min_len` keeps tasks coarse so the launch
@@ -657,35 +497,31 @@ pub fn execute_jobs_planned_prec(
 }
 
 /// Mirrors the scattered kernels' FLOP/counter accounting for one job:
-/// GEMM FLOPs for [`BatchKernel::Gemm`] (plus the first product of the
-/// transforms), reduced triangle FLOPs + `linalg.gemm.flops_saved_symmetry`
-/// + `linalg.syrk.calls` for the triangle family.
+/// general-GEMM FLOPs at the job's element width, plus — for the triangle
+/// family — the reduced triangle FLOPs, `linalg.gemm.flops_saved_symmetry`
+/// and `linalg.syrk.calls` booked by `crate::syrk::account_triangle`.
 fn account_job(job: &BatchJob, prec: GemmPrecision) {
     let (m, n, k) = job.dims();
     if m == 0 || n == 0 {
         return;
     }
-    let add_by_prec = |flops: u64| match prec {
-        GemmPrecision::F64 => crate::flops::add(flops),
-        GemmPrecision::MixedF32 => crate::flops::add_f32(flops),
-    };
-    match job.kernel {
-        BatchKernel::Gemm => add_by_prec(crate::flops::gemm_flops(m, n, k)),
-        BatchKernel::SymmetricProduct => crate::syrk::account_triangle(n, k, prec),
-        BatchKernel::Congruence | BatchKernel::Similarity => {
-            add_by_prec(crate::flops::gemm_flops(n, k, k));
-            crate::syrk::account_triangle(n, k, prec);
-        }
+    let (general, _) = kernel_flops(job.kernel, m, n, k);
+    match prec {
+        GemmPrecision::F64 => crate::flops::add(general),
+        GemmPrecision::MixedF32 => crate::flops::add_f32(general),
+    }
+    if job.kernel != BatchKernel::Gemm {
+        crate::syrk::account_triangle(n, k, prec);
     }
 }
 
 /// Rounding applied to every multiplicand a packed worker reads —
-/// identity for [`GemmPrecision::F64`] (monomorphizes to the exact
-/// pre-existing f64 loops), round-to-`f32` for
+/// identity for [`GemmPrecision::F64`] (monomorphizes to the plain f64
+/// loops), round-to-`f32` for
 /// [`GemmPrecision::MixedF32`]. Rounding a value at *read* is bitwise the
 /// value the mixed packed-GEMM driver *packs*, and the `f64` accumulation
 /// order is unchanged, so batched-mixed matches scattered-mixed value for
-/// value (DESIGN.md §15).
+/// value (DESIGN.md §10).
 trait PanelRound {
     /// Rounds one operand read.
     fn r(v: f64) -> f64;
@@ -728,13 +564,16 @@ impl PanelRound for MixedPrec {
 /// intermediate `T' = (A'M)ᵀ` for `Congruence`, and `Aᵀ` plus that
 /// intermediate for `Similarity`.
 /// Every multiplicand read goes through `R::r` ([`PanelRound`]): identity
-/// under [`FullPrec`] (same codegen as before the precision knob), `f32`
-/// rounding under [`MixedPrec`] — staged panels (`vpanel`, `tpanel`) keep
+/// under [`FullPrec`] (monomorphizes to the plain f64 loops), `f32`
+/// rounding under [`MixedPrec`] — staged panels (`vstage`, `tpanel`) keep
 /// full `f64` values and are rounded again at each read, exactly mirroring
 /// the scattered mixed kernels, which materialize intermediates in `f64`
 /// and round operand rows once before the triangle pass.
 fn compute_job<R: PanelRound>(job: &BatchJob, wslot: &mut [f64], cout: &mut [f64]) {
     let (m, n, k) = job.dims();
+    if m == 0 || n == 0 {
+        return; // empty output; also keeps `chunks_exact_mut(n)` below legal
+    }
     match job.kernel {
         BatchKernel::Gemm => {
             // C = A·B, the gemm_blocked ikj order with its zero-skip.
@@ -772,58 +611,27 @@ fn compute_job<R: PanelRound>(job: &BatchJob, wslot: &mut [f64], cout: &mut [f64
             }
             mirror_lower(cout, n);
         }
-        BatchKernel::Congruence => {
-            // C = AᵀMA with A k×n, M k×k. Stage T' (k×n) = (AᵀM)ᵀ, i.e.
-            // T'[p][i] = Σ_q M[q,p]·A[q,i] (ascending q, zero-skip on the
+        BatchKernel::Congruence | BatchKernel::Similarity => {
+            // C = VᵀMV for the k×n row view V: A itself for Congruence, the
+            // staged Aᵀ for Similarity (A is n×k), so both passes stream
+            // contiguous rows. Stage T' (k×n) = (VᵀM)ᵀ, i.e.
+            // T'[p][i] = Σ_q M[q,p]·V[q,i] (ascending q, zero-skip on the
             // M element — the zero-add lemma covers the reference's skip
-            // on A instead), then triangle C[i][j] = Σ_p T'[p,i]·A[p,j].
+            // on A instead), then triangle C[i][j] = Σ_p T'[p,i]·V[p,j].
             let a = job.a.as_slice();
             let mmat = job.b.as_slice();
-            let tpanel = &mut wslot[..k * n];
-            tpanel.fill(0.0);
-            for q in 0..k {
-                let arow = &a[q * n..(q + 1) * n];
-                let mrow = &mmat[q * k..(q + 1) * k];
-                for (p, &mqp) in mrow.iter().enumerate() {
-                    let mqp = R::r(mqp);
-                    if mqp == 0.0 {
-                        continue;
-                    }
-                    let trow = &mut tpanel[p * n..(p + 1) * n];
-                    for (tv, av) in trow.iter_mut().zip(arow) {
-                        *tv += mqp * R::r(*av);
-                    }
-                }
-            }
-            for p in 0..k {
-                let trow = &tpanel[p * n..(p + 1) * n];
-                let arow = &a[p * n..(p + 1) * n];
-                for i in 0..n {
-                    let tip = R::r(trow[i]);
-                    let crow = &mut cout[i * n + i..(i + 1) * n];
-                    for (cv, av) in crow.iter_mut().zip(&arow[i..]) {
-                        *cv += tip * R::r(*av);
-                    }
-                }
-            }
-            mirror_lower(cout, n);
-        }
-        BatchKernel::Similarity => {
-            // C = AMAᵀ with A n×k, M k×k: same as Congruence after staging
-            // V = Aᵀ (k×n), so both passes stream contiguous rows.
-            let a = job.a.as_slice();
-            let mmat = job.b.as_slice();
-            let (vpanel, tpanel) = wslot.split_at_mut(k * n);
-            let vpanel = &mut vpanel[..k * n];
-            for (q, vrow) in vpanel.chunks_exact_mut(n).enumerate() {
+            let transposed = job.kernel == BatchKernel::Similarity;
+            let (vstage, tstage) = wslot.split_at_mut(if transposed { k * n } else { 0 });
+            for (q, vrow) in vstage.chunks_exact_mut(n).enumerate() {
                 for (i, vv) in vrow.iter_mut().enumerate() {
                     *vv = a[i * k + q];
                 }
             }
-            let tpanel = &mut tpanel[..k * n];
+            let v: &[f64] = if transposed { vstage } else { a };
+            let tpanel = &mut tstage[..k * n];
             tpanel.fill(0.0);
             for q in 0..k {
-                let vrow = &vpanel[q * n..(q + 1) * n];
+                let vrow = &v[q * n..(q + 1) * n];
                 let mrow = &mmat[q * k..(q + 1) * k];
                 for (p, &mqp) in mrow.iter().enumerate() {
                     let mqp = R::r(mqp);
@@ -838,7 +646,7 @@ fn compute_job<R: PanelRound>(job: &BatchJob, wslot: &mut [f64], cout: &mut [f64
             }
             for p in 0..k {
                 let trow = &tpanel[p * n..(p + 1) * n];
-                let vrow = &vpanel[p * n..(p + 1) * n];
+                let vrow = &v[p * n..(p + 1) * n];
                 for i in 0..n {
                     let tip = R::r(trow[i]);
                     let crow = &mut cout[i * n + i..(i + 1) * n];
@@ -875,83 +683,70 @@ mod tests {
         })
     }
 
-    fn jobs_mixed() -> Vec<GemmJob> {
+    fn jobs_mixed() -> Vec<BatchJob> {
         vec![
-            GemmJob::new(sample(5, 7, 1), sample(7, 9, 2)),
-            GemmJob::new(sample(30, 30, 3), sample(30, 30, 4)),
-            GemmJob::new(sample(6, 7, 5), sample(7, 8, 6)),
-            GemmJob::new(sample(33, 40, 7), sample(40, 20, 8)),
-            GemmJob::new(sample(5, 7, 9), sample(7, 9, 10)),
+            BatchJob::gemm(sample(5, 7, 1), sample(7, 9, 2)),
+            BatchJob::gemm(sample(30, 30, 3), sample(30, 30, 4)),
+            BatchJob::gemm(sample(6, 7, 5), sample(7, 8, 6)),
+            BatchJob::gemm(sample(33, 40, 7), sample(40, 20, 8)),
+            BatchJob::gemm(sample(5, 7, 9), sample(7, 9, 10)),
         ]
     }
 
     #[test]
     fn size_class_rounding() {
-        let job = GemmJob::new(DMatrix::zeros(33, 40), DMatrix::zeros(40, 20));
-        let c = SizeClass::of(&job, 32);
-        assert_eq!(c, SizeClass { m: 64, n: 32, k: 64 });
-        let c1 = SizeClass::of(&job, 1);
-        assert_eq!(c1, SizeClass { m: 33, n: 20, k: 40 });
+        let job = BatchJob::gemm(DMatrix::zeros(33, 40), DMatrix::zeros(40, 20));
+        let gemm = BatchKernel::Gemm;
+        assert_eq!(job.class(32), BatchClass { kernel: gemm, m: 64, n: 32, k: 64 });
+        assert_eq!(job.class(1), BatchClass { kernel: gemm, m: 33, n: 20, k: 40 });
     }
 
     #[test]
     fn exact_multiple_not_padded() {
-        let job = GemmJob::new(DMatrix::zeros(32, 64), DMatrix::zeros(64, 32));
-        let c = SizeClass::of(&job, 32);
-        assert_eq!(c, SizeClass { m: 32, n: 32, k: 64 });
+        let job = BatchJob::gemm(DMatrix::zeros(32, 64), DMatrix::zeros(64, 32));
+        let c = job.class(32);
+        assert_eq!(c, BatchClass { kernel: BatchKernel::Gemm, m: 32, n: 32, k: 64 });
         assert_eq!(c.padded_flops(), job.flops());
-    }
-
-    #[test]
-    fn plan_groups_equal_classes() {
-        let jobs = jobs_mixed();
-        let plan = BatchGemmPlan::build(&jobs, 32);
-        // Jobs 0, 1, 2, 4 all pad to (32,32,32); job 3 pads to (64,32,64).
-        assert_eq!(plan.launch_count(), 2);
-        let sizes: Vec<usize> = plan.groups().map(|(_, idx)| idx.len()).collect();
-        assert!(sizes.contains(&4) && sizes.contains(&1));
-    }
-
-    #[test]
-    fn batched_matches_scattered() {
-        let jobs = jobs_mixed();
-        let scattered = execute_scattered(&jobs);
-        let batched = execute_batched(&jobs, 32);
-        assert_eq!(scattered.len(), batched.len());
-        for (s, b) in scattered.iter().zip(&batched) {
-            assert_eq!(s.shape(), b.shape());
-            assert!(s.max_abs_diff(b) < 1e-12, "batched result diverged");
-        }
-    }
-
-    #[test]
-    fn batched_stride_one_matches_too() {
-        let jobs = jobs_mixed();
-        let scattered = execute_scattered(&jobs);
-        let batched = execute_batched(&jobs, 1);
-        for (s, b) in scattered.iter().zip(&batched) {
-            assert!(s.max_abs_diff(b) < 1e-12);
-        }
     }
 
     #[test]
     fn padding_overhead_bounds() {
         let jobs = jobs_mixed();
-        let plan1 = BatchGemmPlan::build(&jobs, 1);
+        let plan1 = BatchPlan::build(&jobs, 1);
         assert_eq!(plan1.padding_overhead(&jobs), 0.0);
-        let plan32 = BatchGemmPlan::build(&jobs, 32);
+        let plan32 = BatchPlan::build(&jobs, 32);
         let ovh = plan32.padding_overhead(&jobs);
         assert!(ovh > 0.0, "mixed sizes must incur padding waste");
-        let plan128 = BatchGemmPlan::build(&jobs, 128);
+        let plan128 = BatchPlan::build(&jobs, 128);
         assert!(plan128.padding_overhead(&jobs) >= ovh, "larger stride wastes more");
+    }
+
+    #[test]
+    fn padded_pricing_matches_the_gemm_only_plan_it_replaced() {
+        // Launches, padded FLOPs and padding overhead the GEMM-only plan
+        // type gave for this stream, recorded at the commit that folded it
+        // into `BatchPlan`: the Fig. 9 offload model prices all-`Gemm`
+        // streams through these numbers and must not move.
+        let jobs = jobs_mixed();
+        for (stride, launches, padded, overhead) in [
+            (1, 4, 108_732u64, 0.0),
+            (8, 4, 147_456, 0.3561417062134422),
+            (32, 2, 524_288, 3.8218371776477946),
+            (128, 1, 20_971_520, 191.87348710591178),
+        ] {
+            let plan = BatchPlan::build(&jobs, stride);
+            assert_eq!(plan.launch_count(), launches, "stride {stride}");
+            assert_eq!(plan.padded_flops(), padded, "stride {stride}");
+            assert_eq!(plan.padding_overhead(&jobs), overhead, "stride {stride}");
+        }
     }
 
     #[test]
     fn larger_stride_fewer_launches() {
         let jobs = jobs_mixed();
-        let l1 = BatchGemmPlan::build(&jobs, 1).launch_count();
-        let l32 = BatchGemmPlan::build(&jobs, 32).launch_count();
-        let l128 = BatchGemmPlan::build(&jobs, 128).launch_count();
+        let l1 = BatchPlan::build(&jobs, 1).launch_count();
+        let l32 = BatchPlan::build(&jobs, 32).launch_count();
+        let l128 = BatchPlan::build(&jobs, 128).launch_count();
         assert!(l32 <= l1);
         assert!(l128 <= l32);
         assert_eq!(l128, 1, "stride 128 folds all mixed jobs into one class");
@@ -959,34 +754,18 @@ mod tests {
 
     #[test]
     fn empty_jobs() {
-        let jobs: Vec<GemmJob> = vec![];
-        assert!(execute_batched(&jobs, 32).is_empty());
-        let plan = BatchGemmPlan::build(&jobs, 32);
+        let jobs: Vec<BatchJob> = vec![];
+        assert!(execute_jobs(&jobs, OffloadMode::default()).is_empty());
+        let plan = BatchPlan::build(&jobs, 32);
         assert_eq!(plan.launch_count(), 0);
         assert_eq!(plan.padded_flops(), 0);
+        assert_eq!(plan.padding_overhead(&jobs), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "inner dimensions")]
     fn job_dim_mismatch_panics() {
-        let _ = GemmJob::new(DMatrix::zeros(2, 3), DMatrix::zeros(4, 2));
-    }
-
-    #[test]
-    fn result_order_preserved() {
-        // Give each job a distinguishable scalar result.
-        let jobs: Vec<GemmJob> = (1..=6)
-            .map(|v| {
-                GemmJob::new(
-                    DMatrix::from_vec(1, 1, vec![v as f64]),
-                    DMatrix::from_vec(1, 1, vec![10.0]),
-                )
-            })
-            .collect();
-        let out = execute_batched(&jobs, 32);
-        for (i, c) in out.iter().enumerate() {
-            assert_eq!(c[(0, 0)], (i as f64 + 1.0) * 10.0);
-        }
+        let _ = BatchJob::gemm(DMatrix::zeros(2, 3), DMatrix::zeros(4, 2));
     }
 
     fn sym_sample(n: usize, seed: u64) -> DMatrix {
@@ -1027,9 +806,9 @@ mod tests {
     #[test]
     fn packed_matches_scattered_values() {
         let jobs = tagged_mixed();
-        let scattered = execute_jobs_scattered(&jobs);
+        let scattered = execute_jobs(&jobs, OffloadMode::Scattered);
         for stride in [1, 8, 32] {
-            let packed = execute_jobs_packed(&jobs, stride);
+            let packed = execute_jobs(&jobs, OffloadMode::Batched { stride });
             assert_eq!(packed.len(), scattered.len());
             for (p, s) in packed.iter().zip(&scattered) {
                 assert_eq!(p.shape(), s.shape());
@@ -1055,10 +834,12 @@ mod tests {
                 })
                 .collect()
         };
-        let packed: Vec<Vec<DMatrix>> =
-            (0..32).into_par_iter().map(|i| execute_jobs_packed(&make_jobs(i), 32)).collect();
+        let packed: Vec<Vec<DMatrix>> = (0..32)
+            .into_par_iter()
+            .map(|i| execute_jobs(&make_jobs(i), OffloadMode::Batched { stride: 32 }))
+            .collect();
         for (i, outs) in packed.iter().enumerate() {
-            let reference = execute_jobs_scattered(&make_jobs(i));
+            let reference = execute_jobs(&make_jobs(i), OffloadMode::Scattered);
             for (p, s) in outs.iter().zip(&reference) {
                 assert_eq!(p.as_slice(), s.as_slice());
             }
@@ -1072,11 +853,12 @@ mod tests {
         // pack. And mixed must actually differ from f64 somewhere (the
         // knob is real), while staying within the coarse k·ε_f32 envelope.
         let jobs = tagged_mixed();
-        let scattered = execute_jobs_scattered_prec(&jobs, GemmPrecision::MixedF32);
-        let reference = execute_jobs_scattered(&jobs);
+        let scattered = execute_jobs_prec(&jobs, OffloadMode::Scattered, GemmPrecision::MixedF32);
+        let reference = execute_jobs(&jobs, OffloadMode::Scattered);
         let mut any_diff = false;
         for stride in [1, 8, 32] {
-            let packed = execute_jobs_packed_prec(&jobs, stride, GemmPrecision::MixedF32);
+            let packed =
+                execute_jobs_prec(&jobs, OffloadMode::Batched { stride }, GemmPrecision::MixedF32);
             for ((p, s), r) in packed.iter().zip(&scattered).zip(&reference) {
                 assert_eq!(p.as_slice(), s.as_slice(), "stride {stride}");
                 let (_, _, k) = jobs[0].dims();
@@ -1097,8 +879,8 @@ mod tests {
             (0..5).map(|j| BatchJob::gemm(sample(6, 9, 71 + j), p1.clone())).collect();
         let owned: Vec<BatchJob> =
             (0..5).map(|j| BatchJob::gemm(sample(6, 9, 71 + j), (*p1).clone())).collect();
-        let a = execute_jobs_packed(&shared, 32);
-        let b = execute_jobs_packed(&owned, 32);
+        let a = execute_jobs(&shared, OffloadMode::Batched { stride: 32 });
+        let b = execute_jobs(&owned, OffloadMode::Batched { stride: 32 });
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.as_slice(), y.as_slice());
         }
@@ -1107,7 +889,8 @@ mod tests {
     #[test]
     fn packed_triangle_results_exactly_symmetric() {
         let jobs = tagged_mixed();
-        for (job, out) in jobs.iter().zip(execute_jobs_packed(&jobs, 32)) {
+        for (job, out) in jobs.iter().zip(execute_jobs(&jobs, OffloadMode::Batched { stride: 32 }))
+        {
             if job.kernel != BatchKernel::Gemm {
                 assert!(out.is_symmetric(0.0), "mirror must be exact");
             }
@@ -1140,7 +923,7 @@ mod tests {
                 )
             })
             .collect();
-        let out = execute_jobs_packed(&jobs, 32);
+        let out = execute_jobs(&jobs, OffloadMode::Batched { stride: 32 });
         for (i, c) in out.iter().enumerate() {
             assert_eq!(c[(0, 0)], (i as f64 + 1.0) * 10.0);
         }
@@ -1154,8 +937,8 @@ mod tests {
             BatchJob::symmetric_product(DMatrix::zeros(5, 0), DMatrix::zeros(5, 0)),
             BatchJob::gemm(sample(2, 3, 42), sample(3, 2, 43)),
         ];
-        let scattered = execute_jobs_scattered(&jobs);
-        let packed = execute_jobs_packed(&jobs, 32);
+        let scattered = execute_jobs(&jobs, OffloadMode::Scattered);
+        let packed = execute_jobs(&jobs, OffloadMode::Batched { stride: 32 });
         for (p, s) in packed.iter().zip(&scattered) {
             assert_eq!(p.shape(), s.shape());
             assert_eq!(p.as_slice(), s.as_slice());

@@ -25,7 +25,7 @@ static OBS_FLOPS: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.flo
 
 /// Mixed-precision product FLOPs (`f32` operands, `f64` accumulate),
 /// accounted separately so `linalg.flops` stays a pure-FP64 number and the
-/// Table I rates never mix element widths (DESIGN.md §15).
+/// Table I rates never mix element widths (DESIGN.md §10).
 static OBS_FLOPS_F32: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.gemm.flops_f32");
 
 /// Adds `n` double-precision floating-point operations to the global counter.

@@ -2,16 +2,17 @@
 //!
 //! The DFPT worker phases spend the bulk of their time in small-to-medium
 //! GEMMs over grid batches (the paper measures a 40-atom fragment issuing
-//! ~2,400 GEMM calls per Hamiltonian evaluation). This module provides the
-//! kernels those phases call:
+//! ~2,400 GEMM calls per Hamiltonian evaluation). One function per kernel:
 //!
-//! - [`gemm_naive`] — the triple loop, used as the correctness reference;
+//! - [`gemm_naive`] — the triple loop, the correctness reference every
+//!   bit-parity test compares against;
 //! - [`gemm_blocked`] — cache-blocked i-k-j loop order (row-major friendly);
-//! - [`gemm_parallel`] — rayon parallelism over row panels;
-//! - [`gemm_packed`] / [`gemm_packed_parallel`] — packed-panel microkernel
-//!   GEMM (`crate::pack` + `crate::microkernel`, DESIGN.md §15), the
-//!   highest-throughput f64 path and the only implementation of the
-//!   opt-in [`GemmPrecision::MixedF32`] mode;
+//! - [`gemm_packed`] — packed-panel microkernel GEMM (`crate::pack` +
+//!   `crate::microkernel`, DESIGN.md §10) under a [`GemmPrecision`]: the
+//!   highest-throughput f64 path and the only implementation of the opt-in
+//!   [`GemmPrecision::MixedF32`] mode. Whether its `ic` macro-loop runs
+//!   under rayon is read from the operand sizes, never from the caller;
+//! - [`gemm_auto`] / [`matmul`] — work-based choice between the two;
 //! - [`dgemm`] — BLAS-style interface with transpose flags and alpha/beta;
 //! - [`gemv`] — matrix-vector multiply with alpha/beta.
 //!
@@ -21,12 +22,11 @@
 //! Table I harness reports never mixes element widths.
 
 use crate::matrix::DMatrix;
-use rayon::prelude::*;
 
-/// Every base kernel ([`gemm_naive`], [`gemm_blocked`], [`gemm_parallel`],
-/// and the packed driver behind [`gemm_packed`]/[`gemm_packed_parallel`])
-/// counts exactly one call; wrappers ([`dgemm`], [`matmul`]) delegate to a
-/// base kernel, so nothing is double-counted.
+/// Every base kernel ([`gemm_naive`], [`gemm_blocked`] and the packed
+/// driver behind [`gemm_packed`]) counts exactly one call; wrappers
+/// ([`dgemm`], [`gemm_auto`], [`matmul`]) delegate to a base kernel, so
+/// nothing is double-counted.
 static GEMM_CALLS: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.gemm.calls");
 static GEMV_CALLS: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.gemv.calls");
 /// Packed-panel driver invocations (both precisions) — the metrics gate
@@ -41,7 +41,7 @@ static PACKED_CALLS: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.
 /// operands are rounded to `f32` once at pack time, every product is
 /// formed and accumulated at `f64` width. It is **off by default** and is
 /// validated by a max-|Δ| tolerance against the f64 spectra — not by bit
-/// parity, which rounding necessarily forfeits (DESIGN.md §15).
+/// parity, which rounding necessarily forfeits (DESIGN.md §10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GemmPrecision {
     /// Full double precision everywhere (the default; bit-identical to
@@ -66,12 +66,8 @@ pub enum Trans {
 /// working set for the three operand tiles.
 const BLOCK: usize = 64;
 
-/// Row-panel size for the parallel kernel; each rayon task owns this many
-/// rows of `C`, so tasks never alias output memory.
-const PAR_ROWS: usize = 32;
-
-/// Minimum multiply-add count before the auto-dispatching entry points
-/// ([`matmul`], [`dgemm`], and the `syrk` family) pick the parallel kernel.
+/// Minimum multiply-add count before the packed driver and the `syrk`
+/// triangle kernel run their outer loop under rayon.
 pub(crate) const PAR_WORK_THRESHOLD: usize = 64 * 64 * 64 * 8;
 
 /// Minimum multiply-add count before [`gemm_auto`] routes through the
@@ -150,47 +146,6 @@ pub fn gemm_blocked(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64, beta:
     }
 }
 
-/// Rayon-parallel GEMM over row panels: `C <- alpha * A * B + beta * C`.
-///
-/// Each task owns `PAR_ROWS` rows of `C` (disjoint slices handed out by
-/// `par_chunks_mut`), so the kernel is data-race free by construction.
-pub fn gemm_parallel(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64, beta: f64) {
-    check_dims(c, a, b);
-    let (m, k) = a.shape();
-    let n = b.cols();
-    if m == 0 || n == 0 {
-        // Guard in particular against `n == 0`: `par_chunks_mut` panics on a
-        // zero chunk size.
-        return;
-    }
-    GEMM_CALLS.incr();
-    crate::flops::add(crate::flops::gemm_flops(m, n, k));
-    let c_data = c.as_mut_slice();
-    c_data.par_chunks_mut(PAR_ROWS * n).enumerate().for_each(|(chunk_idx, c_chunk)| {
-        let i0 = chunk_idx * PAR_ROWS;
-        let rows_here = c_chunk.len() / n;
-        for r in 0..rows_here {
-            let i = i0 + r;
-            let crow = &mut c_chunk[r * n..(r + 1) * n];
-            if beta == 0.0 {
-                crow.iter_mut().for_each(|x| *x = 0.0);
-            } else if beta != 1.0 {
-                crow.iter_mut().for_each(|x| *x *= beta);
-            }
-            for p in 0..k {
-                let aip = alpha * a[(i, p)];
-                if aip == 0.0 {
-                    continue;
-                }
-                let brow = b.row(p);
-                for j in 0..n {
-                    crow[j] += aip * brow[j];
-                }
-            }
-        }
-    });
-}
-
 #[inline]
 pub(crate) fn scale_rows(c: &mut DMatrix, beta: f64, row0: usize, row1: usize) {
     if beta == 1.0 {
@@ -235,27 +190,18 @@ fn tile_kernel(
     }
 }
 
-/// Packed-panel GEMM (serial macro-loops): `C <- alpha * A * B + beta * C`.
+/// Packed-panel GEMM: `C <- alpha * A * B + beta * C` at element width
+/// `prec`.
 ///
 /// Cache-blocked panel packing + the `MR x NR` register-tiled microkernel
 /// of `crate::microkernel`. Per-entry accumulation order is identical to
-/// [`gemm_blocked`]/[`gemm_naive`], so f64 results are interchangeable
-/// with the slice-tiled kernels value for value.
-pub fn gemm_packed(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64, beta: f64) {
-    check_dims(c, a, b);
-    packed_entry(c, Trans::No, a, Trans::No, b, alpha, beta, GemmPrecision::F64, false);
-}
-
-/// Packed-panel GEMM with the `ic` macro-loop under rayon (disjoint
-/// `MC`-row blocks of `C`; bitwise identical to [`gemm_packed`]).
-pub fn gemm_packed_parallel(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64, beta: f64) {
-    check_dims(c, a, b);
-    packed_entry(c, Trans::No, a, Trans::No, b, alpha, beta, GemmPrecision::F64, true);
-}
-
-/// Packed-panel GEMM under an explicit [`GemmPrecision`], parallel past
-/// `PAR_WORK_THRESHOLD` — the entry the batch/mixed paths use.
-pub fn gemm_packed_prec(
+/// [`gemm_blocked`]/[`gemm_naive`], so `F64` results are interchangeable
+/// with the slice-tiled kernels value for value; `MixedF32` rounds the
+/// operands to `f32` once at pack time and accumulates in `f64`. Past
+/// `PAR_WORK_THRESHOLD` multiply-adds the `ic` macro-loop runs under rayon
+/// (disjoint `MC`-row blocks of `C`, bitwise identical to the serial
+/// sweep).
+pub fn gemm_packed(
     c: &mut DMatrix,
     a: &DMatrix,
     b: &DMatrix,
@@ -263,15 +209,13 @@ pub fn gemm_packed_prec(
     beta: f64,
     prec: GemmPrecision,
 ) {
-    check_dims(c, a, b);
-    let parallel = a.rows() * a.cols() * b.cols() >= PAR_WORK_THRESHOLD;
-    packed_entry(c, Trans::No, a, Trans::No, b, alpha, beta, prec, parallel);
+    packed_entry(c, Trans::No, a, Trans::No, b, alpha, beta, prec);
 }
 
-/// Shared packed-path entry: counters, FLOP accounting (split by element
-/// width), and precision dispatch into the generic driver. Dimensions are
-/// validated against the *op* shapes so transposed operands never need
-/// materializing.
+/// Shared packed-path entry: dimension checks against the *op* shapes (so
+/// transposed operands never need materializing), counters, FLOP
+/// accounting split by element width, the size-based serial/rayon choice,
+/// and precision dispatch into the generic driver.
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel plumbing is clearest flat
 fn packed_entry(
     c: &mut DMatrix,
@@ -282,7 +226,6 @@ fn packed_entry(
     alpha: f64,
     beta: f64,
     prec: GemmPrecision,
-    parallel: bool,
 ) {
     let (m, k) = crate::microkernel::op_shape(ta, a);
     let (kb, n) = crate::microkernel::op_shape(tb, b);
@@ -294,6 +237,7 @@ fn packed_entry(
     }
     GEMM_CALLS.incr();
     PACKED_CALLS.incr();
+    let parallel = m * k * n >= PAR_WORK_THRESHOLD;
     match prec {
         GemmPrecision::F64 => {
             crate::flops::add(crate::flops::gemm_flops(m, n, k));
@@ -321,42 +265,27 @@ pub fn dgemm(
     beta: f64,
     c: &mut DMatrix,
 ) {
-    dgemm_prec(ta, tb, alpha, a, b, beta, c, GemmPrecision::F64);
-}
-
-/// [`dgemm`] under an explicit [`GemmPrecision`].
-#[allow(clippy::too_many_arguments)] // BLAS argument order, plus precision
-pub fn dgemm_prec(
-    ta: Trans,
-    tb: Trans,
-    alpha: f64,
-    a: &DMatrix,
-    b: &DMatrix,
-    beta: f64,
-    c: &mut DMatrix,
-    prec: GemmPrecision,
-) {
     if ta == Trans::No && tb == Trans::No {
-        return gemm_auto_prec(c, a, b, alpha, beta, prec);
+        return gemm_auto(c, a, b, alpha, beta);
     }
-    let (m, k) = crate::microkernel::op_shape(ta, a);
-    let n = crate::microkernel::op_shape(tb, b).1;
-    let parallel = m * k * n >= PAR_WORK_THRESHOLD;
-    packed_entry(c, ta, a, tb, b, alpha, beta, prec, parallel);
+    packed_entry(c, ta, a, tb, b, alpha, beta, GemmPrecision::F64);
 }
 
-/// Work-based kernel dispatch shared by [`matmul`] and [`dgemm`]: the
-/// packed-parallel driver past `PAR_WORK_THRESHOLD` multiply-adds, the
-/// serial packed driver past `PACKED_WORK_THRESHOLD`, and the cache-blocked
-/// kernel below that (packing traffic would not amortize).
+/// Work-based kernel choice at [`GemmPrecision::F64`] — what [`matmul`] and
+/// untransposed [`dgemm`] run: [`gemm_blocked`] below 96³ multiply-adds,
+/// [`gemm_packed`] above. Kept as a named shorthand (scattered job streams
+/// call the precision-taking `gemm_dispatch` inside the crate) because
+/// `benchmark/src/probes.rs` imports it and `benchmark/` is frozen by the
+/// benchmark contract.
 pub fn gemm_auto(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64, beta: f64) {
-    gemm_auto_prec(c, a, b, alpha, beta, GemmPrecision::F64);
+    gemm_dispatch(c, a, b, alpha, beta, GemmPrecision::F64);
 }
 
-/// [`gemm_auto`] under an explicit [`GemmPrecision`]. Mixed mode always
-/// takes the packed driver — it is the only kernel with an `f32` panel
-/// path.
-pub fn gemm_auto_prec(
+/// Work-based kernel choice: the cache-blocked kernel below
+/// `PACKED_WORK_THRESHOLD` multiply-adds (packing traffic would not
+/// amortize), the packed driver past it. Mixed mode always takes the packed
+/// driver — it is the only kernel with an `f32` panel path.
+pub(crate) fn gemm_dispatch(
     c: &mut DMatrix,
     a: &DMatrix,
     b: &DMatrix,
@@ -365,31 +294,10 @@ pub fn gemm_auto_prec(
     prec: GemmPrecision,
 ) {
     let work = a.rows() * a.cols() * b.cols();
-    match prec {
-        GemmPrecision::F64 => {
-            if work >= PAR_WORK_THRESHOLD {
-                check_dims(c, a, b);
-                packed_entry(c, Trans::No, a, Trans::No, b, alpha, beta, prec, true);
-            } else if work >= PACKED_WORK_THRESHOLD {
-                gemm_packed(c, a, b, alpha, beta);
-            } else {
-                gemm_blocked(c, a, b, alpha, beta);
-            }
-        }
-        GemmPrecision::MixedF32 => {
-            check_dims(c, a, b);
-            packed_entry(
-                c,
-                Trans::No,
-                a,
-                Trans::No,
-                b,
-                alpha,
-                beta,
-                prec,
-                work >= PAR_WORK_THRESHOLD,
-            );
-        }
+    if prec == GemmPrecision::F64 && work < PACKED_WORK_THRESHOLD {
+        gemm_blocked(c, a, b, alpha, beta);
+    } else {
+        gemm_packed(c, a, b, alpha, beta, prec);
     }
 }
 
@@ -409,8 +317,7 @@ pub fn gemv(alpha: f64, a: &DMatrix, x: &[f64], beta: f64, y: &mut [f64]) {
     }
 }
 
-/// Convenience product `A * B` with automatic kernel selection: parallel for
-/// large problems, blocked otherwise.
+/// Convenience product `A * B` through [`gemm_auto`].
 pub fn matmul(a: &DMatrix, b: &DMatrix) -> DMatrix {
     let mut c = DMatrix::zeros(a.rows(), b.cols());
     gemm_auto(&mut c, a, b, 1.0, 0.0);
@@ -452,13 +359,17 @@ mod tests {
 
     #[test]
     fn parallel_matches_naive() {
-        let a = sample(100, 47, 4);
-        let b = sample(47, 65, 5);
-        let mut c1 = sample(100, 65, 6);
+        // Past PAR_WORK_THRESHOLD the packed driver sweeps its `ic` blocks
+        // under rayon; the result must still be naive's, bit for bit.
+        let (m, k, n) = (160, 96, 140);
+        assert!(m * k * n >= PAR_WORK_THRESHOLD);
+        let a = sample(m, k, 4);
+        let b = sample(k, n, 5);
+        let mut c1 = sample(m, n, 6);
         let mut c2 = c1.clone();
         gemm_naive(&mut c1, &a, &b, 2.0, 0.5);
-        gemm_parallel(&mut c2, &a, &b, 2.0, 0.5);
-        assert!(c1.max_abs_diff(&c2) < 1e-12);
+        gemm_packed(&mut c2, &a, &b, 2.0, 0.5, GemmPrecision::F64);
+        assert_eq!(c1.as_slice(), c2.as_slice());
     }
 
     #[test]
@@ -540,8 +451,6 @@ mod tests {
 
     #[test]
     fn empty_dimensions_do_not_panic() {
-        // Regression: `gemm_parallel` used to panic on `n == 0` because
-        // `par_chunks_mut(PAR_ROWS * n)` was handed a zero chunk size.
         for (m, k, n) in [(0usize, 3usize, 4usize), (3, 3, 0), (0, 0, 0), (4, 0, 0)] {
             let a = DMatrix::zeros(m, k);
             let b = DMatrix::zeros(k, n);
@@ -550,14 +459,14 @@ mod tests {
             let mut c3 = DMatrix::zeros(m, n);
             gemm_naive(&mut c1, &a, &b, 1.0, 0.5);
             gemm_blocked(&mut c2, &a, &b, 1.0, 0.5);
-            gemm_parallel(&mut c3, &a, &b, 1.0, 0.5);
+            gemm_packed(&mut c3, &a, &b, 1.0, 0.5, GemmPrecision::F64);
             assert_eq!(c1.shape(), (m, n));
         }
         // k == 0 with non-empty output still applies the beta scaling.
         let a = DMatrix::zeros(2, 0);
         let b = DMatrix::zeros(0, 3);
         let mut c = DMatrix::from_fn(2, 3, |_, _| 2.0);
-        gemm_parallel(&mut c, &a, &b, 1.0, 0.5);
+        gemm_packed(&mut c, &a, &b, 1.0, 0.5, GemmPrecision::F64);
         assert!(c.max_abs_diff(&DMatrix::from_fn(2, 3, |_, _| 1.0)) < 1e-15);
         let empty = matmul(&DMatrix::zeros(5, 4), &DMatrix::zeros(4, 0));
         assert_eq!(empty.shape(), (5, 0));

@@ -9,17 +9,19 @@
 //!
 //! - [`DMatrix`] — a row-major dense `f64` matrix with the usual
 //!   constructors, views and norms;
-//! - [`gemm`] — general matrix multiply in naive, cache-blocked and
-//!   rayon-parallel variants, all FLOP-instrumented, plus the
-//!   [`GemmPrecision`] knob selecting the opt-in mixed-precision mode;
+//! - [`gemm`] — general matrix multiply, one function per kernel (naive
+//!   reference, cache-blocked, packed-panel), all FLOP-instrumented, plus
+//!   the [`GemmPrecision`] parameter selecting the opt-in mixed-precision
+//!   mode;
 //! - [`pack`] / [`microkernel`] — the packed-panel GEMM floor (DESIGN.md
-//!   §15): cache-blocked A/B panel packing and the `MR x NR`
-//!   register-tiled microkernel behind `gemm::gemm_packed*`, in both `f64`
+//!   §10): cache-blocked A/B panel packing and the `MR x NR`
+//!   register-tiled microkernel behind `gemm::gemm_packed`, in both `f64`
 //!   and `f32`-panel (mixed) element widths;
-//! - [`batch`] — *batched* dense algebra with stride-32 size-class padding:
-//!   plain GEMM jobs plus kernel-tagged SYRK/congruence jobs packed into
-//!   contiguous per-class buffers, the building block of the paper's elastic
-//!   workload offloading (Section V-C);
+//! - [`batch`] — *batched* dense algebra with stride-32 size classes: one
+//!   kernel-tagged job type (GEMM + the SYRK/congruence family), one plan
+//!   grouping jobs by padded class, one executor running a launch per
+//!   class — the building block of the paper's elastic workload offloading
+//!   (Section V-C);
 //! - [`syrk`] — the symmetric rank-k family (`syrk`, `syr2k`,
 //!   `symmetric_product`, similarity/congruence transforms) behind the
 //!   Section V-D strength reduction: triangle-only compute at half the GEMM
@@ -59,9 +61,7 @@ pub mod syrk;
 pub mod tridiag;
 pub mod vecops;
 
-pub use batch::{
-    BatchClass, BatchGemmPlan, BatchJob, BatchKernel, BatchPlan, GemmJob, OffloadMode, SizeClass,
-};
+pub use batch::{BatchClass, BatchJob, BatchKernel, BatchPlan, OffloadMode};
 pub use eigen::SymmetricEigen;
 pub use fft::Complex64;
 pub use gemm::{GemmPrecision, Trans};

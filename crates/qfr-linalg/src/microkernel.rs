@@ -1,5 +1,5 @@
 //! Register-tiled GEMM microkernel and its cache-blocked macro loops
-//! (DESIGN.md §15).
+//! (DESIGN.md §10).
 //!
 //! The driver follows the classic packed-panel decomposition: the output
 //! is swept in `(jc, pc, ic)` macro blocks of `(NC, KC, MC)`, the `B`
@@ -175,13 +175,22 @@ mod tests {
 
     #[test]
     fn parallel_driver_bitwise_matches_serial() {
-        let a = sample(150, 90, 6);
-        let b = sample(90, 77, 7);
-        let mut cs = sample(150, 77, 8);
-        let mut cp = cs.clone();
-        packed_driver::<f64>(&mut cs, Trans::No, &a, Trans::No, &b, 1.0, 0.3, false);
-        packed_driver::<f64>(&mut cp, Trans::No, &a, Trans::No, &b, 1.0, 0.3, true);
-        assert_eq!(cs.as_slice(), cp.as_slice());
+        // The rayon `ic` sweep forced on shapes the size-based choice in
+        // `gemm::gemm_packed` would run serially: ragged MR/NR edges,
+        // several MC row blocks, alpha/beta both live.
+        for (m, n, k, seed) in [(150, 77, 90, 6u64), (3, 5, 2, 7), (70, 33, 17, 8), (65, 4, 300, 9)]
+        {
+            let a = sample(m, k, seed);
+            let b = sample(k, n, seed + 100);
+            let mut cs = sample(m, n, seed + 200);
+            let mut cp = cs.clone();
+            let mut cn = cs.clone();
+            packed_driver::<f64>(&mut cs, Trans::No, &a, Trans::No, &b, 1.5, 0.3, false);
+            packed_driver::<f64>(&mut cp, Trans::No, &a, Trans::No, &b, 1.5, 0.3, true);
+            gemm_naive(&mut cn, &a, &b, 1.5, 0.3);
+            assert_eq!(cs.as_slice(), cp.as_slice(), "{m}x{n}x{k}");
+            assert_eq!(cn.as_slice(), cp.as_slice(), "{m}x{n}x{k}");
+        }
     }
 
     #[test]

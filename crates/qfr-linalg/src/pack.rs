@@ -1,4 +1,4 @@
-//! Operand packing for the packed-panel GEMM (DESIGN.md §15).
+//! Operand packing for the packed-panel GEMM (DESIGN.md §10).
 //!
 //! The slice-tiled kernels in [`crate::gemm`] stream operands straight out
 //! of the row-major matrices, so every `BLOCK`-tile pass re-reads `A` and

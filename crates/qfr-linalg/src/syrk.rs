@@ -16,6 +16,11 @@
 //!   materializing `Aᵀ`, with a triangle-only second product;
 //! - [`congruence_transform`] — the `Aᵀ M A` counterpart.
 //!
+//! The last three are what gathered job streams execute in scattered mode
+//! and take the stream's [`GemmPrecision`]; `syrk`/`syr2k` have no mixed
+//! caller and are `F64`-only. These dot-order kernels are the reference
+//! the packed batch executor (`crate::batch`) is bit-compared against.
+//!
 //! FLOPs are accounted at the *reduced* count (the work actually done), and
 //! the difference to the general-GEMM count is accumulated in the
 //! deterministic `linalg.gemm.flops_saved_symmetry` counter so the CI
@@ -60,21 +65,8 @@ pub fn flops_saved_symmetry() -> u64 {
 /// # Panics
 /// Panics if `C` is not square or does not match the updated dimension.
 pub fn syrk(trans: Trans, alpha: f64, a: &DMatrix, beta: f64, c: &mut DMatrix) {
-    syrk_prec(trans, alpha, a, beta, c, GemmPrecision::F64);
-}
-
-/// [`syrk`] under an explicit [`GemmPrecision`]: mixed mode rounds the row
-/// views to `f32` once and accumulates every dot in `f64` (DESIGN.md §15).
-pub fn syrk_prec(
-    trans: Trans,
-    alpha: f64,
-    a: &DMatrix,
-    beta: f64,
-    c: &mut DMatrix,
-    prec: GemmPrecision,
-) {
     let rows = rows_of(trans, a);
-    triangle_product_rows_prec(&rows, &rows, alpha, beta, c, PairKind::Single, prec);
+    triangle_product_rows(&rows, &rows, alpha, beta, c, PairKind::Single, GemmPrecision::F64);
 }
 
 /// Symmetric rank-2k update, mirroring BLAS `DSYR2K`:
@@ -88,30 +80,19 @@ pub fn syrk_prec(
 /// # Panics
 /// Panics on any shape mismatch.
 pub fn syr2k(trans: Trans, alpha: f64, a: &DMatrix, b: &DMatrix, beta: f64, c: &mut DMatrix) {
-    syr2k_prec(trans, alpha, a, b, beta, c, GemmPrecision::F64);
-}
-
-/// [`syr2k`] under an explicit [`GemmPrecision`].
-pub fn syr2k_prec(
-    trans: Trans,
-    alpha: f64,
-    a: &DMatrix,
-    b: &DMatrix,
-    beta: f64,
-    c: &mut DMatrix,
-    prec: GemmPrecision,
-) {
     assert_eq!(a.shape(), b.shape(), "syr2k: A and B shapes differ");
     let ra = rows_of(trans, a);
     let rb = rows_of(trans, b);
-    triangle_product_rows_prec(&ra, &rb, alpha, beta, c, PairKind::Rank2, prec);
+    triangle_product_rows(&ra, &rb, alpha, beta, c, PairKind::Rank2, GemmPrecision::F64);
 }
 
 /// `C = α Aᵀ B + β C` for operand pairs whose product is *symmetric by
 /// construction* — the caller guarantees `Aᵀ B = Bᵀ A` (the canonical case
 /// is `A = diag(w) B`, the weighted-overlap accumulation `Xᵀ diag(w) X` of
 /// the SCF/response Fock builds). Computes one triangle and mirrors: half
-/// the FLOPs of the `dgemm(Trans::Yes, Trans::No, ..)` it replaces.
+/// the FLOPs of the `dgemm(Trans::Yes, Trans::No, ..)` it replaces. Under
+/// [`GemmPrecision::MixedF32`] the row views are rounded to `f32` once and
+/// every dot accumulates in `f64` (DESIGN.md §10).
 ///
 /// `A` and `B` are `k x n`; `C` is `n x n`. With `β != 0` the input `C`
 /// must be symmetric.
@@ -119,12 +100,7 @@ pub fn syr2k_prec(
 /// # Panics
 /// Panics on shape mismatch. The symmetry of the product itself is the
 /// caller's contract and is not checked (that would cost the FLOPs back).
-pub fn symmetric_product(alpha: f64, a: &DMatrix, b: &DMatrix, beta: f64, c: &mut DMatrix) {
-    symmetric_product_prec(alpha, a, b, beta, c, GemmPrecision::F64);
-}
-
-/// [`symmetric_product`] under an explicit [`GemmPrecision`].
-pub fn symmetric_product_prec(
+pub fn symmetric_product(
     alpha: f64,
     a: &DMatrix,
     b: &DMatrix,
@@ -135,7 +111,7 @@ pub fn symmetric_product_prec(
     assert_eq!(a.shape(), b.shape(), "symmetric_product: A and B shapes differ");
     let ra = rows_of(Trans::Yes, a);
     let rb = rows_of(Trans::Yes, b);
-    triangle_product_rows_prec(&ra, &rb, alpha, beta, c, PairKind::Single, prec);
+    triangle_product_rows(&ra, &rb, alpha, beta, c, PairKind::Single, prec);
 }
 
 /// `A M Aᵀ` for symmetric `M` — the Löwdin sandwich `L⁻¹ F L⁻ᵀ` and the
@@ -143,28 +119,22 @@ pub fn symmetric_product_prec(
 /// `T = A M` is a general GEMM; the second exploits row-major layout
 /// (`(T Aᵀ)[i][j] = T_i · A_j`, both contiguous rows) so `Aᵀ` is never
 /// materialized, and computes only one triangle. The result is exactly
-/// symmetric.
+/// symmetric. Both products run at element width `prec`: mixed mode
+/// re-rounds the `f64`-accumulated intermediate to `f32` for the second
+/// product, the same double-rounding an accelerator's mixed pipeline
+/// applies between chained launches.
 ///
 /// # Panics
 /// Panics if `M` is not square or `A.cols() != M.rows()`. Debug builds
 /// assert `M` is symmetric.
-pub fn similarity_transform(a: &DMatrix, m: &DMatrix) -> DMatrix {
-    similarity_transform_prec(a, m, GemmPrecision::F64)
-}
-
-/// [`similarity_transform`] under an explicit [`GemmPrecision`]: both the
-/// general first product and the triangle second product run at the
-/// requested element width (mixed mode re-rounds the `f64`-accumulated
-/// intermediate to `f32` for the second product, the same double-rounding
-/// an accelerator's mixed pipeline applies between chained launches).
-pub fn similarity_transform_prec(a: &DMatrix, m: &DMatrix, prec: GemmPrecision) -> DMatrix {
+pub fn similarity_transform(a: &DMatrix, m: &DMatrix, prec: GemmPrecision) -> DMatrix {
     assert!(m.is_square(), "similarity_transform: M must be square");
     assert_eq!(a.cols(), m.rows(), "similarity_transform: A/M mismatch");
     debug_assert!(m.is_symmetric(1e-10), "similarity_transform requires symmetric M");
     let mut tmp = DMatrix::zeros(a.rows(), m.cols());
-    crate::gemm::gemm_auto_prec(&mut tmp, a, m, 1.0, 0.0, prec);
+    crate::gemm::gemm_dispatch(&mut tmp, a, m, 1.0, 0.0, prec);
     let mut out = DMatrix::zeros(a.rows(), a.rows());
-    triangle_product_rows_prec(&tmp, a, 1.0, 0.0, &mut out, PairKind::Single, prec);
+    triangle_product_rows(&tmp, a, 1.0, 0.0, &mut out, PairKind::Single, prec);
     out
 }
 
@@ -174,16 +144,16 @@ pub fn similarity_transform_prec(a: &DMatrix, m: &DMatrix, prec: GemmPrecision) 
 ///
 /// # Panics
 /// Panics if `M` is not square or `A.rows() != M.rows()`.
-pub fn congruence_transform(a: &DMatrix, m: &DMatrix) -> DMatrix {
-    congruence_transform_prec(a, m, GemmPrecision::F64)
-}
-
-/// [`congruence_transform`] under an explicit [`GemmPrecision`].
-pub fn congruence_transform_prec(a: &DMatrix, m: &DMatrix, prec: GemmPrecision) -> DMatrix {
+pub fn congruence_transform(a: &DMatrix, m: &DMatrix, prec: GemmPrecision) -> DMatrix {
     assert!(m.is_square(), "congruence_transform: M must be square");
     assert_eq!(a.rows(), m.rows(), "congruence_transform: A/M mismatch");
-    let at = a.transpose();
-    similarity_transform_prec(&at, m, prec)
+    similarity_transform(&a.transpose(), m, prec)
+}
+
+/// Reduced FLOP count of one single-dot triangle product (`n x n` output,
+/// inner dimension `k`): `n(n+1)/2` entries of `2k` FLOPs each.
+pub(crate) fn triangle_flops(n: usize, k: usize) -> u64 {
+    (n as u64 * (n as u64 + 1)) / 2 * 2 * k as u64
 }
 
 /// Counter/FLOP accounting for one single-dot triangle product (`n x n`
@@ -197,8 +167,7 @@ pub(crate) fn account_triangle(n: usize, k: usize, prec: GemmPrecision) {
 
 fn account_triangle_dots(n: usize, k: usize, dots_per_entry: u64, prec: GemmPrecision) {
     SYRK_CALLS.incr();
-    let entries = (n as u64 * (n as u64 + 1)) / 2;
-    let reduced = entries * dots_per_entry * 2 * k as u64;
+    let reduced = dots_per_entry * triangle_flops(n, k);
     let full = dots_per_entry * crate::flops::gemm_flops(n, n, k);
     // The executed FLOPs go to the counter matching their element width;
     // the symmetry saving is width-independent (the avoided work would
@@ -231,7 +200,7 @@ fn rows_of<'a>(trans: Trans, a: &'a DMatrix) -> std::borrow::Cow<'a, DMatrix> {
 /// Shared triangle kernel: `C[i][j] = α f(i, j) + β C[i][j]` for `j >= i`,
 /// mirrored to the lower triangle, where `f` is `Ra_i · Rb_j` (`Single`) or
 /// `Ra_i · Rb_j + Rb_i · Ra_j` (`Rank2`). `Ra`/`Rb` are `n x k` row views.
-fn triangle_product_rows_prec(
+fn triangle_product_rows(
     ra: &DMatrix,
     rb: &DMatrix,
     alpha: f64,
@@ -406,7 +375,7 @@ mod tests {
         let w: Vec<f64> = (0..19).map(|i| 0.1 + (i % 5) as f64).collect();
         let a = DMatrix::from_fn(19, 8, |i, j| w[i] * b[(i, j)]);
         let mut c = DMatrix::zeros(8, 8);
-        symmetric_product(1.0, &a, &b, 0.0, &mut c);
+        symmetric_product(1.0, &a, &b, 0.0, &mut c, GemmPrecision::F64);
         let reference = matmul(&a.transpose(), &b);
         assert!(c.max_abs_diff(&reference) < 1e-12);
         assert!(c.is_symmetric(0.0));
@@ -416,7 +385,7 @@ mod tests {
     fn similarity_matches_explicit_chain() {
         let a = sample(7, 10, 11);
         let m = sym_sample(10, 12);
-        let fast = similarity_transform(&a, &m);
+        let fast = similarity_transform(&a, &m, GemmPrecision::F64);
         let reference = matmul(&matmul(&a, &m), &a.transpose());
         assert!(fast.max_abs_diff(&reference) < 1e-11);
         assert!(fast.is_symmetric(0.0));
@@ -426,7 +395,7 @@ mod tests {
     fn congruence_matches_explicit_chain() {
         let a = sample(10, 6, 13);
         let m = sym_sample(10, 14);
-        let fast = congruence_transform(&a, &m);
+        let fast = congruence_transform(&a, &m, GemmPrecision::F64);
         let reference = matmul(&matmul(&a.transpose(), &m), &a);
         assert!(fast.max_abs_diff(&reference) < 1e-11);
     }

@@ -4,7 +4,7 @@
 //! here, in its own test binary, and every test takes `GUARD`: nothing
 //! else in the process can add to a counter while a delta is read.
 
-use qfr_linalg::batch::{execute_jobs_packed, execute_jobs_scattered, BatchJob};
+use qfr_linalg::batch::{execute_jobs, BatchJob, OffloadMode};
 use qfr_linalg::blas::{
     cross_term_naive, sandwich_naive, symmetric_cross_term, symmetric_sandwich,
 };
@@ -127,11 +127,11 @@ fn packed_flops_match_scattered_and_count_savings() {
     let _g = lock();
     let jobs = tagged_mixed();
     let scope = FlopScope::start();
-    let _ = execute_jobs_scattered(&jobs);
+    let _ = execute_jobs(&jobs, OffloadMode::Scattered);
     let scattered_flops = scope.finish().flops;
     let saved_before = flops_saved_symmetry();
     let scope = FlopScope::start();
-    let _ = execute_jobs_packed(&jobs, 32);
+    let _ = execute_jobs(&jobs, OffloadMode::Batched { stride: 32 });
     let packed_flops = scope.finish().flops;
     assert_eq!(packed_flops, scattered_flops, "padding must not inflate FLOPs");
     assert!(
@@ -146,7 +146,7 @@ fn syrk_and_packed_bytes_counters_advance() {
     let jobs = tagged_mixed();
     let syrk_before = counter("linalg.batch.syrk_jobs");
     let bytes_before = counter("linalg.batch.packed_bytes");
-    let _ = execute_jobs_packed(&jobs, 32);
+    let _ = execute_jobs(&jobs, OffloadMode::Batched { stride: 32 });
     assert_eq!(
         counter("linalg.batch.syrk_jobs") - syrk_before,
         4,

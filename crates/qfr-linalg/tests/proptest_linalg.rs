@@ -47,12 +47,9 @@ proptest! {
         });
         let mut c1 = DMatrix::zeros(a.rows(), bcols);
         let mut c2 = c1.clone();
-        let mut c3 = c1.clone();
         gemm::gemm_naive(&mut c1, &a, &b, 1.0, 0.0);
         gemm::gemm_blocked(&mut c2, &a, &b, 1.0, 0.0);
-        gemm::gemm_parallel(&mut c3, &a, &b, 1.0, 0.0);
         prop_assert!(c1.max_abs_diff(&c2) < 1e-9);
-        prop_assert!(c1.max_abs_diff(&c3) < 1e-9);
     }
 
     #[test]
@@ -282,7 +279,7 @@ proptest! {
         gemm::gemm_naive(&mut am, &a, &m, 1.0, 0.0);
         let mut reference = DMatrix::zeros(n, n);
         gemm::gemm_naive(&mut reference, &am, &a.transpose(), 1.0, 0.0);
-        let fast = syrk::similarity_transform(&a, &m);
+        let fast = syrk::similarity_transform(&a, &m, GemmPrecision::F64);
         prop_assert!(fast.max_abs_diff(&reference) < 1e-9);
         prop_assert!(fast.is_symmetric(0.0));
     }
@@ -302,7 +299,7 @@ proptest! {
         let mut reference = DMatrix::zeros(n, n);
         gemm::gemm_naive(&mut reference, &a.transpose(), &b, alpha, 0.0);
         let mut fast = DMatrix::zeros(n, n);
-        syrk::symmetric_product(alpha, &a, &b, 0.0, &mut fast);
+        syrk::symmetric_product(alpha, &a, &b, 0.0, &mut fast, GemmPrecision::F64);
         prop_assert!(fast.max_abs_diff(&reference) < 1e-9);
         prop_assert!(fast.is_symmetric(0.0));
     }
@@ -335,7 +332,7 @@ proptest! {
             batch::BatchJob::congruence(ca.clone(), mk.clone()),
             batch::BatchJob::similarity(ya.clone(), mk.clone()),
         ];
-        let packed = batch::execute_jobs_packed(&jobs, stride);
+        let packed = batch::execute_jobs(&jobs, batch::OffloadMode::Batched { stride });
 
         let mut r0 = DMatrix::zeros(m, n);
         gemm::gemm_naive(&mut r0, &ga, &gb, 1.0, 0.0);
@@ -353,7 +350,7 @@ proptest! {
             prop_assert!(out.max_abs_diff(reference) < 1e-9);
         }
 
-        let scattered = batch::execute_jobs_scattered(&jobs);
+        let scattered = batch::execute_jobs(&jobs, batch::OffloadMode::Scattered);
         for (p, s) in packed.iter().zip(&scattered) {
             prop_assert_eq!(p.as_slice(), s.as_slice());
         }
@@ -363,10 +360,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Packed f64 kernels are bit-identical to `gemm_naive` across
-    /// non-tile-multiple shapes, alpha/beta, and both parallelism modes
-    /// (DESIGN.md §15). Shapes deliberately straddle the MR/NR/MC tile
-    /// boundaries.
+    /// The packed f64 kernel is bit-identical to `gemm_naive` across
+    /// non-tile-multiple shapes and alpha/beta (DESIGN.md §10). Shapes
+    /// deliberately straddle the MR/NR/MC tile boundaries; every third case
+    /// is stretched past `PAR_WORK_THRESHOLD` (128³ multiply-adds) so the
+    /// rayon `ic` sweep is exercised too — the serial/rayon choice is read
+    /// from the operand sizes, no caller can force it.
     #[test]
     fn packed_gemm_bit_identical_to_naive(
         m in 1..70usize, n in 1..40usize, k in 1..40usize,
@@ -378,17 +377,15 @@ proptest! {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
+        let (m, n, k) = if seed % 3 == 0 { (m + 128, n + 128, k + 128) } else { (m, n, k) };
         let a = DMatrix::from_fn(m, k, |_, _| gen());
         let b = DMatrix::from_fn(k, n, |_, _| gen());
         let c0 = DMatrix::from_fn(m, n, |_, _| gen());
         let mut cn = c0.clone();
         let mut cp = c0.clone();
-        let mut cpp = c0.clone();
         gemm::gemm_naive(&mut cn, &a, &b, alpha, beta);
-        gemm::gemm_packed(&mut cp, &a, &b, alpha, beta);
-        gemm::gemm_packed_parallel(&mut cpp, &a, &b, alpha, beta);
+        gemm::gemm_packed(&mut cp, &a, &b, alpha, beta, GemmPrecision::F64);
         prop_assert_eq!(cn.as_slice(), cp.as_slice());
-        prop_assert_eq!(cn.as_slice(), cpp.as_slice());
     }
 
     /// `dgemm` under every transpose-flag combination matches naive on the
@@ -447,7 +444,7 @@ proptest! {
         let mut cref = DMatrix::zeros(m, n);
         let mut cmix = DMatrix::zeros(m, n);
         gemm::gemm_naive(&mut cref, &a, &b, 1.0, 0.0);
-        gemm::gemm_packed_prec(&mut cmix, &a, &b, 1.0, 0.0, GemmPrecision::MixedF32);
+        gemm::gemm_packed(&mut cmix, &a, &b, 1.0, 0.0, GemmPrecision::MixedF32);
         let bound = 3.0 * (f32::EPSILON as f64) * k as f64 * a.max_abs() * b.max_abs();
         prop_assert!(cref.max_abs_diff(&cmix) <= bound,
             "{} > {bound}", cref.max_abs_diff(&cmix));
@@ -456,9 +453,10 @@ proptest! {
 
 /// Packing scratch take-out/put-back must survive packed launches issued
 /// from inside rayon parallel regions (the PR 6 re-entrancy regression
-/// class): each nested `gemm_packed_parallel` takes the thread-local
-/// buffers out while the outer par_iter may steal another iteration onto
-/// the same worker.
+/// class): each nested packed GEMM — sized past `PAR_WORK_THRESHOLD`, so
+/// its `ic` sweep runs under rayon — takes the thread-local buffers out
+/// while the outer par_iter may steal another iteration onto the same
+/// worker.
 #[test]
 fn packing_scratch_reentrant_under_nested_parallelism() {
     use rayon::prelude::*;
@@ -473,11 +471,11 @@ fn packing_scratch_reentrant_under_nested_parallelism() {
         .collect::<Vec<_>>()
         .par_iter()
         .map(|&i| {
-            let a = sample(70, 33, i + 1);
-            let b = sample(33, 41, i + 100);
-            let mut c = DMatrix::zeros(70, 41);
-            gemm::gemm_packed_parallel(&mut c, &a, &b, 1.0, 0.0);
-            let mut cref = DMatrix::zeros(70, 41);
+            let a = sample(134, 129, i + 1);
+            let b = sample(129, 131, i + 100);
+            let mut c = DMatrix::zeros(134, 131);
+            gemm::gemm_packed(&mut c, &a, &b, 1.0, 0.0, GemmPrecision::F64);
+            let mut cref = DMatrix::zeros(134, 131);
             gemm::gemm_naive(&mut cref, &a, &b, 1.0, 0.0);
             (c, cref)
         })

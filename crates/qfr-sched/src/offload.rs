@@ -3,22 +3,22 @@
 //! The premise: each DFPT GEMM is far too small to offload alone (the paper
 //! measures ~0.01 CPU-seconds per call, dwarfed by launch overhead), but
 //! *batched* by stride-32 size class the aggregate becomes profitable.
-//! This module evaluates both execution strategies:
+//! Both sides of that claim read one job format, `qfr_linalg::batch`'s
+//! [`BatchJob`] stream grouped by [`BatchPlan`]:
 //!
-//! - [`CpuAccelerator`] executes jobs for real (rayon pool) and reports
-//!   measured wall time — the scattered-host baseline. Since PR 6 it is
-//!   also the *production* dispatch point: the DFPT response hot path
-//!   gathers kernel-tagged [`BatchJob`] streams and runs them through
-//!   [`CpuAccelerator::execute_jobs`] (DESIGN.md §11);
-//! - [`ModeledAccelerator`] prices executions against an accelerator cost
-//!   model (launch overhead + FLOPs/rate + transfer bytes/bandwidth) built
-//!   from a [`crate::machine::MachineModel`] — the substitution for the
-//!   inaccessible GPUs (DESIGN.md);
+//! - [`CpuAccelerator`] executes a stream for real and reports measured
+//!   wall time. It is the *production* dispatch point: the DFPT hot loops
+//!   gather kernel-tagged jobs and run them through
+//!   [`CpuAccelerator::execute_jobs`] (DESIGN.md §10);
+//! - [`ModeledAccelerator`] prices a stream against an accelerator cost
+//!   model (launch overhead + padded FLOPs/rate + transfer
+//!   bytes/bandwidth) built from a [`crate::machine::MachineModel`] — the
+//!   substitution for the inaccessible GPUs (DESIGN.md);
 //! - [`offload_comparison`] produces the scattered-vs-batched report behind
 //!   the Fig. 9 elastic-offloading bars and the stride ablation.
 
 use crate::machine::MachineModel;
-use qfr_linalg::batch::{self, BatchGemmPlan, BatchJob, GemmJob, OffloadMode};
+use qfr_linalg::batch::{self, BatchJob, BatchPlan, OffloadMode};
 use qfr_linalg::{DMatrix, GemmPrecision};
 
 /// Modeled host↔device traffic (operand + result bytes priced by the
@@ -58,59 +58,24 @@ impl OffloadReport {
     }
 }
 
-/// Real CPU execution with rayon: measures actual wall time.
+/// Real CPU execution: measures actual wall time.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CpuAccelerator;
 
 impl CpuAccelerator {
-    /// Executes GEMM jobs one at a time (scattered); returns results in
-    /// job order plus wall seconds.
-    pub fn execute_scattered(&self, jobs: &[GemmJob]) -> (Vec<DMatrix>, f64) {
-        qfr_obs::timed("sched.offload.cpu_scattered", || batch::execute_scattered(jobs))
-    }
-
-    /// Executes GEMM jobs batched by size class; returns results in job
-    /// order plus wall seconds.
-    pub fn execute_batched(&self, jobs: &[GemmJob], stride: usize) -> (Vec<DMatrix>, f64) {
-        qfr_obs::timed("sched.offload.cpu_batched", || batch::execute_batched(jobs, stride))
-    }
-
-    /// Executes jobs one at a time (scattered); returns wall seconds.
-    pub fn scattered_seconds(&self, jobs: &[GemmJob]) -> f64 {
-        self.execute_scattered(jobs).1
-    }
-
-    /// Executes jobs batched by size class; returns wall seconds.
-    pub fn batched_seconds(&self, jobs: &[GemmJob], stride: usize) -> f64 {
-        self.execute_batched(jobs, stride).1
-    }
-
-    /// Executes kernel-tagged jobs (GEMM + the SYRK/congruence family)
-    /// under the given [`OffloadMode`]: the production dispatch point the
-    /// DFPT response cycle routes through. Results come back in job-index
-    /// order; both modes agree value for value.
-    pub fn execute_jobs(&self, jobs: &[BatchJob], mode: OffloadMode) -> (Vec<DMatrix>, f64) {
-        self.execute_jobs_prec(jobs, mode, GemmPrecision::F64)
-    }
-
-    /// [`Self::execute_jobs`] under an explicit [`GemmPrecision`] — the
-    /// accelerator-side mixed-precision floor (DESIGN.md §15). Within one
-    /// precision both offload modes still agree value for value.
-    pub fn execute_jobs_prec(
+    /// Executes a kernel-tagged job stream (GEMM + the SYRK/congruence
+    /// family) under `mode` at element width `prec` — the production
+    /// dispatch point the DFPT hot loops route through. Returns results in
+    /// job-index order plus wall seconds; within one precision both modes
+    /// agree value for value.
+    pub fn execute_jobs(
         &self,
         jobs: &[BatchJob],
         mode: OffloadMode,
         prec: GemmPrecision,
     ) -> (Vec<DMatrix>, f64) {
         OFFLOAD_EXECUTED_JOBS.add(jobs.len() as u64);
-        match mode {
-            OffloadMode::Scattered => qfr_obs::timed("sched.offload.cpu_scattered", || {
-                batch::execute_jobs_scattered_prec(jobs, prec)
-            }),
-            OffloadMode::Batched { stride } => qfr_obs::timed("sched.offload.cpu_batched", || {
-                batch::execute_jobs_packed_prec(jobs, stride, prec)
-            }),
-        }
+        qfr_obs::timed("sched.offload.cpu_execute", || batch::execute_jobs_prec(jobs, mode, prec))
     }
 }
 
@@ -177,21 +142,19 @@ impl ModeledAccelerator {
         self.peak_tflops * dim / (dim + self.half_rate_dim)
     }
 
-    fn job_bytes(job: &GemmJob) -> f64 {
-        let (m, n) = job.out_shape();
-        let k = job.a.cols();
+    fn job_bytes(job: &BatchJob) -> f64 {
+        let (m, n, k) = job.dims();
         8.0 * (m * k + k * n + m * n) as f64
     }
 
     /// Modeled time for scattered execution: one launch per job, each at
     /// the rate its own size can achieve.
-    pub fn scattered_seconds(&self, jobs: &[GemmJob]) -> f64 {
+    pub fn scattered_seconds(&self, jobs: &[BatchJob]) -> f64 {
         let bytes: f64 = jobs.iter().map(Self::job_bytes).sum();
         OFFLOAD_BYTES_MOVED.add(bytes as u64);
         jobs.iter()
             .map(|job| {
-                let (m, n) = job.out_shape();
-                let k = job.a.cols();
+                let (m, n, k) = job.dims();
                 let dim = ((m * n * k) as f64).cbrt();
                 let compute = job.flops() as f64 / (self.achieved_tflops(dim) * 1e12);
                 let transfer =
@@ -205,8 +168,8 @@ impl ModeledAccelerator {
     /// batch's *aggregate* work sets the achieved rate (this is exactly why
     /// batching pays: packed small GEMMs act like one big one), while
     /// padded FLOPs are charged in full.
-    pub fn batched_seconds(&self, jobs: &[GemmJob], stride: usize) -> f64 {
-        let plan = BatchGemmPlan::build(jobs, stride);
+    pub fn batched_seconds(&self, jobs: &[BatchJob], stride: usize) -> f64 {
+        let plan = BatchPlan::build(jobs, stride);
         let mut total = 0.0;
         for (class, indices) in plan.groups() {
             let batch_flops = class.padded_flops() as f64 * indices.len() as f64;
@@ -227,11 +190,11 @@ impl ModeledAccelerator {
 
 /// Compares scattered vs batched offloading under the accelerator model.
 pub fn offload_comparison(
-    jobs: &[GemmJob],
+    jobs: &[BatchJob],
     accel: &ModeledAccelerator,
     stride: usize,
 ) -> OffloadReport {
-    let plan = BatchGemmPlan::build(jobs, stride);
+    let plan = BatchPlan::build(jobs, stride);
     OffloadReport {
         scattered_seconds: accel.scattered_seconds(jobs),
         batched_seconds: accel.batched_seconds(jobs, stride),
@@ -255,9 +218,9 @@ mod tests {
     }
 
     /// The paper's regime: many scattered small GEMMs of similar size.
-    fn scattered_jobs(count: usize, dim: usize) -> Vec<GemmJob> {
+    fn scattered_jobs(count: usize, dim: usize) -> Vec<BatchJob> {
         (0..count)
-            .map(|i| GemmJob::new(sample(dim, dim, i as u64), sample(dim, dim, 1000 + i as u64)))
+            .map(|i| BatchJob::gemm(sample(dim, dim, i as u64), sample(dim, dim, 1000 + i as u64)))
             .collect()
     }
 
@@ -279,7 +242,7 @@ mod tests {
     fn batching_unprofitable_for_single_huge_gemm() {
         // One big GEMM gains nothing from batching (same launch count) and
         // can lose to padding.
-        let jobs = vec![GemmJob::new(sample(500, 500, 1), sample(500, 500, 2))];
+        let jobs = vec![BatchJob::gemm(sample(500, 500, 1), sample(500, 500, 2))];
         let accel = ModeledAccelerator::from_machine(&MachineModel::orise());
         let report = offload_comparison(&jobs, &accel, 32);
         assert!(report.speedup() < 1.3, "no batch win expected: {}", report.speedup());
@@ -289,22 +252,9 @@ mod tests {
     fn cpu_accelerator_runs_real_jobs() {
         let jobs = scattered_jobs(16, 16);
         let cpu = CpuAccelerator;
-        let s = cpu.scattered_seconds(&jobs);
-        let b = cpu.batched_seconds(&jobs, 32);
+        let s = cpu.execute_jobs(&jobs, OffloadMode::Scattered, GemmPrecision::F64).1;
+        let b = cpu.execute_jobs(&jobs, OffloadMode::Batched { stride: 32 }, GemmPrecision::F64).1;
         assert!(s > 0.0 && b > 0.0);
-    }
-
-    #[test]
-    fn cpu_accelerator_execute_variants_return_results() {
-        let jobs = scattered_jobs(8, 12);
-        let cpu = CpuAccelerator;
-        let (rs, s) = cpu.execute_scattered(&jobs);
-        let (rb, b) = cpu.execute_batched(&jobs, 32);
-        assert!(s > 0.0 && b > 0.0);
-        assert_eq!(rs.len(), jobs.len());
-        for (a, b) in rs.iter().zip(&rb) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
     }
 
     #[test]
@@ -319,8 +269,9 @@ mod tests {
                 m
             }),
         ];
-        let (scattered, _) = cpu.execute_jobs(&jobs, OffloadMode::Scattered);
-        let (batched, _) = cpu.execute_jobs(&jobs, OffloadMode::Batched { stride: 32 });
+        let (scattered, _) = cpu.execute_jobs(&jobs, OffloadMode::Scattered, GemmPrecision::F64);
+        let (batched, _) =
+            cpu.execute_jobs(&jobs, OffloadMode::Batched { stride: 32 }, GemmPrecision::F64);
         for (a, b) in scattered.iter().zip(&batched) {
             assert_eq!(a.as_slice(), b.as_slice(), "modes must agree bitwise");
         }
