@@ -109,7 +109,7 @@ fn usage() -> ! {
          [--lambda L] [--lanczos K] [--seed SEED] [--temperature T]\n                \
          [--ir] [--json FILE] [--xyz FILE]\n                \
          [--dfpt] [--offload batched|scattered] [--precision f64|mixed]\n                \
-         [--dense | --stream | --shards K [--spill DIR] [--tile-rows N]]\n                \
+         [--dense | --shards K [--spill DIR] [--tile-rows N]]\n                \
          [--sched LEADERS [--workers W]]\n                \
          [--checkpoint FILE [--checkpoint-interval N]]\n                \
          [--cache [--cache-mb MB] [--warm N]]\n                \
@@ -152,15 +152,13 @@ fn build_seeded_system(args: &Args, seed: u64) -> MolecularSystem {
     }
 }
 
-/// The run plan the mode flags describe. `--dense`, `--stream` and
-/// `--shards` pick the operator, `--sched` the response source;
-/// combinations no plan can honour are rejected by `execute`.
+/// The run plan the mode flags describe. `--dense` and `--shards` pick
+/// the operator, `--sched` the response source; combinations no plan can
+/// honour are rejected by `execute`.
 fn run_plan(args: &Args) -> RunPlan {
-    args.exclusive(&["--dense", "--stream", "--shards"]);
+    args.exclusive(&["--dense", "--shards"]);
     let operator = if args.has("--dense") {
         HessianOperator::DenseReference
-    } else if args.has("--stream") {
-        HessianOperator::MatrixFree
     } else if let Some(shards) = args.get("--shards") {
         let spill = args.value("--spill").unwrap_or("target/spill");
         let tile_rows = args.get_or("--tile-rows", 512);
@@ -192,7 +190,7 @@ fn cmd_spectrum(argv: &[String]) {
         "--sigma --lambda --lanczos --temperature --json --xyz --offload --precision \
          --shards --spill --tile-rows --sched --workers --checkpoint --checkpoint-interval \
          --cache-mb --warm --trace --metrics-out",
-        "--ir --dense --stream --dfpt --cache --metrics",
+        "--ir --dense --dfpt --cache --metrics",
         &[
             ("--spill", "--shards"),
             ("--tile-rows", "--shards"),

@@ -36,14 +36,12 @@ mod pipeline;
 pub mod report;
 pub mod service;
 pub mod shard;
-pub mod streamed;
 pub mod workflow;
 
 pub use modes::{normal_modes, NormalModes};
 pub use report::{RamanResult, RecoverySummary, StageTimings};
 pub use service::{RequestHandle, ServiceConfig, ServiceError, SpectrumRequest, SpectrumService};
 pub use shard::{ShardError, ShardPlan, ShardStore};
-pub use streamed::StreamedHessian;
 pub use workflow::{
     EngineKind, HessianOperator, RamanWorkflow, ResponseSource, RunPlan, ScheduledConfig,
     ShardConfig, WorkflowError,

@@ -8,8 +8,8 @@
 use crate::report::{RamanResult, RecoverySummary, StageTimings};
 use crate::workflow::{EngineKind, ResponseSource, WorkflowError};
 use qfr_fragment::{
-    assemble, Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentResponse,
-    MassWeighted,
+    Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentResponse,
+    MassWeighted, RowRangeAccumulator,
 };
 use qfr_geom::MolecularSystem;
 use qfr_linalg::batch::OffloadMode;
@@ -20,7 +20,6 @@ use qfr_solver::{
     ir_lanczos, raman_dense_reference, raman_ir_lanczos, RamanOptions, RamanSpectrum,
 };
 use rayon::prelude::*;
-use std::borrow::Cow;
 
 /// Largest fragment (atoms incl. link H) the model-DFPT engine accepts:
 /// its cost is `O((3m)²)` energy evaluations per fragment.
@@ -178,10 +177,10 @@ impl<'a> Pipeline<'a> {
         out
     }
 
-    /// Stage 3 for the in-core operator: Eq. (1) assembly plus mass
-    /// weighting over every job that has a response. An empty slot
-    /// (quarantined or abandoned work) is left out, yielding a partial
-    /// operator.
+    /// Stage 3 for the in-core operator: the Eq. (1) fold over every atom,
+    /// then mass weighting in place. Each response is dropped as it is
+    /// folded; an empty slot (quarantined or abandoned work) is left out,
+    /// yielding a partial operator.
     pub(crate) fn assemble_in_core(
         &mut self,
         jobs: &[FragmentJob],
@@ -189,17 +188,13 @@ impl<'a> Pipeline<'a> {
     ) -> MassWeighted {
         let system = self.system;
         self.operator(|| {
-            let kept: Cow<'_, [FragmentJob]> = if slots.iter().all(Option::is_some) {
-                Cow::Borrowed(jobs)
-            } else {
-                (jobs.iter().zip(&slots))
-                    .filter(|(_, slot)| slot.is_some())
-                    .map(|(job, _)| job.clone())
-                    .collect()
-            };
-            let responses: Vec<FragmentResponse> = slots.into_iter().flatten().collect();
-            let assembled = assemble::assemble(&kept, &responses, system.n_atoms());
-            MassWeighted::new(&assembled, &system.masses())
+            let mut acc = RowRangeAccumulator::new(0..system.n_atoms(), system.n_atoms());
+            for (job, slot) in jobs.iter().zip(slots) {
+                if let Some(resp) = slot {
+                    acc.add(job, &resp);
+                }
+            }
+            MassWeighted::in_place(acc.finish(), &system.masses())
         })
     }
 

@@ -1,15 +1,13 @@
 //! Out-of-core sharded assembly of the Eq. (1) operators.
 //!
-//! The unsharded pipeline materializes the full mass-weighted Hessian —
-//! triplets, CSR, and a second mass-weighting builder all live at once, so
-//! peak RSS is `O(n)` and the 10⁸-atom run is memory-bound long before it
-//! is worker-bound. This module partitions the **atoms** into `K`
-//! contiguous ranges ([`ShardPlan`]); each shard worker accumulates only
-//! its range's Hessian *rows* and ∂α/∂μ entries (re-deriving the responses
-//! of just the fragments that touch the range), mass-weights them, splits
-//! the rows into fixed-height CSR tiles, and spills the shard to one
-//! `shard-NNNNN.qfrs` file. [`ShardStore`] then serves those tiles back to
-//! the solver one at a time through [`qfr_solver::TileSource`], so the
+//! An in-core run holds every Hessian row at once: peak RSS is `O(n)`, and
+//! the 10⁸-atom run is memory-bound long before it is worker-bound. Here
+//! the **atoms** are split into `K` contiguous ranges ([`ShardPlan`]); a
+//! shard worker runs the one Eq. (1) fold
+//! ([`qfr_fragment::RowRangeAccumulator`]) over its range, re-deriving only
+//! the responses that touch it, mass-weights the rows in place and spills
+//! them as fixed-height CSR tiles to `shard-NNNNN.qfrs`. [`ShardStore`]
+//! serves the tiles back through [`qfr_solver::TileSource`], so the
 //! Lanczos stage holds one tile plus its vectors: `O(n/K + window)`.
 //!
 //! ## File format (v1, little-endian)
@@ -40,25 +38,23 @@
 //!
 //! ## Why `K` cannot change the spectrum
 //!
-//! Every global Hessian row belongs to exactly one shard. The unsharded
-//! assembly pushes row `r`'s triplets in job order (and, within a job, in
-//! atom-pair order); a shard build iterates the *same* jobs in the *same*
-//! order and merely skips jobs that do not touch its range — which
-//! contribute nothing to row `r` anyway — so row `r` receives the
-//! identical push sequence. `TripletBuilder::build` sorts **stably**, so
-//! duplicate `(row, col)` entries sum in push order either way, making the
-//! compressed row bytes a pure function of that sequence. Mass weighting
-//! multiplies each stored value by the same two factors in the same order
-//! as [`qfr_fragment::MassWeighted`], and the streamed SpMV computes each
-//! `y[r]` as the same dot product over the same entries. Identical `y`
-//! bit-for-bit means an identical Lanczos recursion and a bit-identical
-//! spectrum for every `K` — which `ablation_shards` pins in CI.
+//! Every Hessian row belongs to exactly one shard, and in-core assembly is
+//! the same accumulator with one range. `add` pushes row `r`'s triplets in
+//! the order jobs are added (within a job, in atom-pair order); a shard
+//! build adds the *same* jobs in the *same* order, skipping only those
+//! that contribute nothing to its rows, so row `r` receives the identical
+//! push sequence. `TripletBuilder::build` sorts **stably**: duplicates sum
+//! in push order, and the compressed row is a pure function of that
+//! sequence. Mass weighting is one function too, and the streamed SpMV
+//! computes each `y[r]` as the same dot product over the same entries —
+//! identical `y`, identical Lanczos recursion, bit-identical spectrum for
+//! every `K`, which `ablation_shards` pins in CI.
 
 use crate::checkpoint::{atomic_write, CheckpointError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use qfr_fragment::{FragmentJob, FragmentResponse};
+use qfr_fragment::{FragmentJob, FragmentResponse, MassWeighted, RowRangeAccumulator};
 use qfr_geom::MolecularSystem;
-use qfr_linalg::{CsrMatrix, TripletBuilder};
+use qfr_linalg::CsrMatrix;
 use qfr_solver::{CsrTile, TileSource};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -190,74 +186,14 @@ where
     F: FnMut(&FragmentJob) -> FragmentResponse,
 {
     assert!(tile_rows > 0, "tile_rows must be positive");
-    let range = plan.range(shard);
-    let span = dof_span(&range);
-    let dim = 3 * plan.n_atoms;
-    let dof_lo = 3 * range.start;
-    let inv_sqrt: Vec<f64> = sys.masses().iter().map(|&m| 1.0 / m.sqrt()).collect();
-
-    // Raw accumulation, mirroring `assemble()` restricted to in-range rows:
-    // same job order, same within-job atom-pair order, so each row sees the
-    // identical push sequence the global builder would.
-    let mut builder = TripletBuilder::new(span, dim);
-    let mut dalpha: [Vec<f64>; 6] = std::array::from_fn(|_| vec![0.0; span]);
-    let mut dmu: [Vec<f64>; 3] = std::array::from_fn(|_| vec![0.0; span]);
+    let mut acc = RowRangeAccumulator::new(plan.range(shard), plan.n_atoms);
     for job in jobs {
-        if !job.atoms.iter().any(|a| range.contains(a)) {
-            continue;
-        }
-        let resp = compute(job);
-        let m = job.size();
-        assert_eq!(resp.hessian.rows(), 3 * m, "hessian shape mismatch for {:?}", job.kind);
-        assert_eq!(resp.dalpha.cols(), 3 * m, "dalpha shape mismatch for {:?}", job.kind);
-        let coeff = job.coefficient;
-        for (la, &ga) in job.atoms.iter().enumerate() {
-            if !range.contains(&ga) {
-                continue;
-            }
-            let local = 3 * ga - dof_lo;
-            for (lb, &gb) in job.atoms.iter().enumerate() {
-                for da in 0..3 {
-                    for db in 0..3 {
-                        let v = resp.hessian[(3 * la + da, 3 * lb + db)];
-                        if v != 0.0 {
-                            builder.push(local + da, 3 * gb + db, coeff * v);
-                        }
-                    }
-                }
-            }
-            for (comp, dvec) in dalpha.iter_mut().enumerate() {
-                for da in 0..3 {
-                    dvec[local + da] += coeff * resp.dalpha[(comp, 3 * la + da)];
-                }
-            }
-            for (comp, dvec) in dmu.iter_mut().enumerate() {
-                for da in 0..3 {
-                    dvec[local + da] += coeff * resp.dmu[(comp, 3 * la + da)];
-                }
-            }
+        if acc.touches(job) {
+            acc.add(job, &compute(job));
         }
     }
-    let raw = builder.build();
-
-    // Mass weighting, exactly as `MassWeighted::new`: re-push each stored
-    // value times `w_i * w_j` through a fresh (stable) builder, and scale
-    // the vectors by `w_i` — the same f64 products in the same order.
-    let mut weighted = TripletBuilder::new(span, dim);
-    for i in 0..span {
-        let wi = inv_sqrt[(dof_lo + i) / 3];
-        for (j, v) in raw.row_entries(i) {
-            weighted.push(i, j, v * wi * inv_sqrt[j / 3]);
-        }
-    }
-    let csr = weighted.build();
-    for dvec in dalpha.iter_mut().chain(dmu.iter_mut()) {
-        for (i, v) in dvec.iter_mut().enumerate() {
-            *v *= inv_sqrt[(dof_lo + i) / 3];
-        }
-    }
-
-    let bytes = encode_shard(plan, shard, tile_rows, fingerprint, &csr, &dalpha, &dmu);
+    let mw = MassWeighted::in_place(acc.finish(), &sys.masses());
+    let bytes = encode_shard(plan, shard, tile_rows, fingerprint, &mw);
     let len = bytes.len() as u64;
     atomic_write(path, &bytes)?;
     SHARD_BYTES_SPILLED.add(len);
@@ -270,14 +206,12 @@ fn encode_shard(
     shard: usize,
     tile_rows: usize,
     fingerprint: u64,
-    csr: &CsrMatrix,
-    dalpha: &[Vec<f64>; 6],
-    dmu: &[Vec<f64>; 3],
+    mw: &MassWeighted,
 ) -> BytesMut {
     let range = plan.range(shard);
     let span = dof_span(&range);
     let n_tiles = n_tiles_of(span, tile_rows);
-    let (row_ptr, col_idx, values) = csr.raw_parts();
+    let (row_ptr, col_idx, values) = mw.hessian.raw_parts();
 
     let mut buf = BytesMut::new();
     buf.put_slice(MAGIC);
@@ -300,8 +234,8 @@ fn encode_shard(
         bitmap[t / 8] |= 1 << (t % 8);
     }
     buf.put_slice(&bitmap);
-    buf.put_u64_le(csr.nnz() as u64);
-    for dvec in dalpha.iter().chain(dmu.iter()) {
+    buf.put_u64_le(mw.hessian.nnz() as u64);
+    for dvec in mw.dalpha.iter().chain(mw.dmu.iter()) {
         for &v in dvec {
             buf.put_f64_le(v);
         }

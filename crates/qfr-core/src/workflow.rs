@@ -115,11 +115,6 @@ pub enum HessianOperator {
     /// [`ResponseSource::Scheduler`] a quarantined shard's file is deleted
     /// and its rows stream as zero.
     Sharded(ShardConfig),
-    /// Never materialized: every solver matvec recomputes the fragment
-    /// blocks through [`crate::StreamedHessian`], and the derivative
-    /// vectors come from one accumulation pass. Memory scales with the job
-    /// *descriptions* only.
-    MatrixFree,
 }
 
 /// What one [`RamanWorkflow::execute`] call does: a response source, a
@@ -152,7 +147,7 @@ impl RunPlan {
     /// element width, so mixed precision may neither write files an f64
     /// run would resume nor resume files an f64 run wrote.
     fn check(&self, precision: GemmPrecision, offload: OffloadMode) -> Result<(), WorkflowError> {
-        use HessianOperator::{MatrixFree, Sharded};
+        use HessianOperator::Sharded;
         use ResponseSource::Scheduler;
         let mixed = precision == GemmPrecision::MixedF32;
         let checkpointed = self.checkpoint.is_some();
@@ -168,11 +163,8 @@ impl RunPlan {
                 "mixed precision cannot write or resume shard spill \
                  (its key does not encode element width)"
             }
-            (_, Sharded(_) | MatrixFree) if checkpointed => {
+            (_, Sharded(_)) if checkpointed => {
                 "a response checkpoint needs an operator that stores responses (in-core or dense)"
-            }
-            (Scheduler(_), MatrixFree) => {
-                "the matrix-free operator accumulates in one pass and cannot run under the scheduler"
             }
             (_, Sharded(cfg)) if cfg.shards == 0 || cfg.tile_rows == 0 => {
                 "sharding needs a positive shard count and tile height"
@@ -355,9 +347,9 @@ impl RamanWorkflow {
     /// Runs the pipeline — decompose, validate, responses, operator,
     /// solve — as `plan` describes. Every `run_*` method is a facade over
     /// this. Legal plans differ in executor, residency and fault tolerance,
-    /// never in physics: every operator except the dense reference and the
-    /// matrix-free one (both agree to solver accuracy) yields spectra
-    /// bit-identical to [`run`](Self::run) when no work is quarantined.
+    /// never in physics: every operator except the dense reference (which
+    /// agrees to solver accuracy) yields spectra bit-identical to
+    /// [`run`](Self::run) when no work is quarantined.
     pub fn execute(&self, plan: RunPlan) -> Result<RamanResult, WorkflowError> {
         plan.check(self.precision, self.offload)?;
         let (mut pipeline, decomposition) = Pipeline::prepare(
@@ -379,7 +371,6 @@ impl RamanWorkflow {
             HessianOperator::InCore => run.assembled(false, &mut pipeline),
             HessianOperator::DenseReference => run.assembled(true, &mut pipeline),
             HessianOperator::Sharded(cfg) => run.sharded(cfg, &mut pipeline)?,
-            HessianOperator::MatrixFree => run.matrix_free(&mut pipeline),
         };
         Ok(pipeline.finish(spectra, decomposition, hessian_nnz, engine.as_ref(), recovery))
     }
@@ -418,11 +409,6 @@ impl RamanWorkflow {
         let ScheduledConfig { runtime, checkpoint, checkpoint_interval } = cfg;
         let plan = RunPlan::new(ResponseSource::Scheduler(runtime), HessianOperator::InCore);
         self.execute(RunPlan { checkpoint, checkpoint_interval, ..plan })
-    }
-
-    /// Like [`run`](Self::run) with [`HessianOperator::MatrixFree`].
-    pub fn run_streamed(&self) -> Result<RamanResult, WorkflowError> {
-        self.execute(RunPlan::new(ResponseSource::Rayon, HessianOperator::MatrixFree))
     }
 
     /// Like [`run`](Self::run) with [`HessianOperator::Sharded`].
@@ -656,46 +642,6 @@ impl Run<'_> {
         let spectra = pipeline.solve(&op, None, store.dalpha(), store.dmu());
         Ok((spectra, store.nnz(), recovery))
     }
-
-    /// Matrix-free operator: one pass accumulates the mass-weighted
-    /// derivative vectors, no response outlives its work item.
-    fn matrix_free(&self, pipeline: &mut Pipeline) -> Solved {
-        let system = &self.workflow.system;
-        let jobs = &self.decomposition.jobs;
-        let dof = system.dof();
-        let inv_sqrt: Vec<f64> = system.masses().iter().map(|m| 1.0 / m.sqrt()).collect();
-        let acc = Mutex::new((
-            std::array::from_fn::<Vec<f64>, 6, _>(|_| vec![0.0; dof]),
-            std::array::from_fn::<Vec<f64>, 3, _>(|_| vec![0.0; dof]),
-        ));
-        let items: Vec<FragmentWorkItem> = (jobs.iter().enumerate())
-            .map(|(i, job)| FragmentWorkItem::new(i as u32, job.size() as u32))
-            .collect();
-        pipeline.responses(|| {
-            dispatch(&self.plan.source, items, |i| {
-                let job = &jobs[i];
-                let resp = self.response(job);
-                let mut acc = acc.lock().expect("accumulator poisoned");
-                for (la, &ga) in job.atoms.iter().enumerate() {
-                    for da in 0..3 {
-                        let col = 3 * ga + da;
-                        let w = inv_sqrt[ga];
-                        for c in 0..6 {
-                            acc.0[c][col] += job.coefficient * w * resp.dalpha[(c, 3 * la + da)];
-                        }
-                        for c in 0..3 {
-                            acc.1[c][col] += job.coefficient * w * resp.dmu[(c, 3 * la + da)];
-                        }
-                    }
-                }
-                true
-            })
-        });
-        let (dalpha, dmu) = acc.into_inner().expect("accumulator poisoned");
-        let streamed = crate::StreamedHessian::new(system, self.decomposition, self.engine);
-        let spectra = pipeline.solve(&streamed, None, &dalpha, &dmu);
-        (spectra, 0, None) // never materialized: no stored non-zeros
-    }
 }
 
 #[cfg(test)]
@@ -795,19 +741,6 @@ mod tests {
         // Raman and IR differ (different selection weights).
         let sim = result.ir.cosine_similarity(&result.spectrum);
         assert!(sim < 0.999, "IR identical to Raman is suspicious: {sim}");
-    }
-
-    #[test]
-    fn streamed_run_matches_assembled_run() {
-        let system = WaterBoxBuilder::new(10).seed(21).build();
-        let wf = RamanWorkflow::new(system).sigma(25.0).lanczos_steps(60);
-        let assembled = wf.run().unwrap();
-        let streamed = wf.run_streamed().unwrap();
-        assert_eq!(streamed.hessian_nnz, 0, "streaming must not materialize");
-        let sim = assembled.spectrum.cosine_similarity(&streamed.spectrum);
-        assert!(sim > 0.99999, "streamed spectrum diverged: {sim}");
-        let sim_ir = assembled.ir.cosine_similarity(&streamed.ir);
-        assert!(sim_ir > 0.99999, "streamed IR diverged: {sim_ir}");
     }
 
     #[test]

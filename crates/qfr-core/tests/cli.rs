@@ -63,9 +63,10 @@ fn malformed_command_lines_exit_2_with_one_line() {
     assert_usage_error(&["spectrum", "--waters", "8", "--protein", "4"], "--protein and --waters");
     // Plans the pipeline cannot honour are usage errors too, and touch no file.
     assert_usage_error(&with(&["--shards", "0"]), "shard count");
-    assert_usage_error(&with(&["--stream", "--sched", "2"]), "matrix-free");
+    // The retired matrix-free flag is rejected, not ignored.
+    assert_usage_error(&with(&["--stream"]), "--stream");
     let checkpoint_arg = checkpoint.to_str().expect("utf-8 temp path");
-    for mode in [&["--stream"][..], &["--shards", "2"], &["--precision", "mixed"]] {
+    for mode in [&["--shards", "2"][..], &["--precision", "mixed"]] {
         assert_usage_error(
             &with(&[mode, &["--checkpoint", checkpoint_arg]].concat()),
             "checkpoint",
@@ -85,10 +86,9 @@ fn every_mode_flag_reproduces_run() {
 
     let (spill, checkpoint, sched_checkpoint) =
         (path("spill"), path("plain.qfrc"), path("sched.qfrc"));
-    let modes: [(&str, &[&str], bool); 7] = [
+    let modes: [(&str, &[&str], bool); 6] = [
         ("default", &[], true),
         ("dense", &["--dense"], false),
-        ("stream", &["--stream"], false),
         ("shards", &["--shards", "3", "--spill", &spill, "--tile-rows", "16"], true),
         ("sched", &["--sched", "2", "--workers", "1"], true),
         ("checkpoint", &["--checkpoint", &checkpoint], true),

@@ -1,40 +1,128 @@
 //! Assembly of per-fragment responses into the global operators of Eq. (1).
 //!
 //! Each job's Hessian block enters the global `3N x 3N` Hessian with the
-//! job's coefficient, mapped through the fragment→global atom map. Link
-//! hydrogens have no global image; their rows and columns are dropped (their
-//! double counting cancels between the capped-fragment and cap-pair terms).
-//! The six polarizability-derivative rows assemble the same way into six
-//! global dof vectors.
+//! job's coefficient, mapped through the fragment→global atom map; the six
+//! polarizability- and three dipole-derivative rows assemble the same way
+//! into global dof vectors. Link hydrogens have no global image: their rows
+//! and columns are dropped (their double counting cancels between the
+//! capped-fragment and cap-pair terms).
 //!
-//! [`MassWeighted`] then forms the mass-weighted Hessian
-//! `H = M^{-1/2} E(2) M^{-1/2}` and the mass-weighted derivative vectors
-//! `d = M^{-1/2} (∂α/∂ξ)` consumed by the Lanczos/GAGQ spectral solver
-//! (Eq. (5)).
+//! The fold is written once, in [`RowRangeAccumulator::add`], over the rows
+//! of one contiguous atom range: [`assemble`] is the range `0..n_atoms`, an
+//! out-of-core shard its own. A row receives the same push sequence from
+//! whichever accumulator owns it, so a partition's rows stack to the
+//! whole-system operator bit for bit. [`MassWeighted`] then forms
+//! `H = M^{-1/2} E(2) M^{-1/2}` and `d = M^{-1/2} (∂α/∂ξ)` for the
+//! Lanczos/GAGQ spectral solver (Eq. (5)).
 
 use crate::fragment::{FragmentJob, FragmentResponse};
-use qfr_linalg::sparse::MatVec;
 use qfr_linalg::{CsrMatrix, TripletBuilder};
+use std::ops::Range;
 
-/// Globally assembled (unweighted) operators.
+/// Assembled (unweighted) operators over the rows of one atom range.
 #[derive(Debug, Clone)]
 pub struct AssembledSystem {
-    /// Global Cartesian Hessian (`3N x 3N`, sparse).
+    /// Cartesian Hessian rows of [`atoms`](Self::atoms)
+    /// (`3·|atoms| x 3N`, sparse; row 0 is dof `3·atoms.start`).
     pub hessian: CsrMatrix,
-    /// Global polarizability derivatives: six vectors of length `3N`
+    /// Polarizability derivatives: six vectors over the range's dofs
     /// (components xx, yy, zz, xy, xz, yz).
     pub dalpha: [Vec<f64>; 6],
-    /// Global dipole derivatives: three vectors of length `3N` (IR).
+    /// Dipole derivatives: three vectors over the range's dofs (IR).
     pub dmu: [Vec<f64>; 3],
-    /// Number of atoms.
+    /// Number of atoms `N` of the whole system.
     pub n_atoms: usize,
+    /// The atoms whose rows are held: `0..n_atoms` from [`assemble`].
+    pub atoms: Range<usize>,
 }
 
-/// Assembles job responses into global operators.
-///
-/// `responses[i]` must correspond to `jobs[i]` and cover the job's atoms
-/// in order (real atoms first, then link hydrogens), exactly as produced by
-/// engines running on [`crate::FragmentStructure`].
+/// The Eq. (1) fold over the rows of one contiguous atom range.
+#[derive(Debug, Clone)]
+pub struct RowRangeAccumulator {
+    atoms: Range<usize>,
+    n_atoms: usize,
+    builder: TripletBuilder,
+    dalpha: [Vec<f64>; 6],
+    dmu: [Vec<f64>; 3],
+}
+
+impl RowRangeAccumulator {
+    /// Empty accumulator for the rows of `atoms` in an `n_atoms` system.
+    ///
+    /// # Panics
+    /// Panics if the range reaches past `n_atoms`.
+    pub fn new(atoms: Range<usize>, n_atoms: usize) -> Self {
+        assert!(atoms.start <= atoms.end && atoms.end <= n_atoms, "{atoms:?} out of {n_atoms}");
+        let span = 3 * atoms.len();
+        Self {
+            builder: TripletBuilder::new(span, 3 * n_atoms),
+            dalpha: std::array::from_fn(|_| vec![0.0; span]),
+            dmu: std::array::from_fn(|_| vec![0.0; span]),
+            atoms,
+            n_atoms,
+        }
+    }
+
+    /// True when `job` has an atom in the range: rows to [`add`](Self::add).
+    pub fn touches(&self, job: &FragmentJob) -> bool {
+        job.atoms.iter().any(|a| self.atoms.contains(a))
+    }
+
+    /// Folds one response in. `resp` must cover the job's atoms in order
+    /// (real atoms first, then link hydrogens), exactly as produced by
+    /// engines running on [`crate::FragmentStructure`]. Callers add jobs in
+    /// global job order: duplicate `(row, col)` entries sum in push order.
+    ///
+    /// # Panics
+    /// Panics if a response matrix is not shaped for the job's atoms.
+    pub fn add(&mut self, job: &FragmentJob, resp: &FragmentResponse) {
+        let m3 = 3 * job.size();
+        assert_eq!(resp.hessian.shape(), (m3, m3), "hessian shape mismatch for {:?}", job.kind);
+        assert_eq!(resp.dalpha.shape(), (6, m3), "dalpha shape mismatch for {:?}", job.kind);
+        assert_eq!(resp.dmu.shape(), (3, m3), "dmu shape mismatch for {:?}", job.kind);
+        let coeff = job.coefficient;
+        for (la, &ga) in job.atoms.iter().enumerate() {
+            if !self.atoms.contains(&ga) {
+                continue;
+            }
+            let row = 3 * (ga - self.atoms.start);
+            for (lb, &gb) in job.atoms.iter().enumerate() {
+                for da in 0..3 {
+                    for db in 0..3 {
+                        let v = resp.hessian[(3 * la + da, 3 * lb + db)];
+                        if v != 0.0 {
+                            self.builder.push(row + da, 3 * gb + db, coeff * v);
+                        }
+                    }
+                }
+            }
+            for (comp, dvec) in self.dalpha.iter_mut().enumerate() {
+                for da in 0..3 {
+                    dvec[row + da] += coeff * resp.dalpha[(comp, 3 * la + da)];
+                }
+            }
+            for (comp, dvec) in self.dmu.iter_mut().enumerate() {
+                for da in 0..3 {
+                    dvec[row + da] += coeff * resp.dmu[(comp, 3 * la + da)];
+                }
+            }
+        }
+    }
+
+    /// Compresses the rows (stable sort: duplicates sum in push order).
+    pub fn finish(self) -> AssembledSystem {
+        AssembledSystem {
+            hessian: self.builder.build(),
+            dalpha: self.dalpha,
+            dmu: self.dmu,
+            n_atoms: self.n_atoms,
+            atoms: self.atoms,
+        }
+    }
+}
+
+/// Assembles job responses into global operators: the accumulator over
+/// every atom. `responses[i]` must correspond to `jobs[i]`.
 ///
 /// # Panics
 /// Panics on length or shape mismatches.
@@ -44,48 +132,11 @@ pub fn assemble(
     n_atoms: usize,
 ) -> AssembledSystem {
     assert_eq!(jobs.len(), responses.len(), "one response per job required");
-    let dof = 3 * n_atoms;
-    let mut builder = TripletBuilder::new(dof, dof);
-    let mut dalpha: [Vec<f64>; 6] = std::array::from_fn(|_| vec![0.0; dof]);
-    let mut dmu: [Vec<f64>; 3] = std::array::from_fn(|_| vec![0.0; dof]);
-
+    let mut acc = RowRangeAccumulator::new(0..n_atoms, n_atoms);
     for (job, resp) in jobs.iter().zip(responses) {
-        let m = job.size();
-        assert_eq!(resp.hessian.rows(), 3 * m, "hessian shape mismatch for {:?}", job.kind);
-        assert_eq!(resp.dalpha.cols(), 3 * m, "dalpha shape mismatch for {:?}", job.kind);
-        let coeff = job.coefficient;
-        // Local atom -> global atom (link H at the end -> None).
-        let n_real = job.atoms.len();
-        for (la, &ga) in job.atoms.iter().enumerate() {
-            debug_assert!(ga < n_atoms);
-            // Hessian block rows for this atom vs all real atoms.
-            for (lb, &gb) in job.atoms.iter().enumerate() {
-                for da in 0..3 {
-                    for db in 0..3 {
-                        let v = resp.hessian[(3 * la + da, 3 * lb + db)];
-                        if v != 0.0 {
-                            builder.push(3 * ga + da, 3 * gb + db, coeff * v);
-                        }
-                    }
-                }
-            }
-            for (comp, dvec) in dalpha.iter_mut().enumerate() {
-                for da in 0..3 {
-                    dvec[3 * ga + da] += coeff * resp.dalpha[(comp, 3 * la + da)];
-                }
-            }
-            for (comp, dvec) in dmu.iter_mut().enumerate() {
-                for da in 0..3 {
-                    dvec[3 * ga + da] += coeff * resp.dmu[(comp, 3 * la + da)];
-                }
-            }
-        }
-        // Link-hydrogen rows/cols (indices >= n_real) are intentionally
-        // dropped: no global image.
-        let _ = n_real;
+        acc.add(job, resp);
     }
-
-    AssembledSystem { hessian: builder.build(), dalpha, dmu, n_atoms }
+    acc.finish()
 }
 
 /// Mass-weighted operators ready for the spectral solver.
@@ -100,32 +151,32 @@ pub struct MassWeighted {
 }
 
 impl MassWeighted {
-    /// Applies mass weighting to an assembled system.
-    ///
-    /// `masses` are per-atom (amu); each Cartesian dof uses its atom's mass.
+    /// Mass-weighted copy of `asm`. `masses` are per atom (amu), one for
+    /// every atom of the whole system; a dof uses its atom's mass.
     pub fn new(asm: &AssembledSystem, masses: &[f64]) -> Self {
+        Self::in_place(asm.clone(), masses)
+    }
+
+    /// Mass-weights `asm` where it lies: every stored Hessian value becomes
+    /// `v * w_i * w_j` and every derivative entry `v * w_i`, with
+    /// `w = 1/sqrt(M)` of the dof's atom.
+    pub fn in_place(asm: AssembledSystem, masses: &[f64]) -> Self {
         assert_eq!(masses.len(), asm.n_atoms, "mass count mismatch");
-        let dof = 3 * asm.n_atoms;
-        let inv_sqrt: Vec<f64> = masses.iter().map(|&m| 1.0 / m.sqrt()).collect();
-        let mut builder = TripletBuilder::new(dof, dof);
-        for i in 0..dof {
-            let wi = inv_sqrt[i / 3];
-            for (j, v) in asm.hessian.row_entries(i) {
-                builder.push(i, j, v * wi * inv_sqrt[j / 3]);
+        let AssembledSystem { mut hessian, mut dalpha, mut dmu, atoms, .. } = asm;
+        let w: Vec<f64> = masses.iter().flat_map(|&m| [1.0 / m.sqrt(); 3]).collect();
+        let w_rows = &w[3 * atoms.start..3 * atoms.end];
+        hessian.scale_rows_cols(w_rows, &w);
+        for dvec in dalpha.iter_mut().chain(dmu.iter_mut()) {
+            for (v, wi) in dvec.iter_mut().zip(w_rows) {
+                *v *= wi;
             }
         }
-        let dalpha = std::array::from_fn(|c| {
-            asm.dalpha[c].iter().enumerate().map(|(i, &v)| v * inv_sqrt[i / 3]).collect()
-        });
-        let dmu = std::array::from_fn(|c| {
-            asm.dmu[c].iter().enumerate().map(|(i, &v)| v * inv_sqrt[i / 3]).collect()
-        });
-        Self { hessian: builder.build(), dalpha, dmu }
+        Self { hessian, dalpha, dmu }
     }
 
     /// The operator dimension (`3N`).
     pub fn dim(&self) -> usize {
-        self.hessian.dim()
+        self.hessian.cols()
     }
 }
 
@@ -259,11 +310,29 @@ mod tests {
         let _ = assemble(&jobs, &[], 1);
     }
 
+    /// Every response matrix is checked in both dimensions — `DMatrix`
+    /// indexing bounds-checks `(i, j)` in debug builds only, so a misshaped
+    /// response would otherwise be read from the wrong addresses in release.
     #[test]
-    #[should_panic(expected = "hessian shape mismatch")]
+    #[should_panic(expected = "dmu shape mismatch")]
     fn shape_mismatch_panics() {
         let jobs = vec![job(JobKind::WaterMonomer { w: 0 }, 1.0, vec![0, 1])];
-        let responses = vec![unit_response(1, 1.0, 1.0)];
-        let _ = assemble(&jobs, &responses, 2);
+        let with = |edit: fn(&mut FragmentResponse)| {
+            let mut resp = unit_response(2, 1.0, 1.0);
+            edit(&mut resp);
+            vec![resp]
+        };
+        let rejected = |responses: Vec<FragmentResponse>, what: &str| {
+            let caught = std::panic::catch_unwind(|| assemble(&jobs, &responses, 2));
+            let payload = caught.expect_err("a misshaped response was folded");
+            let message = payload.downcast_ref::<String>().expect("formatted panic message");
+            assert!(message.contains(what), "wrong rejection, expected {what}");
+        };
+        rejected(vec![unit_response(1, 1.0, 1.0)], "hessian shape mismatch");
+        // Right row count, wrong column count.
+        rejected(with(|r| r.hessian = DMatrix::zeros(6, 4)), "hessian shape mismatch");
+        rejected(with(|r| r.dalpha = DMatrix::zeros(5, 6)), "dalpha shape mismatch");
+        // A short dmu, with everything else in shape.
+        let _ = assemble(&jobs, &with(|r| r.dmu = DMatrix::zeros(3, 5)), 2);
     }
 }

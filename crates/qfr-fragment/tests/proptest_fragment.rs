@@ -2,10 +2,116 @@
 
 use proptest::prelude::*;
 use qfr_fragment::{
-    assemble, Decomposition, DecompositionParams, FragmentResponse, JobKind, MassWeighted,
+    assemble, AssembledSystem, Decomposition, DecompositionParams, FragmentJob, FragmentResponse,
+    JobKind, MassWeighted, RowRangeAccumulator,
 };
-use qfr_geom::{ProteinBuilder, WaterBoxBuilder};
+use qfr_geom::{MolecularSystem, ProteinBuilder, WaterBoxBuilder};
 use qfr_linalg::DMatrix;
+use std::ops::Range;
+
+/// splitmix64: a reproducible stream of well-mixed bits per `(seed, index)`.
+fn mix(seed: u64, index: usize) -> u64 {
+    let mut z = seed.wrapping_add((index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A water box or a protein chain with its decomposition at `lambda`.
+fn decomposed(protein: bool, n: usize, seed: u64, lambda: f64) -> (MolecularSystem, Decomposition) {
+    let sys = if protein {
+        ProteinBuilder::new(n).seed(seed).build()
+    } else {
+        WaterBoxBuilder::new(n).seed(seed).build()
+    };
+    let d = Decomposition::new(&sys, DecompositionParams { lambda, ..Default::default() });
+    (sys, d)
+}
+
+/// Correctly shaped responses with full-mantissa entries in (-1, 1), so any
+/// change of summation order shows in the bits, and about one exact zero in
+/// eight, which the fold must skip.
+fn noisy_responses(jobs: &[FragmentJob], seed: u64) -> Vec<FragmentResponse> {
+    (jobs.iter().enumerate())
+        .map(|(k, job)| {
+            let m3 = 3 * job.size();
+            let entry = |salt: usize| {
+                move |i: usize, j: usize| {
+                    let bits = mix(seed ^ mix(k as u64, salt), i * m3 + j);
+                    let unit = (bits >> 11) as f64 / (1u64 << 53) as f64;
+                    f64::from(bits & 7 != 0) * (2.0 * unit - 1.0)
+                }
+            };
+            FragmentResponse {
+                hessian: DMatrix::from_fn(m3, m3, entry(0)),
+                dalpha: DMatrix::from_fn(6, m3, entry(1)),
+                dmu: DMatrix::from_fn(3, m3, entry(2)),
+            }
+        })
+        .collect()
+}
+
+/// Contiguous ranges tiling `0..n_atoms`, cut at `cuts` (per mille of the
+/// atom count); coinciding cuts leave empty ranges.
+fn partition(n_atoms: usize, cuts: &[usize]) -> Vec<Range<usize>> {
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c * n_atoms / 1000).collect();
+    bounds.extend([0, n_atoms]);
+    bounds.sort_unstable();
+    bounds.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
+type OperatorBits = (Vec<usize>, Vec<u32>, Vec<u64>, Vec<Vec<u64>>);
+
+/// CSR arrays and derivative spans of row-range operators stacked in range
+/// order, values as bit patterns.
+fn stacked<'a>(
+    parts: impl IntoIterator<Item = (&'a qfr_linalg::CsrMatrix, &'a [Vec<f64>; 6], &'a [Vec<f64>; 3])>,
+) -> OperatorBits {
+    let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+    let mut spans = vec![Vec::new(); 9];
+    for (hessian, dalpha, dmu) in parts {
+        let (ptr, cols, vals) = hessian.raw_parts();
+        row_ptr.extend(ptr[1..].iter().map(|p| p + col_idx.len()));
+        col_idx.extend_from_slice(cols);
+        values.extend(vals.iter().map(|v| v.to_bits()));
+        for (span, part) in spans.iter_mut().zip(dalpha.iter().chain(dmu)) {
+            span.extend(part.iter().map(|v| v.to_bits()));
+        }
+    }
+    (row_ptr, col_idx, values, spans)
+}
+
+fn raw_bits(parts: &[AssembledSystem]) -> OperatorBits {
+    stacked(parts.iter().map(|a| (&a.hessian, &a.dalpha, &a.dmu)))
+}
+
+fn weighted_bits(parts: &[AssembledSystem], masses: &[f64]) -> OperatorBits {
+    let weighted: Vec<MassWeighted> =
+        parts.iter().map(|a| MassWeighted::in_place(a.clone(), masses)).collect();
+    stacked(weighted.iter().map(|w| (&w.hessian, &w.dalpha, &w.dmu)))
+}
+
+/// Folds the `kept` jobs into one accumulator per range, each fed only the
+/// jobs that touch it, in job order.
+fn fold_ranges(
+    ranges: &[Range<usize>],
+    n_atoms: usize,
+    jobs: &[FragmentJob],
+    responses: &[FragmentResponse],
+    kept: impl Fn(usize) -> bool,
+) -> Vec<AssembledSystem> {
+    (ranges.iter())
+        .map(|range| {
+            let mut acc = RowRangeAccumulator::new(range.clone(), n_atoms);
+            for (k, (job, resp)) in jobs.iter().zip(responses).enumerate() {
+                if kept(k) && acc.touches(job) {
+                    acc.add(job, resp);
+                }
+            }
+            acc.finish()
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -110,6 +216,71 @@ proptest! {
         let asm = assemble::assemble(&d.jobs, &responses, sys.n_atoms());
         let mw = MassWeighted::new(&asm, &vec![1.0; sys.n_atoms()]);
         prop_assert!(mw.hessian.to_dense().max_abs_diff(&asm.hessian.to_dense()) < 1e-12);
+    }
+
+    /// Sharding cannot change a bit: the rows of any contiguous partition,
+    /// stacked in range order, are the whole-system operator — before and
+    /// after mass weighting, for the full job list and for the partial
+    /// operator of a run that lost a random subset of its jobs.
+    #[test]
+    fn row_ranges_stack_to_the_whole_operator(
+        protein in 0..2usize,
+        n in 1..9usize,
+        seed in 0u64..500,
+        lambda in 0.5..6.0f64,
+        cuts in prop::collection::vec(0..=1000usize, 0..=6),
+        lost in 0u64..4,
+    ) {
+        let (sys, d) = decomposed(protein == 1, n, seed, lambda);
+        let (n_atoms, masses) = (sys.n_atoms(), sys.masses());
+        let responses = noisy_responses(&d.jobs, seed);
+        // lost == 0 keeps every job, otherwise about a quarter are dropped.
+        let kept = |k: usize| lost == 0 || mix(lost, k) % 4 != 0;
+
+        let survivors: Vec<usize> = (0..d.jobs.len()).filter(|&k| kept(k)).collect();
+        let kept_jobs: Vec<FragmentJob> = survivors.iter().map(|&k| d.jobs[k].clone()).collect();
+        let kept_responses: Vec<FragmentResponse> =
+            survivors.iter().map(|&k| responses[k].clone()).collect();
+        let whole = [assemble::assemble(&kept_jobs, &kept_responses, n_atoms)];
+        prop_assert_eq!(whole[0].atoms.clone(), 0..n_atoms);
+
+        let ranges = partition(n_atoms, &cuts);
+        let parts = fold_ranges(&ranges, n_atoms, &d.jobs, &responses, kept);
+        for (part, range) in parts.iter().zip(&ranges) {
+            prop_assert_eq!(part.hessian.rows(), 3 * range.len());
+            prop_assert_eq!(part.hessian.cols(), 3 * n_atoms);
+        }
+        prop_assert!(raw_bits(&parts) == raw_bits(&whole), "raw rows differ for {ranges:?}");
+        prop_assert!(
+            weighted_bits(&parts, &masses) == weighted_bits(&whole, &masses),
+            "mass-weighted rows differ for {ranges:?}"
+        );
+    }
+
+    /// Mass weighting is exactly the per-entry product `v * w_i * w_j` on an
+    /// unchanged pattern, and `v * w_i` on the derivative vectors.
+    #[test]
+    fn mass_weighting_is_the_per_entry_product(
+        protein in 0..2usize,
+        n in 1..9usize,
+        seed in 0u64..500,
+    ) {
+        let (sys, d) = decomposed(protein == 1, n, seed, 4.0);
+        let raw = assemble::assemble(&d.jobs, &noisy_responses(&d.jobs, seed), sys.n_atoms());
+        let mw = MassWeighted::new(&raw, &sys.masses());
+        let w: Vec<f64> = sys.masses().iter().map(|m| 1.0 / m.sqrt()).collect();
+        prop_assert_eq!(mw.hessian.raw_parts().0, raw.hessian.raw_parts().0);
+        prop_assert_eq!(mw.hessian.raw_parts().1, raw.hessian.raw_parts().1);
+        for i in 0..mw.dim() {
+            for (j, v) in mw.hessian.row_entries(i) {
+                let want = raw.hessian.get(i, j) * w[i / 3] * w[j / 3];
+                prop_assert_eq!(v.to_bits(), want.to_bits(), "H[{}, {}]", i, j);
+            }
+            let vectors = mw.dalpha.iter().chain(&mw.dmu).zip(raw.dalpha.iter().chain(&raw.dmu));
+            for (weighted, unweighted) in vectors {
+                prop_assert_eq!(weighted[i].to_bits(), (unweighted[i] * w[i / 3]).to_bits());
+            }
+        }
     }
 
     /// Fragment structures always carry their bonds and valid global maps.

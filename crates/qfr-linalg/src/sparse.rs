@@ -255,6 +255,25 @@ impl CsrMatrix {
         Self { rows, cols, row_ptr, col_idx, values }
     }
 
+    /// Replaces every stored `a_ij` by `a_ij * row_scale[i] * col_scale[j]`
+    /// (the two products in that order), in place. The pattern is kept as
+    /// is: `D_r A D_c` of a compressed matrix needs no second compression.
+    ///
+    /// # Panics
+    /// Panics unless there is one scale per row and one per column.
+    pub fn scale_rows_cols(&mut self, row_scale: &[f64], col_scale: &[f64]) {
+        assert!(
+            row_scale.len() == self.rows && col_scale.len() == self.cols,
+            "scale_rows_cols: one scale per row and per column required"
+        );
+        for (i, &wi) in row_scale.iter().enumerate() {
+            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+            for (v, &j) in self.values[lo..hi].iter_mut().zip(&self.col_idx[lo..hi]) {
+                *v = *v * wi * col_scale[j as usize];
+            }
+        }
+    }
+
     /// Converts to dense; for tests and small reference problems only.
     pub fn to_dense(&self) -> DMatrix {
         let mut m = DMatrix::zeros(self.rows, self.cols);
@@ -363,6 +382,21 @@ mod tests {
         assert_eq!(m.get(1, 1), -2.0);
         assert_eq!(m.get(2, 2), -8.0);
         assert_eq!(m.get(0, 0), 0.0);
+    }
+
+    #[test]
+    fn scale_rows_cols_keeps_pattern_and_scales_each_entry() {
+        let raw = small_csr();
+        let mut m = raw.clone();
+        let (r, c) = ([0.5, 3.0, 0.1], [7.0, 0.3, 1.5]);
+        m.scale_rows_cols(&r, &c);
+        assert_eq!(m.raw_parts().0, raw.raw_parts().0);
+        assert_eq!(m.raw_parts().1, raw.raw_parts().1);
+        for i in 0..3 {
+            for (j, v) in raw.row_entries(i) {
+                assert_eq!(m.get(i, j), v * r[i] * c[j], "({i},{j})");
+            }
+        }
     }
 
     #[test]

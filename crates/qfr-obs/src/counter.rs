@@ -99,12 +99,12 @@ impl Counter {
     }
 
     fn register(&'static self) {
-        if self
-            .registered
-            .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            REGISTRY.lock().expect("counter registry poisoned").push(self);
+        // The flag flips under the registry lock: a thread that sees it set
+        // and then reads the registry (every reader locks it) finds the
+        // counter already pushed.
+        let mut registry = REGISTRY.lock().expect("counter registry poisoned");
+        if !self.registered.swap(true, Ordering::Relaxed) {
+            registry.push(self);
         }
     }
 }

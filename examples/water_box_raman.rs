@@ -6,18 +6,16 @@
 //! two-body interactions and the increased number of atoms". This example
 //! sweeps the box size, showing the low-frequency (< 400 cm⁻¹)
 //! intermolecular intensity growing with system size relative to the
-//! intramolecular bands, plus the matrix-free [`qfr_core::StreamedHessian`]
-//! path that makes beyond-memory sizes tractable.
+//! intramolecular bands, plus the out-of-core sharded path
+//! ([`qfr_core::RamanWorkflow::run_sharded`]) that makes beyond-memory
+//! sizes tractable.
 //!
 //! ```sh
 //! cargo run --release -p qfr-core --example water_box_raman
 //! ```
 
-use qfr_core::{RamanWorkflow, StreamedHessian};
-use qfr_fragment::{Decomposition, DecompositionParams, FragmentEngine, MassWeighted};
+use qfr_core::{RamanWorkflow, ShardConfig};
 use qfr_geom::WaterBoxBuilder;
-use qfr_model::ForceFieldEngine;
-use qfr_solver::{raman_lanczos, RamanOptions};
 
 fn main() {
     println!("size sweep (assembled path):");
@@ -44,26 +42,20 @@ fn main() {
         );
     }
 
-    // The matrix-free path: identical spectrum without storing the Hessian.
-    println!("\nmatrix-free streamed operator (64 molecules):");
+    // The out-of-core path: the Hessian is built one atom range at a time
+    // (four here), spilled to disk and streamed back tile by tile — same bits.
+    println!("\nsharded out-of-core operator (64 molecules, K = 4):");
     let system = WaterBoxBuilder::new(64).seed(21).build();
-    let decomposition = Decomposition::new(&system, DecompositionParams::default());
-    let engine = ForceFieldEngine::new();
-
-    // dalpha still needs one engine pass; the Hessian is never stored.
-    let responses: Vec<_> =
-        decomposition.jobs.iter().map(|j| engine.compute(&j.structure(&system))).collect();
-    let assembled =
-        qfr_fragment::assemble::assemble(&decomposition.jobs, &responses, system.n_atoms());
-    let mw = MassWeighted::new(&assembled, &system.masses());
-
-    let streamed = StreamedHessian::new(&system, &decomposition, &engine);
-    let opts = RamanOptions { sigma: 20.0, lanczos_steps: 80, ..Default::default() };
-    let spec = raman_lanczos(&streamed, &mw.dalpha, &opts);
+    let workflow = RamanWorkflow::new(system).sigma(20.0).lanczos_steps(80);
+    let spill = std::env::temp_dir().join(format!("qfr_water_box_raman_{}", std::process::id()));
+    let in_core = workflow.run().expect("workflow failed");
+    let sharded = workflow.run_sharded(ShardConfig::new(4, &spill)).expect("sharded run failed");
+    std::fs::remove_dir_all(&spill).ok();
+    assert_eq!(sharded.spectrum.intensities, in_core.spectrum.intensities);
     println!(
-        "  peak at {:?} cm-1 ({} Lanczos steps, zero stored Hessian entries)",
-        spec.peak().map(|p| p.round()),
-        opts.lanczos_steps
+        "  peak at {:?} cm-1 ({} stored Hessian entries, one tile resident during the solve)",
+        sharded.spectrum.peak().map(|p| p.round()),
+        sharded.hessian_nnz
     );
-    println!("\nspectrum:\n{}", spec.ascii_plot(30, 60));
+    println!("\nspectrum:\n{}", sharded.spectrum.ascii_plot(30, 60));
 }
