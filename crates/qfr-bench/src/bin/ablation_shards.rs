@@ -76,9 +76,10 @@ fn main() {
 
     println!(
         "\nReading: every K replays the global job order restricted to its\n\
-         rows, the triplet sort is stable, and the solver streams the same\n\
-         CSR rows in the same order — so resharding cannot move a single\n\
-         bit of the spectrum, only the peak residency (O(n/K) per shard)."
+         rows, every Hessian slot sums the same addends in the same order,\n\
+         and the solver streams the same CSR rows in the same order — so\n\
+         resharding cannot move a single bit of the spectrum, only the peak\n\
+         residency (O(n/K) per shard)."
     );
     write_record("ablation_shards", &format!("[{}]", records.join(",")));
 }

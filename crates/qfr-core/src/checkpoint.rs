@@ -26,7 +26,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use qfr_fragment::{exact_key, Decomposition, FragmentResponse};
-use qfr_geom::MolecularSystem;
+use qfr_geom::{BondAdjacency, MolecularSystem};
 use qfr_linalg::DMatrix;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -89,6 +89,7 @@ pub fn fingerprint(decomposition: &Decomposition, sys: &MolecularSystem) -> u64 
     };
     mix(sys.n_atoms() as u64);
     mix(decomposition.jobs.len() as u64);
+    let adjacency = BondAdjacency::new(sys);
     for job in &decomposition.jobs {
         mix(job.atoms.len() as u64);
         mix(job.link_hydrogens.len() as u64);
@@ -96,7 +97,7 @@ pub fn fingerprint(decomposition: &Decomposition, sys: &MolecularSystem) -> u64 
         for &a in &job.atoms {
             mix(a as u64);
         }
-        let key = exact_key(&job.structure(sys)).0;
+        let key = exact_key(&job.structure_with(sys, &adjacency)).0;
         mix(key as u64);
         mix((key >> 64) as u64);
     }

@@ -12,7 +12,7 @@
 
 use qfr_fragment::{assemble, Decomposition, FragmentEngine, FragmentResponse, MassWeighted};
 use qfr_geom::system::BondClass;
-use qfr_geom::MolecularSystem;
+use qfr_geom::{BondAdjacency, MolecularSystem};
 use qfr_linalg::eigen::symmetric_eigen;
 use qfr_linalg::DMatrix;
 use std::collections::HashMap;
@@ -35,8 +35,10 @@ pub fn normal_modes(
     decomposition: &Decomposition,
     engine: &dyn FragmentEngine,
 ) -> NormalModes {
-    let responses: Vec<FragmentResponse> =
-        decomposition.jobs.iter().map(|j| engine.compute(&j.structure(system))).collect();
+    let adjacency = BondAdjacency::new(system);
+    let responses: Vec<FragmentResponse> = (decomposition.jobs.iter())
+        .map(|j| engine.compute(&j.structure_with(system, &adjacency)))
+        .collect();
     let asm = assemble::assemble(&decomposition.jobs, &responses, system.n_atoms());
     let mw = MassWeighted::new(&asm, &system.masses());
     let eig = symmetric_eigen(&mw.hessian.to_dense());

@@ -11,7 +11,7 @@ use qfr_fragment::{
     Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentResponse,
     MassWeighted, RowRangeAccumulator,
 };
-use qfr_geom::MolecularSystem;
+use qfr_geom::{BondAdjacency, MolecularSystem};
 use qfr_linalg::batch::OffloadMode;
 use qfr_linalg::sparse::MatVec;
 use qfr_linalg::{CsrMatrix, GemmPrecision};
@@ -147,20 +147,22 @@ pub(crate) fn recovery_summary(
 }
 
 impl<'a> Pipeline<'a> {
-    /// Stage 1: decompose the system and validate it against the engine.
+    /// Stage 1: decompose the system, index its bonds for the per-job
+    /// extractions of stage 2, and validate it against the engine.
     pub(crate) fn prepare(
         stages: &'static Stages,
         system: &'a MolecularSystem,
         params: DecompositionParams,
         engine: EngineKind,
         raman: &'a RamanOptions,
-    ) -> Result<(Self, Decomposition), WorkflowError> {
+    ) -> Result<(Self, Decomposition, BondAdjacency), WorkflowError> {
         let mut timings = StageTimings::default();
-        let (decomposition, dt) =
-            qfr_obs::timed(stages.decompose, || Decomposition::new(system, params));
+        let ((decomposition, adjacency), dt) = qfr_obs::timed(stages.decompose, || {
+            (Decomposition::new(system, params), BondAdjacency::new(system))
+        });
         timings.decompose_s = dt;
         validate(system, engine, &decomposition)?;
-        Ok((Self { stages, system, raman, timings }, decomposition))
+        Ok((Self { stages, system, raman, timings }, decomposition, adjacency))
     }
 
     /// Stage 2, run by the caller: `f` serves the work items.

@@ -334,7 +334,7 @@ impl ServiceInner {
     /// pool.
     fn serve(inner: &Arc<Self>, request: SpectrumRequest) -> Result<RamanResult, ServiceError> {
         let SpectrumRequest { system, params, raman } = &request;
-        let (mut pipeline, decomposition) =
+        let (mut pipeline, decomposition, adjacency) =
             Pipeline::prepare(&SERVICE, system, *params, inner.config.engine, raman)
                 .map_err(ServiceError::Workflow)?;
         let jobs = &decomposition.jobs;
@@ -358,7 +358,7 @@ impl ServiceInner {
                 let mut pending = inner.pending.lock().expect("pending poisoned");
                 for (index, job) in jobs.iter().enumerate() {
                     pending.push_back(PendingItem {
-                        frag: job.structure(system),
+                        frag: job.structure_with(system, &adjacency),
                         out: Arc::clone(&out),
                         index,
                     });

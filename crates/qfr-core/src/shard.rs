@@ -39,16 +39,15 @@
 //! ## Why `K` cannot change the spectrum
 //!
 //! Every Hessian row belongs to exactly one shard, and in-core assembly is
-//! the same accumulator with one range. `add` pushes row `r`'s triplets in
-//! the order jobs are added (within a job, in atom-pair order); a shard
+//! the same accumulator with one range. `add` sums into the `(r, c)` slot
+//! in the order jobs are added (within a job, in atom-pair order); a shard
 //! build adds the *same* jobs in the *same* order, skipping only those
-//! that contribute nothing to its rows, so row `r` receives the identical
-//! push sequence. `TripletBuilder::build` sorts **stably**: duplicates sum
-//! in push order, and the compressed row is a pure function of that
-//! sequence. Mass weighting is one function too, and the streamed SpMV
-//! computes each `y[r]` as the same dot product over the same entries —
-//! identical `y`, identical Lanczos recursion, bit-identical spectrum for
-//! every `K`, which `ablation_shards` pins in CI.
+//! that contribute nothing to its rows, so every slot of row `r` receives
+//! the identical add sequence and `finish` emits the same non-zeros in the
+//! same column order. Mass weighting is one function too, and the streamed
+//! SpMV computes each `y[r]` as the same dot product over the same entries
+//! — identical `y`, identical Lanczos recursion, bit-identical spectrum
+//! for every `K`, which `ablation_shards` pins in CI.
 
 use crate::checkpoint::{atomic_write, CheckpointError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};

@@ -10,7 +10,7 @@ use qfr_cache::{FragmentCache, HitKind};
 use qfr_fragment::{
     Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentResponse,
 };
-use qfr_geom::MolecularSystem;
+use qfr_geom::{BondAdjacency, MolecularSystem};
 use qfr_linalg::batch::OffloadMode;
 use qfr_linalg::GemmPrecision;
 use qfr_sched::FragmentWorkItem;
@@ -352,7 +352,7 @@ impl RamanWorkflow {
     /// [`run`](Self::run) when no work is quarantined.
     pub fn execute(&self, plan: RunPlan) -> Result<RamanResult, WorkflowError> {
         plan.check(self.precision, self.offload)?;
-        let (mut pipeline, decomposition) = Pipeline::prepare(
+        let (mut pipeline, decomposition, adjacency) = Pipeline::prepare(
             &WORKFLOW,
             &self.system,
             self.decomposition,
@@ -364,6 +364,7 @@ impl RamanWorkflow {
             workflow: self,
             plan: &plan,
             decomposition: &decomposition,
+            adjacency: &adjacency,
             engine: engine.as_ref(),
             hits: AtomicU64::new(0),
         };
@@ -425,6 +426,8 @@ struct Run<'a> {
     workflow: &'a RamanWorkflow,
     plan: &'a RunPlan,
     decomposition: &'a Decomposition,
+    /// Bond index of the system, for the per-job structure extractions.
+    adjacency: &'a BondAdjacency,
     engine: &'a dyn FragmentEngine,
     /// Responses served from the cache instead of the engine.
     hits: AtomicU64,
@@ -435,7 +438,7 @@ impl Run<'_> {
     /// when it has one, from the engine otherwise. Exact hits are
     /// bit-identical to a fresh compute.
     fn response(&self, job: &FragmentJob) -> FragmentResponse {
-        let frag = job.structure(&self.workflow.system);
+        let frag = job.structure_with(&self.workflow.system, self.adjacency);
         // Cache keys are geometry-only, so responses computed at different
         // element widths would collide under one key: F64 is the only
         // precision the cache serves, mixed runs always compute fresh.
@@ -490,7 +493,8 @@ impl Run<'_> {
             if let Some(cache) = &self.workflow.cache {
                 for (job, resp) in jobs.iter().zip(&resumed) {
                     if let Some(resp) = resp {
-                        cache.insert_precomputed(&job.structure(system), resp.clone());
+                        let frag = job.structure_with(system, self.adjacency);
+                        cache.insert_precomputed(&frag, resp.clone());
                     }
                 }
             }

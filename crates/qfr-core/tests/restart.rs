@@ -12,9 +12,9 @@
 //! resets them inside the critical section (same pattern as the
 //! observability suite) — exact-count assertions are safe here.
 
-use qfr_core::checkpoint::{load_partial, save_partial};
+use qfr_core::checkpoint::{fingerprint, load_partial, save_partial};
 use qfr_core::{RamanWorkflow, ScheduledConfig};
-use qfr_geom::WaterBoxBuilder;
+use qfr_geom::{ProteinBuilder, SolvatedSystem, WaterBoxBuilder};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -183,4 +183,21 @@ fn same_seed_restart_sequences_emit_identical_counter_reports() {
 
     std::fs::remove_file(&path).ok();
     qfr_obs::reset_all();
+}
+
+/// Checkpoints and shard spills are keyed by this value, so files written
+/// before a change to the structure extraction resume after it only while
+/// these literals (printed by the build that wrote them) stand.
+#[test]
+fn fingerprint_of_fixed_systems_is_pinned() {
+    let protein = ProteinBuilder::new(20).seed(42).build();
+    let solvated = SolvatedSystem::build(&protein, 6.0, 3.1, 2.4, 43);
+    let water = WaterBoxBuilder::new(27).seed(42).build();
+    for (system, jobs, pinned) in
+        [(solvated, 7178, 0x1676_25ea_6c9b_a7b4_u64), (water, 141, 0x420d_97b9_34e8_43d8)]
+    {
+        let decomposition = RamanWorkflow::new(system.clone()).decompose();
+        assert_eq!(decomposition.jobs.len(), jobs);
+        assert_eq!(fingerprint(&decomposition, &system), pinned, "{jobs}-job system");
+    }
 }

@@ -173,8 +173,9 @@ fn sharded_run_bit_identical_to_in_core() {
     for k in [1, 4, 16] {
         let spill = dir.join(format!("k{k}"));
         let result = wf.run_sharded(ShardConfig::new(k, &spill).tile_rows(7)).unwrap();
-        // Bit-identity, not cosine similarity: stable triplet sort +
-        // row-partitioned streaming makes every f64 op identical.
+        // Bit-identity, not cosine similarity: the same add sequence per
+        // Hessian slot + row-partitioned streaming makes every f64 op
+        // identical.
         assert_eq!(result.spectrum.intensities, in_core.spectrum.intensities, "K={k}");
         assert_eq!(result.ir.intensities, in_core.ir.intensities, "K={k}");
         assert_eq!(result.hessian_nnz, in_core.hessian_nnz, "K={k}");

@@ -9,14 +9,14 @@
 //!
 //! The fold is written once, in [`RowRangeAccumulator::add`], over the rows
 //! of one contiguous atom range: [`assemble`] is the range `0..n_atoms`, an
-//! out-of-core shard its own. A row receives the same push sequence from
-//! whichever accumulator owns it, so a partition's rows stack to the
-//! whole-system operator bit for bit. [`MassWeighted`] then forms
-//! `H = M^{-1/2} E(2) M^{-1/2}` and `d = M^{-1/2} (∂α/∂ξ)` for the
+//! out-of-core shard its own. A `(row, col)` slot receives the same add
+//! sequence from whichever accumulator owns its row, so a partition's rows
+//! stack to the whole-system operator bit for bit. [`MassWeighted`] then
+//! forms `H = M^{-1/2} E(2) M^{-1/2}` and `d = M^{-1/2} (∂α/∂ξ)` for the
 //! Lanczos/GAGQ spectral solver (Eq. (5)).
 
 use crate::fragment::{FragmentJob, FragmentResponse};
-use qfr_linalg::{CsrMatrix, TripletBuilder};
+use qfr_linalg::CsrMatrix;
 use std::ops::Range;
 
 /// Assembled (unweighted) operators over the rows of one atom range.
@@ -36,12 +36,15 @@ pub struct AssembledSystem {
     pub atoms: Range<usize>,
 }
 
-/// The Eq. (1) fold over the rows of one contiguous atom range.
+/// The Eq. (1) fold over the rows of one contiguous atom range. Memory is
+/// `O(pattern)`: one 3×3 block per coupled atom pair, summed in place.
 #[derive(Debug, Clone)]
 pub struct RowRangeAccumulator {
     atoms: Range<usize>,
     n_atoms: usize,
-    builder: TripletBuilder,
+    /// Per owned atom, its 3×3 Hessian blocks (row-major, from `+0.0`)
+    /// keyed by column atom, ascending.
+    blocks: Vec<Vec<(u32, [f64; 9])>>,
     dalpha: [Vec<f64>; 6],
     dmu: [Vec<f64>; 3],
 }
@@ -50,12 +53,14 @@ impl RowRangeAccumulator {
     /// Empty accumulator for the rows of `atoms` in an `n_atoms` system.
     ///
     /// # Panics
-    /// Panics if the range reaches past `n_atoms`.
+    /// Panics if the range reaches past `n_atoms`, or `3·n_atoms` past
+    /// `u32::MAX` (the CSR index type).
     pub fn new(atoms: Range<usize>, n_atoms: usize) -> Self {
         assert!(atoms.start <= atoms.end && atoms.end <= n_atoms, "{atoms:?} out of {n_atoms}");
+        assert!(n_atoms <= (u32::MAX / 3) as usize, "3·{n_atoms} dofs exceed u32 index range");
         let span = 3 * atoms.len();
         Self {
-            builder: TripletBuilder::new(span, 3 * n_atoms),
+            blocks: vec![Vec::new(); atoms.len()],
             dalpha: std::array::from_fn(|_| vec![0.0; span]),
             dmu: std::array::from_fn(|_| vec![0.0; span]),
             atoms,
@@ -71,31 +76,52 @@ impl RowRangeAccumulator {
     /// Folds one response in. `resp` must cover the job's atoms in order
     /// (real atoms first, then link hydrogens), exactly as produced by
     /// engines running on [`crate::FragmentStructure`]. Callers add jobs in
-    /// global job order: duplicate `(row, col)` entries sum in push order.
+    /// global job order: a `(row, col)` slot sums its addends in add order.
     ///
     /// # Panics
-    /// Panics if a response matrix is not shaped for the job's atoms.
+    /// Panics if a response matrix is not shaped for the job's atoms, or a
+    /// job atom is not an atom of the system.
     pub fn add(&mut self, job: &FragmentJob, resp: &FragmentResponse) {
         let m3 = 3 * job.size();
         assert_eq!(resp.hessian.shape(), (m3, m3), "hessian shape mismatch for {:?}", job.kind);
         assert_eq!(resp.dalpha.shape(), (6, m3), "dalpha shape mismatch for {:?}", job.kind);
         assert_eq!(resp.dmu.shape(), (3, m3), "dmu shape mismatch for {:?}", job.kind);
+        // Out of range, a row atom would pass for another shard's and a
+        // column would reach the CSR arrays unchecked.
+        assert!(
+            job.atoms.iter().all(|&a| a < self.n_atoms),
+            "atom index out of {} for {:?}",
+            self.n_atoms,
+            job.kind
+        );
         let coeff = job.coefficient;
         for (la, &ga) in job.atoms.iter().enumerate() {
             if !self.atoms.contains(&ga) {
                 continue;
             }
-            let row = 3 * (ga - self.atoms.start);
+            let owned = ga - self.atoms.start;
+            let row_blocks = &mut self.blocks[owned];
             for (lb, &gb) in job.atoms.iter().enumerate() {
+                let at = match row_blocks.binary_search_by_key(&(gb as u32), |&(col, _)| col) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        row_blocks.insert(at, (gb as u32, [0.0; 9]));
+                        at
+                    }
+                };
+                let block = &mut row_blocks[at].1;
                 for da in 0..3 {
                     for db in 0..3 {
+                        // A zero addend is skipped, not added: slots are
+                        // never `-0.0`, so it could not change one.
                         let v = resp.hessian[(3 * la + da, 3 * lb + db)];
                         if v != 0.0 {
-                            self.builder.push(row + da, 3 * gb + db, coeff * v);
+                            block[3 * da + db] += coeff * v;
                         }
                     }
                 }
             }
+            let row = 3 * owned;
             for (comp, dvec) in self.dalpha.iter_mut().enumerate() {
                 for da in 0..3 {
                     dvec[row + da] += coeff * resp.dalpha[(comp, 3 * la + da)];
@@ -109,10 +135,34 @@ impl RowRangeAccumulator {
         }
     }
 
-    /// Compresses the rows (stable sort: duplicates sum in push order).
+    /// Compresses the rows: each atom's blocks are walked once per dof row,
+    /// columns ascending, and slots that are exactly zero (never touched, or
+    /// cancelled) are dropped.
     pub fn finish(self) -> AssembledSystem {
+        let nonzero = |block: &[f64; 9]| block.iter().filter(|&&v| v != 0.0).count();
+        let nnz = self.blocks.iter().flatten().map(|(_, block)| nonzero(block)).sum();
+        let mut row_ptr = Vec::with_capacity(3 * self.atoms.len() + 1);
+        let mut col_idx: Vec<u32> = Vec::with_capacity(nnz);
+        let mut values: Vec<f64> = Vec::with_capacity(nnz);
+        row_ptr.push(0);
+        // By value: an atom's blocks are freed once its rows are emitted.
+        for row_blocks in self.blocks {
+            for da in 0..3 {
+                for (col, block) in &row_blocks {
+                    for db in 0..3 {
+                        let v = block[3 * da + db];
+                        if v != 0.0 {
+                            col_idx.push(3 * col + db as u32);
+                            values.push(v);
+                        }
+                    }
+                }
+                row_ptr.push(values.len());
+            }
+        }
+        let (rows, cols) = (3 * self.atoms.len(), 3 * self.n_atoms);
         AssembledSystem {
-            hessian: self.builder.build(),
+            hessian: CsrMatrix::from_raw_parts(rows, cols, row_ptr, col_idx, values),
             dalpha: self.dalpha,
             dmu: self.dmu,
             n_atoms: self.n_atoms,
@@ -312,7 +362,8 @@ mod tests {
 
     /// Every response matrix is checked in both dimensions — `DMatrix`
     /// indexing bounds-checks `(i, j)` in debug builds only, so a misshaped
-    /// response would otherwise be read from the wrong addresses in release.
+    /// response would otherwise be read from the wrong addresses in release
+    /// — and every job atom against `n_atoms`, which arrives separately.
     #[test]
     #[should_panic(expected = "dmu shape mismatch")]
     fn shape_mismatch_panics() {
@@ -322,16 +373,19 @@ mod tests {
             edit(&mut resp);
             vec![resp]
         };
-        let rejected = |responses: Vec<FragmentResponse>, what: &str| {
-            let caught = std::panic::catch_unwind(|| assemble(&jobs, &responses, 2));
+        let rejected = |responses: Vec<FragmentResponse>, n_atoms: usize, what: &str| {
+            let caught = std::panic::catch_unwind(|| assemble(&jobs, &responses, n_atoms));
             let payload = caught.expect_err("a misshaped response was folded");
             let message = payload.downcast_ref::<String>().expect("formatted panic message");
-            assert!(message.contains(what), "wrong rejection, expected {what}");
+            assert!(message.contains(what), "wrong rejection, expected {what}: {message}");
         };
-        rejected(vec![unit_response(1, 1.0, 1.0)], "hessian shape mismatch");
+        rejected(vec![unit_response(1, 1.0, 1.0)], 2, "hessian shape mismatch");
         // Right row count, wrong column count.
-        rejected(with(|r| r.hessian = DMatrix::zeros(6, 4)), "hessian shape mismatch");
-        rejected(with(|r| r.dalpha = DMatrix::zeros(5, 6)), "dalpha shape mismatch");
+        rejected(with(|r| r.hessian = DMatrix::zeros(6, 4)), 2, "hessian shape mismatch");
+        rejected(with(|r| r.dalpha = DMatrix::zeros(5, 6)), 2, "dalpha shape mismatch");
+        // Atom 1 of a one-atom system: as a row it would pass for another
+        // shard's, as a column it would land past the matrix.
+        rejected(with(|_| ()), 1, "atom index out of 1 for WaterMonomer { w: 0 }");
         // A short dmu, with everything else in shape.
         let _ = assemble(&jobs, &with(|r| r.dmu = DMatrix::zeros(3, 5)), 2);
     }

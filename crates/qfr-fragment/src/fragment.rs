@@ -1,7 +1,7 @@
 //! Fragment jobs, materialized fragment structures, and the engine trait.
 
 use qfr_geom::system::{Bond, BondClass};
-use qfr_geom::{Element, MolecularSystem, Vec3};
+use qfr_geom::{BondAdjacency, Element, MolecularSystem, Vec3};
 use qfr_linalg::DMatrix;
 
 /// What a signed fragment job represents in Eq. (1). Used for reporting,
@@ -108,30 +108,60 @@ impl FragmentJob {
     }
 
     /// Materializes the fragment geometry for an engine, carrying over the
-    /// system's bonds (both endpoints inside the fragment) and adding
-    /// anchor–link-H bonds.
+    /// system's bonds (both endpoints inside the fragment, in bond-list
+    /// order) and adding anchor–link-H bonds. A one-off: it indexes the
+    /// whole bond list first; loops over many jobs build one
+    /// [`BondAdjacency`] and call [`structure_with`](Self::structure_with).
     pub fn structure(&self, sys: &MolecularSystem) -> FragmentStructure {
+        self.structure_with(sys, &BondAdjacency::new(sys))
+    }
+
+    /// [`structure`](Self::structure) in `O(fragment)`: only the bonds
+    /// incident to the job's atoms are visited. `adjacency` must index
+    /// `sys`.
+    pub fn structure_with(
+        &self,
+        sys: &MolecularSystem,
+        adjacency: &BondAdjacency,
+    ) -> FragmentStructure {
+        assert_eq!(adjacency.n_atoms(), sys.n_atoms(), "bond adjacency of another system");
         let mut elements = Vec::with_capacity(self.size());
         let mut positions = Vec::with_capacity(self.size());
         let mut global_map = Vec::with_capacity(self.size());
-        // Map global -> local for bond extraction.
-        let mut local_of = std::collections::HashMap::with_capacity(self.atoms.len());
+        // Global -> local, searched rather than hashed; sorted here because
+        // nothing enforces the ascending order of `atoms`.
+        let mut locals = Vec::with_capacity(self.atoms.len());
         for (local, &g) in self.atoms.iter().enumerate() {
             let a = &sys.atoms[g];
             elements.push(a.element);
             positions.push(a.position);
             global_map.push(Some(g));
-            local_of.insert(g, local);
+            locals.push((g, local));
         }
-        let mut bonds = Vec::new();
-        for b in &sys.bonds {
-            if let (Some(&li), Some(&lj)) = (local_of.get(&b.i), local_of.get(&b.j)) {
-                bonds.push(Bond { i: li, j: lj, order: b.order, class: b.class });
-            }
-        }
+        locals.sort_unstable();
+        // The last local index of a repeated atom, as a map insert keeps.
+        let local_of = |g: usize| {
+            let (found, local) = *locals[..locals.partition_point(|&(a, _)| a <= g)].last()?;
+            (found == g).then_some(local)
+        };
+        // Each inside bond is met from its `i` end; sorting by id restores
+        // bond-list order, which fixes the force-field summation order and
+        // every key derived from the structure.
+        let mut inside: Vec<(u32, usize, usize)> = (self.atoms.iter())
+            .flat_map(|&g| adjacency.incident(g).iter().map(move |&k| (g, k)))
+            .filter(|&(g, k)| sys.bonds[k as usize].i == g)
+            .filter_map(|(_, k)| {
+                let b = &sys.bonds[k as usize];
+                Some((k, local_of(b.i)?, local_of(b.j)?))
+            })
+            .collect();
+        inside.sort_unstable();
+        inside.dedup();
+        let mut bonds: Vec<Bond> =
+            inside.iter().map(|&(k, i, j)| Bond { i, j, ..sys.bonds[k as usize] }).collect();
         for lh in &self.link_hydrogens {
             let anchor_local =
-                *local_of.get(&lh.anchor).expect("link hydrogen anchor must be a fragment atom");
+                local_of(lh.anchor).expect("link hydrogen anchor must be a fragment atom");
             let h_local = elements.len();
             elements.push(Element::H);
             positions.push(lh.position);

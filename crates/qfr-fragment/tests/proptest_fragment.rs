@@ -1,12 +1,18 @@
 //! Property tests for the QF decomposition and assembly.
 
 use proptest::prelude::*;
+use qfr_fragment::fragment::LinkHydrogen;
 use qfr_fragment::{
     assemble, AssembledSystem, Decomposition, DecompositionParams, FragmentJob, FragmentResponse,
-    JobKind, MassWeighted, RowRangeAccumulator,
+    FragmentStructure, JobKind, MassWeighted, RowRangeAccumulator,
 };
-use qfr_geom::{MolecularSystem, ProteinBuilder, WaterBoxBuilder};
-use qfr_linalg::DMatrix;
+use qfr_geom::system::{Bond, BondClass};
+use qfr_geom::{
+    build_scenario, BondAdjacency, Element, MolecularSystem, ProteinBuilder, SolvatedSystem, Vec3,
+    WaterBoxBuilder, SCENARIO_NAMES,
+};
+use qfr_linalg::{DMatrix, TripletBuilder};
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// splitmix64: a reproducible stream of well-mixed bits per `(seed, index)`.
@@ -111,6 +117,111 @@ fn fold_ranges(
             acc.finish()
         })
         .collect()
+}
+
+/// Reference extraction: the global scan `FragmentJob::structure_with`
+/// replaced — hash every job atom, pass over the whole bond list.
+fn scanned_structure(job: &FragmentJob, sys: &MolecularSystem) -> FragmentStructure {
+    let (mut elements, mut positions, mut global_map) = (Vec::new(), Vec::new(), Vec::new());
+    let mut local_of = HashMap::new();
+    for (local, &g) in job.atoms.iter().enumerate() {
+        elements.push(sys.atoms[g].element);
+        positions.push(sys.atoms[g].position);
+        global_map.push(Some(g));
+        local_of.insert(g, local);
+    }
+    let mut bonds = Vec::new();
+    for b in &sys.bonds {
+        if let (Some(&i), Some(&j)) = (local_of.get(&b.i), local_of.get(&b.j)) {
+            bonds.push(Bond { i, j, order: b.order, class: b.class });
+        }
+    }
+    for lh in &job.link_hydrogens {
+        let (i, j) = (local_of[&lh.anchor], elements.len());
+        elements.push(Element::H);
+        positions.push(lh.position);
+        global_map.push(None);
+        let class = BondClass::classify(sys.atoms[lh.anchor].element, Element::H, 1);
+        bonds.push(Bond { i, j, order: 1, class });
+    }
+    FragmentStructure { elements, positions, bonds, global_map }
+}
+
+/// The indexed extraction of every job equals the scan field for field
+/// (positions by bits, bonds in order with order and class), and the index
+/// lists every bond once per endpoint, ascending.
+fn assert_extraction_matches_scan(sys: &MolecularSystem, jobs: &[FragmentJob], what: &str) {
+    let adjacency = BondAdjacency::new(sys);
+    assert_eq!(adjacency.n_atoms(), sys.n_atoms());
+    let mut listed = vec![0usize; sys.bonds.len()];
+    for atom in 0..sys.n_atoms() {
+        let ids = adjacency.incident(atom);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{what}: atom {atom} ids not ascending");
+        for &k in ids {
+            let b = &sys.bonds[k as usize];
+            assert!(b.i == atom || b.j == atom, "{what}: bond {k} does not touch atom {atom}");
+            listed[k as usize] += 1;
+        }
+    }
+    assert!(listed.iter().all(|&n| n == 2), "{what}: a bond not listed once per endpoint");
+
+    let bits = |p: &Vec3| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
+    for (k, job) in jobs.iter().enumerate() {
+        let (got, want) = (job.structure_with(sys, &adjacency), scanned_structure(job, sys));
+        assert_eq!(got.elements, want.elements, "{what}: job {k} elements");
+        assert!(
+            got.positions.iter().map(bits).eq(want.positions.iter().map(bits)),
+            "{what}: job {k} positions"
+        );
+        assert_eq!(got.bonds, want.bonds, "{what}: job {k} bonds");
+        assert_eq!(got.global_map, want.global_map, "{what}: job {k} global map");
+    }
+}
+
+/// Reference fold: the loop `RowRangeAccumulator` replaced — every scalar
+/// pushed as a triplet, stable-sorted and summed at the end.
+fn triplet_fold(
+    range: &Range<usize>,
+    n_atoms: usize,
+    jobs: &[FragmentJob],
+    responses: &[FragmentResponse],
+    kept: impl Fn(usize) -> bool,
+) -> AssembledSystem {
+    let span = 3 * range.len();
+    let mut builder = TripletBuilder::new(span, 3 * n_atoms);
+    let mut dalpha: [Vec<f64>; 6] = std::array::from_fn(|_| vec![0.0; span]);
+    let mut dmu: [Vec<f64>; 3] = std::array::from_fn(|_| vec![0.0; span]);
+    for (k, (job, resp)) in jobs.iter().zip(responses).enumerate() {
+        if !kept(k) {
+            continue;
+        }
+        let coeff = job.coefficient;
+        for (la, &ga) in job.atoms.iter().enumerate() {
+            if !range.contains(&ga) {
+                continue;
+            }
+            let row = 3 * (ga - range.start);
+            for (lb, &gb) in job.atoms.iter().enumerate() {
+                for da in 0..3 {
+                    for db in 0..3 {
+                        let v = resp.hessian[(3 * la + da, 3 * lb + db)];
+                        if v != 0.0 {
+                            builder.push(row + da, 3 * gb + db, coeff * v);
+                        }
+                    }
+                }
+            }
+            for da in 0..3 {
+                for (comp, dvec) in dalpha.iter_mut().enumerate() {
+                    dvec[row + da] += coeff * resp.dalpha[(comp, 3 * la + da)];
+                }
+                for (comp, dvec) in dmu.iter_mut().enumerate() {
+                    dvec[row + da] += coeff * resp.dmu[(comp, 3 * la + da)];
+                }
+            }
+        }
+    }
+    AssembledSystem { hessian: builder.build(), dalpha, dmu, n_atoms, atoms: range.clone() }
 }
 
 proptest! {
@@ -257,6 +368,69 @@ proptest! {
         );
     }
 
+    /// The indexed extraction is the global scan, for every job of solvated
+    /// proteins and water boxes at any λ.
+    #[test]
+    fn indexed_extraction_matches_the_global_scan(
+        residues in 0..7usize,
+        waters in 1..20usize,
+        seed in 0u64..500,
+        lambda in 0.5..6.0f64,
+        padding in 2.0..5.0f64,
+    ) {
+        let sys = if residues == 0 {
+            WaterBoxBuilder::new(waters).seed(seed).build()
+        } else {
+            let protein = ProteinBuilder::new(residues).seed(seed).build();
+            SolvatedSystem::build(&protein, padding, 3.1, 2.4, seed + 1)
+        };
+        let d = Decomposition::new(&sys, DecompositionParams { lambda, ..Default::default() });
+        assert_extraction_matches_scan(&sys, &d.jobs, "random system");
+    }
+
+    /// The block accumulator is the triplet fold: same `row_ptr`, `col_idx`
+    /// and value bits, raw and mass-weighted, over any row partition and job
+    /// subset — with zeros of both signs among the addends, the negative
+    /// merged-monomer coefficients of a real decomposition, and one job
+    /// repeated with the opposite coefficient so its slots cancel exactly.
+    #[test]
+    fn block_fold_matches_the_triplet_fold(
+        protein in 0..2usize,
+        n in 1..9usize,
+        seed in 0u64..500,
+        lambda in 0.5..6.0f64,
+        cuts in prop::collection::vec(0..=1000usize, 0..=6),
+        lost in 0u64..4,
+    ) {
+        let (sys, d) = decomposed(protein == 1, n, seed, lambda);
+        let (n_atoms, masses) = (sys.n_atoms(), sys.masses());
+        let mut jobs = d.jobs.clone();
+        let mut responses = noisy_responses(&jobs, seed);
+        for (k, resp) in responses.iter_mut().enumerate() {
+            let m3 = resp.hessian.rows();
+            for at in (0..m3 * m3).filter(|&at| mix(seed ^ 0x5eed, k * 4096 + at) % 16 == 0) {
+                resp.hessian[(at / m3, at % m3)] = -0.0;
+            }
+        }
+        let twin = mix(seed, 77) as usize % jobs.len();
+        let cancelling = FragmentJob { coefficient: -jobs[twin].coefficient, ..jobs[twin].clone() };
+        jobs.insert(twin + 1, cancelling);
+        responses.insert(twin + 1, responses[twin].clone());
+        // The twins are kept or lost together.
+        let kept = |k: usize| lost == 0 || mix(lost, k - usize::from(k > twin)) % 4 != 0;
+
+        let ranges = partition(n_atoms, &cuts);
+        let got = fold_ranges(&ranges, n_atoms, &jobs, &responses, kept);
+        let want: Vec<AssembledSystem> = (ranges.iter())
+            .map(|range| triplet_fold(range, n_atoms, &jobs, &responses, kept))
+            .collect();
+        prop_assert!(raw_bits(&got) == raw_bits(&want), "raw rows differ for {ranges:?}");
+        prop_assert!(
+            weighted_bits(&got, &masses) == weighted_bits(&want, &masses),
+            "mass-weighted rows differ for {ranges:?}"
+        );
+    }
+
     /// Mass weighting is exactly the per-entry product `v * w_i * w_j` on an
     /// unchanged pattern, and `v * w_i` on the derivative vectors.
     #[test]
@@ -354,4 +528,48 @@ fn job_size_includes_link_hydrogens() {
         assert_eq!(job.size(), frag.n_atoms());
         assert_eq!(frag.n_atoms(), job.atoms.len() + job.link_hydrogens.len());
     }
+}
+
+/// The graph path — cut bonds, link hydrogens, ligands, a second chain —
+/// extracts through the index exactly as through the scan.
+#[test]
+fn indexed_extraction_matches_the_scan_on_every_scenario() {
+    for &name in SCENARIO_NAMES {
+        for (seed, max_fragment_atoms) in [(3, 12), (11, 40)] {
+            let sys = build_scenario(name, seed).expect("known scenario");
+            let params = DecompositionParams { max_fragment_atoms, ..Default::default() };
+            let d = Decomposition::new(&sys, params);
+            let cut = d.jobs.iter().any(|j| !j.link_hydrogens.is_empty());
+            assert!(cut || max_fragment_atoms == 40, "{name}: a 12-atom budget forces cuts");
+            assert_extraction_matches_scan(&sys, &d.jobs, name);
+        }
+    }
+}
+
+/// Nothing enforces the ascending order of `FragmentJob::atoms`: unsorted
+/// lists, and a link hydrogen anchored on the last atom, extract alike.
+#[test]
+fn indexed_extraction_takes_unsorted_atom_lists() {
+    let sys = ProteinBuilder::new(4).seed(9).build();
+    let span = sys.residues[1].atom_range();
+    let hydrogen = |anchor: usize| LinkHydrogen {
+        anchor,
+        position: sys.atoms[anchor].position + Vec3::new(1.0, 0.0, 0.0),
+    };
+    let job = |atoms: Vec<usize>| {
+        let link_hydrogens = vec![hydrogen(atoms[atoms.len() - 1]), hydrogen(atoms[0])];
+        FragmentJob {
+            kind: JobKind::ResidueMonomer { r: 1 },
+            coefficient: 1.0,
+            atoms,
+            link_hydrogens,
+        }
+    };
+    let reversed: Vec<usize> = span.clone().rev().collect();
+    let mut shuffled: Vec<usize> = span.collect();
+    shuffled.sort_by_key(|&a| mix(9, a));
+    let sparse: Vec<usize> = shuffled.iter().copied().step_by(2).collect();
+    let jobs = [job(reversed), job(shuffled), job(sparse)];
+    assert!(jobs.iter().all(|j| !j.structure(&sys).bonds.is_empty()));
+    assert_extraction_matches_scan(&sys, &jobs, "hand-built jobs");
 }

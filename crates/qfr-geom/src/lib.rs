@@ -34,5 +34,5 @@ pub use element::Element;
 pub use neighbor::CellList;
 pub use residue::{ResidueKind, ResidueTemplate};
 pub use scenario::{build_scenario, SCENARIO_NAMES};
-pub use system::{Atom, Bond, MolecularSystem, ResidueSpan};
+pub use system::{Atom, Bond, BondAdjacency, MolecularSystem, ResidueSpan};
 pub use vec3::Vec3;

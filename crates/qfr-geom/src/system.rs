@@ -244,6 +244,63 @@ impl MolecularSystem {
     }
 }
 
+/// Per-atom incident-bond index over [`MolecularSystem::bonds`]: which bonds
+/// touch an atom, without scanning the bond list. Compressed rows — atom
+/// `a`'s bond ids are `ids[offsets[a]..offsets[a + 1]]`, ascending — built
+/// in `O(atoms + bonds)`. The index holds positions in the bond list, so it
+/// is valid for exactly the system it was built from.
+#[derive(Debug, Clone)]
+pub struct BondAdjacency {
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl BondAdjacency {
+    /// Indexes the bonds of `sys`. Every bond is listed once per endpoint
+    /// (a self-bond once); an endpoint past the atom count, which
+    /// [`MolecularSystem::validate`] reports, is incident to no atom.
+    ///
+    /// # Panics
+    /// Panics if the bond count exceeds `u32::MAX` (the id type).
+    pub fn new(sys: &MolecularSystem) -> Self {
+        let n = sys.n_atoms();
+        assert!(sys.bonds.len() <= u32::MAX as usize, "bond count exceeds u32 id range");
+        let ends = |b: &Bond| {
+            let second = (b.j != b.i).then_some(b.j);
+            [Some(b.i), second].into_iter().flatten().filter(move |&a| a < n)
+        };
+        // Counting sort by atom: degrees, prefix sums, then a fill in bond
+        // order, which leaves each atom's ids ascending.
+        let mut offsets = vec![0usize; n + 1];
+        for a in sys.bonds.iter().flat_map(ends) {
+            offsets[a + 1] += 1;
+        }
+        for a in 0..n {
+            offsets[a + 1] += offsets[a];
+        }
+        let mut next = offsets.clone();
+        let mut ids = vec![0u32; offsets[n]];
+        for (k, b) in sys.bonds.iter().enumerate() {
+            for a in ends(b) {
+                ids[next[a]] = k as u32;
+                next[a] += 1;
+            }
+        }
+        Self { offsets, ids }
+    }
+
+    /// Number of atoms indexed.
+    pub fn n_atoms(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Positions in [`MolecularSystem::bonds`] of the bonds with an end at
+    /// `atom`, ascending.
+    pub fn incident(&self, atom: usize) -> &[u32] {
+        &self.ids[self.offsets[atom]..self.offsets[atom + 1]]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,6 +376,19 @@ mod tests {
         assert!(sys.validate().iter().any(|e| e.contains("self-bond")));
         sys.bonds.push(Bond::new(0, 99, 1, Element::O, Element::H));
         assert!(sys.validate().iter().any(|e| e.contains("out of range")));
+    }
+
+    #[test]
+    fn adjacency_skips_what_validation_rejects() {
+        let mut sys = water_system(2);
+        sys.bonds.push(Bond::new(3, 3, 1, Element::O, Element::O));
+        sys.bonds.push(Bond::new(4, 99, 1, Element::H, Element::H));
+        let adj = BondAdjacency::new(&sys);
+        assert_eq!(adj.n_atoms(), 6);
+        assert_eq!(adj.incident(0), [0, 1]);
+        assert_eq!(adj.incident(3), [2, 3, 4], "the self-bond is listed once");
+        assert_eq!(adj.incident(4), [2, 5], "the in-range end of a dangling bond");
+        assert_eq!(adj.incident(5), [3]);
     }
 
     #[test]

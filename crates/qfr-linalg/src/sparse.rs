@@ -4,9 +4,9 @@
 //! fragment, cap and two-body concap contributes a small dense block to the
 //! global `3N x 3N` matrix, and fragments only couple within the λ = 4 Å
 //! threshold. The Lanczos solver needs only `y = H x`, so we expose a
-//! [`MatVec`] trait; [`CsrMatrix`] is the materialized implementation used up
-//! to millions of rows, while the 10⁸-atom path implements `MatVec` directly
-//! over fragment block lists without ever materializing the matrix.
+//! [`MatVec`] trait; [`CsrMatrix`] is the materialized in-core
+//! implementation, while the out-of-core path streams the same rows as CSR
+//! tiles from disk (`qfr_solver::ShardedOperator`).
 
 use crate::matrix::DMatrix;
 use rayon::prelude::*;
@@ -111,12 +111,10 @@ impl TripletBuilder {
     ///
     /// The sort is **stable**, so duplicate `(row, col)` entries accumulate
     /// in push order. That makes the compressed values a pure function of
-    /// the per-row push sequence — a builder fed only the rows of one atom
-    /// shard produces bit-identical values to a builder fed the whole
-    /// matrix, which is what lets the out-of-core sharded assembly promise
-    /// `K`-invariant spectra (an unstable sort may order equal keys
+    /// the per-row push sequence (an unstable sort may order equal keys
     /// differently for different subsets, changing the f64 summation
-    /// order).
+    /// order) — the property the Eq. (1) fold's oracle test compares
+    /// against.
     pub fn build(mut self) -> CsrMatrix {
         self.entries.par_sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
         let mut row_ptr = vec![0usize; self.rows + 1];
