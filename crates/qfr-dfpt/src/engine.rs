@@ -4,8 +4,9 @@
 //! This is the *computationally faithful* engine: polarizability
 //! derivatives come from real DFPT response solves at displaced geometries
 //! (exactly the leader/worker workload of Fig. 3), and the Hessian from a
-//! frozen-density (Harris-style) functional second difference. Cost is
-//! `O((3m)²)` energy evaluations plus `6m` response solves per fragment, so
+//! frozen-density (Harris-style) functional second difference. Cost is one
+//! reference SCF, whose density warm-starts every displaced solve, plus
+//! `O((3m)²)` energy evaluations and `6m` response solves per fragment, so
 //! it is reserved for small fragments (waters, dimers) and validation; the
 //! production spectra path uses `qfr-model`'s analytic engine (see
 //! DESIGN.md). A single global `energy_scale` calibrates the model energy
@@ -95,19 +96,43 @@ impl DfptEngine {
         e_core + e_h + e_x + basis.nuclear_repulsion()
     }
 
-    /// Finite-difference Hessian of the frozen-density energy.
+    /// The reference ground state every finite difference is taken around.
+    fn reference(&self, frag: &FragmentStructure) -> ScfResult {
+        ScfSolver { config: self.config.scf }.solve(frag)
+    }
+
+    /// SCF at `frag` with coordinate `coord` shifted by `sign · h`,
+    /// warm-started from the reference density matrix.
+    fn displaced_scf(
+        &self,
+        frag: &FragmentStructure,
+        reference: &ScfResult,
+        coord: usize,
+        sign: f64,
+    ) -> ScfResult {
+        let mut f = frag.clone();
+        apply_shift(&mut f, coord, sign * self.config.displacement);
+        SCF_SOLVES.incr();
+        ScfSolver { config: self.config.scf }.solve_from(&f, &reference.p)
+    }
+
+    /// Finite-difference Hessian of the frozen-density energy (solves its
+    /// own reference SCF).
     pub fn hessian_fd(&self, frag: &FragmentStructure) -> DMatrix {
+        self.hessian_around(frag, &self.reference(frag))
+    }
+
+    fn hessian_around(&self, frag: &FragmentStructure, reference: &ScfResult) -> DMatrix {
         let _span = qfr_obs::span("dfpt.engine.hessian_fd");
-        let reference = ScfSolver { config: self.config.scf }.solve(frag);
         let dof = frag.dof();
         let h = self.config.displacement;
-        let e0 = self.frozen_energy(frag, &reference);
+        let e0 = self.frozen_energy(frag, reference);
 
         let displaced = |i: usize, s1: f64, j: usize, s2: f64| -> f64 {
             let mut f = frag.clone();
             apply_shift(&mut f, i, s1 * h);
             apply_shift(&mut f, j, s2 * h);
-            self.frozen_energy(&f, &reference)
+            self.frozen_energy(&f, reference)
         };
 
         let mut hess = DMatrix::zeros(dof, dof);
@@ -147,12 +172,14 @@ impl DfptEngine {
     /// Polarizability derivatives by central differences of the DFPT
     /// polarizability over atomic displacements (`6 x 3m`).
     ///
-    /// This is the *scattered* reference path: it re-solves SCF at every
-    /// displaced geometry even though [`DfptEngine::dmu_fd`] visits the same
+    /// This is the *scattered* reference path: it solves its own reference
+    /// SCF and re-solves every displaced geometry (warm-started from that
+    /// reference) even though [`DfptEngine::dmu_fd`] visits the same
     /// geometries. Production code goes through
     /// [`DfptEngine::displaced_sweep`], which shares the solves.
     pub fn dalpha_fd(&self, frag: &FragmentStructure) -> DMatrix {
         let _span = qfr_obs::span("dfpt.engine.dalpha_fd");
+        let reference = self.reference(frag);
         let dof = frag.dof();
         let h = self.config.displacement;
         let comps = alpha_components();
@@ -162,10 +189,7 @@ impl DfptEngine {
             .into_par_iter()
             .map(|i| {
                 let alpha_at = |s: f64| {
-                    let mut f = frag.clone();
-                    apply_shift(&mut f, i, s * h);
-                    SCF_SOLVES.incr();
-                    let scf = ScfSolver { config: self.config.scf }.solve(&f);
+                    let scf = self.displaced_scf(frag, &reference, i, s);
                     polarizability(&scf, &self.config.response).0
                 };
                 let ap = alpha_at(1.0);
@@ -206,7 +230,14 @@ impl DfptEngine {
     /// (stage 2). Each task's result is independent of its batch
     /// companions, so both blocks stay bit-identical to the scattered
     /// per-geometry path.
+    ///
+    /// Solves its own reference SCF; every displaced solve warm-starts from
+    /// it, exactly as in the scattered paths.
     pub fn displaced_sweep(&self, frag: &FragmentStructure) -> (DMatrix, DMatrix) {
+        self.sweep_around(frag, &self.reference(frag))
+    }
+
+    fn sweep_around(&self, frag: &FragmentStructure, reference: &ScfResult) -> (DMatrix, DMatrix) {
         let _span = qfr_obs::span("dfpt.engine.displaced_sweep");
         let dof = frag.dof();
         let h = self.config.displacement;
@@ -216,12 +247,7 @@ impl DfptEngine {
         let scfs: Vec<ScfResult> = (0..2 * dof)
             .into_par_iter()
             .map(|g| {
-                let i = g / 2;
-                let s = if g % 2 == 0 { 1.0 } else { -1.0 };
-                let mut f = frag.clone();
-                apply_shift(&mut f, i, s * h);
-                SCF_SOLVES.incr();
-                ScfSolver { config: self.config.scf }.solve(&f)
+                self.displaced_scf(frag, reference, g / 2, if g % 2 == 0 { 1.0 } else { -1.0 })
             })
             .collect();
         // Stage 2: gather all 6·dof field responses into one lockstep set.
@@ -293,23 +319,18 @@ impl DfptEngine {
     /// Dipole derivatives by central differences of the SCF dipole
     /// (`3 x 3m`).
     ///
-    /// Scattered reference path — re-solves the same displaced geometries as
-    /// [`DfptEngine::dalpha_fd`]; production goes through
-    /// [`DfptEngine::displaced_sweep`].
+    /// Scattered reference path — solves its own reference and re-solves the
+    /// same warm-started displaced geometries as [`DfptEngine::dalpha_fd`];
+    /// production goes through [`DfptEngine::displaced_sweep`].
     pub fn dmu_fd(&self, frag: &FragmentStructure) -> DMatrix {
         let _span = qfr_obs::span("dfpt.engine.dmu_fd");
+        let reference = self.reference(frag);
         let dof = frag.dof();
         let h = self.config.displacement;
         let cols: Vec<[f64; 3]> = (0..dof)
             .into_par_iter()
             .map(|i| {
-                let mu_at = |s: f64| {
-                    let mut f = frag.clone();
-                    apply_shift(&mut f, i, s * h);
-                    SCF_SOLVES.incr();
-                    let scf = ScfSolver { config: self.config.scf }.solve(&f);
-                    Self::scf_dipole(&scf)
-                };
+                let mu_at = |s: f64| Self::scf_dipole(&self.displaced_scf(frag, &reference, i, s));
                 let mp = mu_at(1.0);
                 let mm = mu_at(-1.0);
                 let mut col = [0.0; 3];
@@ -342,18 +363,15 @@ impl FragmentEngine for DfptEngine {
     fn compute(&self, frag: &FragmentStructure) -> FragmentResponse {
         let _span = qfr_obs::span("dfpt.engine.compute");
         FRAGMENTS_COMPUTED.incr();
-        // One merged sweep: each displaced geometry is solved once and both
-        // derivative blocks are derived from the shared SCF result.
-        let (dalpha, dmu) = self.displaced_sweep(frag);
-        let resp = FragmentResponse {
-            hessian: {
-                let mut m = self.hessian_fd(frag);
-                m.symmetrize_mut();
-                m
-            },
-            dalpha,
-            dmu,
-        };
+        // One reference SCF: the frozen-density Hessian is taken around it
+        // and every displaced solve of the merged sweep warm-starts from it;
+        // each displaced geometry is solved once and both derivative blocks
+        // are derived from the shared SCF result.
+        let reference = self.reference(frag);
+        let (dalpha, dmu) = self.sweep_around(frag, &reference);
+        let mut hessian = self.hessian_around(frag, &reference);
+        hessian.symmetrize_mut();
+        let resp = FragmentResponse { hessian, dalpha, dmu };
         resp.check_shape(frag);
         resp
     }

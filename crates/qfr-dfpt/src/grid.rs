@@ -111,32 +111,41 @@ impl RealSpaceGrid {
         let (nx, ny, nz) = self.dims;
         let mut g = Grid3::from_real(nx, ny, nz, density);
         g.fft();
-        let lx = nx as f64 * self.spacing;
-        let ly = ny as f64 * self.spacing;
-        let lz = nz as f64 * self.spacing;
+        self.apply_kernel(&mut g);
+        g.ifft();
+        g.to_real()
+    }
+
+    /// Multiplies a transformed density by `4π/k²` (zero at `k = 0`). The
+    /// wavenumbers are tabulated once per axis; `k²` is formed from them
+    /// in `x, y, z` order.
+    fn apply_kernel(&self, g: &mut Grid3) {
+        let (nx, ny, nz) = self.dims;
         let tau = 2.0 * std::f64::consts::PI;
-        for i in 0..nx {
-            for j in 0..ny {
-                for k in 0..nz {
-                    let fi = if i <= nx / 2 { i as f64 } else { i as f64 - nx as f64 };
-                    let fj = if j <= ny / 2 { j as f64 } else { j as f64 - ny as f64 };
-                    let fk = if k <= nz / 2 { k as f64 } else { k as f64 - nz as f64 };
-                    let kx = tau * fi / lx;
-                    let ky = tau * fj / ly;
-                    let kz = tau * fk / lz;
+        let wavenumbers = |n: usize| -> Vec<f64> {
+            let l = n as f64 * self.spacing;
+            (0..n)
+                .map(|i| {
+                    let f = if i <= n / 2 { i as f64 } else { i as f64 - n as f64 };
+                    tau * f / l
+                })
+                .collect()
+        };
+        let (kx, ky, kz) = (wavenumbers(nx), wavenumbers(ny), wavenumbers(nz));
+        let mut values = g.data_mut().iter_mut();
+        for kx in &kx {
+            for ky in &ky {
+                for kz in &kz {
+                    let v = values.next().expect("grid holds nx·ny·nz values");
                     let k2 = kx * kx + ky * ky + kz * kz;
-                    let idx = g.idx(i, j, k);
-                    if k2 == 0.0 {
-                        g.data_mut()[idx] = qfr_linalg::Complex64::ZERO;
+                    *v = if k2 == 0.0 {
+                        qfr_linalg::Complex64::ZERO
                     } else {
-                        let scale = 4.0 * std::f64::consts::PI / k2;
-                        g.data_mut()[idx] = g.data_mut()[idx].scale(scale);
-                    }
+                        v.scale(4.0 * std::f64::consts::PI / k2)
+                    };
                 }
             }
         }
-        g.ifft();
-        g.to_real()
     }
 }
 
@@ -214,6 +223,53 @@ mod tests {
                 "poisson eigenfunction violated: {vi} vs {}",
                 expect * ni
             );
+        }
+    }
+
+    #[test]
+    fn tabulated_kernel_keeps_the_pointwise_bits() {
+        // The point-by-point 4π/k² loop the tabulated kernel replaced.
+        fn pointwise_kernel(grid: &RealSpaceGrid, g: &mut Grid3) {
+            let (nx, ny, nz) = grid.dims;
+            let lx = nx as f64 * grid.spacing;
+            let ly = ny as f64 * grid.spacing;
+            let lz = nz as f64 * grid.spacing;
+            let tau = 2.0 * std::f64::consts::PI;
+            for i in 0..nx {
+                for j in 0..ny {
+                    for k in 0..nz {
+                        let fi = if i <= nx / 2 { i as f64 } else { i as f64 - nx as f64 };
+                        let fj = if j <= ny / 2 { j as f64 } else { j as f64 - ny as f64 };
+                        let fk = if k <= nz / 2 { k as f64 } else { k as f64 - nz as f64 };
+                        let kx = tau * fi / lx;
+                        let ky = tau * fj / ly;
+                        let kz = tau * fk / lz;
+                        let k2 = kx * kx + ky * ky + kz * kz;
+                        let idx = g.idx(i, j, k);
+                        if k2 == 0.0 {
+                            g.data_mut()[idx] = qfr_linalg::Complex64::ZERO;
+                        } else {
+                            let scale = 4.0 * std::f64::consts::PI / k2;
+                            g.data_mut()[idx] = g.data_mut()[idx].scale(scale);
+                        }
+                    }
+                }
+            }
+        }
+        let frag = water_fragment();
+        for grid in [
+            RealSpaceGrid::for_fragment(&frag, 0.5, 3.0, 16),
+            RealSpaceGrid::for_fragment(&frag, 0.45, 2.0, 32),
+        ] {
+            let (nx, ny, nz) = grid.dims;
+            let density: Vec<f64> =
+                grid.points.iter().map(|p| (-(p.x * p.x + 0.7 * p.y * p.y + p.z)).exp()).collect();
+            let mut transformed = Grid3::from_real(nx, ny, nz, &density);
+            transformed.fft();
+            let mut tabulated = transformed.clone();
+            grid.apply_kernel(&mut tabulated);
+            pointwise_kernel(&grid, &mut transformed);
+            assert_eq!(tabulated.data(), transformed.data(), "dims {:?}", grid.dims);
         }
     }
 

@@ -2,9 +2,13 @@
 //!
 //! `F[P] = T + V_ext + V_H[n] + V_x[n]` with the Hartree potential from the
 //! FFT Poisson solver and LDA exchange, solved by Löwdin orthogonalization
-//! (Cholesky of `S`) and damped fixed-point iteration on the density
-//! matrix. Everything is deterministic: fixed grid, fixed iteration cap,
-//! fixed mixing.
+//! (Cholesky of `S`) and Pulay/DIIS extrapolation of the Fock matrix over
+//! the last `DIIS_DEPTH` iterations; the density of the extrapolated Fock
+//! is taken undamped. [`ScfSolver::solve`] starts from the core-Hamiltonian
+//! guess, [`ScfSolver::solve_from`] from a given density matrix — the
+//! finite-difference engine warm-starts every displaced geometry from its
+//! reference. Everything is deterministic: fixed grid, fixed iteration cap,
+//! fixed extrapolation depth.
 
 use crate::basis::Basis;
 use crate::dispatch::dispatch_jobs;
@@ -14,13 +18,33 @@ use qfr_linalg::batch::{BatchJob, OffloadMode};
 use qfr_linalg::cholesky::Cholesky;
 use qfr_linalg::eigen::symmetric_eigen;
 use qfr_linalg::gemm;
-use qfr_linalg::DMatrix;
+use qfr_linalg::lu::Lu;
+use qfr_linalg::{DMatrix, GemmPrecision};
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::Arc;
 
 static SCF_SOLVES: qfr_obs::Counter = qfr_obs::Counter::deterministic("dfpt.scf.solves");
 static SCF_ITERATIONS: qfr_obs::Counter = qfr_obs::Counter::deterministic("dfpt.scf.iterations");
+/// Solves that hit `max_iterations` without converging (their result is
+/// still returned and used).
+static SCF_UNCONVERGED: qfr_obs::Counter = qfr_obs::Counter::deterministic("dfpt.scf.unconverged");
 
 /// LDA exchange constant `(3/π)^{1/3}`.
 pub const CX: f64 = 0.984745;
+
+/// Fock/error pairs the Pulay extrapolation spans.
+const DIIS_DEPTH: usize = 8;
+
+/// Convergence also requires `max|F P S − S P F|` below this multiple of
+/// `ScfConfig::convergence`.
+const COMMUTATOR_FACTOR: f64 = 10.0;
+
+/// The tightest `max|ΔP|` threshold a `MixedF32` SCF can meet: f32
+/// multiplicands leave ~1e-7 of rounding noise in `F[P]` and so in `P`,
+/// and a tighter `ScfConfig::convergence` would run every mixed solve into
+/// `max_iterations`.
+const MIXED_CONVERGENCE_FLOOR: f64 = 1e-6;
 
 /// SCF configuration.
 #[derive(Debug, Clone, Copy)]
@@ -35,9 +59,9 @@ pub struct ScfConfig {
     pub batch_size: usize,
     /// Maximum SCF iterations.
     pub max_iterations: usize,
-    /// Fraction of the new density mixed in per iteration.
-    pub mixing: f64,
-    /// Convergence threshold on `max|ΔP|`.
+    /// Convergence threshold on `max|ΔP|` (at least 1e-6 under
+    /// `MixedF32`); the commutator error `max|F P S − S P F|` must also fall
+    /// below a fixed multiple of it.
     pub convergence: f64,
     /// How the gathered density/Fock job streams are executed.
     pub offload: OffloadMode,
@@ -54,7 +78,6 @@ impl Default for ScfConfig {
             max_grid_dim: 32,
             batch_size: 512,
             max_iterations: 60,
-            mixing: 0.35,
             convergence: 1e-8,
             offload: OffloadMode::default(),
             precision: qfr_linalg::GemmPrecision::default(),
@@ -75,7 +98,8 @@ pub struct ScfResult {
     pub l_inv: DMatrix,
     /// Core Hamiltonian `T + V_ext`.
     pub h_core: DMatrix,
-    /// Final Kohn–Sham matrix.
+    /// Final (extrapolated) Kohn–Sham matrix — the one `c` and `eps`
+    /// diagonalize.
     pub fock: DMatrix,
     /// MO coefficients (columns).
     pub c: DMatrix,
@@ -91,7 +115,9 @@ pub struct ScfResult {
     pub energy: f64,
     /// Iterations used.
     pub iterations: usize,
-    /// Whether `max|ΔP|` dropped below the threshold.
+    /// Whether `max|ΔP|` and the commutator error dropped below their
+    /// thresholds within `max_iterations` (a solve that did not bumps
+    /// `dfpt.scf.unconverged`).
     pub converged: bool,
 }
 
@@ -108,123 +134,80 @@ impl ScfSolver {
         Self::default()
     }
 
-    /// Runs the SCF for a fragment.
+    /// Runs the SCF for a fragment from the core-Hamiltonian guess.
     pub fn solve(&self, frag: &FragmentStructure) -> ScfResult {
+        self.run(frag, None)
+    }
+
+    /// Runs the SCF for a fragment starting from the density matrix `p0`
+    /// (e.g. a nearby geometry's converged `ScfResult::p`), which must be
+    /// `n × n` for the fragment's basis.
+    pub fn solve_from(&self, frag: &FragmentStructure, p0: &DMatrix) -> ScfResult {
+        self.run(frag, Some(p0))
+    }
+
+    fn run(&self, frag: &FragmentStructure, p0: Option<&DMatrix>) -> ScfResult {
         let _span = qfr_obs::span("dfpt.scf");
         SCF_SOLVES.incr();
         let cfg = &self.config;
-        let basis = Basis::for_fragment(frag);
-        let grid =
-            RealSpaceGrid::for_fragment(frag, cfg.grid_spacing, cfg.grid_padding, cfg.max_grid_dim);
-        let n = basis.len();
-
-        let s = basis.overlap();
-        let chol = Cholesky::new(&s).expect("overlap must be positive definite");
-        let l_inv = chol.l_inverse();
-        let t = basis.kinetic();
-        let v_ext = basis.external_potential();
-        let h_core = &t + &v_ext;
-
-        // Pre-evaluate basis panels per batch (reused every iteration).
-        // Panels and the density matrix live behind `Arc` so the gathered
-        // job streams below *reference* them instead of cloning one copy
-        // per batch job.
-        let batches = grid.batches(cfg.batch_size);
-        let x_panels: Vec<std::sync::Arc<DMatrix>> = batches
-            .iter()
-            .map(|b| std::sync::Arc::new(basis.evaluate(&grid.points[b.clone()])))
-            .collect();
-
-        let mut p = std::sync::Arc::new(initial_density_matrix(&h_core, &l_inv, &basis));
-        let mut fock = h_core.clone();
+        let setup = Setup::new(frag, cfg);
+        let n = setup.basis.len();
+        let occ = fill_occupations(setup.basis.n_electrons, n);
+        let p = match p0 {
+            Some(p0) => {
+                assert_eq!(
+                    p0.shape(),
+                    (n, n),
+                    "starting density matrix must be n x n for the basis"
+                );
+                p0.clone()
+            }
+            None => density_matrix(&diagonalize(&setup.l_inv, &setup.h_core).1, &occ),
+        };
+        let tolerance = match cfg.precision {
+            GemmPrecision::F64 => cfg.convergence,
+            GemmPrecision::MixedF32 => cfg.convergence.max(MIXED_CONVERGENCE_FLOOR),
+        };
+        let mut p = Arc::new(p);
+        let mut diis = Diis::default();
+        let mut fock = setup.h_core.clone();
         let mut c = DMatrix::zeros(n, n);
         let mut eps = vec![0.0; n];
-        let mut occ = vec![0.0; n];
-        let mut density = vec![0.0; grid.len()];
+        let mut density = vec![0.0; setup.grid.len()];
         let mut energy = 0.0;
         let mut iterations = 0;
         let mut converged = false;
 
         for it in 0..cfg.max_iterations {
             iterations = it + 1;
-            // Density on the grid: n_i = x_i^T P x_i per batch. The X·P
-            // products are gathered into one job stream and dispatched
-            // through the shared accelerator.
-            density.clear();
-            let density_jobs: Vec<BatchJob> =
-                x_panels.iter().map(|x| BatchJob::gemm(x.clone(), p.clone())).collect(); // Arc clones
-            let xps = dispatch_jobs(&density_jobs, cfg.offload, cfg.precision);
-            for ((b, x), xp) in batches.iter().zip(&x_panels).zip(&xps) {
-                qfr_linalg::flops::add((2 * x.rows() * n) as u64);
-                for row in 0..x.rows() {
-                    let v: f64 = xp.row(row).iter().zip(x.row(row)).map(|(a, b)| a * b).sum();
-                    density.push(v.max(0.0));
-                }
-                debug_assert_eq!(density.len(), b.end);
-            }
-            // Effective potential on the grid.
-            let v_h = grid.solve_poisson(&density);
-            let v_eff: Vec<f64> =
-                density.iter().zip(&v_h).map(|(&nd, &vh)| vh - CX * nd.powf(1.0 / 3.0)).collect();
-            // V_eff matrix: sum over batches of X^T diag(v dv) X. Each
-            // batch is a symmetric-product job (half the GEMM work);
-            // results are accumulated in batch order, which is bitwise
-            // equal to the former in-place β=1 accumulation because IEEE
-            // addition is commutative.
-            let fock_jobs: Vec<BatchJob> = batches
-                .iter()
-                .zip(&x_panels)
-                .map(|(b, x)| {
-                    // The weighted copy is per-job by necessity; the plain
-                    // X operand is shared.
-                    let mut xw = (**x).clone();
-                    qfr_linalg::flops::add((x.rows() * n) as u64);
-                    for (row, gi) in b.clone().enumerate() {
-                        let w = v_eff[gi] * grid.dv;
-                        for v in xw.row_mut(row) {
-                            *v *= w;
-                        }
-                    }
-                    BatchJob::symmetric_product(xw, x.clone())
-                })
-                .collect();
-            let mut v_mat = DMatrix::zeros(n, n);
-            for out in dispatch_jobs(&fock_jobs, cfg.offload, cfg.precision) {
-                v_mat += &out;
-            }
-            fock = &h_core + &v_mat;
+            let (f_of_p, rho, v_h) = setup.fock(&p, cfg);
 
-            // Löwdin-orthogonalized eigenproblem.
-            let f_prime = sandwich_linv(&l_inv, &fock);
-            let eig = symmetric_eigen(&f_prime);
-            eps = eig.eigenvalues.clone();
-            c = gemm::matmul(&l_inv.transpose(), &eig.eigenvectors);
-            occ = fill_occupations(basis.n_electrons, n);
+            // Pulay/DIIS: F[P] and its commutator error enter the history,
+            // and the extrapolated Fock is diagonalized in the Löwdin basis.
+            let error = commutator_error(&f_of_p, &p, &setup.s);
+            let error_max = error.max_abs();
+            diis.push(f_of_p, error);
+            fock = diis.extrapolate();
+            (eps, c) = diagonalize(&setup.l_inv, &fock);
 
-            // New density matrix.
+            // New density matrix, taken undamped.
             let p_new = density_matrix(&c, &occ);
             let delta = p.max_abs_diff(&p_new);
-            // Damped update.
-            let mut p_next = p.scaled(1.0 - cfg.mixing);
-            let scaled_new = p_new.scaled(cfg.mixing);
-            p_next += &scaled_new;
-            p = std::sync::Arc::new(p_next);
+            p = Arc::new(p_new);
+            energy = setup.energy(&p, &rho, &v_h);
+            density = rho;
 
-            // Energy: tr(P H_core) + 0.5 ∫ n v_H + E_x.
-            let e_core = trace_product(&p, &h_core);
-            let e_h: f64 =
-                0.5 * density.iter().zip(&v_h).map(|(&nd, &vh)| nd * vh).sum::<f64>() * grid.dv;
-            let e_x: f64 =
-                -0.75 * CX * density.iter().map(|&nd| nd.powf(4.0 / 3.0)).sum::<f64>() * grid.dv;
-            energy = e_core + e_h + e_x + basis.nuclear_repulsion();
-
-            if delta < cfg.convergence {
+            if delta < tolerance && error_max < COMMUTATOR_FACTOR * tolerance {
                 converged = true;
                 break;
             }
         }
         SCF_ITERATIONS.add(iterations as u64);
+        if !converged {
+            SCF_UNCONVERGED.incr();
+        }
 
+        let Setup { basis, grid, s, l_inv, h_core, .. } = setup;
         ScfResult {
             basis,
             grid,
@@ -237,12 +220,106 @@ impl ScfSolver {
             occ,
             // The last iteration's jobs are gone, so the Arc is unique and
             // this unwraps without copying.
-            p: std::sync::Arc::try_unwrap(p).unwrap_or_else(|shared| (*shared).clone()),
+            p: Arc::try_unwrap(p).unwrap_or_else(|shared| (*shared).clone()),
             density,
             energy,
             iterations,
             converged,
         }
+    }
+}
+
+/// What every iteration of one fragment's SCF shares: the basis, the grid,
+/// the one-electron matrices and the basis panel of each grid batch.
+struct Setup {
+    basis: Basis,
+    grid: RealSpaceGrid,
+    s: DMatrix,
+    l_inv: DMatrix,
+    h_core: DMatrix,
+    batches: Vec<Range<usize>>,
+    x_panels: Vec<Arc<DMatrix>>,
+}
+
+impl Setup {
+    fn new(frag: &FragmentStructure, cfg: &ScfConfig) -> Self {
+        let basis = Basis::for_fragment(frag);
+        let grid =
+            RealSpaceGrid::for_fragment(frag, cfg.grid_spacing, cfg.grid_padding, cfg.max_grid_dim);
+        let s = basis.overlap();
+        let chol = Cholesky::new(&s).expect("overlap must be positive definite");
+        let l_inv = chol.l_inverse();
+        let t = basis.kinetic();
+        let v_ext = basis.external_potential();
+        let h_core = &t + &v_ext;
+        // Pre-evaluate basis panels per batch (reused every iteration).
+        // Panels and the density matrix live behind `Arc` so the gathered
+        // job streams *reference* them instead of cloning one copy per
+        // batch job.
+        let batches = grid.batches(cfg.batch_size);
+        let x_panels =
+            batches.iter().map(|b| Arc::new(basis.evaluate(&grid.points[b.clone()]))).collect();
+        Self { basis, grid, s, l_inv, h_core, batches, x_panels }
+    }
+
+    /// `F[P]`, with the grid density of `P` and its Hartree potential.
+    fn fock(&self, p: &Arc<DMatrix>, cfg: &ScfConfig) -> (DMatrix, Vec<f64>, Vec<f64>) {
+        let n = self.basis.len();
+        // Density on the grid: n_i = x_i^T P x_i per batch. The X·P
+        // products are gathered into one job stream and dispatched through
+        // the shared accelerator.
+        let mut density = Vec::with_capacity(self.grid.len());
+        let density_jobs: Vec<BatchJob> =
+            self.x_panels.iter().map(|x| BatchJob::gemm(x.clone(), p.clone())).collect(); // Arc clones
+        let xps = dispatch_jobs(&density_jobs, cfg.offload, cfg.precision);
+        for ((b, x), xp) in self.batches.iter().zip(&self.x_panels).zip(&xps) {
+            qfr_linalg::flops::add((2 * x.rows() * n) as u64);
+            for row in 0..x.rows() {
+                let v: f64 = xp.row(row).iter().zip(x.row(row)).map(|(a, b)| a * b).sum();
+                density.push(v.max(0.0));
+            }
+            debug_assert_eq!(density.len(), b.end);
+        }
+        // Effective potential on the grid.
+        let v_h = self.grid.solve_poisson(&density);
+        let v_eff: Vec<f64> =
+            density.iter().zip(&v_h).map(|(&nd, &vh)| vh - CX * nd.powf(1.0 / 3.0)).collect();
+        // V_eff matrix: sum over batches of X^T diag(v dv) X. Each batch is
+        // a symmetric-product job (half the GEMM work); results are
+        // accumulated in batch order, which is bitwise equal to the former
+        // in-place β=1 accumulation because IEEE addition is commutative.
+        let fock_jobs: Vec<BatchJob> = self
+            .batches
+            .iter()
+            .zip(&self.x_panels)
+            .map(|(b, x)| {
+                // The weighted copy is per-job by necessity; the plain X
+                // operand is shared.
+                let mut xw = (**x).clone();
+                qfr_linalg::flops::add((x.rows() * n) as u64);
+                for (row, gi) in b.clone().enumerate() {
+                    let w = v_eff[gi] * self.grid.dv;
+                    for v in xw.row_mut(row) {
+                        *v *= w;
+                    }
+                }
+                BatchJob::symmetric_product(xw, x.clone())
+            })
+            .collect();
+        let mut v_mat = DMatrix::zeros(n, n);
+        for out in dispatch_jobs(&fock_jobs, cfg.offload, cfg.precision) {
+            v_mat += &out;
+        }
+        (&self.h_core + &v_mat, density, v_h)
+    }
+
+    /// Energy: `tr(P H_core) + ½∫ n v_H + E_x + E_nn`.
+    fn energy(&self, p: &DMatrix, density: &[f64], v_h: &[f64]) -> f64 {
+        let dv = self.grid.dv;
+        let e_core = trace_product(p, &self.h_core);
+        let e_h: f64 = 0.5 * density.iter().zip(v_h).map(|(&nd, &vh)| nd * vh).sum::<f64>() * dv;
+        let e_x: f64 = -0.75 * CX * density.iter().map(|&nd| nd.powf(4.0 / 3.0)).sum::<f64>() * dv;
+        e_core + e_h + e_x + self.basis.nuclear_repulsion()
     }
 }
 
@@ -300,12 +377,79 @@ pub(crate) fn trace_product(a: &DMatrix, b: &DMatrix) -> f64 {
     tr
 }
 
-fn initial_density_matrix(h_core: &DMatrix, l_inv: &DMatrix, basis: &Basis) -> DMatrix {
-    let f_prime = sandwich_linv(l_inv, h_core);
-    let eig = symmetric_eigen(&f_prime);
-    let c = gemm::matmul(&l_inv.transpose(), &eig.eigenvectors);
-    let occ = fill_occupations(basis.n_electrons, basis.len());
-    density_matrix(&c, &occ)
+/// Orbital energies and AO coefficients of `F C = S C ε`, solved in the
+/// Löwdin-orthogonalized basis.
+fn diagonalize(l_inv: &DMatrix, fock: &DMatrix) -> (Vec<f64>, DMatrix) {
+    let eig = symmetric_eigen(&sandwich_linv(l_inv, fock));
+    (eig.eigenvalues, gemm::matmul(&l_inv.transpose(), &eig.eigenvectors))
+}
+
+/// The DIIS error `F P S − S P F`, which vanishes at self-consistency
+/// (also with a fractional HOMO: `occ` and `ε` are both diagonal).
+/// `F`, `P`, `S` are symmetric, so `S P F = (F P S)ᵀ`.
+fn commutator_error(fock: &DMatrix, p: &DMatrix, s: &DMatrix) -> DMatrix {
+    let fps = gemm::matmul(&gemm::matmul(fock, p), s);
+    &fps - &fps.transpose()
+}
+
+/// Pulay's direct inversion in the iterative subspace over the last
+/// `DIIS_DEPTH` `(F[P], error)` pairs.
+#[derive(Default)]
+struct Diis {
+    history: VecDeque<(DMatrix, DMatrix)>,
+}
+
+impl Diis {
+    fn push(&mut self, fock: DMatrix, error: DMatrix) {
+        if self.history.len() == DIIS_DEPTH {
+            self.history.pop_front();
+        }
+        self.history.push_back((fock, error));
+    }
+
+    /// `Σ cᵢ Fᵢ` minimizing `|Σ cᵢ eᵢ|` subject to `Σ cᵢ = 1`: the bordered
+    /// system `[B −1; −1 0] [c; λ] = [0; −1]` with `Bᵢⱼ = ⟨eᵢ, eⱼ⟩`, scaled
+    /// by its largest diagonal entry. A singular `B` falls back to the
+    /// newest Fock.
+    fn extrapolate(&self) -> DMatrix {
+        let (newest, _) = self.history.back().expect("extrapolate after push");
+        let m = self.history.len();
+        if m == 1 {
+            return newest.clone();
+        }
+        let n = newest.rows();
+        // m(m+1)/2 error dots, then the m-term Fock combination.
+        qfr_linalg::flops::add(((m + 3) * m * n * n) as u64);
+        let mut b = DMatrix::zeros(m + 1, m + 1);
+        for (i, (_, ei)) in self.history.iter().enumerate() {
+            for (j, (_, ej)) in self.history.iter().enumerate().take(i + 1) {
+                let dot: f64 = ei.as_slice().iter().zip(ej.as_slice()).map(|(x, y)| x * y).sum();
+                b[(i, j)] = dot;
+                b[(j, i)] = dot;
+            }
+        }
+        let scale = (0..m).map(|i| b[(i, i)]).fold(0.0, f64::max);
+        if scale > 0.0 {
+            b.scale_mut(1.0 / scale);
+        }
+        for i in 0..m {
+            b[(i, m)] = -1.0;
+            b[(m, i)] = -1.0;
+        }
+        let mut rhs = vec![0.0; m + 1];
+        rhs[m] = -1.0;
+        let Ok(lu) = Lu::new(&b) else {
+            return newest.clone();
+        };
+        let coeffs = lu.solve(&rhs);
+        let mut out = DMatrix::zeros(n, n);
+        for ((fock, _), &ci) in self.history.iter().zip(&coeffs) {
+            for (o, f) in out.as_mut_slice().iter_mut().zip(fock.as_slice()) {
+                *o += ci * f;
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -320,15 +464,121 @@ mod tests {
         }
     }
 
-    pub(crate) fn water_fragment() -> FragmentStructure {
-        let sys = WaterBoxBuilder::new(1).seed(1).build();
+    /// The first `atoms` atoms of a seeded `waters`-molecule box as one
+    /// fragment.
+    fn box_fragment(waters: usize, seed: u64, atoms: usize) -> FragmentStructure {
+        let sys = WaterBoxBuilder::new(waters).seed(seed).build();
         FragmentJob {
             kind: JobKind::WaterMonomer { w: 0 },
             coefficient: 1.0,
-            atoms: vec![0, 1, 2],
+            atoms: (0..atoms).collect(),
             link_hydrogens: vec![],
         }
         .structure(&sys)
+    }
+
+    fn water_fragment() -> FragmentStructure {
+        box_fragment(1, 1, 3)
+    }
+
+    /// The `water2_dfpt` benchmark fragment: the dimer job of a seed-42
+    /// two-water box.
+    fn water_dimer() -> FragmentStructure {
+        let sys = WaterBoxBuilder::new(2).seed(42).build();
+        let jobs = qfr_fragment::Decomposition::new(&sys, Default::default()).jobs;
+        jobs.iter().max_by_key(|j| j.size()).expect("a two-water box has jobs").structure(&sys)
+    }
+
+    /// The linear-mixing loop DIIS replaced (mixing 0.35), run to 1e-12 as
+    /// the oracle for where the SCF must land.
+    fn linear_mixing_oracle(frag: &FragmentStructure) -> (DMatrix, f64) {
+        const MIXING: f64 = 0.35;
+        let cfg = ScfConfig { max_iterations: 2000, convergence: 1e-12, ..fast().config };
+        let setup = Setup::new(frag, &cfg);
+        let occ = fill_occupations(setup.basis.n_electrons, setup.basis.len());
+        let mut p = Arc::new(density_matrix(&diagonalize(&setup.l_inv, &setup.h_core).1, &occ));
+        for _ in 0..cfg.max_iterations {
+            let (fock, density, v_h) = setup.fock(&p, &cfg);
+            let p_new = density_matrix(&diagonalize(&setup.l_inv, &fock).1, &occ);
+            let delta = p.max_abs_diff(&p_new);
+            let mut next = p.scaled(1.0 - MIXING);
+            next += &p_new.scaled(MIXING);
+            p = Arc::new(next);
+            if delta < cfg.convergence {
+                let energy = setup.energy(&p, &density, &v_h);
+                return (Arc::try_unwrap(p).expect("no job holds P"), energy);
+            }
+        }
+        panic!("linear-mixing oracle did not converge");
+    }
+
+    #[test]
+    fn diis_lands_on_the_linear_mixing_fixed_point() {
+        let hydroxyl = box_fragment(1, 1, 2);
+        let fragments = [
+            ("water", water_fragment()),
+            ("water2_dfpt dimer", water_dimer()),
+            ("4-water cluster", box_fragment(4, 3, 12)),
+            ("hydroxyl", hydroxyl),
+        ];
+        for (name, frag) in &fragments {
+            let (p_ref, e_ref) = linear_mixing_oracle(frag);
+            let res = fast().solve(frag);
+            assert!(res.converged, "{name}: no convergence in {} iterations", res.iterations);
+            let dp = res.p.max_abs_diff(&p_ref);
+            assert!(dp <= 1e-7, "{name}: max|ΔP| = {dp:e} against the oracle");
+            let de = (res.energy - e_ref).abs();
+            assert!(de <= 1e-9, "{name}: |ΔE| = {de:e} against the oracle");
+        }
+        // OH: 7 valence electrons, so the HOMO is singly occupied.
+        assert_eq!(fragments[3].1.elements.len(), 2);
+        assert!(
+            fast().solve(&fragments[3].1).occ.contains(&1.0),
+            "hydroxyl HOMO must be fractional"
+        );
+    }
+
+    #[test]
+    fn warm_start_reaches_the_cold_start_density() {
+        let frag = water_dimer();
+        let reference = fast().solve(&frag);
+        for coord in [0, 4, 17] {
+            let mut moved = frag.clone();
+            let atom = &mut moved.positions[coord / 3];
+            match coord % 3 {
+                0 => atom.x += 0.02,
+                1 => atom.y += 0.02,
+                _ => atom.z += 0.02,
+            }
+            let cold = fast().solve(&moved);
+            let warm = fast().solve_from(&moved, &reference.p);
+            assert!(cold.converged && warm.converged);
+            let dp = warm.p.max_abs_diff(&cold.p);
+            assert!(dp <= 1e-7, "coord {coord}: warm vs cold max|ΔP| = {dp:e}");
+            assert!(cold.iterations <= 10, "coord {coord}: cold start took {}", cold.iterations);
+            assert!(warm.iterations <= 8, "coord {coord}: warm start took {}", warm.iterations);
+        }
+        assert!(reference.iterations <= 10, "dimer cold start took {}", reference.iterations);
+    }
+
+    #[test]
+    fn mixed_precision_converges_at_its_floor() {
+        // f32 operands put ~1e-7 of noise into F[P]; the floored threshold
+        // still converges, near the f64 density.
+        let frag = water_dimer();
+        let mut mixed = fast();
+        mixed.config.precision = GemmPrecision::MixedF32;
+        let res = mixed.solve(&frag);
+        assert!(res.converged, "mixed SCF ran {} iterations", res.iterations);
+        assert!(res.iterations <= 10, "mixed SCF took {}", res.iterations);
+        let dp = res.p.max_abs_diff(&fast().solve(&frag).p);
+        assert!(dp <= 1e-5, "mixed vs f64 max|ΔP| = {dp:e}");
+    }
+
+    #[test]
+    #[should_panic(expected = "n x n")]
+    fn warm_start_rejects_a_density_of_another_basis() {
+        let _ = fast().solve_from(&water_fragment(), &DMatrix::zeros(3, 3));
     }
 
     #[test]

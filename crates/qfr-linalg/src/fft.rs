@@ -96,26 +96,35 @@ impl Neg for Complex64 {
 /// In-place forward FFT (`sum x_n e^{-2 pi i k n / N}`). Length must be a
 /// power of two.
 pub fn fft_in_place(x: &mut [Complex64]) {
-    transform(x, -1.0);
+    transform(x, &twiddles(x.len(), false), false);
 }
 
 /// In-place inverse FFT including the `1/N` normalization.
 pub fn ifft_in_place(x: &mut [Complex64]) {
-    transform(x, 1.0);
-    let scale = 1.0 / x.len() as f64;
-    for v in x.iter_mut() {
-        *v = v.scale(scale);
-    }
+    transform(x, &twiddles(x.len(), true), true);
 }
 
 static FFT_TRANSFORMS: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.fft.transforms");
 
-fn transform(x: &mut [Complex64], sign: f64) {
+/// The twiddle table of a length-`n` transform: `cis(∓2πk/n)` for
+/// `k < n/2` (`+` for the inverse). Stage `len` of the butterflies reads
+/// every `n/len`-th entry, so one table serves every stage.
+fn twiddles(n: usize, inverse: bool) -> Vec<Complex64> {
+    let sign = if inverse { 1.0 } else { -1.0 };
+    (0..n / 2)
+        .map(|k| Complex64::cis(sign * 2.0 * std::f64::consts::PI * k as f64 / n as f64))
+        .collect()
+}
+
+/// Radix-2 transform of `x` with the twiddle table of its length (the sign
+/// lives in the table), followed by the `1/N` scaling when `normalize`.
+fn transform(x: &mut [Complex64], table: &[Complex64], normalize: bool) {
     let n = x.len();
     assert!(n.is_power_of_two(), "FFT length {n} must be a power of two");
     if n <= 1 {
         return;
     }
+    debug_assert_eq!(table.len(), n / 2, "twiddle table length");
     FFT_TRANSFORMS.incr();
     // ~5 N log2 N real FLOPs for a radix-2 complex FFT.
     crate::flops::add(5 * n as u64 * n.trailing_zeros() as u64);
@@ -129,23 +138,27 @@ fn transform(x: &mut [Complex64], sign: f64) {
         }
     }
 
-    // Iterative Cooley-Tukey butterflies.
+    // Iterative Cooley-Tukey butterflies; stage `len` uses the twiddles
+    // `cis(∓2πi/len) = table[i · n/len]`.
     let mut len = 2;
     while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex64::cis(ang);
+        let half = len / 2;
+        let step = n / len;
         for chunk in x.chunks_mut(len) {
-            let mut w = Complex64::new(1.0, 0.0);
-            let half = len / 2;
             for i in 0..half {
                 let u = chunk[i];
-                let v = chunk[i + half] * w;
+                let v = chunk[i + half] * table[i * step];
                 chunk[i] = u + v;
                 chunk[i + half] = u - v;
-                w = w * wlen;
             }
         }
         len <<= 1;
+    }
+    if normalize {
+        let scale = 1.0 / n as f64;
+        for v in x.iter_mut() {
+            *v = v.scale(scale);
+        }
     }
 }
 
@@ -223,16 +236,11 @@ impl Grid3 {
 
     fn transform_axes(&mut self, inverse: bool) {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let run = |buf: &mut [Complex64]| {
-            if inverse {
-                ifft_in_place(buf);
-            } else {
-                fft_in_place(buf);
-            }
-        };
+        // One twiddle table per axis for the whole 3-D transform.
+        let (tx, ty, tz) = (twiddles(nx, inverse), twiddles(ny, inverse), twiddles(nz, inverse));
         // z axis: contiguous rows.
         for row in self.data.chunks_mut(nz) {
-            run(row);
+            transform(row, &tz, inverse);
         }
         // y axis.
         let mut buf = vec![Complex64::ZERO; ny];
@@ -241,7 +249,7 @@ impl Grid3 {
                 for j in 0..ny {
                     buf[j] = self.data[(i * ny + j) * nz + k];
                 }
-                run(&mut buf);
+                transform(&mut buf, &ty, inverse);
                 for j in 0..ny {
                     self.data[(i * ny + j) * nz + k] = buf[j];
                 }
@@ -254,7 +262,7 @@ impl Grid3 {
                 for (i, b) in buf.iter_mut().enumerate() {
                     *b = self.data[(i * ny + j) * nz + k];
                 }
-                run(&mut buf);
+                transform(&mut buf, &tx, inverse);
                 for (i, b) in buf.iter().enumerate() {
                     self.data[(i * ny + j) * nz + k] = *b;
                 }
@@ -396,6 +404,63 @@ mod tests {
         assert_eq!(g.idx(1, 0, 0), 32);
         assert_eq!(g.idx(0, 1, 0), 8);
         assert_eq!(g.idx(0, 0, 1), 1);
+    }
+
+    /// `sum x_j e^{∓2πi jk/n}` term by term, with `jk` reduced mod `n` so
+    /// every twiddle is exact to one rounding.
+    fn naive_dft(x: &[Complex64], inverse: bool) -> Vec<Complex64> {
+        let n = x.len();
+        let sign = if inverse { 1.0 } else { -1.0 };
+        (0..n)
+            .map(|k| {
+                let mut acc = Complex64::ZERO;
+                for (j, &v) in x.iter().enumerate() {
+                    let angle = sign * 2.0 * std::f64::consts::PI * ((j * k) % n) as f64 / n as f64;
+                    acc += v * Complex64::cis(angle);
+                }
+                if inverse {
+                    acc.scale(1.0 / n as f64)
+                } else {
+                    acc
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fft_matches_naive_dft() {
+        for n in (0..=6).map(|p| 1usize << p) {
+            let x: Vec<Complex64> = (0..n)
+                .map(|i| Complex64::new((i as f64 * 0.91).sin() + 0.3, (i as f64 * 0.47).cos()))
+                .collect();
+            for inverse in [false, true] {
+                let mut fast = x.clone();
+                if inverse {
+                    ifft_in_place(&mut fast);
+                } else {
+                    fft_in_place(&mut fast);
+                }
+                let exact = naive_dft(&x, inverse);
+                let peak = exact.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+                let err = fast.iter().zip(&exact).fold(0.0_f64, |m, (a, b)| m.max((*a - *b).abs()));
+                assert!(
+                    err <= 1e-13 * peak,
+                    "n = {n}, inverse = {inverse}: error {err:e} of {peak}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn grid3_round_trip_to_rounding() {
+        let (nx, ny, nz) = (16, 8, 32);
+        let real: Vec<f64> = (0..nx * ny * nz).map(|i| (i as f64 * 0.613).sin()).collect();
+        let mut g = Grid3::from_real(nx, ny, nz, &real);
+        g.fft();
+        g.ifft();
+        let err = g.to_real().iter().zip(&real).fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()));
+        assert!(err <= 1e-14, "round trip error {err:e}");
+        assert!(g.max_imag() <= 1e-14);
     }
 
     #[test]
