@@ -41,8 +41,7 @@ fn bench_gemm(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("packed", n), &n, |bch, _| {
             bch.iter(|| {
                 let mut out = DMatrix::zeros(n, n);
-                let prec = qfr_linalg::GemmPrecision::F64;
-                gemm::gemm_packed(&mut out, black_box(&a), black_box(&b), 1.0, 0.0, prec);
+                gemm::gemm_packed(&mut out, black_box(&a), black_box(&b), 1.0, 0.0);
                 out
             })
         });

@@ -17,7 +17,6 @@ use qfr_dfpt::scf::{ScfConfig, ScfResult, ScfSolver};
 use qfr_fragment::{Decomposition, DecompositionParams, JobKind};
 use qfr_geom::ProteinBuilder;
 use qfr_linalg::batch::{BatchJob, OffloadMode};
-use qfr_linalg::GemmPrecision;
 use qfr_sched::machine::MachineModel;
 use qfr_sched::offload::{offload_comparison, CpuAccelerator, ModeledAccelerator};
 
@@ -79,7 +78,7 @@ fn main() {
     let cpu = CpuAccelerator;
     let reps = scaled(5, 2);
     let (mut scattered_s, mut batched_s) = (f64::INFINITY, f64::INFINITY);
-    let execute = |mode| cpu.execute_jobs(&jobs, mode, GemmPrecision::F64);
+    let execute = |mode| cpu.execute_jobs(&jobs, mode);
     for _ in 0..reps {
         scattered_s = scattered_s.min(execute(OffloadMode::Scattered).1);
         batched_s = batched_s.min(execute(OffloadMode::Batched { stride: 32 }).1);

@@ -13,7 +13,7 @@ use qfr_dfpt::scf::{ScfConfig, ScfSolver};
 use qfr_fragment::{Decomposition, DecompositionParams, JobKind};
 use qfr_geom::ProteinBuilder;
 use qfr_linalg::batch::OffloadMode;
-use qfr_linalg::{DMatrix, GemmPrecision};
+use qfr_linalg::DMatrix;
 use qfr_sched::machine::MachineModel;
 use qfr_sched::offload::{offload_comparison, CpuAccelerator, ModeledAccelerator};
 
@@ -52,7 +52,7 @@ fn main() {
     for stride in [1usize, 8, 32, 128] {
         let ro = offload_comparison(&jobs, &orise, stride);
         let rs = offload_comparison(&jobs, &sunway, stride);
-        let cpu_s = cpu.execute_jobs(&jobs, OffloadMode::Batched { stride }, GemmPrecision::F64).1;
+        let cpu_s = cpu.execute_jobs(&jobs, OffloadMode::Batched { stride }).1;
         row(
             &[
                 &stride.to_string(),

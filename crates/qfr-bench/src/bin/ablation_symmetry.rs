@@ -76,7 +76,7 @@ fn main() {
     let (reduced_vals, t_reduced) = qfr_obs::timed("bench.symmetry.reduced", || {
         let mut aat = DMatrix::zeros(n, n);
         syrk::syrk(gemm::Trans::No, 1.0, &a, 0.0, &mut aat);
-        let lml = syrk::similarity_transform(&l, &m_sym, qfr_linalg::GemmPrecision::F64);
+        let lml = syrk::similarity_transform(&l, &m_sym);
         (aat, lml)
     });
     let flops_reduced = scope.finish().flops;

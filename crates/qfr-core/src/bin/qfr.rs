@@ -22,7 +22,6 @@ use qfr_core::{
 };
 use qfr_geom::{io, MolecularSystem, ProteinBuilder, SolvatedSystem, WaterBoxBuilder};
 use qfr_linalg::batch::OffloadMode;
-use qfr_linalg::GemmPrecision;
 
 /// A usage error: one line on stderr, exit status 2.
 fn fail(msg: impl std::fmt::Display) -> ! {
@@ -108,7 +107,7 @@ fn usage() -> ! {
          [--solvate PAD] [--sigma S]\n                \
          [--lambda L] [--lanczos K] [--seed SEED] [--temperature T]\n                \
          [--ir] [--json FILE] [--xyz FILE]\n                \
-         [--dfpt] [--offload batched|scattered] [--precision f64|mixed]\n                \
+         [--dfpt] [--offload batched|scattered]\n                \
          [--dense | --shards K [--spill DIR] [--tile-rows N]]\n                \
          [--sched LEADERS [--workers W]]\n                \
          [--checkpoint FILE [--checkpoint-interval N]]\n                \
@@ -187,8 +186,8 @@ fn run_plan(args: &Args) -> RunPlan {
 fn cmd_spectrum(argv: &[String]) {
     let args = &Args::parse(
         argv,
-        "--sigma --lambda --lanczos --temperature --json --xyz --offload --precision \
-         --shards --spill --tile-rows --sched --workers --checkpoint --checkpoint-interval \
+        "--sigma --lambda --lanczos --temperature --json --xyz --offload --shards \
+         --spill --tile-rows --sched --workers --checkpoint --checkpoint-interval \
          --cache-mb --warm --trace --metrics-out",
         "--ir --dense --dfpt --cache --metrics",
         &[
@@ -207,15 +206,6 @@ fn cmd_spectrum(argv: &[String]) {
         None | Some("batched") => OffloadMode::default(),
         Some("scattered") => OffloadMode::Scattered,
         Some(other) => fail(format!("--offload takes 'batched' or 'scattered', got '{other}'")),
-    };
-    // --precision selects the DFPT batch kernels' element width: f64
-    // (default, bit-identical to the reference kernels) or mixed (f32
-    // packed panels, f64 accumulation — validated by a max-|Δ| tolerance
-    // of 1e-3 x the f64 spectrum's peak, not bit parity).
-    let precision = match args.value("--precision") {
-        None | Some("f64") => GemmPrecision::F64,
-        Some("mixed") => GemmPrecision::MixedF32,
-        Some(other) => fail(format!("--precision takes 'f64' or 'mixed', got '{other}'")),
     };
     // Every value is parsed before any work starts.
     let temperature: Option<f64> = args.get("--temperature");
@@ -245,8 +235,7 @@ fn cmd_spectrum(argv: &[String]) {
         .sigma(sigma)
         .lambda(lambda)
         .lanczos_steps(lanczos)
-        .offload(offload)
-        .precision(precision);
+        .offload(offload);
     if args.has("--dfpt") {
         workflow = workflow.engine(EngineKind::ModelDfpt);
     }

@@ -14,7 +14,7 @@ use qfr_fragment::{
 use qfr_geom::{BondAdjacency, MolecularSystem};
 use qfr_linalg::batch::OffloadMode;
 use qfr_linalg::sparse::MatVec;
-use qfr_linalg::{CsrMatrix, GemmPrecision};
+use qfr_linalg::CsrMatrix;
 use qfr_sched::{FragmentWorkItem, RunReport};
 use qfr_solver::{
     ir_lanczos, raman_dense_reference, raman_ir_lanczos, RamanOptions, RamanSpectrum,
@@ -50,7 +50,6 @@ pub(crate) const SERVICE: Stages = Stages {
 pub(crate) fn make_engine(
     kind: EngineKind,
     offload: OffloadMode,
-    precision: GemmPrecision,
 ) -> Box<dyn FragmentEngine + Send + Sync> {
     match kind {
         EngineKind::ForceField => Box::new(qfr_model::ForceFieldEngine::new()),
@@ -58,8 +57,6 @@ pub(crate) fn make_engine(
             let mut config = qfr_dfpt::DfptEngineConfig::default();
             config.scf.offload = offload;
             config.response.offload = offload;
-            config.scf.precision = precision;
-            config.response.precision = precision;
             Box::new(qfr_dfpt::DfptEngine { config })
         }
     }

@@ -12,7 +12,6 @@ use qfr_fragment::{
 };
 use qfr_geom::{BondAdjacency, MolecularSystem};
 use qfr_linalg::batch::OffloadMode;
-use qfr_linalg::GemmPrecision;
 use qfr_sched::FragmentWorkItem;
 use qfr_solver::{RamanOptions, RamanSpectrum, ShardedOperator};
 use std::collections::HashSet;
@@ -143,27 +142,15 @@ impl RunPlan {
     }
 
     /// The combinations a plan cannot honour, rejected before any work or
-    /// file I/O. Checkpoint, cache and spill keys cover geometry, not
-    /// element width, so mixed precision may neither write files an f64
-    /// run would resume nor resume files an f64 run wrote.
-    fn check(&self, precision: GemmPrecision, offload: OffloadMode) -> Result<(), WorkflowError> {
+    /// file I/O.
+    fn check(&self, offload: OffloadMode) -> Result<(), WorkflowError> {
         use HessianOperator::Sharded;
         use ResponseSource::Scheduler;
-        let mixed = precision == GemmPrecision::MixedF32;
-        let checkpointed = self.checkpoint.is_some();
         let why = match (&self.source, &self.operator) {
             _ if offload == (OffloadMode::Batched { stride: 0 }) => {
                 "batched offload needs a positive padding stride"
             }
-            _ if mixed && checkpointed => {
-                "mixed precision cannot write or resume a checkpoint \
-                 (its key does not encode element width)"
-            }
-            (_, Sharded(_)) if mixed => {
-                "mixed precision cannot write or resume shard spill \
-                 (its key does not encode element width)"
-            }
-            (_, Sharded(_)) if checkpointed => {
+            (_, Sharded(_)) if self.checkpoint.is_some() => {
                 "a response checkpoint needs an operator that stores responses (in-core or dense)"
             }
             (_, Sharded(cfg)) if cfg.shards == 0 || cfg.tile_rows == 0 => {
@@ -242,9 +229,6 @@ pub struct RamanWorkflow {
     /// How the DFPT engine executes its gathered dense-algebra job
     /// streams (ignored by the force-field engine).
     offload: OffloadMode,
-    /// Element width the DFPT engine's batch kernels run at — `F64`
-    /// (default) or the opt-in `MixedF32` floor (DESIGN.md §10).
-    precision: GemmPrecision,
     /// Content-addressed fragment result cache shared across runs (and,
     /// through [`crate::SpectrumService`], across concurrent requests).
     cache: Option<Arc<FragmentCache>>,
@@ -260,7 +244,6 @@ impl RamanWorkflow {
             engine: EngineKind::ForceField,
             raman: RamanOptions::default(),
             offload: OffloadMode::default(),
-            precision: GemmPrecision::default(),
             cache: None,
         }
     }
@@ -305,19 +288,6 @@ impl RamanWorkflow {
         self
     }
 
-    /// Selects the element width the model-DFPT engine's gathered batch
-    /// kernels run at. `F64` (the default) is bit-identical to the
-    /// reference kernels; `MixedF32` packs `f32` operand panels with `f64`
-    /// accumulation — the opt-in accelerator floor, validated by max-|Δ|
-    /// tolerance against the f64 spectrum rather than bit parity
-    /// (DESIGN.md §10). Ignored by the force-field engine. A `MixedF32`
-    /// run never reads or fills the cache, and plans that would write a
-    /// checkpoint or spill are rejected ([`WorkflowError::UnsupportedPlan`]).
-    pub fn precision(mut self, prec: GemmPrecision) -> Self {
-        self.precision = prec;
-        self
-    }
-
     /// Attaches a content-addressed fragment result cache. Every engine
     /// compute is then routed through the cache: a fragment whose exact
     /// geometry key is already resident is served from memory (the
@@ -351,7 +321,7 @@ impl RamanWorkflow {
     /// agrees to solver accuracy) yields spectra bit-identical to
     /// [`run`](Self::run) when no work is quarantined.
     pub fn execute(&self, plan: RunPlan) -> Result<RamanResult, WorkflowError> {
-        plan.check(self.precision, self.offload)?;
+        plan.check(self.offload)?;
         let (mut pipeline, decomposition, adjacency) = Pipeline::prepare(
             &WORKFLOW,
             &self.system,
@@ -359,7 +329,7 @@ impl RamanWorkflow {
             self.engine,
             &self.raman,
         )?;
-        let engine = pipeline::make_engine(self.engine, self.offload, self.precision);
+        let engine = pipeline::make_engine(self.engine, self.offload);
         let run = Run {
             workflow: self,
             plan: &plan,
@@ -439,14 +409,7 @@ impl Run<'_> {
     /// bit-identical to a fresh compute.
     fn response(&self, job: &FragmentJob) -> FragmentResponse {
         let frag = job.structure_with(&self.workflow.system, self.adjacency);
-        // Cache keys are geometry-only, so responses computed at different
-        // element widths would collide under one key: F64 is the only
-        // precision the cache serves, mixed runs always compute fresh.
-        let cache = match self.workflow.precision {
-            GemmPrecision::F64 => self.workflow.cache.as_ref(),
-            GemmPrecision::MixedF32 => None,
-        };
-        match cache {
+        match &self.workflow.cache {
             Some(cache) => {
                 let (resp, kind) = cache.get_or_compute(&frag, || self.engine.compute(&frag));
                 if kind != HitKind::Miss {

@@ -47,12 +47,11 @@ fn assert_usage_error(args: &[&str], mentions: &str) {
 #[test]
 fn malformed_command_lines_exit_2_with_one_line() {
     let dir = temp_dir("errors");
-    let checkpoint = dir.join("mixed.qfrc");
+    let checkpoint = dir.join("rejected.qfrc");
 
     // An unparsable value is not the default.
     assert_usage_error(&["spectrum", "--waters", "8", "--lanczos", "abc"], "--lanczos");
     assert_usage_error(&["spectrum", "--waters", "many"], "--waters");
-    assert_usage_error(&with(&["--precision", "f16"]), "--precision");
     // Unknown, valueless, repeated and orphaned flags are not ignored.
     assert_usage_error(&with(&["--bogus"]), "--bogus");
     assert_usage_error(&with(&["--json"]), "--json");
@@ -63,15 +62,12 @@ fn malformed_command_lines_exit_2_with_one_line() {
     assert_usage_error(&["spectrum", "--waters", "8", "--protein", "4"], "--protein and --waters");
     // Plans the pipeline cannot honour are usage errors too, and touch no file.
     assert_usage_error(&with(&["--shards", "0"]), "shard count");
-    // The retired matrix-free flag is rejected, not ignored.
+    // Retired flags (matrix-free operator, mixed precision) are rejected,
+    // not ignored.
     assert_usage_error(&with(&["--stream"]), "--stream");
+    assert_usage_error(&with(&["--precision", "f64"]), "--precision");
     let checkpoint_arg = checkpoint.to_str().expect("utf-8 temp path");
-    for mode in [&["--shards", "2"][..], &["--precision", "mixed"]] {
-        assert_usage_error(
-            &with(&[mode, &["--checkpoint", checkpoint_arg]].concat()),
-            "checkpoint",
-        );
-    }
+    assert_usage_error(&with(&["--shards", "2", "--checkpoint", checkpoint_arg]), "checkpoint");
     assert!(!checkpoint.exists(), "a rejected plan wrote a checkpoint");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,11 +7,10 @@
 
 use qfr_core::checkpoint::{load_partial, save_partial};
 use qfr_core::{
-    HessianOperator, RamanResult, RamanWorkflow, ResponseSource, RunPlan, ScheduledConfig,
-    ShardConfig, WorkflowError,
+    HessianOperator, RamanResult, RamanWorkflow, ResponseSource, RunPlan, ShardConfig,
+    WorkflowError,
 };
 use qfr_geom::WaterBoxBuilder;
-use qfr_linalg::GemmPrecision;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -135,44 +134,6 @@ fn malformed_plan_shapes_are_rejected() {
     let dfpt = workflow().engine(qfr_core::EngineKind::ModelDfpt).offload(strideless);
     assert_rejected(dfpt.run(), "zero offload stride");
     assert!(!dir.join("spill").exists());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Checkpoint and spill keys cover geometry, not element width. The
-/// scheduled and sharded paths used to load and save them under
-/// `MixedF32` regardless, so a later f64 run resumed mixed-precision
-/// responses. Now the plan is rejected before any file is touched.
-#[test]
-fn mixed_precision_never_reaches_checkpoint_or_spill() {
-    let _g = lock();
-    let dir = temp_dir("mixed");
-    let (checkpoint, spill) = (dir.join("mixed.qfrc"), dir.join("spill"));
-    let mixed = workflow().precision(GemmPrecision::MixedF32);
-    let scheduled = || ScheduledConfig {
-        runtime: runtime(),
-        checkpoint: Some(checkpoint.clone()),
-        checkpoint_interval: 4,
-    };
-    let shards = || ShardConfig::new(3, &spill).tile_rows(7);
-
-    assert_rejected(mixed.run_with_checkpoint(&checkpoint), "mixed x checkpoint");
-    assert_rejected(mixed.run_scheduled_with(scheduled()), "mixed x scheduler x checkpoint");
-    assert_rejected(mixed.run_sharded(shards()), "mixed x sharded");
-    assert!(!checkpoint.exists(), "a rejected mixed plan wrote a checkpoint");
-    assert!(!spill.exists(), "a rejected mixed plan created a spill directory");
-    // Without files to leak into, mixed precision runs.
-    mixed.run().expect("plain mixed run");
-    mixed.run_scheduled(runtime()).expect("scheduled mixed run");
-
-    // The f64 runs that follow start cold and match a fresh f64 run.
-    let fresh = workflow().run().expect("fresh f64 run");
-    let before = engine_fragments();
-    let resumed = workflow().run_scheduled_with(scheduled()).expect("f64 checkpointed run");
-    assert_eq!(engine_fragments() - before, fresh.stats.n_jobs as u64, "nothing to resume");
-    assert_eq!(resumed.recovery.as_ref().expect("scheduled").resumed_jobs, 0);
-    assert_bit_identical(&resumed, &fresh, "f64 after mixed, checkpoint");
-    let sharded = workflow().run_sharded(shards()).expect("f64 sharded run");
-    assert_bit_identical(&sharded, &fresh, "f64 after mixed, sharded");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -12,12 +12,10 @@
 //! companions.
 
 use qfr_linalg::batch::{BatchJob, OffloadMode};
-use qfr_linalg::{DMatrix, GemmPrecision};
+use qfr_linalg::DMatrix;
 
 /// Executes a gathered job stream through the shared CPU accelerator,
-/// returning results in job order. `prec` selects the element width the
-/// batch kernels run at ([`GemmPrecision::F64`] by default everywhere;
-/// `MixedF32` is the opt-in accelerator floor of DESIGN.md §10).
-pub fn dispatch_jobs(jobs: &[BatchJob], mode: OffloadMode, prec: GemmPrecision) -> Vec<DMatrix> {
-    qfr_sched::CpuAccelerator.execute_jobs(jobs, mode, prec).0
+/// returning results in job order.
+pub fn dispatch_jobs(jobs: &[BatchJob], mode: OffloadMode) -> Vec<DMatrix> {
+    qfr_sched::CpuAccelerator.execute_jobs(jobs, mode).0
 }

@@ -53,9 +53,6 @@ pub struct ResponseConfig {
     /// modes produce identical values; `Batched` packs size classes into
     /// single launches.
     pub offload: qfr_linalg::batch::OffloadMode,
-    /// Element width the batch kernels run at — `F64` (default) or the
-    /// opt-in `MixedF32` floor (DESIGN.md §10).
-    pub precision: qfr_linalg::GemmPrecision,
 }
 
 impl Default for ResponseConfig {
@@ -66,7 +63,6 @@ impl Default for ResponseConfig {
             batch_size: 512,
             use_symmetry_reduction: true,
             offload: qfr_linalg::batch::OffloadMode::default(),
-            precision: qfr_linalg::GemmPrecision::default(),
         }
     }
 }
@@ -284,7 +280,7 @@ pub fn solve_responses(
                     BatchJob::congruence(panels[panel_of[t_idx]].c.clone(), h1.clone())
                 })
                 .collect();
-            let h1_mos = dispatch_jobs(&cong, cfg.offload, cfg.precision);
+            let h1_mos = dispatch_jobs(&cong, cfg.offload);
             let sims: Vec<BatchJob> = tasks
                 .iter()
                 .enumerate()
@@ -311,7 +307,7 @@ pub fn solve_responses(
                     BatchJob::similarity(panels[panel_of[t_idx]].c.clone(), m)
                 })
                 .collect();
-            dispatch_jobs(&sims, cfg.offload, cfg.precision)
+            dispatch_jobs(&sims, cfg.offload)
         });
         p1s = new_p1s.into_iter().map(Arc::new).collect();
         phases.p1_seconds += dt;
@@ -341,7 +337,7 @@ pub fn solve_responses(
                     }
                 }
             }
-            let products = dispatch_jobs(&jobs, cfg.offload, cfg.precision);
+            let products = dispatch_jobs(&jobs, cfg.offload);
             let mut n1_out = Vec::with_capacity(t_count);
             let mut grads_out: Vec<[Vec<f64>; 3]> = Vec::with_capacity(t_count);
             for (t_idx, task) in tasks.iter().enumerate() {
@@ -449,7 +445,7 @@ pub fn solve_responses(
                     jobs.push(BatchJob::symmetric_product(xw, x.clone()));
                 }
             }
-            let outs = dispatch_jobs(&jobs, cfg.offload, cfg.precision);
+            let outs = dispatch_jobs(&jobs, cfg.offload);
             let mut grids = Vec::with_capacity(t_count);
             for (t_idx, task) in tasks.iter().enumerate() {
                 let pan = &panels[panel_of[t_idx]];

@@ -19,7 +19,7 @@ use qfr_linalg::cholesky::Cholesky;
 use qfr_linalg::eigen::symmetric_eigen;
 use qfr_linalg::gemm;
 use qfr_linalg::lu::Lu;
-use qfr_linalg::{DMatrix, GemmPrecision};
+use qfr_linalg::DMatrix;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
@@ -40,12 +40,6 @@ const DIIS_DEPTH: usize = 8;
 /// `ScfConfig::convergence`.
 const COMMUTATOR_FACTOR: f64 = 10.0;
 
-/// The tightest `max|ΔP|` threshold a `MixedF32` SCF can meet: f32
-/// multiplicands leave ~1e-7 of rounding noise in `F[P]` and so in `P`,
-/// and a tighter `ScfConfig::convergence` would run every mixed solve into
-/// `max_iterations`.
-const MIXED_CONVERGENCE_FLOOR: f64 = 1e-6;
-
 /// SCF configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ScfConfig {
@@ -59,15 +53,11 @@ pub struct ScfConfig {
     pub batch_size: usize,
     /// Maximum SCF iterations.
     pub max_iterations: usize,
-    /// Convergence threshold on `max|ΔP|` (at least 1e-6 under
-    /// `MixedF32`); the commutator error `max|F P S − S P F|` must also fall
-    /// below a fixed multiple of it.
+    /// Convergence threshold on `max|ΔP|`; the commutator error
+    /// `max|F P S − S P F|` must also fall below a fixed multiple of it.
     pub convergence: f64,
     /// How the gathered density/Fock job streams are executed.
     pub offload: OffloadMode,
-    /// Element width the batch kernels run at — `F64` (default) or the
-    /// opt-in `MixedF32` floor (DESIGN.md §10).
-    pub precision: qfr_linalg::GemmPrecision,
 }
 
 impl Default for ScfConfig {
@@ -80,7 +70,6 @@ impl Default for ScfConfig {
             max_iterations: 60,
             convergence: 1e-8,
             offload: OffloadMode::default(),
-            precision: qfr_linalg::GemmPrecision::default(),
         }
     }
 }
@@ -164,10 +153,6 @@ impl ScfSolver {
             }
             None => density_matrix(&diagonalize(&setup.l_inv, &setup.h_core).1, &occ),
         };
-        let tolerance = match cfg.precision {
-            GemmPrecision::F64 => cfg.convergence,
-            GemmPrecision::MixedF32 => cfg.convergence.max(MIXED_CONVERGENCE_FLOOR),
-        };
         let mut p = Arc::new(p);
         let mut diis = Diis::default();
         let mut fock = setup.h_core.clone();
@@ -197,7 +182,7 @@ impl ScfSolver {
             energy = setup.energy(&p, &rho, &v_h);
             density = rho;
 
-            if delta < tolerance && error_max < COMMUTATOR_FACTOR * tolerance {
+            if delta < cfg.convergence && error_max < COMMUTATOR_FACTOR * cfg.convergence {
                 converged = true;
                 break;
             }
@@ -271,7 +256,7 @@ impl Setup {
         let mut density = Vec::with_capacity(self.grid.len());
         let density_jobs: Vec<BatchJob> =
             self.x_panels.iter().map(|x| BatchJob::gemm(x.clone(), p.clone())).collect(); // Arc clones
-        let xps = dispatch_jobs(&density_jobs, cfg.offload, cfg.precision);
+        let xps = dispatch_jobs(&density_jobs, cfg.offload);
         for ((b, x), xp) in self.batches.iter().zip(&self.x_panels).zip(&xps) {
             qfr_linalg::flops::add((2 * x.rows() * n) as u64);
             for row in 0..x.rows() {
@@ -307,7 +292,7 @@ impl Setup {
             })
             .collect();
         let mut v_mat = DMatrix::zeros(n, n);
-        for out in dispatch_jobs(&fock_jobs, cfg.offload, cfg.precision) {
+        for out in dispatch_jobs(&fock_jobs, cfg.offload) {
             v_mat += &out;
         }
         (&self.h_core + &v_mat, density, v_h)
@@ -326,7 +311,7 @@ impl Setup {
 /// `L⁻¹ M L⁻ᵀ` for symmetric `M`, via the triangle-only similarity kernel
 /// (neither transpose is materialized; result exactly symmetric by mirror).
 pub(crate) fn sandwich_linv(l_inv: &DMatrix, m: &DMatrix) -> DMatrix {
-    qfr_linalg::syrk::similarity_transform(l_inv, m, qfr_linalg::GemmPrecision::F64)
+    qfr_linalg::syrk::similarity_transform(l_inv, m)
 }
 
 /// Aufbau occupations: 2 electrons per orbital, one possibly fractional.
@@ -559,20 +544,6 @@ mod tests {
             assert!(warm.iterations <= 8, "coord {coord}: warm start took {}", warm.iterations);
         }
         assert!(reference.iterations <= 10, "dimer cold start took {}", reference.iterations);
-    }
-
-    #[test]
-    fn mixed_precision_converges_at_its_floor() {
-        // f32 operands put ~1e-7 of noise into F[P]; the floored threshold
-        // still converges, near the f64 density.
-        let frag = water_dimer();
-        let mut mixed = fast();
-        mixed.config.precision = GemmPrecision::MixedF32;
-        let res = mixed.solve(&frag);
-        assert!(res.converged, "mixed SCF ran {} iterations", res.iterations);
-        assert!(res.iterations <= 10, "mixed SCF took {}", res.iterations);
-        let dp = res.p.max_abs_diff(&fast().solve(&frag).p);
-        assert!(dp <= 1e-5, "mixed vs f64 max|ΔP| = {dp:e}");
     }
 
     #[test]

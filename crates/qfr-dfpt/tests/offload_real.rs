@@ -11,7 +11,7 @@ use qfr_dfpt::{ResponseConfig, ScfConfig, ScfResult, ScfSolver};
 use qfr_fragment::{FragmentJob, FragmentStructure, JobKind};
 use qfr_geom::WaterBoxBuilder;
 use qfr_linalg::batch::OffloadMode;
-use qfr_linalg::{DMatrix, GemmPrecision};
+use qfr_linalg::DMatrix;
 
 fn water_fragment() -> FragmentStructure {
     let sys = WaterBoxBuilder::new(1).seed(1).build();
@@ -29,34 +29,30 @@ fn counter(name: &str) -> u64 {
 }
 
 /// What both offload modes must book by the same amount: the executed
-/// FLOPs at the run's element width, triangle-kernel calls, the symmetry
-/// saving and the dispatched job count. (`linalg.batch.*` exist only when
-/// batched, and `linalg.gemm.calls` counts reference-kernel invocations,
-/// which the packed launch replaces — neither is mode-invariant.)
-fn mode_invariant_counters(precision: GemmPrecision) -> [&'static str; 4] {
-    let flops = match precision {
-        GemmPrecision::F64 => "linalg.flops",
-        GemmPrecision::MixedF32 => "linalg.gemm.flops_f32",
-    };
-    [flops, "linalg.syrk.calls", "linalg.gemm.flops_saved_symmetry", "sched.offload.executed_jobs"]
-}
+/// FLOPs, triangle-kernel calls, the symmetry saving and the dispatched job
+/// count. (`linalg.batch.*` exist only when batched, and
+/// `linalg.gemm.calls` counts reference-kernel invocations, which the
+/// packed launch replaces — neither is mode-invariant.)
+const MODE_INVARIANT_COUNTERS: [&str; 4] = [
+    "linalg.flops",
+    "linalg.syrk.calls",
+    "linalg.gemm.flops_saved_symmetry",
+    "sched.offload.executed_jobs",
+];
 
-/// SCF ground state + polarizability under one mode and precision, with the
-/// deltas of the mode-invariant counters over the whole run.
+/// SCF ground state + polarizability under one mode, with the deltas of
+/// the mode-invariant counters over the whole run.
 fn ground_state_and_alpha(
     frag: &FragmentStructure,
     offload: OffloadMode,
-    precision: GemmPrecision,
 ) -> (ScfResult, DMatrix, [u64; 4]) {
-    let names = mode_invariant_counters(precision);
-    let before = names.map(counter);
-    let config =
-        ScfConfig { max_grid_dim: 16, grid_spacing: 0.5, offload, precision, ..Default::default() };
+    let before = MODE_INVARIANT_COUNTERS.map(counter);
+    let config = ScfConfig { max_grid_dim: 16, grid_spacing: 0.5, offload, ..Default::default() };
     let scf = ScfSolver { config }.solve(frag);
-    let response = ResponseConfig { offload, precision, ..Default::default() };
+    let response = ResponseConfig { offload, ..Default::default() };
     let (alpha, phases) = polarizability(&scf, &response);
     assert!(phases.total_flops() > 0);
-    let mut deltas = names.map(counter);
+    let mut deltas = MODE_INVARIANT_COUNTERS.map(counter);
     for (d, b) in deltas.iter_mut().zip(before) {
         *d -= b;
     }
@@ -68,18 +64,16 @@ fn batched_offload_is_bit_identical_and_counted() {
     let frag = water_fragment();
 
     // --- SCF + response: both modes agree bitwise and book the same
-    // deltas of the mode-invariant counters, at either element width. ----
-    let (scf_scattered, alpha_s, deltas_s) =
-        ground_state_and_alpha(&frag, OffloadMode::Scattered, GemmPrecision::F64);
+    // deltas of the mode-invariant counters. -----------------------------
+    let (scf_scattered, alpha_s, deltas_s) = ground_state_and_alpha(&frag, OffloadMode::Scattered);
     let before_syrk = counter("linalg.batch.syrk_jobs");
     let before_bytes = counter("linalg.batch.packed_bytes");
-    let (scf_batched, alpha_b, deltas_b) =
-        ground_state_and_alpha(&frag, OffloadMode::default(), GemmPrecision::F64);
+    let (scf_batched, alpha_b, deltas_b) = ground_state_and_alpha(&frag, OffloadMode::default());
     assert_eq!(scf_scattered.p.as_slice(), scf_batched.p.as_slice(), "SCF density matrix");
     assert_eq!(scf_scattered.fock.as_slice(), scf_batched.fock.as_slice(), "Fock matrix");
     assert_eq!(scf_scattered.energy, scf_batched.energy, "SCF energy");
     assert_eq!(alpha_s.as_slice(), alpha_b.as_slice(), "polarizability must be bit-identical");
-    assert_eq!(deltas_s, deltas_b, "f64: {:?}", mode_invariant_counters(GemmPrecision::F64));
+    assert_eq!(deltas_s, deltas_b, "{MODE_INVARIANT_COUNTERS:?}");
     assert!(deltas_b.iter().all(|&d| d > 0), "every invariant counter must advance");
     assert!(
         counter("linalg.batch.syrk_jobs") > before_syrk,
@@ -89,19 +83,6 @@ fn batched_offload_is_bit_identical_and_counted() {
         counter("linalg.batch.packed_bytes") > before_bytes,
         "packed staging bytes must be counted"
     );
-
-    let (_, mixed_s, mixed_deltas_s) =
-        ground_state_and_alpha(&frag, OffloadMode::Scattered, GemmPrecision::MixedF32);
-    let (_, mixed_b, mixed_deltas_b) =
-        ground_state_and_alpha(&frag, OffloadMode::default(), GemmPrecision::MixedF32);
-    assert_eq!(mixed_s.as_slice(), mixed_b.as_slice(), "mixed polarizability");
-    assert_eq!(
-        mixed_deltas_s,
-        mixed_deltas_b,
-        "mixed: {:?}",
-        mode_invariant_counters(GemmPrecision::MixedF32)
-    );
-    assert!(mixed_deltas_b.iter().all(|&d| d > 0), "every invariant counter must advance");
 
     let batched_cfg = ResponseConfig::default();
     // --- Set solve: a task's result is independent of its companions. ---

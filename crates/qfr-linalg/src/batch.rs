@@ -18,7 +18,7 @@
 //!   and prices what an accelerator that really pads would execute
 //!   ([`BatchPlan::padded_flops`], [`BatchPlan::padding_overhead`]; the
 //!   Fig. 9 model in `qfr-sched::offload` reads these);
-//! - [`execute_jobs_prec`] runs the stream under an [`OffloadMode`]: the
+//! - [`execute_jobs`] runs the stream under an [`OffloadMode`]: the
 //!   scattered reference (one `crate::gemm` / `crate::syrk` call per job)
 //!   or the packed launch per class.
 //!
@@ -28,11 +28,10 @@
 //! slab per class, and every worker computes only its job's *real*
 //! dimensions in an outer-product order whose per-entry accumulation is
 //! bitwise identical to the scattered reference kernels — so padding burns
-//! memory, never FLOPs, and both modes agree value for value within one
-//! precision. See DESIGN.md §10 for the gather points and the determinism
-//! argument.
+//! memory, never FLOPs, and both modes agree value for value. See
+//! DESIGN.md §10 for the gather points and the determinism argument.
 
-use crate::gemm::{self, GemmPrecision};
+use crate::gemm;
 use crate::matrix::DMatrix;
 use rayon::prelude::*;
 
@@ -339,49 +338,36 @@ impl BatchPlan {
     }
 }
 
-/// [`execute_jobs_prec`] at [`GemmPrecision::F64`]. Kept as a named
-/// shorthand because `benchmark/src/probes.rs` imports it and `benchmark/`
-/// is frozen by the benchmark contract.
+/// Executes a job stream under `mode` — the one executor: the scattered
+/// reference (one `crate::gemm` / `crate::syrk` call per job) or one
+/// packed launch per [`BatchClass`]. Results come back in job order. The
+/// two modes agree value for value and book the same FLOPs,
+/// `linalg.syrk.calls` and symmetry savings (DESIGN.md §10).
 pub fn execute_jobs(jobs: &[BatchJob], mode: OffloadMode) -> Vec<DMatrix> {
-    execute_jobs_prec(jobs, mode, GemmPrecision::F64)
-}
-
-/// Executes a job stream under `mode` at element width `prec` — the one
-/// executor: the scattered reference (one `crate::gemm` / `crate::syrk`
-/// call per job) or one packed launch per [`BatchClass`]. Results come
-/// back in job order. Within one precision the two modes agree value for
-/// value and book the same FLOPs, `linalg.syrk.calls` and symmetry
-/// savings; across precisions the contract is the mixed-mode error bound
-/// (DESIGN.md §10).
-pub fn execute_jobs_prec(
-    jobs: &[BatchJob],
-    mode: OffloadMode,
-    prec: GemmPrecision,
-) -> Vec<DMatrix> {
     match mode {
-        OffloadMode::Scattered => run_scattered(jobs, prec),
-        OffloadMode::Batched { stride } => run_packed(jobs, stride, prec),
+        OffloadMode::Scattered => run_scattered(jobs),
+        OffloadMode::Batched { stride } => run_packed(jobs, stride),
     }
 }
 
 /// One reference-kernel call per job, serially — the path the hot loops
 /// used before gathering, and what the bit-parity tests compare against.
-fn run_scattered(jobs: &[BatchJob], prec: GemmPrecision) -> Vec<DMatrix> {
+fn run_scattered(jobs: &[BatchJob]) -> Vec<DMatrix> {
     jobs.iter()
         .map(|job| match job.kernel {
             BatchKernel::Gemm => {
                 let mut c = DMatrix::zeros(job.a.rows(), job.b.cols());
-                gemm::gemm_dispatch(&mut c, &job.a, &job.b, 1.0, 0.0, prec);
+                gemm::gemm_auto(&mut c, &job.a, &job.b, 1.0, 0.0);
                 c
             }
             BatchKernel::SymmetricProduct => {
                 let n = job.a.cols();
                 let mut c = DMatrix::zeros(n, n);
-                crate::syrk::symmetric_product(1.0, &job.a, &job.b, 0.0, &mut c, prec);
+                crate::syrk::symmetric_product(1.0, &job.a, &job.b, 0.0, &mut c);
                 c
             }
-            BatchKernel::Congruence => crate::syrk::congruence_transform(&job.a, &job.b, prec),
-            BatchKernel::Similarity => crate::syrk::similarity_transform(&job.a, &job.b, prec),
+            BatchKernel::Congruence => crate::syrk::congruence_transform(&job.a, &job.b),
+            BatchKernel::Similarity => crate::syrk::similarity_transform(&job.a, &job.b),
         })
         .collect()
 }
@@ -394,11 +380,8 @@ fn run_scattered(jobs: &[BatchJob], prec: GemmPrecision) -> Vec<DMatrix> {
 ///
 /// Padding exists only in the *layout*: every worker computes its job's
 /// real dimensions, so values match [`run_scattered`] exactly and the
-/// stride never inflates FLOPs. Mixed mode rounds every operand read to
-/// `f32` (bitwise the value the packed GEMM driver packs) and accumulates
-/// in `f64`, so the two modes agree under `MixedF32` exactly like they do
-/// under `F64`.
-fn run_packed(jobs: &[BatchJob], stride: usize, prec: GemmPrecision) -> Vec<DMatrix> {
+/// stride never inflates FLOPs.
+fn run_packed(jobs: &[BatchJob], stride: usize) -> Vec<DMatrix> {
     let plan = BatchPlan::build(jobs, stride);
     BATCH_JOBS.add(jobs.len() as u64);
     BATCH_LAUNCHES.add(plan.launch_count() as u64);
@@ -411,7 +394,7 @@ fn run_packed(jobs: &[BatchJob], stride: usize, prec: GemmPrecision) -> Vec<DMat
         // the phase sees them regardless of rayon scheduling.
         let mut out_elems = 0usize;
         for &i in indices {
-            account_job(&jobs[i], prec);
+            account_job(&jobs[i]);
             let (m, n) = jobs[i].out_shape();
             out_elems += m * n;
         }
@@ -431,10 +414,7 @@ fn run_packed(jobs: &[BatchJob], stride: usize, prec: GemmPrecision) -> Vec<DMat
             let job = &jobs[indices[slot]];
             let (m, n) = job.out_shape();
             let mut out = vec![0.0f64; m * n];
-            match prec {
-                GemmPrecision::F64 => compute_job::<FullPrec>(job, wslot, &mut out),
-                GemmPrecision::MixedF32 => compute_job::<MixedPrec>(job, wslot, &mut out),
-            }
+            compute_job(job, wslot, &mut out);
             DMatrix::from_vec(m, n, out)
         };
         // Each slot is value-independent, so serial vs parallel execution
@@ -497,51 +477,18 @@ fn run_packed(jobs: &[BatchJob], stride: usize, prec: GemmPrecision) -> Vec<DMat
 }
 
 /// Mirrors the scattered kernels' FLOP/counter accounting for one job:
-/// general-GEMM FLOPs at the job's element width, plus — for the triangle
-/// family — the reduced triangle FLOPs, `linalg.gemm.flops_saved_symmetry`
-/// and `linalg.syrk.calls` booked by `crate::syrk::account_triangle`.
-fn account_job(job: &BatchJob, prec: GemmPrecision) {
+/// general-GEMM FLOPs, plus — for the triangle family — the reduced
+/// triangle FLOPs, `linalg.gemm.flops_saved_symmetry` and
+/// `linalg.syrk.calls` booked by `crate::syrk::account_triangle`.
+fn account_job(job: &BatchJob) {
     let (m, n, k) = job.dims();
     if m == 0 || n == 0 {
         return;
     }
     let (general, _) = kernel_flops(job.kernel, m, n, k);
-    match prec {
-        GemmPrecision::F64 => crate::flops::add(general),
-        GemmPrecision::MixedF32 => crate::flops::add_f32(general),
-    }
+    crate::flops::add(general);
     if job.kernel != BatchKernel::Gemm {
-        crate::syrk::account_triangle(n, k, prec);
-    }
-}
-
-/// Rounding applied to every multiplicand a packed worker reads —
-/// identity for [`GemmPrecision::F64`] (monomorphizes to the plain f64
-/// loops), round-to-`f32` for
-/// [`GemmPrecision::MixedF32`]. Rounding a value at *read* is bitwise the
-/// value the mixed packed-GEMM driver *packs*, and the `f64` accumulation
-/// order is unchanged, so batched-mixed matches scattered-mixed value for
-/// value (DESIGN.md §10).
-trait PanelRound {
-    /// Rounds one operand read.
-    fn r(v: f64) -> f64;
-}
-
-/// Identity rounding: full-width `f64` operands.
-struct FullPrec;
-impl PanelRound for FullPrec {
-    #[inline(always)]
-    fn r(v: f64) -> f64 {
-        v
-    }
-}
-
-/// `f32` operand rounding with `f64` accumulation (mixed mode).
-struct MixedPrec;
-impl PanelRound for MixedPrec {
-    #[inline(always)]
-    fn r(v: f64) -> f64 {
-        v as f32 as f64
+        crate::syrk::account_triangle(n, k);
     }
 }
 
@@ -563,13 +510,7 @@ impl PanelRound for MixedPrec {
 /// empty for `Gemm`/`SymmetricProduct`, the transposed transform
 /// intermediate `T' = (A'M)ᵀ` for `Congruence`, and `Aᵀ` plus that
 /// intermediate for `Similarity`.
-/// Every multiplicand read goes through `R::r` ([`PanelRound`]): identity
-/// under [`FullPrec`] (monomorphizes to the plain f64 loops), `f32`
-/// rounding under [`MixedPrec`] — staged panels (`vstage`, `tpanel`) keep
-/// full `f64` values and are rounded again at each read, exactly mirroring
-/// the scattered mixed kernels, which materialize intermediates in `f64`
-/// and round operand rows once before the triangle pass.
-fn compute_job<R: PanelRound>(job: &BatchJob, wslot: &mut [f64], cout: &mut [f64]) {
+fn compute_job(job: &BatchJob, wslot: &mut [f64], cout: &mut [f64]) {
     let (m, n, k) = job.dims();
     if m == 0 || n == 0 {
         return; // empty output; also keeps `chunks_exact_mut(n)` below legal
@@ -582,13 +523,13 @@ fn compute_job<R: PanelRound>(job: &BatchJob, wslot: &mut [f64], cout: &mut [f64
             for i in 0..m {
                 let crow = &mut cout[i * n..(i + 1) * n];
                 for p in 0..k {
-                    let aip = R::r(a[i * k + p]);
+                    let aip = a[i * k + p];
                     if aip == 0.0 {
                         continue;
                     }
                     let brow = &b[p * n..(p + 1) * n];
                     for (cv, bv) in crow.iter_mut().zip(brow) {
-                        *cv += aip * R::r(*bv);
+                        *cv += aip * bv;
                     }
                 }
             }
@@ -602,10 +543,10 @@ fn compute_job<R: PanelRound>(job: &BatchJob, wslot: &mut [f64], cout: &mut [f64
                 let arow = &a[p * n..(p + 1) * n];
                 let brow = &b[p * n..(p + 1) * n];
                 for i in 0..n {
-                    let aip = R::r(arow[i]);
+                    let aip = arow[i];
                     let crow = &mut cout[i * n + i..(i + 1) * n];
                     for (cv, bv) in crow.iter_mut().zip(&brow[i..]) {
-                        *cv += aip * R::r(*bv);
+                        *cv += aip * bv;
                     }
                 }
             }
@@ -634,13 +575,12 @@ fn compute_job<R: PanelRound>(job: &BatchJob, wslot: &mut [f64], cout: &mut [f64
                 let vrow = &v[q * n..(q + 1) * n];
                 let mrow = &mmat[q * k..(q + 1) * k];
                 for (p, &mqp) in mrow.iter().enumerate() {
-                    let mqp = R::r(mqp);
                     if mqp == 0.0 {
                         continue;
                     }
                     let trow = &mut tpanel[p * n..(p + 1) * n];
                     for (tv, vv) in trow.iter_mut().zip(vrow) {
-                        *tv += mqp * R::r(*vv);
+                        *tv += mqp * vv;
                     }
                 }
             }
@@ -648,10 +588,10 @@ fn compute_job<R: PanelRound>(job: &BatchJob, wslot: &mut [f64], cout: &mut [f64
                 let trow = &tpanel[p * n..(p + 1) * n];
                 let vrow = &v[p * n..(p + 1) * n];
                 for i in 0..n {
-                    let tip = R::r(trow[i]);
+                    let tip = trow[i];
                     let crow = &mut cout[i * n + i..(i + 1) * n];
                     for (cv, vv) in crow.iter_mut().zip(&vrow[i..]) {
-                        *cv += tip * R::r(*vv);
+                        *cv += tip * vv;
                     }
                 }
             }
@@ -844,30 +784,6 @@ mod tests {
                 assert_eq!(p.as_slice(), s.as_slice());
             }
         }
-    }
-
-    #[test]
-    fn packed_mixed_matches_scattered_mixed() {
-        // Within MixedF32 the two offload modes must agree value for value,
-        // just like the f64 paths — rounding at read equals rounding at
-        // pack. And mixed must actually differ from f64 somewhere (the
-        // knob is real), while staying within the coarse k·ε_f32 envelope.
-        let jobs = tagged_mixed();
-        let scattered = execute_jobs_prec(&jobs, OffloadMode::Scattered, GemmPrecision::MixedF32);
-        let reference = execute_jobs(&jobs, OffloadMode::Scattered);
-        let mut any_diff = false;
-        for stride in [1, 8, 32] {
-            let packed =
-                execute_jobs_prec(&jobs, OffloadMode::Batched { stride }, GemmPrecision::MixedF32);
-            for ((p, s), r) in packed.iter().zip(&scattered).zip(&reference) {
-                assert_eq!(p.as_slice(), s.as_slice(), "stride {stride}");
-                let (_, _, k) = jobs[0].dims();
-                let tol = 64.0 * (f32::EPSILON as f64) * (k.max(64) as f64);
-                assert!(p.max_abs_diff(r) <= tol, "mixed drifted beyond its envelope");
-                any_diff |= p.max_abs_diff(r) > 0.0;
-            }
-        }
-        assert!(any_diff, "mixed mode must round somewhere on random data");
     }
 
     #[test]

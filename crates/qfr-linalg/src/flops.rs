@@ -15,18 +15,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 static FLOPS: AtomicU64 = AtomicU64::new(0);
-static FLOPS_F32: AtomicU64 = AtomicU64::new(0);
 
 /// Mirror of the global FLOP total in the `qfr-obs` registry, so `--metrics`
 /// reports and the CI baseline see the same number [`total`] returns.
 /// The two are reset independently ([`reset`] here, `qfr_obs::counter::reset`
 /// there); measured sections reset both via `qfr_obs::reset_all` + [`reset`].
 static OBS_FLOPS: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.flops");
-
-/// Mixed-precision product FLOPs (`f32` operands, `f64` accumulate),
-/// accounted separately so `linalg.flops` stays a pure-FP64 number and the
-/// Table I rates never mix element widths (DESIGN.md §10).
-static OBS_FLOPS_F32: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.gemm.flops_f32");
 
 /// Adds `n` double-precision floating-point operations to the global counter.
 #[inline]
@@ -35,31 +29,16 @@ pub fn add(n: u64) {
     OBS_FLOPS.add(n);
 }
 
-/// Adds `n` mixed-precision operations (`f32` operands, `f64` accumulate)
-/// to the separate mixed counter.
-#[inline]
-pub fn add_f32(n: u64) {
-    FLOPS_F32.fetch_add(n, Ordering::Relaxed);
-    OBS_FLOPS_F32.add(n);
-}
-
 /// Current global FLOP counter value.
 #[inline]
 pub fn total() -> u64 {
     FLOPS.load(Ordering::Relaxed)
 }
 
-/// Current global mixed-precision FLOP counter value.
-#[inline]
-pub fn total_f32() -> u64 {
-    FLOPS_F32.load(Ordering::Relaxed)
-}
-
-/// Resets the global counters to zero. Intended for test/bench setup only —
+/// Resets the global counter to zero. Intended for test/bench setup only —
 /// racing resets against in-flight kernels yields unspecified totals.
 pub fn reset() {
     FLOPS.store(0, Ordering::Relaxed);
-    FLOPS_F32.store(0, Ordering::Relaxed);
 }
 
 /// Measures the FLOPs and wall-clock time of a bracketed region.

@@ -8,18 +8,15 @@
 //!   bit-parity test compares against;
 //! - [`gemm_blocked`] — cache-blocked i-k-j loop order (row-major friendly);
 //! - [`gemm_packed`] — packed-panel microkernel GEMM (`crate::pack` +
-//!   `crate::microkernel`, DESIGN.md §10) under a [`GemmPrecision`]: the
-//!   highest-throughput f64 path and the only implementation of the opt-in
-//!   [`GemmPrecision::MixedF32`] mode. Whether its `ic` macro-loop runs
-//!   under rayon is read from the operand sizes, never from the caller;
+//!   `crate::microkernel`, DESIGN.md §10), the highest-throughput path.
+//!   Whether its `ic` macro-loop runs under rayon is read from the operand
+//!   sizes, never from the caller;
 //! - [`gemm_auto`] / [`matmul`] — work-based choice between the two;
 //! - [`dgemm`] — BLAS-style interface with transpose flags and alpha/beta;
 //! - [`gemv`] — matrix-vector multiply with alpha/beta.
 //!
 //! All kernels account FLOPs via [`crate::flops`], which is how the Table I
-//! harness measures achieved FP64 rates. Mixed-precision products are
-//! accounted separately (`linalg.gemm.flops_f32`), so the FP64 number the
-//! Table I harness reports never mixes element widths.
+//! harness measures achieved FP64 rates.
 
 use crate::matrix::DMatrix;
 
@@ -29,28 +26,10 @@ use crate::matrix::DMatrix;
 /// nothing is double-counted.
 static GEMM_CALLS: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.gemm.calls");
 static GEMV_CALLS: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.gemv.calls");
-/// Packed-panel driver invocations (both precisions) — the metrics gate
+/// Packed-panel driver invocations — the metrics gate
 /// pins this above zero so the microkernel path cannot silently fall out
 /// of the dispatch.
 static PACKED_CALLS: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.gemm.packed_calls");
-
-/// Element width of GEMM/SYRK panel operands. Threaded from `ScfConfig` /
-/// `qfr spectrum --precision` down through every gathered job stream.
-///
-/// `MixedF32` mirrors the accelerators' mixed-precision mode (paper §V-C):
-/// operands are rounded to `f32` once at pack time, every product is
-/// formed and accumulated at `f64` width. It is **off by default** and is
-/// validated by a max-|Δ| tolerance against the f64 spectra — not by bit
-/// parity, which rounding necessarily forfeits (DESIGN.md §10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GemmPrecision {
-    /// Full double precision everywhere (the default; bit-identical to
-    /// the reference kernels).
-    #[default]
-    F64,
-    /// `f32` packed panels, `f64` accumulation.
-    MixedF32,
-}
 
 /// Transpose flag for [`dgemm`], mirroring BLAS `TRANSA`/`TRANSB`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,32 +169,21 @@ fn tile_kernel(
     }
 }
 
-/// Packed-panel GEMM: `C <- alpha * A * B + beta * C` at element width
-/// `prec`.
+/// Packed-panel GEMM: `C <- alpha * A * B + beta * C`.
 ///
 /// Cache-blocked panel packing + the `MR x NR` register-tiled microkernel
 /// of `crate::microkernel`. Per-entry accumulation order is identical to
-/// [`gemm_blocked`]/[`gemm_naive`], so `F64` results are interchangeable
-/// with the slice-tiled kernels value for value; `MixedF32` rounds the
-/// operands to `f32` once at pack time and accumulates in `f64`. Past
-/// `PAR_WORK_THRESHOLD` multiply-adds the `ic` macro-loop runs under rayon
-/// (disjoint `MC`-row blocks of `C`, bitwise identical to the serial
-/// sweep).
-pub fn gemm_packed(
-    c: &mut DMatrix,
-    a: &DMatrix,
-    b: &DMatrix,
-    alpha: f64,
-    beta: f64,
-    prec: GemmPrecision,
-) {
-    packed_entry(c, Trans::No, a, Trans::No, b, alpha, beta, prec);
+/// [`gemm_blocked`]/[`gemm_naive`], so results are interchangeable with
+/// the slice-tiled kernels value for value. Past `PAR_WORK_THRESHOLD`
+/// multiply-adds the `ic` macro-loop runs under rayon (disjoint `MC`-row
+/// blocks of `C`, bitwise identical to the serial sweep).
+pub fn gemm_packed(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64, beta: f64) {
+    packed_entry(c, Trans::No, a, Trans::No, b, alpha, beta);
 }
 
 /// Shared packed-path entry: dimension checks against the *op* shapes (so
 /// transposed operands never need materializing), counters, FLOP
-/// accounting split by element width, the size-based serial/rayon choice,
-/// and precision dispatch into the generic driver.
+/// accounting and the size-based serial/rayon choice.
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel plumbing is clearest flat
 fn packed_entry(
     c: &mut DMatrix,
@@ -225,7 +193,6 @@ fn packed_entry(
     b: &DMatrix,
     alpha: f64,
     beta: f64,
-    prec: GemmPrecision,
 ) {
     let (m, k) = crate::microkernel::op_shape(ta, a);
     let (kb, n) = crate::microkernel::op_shape(tb, b);
@@ -237,17 +204,9 @@ fn packed_entry(
     }
     GEMM_CALLS.incr();
     PACKED_CALLS.incr();
+    crate::flops::add(crate::flops::gemm_flops(m, n, k));
     let parallel = m * k * n >= PAR_WORK_THRESHOLD;
-    match prec {
-        GemmPrecision::F64 => {
-            crate::flops::add(crate::flops::gemm_flops(m, n, k));
-            crate::microkernel::packed_driver::<f64>(c, ta, a, tb, b, alpha, beta, parallel);
-        }
-        GemmPrecision::MixedF32 => {
-            crate::flops::add_f32(crate::flops::gemm_flops(m, n, k));
-            crate::microkernel::packed_driver::<f32>(c, ta, a, tb, b, alpha, beta, parallel);
-        }
-    }
+    crate::microkernel::packed_driver(c, ta, a, tb, b, alpha, beta, parallel);
 }
 
 /// BLAS-style GEMM with transpose flags:
@@ -268,36 +227,18 @@ pub fn dgemm(
     if ta == Trans::No && tb == Trans::No {
         return gemm_auto(c, a, b, alpha, beta);
     }
-    packed_entry(c, ta, a, tb, b, alpha, beta, GemmPrecision::F64);
+    packed_entry(c, ta, a, tb, b, alpha, beta);
 }
 
-/// Work-based kernel choice at [`GemmPrecision::F64`] — what [`matmul`] and
-/// untransposed [`dgemm`] run: [`gemm_blocked`] below 96³ multiply-adds,
-/// [`gemm_packed`] above. Kept as a named shorthand (scattered job streams
-/// call the precision-taking `gemm_dispatch` inside the crate) because
-/// `benchmark/src/probes.rs` imports it and `benchmark/` is frozen by the
-/// benchmark contract.
+/// Work-based kernel choice — what [`matmul`], untransposed [`dgemm`] and
+/// scattered job streams run: [`gemm_blocked`] below
+/// `PACKED_WORK_THRESHOLD` (96³) multiply-adds, where packing traffic
+/// would not amortize, [`gemm_packed`] above.
 pub fn gemm_auto(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64, beta: f64) {
-    gemm_dispatch(c, a, b, alpha, beta, GemmPrecision::F64);
-}
-
-/// Work-based kernel choice: the cache-blocked kernel below
-/// `PACKED_WORK_THRESHOLD` multiply-adds (packing traffic would not
-/// amortize), the packed driver past it. Mixed mode always takes the packed
-/// driver — it is the only kernel with an `f32` panel path.
-pub(crate) fn gemm_dispatch(
-    c: &mut DMatrix,
-    a: &DMatrix,
-    b: &DMatrix,
-    alpha: f64,
-    beta: f64,
-    prec: GemmPrecision,
-) {
-    let work = a.rows() * a.cols() * b.cols();
-    if prec == GemmPrecision::F64 && work < PACKED_WORK_THRESHOLD {
+    if a.rows() * a.cols() * b.cols() < PACKED_WORK_THRESHOLD {
         gemm_blocked(c, a, b, alpha, beta);
     } else {
-        gemm_packed(c, a, b, alpha, beta, prec);
+        gemm_packed(c, a, b, alpha, beta);
     }
 }
 
@@ -368,7 +309,7 @@ mod tests {
         let mut c1 = sample(m, n, 6);
         let mut c2 = c1.clone();
         gemm_naive(&mut c1, &a, &b, 2.0, 0.5);
-        gemm_packed(&mut c2, &a, &b, 2.0, 0.5, GemmPrecision::F64);
+        gemm_packed(&mut c2, &a, &b, 2.0, 0.5);
         assert_eq!(c1.as_slice(), c2.as_slice());
     }
 
@@ -459,14 +400,14 @@ mod tests {
             let mut c3 = DMatrix::zeros(m, n);
             gemm_naive(&mut c1, &a, &b, 1.0, 0.5);
             gemm_blocked(&mut c2, &a, &b, 1.0, 0.5);
-            gemm_packed(&mut c3, &a, &b, 1.0, 0.5, GemmPrecision::F64);
+            gemm_packed(&mut c3, &a, &b, 1.0, 0.5);
             assert_eq!(c1.shape(), (m, n));
         }
         // k == 0 with non-empty output still applies the beta scaling.
         let a = DMatrix::zeros(2, 0);
         let b = DMatrix::zeros(0, 3);
         let mut c = DMatrix::from_fn(2, 3, |_, _| 2.0);
-        gemm_packed(&mut c, &a, &b, 1.0, 0.5, GemmPrecision::F64);
+        gemm_packed(&mut c, &a, &b, 1.0, 0.5);
         assert!(c.max_abs_diff(&DMatrix::from_fn(2, 3, |_, _| 1.0)) < 1e-15);
         let empty = matmul(&DMatrix::zeros(5, 4), &DMatrix::zeros(4, 0));
         assert_eq!(empty.shape(), (5, 0));

@@ -10,13 +10,10 @@
 //! - [`DMatrix`] — a row-major dense `f64` matrix with the usual
 //!   constructors, views and norms;
 //! - [`gemm`] — general matrix multiply, one function per kernel (naive
-//!   reference, cache-blocked, packed-panel), all FLOP-instrumented, plus
-//!   the [`GemmPrecision`] parameter selecting the opt-in mixed-precision
-//!   mode;
+//!   reference, cache-blocked, packed-panel), all FLOP-instrumented;
 //! - [`pack`] / [`microkernel`] — the packed-panel GEMM floor (DESIGN.md
 //!   §10): cache-blocked A/B panel packing and the `MR x NR`
-//!   register-tiled microkernel behind `gemm::gemm_packed`, in both `f64`
-//!   and `f32`-panel (mixed) element widths;
+//!   register-tiled microkernel behind `gemm::gemm_packed`;
 //! - [`batch`] — *batched* dense algebra with stride-32 size classes: one
 //!   kernel-tagged job type (GEMM + the SYRK/congruence family), one plan
 //!   grouping jobs by padded class, one executor running a launch per
@@ -64,6 +61,6 @@ pub mod vecops;
 pub use batch::{BatchClass, BatchJob, BatchKernel, BatchPlan, OffloadMode};
 pub use eigen::SymmetricEigen;
 pub use fft::Complex64;
-pub use gemm::{GemmPrecision, Trans};
+pub use gemm::Trans;
 pub use matrix::DMatrix;
 pub use sparse::{CsrMatrix, TripletBuilder};

@@ -229,15 +229,6 @@ impl DMatrix {
         out
     }
 
-    /// Pads the matrix with zeros to `new_rows x new_cols` (each must be at
-    /// least the current dimension). Used by the stride-32 batching policy.
-    pub fn zero_padded(&self, new_rows: usize, new_cols: usize) -> DMatrix {
-        assert!(new_rows >= self.rows && new_cols >= self.cols);
-        let mut out = DMatrix::zeros(new_rows, new_cols);
-        out.set_block(0, 0, self);
-        out
-    }
-
     /// Matrix-vector product `y = A x`.
     ///
     /// # Panics
@@ -435,16 +426,6 @@ mod tests {
         let mut big = DMatrix::zeros(3, 3);
         let b = DMatrix::zeros(2, 2);
         big.set_block(2, 2, &b);
-    }
-
-    #[test]
-    fn zero_padding() {
-        let m = DMatrix::from_fn(3, 5, |i, j| (i * 5 + j) as f64 + 1.0);
-        let p = m.zero_padded(32, 32);
-        assert_eq!(p.shape(), (32, 32));
-        assert_eq!(p.block(0, 0, 3, 5), m);
-        assert_eq!(p[(3, 0)], 0.0);
-        assert_eq!(p[(0, 5)], 0.0);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::gemm::Trans;
 use crate::matrix::DMatrix;
-use crate::pack::{self, MicroElem, KC, MC, MR, NC, NR};
+use crate::pack::{self, KC, MC, MR, NC, NR};
 use rayon::prelude::*;
 
 /// One `MR x NR` register-tile update: loads the tile of `C`, accumulates
@@ -32,9 +32,9 @@ use rayon::prelude::*;
 /// accumulator lanes with zeros from the packed panels and simply never
 /// stores them.
 #[inline]
-fn microkernel<E: MicroElem>(
-    amicro: &[E],
-    bmicro: &[E],
+fn microkernel(
+    amicro: &[f64],
+    bmicro: &[f64],
     ctile: &mut [f64],
     ldc: usize,
     mr: usize,
@@ -51,11 +51,11 @@ fn microkernel<E: MicroElem>(
     // MR + NR loads, all accumulators live in registers. The fixed-size
     // array conversion lets LLVM drop every bounds check and unroll.
     for (arow, brow) in amicro.chunks_exact(MR).zip(bmicro.chunks_exact(NR)) {
-        let arow: &[E; MR] = arow.try_into().expect("chunks_exact yields MR");
-        let brow: &[E; NR] = brow.try_into().expect("chunks_exact yields NR");
+        let arow: &[f64; MR] = arow.try_into().expect("chunks_exact yields MR");
+        let brow: &[f64; NR] = brow.try_into().expect("chunks_exact yields NR");
         for (accrow, &av) in acc.iter_mut().zip(arow) {
             for (accv, &bv) in accrow.iter_mut().zip(brow) {
-                *accv = E::madd(*accv, av, bv);
+                *accv += av * bv;
             }
         }
     }
@@ -83,7 +83,7 @@ pub(crate) fn op_shape(t: Trans, x: &DMatrix) -> (usize, usize) {
 /// chunks of `C`, each task packing its own A block into thread-local
 /// scratch (take-out/put-back, safe under work stealing).
 #[allow(clippy::too_many_arguments)] // BLAS-style panel bounds are clearest flat
-pub(crate) fn packed_driver<E: MicroElem>(
+pub(crate) fn packed_driver(
     c: &mut DMatrix,
     ta: Trans,
     a: &DMatrix,
@@ -105,13 +105,13 @@ pub(crate) fn packed_driver<E: MicroElem>(
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            E::with_b_scratch(pack::b_panel_len(nc, kc), |bbuf| {
+            pack::with_scratch(&pack::PACK_B, pack::b_panel_len(nc, kc), |bbuf| {
                 pack::pack_b(bbuf, b, tb, pc, kc, jc, nc);
-                let bbuf: &[E] = bbuf;
+                let bbuf: &[f64] = bbuf;
                 let run_chunk = |chunk_idx: usize, cchunk: &mut [f64]| {
                     let i0 = chunk_idx * MC;
                     let mc = cchunk.len() / n;
-                    E::with_a_scratch(pack::a_panel_len(mc, kc), |abuf| {
+                    pack::with_scratch(&pack::PACK_A, pack::a_panel_len(mc, kc), |abuf| {
                         pack::pack_a(abuf, a, ta, alpha, i0, mc, pc, kc);
                         for (jt, jr0) in (0..nc).step_by(NR).enumerate() {
                             let nr = NR.min(nc - jr0);
@@ -168,7 +168,7 @@ mod tests {
             let mut c1 = sample(m, n, seed + 200);
             let mut c2 = c1.clone();
             gemm_naive(&mut c1, &a, &b, 1.25, -0.5);
-            packed_driver::<f64>(&mut c2, Trans::No, &a, Trans::No, &b, 1.25, -0.5, false);
+            packed_driver(&mut c2, Trans::No, &a, Trans::No, &b, 1.25, -0.5, false);
             assert_eq!(c1.as_slice(), c2.as_slice(), "{m}x{n}x{k}");
         }
     }
@@ -185,8 +185,8 @@ mod tests {
             let mut cs = sample(m, n, seed + 200);
             let mut cp = cs.clone();
             let mut cn = cs.clone();
-            packed_driver::<f64>(&mut cs, Trans::No, &a, Trans::No, &b, 1.5, 0.3, false);
-            packed_driver::<f64>(&mut cp, Trans::No, &a, Trans::No, &b, 1.5, 0.3, true);
+            packed_driver(&mut cs, Trans::No, &a, Trans::No, &b, 1.5, 0.3, false);
+            packed_driver(&mut cp, Trans::No, &a, Trans::No, &b, 1.5, 0.3, true);
             gemm_naive(&mut cn, &a, &b, 1.5, 0.3);
             assert_eq!(cs.as_slice(), cp.as_slice(), "{m}x{n}x{k}");
             assert_eq!(cn.as_slice(), cp.as_slice(), "{m}x{n}x{k}");
@@ -199,8 +199,8 @@ mod tests {
         let b = sample(31, 40, 10); // op(B) = Bᵀ: 40 x 31
         let mut c1 = DMatrix::zeros(23, 31);
         let mut c2 = DMatrix::zeros(23, 31);
-        packed_driver::<f64>(&mut c1, Trans::Yes, &a, Trans::Yes, &b, 1.0, 0.0, false);
-        packed_driver::<f64>(
+        packed_driver(&mut c1, Trans::Yes, &a, Trans::Yes, &b, 1.0, 0.0, false);
+        packed_driver(
             &mut c2,
             Trans::No,
             &a.transpose(),
@@ -214,26 +214,11 @@ mod tests {
     }
 
     #[test]
-    fn mixed_driver_within_f32_error_bound() {
-        let (m, n, k) = (37, 29, 83);
-        let a = sample(m, k, 11);
-        let b = sample(k, n, 12);
-        let mut cref = DMatrix::zeros(m, n);
-        let mut cmix = DMatrix::zeros(m, n);
-        gemm_naive(&mut cref, &a, &b, 1.0, 0.0);
-        packed_driver::<f32>(&mut cmix, Trans::No, &a, Trans::No, &b, 1.0, 0.0, false);
-        // Per entry: k products, each carrying two f32 roundings.
-        let bound = 3.0 * (f32::EPSILON as f64) * k as f64 * a.max_abs() * b.max_abs();
-        assert!(cref.max_abs_diff(&cmix) <= bound, "{} > {bound}", cref.max_abs_diff(&cmix));
-        assert!(cref.max_abs_diff(&cmix) > 0.0, "mixed path must actually round");
-    }
-
-    #[test]
     fn beta_only_and_alpha_zero() {
         let a = sample(6, 4, 13);
         let b = sample(4, 5, 14);
         let mut c = DMatrix::from_fn(6, 5, |_, _| 2.0);
-        packed_driver::<f64>(&mut c, Trans::No, &a, Trans::No, &b, 0.0, 0.5, false);
+        packed_driver(&mut c, Trans::No, &a, Trans::No, &b, 0.0, 0.5, false);
         assert!(c.max_abs_diff(&DMatrix::from_fn(6, 5, |_, _| 1.0)) == 0.0);
     }
 }

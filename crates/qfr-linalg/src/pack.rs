@@ -22,14 +22,10 @@
 //! — a transposed operand is packed from its strided view, which is what
 //! lets [`crate::gemm::dgemm`] skip materializing `Aᵀ`/`Bᵀ` entirely.
 //!
-//! Both precisions of the mixed-precision story live here as the
-//! `MicroElem` element trait: `f64` panels for the default path and
-//! `f32` panels for [`crate::gemm::GemmPrecision::MixedF32`] (operands
-//! rounded once at pack time, products accumulated in `f64` by the
-//! microkernel). Packing scratch is thread-local and reused across calls
-//! with the same take-out/put-back discipline as `crate::batch`'s staging
-//! buffer, so packed launches issued from inside rayon work-stealing
-//! regions can re-enter safely.
+//! Packing scratch is thread-local and reused across calls with the same
+//! take-out/put-back discipline as `crate::batch`'s staging buffer, so
+//! packed launches issued from inside rayon work-stealing regions can
+//! re-enter safely.
 
 use crate::gemm::Trans;
 use crate::matrix::DMatrix;
@@ -52,14 +48,12 @@ pub const KC: usize = 256;
 pub const NC: usize = 1024;
 
 thread_local! {
-    // One reusable buffer per (operand, element width). Grown, never
-    // shrunk: response cycles issue thousands of packed calls and the
-    // allocation would otherwise dominate small panels. Kept out of any
-    // RefCell borrow across parallel regions — see `with_scratch`.
-    static PACK_A_F64: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    static PACK_B_F64: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    static PACK_A_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    static PACK_B_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    // One reusable buffer per operand. Grown, never shrunk: response
+    // cycles issue thousands of packed calls and the allocation would
+    // otherwise dominate small panels. Kept out of any RefCell borrow
+    // across parallel regions — see `with_scratch`.
+    pub(crate) static PACK_A: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    pub(crate) static PACK_B: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Take-out/put-back scratch access (the `crate::batch::PACKED_SCRATCH`
@@ -68,14 +62,14 @@ thread_local! {
 /// while `f` is blocked in a parallel region finds an empty cell and
 /// allocates fresh instead of panicking on a held borrow. Put-back keeps
 /// the larger buffer so steady-state reuse is unchanged.
-fn with_scratch<T: Copy + Default, R>(
-    cell: &'static std::thread::LocalKey<RefCell<Vec<T>>>,
+pub(crate) fn with_scratch<R>(
+    cell: &'static std::thread::LocalKey<RefCell<Vec<f64>>>,
     len: usize,
-    f: impl FnOnce(&mut [T]) -> R,
+    f: impl FnOnce(&mut [f64]) -> R,
 ) -> R {
     let mut buf = cell.with(|c| std::mem::take(&mut *c.borrow_mut()));
     if buf.len() < len {
-        buf.resize(len, T::default());
+        buf.resize(len, 0.0);
     }
     let out = f(&mut buf[..len]);
     cell.with(|c| {
@@ -85,62 +79,6 @@ fn with_scratch<T: Copy + Default, R>(
         }
     });
     out
-}
-
-/// Element type of a packed panel: `f64` for the default path, `f32` for
-/// the mixed-precision path. `madd` defines the accumulation semantics —
-/// always into an `f64` accumulator, so mixed mode rounds *operands* (once,
-/// at pack time) but never the running sum.
-pub(crate) trait MicroElem: Copy + Send + Sync + Default + 'static {
-    /// Additive identity used for edge padding.
-    const ZERO: Self;
-    /// Rounds a (possibly `alpha`-scaled) `f64` operand to the panel
-    /// element width.
-    fn from_f64(v: f64) -> Self;
-    /// `acc + a * b` with the product formed at `f64` width.
-    fn madd(acc: f64, a: Self, b: Self) -> f64;
-    /// Thread-local A-panel scratch of at least `len` elements.
-    fn with_a_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
-    /// Thread-local B-panel scratch of at least `len` elements.
-    fn with_b_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
-}
-
-impl MicroElem for f64 {
-    const ZERO: Self = 0.0;
-    #[inline(always)]
-    fn from_f64(v: f64) -> Self {
-        v
-    }
-    #[inline(always)]
-    fn madd(acc: f64, a: Self, b: Self) -> f64 {
-        acc + a * b
-    }
-    fn with_a_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R {
-        with_scratch(&PACK_A_F64, len, f)
-    }
-    fn with_b_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R {
-        with_scratch(&PACK_B_F64, len, f)
-    }
-}
-
-impl MicroElem for f32 {
-    const ZERO: Self = 0.0;
-    #[inline(always)]
-    fn from_f64(v: f64) -> Self {
-        v as f32
-    }
-    #[inline(always)]
-    fn madd(acc: f64, a: Self, b: Self) -> f64 {
-        // The f32 -> f64 widening and the f64 multiply are both exact; all
-        // rounding happened once, at pack time.
-        acc + (a as f64) * (b as f64)
-    }
-    fn with_a_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R {
-        with_scratch(&PACK_A_F32, len, f)
-    }
-    fn with_b_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R {
-        with_scratch(&PACK_B_F32, len, f)
-    }
 }
 
 /// Packed A-panel length in elements for `mc` rows and depth `kc`.
@@ -161,8 +99,8 @@ pub(crate) fn b_panel_len(nc: usize, kc: usize) -> usize {
 /// `aip = alpha * a[(i, p)]` the reference kernels form. Rows past `mc`
 /// in the last micro-panel are zero-padded.
 #[allow(clippy::too_many_arguments)] // BLAS-style panel bounds are clearest flat
-pub(crate) fn pack_a<E: MicroElem>(
-    dst: &mut [E],
+pub(crate) fn pack_a(
+    dst: &mut [f64],
     a: &DMatrix,
     ta: Trans,
     alpha: f64,
@@ -182,13 +120,13 @@ pub(crate) fn pack_a<E: MicroElem>(
                 for ir in 0..rows {
                     let arow = &a.row(i0 + ir0 + ir)[p0..p0 + kc];
                     for (p, &v) in arow.iter().enumerate() {
-                        panel[p * MR + ir] = E::from_f64(alpha * v);
+                        panel[p * MR + ir] = alpha * v;
                     }
                 }
                 if rows < MR {
                     for p in 0..kc {
                         for ir in rows..MR {
-                            panel[p * MR + ir] = E::ZERO;
+                            panel[p * MR + ir] = 0.0;
                         }
                     }
                 }
@@ -200,10 +138,10 @@ pub(crate) fn pack_a<E: MicroElem>(
                 for (p, prow) in panel.chunks_exact_mut(MR).enumerate() {
                     let arow = &a.row(p0 + p)[i0 + ir0..i0 + ir0 + rows];
                     for (pv, &v) in prow.iter_mut().zip(arow) {
-                        *pv = E::from_f64(alpha * v);
+                        *pv = alpha * v;
                     }
                     for pv in prow[rows..].iter_mut() {
-                        *pv = E::ZERO;
+                        *pv = 0.0;
                     }
                 }
             }
@@ -214,8 +152,8 @@ pub(crate) fn pack_a<E: MicroElem>(
 /// Packs the `kc x nc` block of `op(B)` starting at depth `p0`, column
 /// `j0` into `dst` (`b_panel_len(nc, kc)` elements). Columns past `nc` in
 /// the last micro-panel are zero-padded.
-pub(crate) fn pack_b<E: MicroElem>(
-    dst: &mut [E],
+pub(crate) fn pack_b(
+    dst: &mut [f64],
     b: &DMatrix,
     tb: Trans,
     p0: usize,
@@ -233,10 +171,10 @@ pub(crate) fn pack_b<E: MicroElem>(
                 for (p, prow) in panel.chunks_exact_mut(NR).enumerate() {
                     let brow = &b.row(p0 + p)[j0 + jr0..j0 + jr0 + cols];
                     for (pv, &v) in prow.iter_mut().zip(brow) {
-                        *pv = E::from_f64(v);
+                        *pv = v;
                     }
                     for pv in prow[cols..].iter_mut() {
-                        *pv = E::ZERO;
+                        *pv = 0.0;
                     }
                 }
             }
@@ -246,13 +184,13 @@ pub(crate) fn pack_b<E: MicroElem>(
                 for jr in 0..cols {
                     let brow = &b.row(j0 + jr0 + jr)[p0..p0 + kc];
                     for (p, &v) in brow.iter().enumerate() {
-                        panel[p * NR + jr] = E::from_f64(v);
+                        panel[p * NR + jr] = v;
                     }
                 }
                 if cols < NR {
                     for p in 0..kc {
                         for jr in cols..NR {
-                            panel[p * NR + jr] = E::ZERO;
+                            panel[p * NR + jr] = 0.0;
                         }
                     }
                 }
@@ -317,7 +255,7 @@ mod tests {
     fn b_panel_edge_padding_is_zero() {
         let b = sample(4, NR + 3, 4);
         let (kc, nc) = (4, NR + 3);
-        let mut dst = vec![f32::NAN; b_panel_len(nc, kc)];
+        let mut dst = vec![f64::NAN; b_panel_len(nc, kc)];
         pack_b(&mut dst, &b, Trans::No, 0, kc, 0, nc);
         // Last micro-panel has 3 real columns + NR-3 padded zeros.
         let last = &dst[NR * kc..];
@@ -329,22 +267,12 @@ mod tests {
     }
 
     #[test]
-    fn f32_packing_rounds_once() {
-        let v = 0.1f64; // not representable in f32
-        let a = DMatrix::from_fn(1, 1, |_, _| v);
-        let mut dst = vec![0.0f32; a_panel_len(1, 1)];
-        pack_a(&mut dst, &a, Trans::No, 1.0, 0, 1, 0, 1);
-        assert_eq!(dst[0], v as f32);
-        assert_ne!(dst[0] as f64, v);
-    }
-
-    #[test]
     fn scratch_survives_nested_use() {
         // Take-out/put-back: a nested with-scratch call while the outer
         // one is live must not panic and must see its own buffer.
-        f64::with_a_scratch(8, |outer| {
+        with_scratch(&PACK_A, 8, |outer| {
             outer.fill(1.0);
-            f64::with_a_scratch(4, |inner| inner.fill(2.0));
+            with_scratch(&PACK_A, 4, |inner| inner.fill(2.0));
             assert_eq!(outer[0], 1.0, "nested call must not alias the outer buffer");
         });
     }

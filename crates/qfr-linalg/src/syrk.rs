@@ -16,10 +16,9 @@
 //!   materializing `Aᵀ`, with a triangle-only second product;
 //! - [`congruence_transform`] — the `Aᵀ M A` counterpart.
 //!
-//! The last three are what gathered job streams execute in scattered mode
-//! and take the stream's [`GemmPrecision`]; `syrk`/`syr2k` have no mixed
-//! caller and are `F64`-only. These dot-order kernels are the reference
-//! the packed batch executor (`crate::batch`) is bit-compared against.
+//! The last three are what gathered job streams execute in scattered mode.
+//! These dot-order kernels are the reference the packed batch executor
+//! (`crate::batch`) is bit-compared against.
 //!
 //! FLOPs are accounted at the *reduced* count (the work actually done), and
 //! the difference to the general-GEMM count is accumulated in the
@@ -32,7 +31,7 @@
 //! selection depends only on operand shapes, so same-seed runs produce
 //! byte-identical results and counter reports.
 
-use crate::gemm::{GemmPrecision, Trans};
+use crate::gemm::Trans;
 use crate::matrix::DMatrix;
 use rayon::prelude::*;
 
@@ -66,7 +65,7 @@ pub fn flops_saved_symmetry() -> u64 {
 /// Panics if `C` is not square or does not match the updated dimension.
 pub fn syrk(trans: Trans, alpha: f64, a: &DMatrix, beta: f64, c: &mut DMatrix) {
     let rows = rows_of(trans, a);
-    triangle_product_rows(&rows, &rows, alpha, beta, c, PairKind::Single, GemmPrecision::F64);
+    triangle_product_rows(&rows, &rows, alpha, beta, c, PairKind::Single);
 }
 
 /// Symmetric rank-2k update, mirroring BLAS `DSYR2K`:
@@ -83,16 +82,14 @@ pub fn syr2k(trans: Trans, alpha: f64, a: &DMatrix, b: &DMatrix, beta: f64, c: &
     assert_eq!(a.shape(), b.shape(), "syr2k: A and B shapes differ");
     let ra = rows_of(trans, a);
     let rb = rows_of(trans, b);
-    triangle_product_rows(&ra, &rb, alpha, beta, c, PairKind::Rank2, GemmPrecision::F64);
+    triangle_product_rows(&ra, &rb, alpha, beta, c, PairKind::Rank2);
 }
 
 /// `C = α Aᵀ B + β C` for operand pairs whose product is *symmetric by
 /// construction* — the caller guarantees `Aᵀ B = Bᵀ A` (the canonical case
 /// is `A = diag(w) B`, the weighted-overlap accumulation `Xᵀ diag(w) X` of
 /// the SCF/response Fock builds). Computes one triangle and mirrors: half
-/// the FLOPs of the `dgemm(Trans::Yes, Trans::No, ..)` it replaces. Under
-/// [`GemmPrecision::MixedF32`] the row views are rounded to `f32` once and
-/// every dot accumulates in `f64` (DESIGN.md §10).
+/// the FLOPs of the `dgemm(Trans::Yes, Trans::No, ..)` it replaces.
 ///
 /// `A` and `B` are `k x n`; `C` is `n x n`. With `β != 0` the input `C`
 /// must be symmetric.
@@ -100,18 +97,11 @@ pub fn syr2k(trans: Trans, alpha: f64, a: &DMatrix, b: &DMatrix, beta: f64, c: &
 /// # Panics
 /// Panics on shape mismatch. The symmetry of the product itself is the
 /// caller's contract and is not checked (that would cost the FLOPs back).
-pub fn symmetric_product(
-    alpha: f64,
-    a: &DMatrix,
-    b: &DMatrix,
-    beta: f64,
-    c: &mut DMatrix,
-    prec: GemmPrecision,
-) {
+pub fn symmetric_product(alpha: f64, a: &DMatrix, b: &DMatrix, beta: f64, c: &mut DMatrix) {
     assert_eq!(a.shape(), b.shape(), "symmetric_product: A and B shapes differ");
     let ra = rows_of(Trans::Yes, a);
     let rb = rows_of(Trans::Yes, b);
-    triangle_product_rows(&ra, &rb, alpha, beta, c, PairKind::Single, prec);
+    triangle_product_rows(&ra, &rb, alpha, beta, c, PairKind::Single);
 }
 
 /// `A M Aᵀ` for symmetric `M` — the Löwdin sandwich `L⁻¹ F L⁻ᵀ` and the
@@ -119,22 +109,19 @@ pub fn symmetric_product(
 /// `T = A M` is a general GEMM; the second exploits row-major layout
 /// (`(T Aᵀ)[i][j] = T_i · A_j`, both contiguous rows) so `Aᵀ` is never
 /// materialized, and computes only one triangle. The result is exactly
-/// symmetric. Both products run at element width `prec`: mixed mode
-/// re-rounds the `f64`-accumulated intermediate to `f32` for the second
-/// product, the same double-rounding an accelerator's mixed pipeline
-/// applies between chained launches.
+/// symmetric.
 ///
 /// # Panics
 /// Panics if `M` is not square or `A.cols() != M.rows()`. Debug builds
 /// assert `M` is symmetric.
-pub fn similarity_transform(a: &DMatrix, m: &DMatrix, prec: GemmPrecision) -> DMatrix {
+pub fn similarity_transform(a: &DMatrix, m: &DMatrix) -> DMatrix {
     assert!(m.is_square(), "similarity_transform: M must be square");
     assert_eq!(a.cols(), m.rows(), "similarity_transform: A/M mismatch");
     debug_assert!(m.is_symmetric(1e-10), "similarity_transform requires symmetric M");
     let mut tmp = DMatrix::zeros(a.rows(), m.cols());
-    crate::gemm::gemm_dispatch(&mut tmp, a, m, 1.0, 0.0, prec);
+    crate::gemm::gemm_auto(&mut tmp, a, m, 1.0, 0.0);
     let mut out = DMatrix::zeros(a.rows(), a.rows());
-    triangle_product_rows(&tmp, a, 1.0, 0.0, &mut out, PairKind::Single, prec);
+    triangle_product_rows(&tmp, a, 1.0, 0.0, &mut out, PairKind::Single);
     out
 }
 
@@ -144,10 +131,10 @@ pub fn similarity_transform(a: &DMatrix, m: &DMatrix, prec: GemmPrecision) -> DM
 ///
 /// # Panics
 /// Panics if `M` is not square or `A.rows() != M.rows()`.
-pub fn congruence_transform(a: &DMatrix, m: &DMatrix, prec: GemmPrecision) -> DMatrix {
+pub fn congruence_transform(a: &DMatrix, m: &DMatrix) -> DMatrix {
     assert!(m.is_square(), "congruence_transform: M must be square");
     assert_eq!(a.rows(), m.rows(), "congruence_transform: A/M mismatch");
-    similarity_transform(&a.transpose(), m, prec)
+    similarity_transform(&a.transpose(), m)
 }
 
 /// Reduced FLOP count of one single-dot triangle product (`n x n` output,
@@ -161,21 +148,15 @@ pub(crate) fn triangle_flops(n: usize, k: usize) -> u64 {
 /// *reduced* FLOP count, and credits `linalg.gemm.flops_saved_symmetry`.
 /// Shared with `crate::batch`'s packed executor so batched triangle jobs
 /// account identically to the scattered kernels.
-pub(crate) fn account_triangle(n: usize, k: usize, prec: GemmPrecision) {
-    account_triangle_dots(n, k, 1, prec);
+pub(crate) fn account_triangle(n: usize, k: usize) {
+    account_triangle_dots(n, k, 1);
 }
 
-fn account_triangle_dots(n: usize, k: usize, dots_per_entry: u64, prec: GemmPrecision) {
+fn account_triangle_dots(n: usize, k: usize, dots_per_entry: u64) {
     SYRK_CALLS.incr();
     let reduced = dots_per_entry * triangle_flops(n, k);
     let full = dots_per_entry * crate::flops::gemm_flops(n, n, k);
-    // The executed FLOPs go to the counter matching their element width;
-    // the symmetry saving is width-independent (the avoided work would
-    // have run at the same precision).
-    match prec {
-        GemmPrecision::F64 => crate::flops::add(reduced),
-        GemmPrecision::MixedF32 => crate::flops::add_f32(reduced),
-    }
+    crate::flops::add(reduced);
     FLOPS_SAVED.add(full - reduced);
 }
 
@@ -207,7 +188,6 @@ fn triangle_product_rows(
     beta: f64,
     c: &mut DMatrix,
     kind: PairKind,
-    prec: GemmPrecision,
 ) {
     assert_eq!(ra.shape(), rb.shape(), "triangle kernel: row-view shapes differ");
     let (n, k) = ra.shape();
@@ -219,43 +199,14 @@ fn triangle_product_rows(
         PairKind::Single => 1,
         PairKind::Rank2 => 2,
     };
-    account_triangle_dots(n, k, dots_per_entry, prec);
-
-    // Mixed mode rounds the row views to f32 once (the pack step of the
-    // packed GEMM driver, applied to row views); dots still accumulate in
-    // f64. The two views share one rounding when they alias (syrk).
-    let (ra32, rb32): (Vec<f32>, Vec<f32>) = match prec {
-        GemmPrecision::F64 => (Vec::new(), Vec::new()),
-        GemmPrecision::MixedF32 => {
-            let ra32: Vec<f32> = ra.as_slice().iter().map(|&v| v as f32).collect();
-            let rb32 = if std::ptr::eq(ra, rb) {
-                ra32.clone()
-            } else {
-                rb.as_slice().iter().map(|&v| v as f32).collect()
-            };
-            (ra32, rb32)
-        }
-    };
+    account_triangle_dots(n, k, dots_per_entry);
 
     let entry = |i: usize, j: usize, old: f64| -> f64 {
-        let mut acc = match prec {
-            GemmPrecision::F64 => {
-                let mut acc = dot(ra.row(i), rb.row(j));
-                if kind == PairKind::Rank2 {
-                    acc += dot(rb.row(i), ra.row(j));
-                }
-                acc
-            }
-            GemmPrecision::MixedF32 => {
-                let mut acc = dot_mixed(&ra32[i * k..(i + 1) * k], &rb32[j * k..(j + 1) * k]);
-                if kind == PairKind::Rank2 {
-                    acc += dot_mixed(&rb32[i * k..(i + 1) * k], &ra32[j * k..(j + 1) * k]);
-                }
-                acc
-            }
-        };
-        acc = alpha * acc + if beta == 0.0 { 0.0 } else { beta * old };
-        acc
+        let mut acc = dot(ra.row(i), rb.row(j));
+        if kind == PairKind::Rank2 {
+            acc += dot(rb.row(i), ra.row(j));
+        }
+        alpha * acc + if beta == 0.0 { 0.0 } else { beta * old }
     };
 
     // Triangle work is n(n+1)k/2 multiply-adds; parallelize over the
@@ -285,13 +236,6 @@ fn triangle_product_rows(
 #[inline]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Ascending-index dot over f32-rounded operands with f64 accumulation —
-/// the triangle-kernel counterpart of the mixed packed GEMM.
-#[inline]
-fn dot_mixed(a: &[f32], b: &[f32]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| (x as f64) * (y as f64)).sum()
 }
 
 #[cfg(test)]
@@ -375,7 +319,7 @@ mod tests {
         let w: Vec<f64> = (0..19).map(|i| 0.1 + (i % 5) as f64).collect();
         let a = DMatrix::from_fn(19, 8, |i, j| w[i] * b[(i, j)]);
         let mut c = DMatrix::zeros(8, 8);
-        symmetric_product(1.0, &a, &b, 0.0, &mut c, GemmPrecision::F64);
+        symmetric_product(1.0, &a, &b, 0.0, &mut c);
         let reference = matmul(&a.transpose(), &b);
         assert!(c.max_abs_diff(&reference) < 1e-12);
         assert!(c.is_symmetric(0.0));
@@ -385,7 +329,7 @@ mod tests {
     fn similarity_matches_explicit_chain() {
         let a = sample(7, 10, 11);
         let m = sym_sample(10, 12);
-        let fast = similarity_transform(&a, &m, GemmPrecision::F64);
+        let fast = similarity_transform(&a, &m);
         let reference = matmul(&matmul(&a, &m), &a.transpose());
         assert!(fast.max_abs_diff(&reference) < 1e-11);
         assert!(fast.is_symmetric(0.0));
@@ -395,7 +339,7 @@ mod tests {
     fn congruence_matches_explicit_chain() {
         let a = sample(10, 6, 13);
         let m = sym_sample(10, 14);
-        let fast = congruence_transform(&a, &m, GemmPrecision::F64);
+        let fast = congruence_transform(&a, &m);
         let reference = matmul(&matmul(&a.transpose(), &m), &a);
         assert!(fast.max_abs_diff(&reference) < 1e-11);
     }

@@ -19,7 +19,7 @@
 
 use crate::machine::MachineModel;
 use qfr_linalg::batch::{self, BatchJob, BatchPlan, OffloadMode};
-use qfr_linalg::{DMatrix, GemmPrecision};
+use qfr_linalg::DMatrix;
 
 /// Modeled host↔device traffic (operand + result bytes priced by the
 /// accelerator cost model). Whole bytes, so the counter stays integral.
@@ -64,18 +64,12 @@ pub struct CpuAccelerator;
 
 impl CpuAccelerator {
     /// Executes a kernel-tagged job stream (GEMM + the SYRK/congruence
-    /// family) under `mode` at element width `prec` — the production
-    /// dispatch point the DFPT hot loops route through. Returns results in
-    /// job-index order plus wall seconds; within one precision both modes
-    /// agree value for value.
-    pub fn execute_jobs(
-        &self,
-        jobs: &[BatchJob],
-        mode: OffloadMode,
-        prec: GemmPrecision,
-    ) -> (Vec<DMatrix>, f64) {
+    /// family) under `mode` — the production dispatch point the DFPT hot
+    /// loops route through. Returns results in job-index order plus wall
+    /// seconds; both modes agree value for value.
+    pub fn execute_jobs(&self, jobs: &[BatchJob], mode: OffloadMode) -> (Vec<DMatrix>, f64) {
         OFFLOAD_EXECUTED_JOBS.add(jobs.len() as u64);
-        qfr_obs::timed("sched.offload.cpu_execute", || batch::execute_jobs_prec(jobs, mode, prec))
+        qfr_obs::timed("sched.offload.cpu_execute", || batch::execute_jobs(jobs, mode))
     }
 }
 
@@ -252,8 +246,8 @@ mod tests {
     fn cpu_accelerator_runs_real_jobs() {
         let jobs = scattered_jobs(16, 16);
         let cpu = CpuAccelerator;
-        let s = cpu.execute_jobs(&jobs, OffloadMode::Scattered, GemmPrecision::F64).1;
-        let b = cpu.execute_jobs(&jobs, OffloadMode::Batched { stride: 32 }, GemmPrecision::F64).1;
+        let s = cpu.execute_jobs(&jobs, OffloadMode::Scattered).1;
+        let b = cpu.execute_jobs(&jobs, OffloadMode::Batched { stride: 32 }).1;
         assert!(s > 0.0 && b > 0.0);
     }
 
@@ -269,9 +263,8 @@ mod tests {
                 m
             }),
         ];
-        let (scattered, _) = cpu.execute_jobs(&jobs, OffloadMode::Scattered, GemmPrecision::F64);
-        let (batched, _) =
-            cpu.execute_jobs(&jobs, OffloadMode::Batched { stride: 32 }, GemmPrecision::F64);
+        let (scattered, _) = cpu.execute_jobs(&jobs, OffloadMode::Scattered);
+        let (batched, _) = cpu.execute_jobs(&jobs, OffloadMode::Batched { stride: 32 });
         for (a, b) in scattered.iter().zip(&batched) {
             assert_eq!(a.as_slice(), b.as_slice(), "modes must agree bitwise");
         }

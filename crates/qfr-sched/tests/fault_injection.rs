@@ -212,14 +212,28 @@ fn stale_straggler_ack_leaves_counters_untouched_simulator() {
 
 #[test]
 fn leader_death_and_failures_compose() {
-    // One leader dies early AND fragments fail intermittently: survivors
-    // absorb the bounced work and the retry counters still match the
-    // forecast (death re-dispatches at the same attempt, costing no retry).
+    // One leader dies after two tasks AND fragments fail intermittently:
+    // survivors absorb the bounced work and the retry counters still match
+    // the forecast (death re-dispatches at the same attempt, costing no
+    // retry). Whether the threaded leader 0 reaches its quota before its
+    // peers drain the pool is a thread-scheduling race, so the death itself
+    // is asserted on the simulator's virtual clock, which drives the same
+    // ledger; the threaded runtime must match the forecast either way.
     let plan = FaultPlan::with_failure_rate(5, 0.25).kill_leader_after(0, 2);
     let rec = RecoveryPolicy { max_attempts: 3, backoff_base: 1e-4, straggler_factor: Some(4.0) };
     let frags = water_dimer_workload(24);
-    let n = frags.len();
     let forecast = plan.forecast(&decompose(frags.clone()), &rec);
+    let done = frags.len() - forecast.quarantined_fragments.len();
+
+    let sim = simulate(
+        Box::new(SortedSingletonPolicy::new(frags.clone())),
+        &SimConfig { n_leaders: 3, recovery: rec, faults: plan.clone(), ..Default::default() },
+    );
+    assert_eq!(sim.nodes_died, 1);
+    assert_eq!(sim.retries, forecast.retries);
+    assert_eq!(sim.quarantined_fragments, forecast.quarantined_fragments);
+    assert_eq!(sim.fragments, done);
+    assert_eq!(sim.unfinished_fragments, 0, "two survivors must finish everything");
 
     let run = run_master_leader_worker(
         Box::new(SortedSingletonPolicy::new(frags)),
@@ -232,9 +246,9 @@ fn leader_death_and_failures_compose() {
             faults: plan,
         },
     );
-    assert_eq!(run.leaders_died, 1);
+    assert!(run.leaders_died <= 1, "only leader 0 has a death quota");
     assert_eq!(run.retries, forecast.retries);
     assert_eq!(run.quarantined_fragments, forecast.quarantined_fragments);
-    assert_eq!(run.fragments_done, n - forecast.quarantined_fragments.len());
+    assert_eq!(run.fragments_done, done);
     assert_eq!(run.unfinished_fragments, 0, "two survivors must finish everything");
 }

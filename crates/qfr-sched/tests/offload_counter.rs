@@ -2,7 +2,7 @@
 //! check is the only test in this binary, so nothing else can add to it.
 
 use qfr_linalg::batch::{BatchJob, OffloadMode};
-use qfr_linalg::{DMatrix, GemmPrecision};
+use qfr_linalg::DMatrix;
 use qfr_sched::CpuAccelerator;
 
 #[test]
@@ -15,8 +15,7 @@ fn executed_jobs_counter_advances_by_jobs_dispatched() {
     ];
     let executed = || qfr_obs::counter::value_of("sched.offload.executed_jobs").unwrap_or(0);
     let before = executed();
-    let _ = CpuAccelerator.execute_jobs(&jobs, OffloadMode::Scattered, GemmPrecision::F64);
-    let _ =
-        CpuAccelerator.execute_jobs(&jobs, OffloadMode::Batched { stride: 32 }, GemmPrecision::F64);
+    let _ = CpuAccelerator.execute_jobs(&jobs, OffloadMode::Scattered);
+    let _ = CpuAccelerator.execute_jobs(&jobs, OffloadMode::Batched { stride: 32 });
     assert_eq!(executed() - before, 2 * jobs.len() as u64);
 }
