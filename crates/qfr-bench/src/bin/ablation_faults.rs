@@ -187,88 +187,5 @@ fn main() {
     }
     std::fs::remove_file(&ckpt).ok();
 
-    // Full-system sweep: kernel mode x MTBF-derived fault rate. The DFPT
-    // engine is measured for real under each offload mode, then a campaign
-    // at that mode's measured speed is priced through the recovery
-    // machinery — kernel speed, elastic offloading, and failure recovery
-    // in one study. Both modes must agree bit-identically (DESIGN.md §10).
-    header("Kernel mode x fault rate — measured DFPT speed priced through recovery");
-    use qfr_core::EngineKind;
-    use qfr_linalg::batch::OffloadMode;
-    let waters = scaled(3, 2);
-    let dfpt = |offload: OffloadMode| {
-        RamanWorkflow::new(WaterBoxBuilder::new(waters).seed(11).build())
-            .engine(EngineKind::ModelDfpt)
-            .offload(offload)
-            .run()
-            .expect("dfpt run")
-    };
-    let modes =
-        [("scattered-f64", OffloadMode::Scattered), ("batched-f64", OffloadMode::default())];
-    let runs: Vec<_> = modes.iter().map(|&(name, o)| (name, dfpt(o))).collect();
-    assert_eq!(
-        runs[0].1.spectrum.intensities, runs[1].1.spectrum.intensities,
-        "spectra must be bit-identical across offload modes"
-    );
-    let base_engine = runs
-        .iter()
-        .find(|(name, _)| *name == "batched-f64")
-        .map(|(_, r)| r.timings.engine_s)
-        .expect("baseline mode");
-    let sweep_cfg = SimConfig {
-        n_leaders: nodes,
-        recovery: RecoveryPolicy { max_attempts: 3, backoff_base: 0.5, ..Default::default() },
-        ..Default::default()
-    };
-    let sweep_hours = [0.0, 10_000.0, 100_000.0];
-    row(
-        &["kernel mode", "engine s", "rel speed", "run hours", "retries", "makespan"],
-        &[15, 10, 10, 10, 9, 12],
-    );
-    for (name, result) in &runs {
-        let engine_s = result.timings.engine_s;
-        // Scale every fragment's modeled cost by this mode's measured
-        // engine time, so the simulated campaign runs at the mode's real
-        // relative speed.
-        let scale = if base_engine > 0.0 { engine_s / base_engine } else { 1.0 };
-        for &hours in &sweep_hours {
-            let plan = FaultPlan::from_machine(&machine, hours, n_frag, 77);
-            let rate = plan.failure_rate;
-            let workload: Vec<_> = protein_workload(n_frag, 1)
-                .into_iter()
-                .map(|f| {
-                    let cost = f.cost() * scale;
-                    f.with_cost_hint(cost)
-                })
-                .collect();
-            let report = simulate(
-                Box::new(SizeSensitivePolicy::with_defaults(workload)),
-                &SimConfig { faults: plan, ..sweep_cfg.clone() },
-            );
-            row(
-                &[
-                    name,
-                    &format!("{engine_s:.3}"),
-                    &format!("{:.2}x", 1.0 / scale.max(f64::MIN_POSITIVE)),
-                    &format!("{hours:.0}"),
-                    &report.retries.to_string(),
-                    &format!("{:.0}", report.makespan),
-                ],
-                &[15, 10, 10, 10, 9, 12],
-            );
-            records.push(format!(
-                "{{\"study\":\"kernel_mode\",\"mode\":\"{name}\",\"engine_s\":{engine_s},\
-                 \"run_hours\":{hours},\"rate\":{rate},\"retries\":{},\"makespan\":{}}}",
-                report.retries, report.makespan,
-            ));
-        }
-    }
-    println!(
-        "\nReading: makespan scales with the measured kernel speed at every\n\
-         fault rate — a faster kernel mode buys the same relative margin in\n\
-         the failure-bound regime as in the quiet one, so kernel speed,\n\
-         offload, and recovery compose multiplicatively."
-    );
-
     write_record("ablation_faults", &format!("[{}]", records.join(",")));
 }

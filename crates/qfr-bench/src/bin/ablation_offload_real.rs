@@ -3,22 +3,21 @@
 //! Earlier studies priced the batched offload with machine *models*
 //! (`ablation_offload_stride`, the Fig. 9 bars). This one runs it: a
 //! kernel-tagged job stream gathered from real DFPT response states is
-//! executed twice through `CpuAccelerator` — scattered (one kernel call
-//! per job) and batched (size-class packed panels, one launch per class)
-//! — and the *measured* wall times are reported next to the modeled
-//! ORISE/Sunway bars. A full polarizability is also run end-to-end in
-//! both modes to confirm the bit-identity contract on the production
-//! path.
+//! executed twice through `qfr_linalg::batch::execute_jobs` — scattered
+//! (one kernel call per job) and batched (size-class packed panels, one
+//! launch per class, the mode every DFPT hot loop runs) — and the
+//! *measured* wall times are reported next to the modeled ORISE/Sunway
+//! bars.
 
 use qfr_bench::{fast_mode, header, row, scaled, write_record};
 use qfr_dfpt::displacement::n1_phase_gemm_jobs;
-use qfr_dfpt::response::{polarizability, ResponseConfig};
 use qfr_dfpt::scf::{ScfConfig, ScfResult, ScfSolver};
 use qfr_fragment::{Decomposition, DecompositionParams, JobKind};
 use qfr_geom::ProteinBuilder;
-use qfr_linalg::batch::{BatchJob, OffloadMode};
+use qfr_linalg::batch::{execute_jobs, BatchJob, OffloadMode};
 use qfr_sched::machine::MachineModel;
-use qfr_sched::offload::{offload_comparison, CpuAccelerator, ModeledAccelerator};
+use qfr_sched::offload::{offload_comparison, ModeledAccelerator};
+use std::time::Instant;
 
 /// Gathers the kernel-tagged job stream one response cycle would issue
 /// for this SCF state: phase-1 congruence + similarity, phase-2 panel
@@ -72,13 +71,16 @@ fn main() {
     let jobs: Vec<BatchJob> = scfs.iter().flat_map(|s| response_cycle_jobs(s, 48)).collect();
     println!("job stream: {} kernel-tagged jobs from {} SCF states", jobs.len(), scfs.len());
 
-    // Measured: min-of-reps wall time through the real accelerator, with
-    // the two modes interleaved rep-by-rep so machine drift during the
-    // run cancels out of the comparison instead of biasing one block.
-    let cpu = CpuAccelerator;
+    // Measured: min-of-reps wall time of the real executor, with the two
+    // modes interleaved rep-by-rep so machine drift during the run cancels
+    // out of the comparison instead of biasing one block.
     let reps = scaled(5, 2);
     let (mut scattered_s, mut batched_s) = (f64::INFINITY, f64::INFINITY);
-    let execute = |mode| cpu.execute_jobs(&jobs, mode);
+    let execute = |mode| {
+        let t = Instant::now();
+        let out = execute_jobs(&jobs, mode);
+        (out, t.elapsed().as_secs_f64())
+    };
     for _ in 0..reps {
         scattered_s = scattered_s.min(execute(OffloadMode::Scattered).1);
         batched_s = batched_s.min(execute(OffloadMode::Batched { stride: 32 }).1);
@@ -121,25 +123,6 @@ fn main() {
     row(&["ORISE model", "-", "-", &format!("{:.2}x", orise.speedup())], &[16, 14, 14, 10]);
     row(&["Sunway model", "-", "-", &format!("{:.2}x", sunway.speedup())], &[16, 14, 14, 10]);
 
-    // End-to-end: one polarizability per mode on the smallest state.
-    let scf = &scfs[0];
-    let run = |mode: OffloadMode| {
-        let cfg = ResponseConfig { offload: mode, ..Default::default() };
-        let t = std::time::Instant::now();
-        let (alpha, _) = polarizability(scf, &cfg);
-        (alpha, t.elapsed().as_secs_f64())
-    };
-    let (alpha_s, e2e_scattered) = run(OffloadMode::Scattered);
-    let (alpha_b, e2e_batched) = run(OffloadMode::Batched { stride: 32 });
-    assert_eq!(
-        alpha_s.as_slice(),
-        alpha_b.as_slice(),
-        "polarizability must be bit-identical across offload modes"
-    );
-    println!(
-        "\nend-to-end polarizability: scattered {e2e_scattered:.4}s, batched {e2e_batched:.4}s \
-         (bit-identical tensors)"
-    );
     if !fast_mode() && batched_s >= scattered_s {
         println!("WARNING: batched path not faster on this machine/stream");
     }
@@ -154,8 +137,7 @@ fn main() {
         "ablation_offload_real",
         &format!(
             "{{\"jobs\":{},\"cpu_scattered_s\":{scattered_s},\"cpu_batched_s\":{batched_s},\
-             \"cpu_speedup\":{},\"orise_speedup\":{},\"sunway_speedup\":{},\
-             \"e2e_scattered_s\":{e2e_scattered},\"e2e_batched_s\":{e2e_batched}}}",
+             \"cpu_speedup\":{},\"orise_speedup\":{},\"sunway_speedup\":{}}}",
             jobs.len(),
             scattered_s / batched_s,
             orise.speedup(),

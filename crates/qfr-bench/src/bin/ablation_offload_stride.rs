@@ -12,10 +12,11 @@ use qfr_dfpt::displacement::n1_phase_gemm_jobs;
 use qfr_dfpt::scf::{ScfConfig, ScfSolver};
 use qfr_fragment::{Decomposition, DecompositionParams, JobKind};
 use qfr_geom::ProteinBuilder;
-use qfr_linalg::batch::OffloadMode;
+use qfr_linalg::batch::{execute_jobs, OffloadMode};
 use qfr_linalg::DMatrix;
 use qfr_sched::machine::MachineModel;
-use qfr_sched::offload::{offload_comparison, CpuAccelerator, ModeledAccelerator};
+use qfr_sched::offload::{offload_comparison, ModeledAccelerator};
+use std::time::Instant;
 
 fn main() {
     // A mixed-size job stream: n(1) panels from three fragment sizes.
@@ -41,7 +42,6 @@ fn main() {
 
     let orise = ModeledAccelerator::from_machine(&MachineModel::orise());
     let sunway = ModeledAccelerator::from_machine(&MachineModel::sunway());
-    let cpu = CpuAccelerator;
 
     header("Offload stride ablation");
     row(
@@ -52,7 +52,9 @@ fn main() {
     for stride in [1usize, 8, 32, 128] {
         let ro = offload_comparison(&jobs, &orise, stride);
         let rs = offload_comparison(&jobs, &sunway, stride);
-        let cpu_s = cpu.execute_jobs(&jobs, OffloadMode::Batched { stride }).1;
+        let t = Instant::now();
+        let _out = execute_jobs(&jobs, OffloadMode::Batched { stride });
+        let cpu_s = t.elapsed().as_secs_f64();
         row(
             &[
                 &stride.to_string(),

@@ -190,10 +190,10 @@ fn main() {
     assert!(saved > 0, "linalg.gemm.flops_saved_symmetry must be > 0 on the pinned workload");
     let syrk_calls = qfr_obs::counter::value_of("linalg.syrk.calls").unwrap_or(0);
     assert!(syrk_calls > 0, "linalg.syrk.calls must be > 0 on the pinned workload");
-    // The DFPT hot loops must really dispatch through the accelerator: a
+    // The DFPT hot loops must really run through the batched executor: a
     // zero here means the gather points regressed to direct kernel calls.
-    let offloaded = qfr_obs::counter::value_of("sched.offload.executed_jobs").unwrap_or(0);
-    assert!(offloaded > 0, "sched.offload.executed_jobs must be > 0 on the pinned workload");
+    let batched = qfr_obs::counter::value_of("linalg.batch.jobs").unwrap_or(0);
+    assert!(batched > 0, "linalg.batch.jobs must be > 0 on the pinned workload");
     // The cached workload's warm run must actually be served from the
     // cache: a zero here means the workflow stopped routing fragment
     // computes through it.

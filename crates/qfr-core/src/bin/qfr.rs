@@ -21,7 +21,6 @@ use qfr_core::{
     ShardConfig, SpectrumRequest, SpectrumService, WorkflowError,
 };
 use qfr_geom::{io, MolecularSystem, ProteinBuilder, SolvatedSystem, WaterBoxBuilder};
-use qfr_linalg::batch::OffloadMode;
 
 /// A usage error: one line on stderr, exit status 2.
 fn fail(msg: impl std::fmt::Display) -> ! {
@@ -107,7 +106,7 @@ fn usage() -> ! {
          [--solvate PAD] [--sigma S]\n                \
          [--lambda L] [--lanczos K] [--seed SEED] [--temperature T]\n                \
          [--ir] [--json FILE] [--xyz FILE]\n                \
-         [--dfpt] [--offload batched|scattered]\n                \
+         [--dfpt]\n                \
          [--dense | --shards K [--spill DIR] [--tile-rows N]]\n                \
          [--sched LEADERS [--workers W]]\n                \
          [--checkpoint FILE [--checkpoint-interval N]]\n                \
@@ -186,7 +185,7 @@ fn run_plan(args: &Args) -> RunPlan {
 fn cmd_spectrum(argv: &[String]) {
     let args = &Args::parse(
         argv,
-        "--sigma --lambda --lanczos --temperature --json --xyz --offload --shards \
+        "--sigma --lambda --lanczos --temperature --json --xyz --shards \
          --spill --tile-rows --sched --workers --checkpoint --checkpoint-interval \
          --cache-mb --warm --trace --metrics-out",
         "--ir --dense --dfpt --cache --metrics",
@@ -200,13 +199,6 @@ fn cmd_spectrum(argv: &[String]) {
         ],
     );
     let plan = run_plan(args);
-    // --offload selects how the DFPT engine executes its gathered job
-    // streams; spectra are bit-identical in both modes (ablation knob).
-    let offload = match args.value("--offload") {
-        None | Some("batched") => OffloadMode::default(),
-        Some("scattered") => OffloadMode::Scattered,
-        Some(other) => fail(format!("--offload takes 'batched' or 'scattered', got '{other}'")),
-    };
     // Every value is parsed before any work starts.
     let temperature: Option<f64> = args.get("--temperature");
     let warm: usize = args.get_or("--warm", 0);
@@ -231,11 +223,8 @@ fn cmd_spectrum(argv: &[String]) {
     }
 
     let sigma = sigma.unwrap_or(if system.n_waters > 0 { 20.0 } else { 5.0 });
-    let mut workflow = RamanWorkflow::new(system)
-        .sigma(sigma)
-        .lambda(lambda)
-        .lanczos_steps(lanczos)
-        .offload(offload);
+    let mut workflow =
+        RamanWorkflow::new(system).sigma(sigma).lambda(lambda).lanczos_steps(lanczos);
     if args.has("--dfpt") {
         workflow = workflow.engine(EngineKind::ModelDfpt);
     }

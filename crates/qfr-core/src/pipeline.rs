@@ -12,7 +12,6 @@ use qfr_fragment::{
     MassWeighted, RowRangeAccumulator,
 };
 use qfr_geom::{BondAdjacency, MolecularSystem};
-use qfr_linalg::batch::OffloadMode;
 use qfr_linalg::sparse::MatVec;
 use qfr_linalg::CsrMatrix;
 use qfr_sched::{FragmentWorkItem, RunReport};
@@ -47,18 +46,10 @@ pub(crate) const SERVICE: Stages = Stages {
     solver: "service.solver",
 };
 
-pub(crate) fn make_engine(
-    kind: EngineKind,
-    offload: OffloadMode,
-) -> Box<dyn FragmentEngine + Send + Sync> {
+pub(crate) fn make_engine(kind: EngineKind) -> Box<dyn FragmentEngine + Send + Sync> {
     match kind {
         EngineKind::ForceField => Box::new(qfr_model::ForceFieldEngine::new()),
-        EngineKind::ModelDfpt => {
-            let mut config = qfr_dfpt::DfptEngineConfig::default();
-            config.scf.offload = offload;
-            config.response.offload = offload;
-            Box::new(qfr_dfpt::DfptEngine { config })
-        }
+        EngineKind::ModelDfpt => Box::new(qfr_dfpt::DfptEngine::new()),
     }
 }
 

@@ -254,7 +254,7 @@ impl SpectrumService {
             .cache
             .clone()
             .unwrap_or_else(|| Arc::new(FragmentCache::new(CacheConfig::default())));
-        let engine = pipeline::make_engine(config.engine, Default::default());
+        let engine = pipeline::make_engine(config.engine);
         let pool = qfr_sched::WorkerPool::new(config.workers);
         Self {
             inner: Arc::new(ServiceInner {

@@ -11,7 +11,6 @@ use qfr_fragment::{
     Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentResponse,
 };
 use qfr_geom::{BondAdjacency, MolecularSystem};
-use qfr_linalg::batch::OffloadMode;
 use qfr_sched::FragmentWorkItem;
 use qfr_solver::{RamanOptions, RamanSpectrum, ShardedOperator};
 use std::collections::HashSet;
@@ -143,13 +142,10 @@ impl RunPlan {
 
     /// The combinations a plan cannot honour, rejected before any work or
     /// file I/O.
-    fn check(&self, offload: OffloadMode) -> Result<(), WorkflowError> {
+    fn check(&self) -> Result<(), WorkflowError> {
         use HessianOperator::Sharded;
         use ResponseSource::Scheduler;
         let why = match (&self.source, &self.operator) {
-            _ if offload == (OffloadMode::Batched { stride: 0 }) => {
-                "batched offload needs a positive padding stride"
-            }
             (_, Sharded(_)) if self.checkpoint.is_some() => {
                 "a response checkpoint needs an operator that stores responses (in-core or dense)"
             }
@@ -226,9 +222,6 @@ pub struct RamanWorkflow {
     decomposition: DecompositionParams,
     engine: EngineKind,
     raman: RamanOptions,
-    /// How the DFPT engine executes its gathered dense-algebra job
-    /// streams (ignored by the force-field engine).
-    offload: OffloadMode,
     /// Content-addressed fragment result cache shared across runs (and,
     /// through [`crate::SpectrumService`], across concurrent requests).
     cache: Option<Arc<FragmentCache>>,
@@ -243,7 +236,6 @@ impl RamanWorkflow {
             decomposition: DecompositionParams::default(),
             engine: EngineKind::ForceField,
             raman: RamanOptions::default(),
-            offload: OffloadMode::default(),
             cache: None,
         }
     }
@@ -276,15 +268,6 @@ impl RamanWorkflow {
     /// Overrides the full Raman solver options.
     pub fn raman_options(mut self, opts: RamanOptions) -> Self {
         self.raman = opts;
-        self
-    }
-
-    /// Selects how the model-DFPT engine executes its gathered
-    /// dense-algebra job streams (batched size-class launches by default;
-    /// scattered per-job execution for ablations). Results are
-    /// bit-identical in both modes.
-    pub fn offload(mut self, mode: OffloadMode) -> Self {
-        self.offload = mode;
         self
     }
 
@@ -321,7 +304,7 @@ impl RamanWorkflow {
     /// agrees to solver accuracy) yields spectra bit-identical to
     /// [`run`](Self::run) when no work is quarantined.
     pub fn execute(&self, plan: RunPlan) -> Result<RamanResult, WorkflowError> {
-        plan.check(self.offload)?;
+        plan.check()?;
         let (mut pipeline, decomposition, adjacency) = Pipeline::prepare(
             &WORKFLOW,
             &self.system,
@@ -329,7 +312,7 @@ impl RamanWorkflow {
             self.engine,
             &self.raman,
         )?;
-        let engine = pipeline::make_engine(self.engine, self.offload);
+        let engine = pipeline::make_engine(self.engine);
         let run = Run {
             workflow: self,
             plan: &plan,

@@ -62,10 +62,11 @@ fn malformed_command_lines_exit_2_with_one_line() {
     assert_usage_error(&["spectrum", "--waters", "8", "--protein", "4"], "--protein and --waters");
     // Plans the pipeline cannot honour are usage errors too, and touch no file.
     assert_usage_error(&with(&["--shards", "0"]), "shard count");
-    // Retired flags (matrix-free operator, mixed precision) are rejected,
-    // not ignored.
+    // Retired flags (matrix-free operator, mixed precision, scattered
+    // offload) are rejected, not ignored.
     assert_usage_error(&with(&["--stream"]), "--stream");
     assert_usage_error(&with(&["--precision", "f64"]), "--precision");
+    assert_usage_error(&with(&["--offload", "scattered"]), "unknown flag '--offload'");
     let checkpoint_arg = checkpoint.to_str().expect("utf-8 temp path");
     assert_usage_error(&with(&["--shards", "2", "--checkpoint", checkpoint_arg]), "checkpoint");
     assert!(!checkpoint.exists(), "a rejected plan wrote a checkpoint");

@@ -21,6 +21,9 @@ use qfr_linalg::blas;
 use qfr_linalg::DMatrix;
 use std::time::Instant;
 
+/// Finite-difference step for the core matrices (Å).
+const CORE_STEP: f64 = 1e-3;
+
 /// Configuration of a displacement cycle.
 #[derive(Debug, Clone, Copy)]
 pub struct DisplacementConfig {
@@ -28,16 +31,14 @@ pub struct DisplacementConfig {
     pub atom: usize,
     /// Cartesian direction (0 = x, 1 = y, 2 = z).
     pub direction: usize,
-    /// Finite-difference step for the core matrices (Å).
-    pub step: f64,
-    /// Response-loop settings (batching, cycles, reduction path).
+    /// Response-loop settings (batching, reduction path).
     pub response: ResponseConfig,
 }
 
 impl DisplacementConfig {
     /// Default cycle for displacing `atom` along `direction`.
     pub fn new(atom: usize, direction: usize) -> Self {
-        Self { atom, direction, step: 1e-3, response: ResponseConfig::default() }
+        Self { atom, direction, response: ResponseConfig::default() }
     }
 }
 
@@ -100,9 +101,9 @@ fn core_difference(frag: &FragmentStructure, cfg: &DisplacementConfig) -> DMatri
     let shift = |sign: f64| {
         let mut moved = frag.clone();
         match cfg.direction {
-            0 => moved.positions[cfg.atom].x += sign * cfg.step,
-            1 => moved.positions[cfg.atom].y += sign * cfg.step,
-            _ => moved.positions[cfg.atom].z += sign * cfg.step,
+            0 => moved.positions[cfg.atom].x += sign * CORE_STEP,
+            1 => moved.positions[cfg.atom].y += sign * CORE_STEP,
+            _ => moved.positions[cfg.atom].z += sign * CORE_STEP,
         }
         let b = crate::basis::Basis::for_fragment(&moved);
         &b.kinetic() + &b.external_potential()
@@ -110,7 +111,7 @@ fn core_difference(frag: &FragmentStructure, cfg: &DisplacementConfig) -> DMatri
     let plus = shift(1.0);
     let minus = shift(-1.0);
     let mut d = &plus - &minus;
-    d.scale_mut(1.0 / (2.0 * cfg.step));
+    d.scale_mut(1.0 / (2.0 * CORE_STEP));
     d
 }
 

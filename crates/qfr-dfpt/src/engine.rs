@@ -9,8 +9,8 @@
 //! `O((3m)²)` energy evaluations and `6m` response solves per fragment, so
 //! it is reserved for small fragments (waters, dimers) and validation; the
 //! production spectra path uses `qfr-model`'s analytic engine (see
-//! DESIGN.md). A single global `energy_scale` calibrates the model energy
-//! units to mdyn/Å so both engines feed the same downstream pipeline.
+//! DESIGN.md). The model energy units are taken as mdyn/Å unscaled, so
+//! both engines feed the same downstream pipeline.
 
 use crate::response::{alpha_from, polarizability, solve_responses, ResponseConfig, ResponseTask};
 use crate::scf::{ScfConfig, ScfResult, ScfSolver};
@@ -26,26 +26,23 @@ static SCF_SOLVES: qfr_obs::Counter = qfr_obs::Counter::deterministic("dfpt.engi
 /// instead of a fresh solve (the merged-sweep saving).
 static SCF_REUSED: qfr_obs::Counter = qfr_obs::Counter::deterministic("dfpt.engine.scf_reused");
 
+/// Finite-difference displacement `h` (Å).
+const DISPLACEMENT: f64 = 0.02;
+
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct DfptEngineConfig {
-    /// Finite-difference displacement (Å).
-    pub displacement: f64,
     /// SCF settings (coarser grids keep the engine affordable).
     pub scf: ScfConfig,
     /// Response settings.
     pub response: ResponseConfig,
-    /// Calibration of model energy units to mdyn/Å.
-    pub energy_scale: f64,
 }
 
 impl Default for DfptEngineConfig {
     fn default() -> Self {
         Self {
-            displacement: 0.02,
             scf: ScfConfig { max_grid_dim: 16, grid_spacing: 0.5, ..Default::default() },
             response: ResponseConfig::default(),
-            energy_scale: 1.0,
         }
     }
 }
@@ -111,7 +108,7 @@ impl DfptEngine {
         sign: f64,
     ) -> ScfResult {
         let mut f = frag.clone();
-        apply_shift(&mut f, coord, sign * self.config.displacement);
+        apply_shift(&mut f, coord, sign * DISPLACEMENT);
         SCF_SOLVES.incr();
         ScfSolver { config: self.config.scf }.solve_from(&f, &reference.p)
     }
@@ -125,7 +122,7 @@ impl DfptEngine {
     fn hessian_around(&self, frag: &FragmentStructure, reference: &ScfResult) -> DMatrix {
         let _span = qfr_obs::span("dfpt.engine.hessian_fd");
         let dof = frag.dof();
-        let h = self.config.displacement;
+        let h = DISPLACEMENT;
         let e0 = self.frozen_energy(frag, reference);
 
         let displaced = |i: usize, s1: f64, j: usize, s2: f64| -> f64 {
@@ -165,7 +162,6 @@ impl DfptEngine {
             hess[(i, j)] = v;
             hess[(j, i)] = v;
         }
-        hess.scale_mut(self.config.energy_scale);
         hess
     }
 
@@ -181,7 +177,7 @@ impl DfptEngine {
         let _span = qfr_obs::span("dfpt.engine.dalpha_fd");
         let reference = self.reference(frag);
         let dof = frag.dof();
-        let h = self.config.displacement;
+        let h = DISPLACEMENT;
         let comps = alpha_components();
         // Independent displacements: solve in parallel, collect in index
         // order so the assembled matrix is bit-identical to a serial sweep.
@@ -240,7 +236,7 @@ impl DfptEngine {
     fn sweep_around(&self, frag: &FragmentStructure, reference: &ScfResult) -> (DMatrix, DMatrix) {
         let _span = qfr_obs::span("dfpt.engine.displaced_sweep");
         let dof = frag.dof();
-        let h = self.config.displacement;
+        let h = DISPLACEMENT;
         let comps = alpha_components();
         // Stage 1: one SCF per displaced geometry (g = 2i for +h, 2i+1 for
         // -h), solved in parallel and collected in index order.
@@ -326,7 +322,7 @@ impl DfptEngine {
         let _span = qfr_obs::span("dfpt.engine.dmu_fd");
         let reference = self.reference(frag);
         let dof = frag.dof();
-        let h = self.config.displacement;
+        let h = DISPLACEMENT;
         let cols: Vec<[f64; 3]> = (0..dof)
             .into_par_iter()
             .map(|i| {

@@ -27,19 +27,18 @@
 //! identical results (tested) and both account FLOPs, which is how the
 //! Fig. 9 speedups and Table I rates are regenerated.
 //!
-//! Since PR 6 the dense hot loops (SCF density/Fock builds, the response
-//! phases 1/2/4) no longer call kernels directly: they *gather*
-//! kernel-tagged [`qfr_linalg::batch::BatchJob`] streams and dispatch them
-//! through `qfr_sched::CpuAccelerator` — the paper's elastic workload
-//! offloading executed for real (Section V-C, DESIGN.md §10). The
-//! [`response::solve_responses`] set driver additionally gathers jobs
-//! *across* response tasks (field directions × displaced geometries) in
-//! deterministic lockstep.
+//! The dense hot loops (SCF density/Fock builds, the response phases
+//! 1/2/4) do not call kernels directly: they *gather* kernel-tagged
+//! [`qfr_linalg::batch::BatchJob`] streams and run each one through the
+//! batched executor [`qfr_linalg::batch::execute_jobs`] — the paper's
+//! elastic workload offloading executed for real (Section V-C, DESIGN.md
+//! §10). The [`response::solve_responses`] set driver additionally gathers
+//! jobs *across* response tasks (field directions × displaced geometries)
+//! in deterministic lockstep.
 
 #![forbid(unsafe_code)]
 
 pub mod basis;
-pub mod dispatch;
 pub mod displacement;
 pub mod engine;
 pub mod grid;

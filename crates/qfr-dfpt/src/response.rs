@@ -17,17 +17,16 @@
 //! Wall time and FLOPs are accumulated per phase into [`CyclePhases`],
 //! which Table I and Fig. 9 read out.
 //!
-//! Execution model (PR 6, DESIGN.md §10): the GEMM/SYRK work of phases 1,
-//! 2 and 4 is *gathered* into kernel-tagged job streams and dispatched
-//! through [`crate::dispatch::dispatch_jobs`] — one batched launch family
-//! per phase instead of one kernel call per matrix. [`solve_responses`]
+//! Execution model (DESIGN.md §10): the GEMM/SYRK work of phases 1, 2 and
+//! 4 is *gathered* into kernel-tagged job streams and run through the
+//! batched executor [`qfr_linalg::batch::execute_jobs`] — one launch per
+//! size class instead of one kernel call per matrix. [`solve_responses`]
 //! runs a whole *set* of response tasks (field directions × displaced
 //! geometries) in deterministic lockstep, so jobs gather across tasks;
 //! [`solve_response`] is the single-task wrapper.
 
-use crate::dispatch::dispatch_jobs;
 use crate::scf::{ScfResult, CX};
-use qfr_linalg::batch::BatchJob;
+use qfr_linalg::batch::{execute_jobs, BatchJob};
 use qfr_linalg::gemm;
 use qfr_linalg::DMatrix;
 use rayon::prelude::*;
@@ -38,32 +37,24 @@ use std::time::Instant;
 /// so the LDA response dominates).
 pub const GRADIENT_KERNEL: f64 = 0.02;
 
+/// Self-consistency cycles per response solve.
+const CYCLES: usize = 4;
+
+/// Linear damping of the H(1) update.
+const MIXING: f64 = 0.6;
+
 /// Configuration of the response cycle.
 #[derive(Debug, Clone, Copy)]
 pub struct ResponseConfig {
-    /// Self-consistency cycles (fixed count for determinism).
-    pub n_cycles: usize,
-    /// Damping of the H(1) update.
-    pub mixing: f64,
     /// Grid points per GEMM panel.
     pub batch_size: usize,
     /// Use the symmetry-aware strength reduction of Section V-D.
     pub use_symmetry_reduction: bool,
-    /// How gathered dense-algebra jobs are executed (Section V-C). Both
-    /// modes produce identical values; `Batched` packs size classes into
-    /// single launches.
-    pub offload: qfr_linalg::batch::OffloadMode,
 }
 
 impl Default for ResponseConfig {
     fn default() -> Self {
-        Self {
-            n_cycles: 4,
-            mixing: 0.6,
-            batch_size: 512,
-            use_symmetry_reduction: true,
-            offload: qfr_linalg::batch::OffloadMode::default(),
-        }
+        Self { batch_size: 512, use_symmetry_reduction: true }
     }
 }
 
@@ -217,14 +208,14 @@ fn build_panels(scf: &ScfResult, batch_size: usize) -> ScfPanels {
 
 /// Runs a whole set of response tasks in deterministic lockstep: each
 /// four-phase cycle gathers the dense-algebra jobs of *all* tasks into one
-/// kernel-tagged stream, dispatches them through the shared CPU
-/// accelerator ([`crate::dispatch::dispatch_jobs`]), and scatters results
-/// back in task/batch index order.
+/// kernel-tagged stream, executes it batched
+/// ([`qfr_linalg::batch::execute_jobs`]), and scatters results back in
+/// task/batch index order.
 ///
 /// Determinism and independence: every job is computed over its own
 /// operands regardless of batch companions, and scatter-back is indexed,
 /// so each task's result is bit-identical whether it is solved alone, in
-/// this set, or in a different set — and identical in both offload modes.
+/// this set, or in a different set.
 /// Panel precomputation is deduplicated across tasks sharing an
 /// [`ScfResult`] (the three field directions of a polarizability).
 ///
@@ -264,7 +255,7 @@ pub fn solve_responses(
     let mut n1s: Vec<Vec<f64>> = tasks.iter().map(|t| vec![0.0; t.scf.grid.len()]).collect();
     let mut v1s: Vec<Vec<f64>> = n1s.clone();
 
-    for _cycle in 0..cfg.n_cycles {
+    for _cycle in 0..CYCLES {
         RESPONSE_CYCLES.add(t_count as u64);
 
         // ---- Phase 1: response density matrices. ------------------------
@@ -280,7 +271,7 @@ pub fn solve_responses(
                     BatchJob::congruence(panels[panel_of[t_idx]].c.clone(), h1.clone())
                 })
                 .collect();
-            let h1_mos = dispatch_jobs(&cong, cfg.offload);
+            let h1_mos = execute_jobs(&cong, Default::default());
             let sims: Vec<BatchJob> = tasks
                 .iter()
                 .enumerate()
@@ -307,7 +298,7 @@ pub fn solve_responses(
                     BatchJob::similarity(panels[panel_of[t_idx]].c.clone(), m)
                 })
                 .collect();
-            dispatch_jobs(&sims, cfg.offload)
+            execute_jobs(&sims, Default::default())
         });
         p1s = new_p1s.into_iter().map(Arc::new).collect();
         phases.p1_seconds += dt;
@@ -337,7 +328,7 @@ pub fn solve_responses(
                     }
                 }
             }
-            let products = dispatch_jobs(&jobs, cfg.offload);
+            let products = execute_jobs(&jobs, Default::default());
             let mut n1_out = Vec::with_capacity(t_count);
             let mut grads_out: Vec<[Vec<f64>; 3]> = Vec::with_capacity(t_count);
             for (t_idx, task) in tasks.iter().enumerate() {
@@ -445,7 +436,7 @@ pub fn solve_responses(
                     jobs.push(BatchJob::symmetric_product(xw, x.clone()));
                 }
             }
-            let outs = dispatch_jobs(&jobs, cfg.offload);
+            let outs = execute_jobs(&jobs, Default::default());
             let mut grids = Vec::with_capacity(t_count);
             for (t_idx, task) in tasks.iter().enumerate() {
                 let pan = &panels[panel_of[t_idx]];
@@ -467,7 +458,7 @@ pub fn solve_responses(
             let target = &task.h1_ext + &h1_grids[t_idx];
             qfr_linalg::flops::add((3 * n * n) as u64);
             let next = DMatrix::from_fn(n, n, |i, j| {
-                (1.0 - cfg.mixing) * h1s[t_idx][(i, j)] + cfg.mixing * target[(i, j)]
+                (1.0 - MIXING) * h1s[t_idx][(i, j)] + MIXING * target[(i, j)]
             });
             h1s[t_idx] = Arc::new(next);
         }

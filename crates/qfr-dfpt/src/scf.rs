@@ -8,13 +8,14 @@
 //! guess, [`ScfSolver::solve_from`] from a given density matrix — the
 //! finite-difference engine warm-starts every displaced geometry from its
 //! reference. Everything is deterministic: fixed grid, fixed iteration cap,
-//! fixed extrapolation depth.
+//! fixed extrapolation depth. The density and Fock builds gather one job
+//! per grid batch and run each stream through the batched executor
+//! [`qfr_linalg::batch::execute_jobs`].
 
 use crate::basis::Basis;
-use crate::dispatch::dispatch_jobs;
 use crate::grid::RealSpaceGrid;
 use qfr_fragment::FragmentStructure;
-use qfr_linalg::batch::{BatchJob, OffloadMode};
+use qfr_linalg::batch::{execute_jobs, BatchJob};
 use qfr_linalg::cholesky::Cholesky;
 use qfr_linalg::eigen::symmetric_eigen;
 use qfr_linalg::gemm;
@@ -40,13 +41,14 @@ const DIIS_DEPTH: usize = 8;
 /// `ScfConfig::convergence`.
 const COMMUTATOR_FACTOR: f64 = 10.0;
 
+/// Grid padding around the fragment (Å).
+const GRID_PADDING: f64 = 3.0;
+
 /// SCF configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ScfConfig {
     /// Target grid spacing (Å).
     pub grid_spacing: f64,
-    /// Grid padding around the fragment (Å).
-    pub grid_padding: f64,
     /// Cap on each grid dimension (power of two).
     pub max_grid_dim: usize,
     /// Grid points per GEMM panel.
@@ -56,20 +58,16 @@ pub struct ScfConfig {
     /// Convergence threshold on `max|ΔP|`; the commutator error
     /// `max|F P S − S P F|` must also fall below a fixed multiple of it.
     pub convergence: f64,
-    /// How the gathered density/Fock job streams are executed.
-    pub offload: OffloadMode,
 }
 
 impl Default for ScfConfig {
     fn default() -> Self {
         Self {
             grid_spacing: 0.35,
-            grid_padding: 3.0,
             max_grid_dim: 32,
             batch_size: 512,
             max_iterations: 60,
             convergence: 1e-8,
-            offload: OffloadMode::default(),
         }
     }
 }
@@ -165,7 +163,7 @@ impl ScfSolver {
 
         for it in 0..cfg.max_iterations {
             iterations = it + 1;
-            let (f_of_p, rho, v_h) = setup.fock(&p, cfg);
+            let (f_of_p, rho, v_h) = setup.fock(&p);
 
             // Pulay/DIIS: F[P] and its commutator error enter the history,
             // and the extrapolated Fock is diagonalized in the Löwdin basis.
@@ -230,7 +228,7 @@ impl Setup {
     fn new(frag: &FragmentStructure, cfg: &ScfConfig) -> Self {
         let basis = Basis::for_fragment(frag);
         let grid =
-            RealSpaceGrid::for_fragment(frag, cfg.grid_spacing, cfg.grid_padding, cfg.max_grid_dim);
+            RealSpaceGrid::for_fragment(frag, cfg.grid_spacing, GRID_PADDING, cfg.max_grid_dim);
         let s = basis.overlap();
         let chol = Cholesky::new(&s).expect("overlap must be positive definite");
         let l_inv = chol.l_inverse();
@@ -248,15 +246,14 @@ impl Setup {
     }
 
     /// `F[P]`, with the grid density of `P` and its Hartree potential.
-    fn fock(&self, p: &Arc<DMatrix>, cfg: &ScfConfig) -> (DMatrix, Vec<f64>, Vec<f64>) {
+    fn fock(&self, p: &Arc<DMatrix>) -> (DMatrix, Vec<f64>, Vec<f64>) {
         let n = self.basis.len();
         // Density on the grid: n_i = x_i^T P x_i per batch. The X·P
-        // products are gathered into one job stream and dispatched through
-        // the shared accelerator.
+        // products are gathered into one job stream and executed batched.
         let mut density = Vec::with_capacity(self.grid.len());
         let density_jobs: Vec<BatchJob> =
             self.x_panels.iter().map(|x| BatchJob::gemm(x.clone(), p.clone())).collect(); // Arc clones
-        let xps = dispatch_jobs(&density_jobs, cfg.offload);
+        let xps = execute_jobs(&density_jobs, Default::default());
         for ((b, x), xp) in self.batches.iter().zip(&self.x_panels).zip(&xps) {
             qfr_linalg::flops::add((2 * x.rows() * n) as u64);
             for row in 0..x.rows() {
@@ -292,7 +289,7 @@ impl Setup {
             })
             .collect();
         let mut v_mat = DMatrix::zeros(n, n);
-        for out in dispatch_jobs(&fock_jobs, cfg.offload) {
+        for out in execute_jobs(&fock_jobs, Default::default()) {
             v_mat += &out;
         }
         (&self.h_core + &v_mat, density, v_h)
@@ -483,7 +480,7 @@ mod tests {
         let occ = fill_occupations(setup.basis.n_electrons, setup.basis.len());
         let mut p = Arc::new(density_matrix(&diagonalize(&setup.l_inv, &setup.h_core).1, &occ));
         for _ in 0..cfg.max_iterations {
-            let (fock, density, v_h) = setup.fock(&p, &cfg);
+            let (fock, density, v_h) = setup.fock(&p);
             let p_new = density_matrix(&diagonalize(&setup.l_inv, &fock).1, &occ);
             let delta = p.max_abs_diff(&p_new);
             let mut next = p.scaled(1.0 - MIXING);

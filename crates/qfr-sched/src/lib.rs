@@ -20,9 +20,10 @@
 //!   target cost, and a shrinking-granularity tail that lets busy leaders
 //!   finish together with idle ones;
 //! - **elastic workload offloading** ([`offload`], Fig. 5): scattered small
-//!   GEMMs gathered into stride-32 size-class batches, executed either on a
-//!   real rayon "accelerator" or against a modeled accelerator with launch
-//!   overheads, reproducing the profitability crossover;
+//!   GEMMs gathered into stride-32 size-class batches and priced against a
+//!   modeled accelerator with launch overheads, reproducing the
+//!   profitability crossover (the real batched execution is
+//!   `qfr_linalg::batch::execute_jobs`);
 //! - **machine models** ([`machine`]) of ORISE and the new Sunway for the
 //!   Table I full-system extrapolations.
 //!
@@ -51,7 +52,7 @@ pub use balancer::{
 };
 pub use fault::{FaultForecast, FaultPlan, RecoveryPolicy};
 pub use machine::MachineModel;
-pub use offload::{offload_comparison, CpuAccelerator, ModeledAccelerator, OffloadReport};
+pub use offload::{offload_comparison, ModeledAccelerator, OffloadReport};
 pub use pool::WorkerPool;
 pub use runtime::{run_master_leader_worker, RunReport, RuntimeConfig};
 pub use simulator::{simulate, SimConfig, SimReport};

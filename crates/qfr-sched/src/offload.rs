@@ -3,13 +3,11 @@
 //! The premise: each DFPT GEMM is far too small to offload alone (the paper
 //! measures ~0.01 CPU-seconds per call, dwarfed by launch overhead), but
 //! *batched* by stride-32 size class the aggregate becomes profitable.
-//! Both sides of that claim read one job format, `qfr_linalg::batch`'s
-//! [`BatchJob`] stream grouped by [`BatchPlan`]:
+//! This module prices that claim; the real execution is
+//! `qfr_linalg::batch::execute_jobs`, which the DFPT hot loops call on
+//! every gathered stream (DESIGN.md §10). Both read one job format,
+//! `qfr_linalg::batch`'s [`BatchJob`] stream grouped by [`BatchPlan`]:
 //!
-//! - [`CpuAccelerator`] executes a stream for real and reports measured
-//!   wall time. It is the *production* dispatch point: the DFPT hot loops
-//!   gather kernel-tagged jobs and run them through
-//!   [`CpuAccelerator::execute_jobs`] (DESIGN.md §10);
 //! - [`ModeledAccelerator`] prices a stream against an accelerator cost
 //!   model (launch overhead + padded FLOPs/rate + transfer
 //!   bytes/bandwidth) built from a [`crate::machine::MachineModel`] — the
@@ -18,19 +16,12 @@
 //!   the Fig. 9 elastic-offloading bars and the stride ablation.
 
 use crate::machine::MachineModel;
-use qfr_linalg::batch::{self, BatchJob, BatchPlan, OffloadMode};
-use qfr_linalg::DMatrix;
+use qfr_linalg::batch::{BatchJob, BatchPlan};
 
 /// Modeled host↔device traffic (operand + result bytes priced by the
 /// accelerator cost model). Whole bytes, so the counter stays integral.
 static OFFLOAD_BYTES_MOVED: qfr_obs::Counter =
     qfr_obs::Counter::deterministic("sched.offload.bytes_moved");
-
-/// Kernel-tagged jobs actually *executed* through the offload dispatch
-/// point (both modes) — the metrics gate pins this above zero so the real
-/// offload path cannot silently fall out of the workload.
-static OFFLOAD_EXECUTED_JOBS: qfr_obs::Counter =
-    qfr_obs::Counter::deterministic("sched.offload.executed_jobs");
 
 /// Report of one scattered-vs-batched comparison.
 #[derive(Debug, Clone, Copy)]
@@ -55,21 +46,6 @@ impl OffloadReport {
         } else {
             0.0
         }
-    }
-}
-
-/// Real CPU execution: measures actual wall time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CpuAccelerator;
-
-impl CpuAccelerator {
-    /// Executes a kernel-tagged job stream (GEMM + the SYRK/congruence
-    /// family) under `mode` — the production dispatch point the DFPT hot
-    /// loops route through. Returns results in job-index order plus wall
-    /// seconds; both modes agree value for value.
-    pub fn execute_jobs(&self, jobs: &[BatchJob], mode: OffloadMode) -> (Vec<DMatrix>, f64) {
-        OFFLOAD_EXECUTED_JOBS.add(jobs.len() as u64);
-        qfr_obs::timed("sched.offload.cpu_execute", || batch::execute_jobs(jobs, mode))
     }
 }
 
@@ -240,34 +216,6 @@ mod tests {
         let accel = ModeledAccelerator::from_machine(&MachineModel::orise());
         let report = offload_comparison(&jobs, &accel, 32);
         assert!(report.speedup() < 1.3, "no batch win expected: {}", report.speedup());
-    }
-
-    #[test]
-    fn cpu_accelerator_runs_real_jobs() {
-        let jobs = scattered_jobs(16, 16);
-        let cpu = CpuAccelerator;
-        let s = cpu.execute_jobs(&jobs, OffloadMode::Scattered).1;
-        let b = cpu.execute_jobs(&jobs, OffloadMode::Batched { stride: 32 }).1;
-        assert!(s > 0.0 && b > 0.0);
-    }
-
-    #[test]
-    fn cpu_accelerator_executes_tagged_jobs_both_modes() {
-        let cpu = CpuAccelerator;
-        let jobs = vec![
-            BatchJob::gemm(sample(5, 7, 1), sample(7, 9, 2)),
-            BatchJob::symmetric_product(sample(12, 6, 3), sample(12, 6, 3)),
-            BatchJob::similarity(sample(6, 9, 4), {
-                let mut m = sample(9, 9, 5);
-                m.symmetrize_mut();
-                m
-            }),
-        ];
-        let (scattered, _) = cpu.execute_jobs(&jobs, OffloadMode::Scattered);
-        let (batched, _) = cpu.execute_jobs(&jobs, OffloadMode::Batched { stride: 32 });
-        for (a, b) in scattered.iter().zip(&batched) {
-            assert_eq!(a.as_slice(), b.as_slice(), "modes must agree bitwise");
-        }
     }
 
     #[test]
