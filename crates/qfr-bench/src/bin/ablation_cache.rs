@@ -1,18 +1,12 @@
 //! Ablation: the content-addressed fragment result cache.
 //!
 //! Three runs of the same workload — uncached, cold-cached (computes and
-//! populates), warm-cached (served from memory) — plus a rigid-motion
-//! reuse study in near-hit mode. The contract under test:
-//!
-//! - exact hits are **bit-identical**: all three spectra must match value
-//!   for value, and the warm run's hit rate must be ≥ 90%;
-//! - near (tolerance-quantized, transported) hits are *covariant, not
-//!   bit-identical*: a rigidly translated copy of the system is served
-//!   from the original's responses with spectra matching to solver
-//!   accuracy.
+//! populates), warm-cached (served from memory). The contract under test:
+//! hits are **bit-identical** (all three spectra must match value for
+//! value), and the warm run's hit rate must be ≥ 90%.
 
 use qfr_bench::{fast_mode, header, row, scaled, write_record};
-use qfr_cache::{CacheConfig, FragmentCache};
+use qfr_cache::FragmentCache;
 use qfr_core::RamanWorkflow;
 use qfr_geom::{MolecularSystem, WaterBoxBuilder};
 use std::sync::Arc;
@@ -36,8 +30,8 @@ fn main() {
     let n_jobs = uncached.stats.n_jobs;
 
     // Cold + warm through one cache.
-    let cache = Arc::new(FragmentCache::new(CacheConfig::default()));
-    let wf = workflow(system.clone()).with_cache(Arc::clone(&cache));
+    let cache = Arc::new(FragmentCache::with_capacity(256 << 20));
+    let wf = workflow(system).with_cache(Arc::clone(&cache));
     let (cold, t_cold) = timed_run(&wf);
     let hits_before_warm = cache.stats().hits;
     let (warm, t_warm) = timed_run(&wf);
@@ -74,43 +68,9 @@ fn main() {
     line("cold", t_cold, 0, 0.0);
     line("warm", t_warm, warm_hits, hit_rate);
 
-    // Near-hit mode: a rigidly translated copy of the whole box. Every
-    // fragment canonicalizes to the same key as the original, so the
-    // translated system is served by *transporting* stored responses —
-    // no engine computes — and the spectrum agrees to solver accuracy.
-    let near_cache =
-        Arc::new(FragmentCache::new(CacheConfig { near_hits: true, ..CacheConfig::default() }));
-    let (_orig, _) = timed_run(&workflow(system.clone()).with_cache(Arc::clone(&near_cache)));
-    // Intra-box reuse: rigid copies of the same water template inside ONE
-    // system already collapse onto a shared canonical key — the paper's
-    // "33M near-identical water fragments" regime in miniature.
-    let intra_near = near_cache.stats().near_hits;
-    let mut moved = system;
-    for atom in &mut moved.atoms {
-        atom.position.x += 13.7;
-        atom.position.y -= 4.1;
-        atom.position.z += 8.9;
-    }
-    let (translated, _) = timed_run(&workflow(moved).with_cache(Arc::clone(&near_cache)));
-    let near_stats = near_cache.stats();
-    let translated_near = near_stats.near_hits - intra_near;
-    let near_rate = translated_near as f64 / n_jobs as f64;
-    let sim = translated.spectrum.cosine_similarity(&uncached.spectrum);
-    assert!(
-        near_rate >= 0.9,
-        "translated system should be served without computes: rate {near_rate:.3}"
-    );
-    assert!(sim > 0.999999, "transported spectrum diverged: cosine {sim}");
     println!(
-        "\nnear-hit mode: {intra_near}/{n_jobs} intra-box fragments shared a canonical key; \
-         the translated copy was served {translated_near} by transport \
-         (cosine similarity {sim:.9})"
-    );
-    println!(
-        "\nReading: exact hits reuse stored responses bit-for-bit (the warm\n\
-         run does no engine work); near mode additionally recognizes rigidly\n\
-         moved fragments through the canonical geometry key and rotates the\n\
-         stored tensors into the requesting frame."
+        "\nReading: hits reuse stored responses bit-for-bit (the warm run\n\
+         does no engine work)."
     );
 
     write_record(
@@ -118,10 +78,8 @@ fn main() {
         &format!(
             "{{\"n_jobs\":{n_jobs},\"uncached_s\":{t_uncached},\"cold_s\":{t_cold},\
              \"warm_s\":{t_warm},\"warm_hits\":{warm_hits},\"warm_hit_rate\":{hit_rate},\
-             \"warm_speedup\":{},\"near_hits\":{},\"near_hit_rate\":{near_rate},\
-             \"translated_cosine\":{sim},\"fast\":{}}}",
+             \"warm_speedup\":{},\"fast\":{}}}",
             t_uncached / t_warm,
-            near_stats.near_hits,
             fast_mode()
         ),
     );

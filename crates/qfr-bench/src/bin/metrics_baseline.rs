@@ -128,10 +128,10 @@ fn run_pinned_workloads() {
     // 6. Content-addressed cache cycle: a cold + warm cached run. Misses
     //    equal the distinct fragment keys of the cold run, warm-run hits
     //    equal the job count, and `cache.bytes` the resident payload —
-    //    all deterministic because the working set fits capacity and
-    //    near mode is off. Pins `cache.hits` / `cache.misses` /
-    //    `cache.bytes` in the gate (and the gate asserts hits > 0 below).
-    let cache = std::sync::Arc::new(qfr_cache::FragmentCache::new(Default::default()));
+    //    all deterministic because the working set fits capacity. Pins
+    //    `cache.hits` / `cache.misses` / `cache.bytes` in the gate (and
+    //    the gate asserts hits > 0 below).
+    let cache = std::sync::Arc::new(qfr_cache::FragmentCache::with_capacity(256 << 20));
     let wf = RamanWorkflow::new(WaterBoxBuilder::new(12).seed(13).build())
         .sigma(25.0)
         .lanczos_steps(40)

@@ -20,7 +20,7 @@
 //! | `ablation_fold` | chain fold vs concap statistics |
 //! | `ablation_faults` | failure-rate sweep + straggler re-issue study |
 //! | `ablation_symmetry` | Section V-D strength reduction: syrk kernels + merged displaced-SCF sweep |
-//! | `ablation_cache` | content-addressed fragment cache: exact-hit bit-identity + near-hit transport |
+//! | `ablation_cache` | content-addressed fragment cache: exact-hit bit-identity and warm hit rate |
 //!
 //! Every binary prints a human-readable table comparing measured values to
 //! the paper's reported ones and writes a JSON record under

@@ -1,11 +1,9 @@
 //! # qfr-cache
 //!
-//! Content-addressed fragment result cache. The paper's workloads are
-//! dominated by millions of near-identical fragments (§VI-A: ~33M water
-//! monomers and 128M water–water pairs in the 101M-atom box); this crate
-//! lets one response be computed once and substituted for every equivalent
-//! fragment, within a run (shared across scheduler workers and concurrent
-//! spectrum requests) and across runs (checkpoints pre-warm a cache slice).
+//! Exact-only content-addressed fragment result cache: one response is
+//! computed once and substituted for every bit-identical fragment, within
+//! a run (shared across scheduler workers and concurrent spectrum
+//! requests) and across runs (checkpoints pre-warm a cache slice).
 //!
 //! ## Keys and substitution guarantees
 //!
@@ -13,15 +11,9 @@
 //! ([`qfr_fragment::exact_key`]): element kinds, link-hydrogen flags,
 //! bonds, and the raw position bits in local order. Two fragments with the
 //! same exact key get bit-identical responses from any deterministic
-//! engine, so an exact hit substitutes without any tolerance argument —
-//! cached spectra are bit-identical to uncached ones.
-//!
-//! With [`CacheConfig::near_hits`] enabled, a miss falls back to the
-//! **canonical key** ([`qfr_fragment::canonical_key`]): fragments equal up
-//! to rigid motion, relabeling, and sub-tolerance noise share it. The
-//! stored response is transported into the requesting frame (rotation +
-//! canonical-rank permutation, see [`transport`]) — numerically covariant
-//! but *not* bit-identical, so near mode is opt-in and off by default.
+//! engine, so a hit substitutes without any tolerance argument — cached
+//! spectra are bit-identical to uncached ones. There is no other key: a
+//! fragment that differs in any position bit is a miss.
 //!
 //! ## Single-compute semantics and counter determinism
 //!
@@ -30,54 +22,25 @@
 //! are therefore exactly the number of distinct exact keys computed, and
 //! `cache.hits`/`cache.misses`/`cache.bytes` are pure functions of the
 //! workload — safe for the CI metrics gate — provided the working set fits
-//! in `max_bytes` (evictions re-introduce misses in arrival order, which
-//! is timing-dependent under parallelism) and near mode is off (a near hit
-//! replaces a miss depending on arrival order; `cache.near_hits` is
-//! timing-sensitive for the same reason).
+//! in the byte budget (evictions re-introduce misses in arrival order,
+//! which is timing-dependent under parallelism).
 
 #![forbid(unsafe_code)]
-
-pub mod transport;
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
-use qfr_fragment::{canonicalize, exact_key, Canonical, FragmentStructure, GeomKey};
+use qfr_fragment::{exact_key, FragmentStructure, GeomKey};
 use qfr_obs::Counter;
 
 static HITS: Counter = Counter::deterministic("cache.hits");
 static MISSES: Counter = Counter::deterministic("cache.misses");
 static BYTES: Counter = Counter::deterministic("cache.bytes");
-static NEAR_HITS: Counter = Counter::timing_sensitive("cache.near_hits");
 static EVICTIONS: Counter = Counter::timing_sensitive("cache.evictions");
 
-/// Cache configuration.
-#[derive(Debug, Clone)]
-pub struct CacheConfig {
-    /// Resident-bytes bound; least-recently-used entries are evicted to
-    /// stay under it. `0` means unbounded.
-    pub max_bytes: usize,
-    /// Enable canonical-key (rigid-motion / relabeling equivalent)
-    /// fallback lookup with response transport. Off by default: near hits
-    /// are numerically covariant, not bit-identical.
-    pub near_hits: bool,
-    /// Quantization tolerance (Å) for canonical keys in near mode.
-    pub tol: f64,
-    /// Number of independent shards (lock striping). Rounded up to 1.
-    pub shards: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        Self {
-            max_bytes: 256 << 20,
-            near_hits: false,
-            tol: qfr_fragment::DEFAULT_KEY_TOL,
-            shards: 16,
-        }
-    }
-}
+/// Number of independent shards (lock striping).
+const SHARDS: usize = 16;
 
 /// How a lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,9 +48,6 @@ pub enum HitKind {
     /// Exact-key hit: the returned response is bit-identical to what the
     /// engine would have produced.
     Exact,
-    /// Canonical-key hit transported from an equivalent geometry:
-    /// numerically covariant, not bit-identical.
-    Near,
     /// The response was computed by this request (and inserted).
     Miss,
 }
@@ -104,19 +64,16 @@ pub struct CacheStats {
     pub hits: u64,
     /// Misses (unique computes) since construction (this instance).
     pub misses: u64,
-    /// Near (transported) hits since construction (this instance).
+    /// Always 0: the cache is exact-only. Kept so existing readers of
+    /// this field keep compiling.
     pub near_hits: u64,
     /// Evictions since construction (this instance).
     pub evictions: u64,
 }
 
-/// A stored response plus the canonical frame it was computed in (needed
-/// to transport it to an equivalent requesting geometry in near mode).
+/// A stored response.
 struct Entry {
     response: Arc<qfr_fragment::FragmentResponse>,
-    /// Canonical frame of the *stored* geometry; `None` when the cache
-    /// runs exact-only (frames are only computed when near mode is on).
-    canonical: Option<Arc<Canonical>>,
     bytes: usize,
     /// Lazy LRU stamp: the highest queue stamp issued for this key.
     stamp: u64,
@@ -131,8 +88,6 @@ enum Slot {
 #[derive(Default)]
 struct ShardState {
     map: HashMap<GeomKey, Slot>,
-    /// Canonical key → exact key of a resident representative.
-    canon: HashMap<GeomKey, GeomKey>,
     /// Lazy LRU queue of (exact key, stamp); stale stamps are skipped.
     lru: VecDeque<(GeomKey, u64)>,
     next_stamp: u64,
@@ -148,17 +103,16 @@ struct Shard {
 /// `Arc<FragmentCache>` into every worker / request.
 pub struct FragmentCache {
     shards: Vec<Shard>,
-    config: CacheConfig,
+    max_bytes: usize,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
-    near: std::sync::atomic::AtomicU64,
     evictions: std::sync::atomic::AtomicU64,
 }
 
 /// Result of [`FragmentCache::lookup`].
 pub enum Lookup<'a> {
-    /// Served from the cache.
-    Hit(Arc<qfr_fragment::FragmentResponse>, HitKind),
+    /// Served from the cache (an exact hit).
+    Hit(Arc<qfr_fragment::FragmentResponse>),
     /// The caller must compute and [`Ticket::fulfill`] (dropping the
     /// ticket unfulfilled releases the pending slot so another request
     /// retries the compute).
@@ -172,29 +126,23 @@ fn response_bytes(n_atoms: usize) -> usize {
 }
 
 impl FragmentCache {
-    /// A cache with the given configuration.
-    pub fn new(config: CacheConfig) -> Self {
-        let n = config.shards.max(1);
+    /// A cache bounded to `max_bytes` resident payload bytes;
+    /// least-recently-used entries are evicted to stay under it. `0`
+    /// means unbounded.
+    pub fn with_capacity(max_bytes: usize) -> Self {
+        Self::with_shards(max_bytes, SHARDS)
+    }
+
+    fn with_shards(max_bytes: usize, shards: usize) -> Self {
         Self {
-            shards: (0..n)
+            shards: (0..shards)
                 .map(|_| Shard { state: Mutex::new(ShardState::default()), ready: Condvar::new() })
                 .collect(),
-            config,
+            max_bytes,
             hits: Default::default(),
             misses: Default::default(),
-            near: Default::default(),
             evictions: Default::default(),
         }
-    }
-
-    /// An exact-only cache bounded to `max_bytes` resident payload bytes.
-    pub fn with_capacity(max_bytes: usize) -> Self {
-        Self::new(CacheConfig { max_bytes, ..CacheConfig::default() })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     fn shard(&self, key: GeomKey) -> &Shard {
@@ -219,7 +167,7 @@ impl FragmentCache {
                     drop(st);
                     HITS.incr();
                     self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    return Lookup::Hit(resp, HitKind::Exact);
+                    return Lookup::Hit(resp);
                 }
                 Some(Slot::Pending) => {
                     st = shard.ready.wait(st).expect("cache shard poisoned");
@@ -227,62 +175,11 @@ impl FragmentCache {
                 None => break,
             }
         }
-        // Near fallback: an equivalent geometry may be resident under a
-        // different exact key. The canonical index may point at another
-        // shard, so release this shard's lock for the probe and re-check
-        // the exact slot after re-acquiring (ABA is benign: worst case we
-        // compute a value someone else also computed).
-        if self.config.near_hits {
-            let canon = canonicalize(frag, self.config.tol);
-            drop(st);
-            if let Some(resp) = self.near_lookup(&canon, frag) {
-                NEAR_HITS.incr();
-                self.near.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                // Promote to an exact entry so later identical requests
-                // exact-hit the transported response bit-identically.
-                self.install(key, resp.clone(), Some(Arc::new(canon)), frag.n_atoms());
-                return Lookup::Hit(resp, HitKind::Near);
-            }
-            st = shard.state.lock().expect("cache shard poisoned");
-            loop {
-                match st.map.get(&key) {
-                    Some(Slot::Ready(e)) => {
-                        let resp = Arc::clone(&e.response);
-                        self.touch(&mut st, key);
-                        drop(st);
-                        HITS.incr();
-                        self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        return Lookup::Hit(resp, HitKind::Exact);
-                    }
-                    Some(Slot::Pending) => {
-                        st = shard.ready.wait(st).expect("cache shard poisoned");
-                    }
-                    None => break,
-                }
-            }
-            st.map.insert(key, Slot::Pending);
-            drop(st);
-            MISSES.incr();
-            self.misses.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return Lookup::MustCompute(Ticket {
-                cache: self,
-                key,
-                canonical: Some(Arc::new(canon)),
-                n_atoms: frag.n_atoms(),
-                armed: true,
-            });
-        }
         st.map.insert(key, Slot::Pending);
         drop(st);
         MISSES.incr();
         self.misses.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Lookup::MustCompute(Ticket {
-            cache: self,
-            key,
-            canonical: None,
-            n_atoms: frag.n_atoms(),
-            armed: true,
-        })
+        Lookup::MustCompute(Ticket { cache: self, key, n_atoms: frag.n_atoms(), armed: true })
     }
 
     /// Convenience wrapper: lookup, computing on a miss via `compute`.
@@ -292,7 +189,7 @@ impl FragmentCache {
         compute: impl FnOnce() -> qfr_fragment::FragmentResponse,
     ) -> (Arc<qfr_fragment::FragmentResponse>, HitKind) {
         match self.lookup(frag) {
-            Lookup::Hit(resp, kind) => (resp, kind),
+            Lookup::Hit(resp) => (resp, HitKind::Exact),
             Lookup::MustCompute(ticket) => (ticket.fulfill(compute()), HitKind::Miss),
         }
     }
@@ -304,51 +201,16 @@ impl FragmentCache {
         frag: &FragmentStructure,
         response: qfr_fragment::FragmentResponse,
     ) {
-        let key = exact_key(frag);
-        let canonical = if self.config.near_hits {
-            Some(Arc::new(canonicalize(frag, self.config.tol)))
-        } else {
-            None
-        };
-        self.install(key, Arc::new(response), canonical, frag.n_atoms());
-    }
-
-    fn near_lookup(
-        &self,
-        canon: &Canonical,
-        frag: &FragmentStructure,
-    ) -> Option<Arc<qfr_fragment::FragmentResponse>> {
-        let shard = self.shard(canon.key);
-        let st = shard.state.lock().expect("cache shard poisoned");
-        let rep_key = *st.canon.get(&canon.key)?;
-        drop(st);
-        let rep_shard = self.shard(rep_key);
-        let st = rep_shard.state.lock().expect("cache shard poisoned");
-        if let Some(Slot::Ready(e)) = st.map.get(&rep_key) {
-            let stored = Arc::clone(e.canonical.as_ref()?);
-            let resp = Arc::clone(&e.response);
-            drop(st);
-            Some(Arc::new(transport::transport_response(&resp, &stored, canon, frag.n_atoms())))
-        } else {
-            None
-        }
+        self.install(exact_key(frag), Arc::new(response), frag.n_atoms());
     }
 
     /// Installs a Ready entry (resolving a pending slot if present),
-    /// accounts bytes, registers the canonical alias, evicts over-budget
-    /// LRU entries, and wakes waiters.
-    fn install(
-        &self,
-        key: GeomKey,
-        response: Arc<qfr_fragment::FragmentResponse>,
-        canonical: Option<Arc<Canonical>>,
-        n_atoms: usize,
-    ) {
+    /// accounts bytes, evicts over-budget LRU entries, and wakes waiters.
+    fn install(&self, key: GeomKey, response: Arc<qfr_fragment::FragmentResponse>, n_atoms: usize) {
         let bytes = response_bytes(n_atoms);
-        let canon_key = canonical.as_ref().map(|c| c.key);
         let shard = self.shard(key);
         let mut st = shard.state.lock().expect("cache shard poisoned");
-        let prev = st.map.insert(key, Slot::Ready(Entry { response, canonical, bytes, stamp: 0 }));
+        let prev = st.map.insert(key, Slot::Ready(Entry { response, bytes, stamp: 0 }));
         let first_insert = !matches!(prev, Some(Slot::Ready(_)));
         if let Some(Slot::Ready(e)) = prev {
             st.resident_bytes -= e.bytes;
@@ -361,11 +223,6 @@ impl FragmentCache {
             BYTES.add(bytes as u64);
         }
         shard.ready.notify_all();
-        if let Some(ck) = canon_key {
-            let cshard = self.shard(ck);
-            let mut cst = cshard.state.lock().expect("cache shard poisoned");
-            cst.canon.insert(ck, key);
-        }
     }
 
     /// Marks `key` most-recently-used (lazy stamping).
@@ -393,10 +250,10 @@ impl FragmentCache {
     /// Evicts least-recently-used Ready entries until this shard is under
     /// its share of the byte budget. Pending slots are never evicted.
     fn evict_over_budget(&self, st: &mut ShardState) {
-        if self.config.max_bytes == 0 {
+        if self.max_bytes == 0 {
             return;
         }
-        let budget = (self.config.max_bytes / self.shards.len()).max(1);
+        let budget = (self.max_bytes / self.shards.len()).max(1);
         while st.resident_bytes > budget {
             let Some((key, stamp)) = st.lru.pop_front() else { break };
             let stale = match st.map.get(&key) {
@@ -408,17 +265,6 @@ impl FragmentCache {
             }
             if let Some(Slot::Ready(e)) = st.map.remove(&key) {
                 st.resident_bytes -= e.bytes;
-                // Clean up the canonical alias when it lives in this shard;
-                // cross-shard aliases go stale harmlessly (near_lookup
-                // re-checks that the target entry is still Ready).
-                if let Some(c) = &e.canonical {
-                    let ck = c.key;
-                    let same_shard = (ck.0 >> 64) as usize % self.shards.len()
-                        == (key.0 >> 64) as usize % self.shards.len();
-                    if same_shard && st.canon.get(&ck) == Some(&key) {
-                        st.canon.remove(&ck);
-                    }
-                }
                 EVICTIONS.incr();
                 self.evictions.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
@@ -440,7 +286,7 @@ impl FragmentCache {
             resident_bytes: resident,
             hits: self.hits.load(Relaxed),
             misses: self.misses.load(Relaxed),
-            near_hits: self.near.load(Relaxed),
+            near_hits: 0,
             evictions: self.evictions.load(Relaxed),
         }
     }
@@ -475,7 +321,6 @@ impl std::fmt::Debug for FragmentCache {
 pub struct Ticket<'a> {
     cache: &'a FragmentCache,
     key: GeomKey,
-    canonical: Option<Arc<Canonical>>,
     n_atoms: usize,
     armed: bool,
 }
@@ -493,7 +338,7 @@ impl Ticket<'_> {
     ) -> Arc<qfr_fragment::FragmentResponse> {
         self.armed = false;
         let resp = Arc::new(response);
-        self.cache.install(self.key, Arc::clone(&resp), self.canonical.take(), self.n_atoms);
+        self.cache.install(self.key, Arc::clone(&resp), self.n_atoms);
         resp
     }
 }
@@ -564,11 +409,7 @@ mod tests {
     fn lru_eviction_respects_byte_budget() {
         // One entry of a 3-atom water is 9*9+6*9+3*9 = 162 doubles = 1296 B.
         let one = response_bytes(3);
-        let cache = FragmentCache::new(CacheConfig {
-            max_bytes: 2 * one,
-            shards: 1,
-            ..CacheConfig::default()
-        });
+        let cache = FragmentCache::with_shards(2 * one, 1);
         let engine = ForceFieldEngine::new();
         let frags: Vec<_> = (0..3).map(|w| water_frag(3, 1, w)).collect();
         for f in &frags {
@@ -586,11 +427,7 @@ mod tests {
     #[test]
     fn touch_refreshes_lru_rank() {
         let one = response_bytes(3);
-        let cache = FragmentCache::new(CacheConfig {
-            max_bytes: 2 * one,
-            shards: 1,
-            ..CacheConfig::default()
-        });
+        let cache = FragmentCache::with_shards(2 * one, 1);
         let engine = ForceFieldEngine::new();
         let frags: Vec<_> = (0..3).map(|w| water_frag(3, 1, w)).collect();
         cache.get_or_compute(&frags[0], || engine.compute(&frags[0]));
@@ -602,32 +439,6 @@ mod tests {
         assert_eq!(kind, HitKind::Exact);
         let (_, kind) = cache.get_or_compute(&frags[1], || engine.compute(&frags[1]));
         assert_eq!(kind, HitKind::Miss, "frags[1] was the eviction victim");
-    }
-
-    #[test]
-    fn near_hit_transports_between_translated_copies() {
-        let cache = FragmentCache::new(CacheConfig { near_hits: true, ..CacheConfig::default() });
-        let engine = ForceFieldEngine::new();
-        let frag = water_frag(4, 2, 1);
-        let mut moved = frag.clone();
-        for p in &mut moved.positions {
-            p.x += 7.5;
-            p.y -= 3.25;
-        }
-        cache.get_or_compute(&frag, || engine.compute(&frag));
-        let (resp, kind) = cache.get_or_compute(&moved, || panic!("near hit expected"));
-        assert_eq!(kind, HitKind::Near);
-        // Translation leaves responses unchanged; transport must too
-        // (rotation Q is orthogonal-identity up to roundoff here).
-        let direct = engine.compute(&moved);
-        assert!(resp.hessian.max_abs_diff(&direct.hessian) < 1e-9);
-        assert!(resp.dalpha.max_abs_diff(&direct.dalpha) < 1e-9);
-        assert!(resp.dmu.max_abs_diff(&direct.dmu) < 1e-9);
-        // The transported response was promoted: an identical later
-        // request exact-hits it bit-identically.
-        let (again, kind) = cache.get_or_compute(&moved, || panic!("promoted entry expected"));
-        assert_eq!(kind, HitKind::Exact);
-        assert_eq!(again.hessian.as_slice(), resp.hessian.as_slice());
     }
 
     #[test]

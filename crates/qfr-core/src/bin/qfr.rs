@@ -15,7 +15,7 @@
 //! value or a conflicting combination is a one-line error with exit
 //! status 2.
 
-use qfr_cache::{CacheConfig, FragmentCache};
+use qfr_cache::FragmentCache;
 use qfr_core::{
     EngineKind, HessianOperator, RamanWorkflow, ResponseSource, RunPlan, ServiceConfig,
     ShardConfig, SpectrumRequest, SpectrumService, WorkflowError,
@@ -88,6 +88,23 @@ impl Args {
 
     fn get_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
         self.get(flag).unwrap_or(default)
+    }
+
+    /// Like [`Args::get_or`], but 0 is a usage error.
+    fn get_positive(&self, flag: &str, default: usize) -> usize {
+        let value = self.get_or(flag, default);
+        if value == 0 {
+            fail(format!("{flag} must be at least 1"));
+        }
+        value
+    }
+
+    /// The `--cache-mb` budget in bytes; a byte count that overflows
+    /// `usize` is a usage error.
+    fn cache_bytes(&self) -> usize {
+        let mb: usize = self.get_or("--cache-mb", 256);
+        mb.checked_mul(1 << 20)
+            .unwrap_or_else(|| fail(format!("--cache-mb {mb} overflows the byte budget")))
     }
 
     /// At most one of `flags` may be present.
@@ -204,7 +221,7 @@ fn cmd_spectrum(argv: &[String]) {
     let warm: usize = args.get_or("--warm", 0);
     let sigma: Option<f64> = args.get("--sigma");
     let (lambda, lanczos) = (args.get_or("--lambda", 4.0), args.get_or("--lanczos", 140));
-    let cache_mb: usize = args.get_or("--cache-mb", 256);
+    let cache_bytes = args.cache_bytes();
 
     let trace_path = args.value("--trace");
     if trace_path.is_some() {
@@ -231,12 +248,8 @@ fn cmd_spectrum(argv: &[String]) {
     // --cache attaches a content-addressed fragment result cache;
     // --warm N re-runs the workflow N extra times against the warm cache
     // (hit-rate demonstration — spectra are bit-identical regardless).
-    let cache = args.has("--cache").then(|| {
-        std::sync::Arc::new(FragmentCache::new(CacheConfig {
-            max_bytes: cache_mb << 20,
-            ..CacheConfig::default()
-        }))
-    });
+    let cache =
+        args.has("--cache").then(|| std::sync::Arc::new(FragmentCache::with_capacity(cache_bytes)));
     if let Some(cache) = &cache {
         workflow = workflow.with_cache(std::sync::Arc::clone(cache));
     }
@@ -271,12 +284,11 @@ fn cmd_spectrum(argv: &[String]) {
         }
         let s = cache.stats();
         println!(
-            "cache: {} entries, {:.1} MiB resident, {} hits / {} misses / {} near / {} evicted",
+            "cache: {} entries, {:.1} MiB resident, {} hits / {} misses / {} evicted",
             s.entries,
             s.resident_bytes as f64 / (1 << 20) as f64,
             s.hits,
             s.misses,
-            s.near_hits,
             s.evictions
         );
     }
@@ -285,11 +297,10 @@ fn cmd_spectrum(argv: &[String]) {
     println!("run: {}", result.summary());
     if let Some(rec) = &result.recovery {
         println!(
-            "recovery: {} retries ({} eager), {} resumed, {} re-issues, \
+            "recovery: {} retries, {} resumed, {} re-issues, \
              {} duplicates suppressed, {} quarantined, {} unfinished, {} leaders died, \
              {} cache hits",
             rec.retries,
-            rec.eager_retries,
             rec.resumed_jobs,
             rec.reissues,
             rec.duplicates_suppressed,
@@ -369,18 +380,14 @@ fn cmd_serve(argv: &[String]) {
     let requests: usize = args.get_or("--requests", 6);
     let distinct: usize = std::cmp::max(args.get_or("--distinct", 2), 1);
     let base_seed: u64 = args.get_or("--seed", 42);
-    let cache_mb: usize = args.get_or("--cache-mb", 256);
     let (lambda, lanczos) = (args.get_or("--lambda", 4.0), args.get_or("--lanczos", 140));
     let config = ServiceConfig {
-        workers: args.get_or("--workers", 4),
-        max_active: args.get_or("--max-active", 4),
+        workers: args.get_positive("--workers", 4),
+        max_active: args.get_positive("--max-active", 4),
         max_queued: args.get_or("--max-queued", 16),
-        batch_window: args.get_or("--batch-window", 32),
+        batch_window: args.get_positive("--batch-window", 32),
         engine: EngineKind::ForceField,
-        cache: Some(std::sync::Arc::new(FragmentCache::new(CacheConfig {
-            max_bytes: cache_mb << 20,
-            ..CacheConfig::default()
-        }))),
+        cache: Some(std::sync::Arc::new(FragmentCache::with_capacity(args.cache_bytes()))),
     };
     println!("service: {config:?}");
     let service = SpectrumService::new(config);
@@ -420,12 +427,11 @@ fn cmd_serve(argv: &[String]) {
     }
     let s = service.cache().stats();
     println!(
-        "cache: {} entries, {:.1} MiB resident, {} hits / {} misses / {} near / {} evicted",
+        "cache: {} entries, {:.1} MiB resident, {} hits / {} misses / {} evicted",
         s.entries,
         s.resident_bytes as f64 / (1 << 20) as f64,
         s.hits,
         s.misses,
-        s.near_hits,
         s.evictions
     );
     if args.has("--metrics") {

@@ -123,7 +123,6 @@ pub(crate) fn recovery_summary(
 ) -> RecoverySummary {
     RecoverySummary {
         retries: report.retries,
-        eager_retries: report.eager_retries,
         resumed_jobs: resumed,
         reissues: report.reissues,
         duplicates_suppressed: report.duplicates_suppressed,

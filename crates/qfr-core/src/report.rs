@@ -33,9 +33,6 @@ impl StageTimings {
 pub struct RecoverySummary {
     /// Failure-triggered re-queues during the engine stage.
     pub retries: usize,
-    /// Retries scheduled eagerly at the *first* failed copy of an attempt
-    /// (equals `retries` under the always-eager protocol).
-    pub eager_retries: usize,
     /// Work items restored from disk instead of recomputed: checkpointed
     /// jobs, or valid shard spill files.
     pub resumed_jobs: usize,
@@ -51,8 +48,7 @@ pub struct RecoverySummary {
     /// Leaders that died during the engine stage.
     pub leaders_died: usize,
     /// Fragment responses served from the content-addressed cache instead
-    /// of the engine (0 when no cache is attached). Exact hits plus
-    /// transported near hits, counted per request.
+    /// of the engine (0 when no cache is attached), counted per request.
     pub cache_hits: u64,
 }
 
@@ -187,7 +183,6 @@ mod tests {
         let mut r = sample_result();
         r.recovery = Some(RecoverySummary {
             retries: 2,
-            eager_retries: 2,
             resumed_jobs: 3,
             reissues: 1,
             duplicates_suppressed: 1,
@@ -199,7 +194,6 @@ mod tests {
         assert!(!r.recovery.as_ref().unwrap().is_complete());
         let v: serde_json::Value = serde_json::from_str(&r.to_json()).unwrap();
         assert_eq!(v["recovery"]["retries"], 2);
-        assert_eq!(v["recovery"]["eager_retries"], 2);
         assert_eq!(v["recovery"]["resumed_jobs"], 3);
         assert_eq!(v["recovery"]["quarantined_jobs"], 1);
         assert_eq!(v["recovery"]["cache_hits"], 4);

@@ -35,7 +35,7 @@
 use crate::pipeline::{self, Pipeline, SERVICE};
 use crate::report::{RamanResult, RecoverySummary};
 use crate::workflow::{EngineKind, WorkflowError};
-use qfr_cache::{CacheConfig, FragmentCache, HitKind};
+use qfr_cache::{FragmentCache, HitKind};
 use qfr_fragment::{DecompositionParams, FragmentEngine, FragmentResponse, FragmentStructure};
 use qfr_geom::MolecularSystem;
 use qfr_solver::RamanOptions;
@@ -106,8 +106,8 @@ pub struct ServiceConfig {
     pub batch_window: usize,
     /// Per-fragment engine shared by all requests.
     pub engine: EngineKind,
-    /// Shared fragment cache; `None` builds a fresh default-config cache
-    /// owned by the service.
+    /// Shared fragment cache; `None` builds a fresh 256 MiB cache owned by
+    /// the service.
     pub cache: Option<Arc<FragmentCache>>,
 }
 
@@ -199,7 +199,7 @@ impl RequestHandle {
 struct RequestSlots {
     state: Mutex<SlotState>,
     done_cv: Condvar,
-    /// Cache hits (exact + near) attributed to this request.
+    /// Cache hits attributed to this request.
     hits: AtomicU64,
 }
 
@@ -249,11 +249,16 @@ impl std::fmt::Debug for SpectrumService {
 impl SpectrumService {
     /// Builds the service: spawns the shared pool and (unless one was
     /// passed in) the shared cache.
+    ///
+    /// # Panics
+    ///
+    /// When `config.max_active` is 0: no request could ever start.
     pub fn new(config: ServiceConfig) -> Self {
+        assert!(config.max_active >= 1, "ServiceConfig::max_active must be at least 1");
         let cache = config
             .cache
             .clone()
-            .unwrap_or_else(|| Arc::new(FragmentCache::new(CacheConfig::default())));
+            .unwrap_or_else(|| Arc::new(FragmentCache::with_capacity(256 << 20)));
         let engine = pipeline::make_engine(config.engine);
         let pool = qfr_sched::WorkerPool::new(config.workers);
         Self {
@@ -507,11 +512,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "max_active must be at least 1")]
+    fn zero_max_active_panics_at_construction() {
+        SpectrumService::new(ServiceConfig { max_active: 0, ..ServiceConfig::default() });
+    }
+
+    #[test]
     fn service_and_batch_workflow_share_one_cache() {
         // A batch run warms the cache; a service sharing that cache then
         // serves the same system without any engine computes.
         let system = WaterBoxBuilder::new(9).seed(5).build();
-        let cache = Arc::new(FragmentCache::new(CacheConfig::default()));
+        let cache = Arc::new(FragmentCache::with_capacity(256 << 20));
         let batch =
             RamanWorkflow::new(system.clone()).with_cache(Arc::clone(&cache)).run().unwrap();
         let service =

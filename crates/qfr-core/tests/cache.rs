@@ -7,7 +7,7 @@
 //! resets them inside the critical section (same pattern as the restart
 //! and observability suites).
 
-use qfr_cache::{CacheConfig, FragmentCache};
+use qfr_cache::FragmentCache;
 use qfr_core::{RamanWorkflow, ScheduledConfig};
 use qfr_geom::WaterBoxBuilder;
 use std::sync::{Arc, Mutex};
@@ -24,7 +24,7 @@ fn workflow() -> RamanWorkflow {
 }
 
 fn fresh_cache() -> Arc<FragmentCache> {
-    Arc::new(FragmentCache::new(CacheConfig::default()))
+    Arc::new(FragmentCache::with_capacity(256 << 20))
 }
 
 #[test]
@@ -65,7 +65,7 @@ fn same_seed_cached_sequences_emit_identical_counter_reports() {
     // One cold + warm cached sequence on a fresh cache and fresh
     // counters, returning the deterministic report it produced. The
     // cache counters qualify for the deterministic gate because the
-    // working set fits capacity and near mode is off.
+    // working set fits capacity.
     let sequence = || {
         qfr_obs::reset_all();
         let wf = workflow().with_cache(fresh_cache());

@@ -1,6 +1,6 @@
-//! `qfr spectrum` command-line contract: malformed input is a one-line
-//! error with exit status 2, and every mode flag runs the plan it names —
-//! its spectrum record matches an in-process `run()`.
+//! `qfr` command-line contract: malformed `spectrum` and `serve` input is
+//! a one-line error with exit status 2, and every `spectrum` mode flag runs
+//! the plan it names — its spectrum record matches an in-process `run()`.
 
 use qfr_core::RamanWorkflow;
 use qfr_geom::WaterBoxBuilder;
@@ -70,6 +70,14 @@ fn malformed_command_lines_exit_2_with_one_line() {
     let checkpoint_arg = checkpoint.to_str().expect("utf-8 temp path");
     assert_usage_error(&with(&["--shards", "2", "--checkpoint", checkpoint_arg]), "checkpoint");
     assert!(!checkpoint.exists(), "a rejected plan wrote a checkpoint");
+    // A cache budget whose byte count overflows is not wrapped to
+    // "unbounded".
+    assert_usage_error(&with(&["--cache", "--cache-mb", "17592186044416"]), "--cache-mb");
+    // Zero workers, running slots or batch window would hang or be
+    // silently replaced; all three are rejected.
+    for flag in ["--workers", "--max-active", "--batch-window"] {
+        assert_usage_error(&["serve", "--waters", "8", "--requests", "1", flag, "0"], flag);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

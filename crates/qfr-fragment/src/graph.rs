@@ -215,7 +215,7 @@ pub fn partition_covalent(
         }
     }
 
-    // Canonical super-node id = lowest atom index of the contracted set.
+    // Super-node id = lowest atom index of the contracted set.
     let mut sid_of_root = vec![usize::MAX; n_cov];
     for a in 0..n_cov {
         let r = uf.find(a);

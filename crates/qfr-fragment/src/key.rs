@@ -1,38 +1,20 @@
-//! Content-addressed fragment geometry keys.
+//! Content-addressed fragment geometry key.
 //!
-//! Two keys are defined over a materialized [`FragmentStructure`]:
+//! The **exact key** hashes the engine's literal input over a materialized
+//! [`FragmentStructure`] — element kinds, link-hydrogen flags, bonds, and
+//! the raw `f64` bit patterns of every position, in local atom order. Two
+//! fragments share an exact key iff a deterministic engine is guaranteed to
+//! produce bit-identical responses for both, which is what makes cache hits
+//! safe to substitute without any tolerance argument. Any rigid motion or
+//! atom relabeling changes the key.
 //!
-//! - the **exact key** hashes the engine's literal input — element kinds,
-//!   link-hydrogen flags, bonds, and the raw `f64` bit patterns of every
-//!   position, in local atom order. Two fragments share an exact key iff a
-//!   deterministic engine is guaranteed to produce bit-identical responses
-//!   for both, which is what makes exact cache hits safe to substitute
-//!   without any tolerance argument;
-//! - the **canonical key** hashes a translation/rotation-canonicalized,
-//!   tolerance-quantized byte stream in a reorder-invariant canonical atom
-//!   order. Fragments that are the same molecule up to rigid motion, atom
-//!   relabeling, and sub-tolerance geometric noise share a canonical key —
-//!   the equivalence class behind the paper's "millions of near-identical
-//!   water fragments" (§VI-A) and FMO-style cross-run fragment reuse.
-//!
-//! Both keys are 128-bit FNV-1a digests of an explicit byte stream (the
+//! The key is a 128-bit FNV-1a digest of an explicit byte stream (the
 //! checkpoint layer's 64-bit file fingerprint folds per-fragment exact keys
 //! into its digest). 128 bits keep silent collisions negligible at the
 //! paper's 10⁷–10⁸ fragment scale, where a 64-bit birthday bound would not.
-//!
-//! The canonical frame ([`Canonical`]) is also the transport datum: a cached
-//! response can be rotated/permuted from its stored frame into a requesting
-//! fragment's frame (see `qfr-cache`), because both geometries agree in
-//! canonical coordinates by construction.
 
 use crate::fragment::FragmentStructure;
-use qfr_geom::{Element, Vec3};
-
-/// Quantization tolerance (Å) used for canonical keys when the caller has
-/// no better number: tight enough that chemically distinct geometries
-/// separate, loose enough that `f64` noise from rigid-motion arithmetic
-/// (≈1e-12 Å) never straddles a bucket in practice.
-pub const DEFAULT_KEY_TOL: f64 = 1e-3;
+use qfr_geom::Element;
 
 /// A 128-bit content key over fragment geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -73,11 +55,6 @@ impl Fnv128 {
         self.write(&v.to_le_bytes());
     }
 
-    /// Absorbs a little-endian `i64`.
-    pub fn write_i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
-    }
-
     /// Finishes the digest.
     pub fn finish(&self) -> GeomKey {
         GeomKey(self.0)
@@ -93,11 +70,6 @@ fn z(e: Element) -> u8 {
         Element::O => 8,
         Element::S => 16,
     }
-}
-
-/// Quantizes a length to `tol`-sized buckets.
-fn q(x: f64, tol: f64) -> i64 {
-    (x / tol).round() as i64
 }
 
 /// True for atoms that are link hydrogens (no global index).
@@ -118,24 +90,14 @@ pub fn exact_key(frag: &FragmentStructure) -> GeomKey {
         h.write_u64(p.y.to_bits());
         h.write_u64(p.z.to_bits());
     }
-    hash_bonds(&mut h, frag, None);
+    hash_bonds(&mut h, frag);
     h.finish()
 }
 
-/// Bond list digest; `rank_of` remaps endpoints into canonical ranks when
-/// present (canonical key), otherwise local indices are hashed (exact key).
-fn hash_bonds(h: &mut Fnv128, frag: &FragmentStructure, rank_of: Option<&[usize]>) {
-    let mut bonds: Vec<(usize, usize, u8, u8)> = frag
-        .bonds
-        .iter()
-        .map(|b| {
-            let (i, j) = match rank_of {
-                Some(r) => (r[b.i], r[b.j]),
-                None => (b.i, b.j),
-            };
-            (i.min(j), i.max(j), b.order, b.class as u8)
-        })
-        .collect();
+/// Bond list digest over local atom indices.
+fn hash_bonds(h: &mut Fnv128, frag: &FragmentStructure) {
+    let mut bonds: Vec<(usize, usize, u8, u8)> =
+        frag.bonds.iter().map(|b| (b.i.min(b.j), b.i.max(b.j), b.order, b.class as u8)).collect();
     bonds.sort_unstable();
     h.write_u64(bonds.len() as u64);
     for (i, j, order, class) in bonds {
@@ -143,137 +105,6 @@ fn hash_bonds(h: &mut Fnv128, frag: &FragmentStructure, rank_of: Option<&[usize]
         h.write_u64(j as u64);
         h.write(&[order, class]);
     }
-}
-
-/// A fragment reduced to its canonical frame: the key plus everything
-/// needed to transport a response between two members of the same
-/// equivalence class.
-#[derive(Debug, Clone)]
-pub struct Canonical {
-    /// Canonical (tolerance-quantized) geometry key.
-    pub key: GeomKey,
-    /// Centroid of the fragment in its original frame.
-    pub centroid: Vec3,
-    /// Orthonormal canonical axes (rows of the rotation into canonical
-    /// coordinates: `r_canon = axes · (p − centroid)`).
-    pub axes: [Vec3; 3],
-    /// Canonical atom order: `order[k]` is the local index of canonical
-    /// rank `k`.
-    pub order: Vec<usize>,
-}
-
-/// Rotation/reorder-invariant per-atom descriptor used for canonical frame
-/// selection and atom ordering. Every field is built from quantized rigid
-/// invariants (distances), so the descriptor is identical for any rigid
-/// motion or relabeling of the same geometry.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct Desc {
-    link: u8,
-    z: u8,
-    q_centroid: i64,
-    q_dists: Vec<i64>,
-}
-
-/// Canonicalizes a fragment: frame, atom order, and tolerance-quantized
-/// key. Deterministic, translation/rotation-invariant, and invariant under
-/// atom relabeling (up to exact descriptor ties between geometrically
-/// equivalent atoms, where any choice yields the same canonical stream).
-pub fn canonicalize(frag: &FragmentStructure, tol: f64) -> Canonical {
-    let n = frag.n_atoms();
-    assert!(n > 0, "cannot canonicalize an empty fragment");
-    assert!(tol > 0.0, "quantization tolerance must be positive");
-    let mut centroid = Vec3::ZERO;
-    for p in &frag.positions {
-        centroid += *p;
-    }
-    centroid = centroid * (1.0 / n as f64);
-    let rel: Vec<Vec3> = frag.positions.iter().map(|&p| p - centroid).collect();
-
-    let desc: Vec<Desc> = (0..n)
-        .map(|i| {
-            let mut q_dists: Vec<i64> =
-                (0..n).filter(|&j| j != i).map(|j| q(rel[i].dist(rel[j]), tol)).collect();
-            q_dists.sort_unstable();
-            Desc {
-                link: is_link(frag, i) as u8,
-                z: z(frag.elements[i]),
-                q_centroid: q(rel[i].norm(), tol),
-                q_dists,
-            }
-        })
-        .collect();
-
-    // Primary axis: toward the atom farthest from the centroid, selected
-    // by quantized invariants only (so the choice is stable under rigid
-    // motion and relabeling). Fragments whose atoms all sit within `tol`
-    // of the centroid (single atoms) fall back to the identity frame.
-    let primary = (0..n)
-        .filter(|&i| rel[i].norm() > tol)
-        .max_by(|&a, &b| (desc[a].q_centroid, &desc[a]).cmp(&(desc[b].q_centroid, &desc[b])));
-    let u = match primary {
-        Some(a) => rel[a].normalized(),
-        None => Vec3::new(1.0, 0.0, 0.0),
-    };
-
-    // Secondary axis: toward the atom with the largest perpendicular
-    // distance from the primary axis. Collinear fragments fall back to a
-    // deterministic perpendicular; their off-axis canonical coordinates
-    // all quantize to zero, so the fallback choice never leaks into the
-    // key.
-    let perp_of = |i: usize| {
-        let p = rel[i] - u * rel[i].dot(u);
-        (p, p.norm())
-    };
-    let secondary = (0..n)
-        .filter(|&i| perp_of(i).1 > tol)
-        .max_by(|&a, &b| (q(perp_of(a).1, tol), &desc[a]).cmp(&(q(perp_of(b).1, tol), &desc[b])));
-    let v = match secondary {
-        Some(b) => perp_of(b).0.normalized(),
-        None => {
-            let e = if u.x.abs() <= u.y.abs() && u.x.abs() <= u.z.abs() {
-                Vec3::new(1.0, 0.0, 0.0)
-            } else if u.y.abs() <= u.z.abs() {
-                Vec3::new(0.0, 1.0, 0.0)
-            } else {
-                Vec3::new(0.0, 0.0, 1.0)
-            };
-            (e - u * e.dot(u)).normalized()
-        }
-    };
-    let w = u.cross(v);
-    let axes = [u, v, w];
-
-    let coords: Vec<[i64; 3]> =
-        rel.iter().map(|&r| [q(r.dot(u), tol), q(r.dot(v), tol), q(r.dot(w), tol)]).collect();
-
-    // Canonical atom order: link flag, element, then quantized canonical
-    // coordinates (a total order up to coincident atoms).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        (desc[a].link, desc[a].z, coords[a], a).cmp(&(desc[b].link, desc[b].z, coords[b], b))
-    });
-    let mut rank_of = vec![0usize; n];
-    for (rank, &local) in order.iter().enumerate() {
-        rank_of[local] = rank;
-    }
-
-    let mut h = Fnv128::new();
-    h.write(b"qfr-canon-v1");
-    h.write_u64(n as u64);
-    for &local in &order {
-        h.write(&[desc[local].link, desc[local].z]);
-        for c in coords[local] {
-            h.write_i64(c);
-        }
-    }
-    hash_bonds(&mut h, frag, Some(&rank_of));
-
-    Canonical { key: h.finish(), centroid, axes, order }
-}
-
-/// Canonical key only (no frame), for callers that just need the digest.
-pub fn canonical_key(frag: &FragmentStructure, tol: f64) -> GeomKey {
-    canonicalize(frag, tol).key
 }
 
 #[cfg(test)]
@@ -291,17 +122,6 @@ mod tests {
             link_hydrogens: vec![],
         }
         .structure(&sys)
-    }
-
-    fn rotate(frag: &FragmentStructure, axis: Vec3, angle: f64, shift: Vec3) -> FragmentStructure {
-        let k = axis.normalized();
-        let (s, c) = angle.sin_cos();
-        let mut out = frag.clone();
-        for p in &mut out.positions {
-            let r = *p;
-            *p = r * c + k.cross(r) * s + k * (k.dot(r) * (1.0 - c)) + shift;
-        }
-        out
     }
 
     #[test]
@@ -323,42 +143,14 @@ mod tests {
     }
 
     #[test]
-    fn canonical_key_invariant_under_rigid_motion() {
-        let frag = water_frag(5, 3, 1);
-        let base = canonical_key(&frag, DEFAULT_KEY_TOL);
-        let moved = rotate(&frag, Vec3::new(0.3, -1.2, 0.8), 1.234, Vec3::new(10.0, -40.0, 2.5e3));
-        assert_eq!(base, canonical_key(&moved, DEFAULT_KEY_TOL));
-    }
-
-    #[test]
-    fn canonical_key_invariant_under_relabeling() {
+    fn exact_key_sensitive_to_atom_order() {
         let frag = water_frag(5, 4, 0);
-        let base = canonical_key(&frag, DEFAULT_KEY_TOL);
-        // Swap the two hydrogens (local atoms 1 and 2), remapping bonds.
+        // Relabel the two hydrogens: elements and the O–H bond set are
+        // unchanged, so only the position order differs.
         let mut swapped = frag.clone();
-        swapped.elements.swap(1, 2);
         swapped.positions.swap(1, 2);
         swapped.global_map.swap(1, 2);
-        for b in &mut swapped.bonds {
-            for e in [&mut b.i, &mut b.j] {
-                *e = match *e {
-                    1 => 2,
-                    2 => 1,
-                    other => other,
-                };
-            }
-        }
-        assert_eq!(base, canonical_key(&swapped, DEFAULT_KEY_TOL));
         assert_ne!(exact_key(&frag), exact_key(&swapped), "exact key is order-sensitive");
-    }
-
-    #[test]
-    fn canonical_key_separates_perturbed_geometry() {
-        let frag = water_frag(5, 5, 2);
-        let base = canonical_key(&frag, DEFAULT_KEY_TOL);
-        let mut stretched = frag.clone();
-        stretched.positions[1].x += 50.0 * DEFAULT_KEY_TOL;
-        assert_ne!(base, canonical_key(&stretched, DEFAULT_KEY_TOL));
     }
 
     #[test]
@@ -381,43 +173,6 @@ mod tests {
         }
         .structure(&sys);
         assert_eq!(real.n_atoms(), link.n_atoms());
-        assert_ne!(canonical_key(&real, DEFAULT_KEY_TOL), canonical_key(&link, DEFAULT_KEY_TOL));
-    }
-
-    #[test]
-    fn single_atom_fragment_canonicalizes() {
-        let sys = WaterBoxBuilder::new(1).seed(9).build();
-        let o = sys.water_atoms(0)[0];
-        let frag = FragmentJob {
-            kind: JobKind::WaterMonomer { w: 0 },
-            coefficient: 1.0,
-            atoms: vec![o],
-            link_hydrogens: vec![],
-        }
-        .structure(&sys);
-        let c = canonicalize(&frag, DEFAULT_KEY_TOL);
-        assert_eq!(c.order, vec![0]);
-        // Identity-frame fallback.
-        assert_eq!(c.axes[0], Vec3::new(1.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn canonical_frame_reconstructs_coordinates() {
-        // axes · (p − centroid) must agree between two rotated copies,
-        // atom-for-atom through the canonical order.
-        let frag = water_frag(3, 11, 1);
-        let moved = rotate(&frag, Vec3::new(1.0, 2.0, -0.5), 0.77, Vec3::new(-5.0, 1.0, 9.0));
-        let ca = canonicalize(&frag, DEFAULT_KEY_TOL);
-        let cb = canonicalize(&moved, DEFAULT_KEY_TOL);
-        assert_eq!(ca.key, cb.key);
-        for k in 0..frag.n_atoms() {
-            let pa = frag.positions[ca.order[k]] - ca.centroid;
-            let pb = moved.positions[cb.order[k]] - cb.centroid;
-            for d in 0..3 {
-                let xa = pa.dot(ca.axes[d]);
-                let xb = pb.dot(cb.axes[d]);
-                assert!((xa - xb).abs() < 1e-9, "rank {k} axis {d}: {xa} vs {xb}");
-            }
-        }
+        assert_ne!(exact_key(&real), exact_key(&link));
     }
 }

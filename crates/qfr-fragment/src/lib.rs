@@ -35,5 +35,5 @@ pub use assemble::{AssembledSystem, MassWeighted, RowRangeAccumulator};
 pub use decompose::{Decomposition, DecompositionParams};
 pub use fragment::{FragmentEngine, FragmentJob, FragmentResponse, FragmentStructure, JobKind};
 pub use graph::{partition_covalent, CovalentPartitioning, Partition};
-pub use key::{canonical_key, canonicalize, exact_key, Canonical, GeomKey, DEFAULT_KEY_TOL};
+pub use key::{exact_key, GeomKey};
 pub use stats::DecompositionStats;

@@ -286,7 +286,7 @@ proptest! {
 
     #[test]
     fn symmetric_product_matches_gemm_naive(k in 2..20usize, n in 2..12usize, alpha in -2.0..2.0f64, seed in 0u64..500) {
-        // Canonical symmetric-by-construction pair: A = diag(w) B, so that
+        // Standard symmetric-by-construction pair: A = diag(w) B, so that
         // A^T B = B^T diag(w) B is symmetric (the Fock-build shape).
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(5);
         let mut gen = move || {

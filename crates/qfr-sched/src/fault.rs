@@ -189,21 +189,16 @@ impl FaultPlan {
             }
         }
         quarantined.sort_unstable();
-        FaultForecast { retries, eager_retries: retries, quarantined_fragments: quarantined }
+        FaultForecast { retries, quarantined_fragments: quarantined }
     }
 }
 
 /// Deterministic prediction of the recovery counters for a task list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultForecast {
-    /// Total failure-triggered re-queues across all tasks.
+    /// Total failure-triggered re-queues across all tasks (the executors
+    /// retry eagerly, at the first failed copy of an attempt).
     pub retries: usize,
-    /// Retries scheduled at the first failed copy of an attempt. The
-    /// executors always retry eagerly, so this equals
-    /// [`FaultForecast::retries`]; it is forecast separately so a future
-    /// opt-out (retry only after every copy reports) can diverge them
-    /// without changing the executors' report shape.
-    pub eager_retries: usize,
     /// Fragment ids that end up quarantined (sorted).
     pub quarantined_fragments: Vec<u32>,
 }
@@ -256,7 +251,6 @@ mod tests {
         assert_eq!(p.death_after(3), None);
         let f = p.forecast(&singleton_tasks(10), &RecoveryPolicy::default());
         assert_eq!(f.retries, 0);
-        assert_eq!(f.eager_retries, 0);
         assert!(f.quarantined_fragments.is_empty());
     }
 
@@ -319,7 +313,6 @@ mod tests {
             }
         }
         assert_eq!(f.retries, retries);
-        assert_eq!(f.eager_retries, retries, "every retry is eager under the protocol");
         assert_eq!(f.quarantined_fragments, quarantined);
         assert!(f.quarantined_fragments.contains(&2), "permanent failure must quarantine");
     }

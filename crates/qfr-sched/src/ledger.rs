@@ -110,8 +110,8 @@ pub(crate) enum Ack {
 #[derive(Debug, Default)]
 #[cfg_attr(test, derive(Clone, PartialEq))]
 pub(crate) struct Totals {
-    /// Every retry is scheduled at the first failed copy, so the reports'
-    /// `eager_retries` is this number too and stays forecast-exact.
+    /// Every retry is scheduled at the first failed copy, so this number
+    /// stays forecast-exact.
     pub(crate) retries: usize,
     pub(crate) stale_dropped: usize,
     pub(crate) reissues: usize,

@@ -68,13 +68,9 @@ pub struct RunReport {
     pub tasks_executed: usize,
     /// Distinct fragments completed successfully.
     pub fragments_done: usize,
-    /// Failure-triggered re-queues (retry attempts scheduled).
+    /// Failure-triggered re-queues (retry attempts scheduled), each at the
+    /// *first* failed copy of an attempt.
     pub retries: usize,
-    /// Retries scheduled eagerly at the *first* failed copy of an attempt.
-    /// Under the eager protocol every retry is eager, so this equals
-    /// [`RunReport::retries`] and matches `FaultForecast::eager_retries`;
-    /// the field exists so a future opt-out can diverge them.
-    pub eager_retries: usize,
     /// Acknowledgements dropped because their `(attempt, copy)` tag no
     /// longer matched the in-flight entry (straggler copies of an attempt
     /// that an eager retry already concluded). Timing-sensitive.
@@ -113,7 +109,6 @@ impl RunReport {
         out.push_str(&format!("tasks_executed     = {}\n", self.tasks_executed));
         out.push_str(&format!("fragments_done     = {}\n", self.fragments_done));
         out.push_str(&format!("retries            = {}\n", self.retries));
-        out.push_str(&format!("eager_retries      = {}\n", self.eager_retries));
         out.push_str(&format!("stale_dropped      = {}\n", self.stale_dropped));
         out.push_str(&format!("reissues           = {}\n", self.reissues));
         out.push_str(&format!("duplicates_suppressed = {}\n", self.duplicates_suppressed));
@@ -390,7 +385,6 @@ where
         tasks_executed: arbiter.tasks_executed,
         fragments_done: arbiter.done_fragments.len(),
         retries: totals.retries,
-        eager_retries: totals.retries,
         stale_dropped: totals.stale_dropped,
         reissues: totals.reissues,
         duplicates_suppressed: arbiter.duplicates_suppressed,
@@ -607,7 +601,6 @@ mod tests {
             tasks_executed: 3,
             fragments_done: 3,
             retries: 0,
-            eager_retries: 0,
             stale_dropped: 0,
             reissues: 0,
             duplicates_suppressed: 0,

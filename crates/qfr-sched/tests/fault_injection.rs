@@ -148,7 +148,6 @@ fn stale_straggler_ack_leaves_counters_untouched_runtime() {
     let rec = RecoveryPolicy { max_attempts: 2, backoff_base: 1e-4, straggler_factor: Some(2.0) };
     let forecast = plan.forecast(&decompose(frags.clone()), &rec);
     assert_eq!(forecast.retries, 1, "one eager retry before quarantine");
-    assert_eq!(forecast.eager_retries, 1);
     assert_eq!(forecast.quarantined_fragments, vec![SLOW]);
 
     let run = run_master_leader_worker(
@@ -173,7 +172,6 @@ fn stale_straggler_ack_leaves_counters_untouched_runtime() {
     assert!(run.stale_dropped >= 1, "straggler ack must be dropped as stale");
     // ...without disturbing any forecastable counter or the quarantine set.
     assert_eq!(run.retries, forecast.retries);
-    assert_eq!(run.eager_retries, forecast.eager_retries);
     assert_eq!(run.quarantined_fragments, forecast.quarantined_fragments);
     assert_eq!(run.fragments_done, n - 1);
     assert_eq!(run.unfinished_fragments, 0);
@@ -199,7 +197,6 @@ fn stale_straggler_ack_leaves_counters_untouched_simulator() {
             &SimConfig { n_leaders: 3, recovery: rec, faults: plan, ..Default::default() },
         );
         assert_eq!(sim.retries, forecast.retries, "seed {seed}");
-        assert_eq!(sim.eager_retries, forecast.eager_retries, "seed {seed}");
         assert_eq!(sim.quarantined_fragments, forecast.quarantined_fragments, "seed {seed}");
         if sim.stale_dropped > 0 {
             assert!(sim.reissues > 0, "seed {seed}: a stale ack implies a duplicate copy");
