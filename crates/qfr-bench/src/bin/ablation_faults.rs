@@ -134,35 +134,37 @@ fn main() {
     // asserted bit-identical to the uninterrupted one — restart is a pure
     // scheduling change, never a numerical one.
     header("Checkpoint/restart — engine work skipped vs kill point (water box, scheduled)");
-    use qfr_core::{RamanWorkflow, ScheduledConfig};
+    use qfr_core::{HessianOperator, RamanWorkflow, ResponseSource, RunPlan};
     use qfr_geom::WaterBoxBuilder;
     let ckpt = std::env::temp_dir().join("qfr_ablation_restart.qfrc");
     std::fs::remove_file(&ckpt).ok();
     let wf = RamanWorkflow::new(WaterBoxBuilder::new(scaled(40, 10)).seed(11).build())
         .sigma(25.0)
         .lanczos_steps(60);
-    let sched = || ScheduledConfig {
-        runtime: qfr_sched::RuntimeConfig {
-            n_leaders: 4,
-            workers_per_leader: 2,
-            ..Default::default()
-        },
+    let sched = || RunPlan {
         checkpoint: Some(ckpt.clone()),
         checkpoint_interval: 8,
+        ..RunPlan::new(
+            ResponseSource::Scheduler(qfr_sched::RuntimeConfig {
+                n_leaders: 4,
+                workers_per_leader: 2,
+                ..Default::default()
+            }),
+            HessianOperator::InCore,
+        )
     };
-    let reference = wf.run_scheduled_with(sched()).expect("reference run");
+    let reference = wf.execute(sched()).expect("reference run");
     let d = wf.decompose();
-    let full = qfr_core::checkpoint::load_partial(&ckpt, &d, wf.system()).expect("load checkpoint");
-    let n_jobs = full.len();
+    let n_jobs = d.jobs.len();
     row(&["kill at", "resumed", "recomputed", "engine s", "vs cold"], &[10, 9, 11, 10, 9]);
     let cold_engine = reference.timings.engine_s;
     for keep_pct in [0usize, 25, 50, 75, 90] {
+        // Every run's final save is complete, so each kill point thins a
+        // full checkpoint.
         let keep = n_jobs * keep_pct / 100;
-        let slots: Vec<_> =
-            full.iter().enumerate().map(|(i, s)| if i < keep { s.clone() } else { None }).collect();
-        qfr_core::checkpoint::save_partial(&ckpt, &d, wf.system(), &slots)
+        qfr_core::checkpoint::drop_jobs(&ckpt, &d, wf.system(), |j| j >= keep)
             .expect("partial checkpoint");
-        let restarted = wf.run_scheduled_with(sched()).expect("restarted run");
+        let restarted = wf.execute(sched()).expect("restarted run");
         assert_eq!(
             restarted.spectrum.intensities, reference.spectrum.intensities,
             "restart must be bit-identical"

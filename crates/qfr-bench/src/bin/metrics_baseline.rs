@@ -17,7 +17,7 @@
 //! flag. Refresh procedure: DESIGN.md §8.
 
 use qfr_bench::arg_value;
-use qfr_core::RamanWorkflow;
+use qfr_core::{HessianOperator, RamanWorkflow, ResponseSource, RunPlan};
 use qfr_dfpt::displacement::{displacement_cycle, n1_phase_gemm_jobs, DisplacementConfig};
 use qfr_dfpt::scf::{ScfConfig, ScfSolver};
 use qfr_fragment::{Decomposition, DecompositionParams};
@@ -99,26 +99,22 @@ fn run_pinned_workloads() {
     std::fs::remove_file(&ckpt).ok();
     let wf =
         RamanWorkflow::new(WaterBoxBuilder::new(10).seed(11).build()).sigma(25.0).lanczos_steps(40);
-    let sched = || qfr_core::ScheduledConfig {
-        runtime: qfr_sched::RuntimeConfig {
-            n_leaders: 2,
-            workers_per_leader: 2,
-            ..Default::default()
-        },
+    let sched = || RunPlan {
         checkpoint: Some(ckpt.clone()),
         checkpoint_interval: 4,
+        ..RunPlan::new(
+            ResponseSource::Scheduler(qfr_sched::RuntimeConfig {
+                n_leaders: 2,
+                workers_per_leader: 2,
+                ..Default::default()
+            }),
+            HessianOperator::InCore,
+        )
     };
-    wf.run_scheduled_with(sched()).expect("checkpointed run");
-    let d = wf.decompose();
-    let mut slots =
-        qfr_core::checkpoint::load_partial(&ckpt, &d, wf.system()).expect("load checkpoint");
-    for (i, slot) in slots.iter_mut().enumerate() {
-        if i % 3 != 0 {
-            *slot = None;
-        }
-    }
-    qfr_core::checkpoint::save_partial(&ckpt, &d, wf.system(), &slots).expect("partial checkpoint");
-    let restarted = wf.run_scheduled_with(sched()).expect("restarted run");
+    wf.execute(sched()).expect("checkpointed run");
+    qfr_core::checkpoint::drop_jobs(&ckpt, &wf.decompose(), wf.system(), |j| j % 3 != 0)
+        .expect("partial checkpoint");
+    let restarted = wf.execute(sched()).expect("restarted run");
     assert!(
         restarted.recovery.as_ref().is_some_and(|r| r.resumed_jobs > 0),
         "restart must resume from the checkpoint"

@@ -31,6 +31,7 @@
 #![allow(clippy::needless_range_loop)] // index loops over dof blocks
 
 pub mod checkpoint;
+mod container;
 pub mod modes;
 mod pipeline;
 pub mod report;
@@ -41,8 +42,7 @@ pub mod workflow;
 pub use modes::{normal_modes, NormalModes};
 pub use report::{RamanResult, RecoverySummary, StageTimings};
 pub use service::{RequestHandle, ServiceConfig, ServiceError, SpectrumRequest, SpectrumService};
-pub use shard::{ShardError, ShardPlan, ShardStore};
+pub use shard::{ShardPlan, ShardStore};
 pub use workflow::{
-    EngineKind, HessianOperator, RamanWorkflow, ResponseSource, RunPlan, ScheduledConfig,
-    ShardConfig, WorkflowError,
+    EngineKind, HessianOperator, RamanWorkflow, ResponseSource, RunPlan, ShardConfig, WorkflowError,
 };

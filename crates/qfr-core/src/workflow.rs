@@ -2,7 +2,7 @@
 //! pipeline ([`RamanWorkflow::execute`]), and the `run_*` facades that name
 //! its common plans.
 
-use crate::checkpoint::{load_partial, save_partial};
+use crate::checkpoint::{load_partial, save_partial, CheckpointError};
 use crate::pipeline::{self, dispatch, Pipeline, WORKFLOW};
 use crate::report::{RamanResult, RecoverySummary};
 use crate::shard::{self, ShardPlan, ShardStore};
@@ -26,30 +26,6 @@ static CHECKPOINT_SAVES: qfr_obs::Counter =
     qfr_obs::Counter::deterministic("core.checkpoint.saves");
 static CHECKPOINT_JOBS_RESUMED: qfr_obs::Counter =
     qfr_obs::Counter::deterministic("core.checkpoint.jobs_resumed");
-
-/// Configuration of a fault-tolerant scheduled run
-/// ([`RamanWorkflow::run_scheduled_with`]): the scheduler shape plus the
-/// optional incremental checkpoint.
-#[derive(Debug, Clone)]
-pub struct ScheduledConfig {
-    /// Scheduler shape and fault/recovery policy.
-    pub runtime: qfr_sched::RuntimeConfig,
-    /// See [`RunPlan::checkpoint`].
-    pub checkpoint: Option<PathBuf>,
-    /// See [`RunPlan::checkpoint_interval`].
-    pub checkpoint_interval: usize,
-}
-
-impl Default for ScheduledConfig {
-    /// Default runtime shape, no checkpoint, save every 64 completions.
-    fn default() -> Self {
-        Self {
-            runtime: qfr_sched::RuntimeConfig::default(),
-            checkpoint: None,
-            checkpoint_interval: 64,
-        }
-    }
-}
 
 /// Shape of the out-of-core operator ([`HessianOperator::Sharded`]): the
 /// atom partition, the spill directory and the solver tile height.
@@ -125,9 +101,10 @@ pub struct RunPlan {
     pub operator: HessianOperator,
     /// When set, per-job responses present in this file (same system/λ)
     /// pre-fill their slots and only the missing jobs are computed; the
-    /// slots are persisted when the response stage ends. A quarantined
-    /// job's salvaged response is excluded from the save, so the next run
-    /// re-attempts it.
+    /// slots are persisted when the response stage ends. An absent file is
+    /// a cold start; one that does not load is [`WorkflowError::Checkpoint`]
+    /// and is left untouched. A quarantined job's salvaged response is
+    /// excluded from the save, so the next run re-attempts it.
     pub checkpoint: Option<PathBuf>,
     /// Also persist after every `checkpoint_interval` newly computed jobs
     /// (0: only at the end).
@@ -190,8 +167,12 @@ pub enum WorkflowError {
         /// The configured cap.
         cap: usize,
     },
+    /// The plan's checkpoint file exists but cannot be resumed: another
+    /// system's fingerprint, an old version, truncation or garbage. The
+    /// run stops before any engine work and leaves the file as it is.
+    Checkpoint(CheckpointError),
     /// Spill I/O or format failure in an out-of-core sharded run.
-    Spill(crate::shard::ShardError),
+    Spill(CheckpointError),
     /// The [`RunPlan`] combines options that cannot be honoured together.
     UnsupportedPlan(&'static str),
 }
@@ -207,6 +188,7 @@ impl std::fmt::Display for WorkflowError {
                 f,
                 "model-DFPT engine capped at {cap}-atom fragments, largest is {largest_fragment}"
             ),
+            WorkflowError::Checkpoint(e) => write!(f, "cannot resume: {e}"),
             WorkflowError::Spill(e) => write!(f, "shard spill error: {e}"),
             WorkflowError::UnsupportedPlan(why) => write!(f, "unsupported run plan: {why}"),
         }
@@ -322,8 +304,8 @@ impl RamanWorkflow {
             hits: AtomicU64::new(0),
         };
         let (spectra, hessian_nnz, recovery) = match &plan.operator {
-            HessianOperator::InCore => run.assembled(false, &mut pipeline),
-            HessianOperator::DenseReference => run.assembled(true, &mut pipeline),
+            HessianOperator::InCore => run.assembled(false, &mut pipeline)?,
+            HessianOperator::DenseReference => run.assembled(true, &mut pipeline)?,
             HessianOperator::Sharded(cfg) => run.sharded(cfg, &mut pipeline)?,
         };
         Ok(pipeline.finish(spectra, decomposition, hessian_nnz, engine.as_ref(), recovery))
@@ -354,15 +336,7 @@ impl RamanWorkflow {
         &self,
         sched: qfr_sched::RuntimeConfig,
     ) -> Result<RamanResult, WorkflowError> {
-        self.run_scheduled_with(ScheduledConfig { runtime: sched, ..ScheduledConfig::default() })
-    }
-
-    /// [`run_scheduled`](Self::run_scheduled) with incremental
-    /// checkpointing.
-    pub fn run_scheduled_with(&self, cfg: ScheduledConfig) -> Result<RamanResult, WorkflowError> {
-        let ScheduledConfig { runtime, checkpoint, checkpoint_interval } = cfg;
-        let plan = RunPlan::new(ResponseSource::Scheduler(runtime), HessianOperator::InCore);
-        self.execute(RunPlan { checkpoint, checkpoint_interval, ..plan })
+        self.execute(RunPlan::new(ResponseSource::Scheduler(sched), HessianOperator::InCore))
     }
 
     /// Like [`run`](Self::run) with [`HessianOperator::Sharded`].
@@ -373,6 +347,10 @@ impl RamanWorkflow {
 
 /// Spectra, stored Hessian non-zeros and scheduler recovery of one run.
 type Solved = ((RamanSpectrum, RamanSpectrum), usize, Option<RecoverySummary>);
+
+/// One slot per job (empty: quarantined or never finished) and the
+/// scheduler recovery of the responses stage.
+type StoredResponses = (Vec<Option<FragmentResponse>>, Option<RecoverySummary>);
 
 /// One `execute` call past `prepare`: the responses and operator stages.
 struct Run<'a> {
@@ -412,7 +390,7 @@ impl Run<'_> {
     /// responses: one slot per job, pre-filled from the checkpoint, the
     /// missing ones dispatched on the plan's source. An empty slot in the
     /// result is a job that was quarantined or never finished.
-    fn stored_responses(&self) -> (Vec<Option<FragmentResponse>>, Option<RecoverySummary>) {
+    fn stored_responses(&self) -> Result<StoredResponses, WorkflowError> {
         let system = &self.workflow.system;
         let jobs = &self.decomposition.jobs;
         let checkpoint = self.plan.checkpoint.as_deref();
@@ -426,10 +404,14 @@ impl Run<'_> {
             }
         };
 
-        // Resume: an absent, mismatched or corrupt file is a cold start.
-        let resumed = checkpoint
-            .and_then(|path| load_partial(path, self.decomposition, system).ok())
-            .unwrap_or_else(|| vec![None; jobs.len()]);
+        // Resume: an absent file is a cold start; one that exists but does
+        // not load stops the run before the final save can overwrite it.
+        let cold = || vec![None; jobs.len()];
+        let resumed = match checkpoint.map(|path| load_partial(path, self.decomposition, system)) {
+            None => cold(),
+            Some(Err(CheckpointError::Io(e))) if e.kind() == std::io::ErrorKind::NotFound => cold(),
+            Some(loaded) => loaded.map_err(WorkflowError::Checkpoint)?,
+        };
         let resumed_jobs = resumed.iter().flatten().count();
         if resumed_jobs > 0 {
             CHECKPOINT_JOBS_RESUMED.add(resumed_jobs as u64);
@@ -493,16 +475,16 @@ impl Run<'_> {
         save(&slots, "final");
         let recovery =
             report.map(|r| pipeline::recovery_summary(&r, resumed_jobs, self.cache_hits()));
-        (slots, recovery)
+        Ok((slots, recovery))
     }
 
     /// In-core CSR operator (and its dense-reference variant).
-    fn assembled(&self, dense: bool, pipeline: &mut Pipeline) -> Solved {
-        let (slots, recovery) = pipeline.responses(|| self.stored_responses());
+    fn assembled(&self, dense: bool, pipeline: &mut Pipeline) -> Result<Solved, WorkflowError> {
+        let (slots, recovery) = pipeline.responses(|| self.stored_responses())?;
         let mw = pipeline.assemble_in_core(&self.decomposition.jobs, slots);
         let dense_of = dense.then_some(&mw.hessian);
         let spectra = pipeline.solve(&mw.hessian, dense_of, &mw.dalpha, &mw.dmu);
-        (spectra, mw.hessian.nnz(), recovery)
+        Ok((spectra, mw.hessian.nnz(), recovery))
     }
 
     /// Out-of-core operator: work items are shards, built straight to
@@ -697,6 +679,7 @@ mod tests {
     fn checkpoint_restart_matches_fresh_run() {
         let system = WaterBoxBuilder::new(9).seed(33).build();
         let dir = std::env::temp_dir().join("qfr_wf_ckpt_test");
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.qfrc");
         let wf = RamanWorkflow::new(system).sigma(25.0);

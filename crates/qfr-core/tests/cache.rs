@@ -8,7 +8,7 @@
 //! and observability suites).
 
 use qfr_cache::FragmentCache;
-use qfr_core::{RamanWorkflow, ScheduledConfig};
+use qfr_core::RamanWorkflow;
 use qfr_geom::WaterBoxBuilder;
 use std::sync::{Arc, Mutex};
 
@@ -127,16 +127,10 @@ fn scheduled_runs_report_per_request_cache_hits() {
 
     let cache = fresh_cache();
     let wf = workflow().with_cache(Arc::clone(&cache));
-    let sched = || ScheduledConfig {
-        runtime: qfr_sched::RuntimeConfig {
-            n_leaders: 2,
-            workers_per_leader: 2,
-            ..Default::default()
-        },
-        ..ScheduledConfig::default()
-    };
-    let cold = wf.run_scheduled_with(sched()).expect("cold scheduled run");
-    let warm = wf.run_scheduled_with(sched()).expect("warm scheduled run");
+    let sched =
+        || qfr_sched::RuntimeConfig { n_leaders: 2, workers_per_leader: 2, ..Default::default() };
+    let cold = wf.run_scheduled(sched()).expect("cold scheduled run");
+    let warm = wf.run_scheduled(sched()).expect("warm scheduled run");
     let n_jobs = cold.stats.n_jobs;
     assert_eq!(cold.recovery.as_ref().unwrap().cache_hits, 0, "cold run hits nothing");
     assert_eq!(

@@ -123,3 +123,19 @@ fn every_mode_flag_reproduces_run() {
     assert!(Path::new(&spill).join("shard-00002.qfrs").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A `--checkpoint` file that exists but does not load is a run error (exit
+/// 1, one line), not a cold start whose final save overwrites it.
+#[test]
+fn unloadable_checkpoint_exits_1_and_is_left_untouched() {
+    let dir = temp_dir("unloadable");
+    let checkpoint = dir.join("garbage.qfrc");
+    let garbage = b"not a checkpoint at all";
+    std::fs::write(&checkpoint, garbage).expect("write checkpoint");
+    let out = qfr(&with(&["--checkpoint", checkpoint.to_str().expect("utf-8 temp path")]));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.starts_with("error: ") && stderr.contains("checkpoint"), "{stderr}");
+    assert_eq!(std::fs::read(&checkpoint).expect("reread"), garbage, "checkpoint overwritten");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -5,7 +5,7 @@
 //! `model.engine.fragments` is a process global, so every test takes
 //! `GUARD` and reads deltas inside the critical section.
 
-use qfr_core::checkpoint::{load_partial, save_partial};
+use qfr_core::checkpoint::{drop_jobs, load_partial, CheckpointError};
 use qfr_core::{
     HessianOperator, RamanResult, RamanWorkflow, ResponseSource, RunPlan, ShardConfig,
     WorkflowError,
@@ -153,18 +153,12 @@ fn plain_checkpoint_run_recomputes_only_missing_jobs() {
     // Blank every third slot — byte-wise what a periodic save of a killed
     // scheduled run leaves behind.
     let d = wf.decompose();
-    let mut slots = load_partial(&path, &d, wf.system()).expect("load complete checkpoint");
-    assert!(slots.iter().all(Option::is_some), "final save holds every job");
-    let mut missing = 0;
-    for slot in slots.iter_mut().step_by(3) {
-        *slot = None;
-        missing += 1;
-    }
-    save_partial(&path, &d, wf.system(), &slots).expect("write partial checkpoint");
+    let missing = drop_jobs(&path, &d, wf.system(), |j| j % 3 == 0).expect("drop jobs");
+    assert_eq!(missing, n_jobs.div_ceil(3), "final save holds every job");
 
     let before = engine_fragments();
     let resumed = wf.run_with_checkpoint(&path).expect("resumed run");
-    assert_eq!(engine_fragments() - before, missing, "only the missing jobs recompute");
+    assert_eq!(engine_fragments() - before, missing as u64, "only the missing jobs recompute");
     assert_bit_identical(&resumed, &fresh, "resumed run");
     let slots = load_partial(&path, &d, wf.system()).expect("reload checkpoint");
     assert!(slots.iter().all(Option::is_some), "the resumed run completes the file");
@@ -173,5 +167,46 @@ fn plain_checkpoint_run_recomputes_only_missing_jobs() {
     let again = wf.run_with_checkpoint(&path).expect("fully resumed run");
     assert_eq!(engine_fragments() - before, 0, "a complete file leaves nothing to compute");
     assert_bit_identical(&again, &fresh, "fully resumed run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint that exists but does not load — another system's, cut
+/// short, or not a checkpoint at all — stops the run with a typed error
+/// before any engine work, and the file keeps its bytes: the final save
+/// never overwrites it.
+#[test]
+fn unloadable_checkpoint_is_a_typed_error_and_left_untouched() {
+    let _g = lock();
+    let dir = temp_dir("foreign");
+    let path = dir.join("foreign.qfrc");
+    let other = RamanWorkflow::new(WaterBoxBuilder::new(8).seed(62).build()).lanczos_steps(60);
+    other.run_with_checkpoint(&path).expect("other system's checkpointed run");
+    let foreign = std::fs::read(&path).expect("read checkpoint");
+    let own = dir.join("own.qfrc");
+    workflow().run_with_checkpoint(&own).expect("this system's checkpointed run");
+    let own = std::fs::read(&own).expect("read checkpoint");
+    let cases: [(&str, &[u8]); 3] = [
+        ("another system", &foreign),
+        ("truncated", &own[..own.len() - 1]),
+        ("garbage", b"not a checkpoint at all"),
+    ];
+    for (case, bytes) in cases {
+        std::fs::write(&path, bytes).expect("write checkpoint");
+        let before = engine_fragments();
+        let err = workflow().run_with_checkpoint(&path).err();
+        assert_eq!(engine_fragments() - before, 0, "{case}: no engine work");
+        match (case, err) {
+            ("another system", Some(WorkflowError::Checkpoint(e))) => {
+                assert!(matches!(e, CheckpointError::FingerprintMismatch { .. }), "{case}: {e}");
+            }
+            (_, Some(WorkflowError::Checkpoint(CheckpointError::Format(_)))) => {}
+            (_, other) => panic!("{case}: expected a checkpoint error, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).expect("reread"), bytes, "{case}: file touched");
+    }
+    // The file is another system's, not garbage: it still loads for it.
+    std::fs::write(&path, &foreign).expect("restore checkpoint");
+    let slots = load_partial(&path, &other.decompose(), other.system()).expect("load");
+    assert!(slots.iter().all(Option::is_some));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -12,10 +12,10 @@
 //! resets them inside the critical section (same pattern as the
 //! observability suite) — exact-count assertions are safe here.
 
-use qfr_core::checkpoint::{fingerprint, load_partial, save_partial};
-use qfr_core::{RamanWorkflow, ScheduledConfig};
+use qfr_core::checkpoint::{drop_jobs, fingerprint};
+use qfr_core::{HessianOperator, RamanWorkflow, ResponseSource, RunPlan};
 use qfr_geom::{ProteinBuilder, SolvatedSystem, WaterBoxBuilder};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 static GUARD: Mutex<()> = Mutex::new(());
@@ -39,15 +39,17 @@ fn engine_fragments() -> u64 {
     qfr_obs::counter::value_of("model.engine.fragments").unwrap_or(0)
 }
 
-fn sched_cfg(checkpoint: PathBuf) -> ScheduledConfig {
-    ScheduledConfig {
-        runtime: qfr_sched::RuntimeConfig {
-            n_leaders: 2,
-            workers_per_leader: 2,
-            ..Default::default()
-        },
-        checkpoint: Some(checkpoint),
+fn runtime() -> qfr_sched::RuntimeConfig {
+    qfr_sched::RuntimeConfig { n_leaders: 2, workers_per_leader: 2, ..Default::default() }
+}
+
+/// A scheduled in-core run on `runtime`, saving to `checkpoint` every four
+/// completions.
+fn sched_plan(checkpoint: &Path, runtime: qfr_sched::RuntimeConfig) -> RunPlan {
+    RunPlan {
+        checkpoint: Some(checkpoint.to_path_buf()),
         checkpoint_interval: 4,
+        ..RunPlan::new(ResponseSource::Scheduler(runtime), HessianOperator::InCore)
     }
 }
 
@@ -62,7 +64,7 @@ fn restart_recomputes_only_missing_jobs_and_reproduces_the_spectrum() {
     // job computed exactly once.
     let wf = workflow();
     let n_jobs = wf.decompose().jobs.len();
-    let reference = wf.run_scheduled_with(sched_cfg(path.clone())).expect("reference run");
+    let reference = wf.execute(sched_plan(&path, runtime())).expect("reference run");
     assert_eq!(engine_fragments(), n_jobs as u64, "each job computed exactly once");
     assert_eq!(reference.recovery.as_ref().unwrap().resumed_jobs, 0, "cold start resumes nothing");
 
@@ -70,21 +72,14 @@ fn restart_recomputes_only_missing_jobs_and_reproduces_the_spectrum() {
     // complete checkpoint — byte-wise the same file a periodic save writes
     // when half the jobs are still outstanding.
     let wf = workflow();
-    let d = wf.decompose();
-    let mut slots = load_partial(&path, &d, wf.system()).expect("load complete checkpoint");
-    for (i, slot) in slots.iter_mut().enumerate() {
-        if i % 2 == 0 {
-            *slot = None;
-        }
-    }
-    let missing = slots.iter().filter(|s| s.is_none()).count();
+    let missing =
+        drop_jobs(&path, &wf.decompose(), wf.system(), |j| j % 2 == 0).expect("drop jobs");
     let present = n_jobs - missing;
     assert!(missing > 0 && present > 0, "partial scenario must have both kinds");
-    save_partial(&path, &d, wf.system(), &slots).expect("write partial checkpoint");
 
     // Same-seed rerun: only the missing jobs may reach the engine.
     let before = engine_fragments();
-    let restarted = wf.run_scheduled_with(sched_cfg(path.clone())).expect("restarted run");
+    let restarted = wf.execute(sched_plan(&path, runtime())).expect("restarted run");
     let recomputed = engine_fragments() - before;
     assert_eq!(recomputed, missing as u64, "exactly the missing jobs re-execute");
     let rec = restarted.recovery.as_ref().unwrap();
@@ -109,26 +104,22 @@ fn restart_reattempts_quarantined_jobs() {
     std::fs::remove_file(&path).ok();
 
     // Fault-free reference spectrum (no checkpoint involved).
-    let reference = workflow()
-        .run_scheduled(qfr_sched::RuntimeConfig {
-            n_leaders: 2,
-            workers_per_leader: 2,
-            ..Default::default()
-        })
-        .expect("reference run");
+    let reference = workflow().run_scheduled(runtime()).expect("reference run");
     let n_jobs = reference.stats.n_jobs;
 
     // Checkpointed run with a permanently failing fragment: its task
     // quarantines, and the final save must *exclude* the quarantined
     // jobs' salvaged responses so a restart re-attempts them.
-    let mut cfg = sched_cfg(path.clone());
-    cfg.runtime.faults = qfr_sched::FaultPlan::none().permanent([0]);
-    cfg.runtime.recovery = qfr_sched::RecoveryPolicy {
-        max_attempts: 2,
-        backoff_base: 1e-4,
-        straggler_factor: Some(4.0),
+    let faulty_runtime = qfr_sched::RuntimeConfig {
+        faults: qfr_sched::FaultPlan::none().permanent([0]),
+        recovery: qfr_sched::RecoveryPolicy {
+            max_attempts: 2,
+            backoff_base: 1e-4,
+            straggler_factor: Some(4.0),
+        },
+        ..runtime()
     };
-    let faulty = workflow().run_scheduled_with(cfg).expect("faulty run");
+    let faulty = workflow().execute(sched_plan(&path, faulty_runtime)).expect("faulty run");
     let quarantined = faulty.recovery.as_ref().unwrap().quarantined_jobs;
     assert!(quarantined > 0, "the permanent failure must quarantine its task");
     assert!(!faulty.recovery.as_ref().unwrap().is_complete());
@@ -136,7 +127,7 @@ fn restart_reattempts_quarantined_jobs() {
     // Fault-free same-seed restart: only the quarantined jobs re-execute
     // and the run completes with the reference spectrum, bit for bit.
     let before = engine_fragments();
-    let restarted = workflow().run_scheduled_with(sched_cfg(path.clone())).expect("restarted run");
+    let restarted = workflow().execute(sched_plan(&path, runtime())).expect("restarted run");
     let recomputed = engine_fragments() - before;
     assert_eq!(recomputed, quarantined as u64, "exactly the quarantined jobs re-execute");
     let rec = restarted.recovery.as_ref().unwrap();
@@ -160,16 +151,9 @@ fn same_seed_restart_sequences_emit_identical_counter_reports() {
         qfr_obs::reset_all();
         std::fs::remove_file(&path).ok();
         let wf = workflow();
-        wf.run_scheduled_with(sched_cfg(path.clone())).expect("first run");
-        let d = wf.decompose();
-        let mut slots = load_partial(&path, &d, wf.system()).expect("load checkpoint");
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if i % 3 != 0 {
-                *slot = None;
-            }
-        }
-        save_partial(&path, &d, wf.system(), &slots).expect("write partial checkpoint");
-        wf.run_scheduled_with(sched_cfg(path.clone())).expect("restarted run");
+        wf.execute(sched_plan(&path, runtime())).expect("first run");
+        drop_jobs(&path, &wf.decompose(), wf.system(), |j| j % 3 != 0).expect("drop jobs");
+        wf.execute(sched_plan(&path, runtime())).expect("restarted run");
         (qfr_obs::counter::deterministic_report(), qfr_obs::counter::deterministic_json())
     };
 
