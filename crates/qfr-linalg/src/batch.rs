@@ -61,29 +61,9 @@ thread_local! {
     static PACKED_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Rayon pool width, cached per *thread*: `current_num_threads` goes
-/// through the global-registry lookup on every call (measured ~10 µs on
-/// some hosts), which would dwarf a small class launch. The answer is
-/// per-registry, so a process-wide cache first sampled inside a
-/// custom-sized `ThreadPool::install` (or a 1-thread test pool) would be
-/// wrong everywhere else; per-thread caching is exact because a rayon
-/// worker belongs to one registry for its whole life and a non-worker
-/// thread always resolves to the global registry. The width only picks
-/// the dispatch granularity — serial and parallel execution are bitwise
-/// identical — so even a stale value would be safe, just slow.
-fn pool_threads() -> usize {
-    thread_local! {
-        static POOL_THREADS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
-    POOL_THREADS.with(|cached| match cached.get() {
-        0 => {
-            let width = rayon::current_num_threads();
-            cached.set(width);
-            width
-        }
-        width => width,
-    })
-}
+/// Tasks one class launch is cut into at most: enough to balance a few
+/// threads, coarse enough that the launch overhead amortizes.
+const LAUNCH_TASKS: usize = 16;
 
 /// How gathered job streams are executed on the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -407,9 +387,10 @@ fn run_packed(jobs: &[BatchJob], stride: usize) -> Vec<DMatrix> {
         // Each worker writes its result straight into the output's backing
         // storage (real row stride), so results never take a second
         // staging pass. `with_min_len` keeps tasks coarse so the launch
-        // overhead amortizes over many panels.
+        // overhead amortizes over many panels; slots are value-independent,
+        // so the results are the same bits on any number of threads.
         let staging = class.staging_elems();
-        let min_len = indices.len().div_ceil(4 * pool_threads()).max(1);
+        let min_len = indices.len().div_ceil(LAUNCH_TASKS);
         let run_slot = |slot: usize, wslot: &mut [f64]| -> DMatrix {
             let job = &jobs[indices[slot]];
             let (m, n) = job.out_shape();
@@ -417,55 +398,26 @@ fn run_packed(jobs: &[BatchJob], stride: usize) -> Vec<DMatrix> {
             compute_job(job, wslot, &mut out);
             DMatrix::from_vec(m, n, out)
         };
-        // Each slot is value-independent, so serial vs parallel execution
-        // is bitwise-identical; with a single pool thread the rayon
-        // handoff (and its post-launch spin) only costs, so run inline.
-        let parallel = pool_threads() > 1 && indices.len() > 1;
         let outs: Vec<DMatrix> = if staging == 0 {
-            if parallel {
-                (0..indices.len())
-                    .into_par_iter()
-                    .with_min_len(min_len)
-                    .map(|slot| run_slot(slot, &mut []))
-                    .collect()
-            } else {
-                (0..indices.len()).map(|slot| run_slot(slot, &mut [])).collect()
-            }
+            (0..indices.len())
+                .into_par_iter()
+                .with_min_len(min_len)
+                .map(|slot| run_slot(slot, &mut []))
+                .collect()
         } else {
-            // Take the scratch *out* of the thread-local instead of holding
-            // its RefCell borrow across the parallel launch: this code runs
-            // on rayon worker threads (the fragment-level par_iter), and
-            // while the inner collect blocks, work-stealing can start
-            // *another* packed execution on this very thread — a held
-            // borrow would panic with BorrowMutError. With the buffer
-            // owned, a stolen re-entrant call simply takes the (now empty)
-            // cell and allocates fresh; put-back keeps the largest buffer
-            // so steady-state reuse is unchanged.
-            let mut scratch = PACKED_SCRATCH.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
-            let total = staging * indices.len();
-            if scratch.len() < total {
-                scratch.resize(total, 0.0);
-            }
-            let buf = &mut scratch[..total];
-            let outs: Vec<DMatrix> = if parallel {
-                buf.par_chunks_mut(staging)
+            PACKED_SCRATCH.with(|cell| {
+                let mut scratch = cell.borrow_mut();
+                let total = staging * indices.len();
+                if scratch.len() < total {
+                    scratch.resize(total, 0.0);
+                }
+                scratch[..total]
+                    .par_chunks_mut(staging)
                     .enumerate()
                     .with_min_len(min_len)
                     .map(|(slot, wslot)| run_slot(slot, wslot))
                     .collect()
-            } else {
-                buf.chunks_mut(staging)
-                    .enumerate()
-                    .map(|(slot, wslot)| run_slot(slot, wslot))
-                    .collect()
-            };
-            PACKED_SCRATCH.with(|cell| {
-                let mut cur = cell.borrow_mut();
-                if scratch.len() > cur.len() {
-                    *cur = scratch;
-                }
-            });
-            outs
+            })
         };
         // Results already carry their final layout; place them back in
         // job-index order.
@@ -760,12 +712,9 @@ mod tests {
     #[test]
     fn packed_reentrant_under_work_stealing() {
         // The engine dispatches packed launches from inside a fragment-level
-        // par_iter: while one launch blocks in its inner collect, rayon
-        // work-stealing can begin *another* packed execution on the same
-        // worker thread. Staging (Similarity jobs) must survive that
-        // re-entrancy — the old code held a RefCell borrow on the
-        // thread-local scratch across the launch and panicked
-        // intermittently. Values must still match the scattered reference.
+        // par_iter, so launches with staging (Similarity jobs) run nested on
+        // every thread of the outer call, each on its own thread-local
+        // scratch. Values must still match the scattered reference.
         let make_jobs = |i: usize| -> Vec<BatchJob> {
             (0..8)
                 .map(|j| {

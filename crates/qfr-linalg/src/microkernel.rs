@@ -81,7 +81,7 @@ pub(crate) fn op_shape(t: Trans, x: &DMatrix) -> (usize, usize) {
 /// job (`crate::gemm::packed_entry`); this function is pure kernel. With
 /// `parallel` the `ic` macro-loop runs under rayon over disjoint `MC`-row
 /// chunks of `C`, each task packing its own A block into thread-local
-/// scratch (take-out/put-back, safe under work stealing).
+/// scratch (take-out/put-back, safe under nesting).
 #[allow(clippy::too_many_arguments)] // BLAS-style panel bounds are clearest flat
 pub(crate) fn packed_driver(
     c: &mut DMatrix,

@@ -22,10 +22,9 @@
 //! — a transposed operand is packed from its strided view, which is what
 //! lets [`crate::gemm::dgemm`] skip materializing `Aᵀ`/`Bᵀ` entirely.
 //!
-//! Packing scratch is thread-local and reused across calls with the same
-//! take-out/put-back discipline as `crate::batch`'s staging buffer, so
-//! packed launches issued from inside rayon work-stealing regions can
-//! re-enter safely.
+//! Packing scratch is thread-local and reused across calls. It is taken out
+//! of its cell for a call and put back after, so a nested packed call on
+//! the same thread finds an empty cell instead of a held borrow.
 
 use crate::gemm::Trans;
 use crate::matrix::DMatrix;
@@ -56,12 +55,10 @@ thread_local! {
     pub(crate) static PACK_B: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Take-out/put-back scratch access (the `crate::batch::PACKED_SCRATCH`
-/// discipline): the buffer is moved *out* of the thread-local before `f`
-/// runs, so a rayon steal that re-enters the packed driver on this thread
-/// while `f` is blocked in a parallel region finds an empty cell and
-/// allocates fresh instead of panicking on a held borrow. Put-back keeps
-/// the larger buffer so steady-state reuse is unchanged.
+/// Take-out/put-back scratch access: the buffer is moved *out* of the
+/// thread-local before `f` runs, so a nested call on this thread finds an
+/// empty cell and allocates fresh instead of panicking on a held borrow.
+/// Put-back keeps the larger buffer so steady-state reuse is unchanged.
 pub(crate) fn with_scratch<R>(
     cell: &'static std::thread::LocalKey<RefCell<Vec<f64>>>,
     len: usize,

@@ -11,6 +11,11 @@
 use crate::matrix::DMatrix;
 use rayon::prelude::*;
 
+/// FLOPs one parallel SpMM chunk carries at least: starting a helper
+/// thread costs tens of microseconds, a chunk this size about a
+/// millisecond.
+const MIN_TASK_FLOPS: usize = 1 << 21;
+
 /// Anything that can apply itself to a vector: the only operation the
 /// Lanczos/GAGQ spectral solver requires.
 pub trait MatVec: Sync {
@@ -204,7 +209,11 @@ impl CsrMatrix {
         if p == 0 {
             return;
         }
-        y.par_chunks_mut(p).enumerate().for_each(|(i, yi)| {
+        // Rows are independent, so the chunking never changes a bit. Small
+        // operators, such as one tile of a sharded solve, run inline.
+        let row_flops = (2 * p * self.nnz()).div_ceil(self.rows.max(1)).max(1);
+        let min_rows = MIN_TASK_FLOPS.div_ceil(row_flops);
+        y.par_chunks_mut(p).enumerate().with_min_len(min_rows).for_each(|(i, yi)| {
             let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
             let (cols, vals) = (&self.col_idx[lo..hi], &self.values[lo..hi]);
             // One sweep over the row serves up to 12 columns from register

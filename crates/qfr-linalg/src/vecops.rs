@@ -3,12 +3,6 @@
 //! These are the primitives the Lanczos solver and SCF loops are built on.
 //! All of them account their double-precision FLOPs through [`crate::flops`].
 
-use rayon::prelude::*;
-
-/// Threshold above which level-1 kernels switch to rayon parallel iterators.
-/// Below it, thread fan-out costs more than the arithmetic saves.
-const PAR_THRESHOLD: usize = 1 << 15;
-
 /// Dot product `x . y`.
 ///
 /// # Panics
@@ -16,11 +10,7 @@ const PAR_THRESHOLD: usize = 1 << 15;
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     crate::flops::add(2 * x.len() as u64);
-    if x.len() >= PAR_THRESHOLD {
-        x.par_iter().zip(y.par_iter()).map(|(a, b)| a * b).sum()
-    } else {
-        x.iter().zip(y).map(|(a, b)| a * b).sum()
-    }
+    x.iter().zip(y).map(|(a, b)| a * b).sum()
 }
 
 /// Euclidean norm `||x||_2`.
@@ -35,24 +25,16 @@ pub fn norm2(x: &[f64]) -> f64 {
 pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     crate::flops::add(2 * x.len() as u64);
-    if x.len() >= PAR_THRESHOLD {
-        y.par_iter_mut().zip(x.par_iter()).for_each(|(yi, xi)| *yi += a * xi);
-    } else {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += a * xi;
-        }
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += a * xi;
     }
 }
 
 /// `x <- s * x`.
 pub fn scale(s: f64, x: &mut [f64]) {
     crate::flops::add(x.len() as u64);
-    if x.len() >= PAR_THRESHOLD {
-        x.par_iter_mut().for_each(|xi| *xi *= s);
-    } else {
-        for xi in x.iter_mut() {
-            *xi *= s;
-        }
+    for xi in x.iter_mut() {
+        *xi *= s;
     }
 }
 
@@ -138,11 +120,15 @@ mod tests {
 
     #[test]
     fn dot_parallel_path_matches_serial() {
-        let n = PAR_THRESHOLD + 17;
-        let x: Vec<f64> = (0..n).map(|i| (i % 7) as f64 - 3.0).collect();
-        let y: Vec<f64> = (0..n).map(|i| (i % 5) as f64 - 2.0).collect();
-        let serial: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-        assert!((dot(&x, &y) - serial).abs() < 1e-9 * serial.abs().max(1.0));
+        // Long vectors sum in one ascending pass, bit for bit.
+        let n = (1 << 15) + 17;
+        let x: Vec<f64> = (0..n).map(|i| (i % 7) as f64 / 3.0 - 1.1).collect();
+        let y: Vec<f64> = (0..n).map(|i| (i % 5) as f64 / 7.0 - 0.3).collect();
+        let mut serial = 0.0;
+        for i in 0..n {
+            serial += x[i] * y[i];
+        }
+        assert_eq!(dot(&x, &y), serial);
     }
 
     #[test]
@@ -177,11 +163,15 @@ mod tests {
 
     #[test]
     fn axpy_parallel_path() {
-        let n = PAR_THRESHOLD + 3;
-        let x = vec![2.0; n];
-        let mut y = vec![1.0; n];
-        axpy(-0.5, &x, &mut y);
-        assert!(y.iter().all(|&v| v == 0.0));
+        let n = (1 << 15) + 3;
+        let x: Vec<f64> = (0..n).map(|i| (i % 11) as f64 / 3.0).collect();
+        let mut y: Vec<f64> = (0..n).map(|i| (i % 13) as f64 / 7.0).collect();
+        let mut serial = y.clone();
+        for i in 0..n {
+            serial[i] += -0.7 * x[i];
+        }
+        axpy(-0.7, &x, &mut y);
+        assert_eq!(y, serial);
     }
 
     #[test]

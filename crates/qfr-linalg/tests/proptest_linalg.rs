@@ -428,11 +428,9 @@ proptest! {
 }
 
 /// Packing scratch take-out/put-back must survive packed launches issued
-/// from inside rayon parallel regions (the PR 6 re-entrancy regression
-/// class): each nested packed GEMM — sized past `PAR_WORK_THRESHOLD`, so
-/// its `ic` sweep runs under rayon — takes the thread-local buffers out
-/// while the outer par_iter may steal another iteration onto the same
-/// worker.
+/// from inside rayon parallel regions: each nested packed GEMM — sized past
+/// `PAR_WORK_THRESHOLD`, so its `ic` sweep is a parallel call of its own —
+/// takes the thread-local buffers out on whichever thread runs it.
 #[test]
 fn packing_scratch_reentrant_under_nested_parallelism() {
     use rayon::prelude::*;

@@ -29,6 +29,7 @@ use qfr_linalg::eigen::symmetric_eigen;
 use qfr_linalg::sparse::MatVec;
 use qfr_linalg::vecops;
 use qfr_linalg::DMatrix;
+use rayon::prelude::*;
 
 /// Options for the spectral solve.
 #[derive(Debug, Clone, Copy)]
@@ -71,14 +72,15 @@ pub type RamanSpectrum = SpectralDensity;
 /// diagonal components once, off-diagonals twice (ij and ji).
 pub(crate) const COMPONENT_MULTIPLICITY: [f64; 6] = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0];
 
-/// The Gauss/GAGQ rule of every start vector, from one lockstep panel run.
+/// The Gauss/GAGQ rule of every start vector, from one lockstep panel run;
+/// the per-column rules are independent and run in parallel.
 pub(crate) fn quadratures(
     h: &dyn MatVec,
     starts: &[&[f64]],
     opts: &RamanOptions,
 ) -> Vec<Quadrature> {
     let rule = if opts.use_gagq { averaged_quadrature } else { gauss_quadrature };
-    lanczos_panel(h, starts, opts.lanczos_steps).iter().map(rule).collect()
+    lanczos_panel(h, starts, opts.lanczos_steps).par_iter().map(rule).collect()
 }
 
 /// Rules of the seven Raman start vectors — `d_iso = d_xx + d_yy + d_zz`,
