@@ -7,12 +7,13 @@
 //! only the header and length table: magic, version, fingerprint and
 //! geometry must match, and header plus Σ lengths must equal the file
 //! length, else a typed [`CheckpointError`]. [`Container::read_block`] seeks
-//! straight to one block; what a block holds, and what an empty one means,
-//! is the file kind's business. Writes are atomic: a pid+sequence temp file
-//! beside the target is written, fsynced and renamed over it, and a drop
-//! guard removes it on any failure exit, panics included. The directory is
-//! then fsynced best effort: the rename has already committed the file, so
-//! a failed directory sync is not a failed write.
+//! straight to one block and [`Container::read_at`] to a byte range of one;
+//! what a block holds, and what an empty one means, is the file kind's
+//! business. Writes are atomic: a pid+sequence temp file beside the target
+//! is written, fsynced and renamed over it, and a drop guard removes it on
+//! any failure exit, panics included. The directory is then fsynced best
+//! effort: the rename has already committed the file, so a failed
+//! directory sync is not a failed write.
 
 use crate::checkpoint::CheckpointError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -136,10 +137,27 @@ impl Container {
     /// Reads block `i`.
     pub(crate) fn read_block(&self, i: usize) -> Result<Bytes, CheckpointError> {
         let mut raw = vec![0u8; self.block_len(i)];
-        let mut file = self.file.lock().expect("container file poisoned");
-        file.seek(SeekFrom::Start(self.offsets[i]))?;
-        file.read_exact(&mut raw)?;
+        self.read_at(i, 0, &mut raw)?;
         Ok(Bytes::from(raw))
+    }
+
+    /// Fills `buf` with block `i`'s bytes from offset `at` on. The file
+    /// lock is held for this one seek and read, so readers of different
+    /// ranges interleave chunk by chunk.
+    ///
+    /// # Panics
+    /// Panics if the range runs past the end of the block.
+    pub(crate) fn read_at(
+        &self,
+        i: usize,
+        at: usize,
+        buf: &mut [u8],
+    ) -> Result<(), CheckpointError> {
+        assert!(at + buf.len() <= self.block_len(i), "read past the end of block {i}");
+        let mut file = self.file.lock().expect("container file poisoned");
+        file.seek(SeekFrom::Start(self.offsets[i] + at as u64))?;
+        file.read_exact(buf)?;
+        Ok(())
     }
 }
 
@@ -221,6 +239,10 @@ mod tests {
             assert_eq!(file.block_len(i), i % 3, "block {i}");
             assert_eq!(file.read_block(i).unwrap().as_slice(), &vec![i as u8; i % 3][..]);
         }
+        // A byte range reads the same bytes as the whole block holds there.
+        let mut tail = [0u8; 1];
+        file.read_at(5, 1, &mut tail).unwrap();
+        assert_eq!(tail, [5]);
         std::fs::remove_file(&path).ok();
     }
 

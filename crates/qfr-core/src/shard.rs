@@ -8,7 +8,7 @@
 //! the responses that touch it, mass-weights the rows in place and spills
 //! them as fixed-height CSR tiles to `shard-NNNNN.qfrs`. [`ShardStore`]
 //! serves the tiles back through [`qfr_solver::TileSource`], so the
-//! Lanczos stage holds one tile plus its vectors: `O(n/K + window)`.
+//! Lanczos stage holds one tile per worker plus its vectors.
 //!
 //! ## File format (QFRS v2)
 //!
@@ -42,7 +42,7 @@
 
 use crate::checkpoint::CheckpointError;
 use crate::container::{self, Container, Header};
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use qfr_fragment::{FragmentJob, FragmentResponse, MassWeighted, RowRangeAccumulator};
 use qfr_geom::MolecularSystem;
 use qfr_linalg::CsrMatrix;
@@ -52,6 +52,11 @@ use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"QFRS";
 const VERSION: u32 = 2;
+
+/// Bytes one block read moves: a tile or the spans block is decoded in
+/// pieces this size, never held whole as bytes. A multiple of every word
+/// width, so no word straddles two pieces.
+const CHUNK: usize = 64 << 10;
 
 // Shard lifecycle counters. Spilled bytes and tile geometry are pure
 // functions of the system, λ, K and tile_rows; the number of streamed
@@ -300,9 +305,14 @@ impl ShardStore {
             let fp = shard_fingerprint(base, &plan, s, tile_rows);
             let file = open_shard(&shard_path(dir, s), &plan, s, tile_rows, fp).ok();
             if let Some(file) = &file {
-                let mut spans = file.read_block(0)?;
+                let mut spans = BlockReader::new(file, 0);
                 for v in dalpha.iter_mut().chain(dmu.iter_mut()) {
-                    v[3 * range.start..3 * range.end].fill_with(|| spans.get_f64_le());
+                    let mut dst = v[3 * range.start..3 * range.end].iter_mut();
+                    spans.read(8 * span, |piece| {
+                        for (w, d) in words(piece).zip(&mut dst) {
+                            *d = f64::from_le_bytes(w);
+                        }
+                    })?;
                 }
             }
             for t in 0..n_tiles_of(span, tile_rows) {
@@ -360,16 +370,72 @@ impl TileSource for ShardStore {
     fn load_tile(&self, index: usize) -> Option<CsrTile> {
         let (s, local, row0, rows) = self.tiles[index];
         let file = self.shards[s].as_ref()?;
-        let mut buf = file.read_block(1 + local).expect("shard tile read");
-        let nnz = tile_nnz(buf.remaining(), rows).expect("checked at open");
-        assert_eq!(buf.get_u32_le() as usize, rows, "tile row count disagrees with geometry");
-        let row_ptr: Vec<usize> = (0..=rows).map(|_| buf.get_u64_le() as usize).collect();
-        let col_idx: Vec<u32> = (0..nnz).map(|_| buf.get_u32_le()).collect();
-        let values: Vec<f64> = (0..nnz).map(|_| buf.get_f64_le()).collect();
-        let matrix = CsrMatrix::from_raw_parts(rows, self.dim(), row_ptr, col_idx, values);
+        let matrix = decode_tile(file, 1 + local, rows, self.dim()).expect("shard tile read");
         SHARD_TILES_STREAMED.incr();
         Some(CsrTile { row0, matrix })
     }
+}
+
+/// Decodes the `rows × dim` CSR tile in `block` section by section through
+/// one [`CHUNK`]-sized buffer, straight into the CSR arrays. The file lock
+/// is held per chunk, so concurrent loads of one shard's tiles interleave.
+fn decode_tile(
+    file: &Container,
+    block: usize,
+    rows: usize,
+    dim: usize,
+) -> Result<CsrMatrix, CheckpointError> {
+    let nnz = tile_nnz(file.block_len(block), rows).expect("checked at open");
+    let mut tile = BlockReader::new(file, block);
+    let mut stored_rows = 0;
+    tile.read(4, |piece| {
+        stored_rows = words(piece).map(u32::from_le_bytes).next().expect("one word")
+    })?;
+    assert_eq!(stored_rows as usize, rows, "tile row count disagrees with geometry");
+    let mut row_ptr = Vec::with_capacity(rows + 1);
+    tile.read(8 * (rows + 1), |piece| {
+        row_ptr.extend(words(piece).map(|w| u64::from_le_bytes(w) as usize));
+    })?;
+    let mut col_idx = Vec::with_capacity(nnz);
+    tile.read(4 * nnz, |piece| col_idx.extend(words(piece).map(u32::from_le_bytes)))?;
+    let mut values = Vec::with_capacity(nnz);
+    tile.read(8 * nnz, |piece| values.extend(words(piece).map(f64::from_le_bytes)))?;
+    Ok(CsrMatrix::from_raw_parts(rows, dim, row_ptr, col_idx, values))
+}
+
+/// Reads one block front to back in pieces of at most [`CHUNK`] bytes
+/// through one reused buffer.
+struct BlockReader<'a> {
+    file: &'a Container,
+    block: usize,
+    /// Bytes of the block already read.
+    at: usize,
+    buf: Vec<u8>,
+}
+
+impl<'a> BlockReader<'a> {
+    fn new(file: &'a Container, block: usize) -> Self {
+        let buf = vec![0; CHUNK.min(file.block_len(block))];
+        Self { file, block, at: 0, buf }
+    }
+
+    /// Reads the next `len` bytes, handing them to `take` piece by piece.
+    fn read(&mut self, len: usize, mut take: impl FnMut(&[u8])) -> Result<(), CheckpointError> {
+        let end = self.at + len;
+        while self.at < end {
+            let piece = &mut self.buf[..(end - self.at).min(CHUNK)];
+            self.file.read_at(self.block, self.at, piece)?;
+            take(piece);
+            self.at += piece.len();
+        }
+        Ok(())
+    }
+}
+
+/// The little-endian `W`-byte words of `piece`, whose length is a whole
+/// number of words.
+fn words<const W: usize>(piece: &[u8]) -> impl Iterator<Item = [u8; W]> + '_ {
+    piece.chunks_exact(W).map(|w| w.try_into().expect("whole words"))
 }
 
 /// Records `n` shards resumed from valid spill files (counter hook for the
@@ -383,6 +449,109 @@ pub(crate) fn note_shards_resumed(n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qfr_fragment::{Decomposition, DecompositionParams, FragmentEngine};
+    use qfr_geom::WaterBoxBuilder;
+    use qfr_model::ForceFieldEngine;
+    use std::io::{Seek, SeekFrom, Write};
+
+    /// A one-shard spill of a water box's first `n_jobs` jobs (all of them
+    /// when `None`), opened as a store, beside the operator the same jobs
+    /// assemble to in core.
+    struct Spilled {
+        store: ShardStore,
+        want: MassWeighted,
+        path: PathBuf,
+    }
+
+    fn spill(name: &str, waters: usize, n_jobs: Option<usize>, tile_rows: usize) -> Spilled {
+        let sys = WaterBoxBuilder::new(waters).seed(3).build();
+        let d = Decomposition::new(&sys, DecompositionParams::default());
+        let jobs = &d.jobs[..n_jobs.unwrap_or(d.jobs.len())];
+        let engine = ForceFieldEngine::new();
+        let compute = |job: &FragmentJob| engine.compute(&job.structure(&sys));
+        let dir = std::env::temp_dir().join("qfr_shard_unit").join(name);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let (plan, base) = (ShardPlan::new(sys.n_atoms(), 1), 7);
+        let fp = shard_fingerprint(base, &plan, 0, tile_rows);
+        let path = shard_path(&dir, 0);
+        build_shard(&path, &sys, jobs, &plan, 0, tile_rows, fp, compute).unwrap();
+        let store = ShardStore::open(&dir, plan, tile_rows, base).unwrap();
+        let mut acc = RowRangeAccumulator::new(0..sys.n_atoms(), sys.n_atoms());
+        jobs.iter().for_each(|job| acc.add(job, &compute(job)));
+        let want = MassWeighted::in_place(acc.finish(), &sys.masses());
+        Spilled { store, want, path }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every tile and span decodes to the bits `build_shard` wrote: one
+    /// tile whose payload spans several chunks, and one-atom tiles of
+    /// which those of atoms the first job leaves out hold no non-zeros.
+    #[test]
+    fn tiles_and_spans_read_back_as_written() {
+        for (name, n_jobs, tile_rows) in [("multi_chunk", None, 243), ("empty", Some(1), 3)] {
+            let Spilled { store, want, path } = spill(name, 27, n_jobs, tile_rows);
+            let (row_ptr, col_idx, values) = want.hessian.raw_parts();
+            let mut empty_tiles = 0;
+            for t in 0..store.n_tiles() {
+                let tile = store.load_tile(t).expect("present shard");
+                let rows = tile.row0..tile.row0 + tile.matrix.rows();
+                assert_eq!(rows, t * tile_rows..((t + 1) * tile_rows).min(store.dim()));
+                let (lo, hi) = (row_ptr[rows.start], row_ptr[rows.end]);
+                let got = tile.matrix.raw_parts();
+                let ptr: Vec<usize> =
+                    row_ptr[rows.start..=rows.end].iter().map(|r| r - lo).collect();
+                assert_eq!(got.0, &ptr[..], "{name}: tile {t} row pointers");
+                assert_eq!(got.1, &col_idx[lo..hi], "{name}: tile {t} columns");
+                assert_eq!(bits(got.2), bits(&values[lo..hi]), "{name}: tile {t} values");
+                empty_tiles += usize::from(lo == hi);
+            }
+            for (got, want) in store.dalpha().iter().zip(&want.dalpha) {
+                assert_eq!(bits(got), bits(want), "{name}: dalpha");
+            }
+            for (got, want) in store.dmu().iter().zip(&want.dmu) {
+                assert_eq!(bits(got), bits(want), "{name}: dmu");
+            }
+            if n_jobs.is_none() {
+                let payload = 12 * want.hessian.nnz() + 8 * (tile_rows + 1);
+                assert!(payload > 2 * CHUNK, "{payload}-byte tile fits in two chunks");
+            } else {
+                assert!(empty_tiles > 0, "no 0-nnz tile");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// Overwrites bytes of tile 0 at `at` (from the tile's start) in a
+    /// spill that is already open.
+    fn corrupt_tile0(spilled: &Spilled, at: usize, bytes: &[u8]) {
+        let n_blocks = 1 + spilled.store.n_tiles() as u64;
+        let tile0 = 16 + 8 * (6 + n_blocks) + 72 * spilled.store.dim() as u64;
+        let mut file = std::fs::OpenOptions::new().write(true).open(&spilled.path).unwrap();
+        file.seek(SeekFrom::Start(tile0 + at as u64)).unwrap();
+        file.write_all(bytes).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "row_ptr must be non-decreasing")]
+    fn decreasing_row_pointer_written_after_open_panics() {
+        let spilled = spill("corrupt_row_ptr", 4, None, 36);
+        // Row 0 holds its diagonal, so a zero row_ptr[2] decreases.
+        corrupt_tile0(&spilled, 4 + 2 * 8, &0u64.to_le_bytes());
+        spilled.store.load_tile(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "column index out of range")]
+    fn column_past_the_dimension_written_after_open_panics() {
+        let spilled = spill("corrupt_col", 4, None, 36);
+        let dim = spilled.store.dim() as u32;
+        corrupt_tile0(&spilled, 4 + 8 * 37, &dim.to_le_bytes());
+        spilled.store.load_tile(0);
+    }
 
     #[test]
     fn plan_ranges_tile_exactly() {

@@ -37,7 +37,8 @@ pub struct ShardConfig {
     /// (created if absent). Re-running with the same directory resumes:
     /// shards whose file is valid for this system/λ/K/tiling are skipped.
     pub spill: PathBuf,
-    /// Dof rows per solver tile (peak solver residency is one tile).
+    /// Dof rows per solver tile (peak solver residency is one tile per
+    /// worker).
     pub tile_rows: usize,
 }
 

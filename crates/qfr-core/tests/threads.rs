@@ -39,9 +39,11 @@ fn outputs(dir: &Path) -> (String, String) {
 
 #[test]
 fn outputs_do_not_depend_on_the_thread_count() {
-    let modes: [(&str, &[&str]); 4] = [
+    let modes: [(&str, &[&str]); 5] = [
         ("in-core", &["--waters", "64"]),
         ("sharded", &["--waters", "64", "--shards", "4"]),
+        // 36 tiles: the solve's tile passes run several tiles at once.
+        ("sharded-tiles", &["--waters", "64", "--shards", "4", "--tile-rows", "16"]),
         ("scheduled", &["--waters", "64", "--sched", "2"]),
         ("dfpt", &["--waters", "2", "--dfpt"]),
     ];

@@ -53,7 +53,7 @@ fn main() {
     std::fs::remove_dir_all(&spill).ok();
     assert_eq!(sharded.spectrum.intensities, in_core.spectrum.intensities);
     println!(
-        "  peak at {:?} cm-1 ({} stored Hessian entries, one tile resident during the solve)",
+        "  peak at {:?} cm-1 ({} stored Hessian entries, one tile per worker resident during the solve)",
         sharded.spectrum.peak().map(|p| p.round()),
         sharded.hessian_nnz
     );
