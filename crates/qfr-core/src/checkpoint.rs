@@ -12,7 +12,8 @@
 //! (u32, atoms incl. link H), the `3m×3m` Hessian, `6×3m` ∂α/∂ξ and `3×3m`
 //! ∂μ/∂ξ as f64 arrays — exactly `4 + 8·(9m² + 27m)` bytes, which the
 //! reader checks against the decomposition before it reads the block. A
-//! *partial* save writes more empty blocks; every save is atomic.
+//! *partial* save writes more empty blocks; every save is atomic. Saves and
+//! loads stream each response between its matrices and the file.
 //!
 //! The fingerprint folds every fragment's [`qfr_fragment::exact_key`]
 //! (elements, link-H flags, bonds, raw position bits) into the digest, so a
@@ -20,8 +21,7 @@
 //! keyed files by atom indices, counts and coefficients only — blind to
 //! geometry — and they and v3 (presence bitmap) are rejected on read.
 
-use crate::container::{self, Container, Header};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::container::{self, BlockReader, Container, Header};
 use qfr_fragment::{exact_key, Decomposition, FragmentResponse};
 use qfr_geom::{BondAdjacency, MolecularSystem};
 use qfr_linalg::DMatrix;
@@ -106,19 +106,10 @@ fn header(decomposition: &Decomposition, sys: &MolecularSystem) -> Header {
     }
 }
 
-fn put_matrix(buf: &mut BytesMut, m: &DMatrix) {
-    for &v in m.as_slice() {
-        buf.put_f64_le(v);
-    }
-}
-
-fn get_matrix(buf: &mut Bytes, rows: usize, cols: usize) -> DMatrix {
-    DMatrix::from_vec(rows, cols, (0..rows * cols).map(|_| buf.get_f64_le()).collect())
-}
-
 /// Checks every matrix of a response against the shapes implied by the
 /// job size `m`: `3m×3m` Hessian, `6×3m` ∂α/∂ξ, `3×3m` ∂μ/∂ξ. A malformed
-/// response is rejected *before* anything is written.
+/// response is rejected before its block is written, and fails the save
+/// with the target untouched.
 fn validate_response(m: usize, resp: &FragmentResponse) -> Result<(), CheckpointError> {
     let checks = [
         ("hessian", resp.hessian.shape(), (3 * m, 3 * m)),
@@ -146,14 +137,14 @@ pub fn save_partial(
     slots: &[Option<FragmentResponse>],
 ) -> Result<(), CheckpointError> {
     assert_eq!(decomposition.jobs.len(), slots.len(), "one slot per job");
-    container::write(path, &header(decomposition, sys), |j, buf| {
+    container::write(path, &header(decomposition, sys), |j, out| {
         let Some(resp) = &slots[j] else { return Ok(()) };
         let m = decomposition.jobs[j].size();
         validate_response(m, resp)?;
-        buf.put_u32_le(m as u32);
-        put_matrix(buf, &resp.hessian);
-        put_matrix(buf, &resp.dalpha);
-        put_matrix(buf, &resp.dmu);
+        out.u32(m as u32)?;
+        for matrix in [&resp.hessian, &resp.dalpha, &resp.dmu] {
+            matrix.as_slice().iter().try_for_each(|&v| out.f64(v))?;
+        }
         Ok(())
     })?;
     Ok(())
@@ -178,14 +169,19 @@ pub fn load_partial(
         if len != 4 + 8 * (9 * m * m + 27 * m) {
             return Err(bad());
         }
-        let mut buf = file.read_block(j)?;
-        if buf.get_u32_le() as usize != m {
+        let mut block = BlockReader::new(&file, j);
+        if block.read_vec(1, u32::from_le_bytes)?[0] as usize != m {
             return Err(bad());
         }
+        let mut matrix = |rows, cols| {
+            block
+                .read_vec(rows * cols, f64::from_le_bytes)
+                .map(|v| DMatrix::from_vec(rows, cols, v))
+        };
         Ok(Some(FragmentResponse {
-            hessian: get_matrix(&mut buf, 3 * m, 3 * m),
-            dalpha: get_matrix(&mut buf, 6, 3 * m),
-            dmu: get_matrix(&mut buf, 3, 3 * m),
+            hessian: matrix(3 * m, 3 * m)?,
+            dalpha: matrix(6, 3 * m)?,
+            dmu: matrix(3, 3 * m)?,
         }))
     };
     decomposition.jobs.iter().enumerate().map(load).collect()
@@ -214,12 +210,18 @@ pub fn drop_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::CHUNK;
     use qfr_fragment::{DecompositionParams, FragmentEngine};
-    use qfr_geom::WaterBoxBuilder;
+    use qfr_geom::{ProteinBuilder, WaterBoxBuilder};
     use qfr_model::ForceFieldEngine;
 
     fn setup() -> (qfr_geom::MolecularSystem, Decomposition, Vec<FragmentResponse>) {
-        let sys = WaterBoxBuilder::new(6).seed(1).build();
+        responses_of(WaterBoxBuilder::new(6).seed(1).build())
+    }
+
+    fn responses_of(
+        sys: MolecularSystem,
+    ) -> (MolecularSystem, Decomposition, Vec<FragmentResponse>) {
         let d = Decomposition::new(&sys, DecompositionParams::default());
         let engine = ForceFieldEngine::new();
         let responses = d.jobs.iter().map(|j| engine.compute(&j.structure(&sys))).collect();
@@ -245,6 +247,51 @@ mod tests {
             assert_eq!(a.dalpha.max_abs_diff(&b.dalpha), 0.0);
             assert_eq!(a.dmu.max_abs_diff(&b.dmu), 0.0);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Protein fragments of up to 61 atoms make blocks several chunks long;
+    /// every response still reads back bit for bit.
+    #[test]
+    fn multi_chunk_blocks_round_trip_bitexact() {
+        let (sys, d, responses) = responses_of(ProteinBuilder::new(6).build());
+        let dir = std::env::temp_dir().join("qfr_ckpt_test_chunks");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("protein.qfrc");
+        save_partial(&path, &d, &sys, &full(&responses)).unwrap();
+        let file = Container::open(&path, &header(&d, &sys)).unwrap();
+        let longest = (0..d.jobs.len()).map(|j| file.block_len(j)).max().unwrap();
+        assert!(longest > CHUNK, "longest block is {longest} bytes, within one chunk");
+        let loaded = load_partial(&path, &d, &sys).unwrap();
+        let bits = |m: &DMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (j, (a, b)) in loaded.iter().zip(&responses).enumerate() {
+            let a = a.as_ref().expect("every job present");
+            let pairs = [(&a.hessian, &b.hessian), (&a.dalpha, &b.dalpha), (&a.dmu, &b.dmu)];
+            for (got, want) in pairs {
+                assert_eq!(got.shape(), want.shape(), "job {j}");
+                assert_eq!(bits(got), bits(want), "job {j}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A block of the right length whose `m` word names another fragment
+    /// size is rejected with the job's format error.
+    #[test]
+    fn m_word_disagreeing_with_its_job_rejected() {
+        let (sys, d, responses) = setup();
+        let dir = std::env::temp_dir().join("qfr_ckpt_test_mword");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("responses.qfrc");
+        save_partial(&path, &d, &sys, &full(&responses)).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (m, block0) = (d.jobs[0].size(), 16 + 8 * (1 + d.jobs.len()));
+        bytes[block0..block0 + 4].copy_from_slice(&(m as u32 + 1).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_partial(&path, &d, &sys).unwrap_err();
+        assert!(matches!(err, CheckpointError::Format(_)), "{err}");
+        let want = format!("checkpoint format error: job 0: block is not a {m}-atom response");
+        assert_eq!(err.to_string(), want);
         std::fs::remove_dir_all(&dir).ok();
     }
 

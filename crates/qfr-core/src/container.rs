@@ -1,13 +1,15 @@
 //! The one binary container behind response checkpoints (`.qfrc`) and shard
-//! spills (`.qfrs`): magic (4 bytes), version `u32`, fingerprint `u64`, the
-//! file kind's geometry words (`u64` each), one `u64` length per block, then
-//! the blocks, all little-endian.
+//! spills (`.qfrs`), and the crate's only code that turns blocks into bytes:
+//! magic (4 bytes), version `u32`, fingerprint `u64`, the file kind's
+//! geometry words (`u64` each), one `u64` length per block, then the
+//! blocks, all little-endian.
 //!
 //! The reader states the header it expects, so [`Container::open`] reads
 //! only the header and length table: magic, version, fingerprint and
 //! geometry must match, and header plus Σ lengths must equal the file
-//! length, else a typed [`CheckpointError`]. [`Container::read_block`] seeks
-//! straight to one block and [`Container::read_at`] to a byte range of one;
+//! length, else a typed [`CheckpointError`]. A [`BlockReader`] decodes one
+//! block front to back and [`write`] hands each block a [`BlockWriter`],
+//! both a [`CHUNK`] at a time, so no block or file is ever held whole;
 //! what a block holds, and what an empty one means, is the file kind's
 //! business. Writes are atomic: a pid+sequence temp file beside the target
 //! is written, fsynced and renamed over it, and a drop guard removes it on
@@ -16,12 +18,15 @@
 //! directory sync is not a failed write.
 
 use crate::checkpoint::CheckpointError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// Bytes one block read or write moves at a time. A multiple of every word
+/// width, so no word straddles two pieces.
+pub(crate) const CHUNK: usize = 64 << 10;
 
 /// Per-process temp-file sequence number: together with the pid it makes
 /// concurrent savers targeting the same path collision-free.
@@ -49,29 +54,73 @@ fn format_error<T>(why: impl Into<String>) -> Result<T, CheckpointError> {
     Err(CheckpointError::Format(why.into()))
 }
 
-/// Writes `header` and its blocks to `path` atomically, block `i` appended
-/// to the body by `put(i, body)`. Returns the file length; an error from
-/// `put` writes nothing.
+/// Writes `header` and its blocks to `path` atomically, block `i` streamed
+/// by `put(i, out)`. Returns the file length; an error from `put` leaves
+/// `path` as it was.
 pub(crate) fn write(
     path: &Path,
     header: &Header,
-    mut put: impl FnMut(usize, &mut BytesMut) -> Result<(), CheckpointError>,
+    mut put: impl FnMut(usize, &mut BlockWriter) -> Result<(), CheckpointError>,
 ) -> Result<u64, CheckpointError> {
-    let mut head = BytesMut::with_capacity(header.len() as usize);
-    head.put_slice(header.magic);
-    head.put_u32_le(header.version);
-    head.put_u64_le(header.fingerprint);
-    for &word in &header.words {
-        head.put_u64_le(word);
-    }
-    let mut body = BytesMut::new();
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("container");
+    let tmp = path.with_file_name(format!(".{name}.{}.{seq}.tmp", std::process::id()));
+    let mut guard = TmpGuard { tmp, committed: false };
+    let file = BufWriter::with_capacity(CHUNK, File::create(&guard.tmp)?);
+    let mut out = BlockWriter { file, at: 0 };
+    out.put(header.magic)?;
+    out.u32(header.version)?;
+    [header.fingerprint].iter().chain(&header.words).try_for_each(|&word| out.u64(word))?;
+    // Block lengths are known only once written: reserve the table here
+    // and fill it in last.
+    let table_at = out.at;
+    out.put(&vec![0; 8 * header.n_blocks])?;
+    let mut table = Vec::with_capacity(8 * header.n_blocks);
     for i in 0..header.n_blocks {
-        let start = body.len();
-        put(i, &mut body)?;
-        head.put_u64_le((body.len() - start) as u64);
+        let start = out.at;
+        put(i, &mut out)?;
+        table.extend((out.at - start).to_le_bytes());
     }
-    atomic_write(path, &[&head, &body])?;
-    Ok((head.len() + body.len()) as u64)
+    let mut file = out.file.into_inner().map_err(|e| e.into_error())?;
+    file.seek(SeekFrom::Start(table_at))?;
+    file.write_all(&table)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&guard.tmp, path)?;
+    guard.committed = true;
+    // The rename is durable only once the directory entry is; the file is
+    // committed either way, so callers see success and count it.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    File::open(dir).and_then(|d| d.sync_all()).ok();
+    Ok(out.at)
+}
+
+/// The little-endian encoder [`write`] hands each block's `put`: words go
+/// through one [`CHUNK`]-byte buffer straight to the temp file.
+pub(crate) struct BlockWriter {
+    file: BufWriter<File>,
+    /// Bytes written so far.
+    at: u64,
+}
+
+impl BlockWriter {
+    fn put(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.file.write_all(bytes)?;
+        self.at += bytes.len() as u64;
+        Ok(())
+    }
+
+    pub(crate) fn u32(&mut self, v: u32) -> Result<(), CheckpointError> {
+        self.put(&v.to_le_bytes())
+    }
+
+    pub(crate) fn u64(&mut self, v: u64) -> Result<(), CheckpointError> {
+        self.put(&v.to_le_bytes())
+    }
+
+    pub(crate) fn f64(&mut self, v: f64) -> Result<(), CheckpointError> {
+        self.put(&v.to_le_bytes())
+    }
 }
 
 /// An open file whose header and length table matched.
@@ -87,22 +136,19 @@ impl Container {
         let mut file = File::open(path)?;
         let file_len = file.metadata()?.len();
         let head_len = expected.len();
-        let mut raw = vec![0u8; head_len.min(file_len) as usize];
-        file.read_exact(&mut raw)?;
-        let mut head = Bytes::from(raw);
-        if head.remaining() < 16 {
+        let mut head = vec![0u8; head_len.min(file_len) as usize];
+        file.read_exact(&mut head)?;
+        if head.len() < 16 {
             return format_error(format!("{file_len}-byte file has no header"));
         }
-        let mut magic = [0u8; 4];
-        head.copy_to_slice(&mut magic);
-        if &magic != expected.magic {
+        if &head[..4] != expected.magic {
             return format_error("bad magic");
         }
-        let version = head.get_u32_le();
+        let version = words(&head[4..8]).map(u32::from_le_bytes).next().expect("one word");
         if version != expected.version {
             return format_error(format!("unsupported version {version}"));
         }
-        let found = head.get_u64_le();
+        let found = words(&head[8..16]).map(u64::from_le_bytes).next().expect("one word");
         if found != expected.fingerprint {
             let expected = expected.fingerprint;
             return Err(CheckpointError::FingerprintMismatch { found, expected });
@@ -110,12 +156,13 @@ impl Container {
         if file_len < head_len {
             return format_error(format!("{file_len}-byte file is shorter than its header"));
         }
-        if expected.words.iter().any(|&word| head.get_u64_le() != word) {
+        let mut table = words(&head[16..]).map(u64::from_le_bytes);
+        if expected.words.iter().any(|&word| table.next() != Some(word)) {
             return format_error("geometry does not match");
         }
         let mut offsets = vec![head_len];
-        for _ in 0..expected.n_blocks {
-            let Some(end) = offsets[offsets.len() - 1].checked_add(head.get_u64_le()) else {
+        for len in table {
+            let Some(end) = offsets[offsets.len() - 1].checked_add(len) else {
                 return format_error("block lengths overflow");
             };
             offsets.push(end);
@@ -134,31 +181,59 @@ impl Container {
         (self.offsets[i + 1] - self.offsets[i]) as usize
     }
 
-    /// Reads block `i`.
-    pub(crate) fn read_block(&self, i: usize) -> Result<Bytes, CheckpointError> {
-        let mut raw = vec![0u8; self.block_len(i)];
-        self.read_at(i, 0, &mut raw)?;
-        Ok(Bytes::from(raw))
-    }
-
     /// Fills `buf` with block `i`'s bytes from offset `at` on. The file
     /// lock is held for this one seek and read, so readers of different
     /// ranges interleave chunk by chunk.
     ///
     /// # Panics
     /// Panics if the range runs past the end of the block.
-    pub(crate) fn read_at(
-        &self,
-        i: usize,
-        at: usize,
-        buf: &mut [u8],
-    ) -> Result<(), CheckpointError> {
+    fn read_at(&self, i: usize, at: usize, buf: &mut [u8]) -> Result<(), CheckpointError> {
         assert!(at + buf.len() <= self.block_len(i), "read past the end of block {i}");
         let mut file = self.file.lock().expect("container file poisoned");
         file.seek(SeekFrom::Start(self.offsets[i] + at as u64))?;
         file.read_exact(buf)?;
         Ok(())
     }
+}
+
+/// Reads one block front to back in pieces of at most [`CHUNK`] bytes
+/// through one reused buffer.
+pub(crate) struct BlockReader<'a> {
+    file: &'a Container,
+    block: usize,
+    /// Bytes of the block already read.
+    at: usize,
+    buf: Vec<u8>,
+}
+
+impl<'a> BlockReader<'a> {
+    pub(crate) fn new(file: &'a Container, block: usize) -> Self {
+        let buf = vec![0; CHUNK.min(file.block_len(block))];
+        Self { file, block, at: 0, buf }
+    }
+
+    /// Reads the next `n` little-endian `W`-byte words, each decoded by
+    /// `decode`.
+    pub(crate) fn read_vec<const W: usize, T>(
+        &mut self,
+        n: usize,
+        decode: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let mut out = Vec::with_capacity(n);
+        let end = self.at + W * n;
+        while self.at < end {
+            let piece = &mut self.buf[..(end - self.at).min(CHUNK)];
+            self.file.read_at(self.block, self.at, piece)?;
+            out.extend(words(piece).map(&decode));
+            self.at += piece.len();
+        }
+        Ok(out)
+    }
+}
+
+/// The `W`-byte words of `piece`, whose length is a whole number of words.
+fn words<const W: usize>(piece: &[u8]) -> impl Iterator<Item = [u8; W]> + '_ {
+    piece.chunks_exact(W).map(|w| w.try_into().expect("whole words"))
 }
 
 /// Removes the temp file on drop unless the rename committed it.
@@ -173,28 +248,6 @@ impl Drop for TmpGuard {
             std::fs::remove_file(&self.tmp).ok();
         }
     }
-}
-
-/// Atomically replaces `path` with the concatenated `parts`.
-fn atomic_write(path: &Path, parts: &[&[u8]]) -> Result<(), CheckpointError> {
-    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("container");
-    let tmp = path.with_file_name(format!(".{name}.{}.{seq}.tmp", std::process::id()));
-    let mut guard = TmpGuard { tmp, committed: false };
-    {
-        let mut f = File::create(&guard.tmp)?;
-        for part in parts {
-            f.write_all(part)?;
-        }
-        f.sync_all()?;
-    }
-    std::fs::rename(&guard.tmp, path)?;
-    guard.committed = true;
-    // The rename is durable only once the directory entry is; the file is
-    // committed either way, so callers see success and count it.
-    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
-    File::open(dir).and_then(|d| d.sync_all()).ok();
-    Ok(())
 }
 
 #[cfg(test)]
@@ -216,11 +269,7 @@ mod tests {
     /// Block `i` holds `i % 3` copies of the byte `i`: every third block is
     /// empty.
     fn write_sample(path: &Path, fingerprint: u64) -> u64 {
-        write(path, &header(fingerprint, 7), |i, body| {
-            body.put_slice(&vec![i as u8; i % 3]);
-            Ok(())
-        })
-        .unwrap()
+        write(path, &header(fingerprint, 7), |i, out| out.put(&vec![i as u8; i % 3])).unwrap()
     }
 
     fn open_err(path: &Path, expected: &Header) -> CheckpointError {
@@ -237,7 +286,8 @@ mod tests {
         // Read out of order: every block is one seek away.
         for i in (0..7).rev() {
             assert_eq!(file.block_len(i), i % 3, "block {i}");
-            assert_eq!(file.read_block(i).unwrap().as_slice(), &vec![i as u8; i % 3][..]);
+            let block = BlockReader::new(&file, i).read_vec(i % 3, u8::from_le_bytes).unwrap();
+            assert_eq!(block, vec![i as u8; i % 3]);
         }
         // A byte range reads the same bytes as the whole block holds there.
         let mut tail = [0u8; 1];
@@ -292,6 +342,61 @@ mod tests {
         });
         assert!(matches!(err, Err(CheckpointError::Format(_))));
         assert!(!path.exists());
+    }
+
+    /// The exact bytes of a sample file, as the whole-file writer that
+    /// preceded the streaming one wrote them: the layout, and so every
+    /// checkpoint and spill already on disk, is unchanged.
+    #[test]
+    fn sample_file_bytes_are_pinned() {
+        let path = temp_file("pinned");
+        let len = write(&path, &header(11, 3), |i, out| match i {
+            0 => out.u32(7).and_then(|()| out.f64(-2.5)),
+            1 => Ok(()),
+            _ => out.u64(0x0102_0304_0506_0708),
+        })
+        .unwrap();
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            b'T', b'E', b'S', b'T', 7, 0, 0, 0, // magic, version
+            11, 0, 0, 0, 0, 0, 0, 0, // fingerprint
+            3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, // geometry words
+            12, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, // lengths
+            7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 192, // block 0: 7u32, -2.5f64
+            8, 7, 6, 5, 4, 3, 2, 1, // block 2: 0x0102030405060708u64
+        ];
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+        assert_eq!(len, want.len() as u64);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A `put` that fails once earlier blocks have reached the temp file
+    /// leaves the old target byte for byte and no temp file behind.
+    #[test]
+    fn interrupted_write_keeps_the_old_file() {
+        let dir = std::env::temp_dir().join("qfr_container_tests").join("interrupted");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("target");
+        write_sample(&path, 11);
+        let old = std::fs::read(&path).unwrap();
+        let temp_lens = || -> Vec<u64> {
+            let entries = std::fs::read_dir(&dir).unwrap().filter_map(|e| e.ok());
+            let temps = entries.filter(|e| e.path().extension().is_some_and(|x| x == "tmp"));
+            temps.map(|e| e.metadata().unwrap().len()).collect()
+        };
+        let err = write(&path, &header(11, 3), |i, out| {
+            if i < 2 {
+                return out.put(&vec![i as u8; CHUNK + 1]);
+            }
+            let streamed = temp_lens();
+            assert!(streamed.len() == 1 && streamed[0] > CHUNK as u64, "{streamed:?}");
+            Err(CheckpointError::Format("refused".into()))
+        });
+        assert!(matches!(err, Err(CheckpointError::Format(_))));
+        assert_eq!(std::fs::read(&path).unwrap(), old, "the target must keep its old bytes");
+        assert_eq!(temp_lens(), Vec::<u64>::new(), "the temp file must be removed");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A fixed `.tmp` suffix let two concurrent runs clobber each other's

@@ -19,6 +19,8 @@
 //! u32, `row_ptr` as `rows + 1` u64, then `col_idx` u32 and `values` f64 per
 //! non-zero, so its nnz follows from its length. Block lengths that disagree
 //! with the geometry reject the file at open, and the shard is rebuilt.
+//! Builds stream the CSR from the accumulator's arrays to the file, and
+//! tile loads stream a block into the tile's arrays, a chunk at a time.
 //!
 //! ## The fingerprint
 //!
@@ -41,8 +43,7 @@
 //! for every `K`, which `ablation_shards` pins in CI.
 
 use crate::checkpoint::CheckpointError;
-use crate::container::{self, Container, Header};
-use bytes::BufMut;
+use crate::container::{self, BlockReader, Container, Header};
 use qfr_fragment::{FragmentJob, FragmentResponse, MassWeighted, RowRangeAccumulator};
 use qfr_geom::MolecularSystem;
 use qfr_linalg::CsrMatrix;
@@ -52,11 +53,6 @@ use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"QFRS";
 const VERSION: u32 = 2;
-
-/// Bytes one block read moves: a tile or the spans block is decoded in
-/// pieces this size, never held whole as bytes. A multiple of every word
-/// width, so no word straddles two pieces.
-const CHUNK: usize = 64 << 10;
 
 // Shard lifecycle counters. Spilled bytes and tile geometry are pure
 // functions of the system, λ, K and tile_rows; the number of streamed
@@ -210,20 +206,16 @@ where
     let span = dof_span(&plan.range(shard));
     let (row_ptr, col_idx, values) = mw.hessian.raw_parts();
     let header = header(plan, shard, tile_rows, fingerprint);
-    let len = container::write(path, &header, |block, buf| {
+    let len = container::write(path, &header, |block, out| {
         if block == 0 {
-            mw.dalpha.iter().chain(&mw.dmu).flatten().for_each(|&v| buf.put_f64_le(v));
-            return Ok(());
+            return mw.dalpha.iter().chain(&mw.dmu).flatten().try_for_each(|&v| out.f64(v));
         }
         let rows = tile(span, tile_rows, block - 1);
         let (lo, hi) = (row_ptr[rows.start], row_ptr[rows.end]);
-        buf.put_u32_le(rows.len() as u32);
-        for r in rows.start..=rows.end {
-            buf.put_u64_le((row_ptr[r] - lo) as u64);
-        }
-        col_idx[lo..hi].iter().for_each(|&c| buf.put_u32_le(c));
-        values[lo..hi].iter().for_each(|&v| buf.put_f64_le(v));
-        Ok(())
+        out.u32(rows.len() as u32)?;
+        row_ptr[rows.start..=rows.end].iter().try_for_each(|&r| out.u64((r - lo) as u64))?;
+        col_idx[lo..hi].iter().try_for_each(|&c| out.u32(c))?;
+        values[lo..hi].iter().try_for_each(|&v| out.f64(v))
     })?;
     SHARD_BYTES_SPILLED.add(len);
     SHARD_SHARDS_BUILT.incr();
@@ -307,12 +299,8 @@ impl ShardStore {
             if let Some(file) = &file {
                 let mut spans = BlockReader::new(file, 0);
                 for v in dalpha.iter_mut().chain(dmu.iter_mut()) {
-                    let mut dst = v[3 * range.start..3 * range.end].iter_mut();
-                    spans.read(8 * span, |piece| {
-                        for (w, d) in words(piece).zip(&mut dst) {
-                            *d = f64::from_le_bytes(w);
-                        }
-                    })?;
+                    let window = spans.read_vec(span, f64::from_le_bytes)?;
+                    v[3 * range.start..3 * range.end].copy_from_slice(&window);
                 }
             }
             for t in 0..n_tiles_of(span, tile_rows) {
@@ -377,8 +365,8 @@ impl TileSource for ShardStore {
 }
 
 /// Decodes the `rows × dim` CSR tile in `block` section by section through
-/// one [`CHUNK`]-sized buffer, straight into the CSR arrays. The file lock
-/// is held per chunk, so concurrent loads of one shard's tiles interleave.
+/// one chunk-sized buffer, straight into the CSR arrays. The file lock is
+/// held per chunk, so concurrent loads of one shard's tiles interleave.
 fn decode_tile(
     file: &Container,
     block: usize,
@@ -387,55 +375,12 @@ fn decode_tile(
 ) -> Result<CsrMatrix, CheckpointError> {
     let nnz = tile_nnz(file.block_len(block), rows).expect("checked at open");
     let mut tile = BlockReader::new(file, block);
-    let mut stored_rows = 0;
-    tile.read(4, |piece| {
-        stored_rows = words(piece).map(u32::from_le_bytes).next().expect("one word")
-    })?;
+    let stored_rows = tile.read_vec(1, u32::from_le_bytes)?[0];
     assert_eq!(stored_rows as usize, rows, "tile row count disagrees with geometry");
-    let mut row_ptr = Vec::with_capacity(rows + 1);
-    tile.read(8 * (rows + 1), |piece| {
-        row_ptr.extend(words(piece).map(|w| u64::from_le_bytes(w) as usize));
-    })?;
-    let mut col_idx = Vec::with_capacity(nnz);
-    tile.read(4 * nnz, |piece| col_idx.extend(words(piece).map(u32::from_le_bytes)))?;
-    let mut values = Vec::with_capacity(nnz);
-    tile.read(8 * nnz, |piece| values.extend(words(piece).map(f64::from_le_bytes)))?;
+    let row_ptr = tile.read_vec(rows + 1, |w| u64::from_le_bytes(w) as usize)?;
+    let col_idx = tile.read_vec(nnz, u32::from_le_bytes)?;
+    let values = tile.read_vec(nnz, f64::from_le_bytes)?;
     Ok(CsrMatrix::from_raw_parts(rows, dim, row_ptr, col_idx, values))
-}
-
-/// Reads one block front to back in pieces of at most [`CHUNK`] bytes
-/// through one reused buffer.
-struct BlockReader<'a> {
-    file: &'a Container,
-    block: usize,
-    /// Bytes of the block already read.
-    at: usize,
-    buf: Vec<u8>,
-}
-
-impl<'a> BlockReader<'a> {
-    fn new(file: &'a Container, block: usize) -> Self {
-        let buf = vec![0; CHUNK.min(file.block_len(block))];
-        Self { file, block, at: 0, buf }
-    }
-
-    /// Reads the next `len` bytes, handing them to `take` piece by piece.
-    fn read(&mut self, len: usize, mut take: impl FnMut(&[u8])) -> Result<(), CheckpointError> {
-        let end = self.at + len;
-        while self.at < end {
-            let piece = &mut self.buf[..(end - self.at).min(CHUNK)];
-            self.file.read_at(self.block, self.at, piece)?;
-            take(piece);
-            self.at += piece.len();
-        }
-        Ok(())
-    }
-}
-
-/// The little-endian `W`-byte words of `piece`, whose length is a whole
-/// number of words.
-fn words<const W: usize>(piece: &[u8]) -> impl Iterator<Item = [u8; W]> + '_ {
-    piece.chunks_exact(W).map(|w| w.try_into().expect("whole words"))
 }
 
 /// Records `n` shards resumed from valid spill files (counter hook for the
@@ -449,6 +394,7 @@ pub(crate) fn note_shards_resumed(n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::CHUNK;
     use qfr_fragment::{Decomposition, DecompositionParams, FragmentEngine};
     use qfr_geom::WaterBoxBuilder;
     use qfr_model::ForceFieldEngine;
