@@ -4,10 +4,10 @@
 //! (`ablation_offload_stride`, the Fig. 9 bars). This one runs it: a
 //! kernel-tagged job stream gathered from real DFPT response states is
 //! executed twice through `qfr_linalg::batch::execute_jobs` — scattered
-//! (one kernel call per job) and batched (size-class packed panels, one
-//! launch per class, the mode every DFPT hot loop runs) — and the
-//! *measured* wall times are reported next to the modeled ORISE/Sunway
-//! bars.
+//! (a serial loop over the counted kernels) and batched (one ordered
+//! parallel map over the same kernel bodies, the mode every DFPT hot loop
+//! runs) — and the *measured* wall times are reported next to the modeled
+//! ORISE/Sunway bars.
 
 use qfr_bench::{fast_mode, header, row, scaled, write_record};
 use qfr_dfpt::displacement::n1_phase_gemm_jobs;
@@ -127,11 +127,11 @@ fn main() {
         println!("WARNING: batched path not faster on this machine/stream");
     }
     println!(
-        "\nReading: the measured speedup comes from launch amortization and\n\
-         contiguous packed panels (one rayon launch per size class instead\n\
-         of one kernel call per job); the modeled bars price the same\n\
-         batching on the paper's accelerators, where kernel-launch overhead\n\
-         is far higher — hence the larger modeled gain."
+        "\nReading: both modes run the same kernel bodies, so the measured\n\
+         speedup is the parallel map over the serial loop — what spreading a\n\
+         gathered stream's independent jobs over the cores buys; the modeled\n\
+         bars price the same batching on the paper's accelerators, where\n\
+         kernel-launch overhead is far higher — hence the larger modeled gain."
     );
     write_record(
         "ablation_offload_real",

@@ -232,12 +232,8 @@ mod tests {
             "paths diverge: {}",
             naive.h1.max_abs_diff(&fast.h1)
         );
-        assert!(
-            prof_fast.pulay_flops < prof_naive.pulay_flops,
-            "reduced Pulay kernel must save FLOPs ({} vs {})",
-            prof_fast.pulay_flops,
-            prof_naive.pulay_flops
-        );
+        // The FLOP saving is pinned in tests/flop_savings.rs, away from
+        // sibling tests that run kernels while the FLOP delta is read.
         assert!(prof_fast.pulay_gemm_calls < prof_naive.pulay_gemm_calls);
     }
 

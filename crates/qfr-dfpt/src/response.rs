@@ -599,12 +599,8 @@ mod tests {
             "strength reduction changed the physics: {}",
             naive.h1.max_abs_diff(&fast.h1)
         );
-        assert!(
-            fast.phases.n1_flops < naive.phases.n1_flops,
-            "reduced path must save phase-2 FLOPs: {} vs {}",
-            fast.phases.n1_flops,
-            naive.phases.n1_flops
-        );
+        // The FLOP saving is pinned in tests/flop_savings.rs, away from
+        // sibling tests that run kernels while the FLOP delta is read.
     }
 
     #[test]

@@ -305,8 +305,8 @@ impl Setup {
     }
 }
 
-/// `L⁻¹ M L⁻ᵀ` for symmetric `M`, via the triangle-only similarity kernel
-/// (neither transpose is materialized; result exactly symmetric by mirror).
+/// `L⁻¹ M L⁻ᵀ` for symmetric `M`, via the triangle-only similarity
+/// transform (result exactly symmetric by mirror).
 pub(crate) fn sandwich_linv(l_inv: &DMatrix, m: &DMatrix) -> DMatrix {
     qfr_linalg::syrk::similarity_transform(l_inv, m)
 }

@@ -33,9 +33,9 @@ fn counter(name: &str) -> u64 {
 
 /// What both execution modes must book by the same amount: the executed
 /// FLOPs, triangle-kernel calls and the symmetry saving. (`linalg.batch.*`
-/// exist only when batched, and `linalg.gemm.calls` counts
-/// reference-kernel invocations, which the packed launch replaces — neither
-/// is mode-invariant.)
+/// exist only when batched, and `linalg.gemm.calls` counts public
+/// GEMM-entry calls, which batched jobs do not make — neither is
+/// mode-invariant.)
 const MODE_INVARIANT_COUNTERS: [&str; 3] =
     ["linalg.flops", "linalg.syrk.calls", "linalg.gemm.flops_saved_symmetry"];
 
@@ -184,10 +184,7 @@ fn batched_offload_is_bit_identical_and_counted() {
         counter("linalg.batch.syrk_jobs") > before_syrk,
         "triangle jobs must be counted when batched"
     );
-    assert!(
-        counter("linalg.batch.packed_bytes") > before_bytes,
-        "packed staging bytes must be counted"
-    );
+    assert!(counter("linalg.batch.packed_bytes") > before_bytes, "packed bytes must be counted");
 
     // Set solve: a task's result is independent of its companions.
     let response = config.response;

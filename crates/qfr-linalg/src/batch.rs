@@ -18,21 +18,18 @@
 //!   and prices what an accelerator that really pads would execute
 //!   ([`BatchPlan::padded_flops`], [`BatchPlan::padding_overhead`]; the
 //!   Fig. 9 model in `qfr-sched::offload` reads these);
-//! - [`execute_jobs`] runs the stream under an [`OffloadMode`]: the
-//!   scattered reference (one `crate::gemm` / `crate::syrk` call per job)
-//!   or the packed launch per class.
+//! - [`execute_jobs`] runs the stream under an [`OffloadMode`]: serially
+//!   through the public, counted kernels, or batched as one ordered
+//!   parallel map over their uncounted cores.
 //!
-//! On the host, padding exists only in the *layout*: row-major operands are
-//! read in place, panels that must be materialized (transform
-//! intermediates, transposed views) are staged in one contiguous padded
-//! slab per class, and every worker computes only its job's *real*
-//! dimensions in an outer-product order whose per-entry accumulation is
-//! bitwise identical to the scattered reference kernels — so padding burns
-//! memory, never FLOPs, and both modes agree value for value. See
-//! DESIGN.md §10 for the gather points and the determinism argument.
+//! On the host, padding exists only in the *accounting*: a batched job runs
+//! the same `crate::gemm` / `crate::syrk` kernel bodies at its real
+//! dimensions as every direct caller, so padding never burns FLOPs and both
+//! modes agree value for value. See DESIGN.md §10.
 
 use crate::gemm;
 use crate::matrix::DMatrix;
+use crate::syrk::{transform, GemmFn, TriangleFn};
 use rayon::prelude::*;
 
 static BATCH_JOBS: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.batch.jobs");
@@ -47,28 +44,20 @@ static BATCH_LAUNCHES_SAVED: qfr_obs::Counter =
 /// reduction and offloading compose.
 static BATCH_SYRK_JOBS: qfr_obs::Counter =
     qfr_obs::Counter::deterministic("linalg.batch.syrk_jobs");
-/// Bytes moved by packed launches: padded operand panels staged into the
-/// class buffer plus the dense results written back — the real-execution
-/// analogue of `sched.offload.bytes_moved`.
+/// Bytes the packed launches present to a device: padded operand panels
+/// per job slot plus the dense results written back — the executed
+/// stream's analogue of `sched.offload.bytes_moved`.
 static BATCH_PACKED_BYTES: qfr_obs::Counter =
     qfr_obs::Counter::deterministic("linalg.batch.packed_bytes");
 
-thread_local! {
-    /// Reused staging buffer for the packed execution path (grown, never
-    /// shrunk): response cycles dispatch thousands of small classes, and
-    /// re-allocating multi-MB buffers each time costs more than the
-    /// kernels themselves on small fragments.
-    static PACKED_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Tasks one class launch is cut into at most: enough to balance a few
-/// threads, coarse enough that the launch overhead amortizes.
+/// Tasks a batched stream is cut into at most: enough to balance a few
+/// threads, coarse enough that the dispatch overhead amortizes.
 const LAUNCH_TASKS: usize = 16;
 
 /// How gathered job streams are executed on the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OffloadMode {
-    /// One reference-kernel call per job, serially (the pre-offload path).
+    /// One counted kernel call per job, serially (the pre-offload path).
     Scattered,
     /// Size-class packed batching with the given padding stride.
     Batched {
@@ -84,9 +73,8 @@ impl Default for OffloadMode {
 }
 
 /// Dense kernel variant a batched job executes. The triangle-family
-/// variants mirror the `crate::syrk` reference kernels exactly (same
-/// ascending-inner-index accumulation, same reduced FLOP accounting), so
-/// strength reduction and elastic offloading compose.
+/// variants run the `crate::syrk` kernels (triangle-only compute, reduced
+/// FLOP accounting), so strength reduction and elastic offloading compose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BatchKernel {
     /// `C = A B` (general GEMM, `A` is `m x k`, `B` is `k x n`).
@@ -251,20 +239,6 @@ impl BatchClass {
             }
         }
     }
-
-    /// Scratch `f64`s one job slot stages in the per-class packed buffer.
-    /// Row-view operands are read in place, so only panels that must be
-    /// *materialized* are staged: the transposed `Aᵀ` view of
-    /// [`BatchKernel::Similarity`] and the transform intermediate
-    /// `T = Aᵀ M` (stored transposed so the triangle pass reads contiguous
-    /// rows).
-    fn staging_elems(&self) -> usize {
-        match self.kernel {
-            BatchKernel::Gemm | BatchKernel::SymmetricProduct => 0,
-            BatchKernel::Congruence => self.k * self.n,
-            BatchKernel::Similarity => 2 * self.k * self.n,
-        }
-    }
 }
 
 /// Grouping of kernel-tagged job indices into [`BatchClass`]es, ordered by
@@ -318,120 +292,90 @@ impl BatchPlan {
     }
 }
 
-/// Executes a job stream under `mode` — the one executor: the scattered
-/// reference (one `crate::gemm` / `crate::syrk` call per job) or one
-/// packed launch per [`BatchClass`]. Results come back in job order. The
-/// two modes agree value for value and book the same FLOPs,
-/// `linalg.syrk.calls` and symmetry savings (DESIGN.md §10).
-pub fn execute_jobs(jobs: &[BatchJob], mode: OffloadMode) -> Vec<DMatrix> {
-    match mode {
-        OffloadMode::Scattered => run_scattered(jobs),
-        OffloadMode::Batched { stride } => run_packed(jobs, stride),
-    }
-}
-
-/// One reference-kernel call per job, serially — the path the hot loops
-/// used before gathering, and what the bit-parity tests compare against.
-fn run_scattered(jobs: &[BatchJob]) -> Vec<DMatrix> {
-    jobs.iter()
-        .map(|job| match job.kernel {
-            BatchKernel::Gemm => {
-                let mut c = DMatrix::zeros(job.a.rows(), job.b.cols());
-                gemm::gemm_auto(&mut c, &job.a, &job.b, 1.0, 0.0);
-                c
-            }
-            BatchKernel::SymmetricProduct => {
-                let n = job.a.cols();
-                let mut c = DMatrix::zeros(n, n);
-                crate::syrk::symmetric_product(1.0, &job.a, &job.b, 0.0, &mut c);
-                c
-            }
-            BatchKernel::Congruence => crate::syrk::congruence_transform(&job.a, &job.b),
-            BatchKernel::Similarity => crate::syrk::similarity_transform(&job.a, &job.b),
-        })
-        .collect()
-}
-
-/// One launch per size class: row-major operands are read in place, panels
-/// that must be materialized are staged into one contiguous padded buffer
-/// (uniform slot strides, `BatchClass::staging_elems`), and results are
-/// written directly into their final storage and placed back in job-index
-/// order.
+/// Executes a job stream under `mode` — the one executor. Results come
+/// back in job order. Both modes run the same kernels, so they agree value
+/// for value and book the same FLOPs, `linalg.syrk.calls` and symmetry
+/// savings (DESIGN.md §10).
 ///
-/// Padding exists only in the *layout*: every worker computes its job's
-/// real dimensions, so values match [`run_scattered`] exactly and the
-/// stride never inflates FLOPs.
-fn run_packed(jobs: &[BatchJob], stride: usize) -> Vec<DMatrix> {
+/// - `Scattered` runs the jobs serially through the public, counted
+///   kernels (a GEMM past `gemm_auto`'s size rule takes the packed kernel,
+///   bit-identical to the blocked one).
+/// - `Batched` books the plan's `linalg.batch.*` counters and every job's
+///   FLOPs on the dispatching thread (so a `FlopScope` around the phase
+///   sees them whatever rayon does), then runs the uncounted cores in one
+///   ordered parallel map; jobs touch only their own operands and output,
+///   so the bits do not depend on the thread count.
+pub fn execute_jobs(jobs: &[BatchJob], mode: OffloadMode) -> Vec<DMatrix> {
+    let OffloadMode::Batched { stride } = mode else {
+        return jobs.iter().map(|job| run_job(job, COUNTED)).collect();
+    };
     let plan = BatchPlan::build(jobs, stride);
     BATCH_JOBS.add(jobs.len() as u64);
     BATCH_LAUNCHES.add(plan.launch_count() as u64);
     BATCH_LAUNCHES_SAVED.add(jobs.len().saturating_sub(plan.launch_count()) as u64);
     BATCH_SYRK_JOBS.add(jobs.iter().filter(|j| j.kernel != BatchKernel::Gemm).count() as u64);
-    let mut results: Vec<Option<DMatrix>> = vec![None; jobs.len()];
-    for (class, indices) in plan.groups() {
-        let (la, lb, _lc) = class.panel_lens();
-        // FLOPs accounted on the dispatching thread so a FlopScope around
-        // the phase sees them regardless of rayon scheduling.
-        let mut out_elems = 0usize;
-        for &i in indices {
-            account_job(&jobs[i]);
-            let (m, n) = jobs[i].out_shape();
-            out_elems += m * n;
-        }
-        BATCH_PACKED_BYTES.add(8 * ((la + lb) * indices.len() + out_elems) as u64);
-        // One launch per class. Only panels that must be *materialized* —
-        // the transform intermediates and Similarity's transposed A view —
-        // are staged, one contiguous padded slot per job, in a reused
-        // thread-local scratch so hot response cycles do not pay
-        // mmap/page-fault churn per dispatch.
-        // Each worker writes its result straight into the output's backing
-        // storage (real row stride), so results never take a second
-        // staging pass. `with_min_len` keeps tasks coarse so the launch
-        // overhead amortizes over many panels; slots are value-independent,
-        // so the results are the same bits on any number of threads.
-        let staging = class.staging_elems();
-        let min_len = indices.len().div_ceil(LAUNCH_TASKS);
-        let run_slot = |slot: usize, wslot: &mut [f64]| -> DMatrix {
-            let job = &jobs[indices[slot]];
+    let panels: usize = plan
+        .groups()
+        .map(|(class, indices)| {
+            let (la, lb, _) = class.panel_lens();
+            (la + lb) * indices.len()
+        })
+        .sum();
+    let outputs: usize = jobs
+        .iter()
+        .map(|job| {
             let (m, n) = job.out_shape();
-            let mut out = vec![0.0f64; m * n];
-            compute_job(job, wslot, &mut out);
-            DMatrix::from_vec(m, n, out)
-        };
-        let outs: Vec<DMatrix> = if staging == 0 {
-            (0..indices.len())
-                .into_par_iter()
-                .with_min_len(min_len)
-                .map(|slot| run_slot(slot, &mut []))
-                .collect()
-        } else {
-            PACKED_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                let total = staging * indices.len();
-                if scratch.len() < total {
-                    scratch.resize(total, 0.0);
-                }
-                scratch[..total]
-                    .par_chunks_mut(staging)
-                    .enumerate()
-                    .with_min_len(min_len)
-                    .map(|(slot, wslot)| run_slot(slot, wslot))
-                    .collect()
-            })
-        };
-        // Results already carry their final layout; place them back in
-        // job-index order.
-        for (slot, out) in outs.into_iter().enumerate() {
-            results[indices[slot]] = Some(out);
-        }
-    }
-    results.into_iter().map(|r| r.expect("every job belongs to exactly one class")).collect()
+            m * n
+        })
+        .sum();
+    BATCH_PACKED_BYTES.add(8 * (panels + outputs) as u64);
+    jobs.iter().for_each(account_job);
+    (0..jobs.len())
+        .into_par_iter()
+        .with_min_len(jobs.len().div_ceil(LAUNCH_TASKS))
+        .map(|i| run_job(&jobs[i], CORES))
+        .collect()
 }
 
-/// Mirrors the scattered kernels' FLOP/counter accounting for one job:
-/// general-GEMM FLOPs, plus — for the triangle family — the reduced
-/// triangle FLOPs, `linalg.gemm.flops_saved_symmetry` and
-/// `linalg.syrk.calls` booked by `crate::syrk::account_triangle`.
+/// The kernel bodies a job runs on.
+#[derive(Clone, Copy)]
+struct Kernels {
+    gemm: GemmFn,
+    triangle: TriangleFn,
+}
+
+/// The public entries, each booking its own counters.
+const COUNTED: Kernels =
+    Kernels { gemm: gemm::gemm_auto, triangle: crate::syrk::symmetric_product };
+
+/// Their uncounted cores; [`account_job`] books what they execute.
+const CORES: Kernels = Kernels { gemm: gemm::blocked_core, triangle: crate::syrk::triangle_core };
+
+/// One job through `kernels`.
+fn run_job(job: &BatchJob, Kernels { gemm, triangle }: Kernels) -> DMatrix {
+    let (a, b) = (&*job.a, &*job.b);
+    let (m, n) = job.out_shape();
+    match job.kernel {
+        BatchKernel::Gemm => {
+            let mut c = DMatrix::zeros(m, n);
+            gemm(&mut c, a, b, 1.0, 0.0);
+            c
+        }
+        BatchKernel::SymmetricProduct => {
+            let mut c = DMatrix::zeros(m, n);
+            triangle(1.0, a, b, 0.0, &mut c);
+            c
+        }
+        BatchKernel::Congruence => transform(&a.transpose(), a, b, gemm, triangle),
+        BatchKernel::Similarity => transform(a, &a.transpose(), b, gemm, triangle),
+    }
+}
+
+/// What the counted kernels would book for one job, minus the
+/// `linalg.gemm.calls` a batched job does not make: general-GEMM FLOPs,
+/// plus — for the triangle family — the reduced triangle FLOPs,
+/// `linalg.gemm.flops_saved_symmetry` and `linalg.syrk.calls` booked by
+/// `crate::syrk::account_triangle`.
 fn account_job(job: &BatchJob) {
     let (m, n, k) = job.dims();
     if m == 0 || n == 0 {
@@ -441,125 +385,6 @@ fn account_job(job: &BatchJob) {
     crate::flops::add(general);
     if job.kernel != BatchKernel::Gemm {
         crate::syrk::account_triangle(n, k);
-    }
-}
-
-/// One packed-worker computation over the job's *real* dimensions, reading
-/// the row-major operands **in place** and writing straight into `cout` —
-/// the job's zero-initialized `m x n` output storage at real row stride.
-///
-/// The kernels run in *outer-product* order: for each shared index `p`
-/// (ascending) a row update `C[i][i..] += lhs[p,i] * rhs_row_p[i..]` is
-/// applied. Per output entry this accumulates exactly the reference
-/// kernels' ascending-index dot fold (`f64` multiply is bitwise
-/// commutative, and skipping vs adding a `±0.0` product never changes a
-/// non-NaN accumulation started from `+0.0`), so results are
-/// interchangeable with the scattered path — while the innermost loop
-/// writes independent entries and therefore vectorizes without any FP
-/// reassociation.
-///
-/// `wslot` is the job's staging slot ([`BatchClass::staging_elems`] `f64`s):
-/// empty for `Gemm`/`SymmetricProduct`, the transposed transform
-/// intermediate `T' = (A'M)ᵀ` for `Congruence`, and `Aᵀ` plus that
-/// intermediate for `Similarity`.
-fn compute_job(job: &BatchJob, wslot: &mut [f64], cout: &mut [f64]) {
-    let (m, n, k) = job.dims();
-    if m == 0 || n == 0 {
-        return; // empty output; also keeps `chunks_exact_mut(n)` below legal
-    }
-    match job.kernel {
-        BatchKernel::Gemm => {
-            // C = A·B, the gemm_blocked ikj order with its zero-skip.
-            let a = job.a.as_slice();
-            let b = job.b.as_slice();
-            for i in 0..m {
-                let crow = &mut cout[i * n..(i + 1) * n];
-                for p in 0..k {
-                    let aip = a[i * k + p];
-                    if aip == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[p * n..(p + 1) * n];
-                    for (cv, bv) in crow.iter_mut().zip(brow) {
-                        *cv += aip * bv;
-                    }
-                }
-            }
-        }
-        BatchKernel::SymmetricProduct => {
-            // C = AᵀB upper triangle: rank-1 row updates over p, operands
-            // read as contiguous k×n rows with no staging at all.
-            let a = job.a.as_slice();
-            let b = job.b.as_slice();
-            for p in 0..k {
-                let arow = &a[p * n..(p + 1) * n];
-                let brow = &b[p * n..(p + 1) * n];
-                for i in 0..n {
-                    let aip = arow[i];
-                    let crow = &mut cout[i * n + i..(i + 1) * n];
-                    for (cv, bv) in crow.iter_mut().zip(&brow[i..]) {
-                        *cv += aip * bv;
-                    }
-                }
-            }
-            mirror_lower(cout, n);
-        }
-        BatchKernel::Congruence | BatchKernel::Similarity => {
-            // C = VᵀMV for the k×n row view V: A itself for Congruence, the
-            // staged Aᵀ for Similarity (A is n×k), so both passes stream
-            // contiguous rows. Stage T' (k×n) = (VᵀM)ᵀ, i.e.
-            // T'[p][i] = Σ_q M[q,p]·V[q,i] (ascending q, zero-skip on the
-            // M element — the zero-add lemma covers the reference's skip
-            // on A instead), then triangle C[i][j] = Σ_p T'[p,i]·V[p,j].
-            let a = job.a.as_slice();
-            let mmat = job.b.as_slice();
-            let transposed = job.kernel == BatchKernel::Similarity;
-            let (vstage, tstage) = wslot.split_at_mut(if transposed { k * n } else { 0 });
-            for (q, vrow) in vstage.chunks_exact_mut(n).enumerate() {
-                for (i, vv) in vrow.iter_mut().enumerate() {
-                    *vv = a[i * k + q];
-                }
-            }
-            let v: &[f64] = if transposed { vstage } else { a };
-            let tpanel = &mut tstage[..k * n];
-            tpanel.fill(0.0);
-            for q in 0..k {
-                let vrow = &v[q * n..(q + 1) * n];
-                let mrow = &mmat[q * k..(q + 1) * k];
-                for (p, &mqp) in mrow.iter().enumerate() {
-                    if mqp == 0.0 {
-                        continue;
-                    }
-                    let trow = &mut tpanel[p * n..(p + 1) * n];
-                    for (tv, vv) in trow.iter_mut().zip(vrow) {
-                        *tv += mqp * vv;
-                    }
-                }
-            }
-            for p in 0..k {
-                let trow = &tpanel[p * n..(p + 1) * n];
-                let vrow = &v[p * n..(p + 1) * n];
-                for i in 0..n {
-                    let tip = trow[i];
-                    let crow = &mut cout[i * n + i..(i + 1) * n];
-                    for (cv, vv) in crow.iter_mut().zip(&vrow[i..]) {
-                        *cv += tip * vv;
-                    }
-                }
-            }
-            mirror_lower(cout, n);
-        }
-    }
-}
-
-/// Copies the strict upper triangle of the row-major `n x n` slice `c`
-/// into the lower triangle, exactly like the scattered kernels' mirror
-/// pass.
-fn mirror_lower(c: &mut [f64], n: usize) {
-    for i in 0..n {
-        for j in (i + 1)..n {
-            c[j * n + i] = c[i * n + j];
-        }
     }
 }
 
@@ -711,10 +536,9 @@ mod tests {
 
     #[test]
     fn packed_reentrant_under_work_stealing() {
-        // The engine dispatches packed launches from inside a fragment-level
-        // par_iter, so launches with staging (Similarity jobs) run nested on
-        // every thread of the outer call, each on its own thread-local
-        // scratch. Values must still match the scattered reference.
+        // The engine dispatches batched streams from inside a fragment-level
+        // par_iter, so the parallel map runs nested on every thread of the
+        // outer call. Values must still match the scattered reference.
         let make_jobs = |i: usize| -> Vec<BatchJob> {
             (0..8)
                 .map(|j| {

@@ -23,7 +23,8 @@ use crate::matrix::DMatrix;
 /// Every base kernel ([`gemm_naive`], [`gemm_blocked`] and the packed
 /// driver behind [`gemm_packed`]) counts exactly one call; wrappers
 /// ([`dgemm`], [`gemm_auto`], [`matmul`]) delegate to a base kernel, so
-/// nothing is double-counted.
+/// nothing is double-counted. Batched jobs run the uncounted
+/// `blocked_core` and count no call.
 static GEMM_CALLS: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.gemm.calls");
 static GEMV_CALLS: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.gemv.calls");
 /// Packed-panel driver invocations — the metrics gate
@@ -112,6 +113,15 @@ pub fn gemm_blocked(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64, beta:
     }
     GEMM_CALLS.incr();
     crate::flops::add(crate::flops::gemm_flops(m, n, k));
+    blocked_core(c, a, b, alpha, beta);
+}
+
+/// Uncounted body of [`gemm_blocked`]: what batched jobs run for a GEMM
+/// or a transform's first product. The executor books their FLOPs on its
+/// dispatching thread, and they are no `linalg.gemm.calls`.
+pub(crate) fn blocked_core(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64, beta: f64) {
+    let (m, k) = a.shape();
+    let n = b.cols();
     scale_rows(c, beta, 0, m);
     for i0 in (0..m).step_by(BLOCK) {
         let i1 = (i0 + BLOCK).min(m);
@@ -230,10 +240,10 @@ pub fn dgemm(
     packed_entry(c, ta, a, tb, b, alpha, beta);
 }
 
-/// Work-based kernel choice — what [`matmul`], untransposed [`dgemm`] and
-/// scattered job streams run: [`gemm_blocked`] below
-/// `PACKED_WORK_THRESHOLD` (96³) multiply-adds, where packing traffic
-/// would not amortize, [`gemm_packed`] above.
+/// Work-based kernel choice — what [`matmul`], untransposed [`dgemm`],
+/// the transforms' first product and scattered GEMM jobs run:
+/// [`gemm_blocked`] below `PACKED_WORK_THRESHOLD` (96³) multiply-adds,
+/// where packing traffic would not amortize, [`gemm_packed`] above.
 pub fn gemm_auto(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64, beta: f64) {
     if a.rows() * a.cols() * b.cols() < PACKED_WORK_THRESHOLD {
         gemm_blocked(c, a, b, alpha, beta);

@@ -16,13 +16,13 @@
 //!   register-tiled microkernel behind `gemm::gemm_packed`;
 //! - [`batch`] — *batched* dense algebra with stride-32 size classes: one
 //!   kernel-tagged job type (GEMM + the SYRK/congruence family), one plan
-//!   grouping jobs by padded class, one executor running a launch per
-//!   class — the building block of the paper's elastic workload offloading
-//!   (Section V-C);
-//! - [`syrk`] — the symmetric rank-k family (`syrk`, `syr2k`,
-//!   `symmetric_product`, similarity/congruence transforms) behind the
-//!   Section V-D strength reduction: triangle-only compute at half the GEMM
-//!   FLOPs, with the savings pinned in a deterministic counter;
+//!   grouping jobs by padded class, one executor running the same kernels
+//!   as every direct caller in one ordered parallel map — the building
+//!   block of the paper's elastic workload offloading (Section V-C);
+//! - [`syrk`] — the symmetric rank-k family (`syrk`, `symmetric_product`,
+//!   similarity/congruence transforms) behind the Section V-D strength
+//!   reduction: one triangle kernel at half the GEMM FLOPs, with the
+//!   savings pinned in a deterministic counter;
 //! - [`eigen`] — Householder tridiagonalization + implicit-shift QL symmetric
 //!   eigensolver (and a tridiagonal fast path used by the Lanczos/GAGQ
 //!   solver);

@@ -8,36 +8,34 @@
 //! computes only one triangle and mirrors:
 //!
 //! - [`syrk`] — `C = α A Aᵀ + β C` or `C = α Aᵀ A + β C`;
-//! - [`syr2k`] — `C = α (A Bᵀ + B Aᵀ) + β C` (and the transposed form);
 //! - [`symmetric_product`] — `C = α Aᵀ B + β C` for operand pairs whose
 //!   product is symmetric by construction (e.g. `B = diag(w) A`), at half
 //!   the general-GEMM FLOP count;
-//! - [`similarity_transform`] — `A M Aᵀ` for symmetric `M` without
-//!   materializing `Aᵀ`, with a triangle-only second product;
+//! - [`similarity_transform`] — `A M Aᵀ` for symmetric `M`: a general
+//!   first product, then a triangle-only second one;
 //! - [`congruence_transform`] — the `Aᵀ M A` counterpart.
 //!
-//! The last three are what gathered job streams execute in scattered mode.
-//! These dot-order kernels are the reference the packed batch executor
-//! (`crate::batch`) is bit-compared against.
+//! All of them run one triangle kernel over two `k x n` row views `V`, `W`:
+//! `C[i][i..] += α V[p][i] · W[p][i..]` for ascending `p` from a β-scaled
+//! `C`, then the mirror. The batched executor (`crate::batch`) runs the
+//! same kernel and the same transform body, uncounted.
 //!
 //! FLOPs are accounted at the *reduced* count (the work actually done), and
 //! the difference to the general-GEMM count is accumulated in the
 //! deterministic `linalg.gemm.flops_saved_symmetry` counter so the CI
 //! metrics gate can pin that the strength reduction is live.
 //!
-//! Determinism contract: every output entry is a single dot product
-//! accumulated in ascending inner-index order, in both the serial and the
-//! rayon-parallel variant (parallelism is over disjoint output rows). Kernel
-//! selection depends only on operand shapes, so same-seed runs produce
-//! byte-identical results and counter reports.
+//! Determinism contract: every output entry is an ascending-index fold, in
+//! both the serial and the rayon-parallel variant (parallelism is over
+//! disjoint output rows). Kernel selection depends only on operand shapes,
+//! so same-seed runs produce byte-identical results and counter reports.
 
 use crate::gemm::Trans;
 use crate::matrix::DMatrix;
 use rayon::prelude::*;
 
-/// Every triangle-kernel invocation ([`syrk`], [`syr2k`],
-/// [`symmetric_product`], and the second product of the transforms) counts
-/// exactly once.
+/// Every triangle-kernel invocation ([`syrk`], [`symmetric_product`], and
+/// the second product of the transforms) counts exactly once.
 static SYRK_CALLS: qfr_obs::Counter = qfr_obs::Counter::deterministic("linalg.syrk.calls");
 
 /// GEMM FLOPs avoided by exploiting symmetry: the general-GEMM count of the
@@ -50,6 +48,14 @@ static FLOPS_SAVED: qfr_obs::Counter =
 pub fn flops_saved_symmetry() -> u64 {
     FLOPS_SAVED.get()
 }
+
+/// A GEMM body, `C <- α A B + β C`: the counted `crate::gemm::gemm_auto` or
+/// the uncounted `crate::gemm::blocked_core`.
+pub(crate) type GemmFn = fn(&mut DMatrix, &DMatrix, &DMatrix, f64, f64);
+
+/// A triangle body, `C = α Vᵀ W + β C`: the counted [`symmetric_product`]
+/// or the uncounted [`triangle_core`].
+pub(crate) type TriangleFn = fn(f64, &DMatrix, &DMatrix, f64, &mut DMatrix);
 
 /// Symmetric rank-k update, mirroring BLAS `DSYRK`:
 ///
@@ -64,25 +70,13 @@ pub fn flops_saved_symmetry() -> u64 {
 /// # Panics
 /// Panics if `C` is not square or does not match the updated dimension.
 pub fn syrk(trans: Trans, alpha: f64, a: &DMatrix, beta: f64, c: &mut DMatrix) {
-    let rows = rows_of(trans, a);
-    triangle_product_rows(&rows, &rows, alpha, beta, c, PairKind::Single);
-}
-
-/// Symmetric rank-2k update, mirroring BLAS `DSYR2K`:
-///
-/// - `trans == Trans::No`: `C = α (A Bᵀ + B Aᵀ) + β C`, `A`/`B` `n x k`;
-/// - `trans == Trans::Yes`: `C = α (Aᵀ B + Bᵀ A) + β C`, `A`/`B` `k x n`.
-///
-/// Triangle-only compute + mirror; with `β != 0` the input `C` must be
-/// symmetric.
-///
-/// # Panics
-/// Panics on any shape mismatch.
-pub fn syr2k(trans: Trans, alpha: f64, a: &DMatrix, b: &DMatrix, beta: f64, c: &mut DMatrix) {
-    assert_eq!(a.shape(), b.shape(), "syr2k: A and B shapes differ");
-    let ra = rows_of(trans, a);
-    let rb = rows_of(trans, b);
-    triangle_product_rows(&ra, &rb, alpha, beta, c, PairKind::Rank2);
+    // The kernel reads `k x n` row views: `A` itself for `Aᵀ A`, its
+    // transpose (materialized once, O(nk) against O(n²k)) for `A Aᵀ`.
+    let v = match trans {
+        Trans::Yes => std::borrow::Cow::Borrowed(a),
+        Trans::No => std::borrow::Cow::Owned(a.transpose()),
+    };
+    symmetric_product(alpha, &v, &v, beta, c);
 }
 
 /// `C = α Aᵀ B + β C` for operand pairs whose product is *symmetric by
@@ -98,18 +92,14 @@ pub fn syr2k(trans: Trans, alpha: f64, a: &DMatrix, b: &DMatrix, beta: f64, c: &
 /// Panics on shape mismatch. The symmetry of the product itself is the
 /// caller's contract and is not checked (that would cost the FLOPs back).
 pub fn symmetric_product(alpha: f64, a: &DMatrix, b: &DMatrix, beta: f64, c: &mut DMatrix) {
-    assert_eq!(a.shape(), b.shape(), "symmetric_product: A and B shapes differ");
-    let ra = rows_of(Trans::Yes, a);
-    let rb = rows_of(Trans::Yes, b);
-    triangle_product_rows(&ra, &rb, alpha, beta, c, PairKind::Single);
+    triangle_core(alpha, a, b, beta, c);
+    account_triangle(a.cols(), a.rows());
 }
 
 /// `A M Aᵀ` for symmetric `M` — the Löwdin sandwich `L⁻¹ F L⁻ᵀ` and the
 /// MO back-transform `C P_mo Cᵀ` of the DFPT cycle. The first product
-/// `T = A M` is a general GEMM; the second exploits row-major layout
-/// (`(T Aᵀ)[i][j] = T_i · A_j`, both contiguous rows) so `Aᵀ` is never
-/// materialized, and computes only one triangle. The result is exactly
-/// symmetric.
+/// `T = A M` is a general GEMM through `gemm_auto`; the second computes
+/// only one triangle. The result is exactly symmetric.
 ///
 /// # Panics
 /// Panics if `M` is not square or `A.cols() != M.rows()`. Debug builds
@@ -118,112 +108,99 @@ pub fn similarity_transform(a: &DMatrix, m: &DMatrix) -> DMatrix {
     assert!(m.is_square(), "similarity_transform: M must be square");
     assert_eq!(a.cols(), m.rows(), "similarity_transform: A/M mismatch");
     debug_assert!(m.is_symmetric(1e-10), "similarity_transform requires symmetric M");
-    let mut tmp = DMatrix::zeros(a.rows(), m.cols());
-    crate::gemm::gemm_auto(&mut tmp, a, m, 1.0, 0.0);
-    let mut out = DMatrix::zeros(a.rows(), a.rows());
-    triangle_product_rows(&tmp, a, 1.0, 0.0, &mut out, PairKind::Single);
-    out
+    transform(a, &a.transpose(), m, crate::gemm::gemm_auto, symmetric_product)
 }
 
 /// `Aᵀ M A` for symmetric `M` — the MO forward transform `Cᵀ H1 C` of the
-/// response cycle. Implemented as [`similarity_transform`] on the (single)
-/// materialized transpose.
+/// response cycle: [`similarity_transform`]'s body on the `k x n` row view
+/// `A` itself.
 ///
 /// # Panics
 /// Panics if `M` is not square or `A.rows() != M.rows()`.
 pub fn congruence_transform(a: &DMatrix, m: &DMatrix) -> DMatrix {
     assert!(m.is_square(), "congruence_transform: M must be square");
     assert_eq!(a.rows(), m.rows(), "congruence_transform: A/M mismatch");
-    similarity_transform(&a.transpose(), m)
+    transform(&a.transpose(), a, m, crate::gemm::gemm_auto, symmetric_product)
 }
 
-/// Reduced FLOP count of one single-dot triangle product (`n x n` output,
-/// inner dimension `k`): `n(n+1)/2` entries of `2k` FLOPs each.
+/// `Vᵀ M V` for the `k x n` row view `v`, given with its `n x k` transpose
+/// `vt`: the first product `T = Vᵀ M` through `gemm`, then the triangle
+/// pass of `Tᵀ` against `V` through `triangle`. The public transforms pass
+/// the counted entries, batched jobs the uncounted cores.
+pub(crate) fn transform(
+    vt: &DMatrix,
+    v: &DMatrix,
+    m: &DMatrix,
+    gemm: GemmFn,
+    triangle: TriangleFn,
+) -> DMatrix {
+    let mut t = DMatrix::zeros(vt.rows(), m.cols());
+    gemm(&mut t, vt, m, 1.0, 0.0);
+    let mut out = DMatrix::zeros(v.cols(), v.cols());
+    triangle(1.0, &t.transpose(), v, 0.0, &mut out);
+    out
+}
+
+/// Reduced FLOP count of one triangle product (`n x n` output, inner
+/// dimension `k`): `n(n+1)/2` entries of `2k` FLOPs each.
 pub(crate) fn triangle_flops(n: usize, k: usize) -> u64 {
     (n as u64 * (n as u64 + 1)) / 2 * 2 * k as u64
 }
 
-/// Counter/FLOP accounting for one single-dot triangle product (`n x n`
-/// output, inner dimension `k`): bumps `linalg.syrk.calls`, adds the
-/// *reduced* FLOP count, and credits `linalg.gemm.flops_saved_symmetry`.
-/// Shared with `crate::batch`'s packed executor so batched triangle jobs
-/// account identically to the scattered kernels.
+/// Counter/FLOP accounting for one triangle product (`n x n` output, inner
+/// dimension `k`): bumps `linalg.syrk.calls`, adds the *reduced* FLOP
+/// count, and credits `linalg.gemm.flops_saved_symmetry`. An empty output
+/// books nothing. Shared with `crate::batch`, which books batched triangle
+/// jobs here on its dispatching thread.
 pub(crate) fn account_triangle(n: usize, k: usize) {
-    account_triangle_dots(n, k, 1);
-}
-
-fn account_triangle_dots(n: usize, k: usize, dots_per_entry: u64) {
-    SYRK_CALLS.incr();
-    let reduced = dots_per_entry * triangle_flops(n, k);
-    let full = dots_per_entry * crate::flops::gemm_flops(n, n, k);
-    crate::flops::add(reduced);
-    FLOPS_SAVED.add(full - reduced);
-}
-
-/// Whether an entry is one dot product ([`syrk`]/[`symmetric_product`]) or
-/// the rank-2 pair of dots ([`syr2k`]).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PairKind {
-    Single,
-    Rank2,
-}
-
-/// Row-view of the operand that makes every output entry a dot product of
-/// two contiguous rows: the operand itself for `Trans::No`, its transpose
-/// (materialized once, O(nk) traffic against O(n²k) compute) otherwise.
-fn rows_of<'a>(trans: Trans, a: &'a DMatrix) -> std::borrow::Cow<'a, DMatrix> {
-    match trans {
-        Trans::No => std::borrow::Cow::Borrowed(a),
-        Trans::Yes => std::borrow::Cow::Owned(a.transpose()),
+    if n == 0 {
+        return;
     }
+    SYRK_CALLS.incr();
+    let reduced = triangle_flops(n, k);
+    crate::flops::add(reduced);
+    FLOPS_SAVED.add(crate::flops::gemm_flops(n, n, k) - reduced);
 }
 
-/// Shared triangle kernel: `C[i][j] = α f(i, j) + β C[i][j]` for `j >= i`,
-/// mirrored to the lower triangle, where `f` is `Ra_i · Rb_j` (`Single`) or
-/// `Ra_i · Rb_j + Rb_i · Ra_j` (`Rank2`). `Ra`/`Rb` are `n x k` row views.
-fn triangle_product_rows(
-    ra: &DMatrix,
-    rb: &DMatrix,
-    alpha: f64,
-    beta: f64,
-    c: &mut DMatrix,
-    kind: PairKind,
-) {
-    assert_eq!(ra.shape(), rb.shape(), "triangle kernel: row-view shapes differ");
-    let (n, k) = ra.shape();
+/// The one triangle kernel, uncounted: `C = α Vᵀ W + β C` on the upper
+/// triangle for the `k x n` row views `V`, `W`, then the mirror. Rows are
+/// β-scaled, then take `C[i][i..] += (α V[p][i]) · W[p][i..]` for
+/// ascending `p` — the per-entry order of `gemm_naive` on `Vᵀ`, so the
+/// innermost loop writes independent entries and vectorizes without FP
+/// reassociation. Serially the `p` loop is outermost (both row views stream
+/// once, `C` stays in cache); past `PAR_WORK_THRESHOLD` multiply-adds each
+/// row is its own rayon task. Each entry is the same fold either way.
+pub(crate) fn triangle_core(alpha: f64, v: &DMatrix, w: &DMatrix, beta: f64, c: &mut DMatrix) {
+    assert_eq!(v.shape(), w.shape(), "triangle kernel: A and B shapes differ");
+    let (k, n) = v.shape();
     assert!(c.is_square() && c.rows() == n, "triangle kernel: C must be {n}x{n}");
     if n == 0 {
         return;
     }
-    let dots_per_entry = match kind {
-        PairKind::Single => 1,
-        PairKind::Rank2 => 2,
-    };
-    account_triangle_dots(n, k, dots_per_entry);
-
-    let entry = |i: usize, j: usize, old: f64| -> f64 {
-        let mut acc = dot(ra.row(i), rb.row(j));
-        if kind == PairKind::Rank2 {
-            acc += dot(rb.row(i), ra.row(j));
-        }
-        alpha * acc + if beta == 0.0 { 0.0 } else { beta * old }
-    };
-
-    // Triangle work is n(n+1)k/2 multiply-adds; parallelize over the
-    // disjoint output rows past the same threshold the GEMM family uses.
-    let work = n * n * k / 2;
-    if work >= crate::gemm::PAR_WORK_THRESHOLD {
-        c.as_mut_slice().par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
-            for j in i..n {
-                crow[j] = entry(i, j, crow[j]);
+    let (v, w) = (v.as_slice(), w.as_slice());
+    // Rows `i0..` of `C`, held contiguously in `rows`.
+    let fold = |i0: usize, rows: &mut [f64]| {
+        for (i, crow) in (i0..).zip(rows.chunks_mut(n)) {
+            if beta == 0.0 {
+                crow[i..].fill(0.0);
+            } else if beta != 1.0 {
+                crow[i..].iter_mut().for_each(|x| *x *= beta);
             }
-        });
+        }
+        for p in 0..k {
+            let (vrow, wrow) = (&v[p * n..(p + 1) * n], &w[p * n..(p + 1) * n]);
+            for (i, crow) in (i0..).zip(rows.chunks_mut(n)) {
+                let vpi = alpha * vrow[i];
+                for (cv, wv) in crow[i..].iter_mut().zip(&wrow[i..]) {
+                    *cv += vpi * wv;
+                }
+            }
+        }
+    };
+    if n * n * k / 2 >= crate::gemm::PAR_WORK_THRESHOLD {
+        c.as_mut_slice().par_chunks_mut(n).enumerate().for_each(|(i, crow)| fold(i, crow));
     } else {
-        for i in 0..n {
-            for j in i..n {
-                c[(i, j)] = entry(i, j, c[(i, j)]);
-            }
-        }
+        fold(0, c.as_mut_slice());
     }
     // Mirror the computed triangle: exact symmetry by construction.
     for i in 0..n {
@@ -231,11 +208,6 @@ fn triangle_product_rows(
             c[(j, i)] = c[(i, j)];
         }
     }
-}
-
-#[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 #[cfg(test)]
@@ -288,31 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn syr2k_matches_two_gemms() {
-        let a = sample(8, 13, 5);
-        let b = sample(8, 13, 6);
-        let mut c = sym_sample(8, 7);
-        let mut reference = c.clone();
-        syr2k(Trans::No, 1.5, &a, &b, 0.25, &mut c);
-        gemm_naive(&mut reference, &a, &b.transpose(), 1.5, 0.25);
-        gemm_naive(&mut reference, &b, &a.transpose(), 1.5, 1.0);
-        assert!(c.max_abs_diff(&reference) < 1e-11);
-        assert!(c.is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn syr2k_yes_matches_two_gemms() {
-        let a = sample(17, 6, 8);
-        let b = sample(17, 6, 9);
-        let mut c = DMatrix::zeros(6, 6);
-        syr2k(Trans::Yes, 1.0, &a, &b, 0.0, &mut c);
-        let mut reference = DMatrix::zeros(6, 6);
-        gemm_naive(&mut reference, &a.transpose(), &b, 1.0, 0.0);
-        gemm_naive(&mut reference, &b.transpose(), &a, 1.0, 1.0);
-        assert!(c.max_abs_diff(&reference) < 1e-11);
-    }
-
-    #[test]
     fn symmetric_product_weighted_overlap() {
         // The caller contract case: A = diag(w) B makes AᵀB symmetric.
         let b = sample(19, 8, 10);
@@ -347,7 +294,7 @@ mod tests {
     #[test]
     fn parallel_path_matches_serial_values() {
         // Large enough to cross PAR_WORK_THRESHOLD; the parallel rows must
-        // produce the same dot products the serial loop would.
+        // produce the same folds the serial loop would.
         let a = sample(180, 160, 15);
         let mut c = DMatrix::zeros(180, 180);
         syrk(Trans::No, 1.0, &a, 0.0, &mut c);

@@ -35,6 +35,24 @@ fn symmetric_strategy(max_dim: usize) -> impl Strategy<Value = DMatrix> {
     })
 }
 
+/// Whether the upper triangles of `a` and `b` hold the same bits.
+fn upper_bits_equal(a: &DMatrix, b: &DMatrix) -> bool {
+    a.shape() == b.shape()
+        && (0..a.rows()).all(|i| (i..a.cols()).all(|j| a[(i, j)].to_bits() == b[(i, j)].to_bits()))
+}
+
+/// A deterministic `rows x cols` matrix with entries in `[-1, 1)`.
+fn lcg_matrix(rows: usize, cols: usize, seed: u64) -> DMatrix {
+    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+    DMatrix::from_fn(rows, cols, |_, _| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+    })
+}
+
+/// Runs `syrk_matches_gemm_naive`'s fixed parallel-row case once per process.
+static PARALLEL_ROWS_CASE: std::sync::Once = std::sync::Once::new();
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -243,25 +261,28 @@ proptest! {
         let mut ref_t = DMatrix::zeros(m, m);
         gemm::gemm_naive(&mut ref_t, &a.transpose(), &a, alpha, 0.0);
         prop_assert!(ct.max_abs_diff(&ref_t) < 1e-9);
-    }
 
-    #[test]
-    fn syr2k_matches_gemm_naive(a in matrix_strategy(20), alpha in -3.0..3.0f64, seed in 0u64..500) {
-        let (n, k) = a.shape();
-        let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(7);
-        let mut gen = move || {
-            state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let b = DMatrix::from_fn(n, k, |_, _| gen());
-        // C = alpha (A B^T + B A^T): reference via two naive GEMMs.
-        let mut reference = DMatrix::zeros(n, n);
-        gemm::gemm_naive(&mut reference, &a, &b.transpose(), alpha, 0.0);
-        gemm::gemm_naive(&mut reference, &b, &a.transpose(), alpha, 1.0);
-        let mut fast = DMatrix::zeros(n, n);
-        syrk::syr2k(Trans::No, alpha, &a, &b, 0.0, &mut fast);
-        prop_assert!(fast.max_abs_diff(&reference) < 1e-9);
-        prop_assert!(fast.is_symmetric(0.0));
+        // At α = 1, β = 0 both orientations are gemm_naive's upper
+        // triangle bit for bit.
+        for (trans, op) in [(Trans::No, a.clone()), (Trans::Yes, a.transpose())] {
+            let mut bits = DMatrix::zeros(op.rows(), op.rows());
+            syrk::syrk(trans, 1.0, &a, 0.0, &mut bits);
+            let mut naive = bits.clone();
+            gemm::gemm_naive(&mut naive, &op, &op.transpose(), 1.0, 0.0);
+            prop_assert!(upper_bits_equal(&bits, &naive));
+        }
+
+        // One fixed case with n²k/2 past the kernel's parallel-row
+        // threshold (64³·8 multiply-adds), so the rayon row path is held
+        // to the same bits.
+        PARALLEL_ROWS_CASE.call_once(|| {
+            let big = lcg_matrix(160, 200, 19);
+            let mut bits = DMatrix::zeros(160, 160);
+            syrk::syrk(Trans::No, 1.0, &big, 0.0, &mut bits);
+            let mut naive = bits.clone();
+            gemm::gemm_naive(&mut naive, &big, &big.transpose(), 1.0, 0.0);
+            assert!(upper_bits_equal(&bits, &naive), "parallel triangle rows differ from gemm_naive");
+        });
     }
 
     #[test]
@@ -282,6 +303,10 @@ proptest! {
         let fast = syrk::similarity_transform(&a, &m);
         prop_assert!(fast.max_abs_diff(&reference) < 1e-9);
         prop_assert!(fast.is_symmetric(0.0));
+        // With the first product also gemm_naive's, both transforms are the
+        // reference's upper triangle bit for bit (`(Aᵀ)ᵀ M Aᵀ` is `A M Aᵀ`).
+        prop_assert!(upper_bits_equal(&fast, &reference));
+        prop_assert!(upper_bits_equal(&syrk::congruence_transform(&a.transpose(), &m), &reference));
     }
 
     #[test]
@@ -302,6 +327,10 @@ proptest! {
         syrk::symmetric_product(alpha, &a, &b, 0.0, &mut fast);
         prop_assert!(fast.max_abs_diff(&reference) < 1e-9);
         prop_assert!(fast.is_symmetric(0.0));
+        let mut naive = DMatrix::zeros(n, n);
+        gemm::gemm_naive(&mut naive, &a.transpose(), &b, 1.0, 0.0);
+        syrk::symmetric_product(1.0, &a, &b, 0.0, &mut fast);
+        prop_assert!(upper_bits_equal(&fast, &naive));
     }
 
     #[test]
