@@ -1,15 +1,17 @@
 //! The staged QF-RAMAN pipeline shared by [`crate::RamanWorkflow::execute`]
-//! and [`crate::SpectrumService`]: `prepare` (decompose + validate) →
+//! and [`crate::SpectrumService`]: `prepare` (validate + decompose) →
 //! `responses` → `operator` → `solve` → `finish`. What the responses and
 //! operator stages do belongs to the caller (they are the two axes of
-//! [`crate::RunPlan`]; the service's pool drain rounds are one more
-//! response executor); everything every run shares lives here exactly once.
+//! [`crate::RunPlan`]; the service's per-request pool jobs are one more
+//! response executor); everything every run shares, down to fetching one
+//! fragment's response ([`response`]), lives here exactly once.
 
 use crate::report::{RamanResult, RecoverySummary, StageTimings};
 use crate::workflow::{EngineKind, ResponseSource, WorkflowError};
+use qfr_cache::{FragmentCache, HitKind};
 use qfr_fragment::{
     Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentResponse,
-    MassWeighted, RowRangeAccumulator,
+    FragmentStructure, MassWeighted, RowRangeAccumulator,
 };
 use qfr_geom::{BondAdjacency, MolecularSystem};
 use qfr_linalg::sparse::MatVec;
@@ -62,28 +64,21 @@ pub(crate) struct Pipeline<'a> {
     timings: StageTimings,
 }
 
-fn validate(
-    system: &MolecularSystem,
-    engine: EngineKind,
-    decomposition: &Decomposition,
-) -> Result<(), WorkflowError> {
-    if system.n_atoms() == 0 {
-        return Err(WorkflowError::EmptySystem);
-    }
-    let errs = system.validate();
-    if !errs.is_empty() {
-        return Err(WorkflowError::InvalidSystem(errs));
-    }
-    if engine == EngineKind::ModelDfpt {
-        let largest = decomposition.jobs.iter().map(|j| j.size()).max().unwrap_or(0);
-        if largest > DFPT_FRAGMENT_CAP {
-            return Err(WorkflowError::DfptTooLarge {
-                largest_fragment: largest,
-                cap: DFPT_FRAGMENT_CAP,
-            });
+/// One fragment's response and whether the cache served it: from `cache`
+/// when there is one (computing and inserting on a miss), from the engine
+/// otherwise. Exact hits are bit-identical to a fresh compute.
+pub(crate) fn response(
+    cache: Option<&FragmentCache>,
+    engine: &dyn FragmentEngine,
+    frag: &FragmentStructure,
+) -> (FragmentResponse, bool) {
+    match cache {
+        Some(cache) => {
+            let (resp, kind) = cache.get_or_compute(frag, || engine.compute(frag));
+            ((*resp).clone(), kind != HitKind::Miss)
         }
+        None => (engine.compute(frag), false),
     }
-    Ok(())
 }
 
 /// The one executor switch: runs `work(item.id)` for every item on the
@@ -134,8 +129,10 @@ pub(crate) fn recovery_summary(
 }
 
 impl<'a> Pipeline<'a> {
-    /// Stage 1: decompose the system, index its bonds for the per-job
-    /// extractions of stage 2, and validate it against the engine.
+    /// Stage 1: check the system, decompose it, index its bonds for the
+    /// per-job extractions of stage 2, and check the fragments against the
+    /// engine. The system checks come first: decomposing a corrupted
+    /// geometry (a non-finite coordinate) would panic.
     pub(crate) fn prepare(
         stages: &'static Stages,
         system: &'a MolecularSystem,
@@ -143,12 +140,27 @@ impl<'a> Pipeline<'a> {
         engine: EngineKind,
         raman: &'a RamanOptions,
     ) -> Result<(Self, Decomposition, BondAdjacency), WorkflowError> {
+        if system.n_atoms() == 0 {
+            return Err(WorkflowError::EmptySystem);
+        }
+        let errs = system.validate();
+        if !errs.is_empty() {
+            return Err(WorkflowError::InvalidSystem(errs));
+        }
         let mut timings = StageTimings::default();
         let ((decomposition, adjacency), dt) = qfr_obs::timed(stages.decompose, || {
             (Decomposition::new(system, params), BondAdjacency::new(system))
         });
         timings.decompose_s = dt;
-        validate(system, engine, &decomposition)?;
+        if engine == EngineKind::ModelDfpt {
+            let largest = decomposition.jobs.iter().map(|j| j.size()).max().unwrap_or(0);
+            if largest > DFPT_FRAGMENT_CAP {
+                return Err(WorkflowError::DfptTooLarge {
+                    largest_fragment: largest,
+                    cap: DFPT_FRAGMENT_CAP,
+                });
+            }
+        }
         Ok((Self { stages, system, raman, timings }, decomposition, adjacency))
     }
 

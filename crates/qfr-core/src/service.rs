@@ -11,13 +11,11 @@
 //! - one [`FragmentCache`] — a fragment computed for any request is served
 //!   from memory to every other request with the same exact geometry key
 //!   (bit-identical responses, so results never depend on *which* request
-//!   computed a fragment first);
-//! - a shared pending queue with **cross-request batching**: pool workers
-//!   drain rounds of up to [`ServiceConfig::batch_window`] fragments that
-//!   freely mix requests, so overlapping requests fill rounds that a
-//!   single small request could not (and, under the model-DFPT engine,
-//!   each fragment's dense algebra rides the existing kernel-tagged
-//!   `BatchJob` batched dispatch inside the engine).
+//!   computed a fragment first).
+//!
+//! Each request's coordinator thread splits its own fragments into pool
+//! jobs of [`ServiceConfig::batch_window`] fragments, in job order, and
+//! collects their responses over one channel that belongs to the request.
 //!
 //! Admission control is deliberately simple: at most
 //! [`ServiceConfig::max_active`] requests compute at once, at most
@@ -25,27 +23,31 @@
 //! rejected *at submission* with [`ServiceError::Saturated`] — the caller
 //! sheds load instead of the service buffering unboundedly.
 //!
-//! Isolation contract: requests share only the cache and the pool. Each
-//! request assembles its spectrum exclusively from its own per-slot
-//! responses (written by index into a per-request slot table), so
-//! concurrent requests cannot bleed results into each other; the
+//! Isolation contract: requests share only the cache and the pool. A
+//! request's responses arrive only on its own channel, each tagged with its
+//! index, so concurrent requests cannot bleed results into each other; the
 //! no-bleed test pins this by checking service results bit-identical to
 //! solo runs.
+//!
+//! Failure contract: a panic fails only its own request. A fragment
+//! compute that panics ends its pool job (the pool survives) and drops the
+//! job's sender; a panicking coordinator ends its thread. Either way the
+//! request's [`RequestHandle::wait`] returns [`ServiceError::Lost`], and its
+//! admission slot is given back.
 
 use crate::pipeline::{self, Pipeline, SERVICE};
 use crate::report::{RamanResult, RecoverySummary};
 use crate::workflow::{EngineKind, WorkflowError};
-use qfr_cache::{FragmentCache, HitKind};
-use qfr_fragment::{DecompositionParams, FragmentEngine, FragmentResponse, FragmentStructure};
+use qfr_cache::FragmentCache;
+use qfr_fragment::{DecompositionParams, FragmentEngine};
 use qfr_geom::MolecularSystem;
 use qfr_solver::RamanOptions;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 // Accepted requests and enqueued fragments are pure functions of the
 // submitted workload (when nothing is rejected), so they sit in the
-// deterministic CI gate; rejections, peak concurrency and round counts
+// deterministic CI gate; rejections, peak concurrency and pool job counts
 // depend on request overlap and stay timing-sensitive.
 static REQUESTS: qfr_obs::Counter = qfr_obs::Counter::deterministic("service.requests");
 static FRAGMENTS: qfr_obs::Counter = qfr_obs::Counter::deterministic("service.fragments");
@@ -102,7 +104,7 @@ pub struct ServiceConfig {
     /// Admitted-but-waiting requests beyond `max_active`; past this,
     /// submission returns [`ServiceError::Saturated`].
     pub max_queued: usize,
-    /// Fragments per cross-request dispatch round.
+    /// Fragments per pool job of one request.
     pub batch_window: usize,
     /// Per-fragment engine shared by all requests.
     pub engine: EngineKind,
@@ -151,8 +153,7 @@ pub enum ServiceError {
     },
     /// The request's workflow failed validation.
     Workflow(WorkflowError),
-    /// The serving thread disappeared without a result (a bug or a
-    /// panicked engine).
+    /// A fragment compute or the coordinator panicked.
     Lost,
 }
 
@@ -163,7 +164,9 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "service saturated: {in_flight} in flight, capacity {capacity}")
             }
             ServiceError::Workflow(e) => write!(f, "workflow error: {e}"),
-            ServiceError::Lost => write!(f, "request lost: serving thread died"),
+            ServiceError::Lost => {
+                write!(f, "request lost: a fragment compute or its coordinator panicked")
+            }
         }
     }
 }
@@ -193,29 +196,6 @@ impl RequestHandle {
     }
 }
 
-/// Per-request result table the dispatch rounds write into. Slots are
-/// written by index, each exactly once, so no other request's responses
-/// can land here.
-struct RequestSlots {
-    state: Mutex<SlotState>,
-    done_cv: Condvar,
-    /// Cache hits attributed to this request.
-    hits: AtomicU64,
-}
-
-struct SlotState {
-    responses: Vec<Option<FragmentResponse>>,
-    remaining: usize,
-}
-
-/// One fragment awaiting compute: the geometry plus where its response
-/// goes.
-struct PendingItem {
-    frag: FragmentStructure,
-    out: Arc<RequestSlots>,
-    index: usize,
-}
-
 struct Admission {
     /// Admitted, not yet finished (computing + waiting).
     in_flight: usize,
@@ -223,12 +203,39 @@ struct Admission {
     running: usize,
 }
 
+/// A request's claim on a running slot, taken once one is free: dropping
+/// it gives back the running slot and the admitted one, also when the
+/// coordinator panics.
+struct Admitted<'a>(&'a ServiceInner);
+
+impl<'a> Admitted<'a> {
+    /// Waits for a running slot; admitted requests beyond `max_active`
+    /// wait here.
+    fn wait(inner: &'a ServiceInner) -> Self {
+        let mut adm = inner.admission();
+        while adm.running >= inner.config.max_active {
+            adm = inner.admission_cv.wait(adm).unwrap_or_else(PoisonError::into_inner);
+        }
+        adm.running += 1;
+        Self(inner)
+    }
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        let mut adm = self.0.admission();
+        adm.running -= 1;
+        adm.in_flight -= 1;
+        drop(adm);
+        self.0.admission_cv.notify_all();
+    }
+}
+
 struct ServiceInner {
     config: ServiceConfig,
     cache: Arc<FragmentCache>,
-    engine: Box<dyn FragmentEngine + Send + Sync>,
+    engine: Arc<dyn FragmentEngine + Send + Sync>,
     pool: qfr_sched::WorkerPool,
-    pending: Mutex<VecDeque<PendingItem>>,
     admission: Mutex<Admission>,
     admission_cv: Condvar,
     next_id: AtomicU64,
@@ -259,7 +266,7 @@ impl SpectrumService {
             .cache
             .clone()
             .unwrap_or_else(|| Arc::new(FragmentCache::with_capacity(256 << 20)));
-        let engine = pipeline::make_engine(config.engine);
+        let engine = Arc::from(pipeline::make_engine(config.engine));
         let pool = qfr_sched::WorkerPool::new(config.workers);
         Self {
             inner: Arc::new(ServiceInner {
@@ -267,7 +274,6 @@ impl SpectrumService {
                 cache,
                 engine,
                 pool,
-                pending: Mutex::new(VecDeque::new()),
                 admission: Mutex::new(Admission { in_flight: 0, running: 0 }),
                 admission_cv: Condvar::new(),
                 next_id: AtomicU64::new(0),
@@ -284,7 +290,7 @@ impl SpectrumService {
 
     /// Requests admitted and not yet finished.
     pub fn in_flight(&self) -> usize {
-        self.inner.admission.lock().expect("admission poisoned").in_flight
+        self.inner.admission().in_flight
     }
 
     /// Submits a request. Returns immediately: either a handle to wait
@@ -292,7 +298,7 @@ impl SpectrumService {
     pub fn submit(&self, request: SpectrumRequest) -> Result<RequestHandle, ServiceError> {
         let capacity = self.inner.config.max_active + self.inner.config.max_queued;
         {
-            let mut adm = self.inner.admission.lock().expect("admission poisoned");
+            let mut adm = self.inner.admission();
             if adm.in_flight >= capacity {
                 REJECTED.incr();
                 return Err(ServiceError::Saturated { in_flight: adm.in_flight, capacity });
@@ -306,26 +312,10 @@ impl SpectrumService {
         let coordinator = std::thread::Builder::new()
             .name(format!("qfr-serve-{id}"))
             .spawn(move || {
-                // Hold a running slot while computing; admitted requests
-                // beyond `max_active` wait here.
-                {
-                    let mut adm = inner.admission.lock().expect("admission poisoned");
-                    while adm.running >= inner.config.max_active {
-                        adm = inner.admission_cv.wait(adm).expect("admission poisoned");
-                    }
-                    adm.running += 1;
-                }
-                let result = ServiceInner::serve(&inner, request);
-                // Release the admission slots *before* publishing the
-                // result, so a caller who saw its request finish also
-                // sees the capacity freed.
-                {
-                    let mut adm = inner.admission.lock().expect("admission poisoned");
-                    adm.running -= 1;
-                    adm.in_flight -= 1;
-                }
-                inner.admission_cv.notify_all();
-                result
+                // The guard drops before the result is joined, so a caller
+                // who saw its request finish also sees the capacity freed.
+                let _admitted = Admitted::wait(&inner);
+                inner.serve(request)
             })
             .expect("spawn request coordinator");
         Ok(RequestHandle { id, coordinator })
@@ -333,89 +323,60 @@ impl SpectrumService {
 }
 
 impl ServiceInner {
+    /// The admission state. It stays usable after a panic elsewhere: no
+    /// code panics while holding the lock, so the state is never torn.
+    fn admission(&self) -> MutexGuard<'_, Admission> {
+        self.admission.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Serves one request end to end on its coordinator thread: the shared
-    /// pipeline stages, with the pool's drain rounds as the response
-    /// executor — coordinators block on their slots without starving the
-    /// pool.
-    fn serve(inner: &Arc<Self>, request: SpectrumRequest) -> Result<RamanResult, ServiceError> {
+    /// pipeline stages, with this request's pool jobs as the response
+    /// executor — the coordinator blocks on its channel without holding a
+    /// pool worker.
+    fn serve(&self, request: SpectrumRequest) -> Result<RamanResult, ServiceError> {
         let SpectrumRequest { system, params, raman } = &request;
         let (mut pipeline, decomposition, adjacency) =
-            Pipeline::prepare(&SERVICE, system, *params, inner.config.engine, raman)
+            Pipeline::prepare(&SERVICE, system, *params, self.config.engine, raman)
                 .map_err(ServiceError::Workflow)?;
         let jobs = &decomposition.jobs;
         FRAGMENTS.add(jobs.len() as u64);
 
         let (slots, cache_hits) = pipeline.responses(|| {
-            let out = Arc::new(RequestSlots {
-                state: Mutex::new(SlotState {
-                    responses: vec![None; jobs.len()],
-                    remaining: jobs.len(),
-                }),
-                done_cv: Condvar::new(),
-                hits: AtomicU64::new(0),
-            });
-            // Enqueue every fragment, then submit enough drain rounds to
-            // cover them. A round takes up to `batch_window` items from the
-            // *front* of the shared queue, so overlapping requests mix into
-            // common rounds (cross-request batching); cumulative round
-            // capacity covers every enqueued item, so none is stranded.
-            {
-                let mut pending = inner.pending.lock().expect("pending poisoned");
-                for (index, job) in jobs.iter().enumerate() {
-                    pending.push_back(PendingItem {
-                        frag: job.structure_with(system, &adjacency),
-                        out: Arc::clone(&out),
-                        index,
-                    });
-                }
-            }
-            let window = inner.config.batch_window.max(1);
+            // One pool job per window of this request's fragments, in job
+            // order; each sends `(index, response, hit)` per fragment.
+            let (tx, rx) = mpsc::channel();
+            let window = self.config.batch_window.max(1);
+            let mut frags =
+                jobs.iter().map(|job| job.structure_with(system, &adjacency)).enumerate();
             for _ in 0..jobs.len().div_ceil(window) {
-                let worker = Arc::clone(inner);
-                inner.pool.submit(move || worker.drain_round());
+                let batch: Vec<_> = frags.by_ref().take(window).collect();
+                let (cache, engine, tx) =
+                    (Arc::clone(&self.cache), Arc::clone(&self.engine), tx.clone());
+                self.pool.submit(move || {
+                    BATCH_ROUNDS.incr();
+                    for (index, frag) in batch {
+                        let (resp, hit) = pipeline::response(Some(&cache), &*engine, &frag);
+                        let _ = tx.send((index, resp, hit));
+                    }
+                });
             }
-            // Wait for this request's slots; rounds for other requests keep
-            // flowing on the pool meanwhile.
-            let mut st = out.state.lock().expect("slots poisoned");
-            while st.remaining > 0 {
-                st = out.done_cv.wait(st).expect("slots poisoned");
+            drop(tx);
+            // Exactly one message per fragment; every sender gone before
+            // that means a job panicked.
+            let mut slots = vec![None; jobs.len()];
+            let mut hits = 0;
+            for _ in 0..jobs.len() {
+                let (index, resp, hit) = rx.recv().map_err(|_| ServiceError::Lost)?;
+                slots[index] = Some(resp);
+                hits += u64::from(hit);
             }
-            (std::mem::take(&mut st.responses), out.hits.load(Ordering::Relaxed))
-        });
+            Ok((slots, hits))
+        })?;
 
         let mw = pipeline.assemble_in_core(jobs, slots);
         let spectra = pipeline.solve(&mw.hessian, None, &mw.dalpha, &mw.dmu);
         let recovery = RecoverySummary { cache_hits, ..RecoverySummary::default() };
-        let engine = inner.engine.as_ref();
-        Ok(pipeline.finish(spectra, decomposition, mw.hessian.nnz(), engine, Some(recovery)))
-    }
-
-    /// One cross-request dispatch round: take up to `batch_window`
-    /// pending fragments — from any mix of requests — and resolve each
-    /// through the shared cache, computing on a miss.
-    fn drain_round(&self) {
-        let batch: Vec<PendingItem> = {
-            let mut pending = self.pending.lock().expect("pending poisoned");
-            let take = pending.len().min(self.config.batch_window.max(1));
-            pending.drain(..take).collect()
-        };
-        if batch.is_empty() {
-            return;
-        }
-        BATCH_ROUNDS.incr();
-        for item in batch {
-            let (resp, kind) =
-                self.cache.get_or_compute(&item.frag, || self.engine.compute(&item.frag));
-            if kind != HitKind::Miss {
-                item.out.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            let mut st = item.out.state.lock().expect("slots poisoned");
-            st.responses[item.index] = Some((*resp).clone());
-            st.remaining -= 1;
-            if st.remaining == 0 {
-                item.out.done_cv.notify_all();
-            }
-        }
+        Ok(pipeline.finish(spectra, decomposition, mw.hessian.nnz(), &*self.engine, Some(recovery)))
     }
 }
 
@@ -424,6 +385,17 @@ mod tests {
     use super::*;
     use crate::RamanWorkflow;
     use qfr_geom::{ProteinBuilder, WaterBoxBuilder};
+    use std::time::Duration;
+
+    /// `handle.wait()` behind a watchdog, so a request that never finishes
+    /// fails its test instead of hanging the suite.
+    fn wait_within(handle: RequestHandle) -> Result<RamanResult, ServiceError> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(handle.wait());
+        });
+        rx.recv_timeout(Duration::from_secs(300)).expect("request still running at the watchdog")
+    }
 
     #[test]
     fn concurrent_requests_do_not_bleed() {
@@ -444,7 +416,7 @@ mod tests {
         let service = SpectrumService::new(ServiceConfig {
             workers: 4,
             max_active: 3,
-            batch_window: 8, // small window forces many mixed rounds
+            batch_window: 8, // small window: many pool jobs per request, interleaved
             ..ServiceConfig::default()
         });
         let handles: Vec<_> = systems
@@ -530,5 +502,71 @@ mod tests {
         let served = service.submit(SpectrumRequest::new(system)).unwrap().wait().unwrap();
         assert_eq!(served.recovery.unwrap().cache_hits as usize, batch.stats.n_jobs);
         assert_eq!(served.spectrum.intensities, batch.spectrum.intensities);
+    }
+
+    #[test]
+    fn panicking_fragment_compute_fails_only_its_request() {
+        // Two coincident waters: the dimer's overlap matrix is singular, so
+        // the model-DFPT engine panics on a pool thread.
+        let mut broken = WaterBoxBuilder::new(2).seed(3).build();
+        for k in 0..3 {
+            broken.atoms[3 + k].position = broken.atoms[k].position;
+        }
+        let service = SpectrumService::new(ServiceConfig {
+            workers: 2,
+            engine: EngineKind::ModelDfpt,
+            ..ServiceConfig::default()
+        });
+        let lost = wait_within(service.submit(SpectrumRequest::new(broken)).unwrap());
+        assert!(matches!(lost, Err(ServiceError::Lost)), "expected Lost, got {lost:?}");
+        assert_eq!(service.in_flight(), 0, "the failed request gave back its admission");
+
+        let healthy = WaterBoxBuilder::new(1).seed(4).build();
+        let solo = RamanWorkflow::new(healthy.clone()).engine(EngineKind::ModelDfpt).run().unwrap();
+        let served = wait_within(service.submit(SpectrumRequest::new(healthy)).unwrap()).unwrap();
+        assert_eq!(served.spectrum.intensities, solo.spectrum.intensities);
+        assert_eq!(served.ir.intensities, solo.ir.intensities);
+    }
+
+    #[test]
+    fn panicking_coordinator_gives_back_its_admission_slot() {
+        // Residue 2's carbonyl C on top of residue 3's N: capping the cut
+        // peptide bond has no direction, and decomposition panics on the
+        // coordinator.
+        let mut protein = ProteinBuilder::new(6).seed(1).build();
+        let (c, n) = (protein.residues[2].c_idx, protein.residues[3].n_idx);
+        protein.atoms[c].position = protein.atoms[n].position;
+        let service = SpectrumService::new(ServiceConfig {
+            workers: 2,
+            max_active: 1,
+            max_queued: 0,
+            ..ServiceConfig::default()
+        });
+        let lost = wait_within(service.submit(SpectrumRequest::new(protein)).unwrap());
+        assert!(matches!(lost, Err(ServiceError::Lost)), "expected Lost, got {lost:?}");
+        let next = service
+            .submit(SpectrumRequest::new(WaterBoxBuilder::new(4).seed(5).build()))
+            .expect("the panicked request's slot is free again");
+        assert!(wait_within(next).is_ok());
+    }
+
+    #[test]
+    fn non_finite_coordinates_are_invalid_on_both_front_ends() {
+        let service = SpectrumService::new(ServiceConfig::default());
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut system = WaterBoxBuilder::new(4).seed(6).build();
+            system.atoms[4].position.y = bad;
+            match RamanWorkflow::new(system.clone()).run() {
+                Err(WorkflowError::InvalidSystem(errs)) => {
+                    assert!(errs.iter().any(|e| e.starts_with("atom 4 has non-finite")), "{errs:?}")
+                }
+                other => panic!("{bad}: expected InvalidSystem from run(), got {other:?}"),
+            }
+            let served = wait_within(service.submit(SpectrumRequest::new(system)).unwrap());
+            assert!(
+                matches!(served, Err(ServiceError::Workflow(WorkflowError::InvalidSystem(_)))),
+                "{bad}: expected InvalidSystem from the service, got {served:?}"
+            );
+        }
     }
 }

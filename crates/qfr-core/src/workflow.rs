@@ -6,7 +6,7 @@ use crate::checkpoint::{load_partial, save_partial, CheckpointError};
 use crate::pipeline::{self, dispatch, Pipeline, WORKFLOW};
 use crate::report::{RamanResult, RecoverySummary};
 use crate::shard::{self, ShardPlan, ShardStore};
-use qfr_cache::{FragmentCache, HitKind};
+use qfr_cache::FragmentCache;
 use qfr_fragment::{
     Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentResponse,
 };
@@ -366,21 +366,15 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    /// One fragment response: from the attached cache (counting a hit)
-    /// when it has one, from the engine otherwise. Exact hits are
-    /// bit-identical to a fresh compute.
+    /// One fragment response through [`pipeline::response`], counting
+    /// cache hits.
     fn response(&self, job: &FragmentJob) -> FragmentResponse {
         let frag = job.structure_with(&self.workflow.system, self.adjacency);
-        match &self.workflow.cache {
-            Some(cache) => {
-                let (resp, kind) = cache.get_or_compute(&frag, || self.engine.compute(&frag));
-                if kind != HitKind::Miss {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                }
-                (*resp).clone()
-            }
-            None => self.engine.compute(&frag),
+        let (resp, hit) = pipeline::response(self.workflow.cache.as_deref(), self.engine, &frag);
+        if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
+        resp
     }
 
     fn cache_hits(&self) -> u64 {

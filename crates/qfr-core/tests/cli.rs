@@ -139,3 +139,42 @@ fn unloadable_checkpoint_exits_1_and_is_left_untouched() {
     assert_eq!(std::fs::read(&checkpoint).expect("reread"), garbage, "checkpoint overwritten");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `qfr serve` runs every request to completion: two variants, each asked
+/// for twice. The shared cache computes each fragment of a variant once, so
+/// the two requests of a variant report `N` cache hits between them (which
+/// request computes a fragment depends on timing) and the same spectrum.
+#[test]
+fn serve_completes_and_repeats_hit_the_cache() {
+    let out =
+        qfr(&["serve", "--waters", "8", "--requests", "4", "--distinct", "2", "--lanczos", "40"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // "request  2: done — <summary>, 0.02s total (23 of 23 fragments from cache)"
+    let done: Vec<(usize, String, usize, usize)> = stdout
+        .lines()
+        .filter_map(|line| {
+            let (head, rest) = line.split_once(": done — ")?;
+            let id = head.trim_start_matches("request").trim().parse().expect("request id");
+            let (summary, cache) = rest.rsplit_once(" (").expect("cache note");
+            let spectrum = summary.rsplit_once(", ").expect("timing").0.to_owned();
+            let counts = cache.strip_suffix(" fragments from cache)").expect("cache note");
+            let (hits, n) = counts.split_once(" of ").expect("hits of n");
+            Some((id, spectrum, hits.parse().expect("hits"), n.parse().expect("n")))
+        })
+        .collect();
+    assert_eq!(done.len(), 4, "four done lines expected in: {stdout}");
+    for variant in 0..2 {
+        let pair: Vec<_> = done.iter().filter(|(id, ..)| id % 2 == variant).collect();
+        let [(_, spectrum_a, hits_a, n_a), (_, spectrum_b, hits_b, n_b)] = pair[..] else {
+            panic!("variant {variant}: expected two requests in: {stdout}");
+        };
+        assert_eq!(n_a, n_b, "variant {variant}: fragment counts differ");
+        assert_eq!(hits_a + hits_b, *n_a, "variant {variant}: each fragment computed once");
+        assert_eq!(spectrum_a, spectrum_b, "variant {variant}: repeat served a different spectrum");
+    }
+}

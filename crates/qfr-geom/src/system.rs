@@ -198,12 +198,22 @@ impl MolecularSystem {
 
     /// Sanity checks: bond indices in range, no self-bonds, residue spans
     /// contiguous and forming a prefix of the covalent (non-water) block,
-    /// water block 3 atoms per molecule with O-H-H element pattern.
-    /// Covalent atoms after the residue spans (ligands, polymer chains)
-    /// are allowed. Returns a list of violations (empty = valid).
+    /// water block 3 atoms per molecule with O-H-H element pattern, every
+    /// coordinate finite. Covalent atoms after the residue spans (ligands,
+    /// polymer chains) are allowed. Returns a list of violations (empty =
+    /// valid).
     pub fn validate(&self) -> Vec<String> {
         let mut errs = Vec::new();
         let n = self.atoms.len();
+        for (i, a) in self.atoms.iter().enumerate() {
+            let p = a.position;
+            if !(p.x.is_finite() && p.y.is_finite() && p.z.is_finite()) {
+                errs.push(format!(
+                    "atom {i} has non-finite coordinates ({}, {}, {})",
+                    p.x, p.y, p.z
+                ));
+            }
+        }
         for (k, b) in self.bonds.iter().enumerate() {
             if b.i >= n || b.j >= n {
                 errs.push(format!("bond {k} index out of range"));

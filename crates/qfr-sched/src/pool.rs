@@ -10,6 +10,7 @@
 //! machine with per-request pools.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -22,7 +23,7 @@ struct PoolShared {
     work_cv: Condvar,
     /// Jobs submitted over the pool's lifetime (monotone).
     submitted: AtomicUsize,
-    /// Jobs fully executed (monotone).
+    /// Jobs finished, returned or panicked (monotone).
     executed: AtomicUsize,
 }
 
@@ -35,7 +36,10 @@ struct PoolQueue {
 /// A fixed-size pool of OS worker threads draining a shared job queue.
 ///
 /// Jobs are plain `FnOnce` closures and run in FIFO submission order
-/// (start order; completion order depends on job durations). Jobs must
+/// (start order; completion order depends on job durations). A panicking
+/// job ends there, not its worker: the panic hook still prints it, and the
+/// job's captured state (a result channel's sender, say) is dropped, so
+/// whoever waits on that job sees it gone. Jobs must
 /// not block on *other pool jobs* — the pool has no work-stealing or
 /// re-entrancy, so a job waiting for a later job deadlocks when every
 /// worker does it at once. The spectrum service keeps coordinators on
@@ -95,7 +99,7 @@ impl WorkerPool {
                     q = shared.work_cv.wait(q).expect("pool queue poisoned");
                 }
             };
-            job();
+            let _ = catch_unwind(AssertUnwindSafe(job));
             shared.executed.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -120,7 +124,7 @@ impl WorkerPool {
         self.shared.submitted.load(Ordering::Relaxed)
     }
 
-    /// Jobs fully executed so far.
+    /// Jobs finished so far, returned or panicked.
     pub fn executed(&self) -> usize {
         self.shared.executed.load(Ordering::Relaxed)
     }
@@ -182,6 +186,16 @@ mod tests {
             // Drop joins the workers after the queue drains.
         }
         assert_eq!(sum.load(Ordering::Relaxed), 50);
+    }
+
+    #[test]
+    fn panicking_job_does_not_kill_its_worker() {
+        let pool = WorkerPool::new(1);
+        pool.submit(|| panic!("job panics on purpose"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.submit(move || tx.send(7).unwrap());
+        let got = rx.recv_timeout(std::time::Duration::from_secs(30));
+        assert_eq!(got, Ok(7), "the one worker must run the job after the panicking one");
     }
 
     #[test]
