@@ -28,6 +28,19 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
+/// Writes the output file `flag` names; a failed write is a run error: one
+/// line on stderr, exit status 1.
+fn write_output(
+    flag: &str,
+    path: &str,
+    write: impl FnOnce(&std::path::Path) -> std::io::Result<()>,
+) {
+    if let Err(e) = write(std::path::Path::new(path)) {
+        eprintln!("error: {flag} {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Value-taking flags selecting the system, shared by every subcommand.
 const SYSTEM_VALUES: &str = "--protein --waters --scenario --solvate --seed";
 
@@ -235,7 +248,9 @@ fn cmd_spectrum(argv: &[String]) {
         system.n_waters
     );
     if let Some(path) = args.value("--xyz") {
-        std::fs::write(path, io::to_xyz(&system, "qfr spectrum input")).expect("write xyz");
+        write_output("--xyz", path, |p| {
+            std::fs::write(p, io::to_xyz(&system, "qfr spectrum input"))
+        });
         println!("geometry written to {path}");
     }
 
@@ -324,7 +339,7 @@ fn cmd_spectrum(argv: &[String]) {
     println!("\nRaman spectrum:\n{}", result.spectrum.ascii_plot(25, 55));
 
     if let Some(path) = args.value("--json") {
-        std::fs::write(path, result.to_json()).expect("write json");
+        write_output("--json", path, |p| std::fs::write(p, result.to_json()));
         println!("record written to {path}");
     }
 
@@ -338,11 +353,13 @@ fn cmd_spectrum(argv: &[String]) {
         println!("-- end deterministic counters --");
     }
     if let Some(path) = args.value("--metrics-out") {
-        std::fs::write(path, qfr_obs::counter::deterministic_report()).expect("write metrics");
+        write_output("--metrics-out", path, |p| {
+            std::fs::write(p, qfr_obs::counter::deterministic_report())
+        });
         println!("deterministic counters written to {path}");
     }
     if let Some(path) = trace_path {
-        qfr_obs::trace::save(std::path::Path::new(path)).expect("write trace");
+        write_output("--trace", path, qfr_obs::trace::save);
         qfr_obs::trace::disable();
         println!("chrome trace written to {path}");
     }

@@ -10,8 +10,8 @@ use crate::report::{RamanResult, RecoverySummary, StageTimings};
 use crate::workflow::{EngineKind, ResponseSource, WorkflowError};
 use qfr_cache::{FragmentCache, HitKind};
 use qfr_fragment::{
-    Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentResponse,
-    FragmentStructure, MassWeighted, RowRangeAccumulator,
+    AssembledSystem, Decomposition, DecompositionParams, FragmentEngine, FragmentJob,
+    FragmentResponse, FragmentStructure, MassWeighted, RowRangeAccumulator,
 };
 use qfr_geom::{BondAdjacency, MolecularSystem};
 use qfr_linalg::sparse::MatVec;
@@ -21,6 +21,9 @@ use qfr_solver::{
     ir_lanczos, raman_dense_reference, raman_ir_lanczos, RamanOptions, RamanSpectrum,
 };
 use rayon::prelude::*;
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// Largest fragment (atoms incl. link H) the model-DFPT engine accepts:
 /// its cost is `O((3m)²)` energy evaluations per fragment.
@@ -109,6 +112,108 @@ pub(crate) fn dispatch(
     }
 }
 
+/// Jobs per window of [`fold_in_windows`]: enough to keep every core busy
+/// between two folds, few enough that a window's responses stay a small
+/// fraction of the assembled operator.
+const WINDOW: usize = 128;
+
+/// The Eq. (1) fold of one in-core run, fed `(job index, response)` in any
+/// order. An arrival ahead of the next job waits in a reorder buffer; the
+/// contiguous job-order prefix is folded into the accumulator and dropped
+/// at once. Every Hessian slot therefore sums its addends in global job
+/// order — the bits of [`qfr_fragment::assemble::assemble`] — whatever
+/// the arrival order, and only early arrivals are ever held.
+pub(crate) struct Fold<'j, R = FragmentResponse> {
+    jobs: &'j [FragmentJob],
+    acc: RowRangeAccumulator,
+    /// Index of the next job to fold.
+    next: usize,
+    /// Early arrivals by job index, all past `next`; `None` is a job left
+    /// out (quarantined or never finished).
+    early: BTreeMap<usize, Option<R>>,
+    /// Seconds spent folding so far.
+    fold_s: f64,
+}
+
+impl<'j, R: Borrow<FragmentResponse>> Fold<'j, R> {
+    /// An empty fold over every atom of an `n_atoms` system.
+    pub(crate) fn new(jobs: &'j [FragmentJob], n_atoms: usize) -> Self {
+        Self {
+            jobs,
+            acc: RowRangeAccumulator::new(0..n_atoms, n_atoms),
+            next: 0,
+            early: BTreeMap::new(),
+            fold_s: 0.0,
+        }
+    }
+
+    /// Job `index`'s response, or `None` to leave the job out. Folds it at
+    /// once, with every buffered successor, when it is the next job.
+    ///
+    /// # Panics
+    /// Panics if job `index` arrived before.
+    pub(crate) fn push(&mut self, index: usize, resp: Option<R>) {
+        assert!(
+            index >= self.next && !self.early.contains_key(&index),
+            "job {index} arrived twice"
+        );
+        if index > self.next {
+            self.early.insert(index, resp);
+            return;
+        }
+        let start = Instant::now();
+        let mut resp = resp;
+        loop {
+            if let Some(resp) = resp {
+                self.acc.add(&self.jobs[self.next], resp.borrow());
+            }
+            self.next += 1;
+            match self.early.first_entry() {
+                Some(entry) if *entry.key() == self.next => resp = entry.remove(),
+                _ => break,
+            }
+        }
+        self.fold_s += start.elapsed().as_secs_f64();
+    }
+
+    /// The assembled (unweighted) operators.
+    ///
+    /// # Panics
+    /// Panics if some job never arrived.
+    pub(crate) fn finish(self) -> AssembledSystem {
+        assert!(
+            self.next == self.jobs.len() && self.early.is_empty(),
+            "fold finished with job {} of {} missing",
+            self.next,
+            self.jobs.len()
+        );
+        self.acc.finish()
+    }
+}
+
+/// Serves every job of `fold` through `compute`, folding as it goes. In
+/// parallel, job-order windows of [`WINDOW`] jobs are computed on the rayon
+/// facade, then folded; otherwise each job is folded as it is computed on
+/// the calling thread. At most one window of responses is ever alive.
+pub(crate) fn fold_in_windows<R: Borrow<FragmentResponse> + Send>(
+    fold: &mut Fold<R>,
+    parallel: bool,
+    compute: impl Fn(&FragmentJob) -> R + Sync,
+) {
+    let jobs = fold.jobs;
+    let window = if parallel { WINDOW } else { 1 };
+    for (w, chunk) in jobs.chunks(window).enumerate() {
+        let resps: Vec<R> = if parallel {
+            chunk.par_iter().map(&compute).collect()
+        } else {
+            chunk.iter().map(&compute).collect()
+        };
+        for (k, resp) in resps.into_iter().enumerate() {
+            fold.push(w * window + k, Some(resp));
+        }
+    }
+}
+
 /// Scheduler recovery counters at the workflow level; `resumed` counts the
 /// work items restored from disk instead of dispatched.
 pub(crate) fn recovery_summary(
@@ -178,25 +283,24 @@ impl<'a> Pipeline<'a> {
         out
     }
 
-    /// Stage 3 for the in-core operator: the Eq. (1) fold over every atom,
-    /// then mass weighting in place. Each response is dropped as it is
-    /// folded; an empty slot (quarantined or abandoned work) is left out,
-    /// yielding a partial operator.
-    pub(crate) fn assemble_in_core(
+    /// Stages 2 and 3 for the in-core operator: `serve` runs the work items
+    /// and feeds every job's response to the Eq. (1) fold as it arrives;
+    /// the fold is then finished and mass-weighted in place. Folding
+    /// interleaves with the engine but is timed as assembly: `engine_s`
+    /// leaves it out, `assemble_s` is fold, finish and mass weighting.
+    pub(crate) fn assemble_in_core<T, E>(
         &mut self,
         jobs: &[FragmentJob],
-        slots: Vec<Option<FragmentResponse>>,
-    ) -> MassWeighted {
+        serve: impl FnOnce(&mut Fold) -> Result<T, E>,
+    ) -> Result<(MassWeighted, T), E> {
         let system = self.system;
-        self.operator(|| {
-            let mut acc = RowRangeAccumulator::new(0..system.n_atoms(), system.n_atoms());
-            for (job, slot) in jobs.iter().zip(slots) {
-                if let Some(resp) = slot {
-                    acc.add(job, &resp);
-                }
-            }
-            MassWeighted::in_place(acc.finish(), &system.masses())
-        })
+        let mut fold = Fold::new(jobs, system.n_atoms());
+        let served = self.responses(|| serve(&mut fold))?;
+        let fold_s = fold.fold_s;
+        let mw = self.operator(|| MassWeighted::in_place(fold.finish(), &system.masses()));
+        self.timings.engine_s -= fold_s;
+        self.timings.assemble_s += fold_s;
+        Ok((mw, served))
     }
 
     /// Stage 4: Raman and IR spectra of `op` — any Hessian operator — from
@@ -240,6 +344,108 @@ impl<'a> Pipeline<'a> {
             engine: engine.name().to_string(),
             timings: self.timings,
             recovery,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qfr_fragment::assemble::assemble;
+    use qfr_geom::WaterBoxBuilder;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A water box with a few windows of jobs, its jobs and their responses
+    /// in job order.
+    fn fixture() -> (MolecularSystem, Vec<FragmentJob>, Vec<FragmentResponse>) {
+        let system = WaterBoxBuilder::new(64).seed(8).build();
+        let jobs = Decomposition::new(&system, DecompositionParams::default()).jobs;
+        assert!(jobs.len() > 2 * WINDOW, "only {} jobs", jobs.len());
+        let engine = qfr_model::ForceFieldEngine::new();
+        let responses = jobs.iter().map(|job| engine.compute(&job.structure(&system))).collect();
+        (system, jobs, responses)
+    }
+
+    fn assert_same_bits(got: &AssembledSystem, want: &AssembledSystem) {
+        let bits = |vecs: &[Vec<f64>]| -> Vec<u64> {
+            vecs.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        // Stored values are never ±0 or NaN, so `==` on them is bit equality.
+        assert_eq!(got.hessian, want.hessian);
+        assert_eq!(bits(&got.dalpha), bits(&want.dalpha));
+        assert_eq!(bits(&got.dmu), bits(&want.dmu));
+    }
+
+    /// Arrivals in a shuffled order, as a service request's coordinator
+    /// sees them from several pool workers, fold to the job-order bits.
+    #[test]
+    fn permuted_arrivals_fold_to_job_order_bits() {
+        let (system, jobs, responses) = fixture();
+        let want = assemble(&jobs, &responses, system.n_atoms());
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for i in (1..order.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let mut fold = Fold::new(&jobs, system.n_atoms());
+        for i in order {
+            fold.push(i, Some(&responses[i]));
+        }
+        assert_same_bits(&fold.finish(), &want);
+    }
+
+    /// Live responses of the stage: the current count and its peak.
+    #[derive(Default)]
+    struct Live {
+        now: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    /// A response that counts itself live from creation to drop.
+    struct Counted<'a> {
+        resp: FragmentResponse,
+        live: &'a Live,
+    }
+
+    impl<'a> Counted<'a> {
+        fn new(resp: FragmentResponse, live: &'a Live) -> Self {
+            let now = live.now.fetch_add(1, Ordering::SeqCst) + 1;
+            live.peak.fetch_max(now, Ordering::SeqCst);
+            Self { resp, live }
+        }
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.live.now.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl Borrow<FragmentResponse> for Counted<'_> {
+        fn borrow(&self) -> &FragmentResponse {
+            &self.resp
+        }
+    }
+
+    /// `run()`'s responses stage holds at most one window of responses in
+    /// parallel and one response in sequence, and folds to the job-order
+    /// bits either way.
+    #[test]
+    fn windowed_stage_holds_at_most_one_window() {
+        let (system, jobs, responses) = fixture();
+        let want = assemble(&jobs, &responses, system.n_atoms());
+        let engine = qfr_model::ForceFieldEngine::new();
+        for (parallel, bound) in [(true, WINDOW), (false, 1)] {
+            let live = Live::default();
+            let mut fold = Fold::new(&jobs, system.n_atoms());
+            fold_in_windows(&mut fold, parallel, |job| {
+                Counted::new(engine.compute(&job.structure(&system)), &live)
+            });
+            assert_same_bits(&fold.finish(), &want);
+            let peak = live.peak.load(Ordering::SeqCst);
+            assert!(peak <= bound, "parallel {parallel}: {peak} responses alive, bound {bound}");
+            assert_eq!(live.now.load(Ordering::SeqCst), 0, "a folded response was kept");
         }
     }
 }

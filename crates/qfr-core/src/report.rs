@@ -9,9 +9,11 @@ use serde::Serialize;
 pub struct StageTimings {
     /// Fragmentation + pair enumeration.
     pub decompose_s: f64,
-    /// Per-fragment engine (all fragments).
+    /// Per-fragment engine (all fragments), without the Eq. (1) folds
+    /// that interleave with it in core.
     pub engine_s: f64,
-    /// Global assembly + mass weighting.
+    /// Global assembly: the Eq. (1) fold wherever it ran, then `finish`
+    /// and mass weighting.
     pub assemble_s: f64,
     /// Lanczos/GAGQ (or dense) spectral solve.
     pub solver_s: f64,

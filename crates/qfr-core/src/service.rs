@@ -15,7 +15,8 @@
 //!
 //! Each request's coordinator thread splits its own fragments into pool
 //! jobs of [`ServiceConfig::batch_window`] fragments, in job order, and
-//! collects their responses over one channel that belongs to the request.
+//! folds their responses into the request's Eq. (1) fold as they arrive
+//! over one channel that belongs to the request.
 //!
 //! Admission control is deliberately simple: at most
 //! [`ServiceConfig::max_active`] requests compute at once, at most
@@ -341,7 +342,7 @@ impl ServiceInner {
         let jobs = &decomposition.jobs;
         FRAGMENTS.add(jobs.len() as u64);
 
-        let (slots, cache_hits) = pipeline.responses(|| {
+        let (mw, cache_hits) = pipeline.assemble_in_core(jobs, |fold| {
             // One pool job per window of this request's fragments, in job
             // order; each sends `(index, response, hit)` per fragment.
             let (tx, rx) = mpsc::channel();
@@ -361,19 +362,17 @@ impl ServiceInner {
                 });
             }
             drop(tx);
-            // Exactly one message per fragment; every sender gone before
-            // that means a job panicked.
-            let mut slots = vec![None; jobs.len()];
+            // Exactly one message per fragment, folded as it arrives; every
+            // sender gone before that means a job panicked.
             let mut hits = 0;
             for _ in 0..jobs.len() {
                 let (index, resp, hit) = rx.recv().map_err(|_| ServiceError::Lost)?;
-                slots[index] = Some(resp);
+                fold.push(index, Some(resp));
                 hits += u64::from(hit);
             }
-            Ok((slots, hits))
+            Ok(hits)
         })?;
 
-        let mw = pipeline.assemble_in_core(jobs, slots);
         let spectra = pipeline.solve(&mw.hessian, None, &mw.dalpha, &mw.dmu);
         let recovery = RecoverySummary { cache_hits, ..RecoverySummary::default() };
         Ok(pipeline.finish(spectra, decomposition, mw.hessian.nnz(), &*self.engine, Some(recovery)))

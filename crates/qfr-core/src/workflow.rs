@@ -3,7 +3,7 @@
 //! its common plans.
 
 use crate::checkpoint::{load_partial, save_partial, CheckpointError};
-use crate::pipeline::{self, dispatch, Pipeline, WORKFLOW};
+use crate::pipeline::{self, dispatch, Fold, Pipeline, WORKFLOW};
 use crate::report::{RamanResult, RecoverySummary};
 use crate::shard::{self, ShardPlan, ShardStore};
 use qfr_cache::FragmentCache;
@@ -381,10 +381,10 @@ impl Run<'_> {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Responses stage for the operators that assemble from stored
-    /// responses: one slot per job, pre-filled from the checkpoint, the
-    /// missing ones dispatched on the plan's source. An empty slot in the
-    /// result is a job that was quarantined or never finished.
+    /// Responses stage of a checkpointed or scheduled in-core plan: one
+    /// slot per job, pre-filled from the checkpoint, the missing ones
+    /// dispatched on the plan's source. An empty slot in the result is a
+    /// job that was quarantined or never finished.
     fn stored_responses(&self) -> Result<StoredResponses, WorkflowError> {
         let system = &self.workflow.system;
         let jobs = &self.decomposition.jobs;
@@ -473,10 +473,30 @@ impl Run<'_> {
         Ok((slots, recovery))
     }
 
-    /// In-core CSR operator (and its dense-reference variant).
+    /// In-core CSR operator (and its dense-reference variant). Without a
+    /// checkpoint, rayon and sequential responses stream into the fold in
+    /// job-order windows; a checkpointed or scheduled plan must see every
+    /// response at once (to snapshot them, or to leave quarantined ones
+    /// out), so it folds its slot vector when the stage ends.
     fn assembled(&self, dense: bool, pipeline: &mut Pipeline) -> Result<Solved, WorkflowError> {
-        let (slots, recovery) = pipeline.responses(|| self.stored_responses())?;
-        let mw = pipeline.assemble_in_core(&self.decomposition.jobs, slots);
+        let stream = |fold: &mut Fold, parallel| {
+            pipeline::fold_in_windows(fold, parallel, |job| self.response(job));
+            Ok(None)
+        };
+        let jobs = &self.decomposition.jobs;
+        let (mw, recovery) = pipeline.assemble_in_core(jobs, |fold| {
+            match (&self.plan.source, &self.plan.checkpoint) {
+                (ResponseSource::Rayon, None) => stream(fold, true),
+                (ResponseSource::Sequential, None) => stream(fold, false),
+                _ => {
+                    let (slots, recovery) = self.stored_responses()?;
+                    for (i, slot) in slots.into_iter().enumerate() {
+                        fold.push(i, slot);
+                    }
+                    Ok(recovery)
+                }
+            }
+        })?;
         let dense_of = dense.then_some(&mw.hessian);
         let spectra = pipeline.solve(&mw.hessian, dense_of, &mw.dalpha, &mw.dmu);
         Ok((spectra, mw.hessian.nnz(), recovery))

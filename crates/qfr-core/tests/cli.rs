@@ -140,6 +140,26 @@ fn unloadable_checkpoint_exits_1_and_is_left_untouched() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An output file that cannot be written is a run error (exit 1, one line
+/// naming the flag and the path), not a panic after the run.
+#[test]
+fn unwritable_output_path_exits_1_with_one_line() {
+    let dir = temp_dir("unwritable");
+    let file = dir.join("plain");
+    std::fs::write(&file, b"").expect("write regular file");
+    let under_file = file.join("out");
+    let path = under_file.to_str().expect("utf-8 temp path");
+    for flag in ["--xyz", "--json", "--metrics-out", "--trace"] {
+        let out = qfr(&with(&[flag, path]));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: stderr: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag} must print one line, got: {stderr}");
+        let prefix = format!("error: {flag} {path}: ");
+        assert!(stderr.starts_with(&prefix), "{flag}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `qfr serve` runs every request to completion: two variants, each asked
 /// for twice. The shared cache computes each fragment of a variant once, so
 /// the two requests of a variant report `N` cache hits between them (which
