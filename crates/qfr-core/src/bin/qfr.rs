@@ -112,6 +112,16 @@ impl Args {
         value
     }
 
+    /// The flag's value as an `f64`, `None` when the flag is absent; a
+    /// value that is not finite and above 0 is a usage error.
+    fn get_positive_f64(&self, flag: &str) -> Option<f64> {
+        let value: f64 = self.get(flag)?;
+        if !(value.is_finite() && value > 0.0) {
+            fail(format!("{flag} must be a finite number above 0, got {value}"));
+        }
+        Some(value)
+    }
+
     /// The `--cache-mb` budget in bytes; a byte count that overflows
     /// `usize` is a usage error.
     fn cache_bytes(&self) -> usize {
@@ -154,6 +164,12 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// `--lambda` (a finite distance above 0, default 4 Å) and `--lanczos`
+/// (at least 1 step, default 140).
+fn lambda_and_lanczos(args: &Args) -> (f64, usize) {
+    (args.get_positive_f64("--lambda").unwrap_or(4.0), args.get_positive("--lanczos", 140))
+}
+
 fn build_system(args: &Args) -> MolecularSystem {
     build_seeded_system(args, args.get_or("--seed", 42))
 }
@@ -167,7 +183,8 @@ fn build_seeded_system(args: &Args, seed: u64) -> MolecularSystem {
                 qfr_geom::SCENARIO_NAMES.join(", ")
             ))
         })
-    } else if let Some(n) = args.get("--protein") {
+    } else if args.has("--protein") {
+        let n = args.get_positive("--protein", 1);
         let protein = ProteinBuilder::new(n).seed(seed).build();
         match args.get::<f64>("--solvate") {
             Some(pad) => SolvatedSystem::build(&protein, pad, 3.1, 2.4, seed + 1),
@@ -230,10 +247,10 @@ fn cmd_spectrum(argv: &[String]) {
     );
     let plan = run_plan(args);
     // Every value is parsed before any work starts.
-    let temperature: Option<f64> = args.get("--temperature");
+    let temperature = args.get_positive_f64("--temperature");
     let warm: usize = args.get_or("--warm", 0);
-    let sigma: Option<f64> = args.get("--sigma");
-    let (lambda, lanczos) = (args.get_or("--lambda", 4.0), args.get_or("--lanczos", 140));
+    let sigma = args.get_positive_f64("--sigma");
+    let (lambda, lanczos) = lambda_and_lanczos(args);
     let cache_bytes = args.cache_bytes();
 
     let trace_path = args.value("--trace");
@@ -367,8 +384,9 @@ fn cmd_spectrum(argv: &[String]) {
 
 fn cmd_decompose(argv: &[String]) {
     let args = &Args::parse(argv, "--lambda", "", &[]);
+    let lambda = args.get_positive_f64("--lambda").unwrap_or(4.0);
     let system = build_system(args);
-    let workflow = RamanWorkflow::new(system).lambda(args.get_or("--lambda", 4.0));
+    let workflow = RamanWorkflow::new(system).lambda(lambda);
     let d = workflow.decompose();
     println!("system: {} atoms", workflow.system().n_atoms());
     println!("{}", d.stats.summary());
@@ -397,7 +415,8 @@ fn cmd_serve(argv: &[String]) {
     let requests: usize = args.get_or("--requests", 6);
     let distinct: usize = std::cmp::max(args.get_or("--distinct", 2), 1);
     let base_seed: u64 = args.get_or("--seed", 42);
-    let (lambda, lanczos) = (args.get_or("--lambda", 4.0), args.get_or("--lanczos", 140));
+    let (lambda, lanczos) = lambda_and_lanczos(args);
+    let sigma = args.get_positive_f64("--sigma");
     let config = ServiceConfig {
         workers: args.get_positive("--workers", 4),
         max_active: args.get_positive("--max-active", 4),
@@ -411,7 +430,7 @@ fn cmd_serve(argv: &[String]) {
 
     let variants: Vec<MolecularSystem> =
         (0..distinct).map(|d| build_seeded_system(args, base_seed + d as u64)).collect();
-    let sigma = args.get_or("--sigma", if variants[0].n_waters > 0 { 20.0 } else { 5.0 });
+    let sigma = sigma.unwrap_or(if variants[0].n_waters > 0 { 20.0 } else { 5.0 });
 
     let mut handles = Vec::new();
     for r in 0..requests {
@@ -426,6 +445,7 @@ fn cmd_serve(argv: &[String]) {
             Err(e) => println!("request {r:>2}: shed ({e})"),
         }
     }
+    let (admitted, mut failed) = (handles.len(), 0);
     for handle in handles {
         let id = handle.id();
         match handle.wait() {
@@ -439,7 +459,10 @@ fn cmd_serve(argv: &[String]) {
                     result.stats.n_jobs
                 );
             }
-            Err(e) => println!("request {id:>2}: failed ({e})"),
+            Err(e) => {
+                println!("request {id:>2}: failed ({e})");
+                failed += 1;
+            }
         }
     }
     let s = service.cache().stats();
@@ -453,6 +476,12 @@ fn cmd_serve(argv: &[String]) {
     );
     if args.has("--metrics") {
         println!("\n{}", qfr_obs::report());
+    }
+    // A shed request was refused at admission, which the line above
+    // already reports; an admitted request that failed is a run error.
+    if failed > 0 {
+        eprintln!("error: {failed} of {admitted} admitted requests failed");
+        std::process::exit(1);
     }
 }
 

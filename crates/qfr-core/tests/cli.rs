@@ -78,7 +78,42 @@ fn malformed_command_lines_exit_2_with_one_line() {
     for flag in ["--workers", "--max-active", "--batch-window"] {
         assert_usage_error(&["serve", "--waters", "8", "--requests", "1", flag, "0"], flag);
     }
+    // Out-of-range numbers are usage errors, not panics or an all-zero
+    // spectrum: σ, λ and T must be finite and above 0, step and residue
+    // counts at least 1.
+    for (flag, value) in [
+        ("--sigma", "-1"),
+        ("--sigma", "0"),
+        ("--sigma", "nan"),
+        ("--sigma", "inf"),
+        ("--lambda", "0"),
+        ("--lambda", "-1"),
+        ("--lambda", "nan"),
+        ("--temperature", "-5"),
+        ("--temperature", "nan"),
+        ("--lanczos", "0"),
+    ] {
+        assert_usage_error(&["spectrum", "--waters", "8", flag, value], flag);
+    }
+    assert_usage_error(&["spectrum", "--protein", "0"], "--protein");
+    assert_usage_error(&["serve", "--waters", "8", "--sigma", "0"], "--sigma");
+    assert_usage_error(&["serve", "--waters", "8", "--lambda", "nan"], "--lambda");
+    assert_usage_error(&["serve", "--waters", "8", "--lanczos", "0"], "--lanczos");
+    assert_usage_error(&["decompose", "--waters", "8", "--lambda", "-1"], "--lambda");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An admitted `qfr serve` request that fails makes the run fail: every
+/// request on an empty system is refused by validation, and the command
+/// exits 1 with one `error:` line after reporting each failure.
+#[test]
+fn serve_exits_1_when_a_request_fails() {
+    let out = qfr(&["serve", "--waters", "0", "--requests", "2"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(stdout.matches(": failed (").count(), 2, "{stdout}");
+    assert_eq!(stderr.lines().collect::<Vec<_>>(), ["error: 2 of 2 admitted requests failed"]);
 }
 
 #[test]

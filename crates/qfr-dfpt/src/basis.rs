@@ -204,10 +204,46 @@ impl Basis {
         let npts = points.len();
         let n = self.len();
         qfr_linalg::flops::add((npts * n * 8) as u64);
-        DMatrix::from_fn(npts, n, |p, mu| {
-            let sh = &self.shells[mu];
-            sh.norm * (-sh.alpha * points[p].dist_sqr(sh.center)).exp()
-        })
+        DMatrix::from_fn(npts, n, |p, mu| self.shells[mu].value(points[p]))
+    }
+
+    /// Rewrites the columns of `x` (a value panel of `points`, as
+    /// [`Basis::evaluate`] returns it) whose shell centre differs from
+    /// `previous`'s, and keeps the rest: an unmoved shell's column is the
+    /// same expression of the same inputs, so the panel equals a full
+    /// `evaluate` bit for bit. Books the FLOPs of a full `evaluate`, so the
+    /// counters do not depend on how many columns moved.
+    pub fn refresh_moved_columns(&self, previous: &Basis, points: &[Vec3], x: &mut DMatrix) {
+        assert_eq!(x.shape(), (points.len(), self.len()), "value panel shape");
+        assert_eq!(previous.len(), self.len(), "bases differ in size");
+        qfr_linalg::flops::add((points.len() * self.len() * 8) as u64);
+        for (mu, (sh, old)) in self.shells.iter().zip(&previous.shells).enumerate() {
+            if sh.center == old.center {
+                continue;
+            }
+            for (p, &point) in points.iter().enumerate() {
+                x[(p, mu)] = sh.value(point);
+            }
+        }
+    }
+
+    /// Evaluates the value panel `X` and the three gradient panels at
+    /// `points` from one exponential per point and function: each gradient
+    /// entry is `-2α (r_c - A_c)` times the value entry, the expression
+    /// [`Basis::evaluate_gradient`] uses, so all four panels equal the
+    /// separate evaluations bit for bit. Books the FLOPs of one `evaluate`
+    /// plus three `evaluate_gradient` calls, so the counters match too.
+    pub fn evaluate_with_gradients(&self, points: &[Vec3]) -> (DMatrix, [DMatrix; 3]) {
+        let npts = points.len();
+        let n = self.len();
+        qfr_linalg::flops::add((npts * n * (8 + 3 * 11)) as u64);
+        let x = DMatrix::from_fn(npts, n, |p, mu| self.shells[mu].value(points[p]));
+        let grads = std::array::from_fn(|c| {
+            DMatrix::from_fn(npts, n, |p, mu| {
+                self.shells[mu].gradient_factor(points[p], c) * x[(p, mu)]
+            })
+        });
+        (x, grads)
     }
 
     /// Evaluates the Cartesian gradient component `c` of all basis
@@ -218,14 +254,27 @@ impl Basis {
         qfr_linalg::flops::add((npts * n * 11) as u64);
         DMatrix::from_fn(npts, n, |p, mu| {
             let sh = &self.shells[mu];
-            let val = sh.norm * (-sh.alpha * points[p].dist_sqr(sh.center)).exp();
-            let delta = match c {
-                0 => points[p].x - sh.center.x,
-                1 => points[p].y - sh.center.y,
-                _ => points[p].z - sh.center.z,
-            };
-            -2.0 * sh.alpha * delta * val
+            sh.gradient_factor(points[p], c) * sh.value(points[p])
         })
+    }
+}
+
+impl Shell {
+    /// `χ(r) = N exp(-α |r - A|²)`.
+    #[inline]
+    fn value(&self, r: Vec3) -> f64 {
+        self.norm * (-self.alpha * r.dist_sqr(self.center)).exp()
+    }
+
+    /// `∂χ/∂r_c / χ = -2α (r_c - A_c)`.
+    #[inline]
+    fn gradient_factor(&self, r: Vec3, c: usize) -> f64 {
+        let delta = match c {
+            0 => r.x - self.center.x,
+            1 => r.y - self.center.y,
+            _ => r.z - self.center.z,
+        };
+        -2.0 * self.alpha * delta
     }
 }
 
@@ -347,6 +396,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn bits(m: &DMatrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn sample_points() -> Vec<Vec3> {
+        (0..37)
+            .map(|i| {
+                let t = i as f64;
+                Vec3::new((t * 0.37).sin() * 2.0, (t * 0.11).cos() - 0.5, t * 0.05 - 0.9)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_exponential_panels_match_separate_evaluations_bit_for_bit() {
+        let b = Basis::for_fragment(&water_fragment());
+        let pts = sample_points();
+        let (x, grads) = b.evaluate_with_gradients(&pts);
+        assert_eq!(bits(&x), bits(&b.evaluate(&pts)));
+        for (c, g) in grads.iter().enumerate() {
+            assert_eq!(bits(g), bits(&b.evaluate_gradient(&pts, c)), "direction {c}");
+        }
+    }
+
+    #[test]
+    fn refreshed_columns_match_a_full_evaluation_bit_for_bit() {
+        let frag = water_fragment();
+        let reference = Basis::for_fragment(&frag);
+        let pts = sample_points();
+        let mut moved = frag.clone();
+        moved.positions[1].y += 0.02;
+        moved.positions[2].x -= 0.02;
+        let displaced = Basis::for_fragment(&moved);
+        let mut x = reference.evaluate(&pts);
+        displaced.refresh_moved_columns(&reference, &pts, &mut x);
+        assert_eq!(bits(&x), bits(&displaced.evaluate(&pts)));
+        // The oxygen's columns were kept, the hydrogens' rewritten.
+        assert_eq!(x.col(0), reference.evaluate(&pts).col(0));
+        assert_ne!(x.col(3), reference.evaluate(&pts).col(3));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! DESIGN.md). The model energy units are taken as mdyn/Å unscaled, so
 //! both engines feed the same downstream pipeline.
 
+use crate::basis::Basis;
 use crate::response::{alpha_from, polarizability, solve_responses, ResponseConfig, ResponseTask};
 use crate::scf::{ScfConfig, ScfResult, ScfSolver};
 use qfr_fragment::{FragmentEngine, FragmentResponse, FragmentStructure};
@@ -60,39 +61,6 @@ impl DfptEngine {
         Self::default()
     }
 
-    /// Frozen-density (Harris-style) energy of a displaced geometry: the
-    /// SCF density matrix of the reference geometry is kept fixed while the
-    /// integrals and grid terms are re-evaluated.
-    fn frozen_energy(&self, frag: &FragmentStructure, reference: &ScfResult) -> f64 {
-        let basis = crate::basis::Basis::for_fragment(frag);
-        let t = basis.kinetic();
-        let v = basis.external_potential();
-        let h_core = &t + &v;
-        let e_core = crate::scf::trace_product(&reference.p, &h_core);
-        // Grid terms with the frozen density transported rigidly: evaluate
-        // the frozen P on the *reference* grid but with the displaced
-        // basis.
-        let grid = &reference.grid;
-        let batches = grid.batches(self.config.scf.batch_size);
-        let mut density = Vec::with_capacity(grid.len());
-        for b in batches {
-            let x = basis.evaluate(&grid.points[b]);
-            let xp = qfr_linalg::gemm::matmul(&x, &reference.p);
-            for row in 0..x.rows() {
-                let nd: f64 = xp.row(row).iter().zip(x.row(row)).map(|(a, b)| a * b).sum();
-                density.push(nd.max(0.0));
-            }
-        }
-        let v_h = grid.solve_poisson(&density);
-        let e_h: f64 =
-            0.5 * density.iter().zip(&v_h).map(|(&n, &vh)| n * vh).sum::<f64>() * grid.dv;
-        let e_x: f64 = -0.75
-            * crate::scf::CX
-            * density.iter().map(|&n| n.powf(4.0 / 3.0)).sum::<f64>()
-            * grid.dv;
-        e_core + e_h + e_x + basis.nuclear_repulsion()
-    }
-
     /// The reference ground state every finite difference is taken around.
     fn reference(&self, frag: &FragmentStructure) -> ScfResult {
         ScfSolver { config: self.config.scf }.solve(frag)
@@ -119,50 +87,47 @@ impl DfptEngine {
         self.hessian_around(frag, &self.reference(frag))
     }
 
+    /// The frozen-density Hessian around `reference`. The reference basis
+    /// is evaluated on the reference grid once; each displaced energy
+    /// copies those panels and recomputes only the columns of shells whose
+    /// centre moved (a displacement moves one or two atoms), which equals a
+    /// full re-evaluation bit for bit.
     fn hessian_around(&self, frag: &FragmentStructure, reference: &ScfResult) -> DMatrix {
         let _span = qfr_obs::span("dfpt.engine.hessian_fd");
-        let dof = frag.dof();
-        let h = DISPLACEMENT;
-        let e0 = self.frozen_energy(frag, reference);
+        let points = &reference.grid.points;
+        let batches = reference.grid.batches(self.config.scf.batch_size);
+        let ref_basis = Basis::for_fragment(frag);
+        let ref_panels: Vec<DMatrix> =
+            batches.iter().map(|b| ref_basis.evaluate(&points[b.clone()])).collect();
+        let e0 = frozen_energy(&ref_basis, reference, &ref_panels);
+        fd_hessian(frag, e0, |displaced| {
+            let basis = Basis::for_fragment(displaced);
+            let panels: Vec<DMatrix> = batches
+                .iter()
+                .zip(&ref_panels)
+                .map(|(b, x)| {
+                    let mut x = x.clone();
+                    basis.refresh_moved_columns(&ref_basis, &points[b.clone()], &mut x);
+                    x
+                })
+                .collect();
+            frozen_energy(&basis, reference, &panels)
+        })
+    }
 
-        let displaced = |i: usize, s1: f64, j: usize, s2: f64| -> f64 {
-            let mut f = frag.clone();
-            apply_shift(&mut f, i, s1 * h);
-            apply_shift(&mut f, j, s2 * h);
-            self.frozen_energy(&f, reference)
+    /// The Hessian of [`DfptEngine::hessian_around`] with every displaced
+    /// basis evaluated in full: the oracle the column reuse is checked
+    /// against.
+    #[cfg(test)]
+    fn hessian_full_evaluation(&self, frag: &FragmentStructure, reference: &ScfResult) -> DMatrix {
+        let batches = reference.grid.batches(self.config.scf.batch_size);
+        let energy = |f: &FragmentStructure| {
+            let basis = Basis::for_fragment(f);
+            let panels: Vec<DMatrix> =
+                batches.iter().map(|b| basis.evaluate(&reference.grid.points[b.clone()])).collect();
+            frozen_energy(&basis, reference, &panels)
         };
-
-        let mut hess = DMatrix::zeros(dof, dof);
-        // Diagonal: central second difference. The displaced energies are
-        // independent, so evaluate them in parallel; collecting into an
-        // index-ordered Vec keeps every downstream combination (and thus the
-        // result) bit-identical to the serial loop.
-        let singles: Vec<(f64, f64)> = (0..dof)
-            .into_par_iter()
-            .map(|i| (displaced(i, 1.0, i, 0.0), displaced(i, -1.0, i, 0.0)))
-            .collect();
-        for i in 0..dof {
-            hess[(i, i)] = (singles[i].0 + singles[i].1 - 2.0 * e0) / (h * h);
-        }
-        // Off-diagonal: mixed difference using the cached singles. The pair
-        // list is flattened so rayon can balance the triangular workload;
-        // results come back in pair order and are written serially.
-        let pairs: Vec<(usize, usize)> =
-            (0..dof).flat_map(|i| ((i + 1)..dof).map(move |j| (i, j))).collect();
-        let mixed: Vec<f64> = pairs
-            .par_iter()
-            .map(|&(i, j)| {
-                let epp = displaced(i, 1.0, j, 1.0);
-                let emm = displaced(i, -1.0, j, -1.0);
-                (epp + emm + 2.0 * e0 - singles[i].0 - singles[i].1 - singles[j].0 - singles[j].1)
-                    / (2.0 * h * h)
-            })
-            .collect();
-        for (&(i, j), &v) in pairs.iter().zip(&mixed) {
-            hess[(i, j)] = v;
-            hess[(j, i)] = v;
-        }
-        hess
+        fd_hessian(frag, energy(frag), energy)
     }
 
     /// Polarizability derivatives by central differences of the DFPT
@@ -346,6 +311,82 @@ impl DfptEngine {
     }
 }
 
+/// Frozen-density (Harris-style) energy of the geometry `basis` was built
+/// for: the SCF density matrix of the reference geometry is kept fixed
+/// while the integrals and grid terms are re-evaluated. The frozen density
+/// is transported rigidly: `panels` hold `basis` evaluated on the
+/// *reference* grid, one panel per batch.
+fn frozen_energy(basis: &Basis, reference: &ScfResult, panels: &[DMatrix]) -> f64 {
+    let t = basis.kinetic();
+    let v = basis.external_potential();
+    let h_core = &t + &v;
+    let e_core = crate::scf::trace_product(&reference.p, &h_core);
+    let grid = &reference.grid;
+    let mut density = Vec::with_capacity(grid.len());
+    for x in panels {
+        let xp = qfr_linalg::gemm::matmul(x, &reference.p);
+        for row in 0..x.rows() {
+            let nd: f64 = xp.row(row).iter().zip(x.row(row)).map(|(a, b)| a * b).sum();
+            density.push(nd.max(0.0));
+        }
+    }
+    let v_h = grid.solve_poisson(&density);
+    let e_h: f64 = 0.5 * density.iter().zip(&v_h).map(|(&n, &vh)| n * vh).sum::<f64>() * grid.dv;
+    let e_x: f64 =
+        -0.75 * crate::scf::CX * density.iter().map(|&n| n.powf(4.0 / 3.0)).sum::<f64>() * grid.dv;
+    e_core + e_h + e_x + basis.nuclear_repulsion()
+}
+
+/// Finite-difference Hessian of `energy` around `frag`, whose own energy is
+/// `e0`: central second differences on the diagonal, mixed differences off
+/// it.
+fn fd_hessian(
+    frag: &FragmentStructure,
+    e0: f64,
+    energy: impl Fn(&FragmentStructure) -> f64 + Sync,
+) -> DMatrix {
+    let dof = frag.dof();
+    let h = DISPLACEMENT;
+    let displaced = |i: usize, s1: f64, j: usize, s2: f64| -> f64 {
+        let mut f = frag.clone();
+        apply_shift(&mut f, i, s1 * h);
+        apply_shift(&mut f, j, s2 * h);
+        energy(&f)
+    };
+
+    let mut hess = DMatrix::zeros(dof, dof);
+    // Diagonal: central second difference. The displaced energies are
+    // independent, so evaluate them in parallel; collecting into an
+    // index-ordered Vec keeps every downstream combination (and thus the
+    // result) bit-identical to the serial loop.
+    let singles: Vec<(f64, f64)> = (0..dof)
+        .into_par_iter()
+        .map(|i| (displaced(i, 1.0, i, 0.0), displaced(i, -1.0, i, 0.0)))
+        .collect();
+    for i in 0..dof {
+        hess[(i, i)] = (singles[i].0 + singles[i].1 - 2.0 * e0) / (h * h);
+    }
+    // Off-diagonal: mixed difference using the cached singles. The pair
+    // list is flattened so rayon can balance the triangular workload;
+    // results come back in pair order and are written serially.
+    let pairs: Vec<(usize, usize)> =
+        (0..dof).flat_map(|i| ((i + 1)..dof).map(move |j| (i, j))).collect();
+    let mixed: Vec<f64> = pairs
+        .par_iter()
+        .map(|&(i, j)| {
+            let epp = displaced(i, 1.0, j, 1.0);
+            let emm = displaced(i, -1.0, j, -1.0);
+            (epp + emm + 2.0 * e0 - singles[i].0 - singles[i].1 - singles[j].0 - singles[j].1)
+                / (2.0 * h * h)
+        })
+        .collect();
+    for (&(i, j), &v) in pairs.iter().zip(&mixed) {
+        hess[(i, j)] = v;
+        hess[(j, i)] = v;
+    }
+    hess
+}
+
 fn apply_shift(frag: &mut FragmentStructure, coord: usize, amount: f64) {
     let atom = coord / 3;
     match coord % 3 {
@@ -404,6 +445,17 @@ mod tests {
         // positive (restoring forces).
         let max_diag = h.diagonal().iter().cloned().fold(f64::MIN, f64::max);
         assert!(max_diag > 0.0, "no restoring force found: {:?}", h.diagonal());
+    }
+
+    #[test]
+    fn reused_columns_match_full_evaluation_bit_for_bit() {
+        let engine = DfptEngine::new();
+        let frag = water_fragment();
+        let reference = engine.reference(&frag);
+        let reused = engine.hessian_around(&frag, &reference);
+        let full = engine.hessian_full_evaluation(&frag, &reference);
+        let bits = |m: &DMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&reused), bits(&full));
     }
 
     #[test]

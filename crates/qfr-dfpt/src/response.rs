@@ -178,18 +178,14 @@ struct ScfPanels {
 
 fn build_panels(scf: &ScfResult, batch_size: usize) -> ScfPanels {
     let batches = scf.grid.batches(batch_size);
-    let x_panels: Vec<Arc<DMatrix>> =
-        batches.iter().map(|b| Arc::new(scf.basis.evaluate(&scf.grid.points[b.clone()]))).collect();
-    let g_panels: Vec<[Arc<DMatrix>; 3]> = batches
+    // One exponential per basis value: the gradient panels scale it.
+    let (x_panels, g_panels): (Vec<Arc<DMatrix>>, Vec<[Arc<DMatrix>; 3]>) = batches
         .iter()
         .map(|b| {
-            [
-                Arc::new(scf.basis.evaluate_gradient(&scf.grid.points[b.clone()], 0)),
-                Arc::new(scf.basis.evaluate_gradient(&scf.grid.points[b.clone()], 1)),
-                Arc::new(scf.basis.evaluate_gradient(&scf.grid.points[b.clone()], 2)),
-            ]
+            let (x, g) = scf.basis.evaluate_with_gradients(&scf.grid.points[b.clone()]);
+            (Arc::new(x), g.map(Arc::new))
         })
-        .collect();
+        .unzip();
     // Ground-state density gradient (for the model gradient kernel). The
     // X·P products are shared across the three directions.
     let xps: Vec<DMatrix> = x_panels.iter().map(|x| gemm::matmul(x, &scf.p)).collect();
@@ -204,6 +200,11 @@ fn build_panels(scf: &ScfResult, batch_size: usize) -> ScfPanels {
         out
     });
     ScfPanels { batches, x_panels, g_panels, c: Arc::new(scf.c.clone()), grad_n }
+}
+
+/// `Σ_k a[row, k] · b[row, k]`, summed in column order.
+fn row_dot(a: &DMatrix, b: &DMatrix, row: usize) -> f64 {
+    a.row(row).iter().zip(b.row(row)).map(|(u, v)| u * v).sum()
 }
 
 /// Runs a whole set of response tasks in deterministic lockstep: each
@@ -329,50 +330,39 @@ pub fn solve_responses(
                 }
             }
             let products = execute_jobs(&jobs, Default::default());
-            let mut n1_out = Vec::with_capacity(t_count);
-            let mut grads_out: Vec<[Vec<f64>; 3]> = Vec::with_capacity(t_count);
-            for (t_idx, task) in tasks.iter().enumerate() {
-                let pan = &panels[panel_of[t_idx]];
-                let npts = task.scf.grid.len();
-                let mut n1 = Vec::with_capacity(npts);
-                let mut grad: [Vec<f64>; 3] = std::array::from_fn(|_| Vec::with_capacity(npts));
-                for (bi, x) in pan.x_panels.iter().enumerate() {
-                    let rows = x.rows();
-                    let xp = &products[base[t_idx] + bi * jobs_per_batch];
-                    qfr_linalg::flops::add((2 * rows * x.cols()) as u64);
-                    for row in 0..rows {
-                        let v: f64 = xp.row(row).iter().zip(x.row(row)).map(|(a, b)| a * b).sum();
-                        n1.push(v);
-                    }
-                    if cfg.use_symmetry_reduction {
-                        for (dir, gvec) in grad.iter_mut().enumerate() {
-                            let g = &pan.g_panels[bi][dir];
-                            qfr_linalg::flops::add((2 * rows * x.cols()) as u64);
-                            for row in 0..rows {
-                                let v: f64 =
-                                    xp.row(row).iter().zip(g.row(row)).map(|(a, b)| a * b).sum();
-                                gvec.push(2.0 * v);
-                            }
+            // Row reductions, one task per rayon item, collected in task order.
+            (0..t_count)
+                .into_par_iter()
+                .map(|t_idx| {
+                    let pan = &panels[panel_of[t_idx]];
+                    let products = &products[base[t_idx]..];
+                    let npts = tasks[t_idx].scf.grid.len();
+                    let mut n1 = Vec::with_capacity(npts);
+                    let mut grad: [Vec<f64>; 3] = std::array::from_fn(|_| Vec::with_capacity(npts));
+                    for (bi, x) in pan.x_panels.iter().enumerate() {
+                        let rows = x.rows();
+                        let xp = &products[bi * jobs_per_batch];
+                        qfr_linalg::flops::add((2 * rows * x.cols()) as u64);
+                        for row in 0..rows {
+                            n1.push(row_dot(xp, x, row));
                         }
-                    } else {
                         for (dir, gvec) in grad.iter_mut().enumerate() {
                             let g = &pan.g_panels[bi][dir];
-                            let gp = &products[base[t_idx] + bi * jobs_per_batch + 1 + dir];
-                            qfr_linalg::flops::add((4 * rows * x.cols()) as u64);
-                            for row in 0..rows {
-                                let a: f64 =
-                                    xp.row(row).iter().zip(g.row(row)).map(|(u, v)| u * v).sum();
-                                let b: f64 =
-                                    gp.row(row).iter().zip(x.row(row)).map(|(u, v)| u * v).sum();
-                                gvec.push(a + b);
+                            if cfg.use_symmetry_reduction {
+                                qfr_linalg::flops::add((2 * rows * x.cols()) as u64);
+                                gvec.extend((0..rows).map(|row| 2.0 * row_dot(xp, g, row)));
+                            } else {
+                                let gp = &products[bi * jobs_per_batch + 1 + dir];
+                                qfr_linalg::flops::add((4 * rows * x.cols()) as u64);
+                                gvec.extend(
+                                    (0..rows).map(|row| row_dot(xp, g, row) + row_dot(gp, x, row)),
+                                );
                             }
                         }
                     }
-                }
-                n1_out.push(n1);
-                grads_out.push(grad);
-            }
-            (n1_out, grads_out)
+                    (n1, grad)
+                })
+                .collect::<(Vec<_>, Vec<_>)>()
         });
         n1s = new_n1s;
         phases.n1_seconds += dt;
@@ -416,38 +406,57 @@ pub fn solve_responses(
         // in batch order (IEEE addition is commutative, so the indexed sum
         // equals the former in-place β=1 accumulation).
         let (h1_grids, dt, fl) = measured("dfpt.h1", || {
-            let mut jobs: Vec<BatchJob> = Vec::new();
-            let mut base = Vec::with_capacity(t_count);
-            for (t_idx, task) in tasks.iter().enumerate() {
-                let pan = &panels[panel_of[t_idx]];
-                let n = task.scf.basis.len();
-                base.push(jobs.len());
-                for (b, x) in pan.batches.iter().zip(&pan.x_panels) {
-                    // The weighted copy is per-job by necessity; the plain
-                    // X operand is shared.
-                    let mut xw = (**x).clone();
-                    qfr_linalg::flops::add((x.rows() * n) as u64);
-                    for (row, gi) in b.clone().enumerate() {
-                        let w = v1s[t_idx][gi] * task.scf.grid.dv;
-                        for v in xw.row_mut(row) {
-                            *v *= w;
-                        }
-                    }
-                    jobs.push(BatchJob::symmetric_product(xw, x.clone()));
-                }
-            }
+            // The weighted copies are per job by necessity (the plain X
+            // operand is shared); each task builds its own on the rayon
+            // facade, and the streams concatenate in task order.
+            let per_task: Vec<Vec<BatchJob>> = (0..t_count)
+                .into_par_iter()
+                .map(|t_idx| {
+                    let scf = tasks[t_idx].scf;
+                    let pan = &panels[panel_of[t_idx]];
+                    let n = scf.basis.len();
+                    pan.batches
+                        .iter()
+                        .zip(&pan.x_panels)
+                        .map(|(b, x)| {
+                            let mut xw = (**x).clone();
+                            qfr_linalg::flops::add((x.rows() * n) as u64);
+                            for (row, gi) in b.clone().enumerate() {
+                                let w = v1s[t_idx][gi] * scf.grid.dv;
+                                for v in xw.row_mut(row) {
+                                    *v *= w;
+                                }
+                            }
+                            BatchJob::symmetric_product(xw, x.clone())
+                        })
+                        .collect()
+                })
+                .collect();
+            let counts: Vec<usize> = per_task.iter().map(Vec::len).collect();
+            let jobs: Vec<BatchJob> = per_task.into_iter().flatten().collect();
             let outs = execute_jobs(&jobs, Default::default());
-            let mut grids = Vec::with_capacity(t_count);
-            for (t_idx, task) in tasks.iter().enumerate() {
-                let pan = &panels[panel_of[t_idx]];
-                let n = task.scf.basis.len();
-                let mut m = DMatrix::zeros(n, n);
-                for bi in 0..pan.x_panels.len() {
-                    m += &outs[base[t_idx] + bi];
-                }
-                grids.push(m);
-            }
-            grids
+            let mut rest = &outs[..];
+            let per_task_outs: Vec<&[DMatrix]> = counts
+                .iter()
+                .map(|&c| {
+                    let (head, tail) = rest.split_at(c);
+                    rest = tail;
+                    head
+                })
+                .collect();
+            // Per-task sums of the batch outputs, in batch order.
+            per_task_outs
+                .par_iter()
+                .enumerate()
+                .map(|(t_idx, outs)| {
+                    let n = tasks[t_idx].scf.basis.len();
+                    let mut m = DMatrix::zeros(n, n);
+                    for out in outs.iter() {
+                        m += out;
+                    }
+                    m
+                })
+                .collect::<Vec<_>>()
         });
         phases.h1_seconds += dt;
         phases.h1_flops += fl;

@@ -119,22 +119,43 @@ fn twiddles(n: usize, inverse: bool) -> Vec<Complex64> {
 /// Radix-2 transform of `x` with the twiddle table of its length (the sign
 /// lives in the table), followed by the `1/N` scaling when `normalize`.
 fn transform(x: &mut [Complex64], table: &[Complex64], normalize: bool) {
-    let n = x.len();
+    transform_lanes(x, 1, table, normalize);
+    book(1, x.len());
+}
+
+/// Books `lines` transforms of length `n` on the transform and FLOP
+/// counters (a length-1 transform is a no-op and books nothing).
+fn book(lines: usize, n: usize) {
+    if n > 1 {
+        FFT_TRANSFORMS.add(lines as u64);
+        // ~5 N log2 N real FLOPs per radix-2 complex FFT.
+        crate::flops::add(lines as u64 * 5 * n as u64 * n.trailing_zeros() as u64);
+    }
+}
+
+/// Radix-2 transforms of `lanes` interleaved lines of one power-of-two
+/// length `n = x.len() / lanes`: element `e` of lane `l` is
+/// `x[e * lanes + l]`, so each butterfly runs across a contiguous run of
+/// lanes. Every lane sees exactly the permutation, butterflies, twiddles
+/// and `1/n` scaling of a single-line transform, so each lane's bits equal
+/// those of transforming it alone. Books nothing: callers [`book`] the
+/// lines once per batch.
+fn transform_lanes(x: &mut [Complex64], lanes: usize, table: &[Complex64], normalize: bool) {
+    let n = x.len() / lanes;
     assert!(n.is_power_of_two(), "FFT length {n} must be a power of two");
     if n <= 1 {
         return;
     }
+    debug_assert_eq!(x.len(), n * lanes, "lanes must divide the data");
     debug_assert_eq!(table.len(), n / 2, "twiddle table length");
-    FFT_TRANSFORMS.incr();
-    // ~5 N log2 N real FLOPs for a radix-2 complex FFT.
-    crate::flops::add(5 * n as u64 * n.trailing_zeros() as u64);
 
-    // Bit-reversal permutation.
+    // Bit-reversal permutation of whole lane rows.
     let bits = n.trailing_zeros();
     for i in 0..n {
         let j = i.reverse_bits() >> (usize::BITS - bits);
         if j > i {
-            x.swap(i, j);
+            let (head, tail) = x.split_at_mut(j * lanes);
+            head[i * lanes..(i + 1) * lanes].swap_with_slice(&mut tail[..lanes]);
         }
     }
 
@@ -144,12 +165,16 @@ fn transform(x: &mut [Complex64], table: &[Complex64], normalize: bool) {
     while len <= n {
         let half = len / 2;
         let step = n / len;
-        for chunk in x.chunks_mut(len) {
-            for i in 0..half {
-                let u = chunk[i];
-                let v = chunk[i + half] * table[i * step];
-                chunk[i] = u + v;
-                chunk[i + half] = u - v;
+        for block in x.chunks_mut(len * lanes) {
+            let (lo, hi) = block.split_at_mut(half * lanes);
+            for (i, (us, vs)) in lo.chunks_mut(lanes).zip(hi.chunks_mut(lanes)).enumerate() {
+                let w = table[i * step];
+                for (u, v) in us.iter_mut().zip(vs.iter_mut()) {
+                    let a = *u;
+                    let b = *v * w;
+                    *u = a + b;
+                    *v = a - b;
+                }
             }
         }
         len <<= 1;
@@ -234,40 +259,40 @@ impl Grid3 {
         self.transform_axes(true);
     }
 
+    /// Transforms the z, y and x axes in that order, each in one batched
+    /// pass over all of its lines. The x and y lines are already lanes of
+    /// the row-major layout (`[x][y·z]` and, per x slab, `[y][z]`); the z
+    /// lines are contiguous, so they go through a transposed copy in which
+    /// they become lanes.
     fn transform_axes(&mut self, inverse: bool) {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         // One twiddle table per axis for the whole 3-D transform.
         let (tx, ty, tz) = (twiddles(nx, inverse), twiddles(ny, inverse), twiddles(nz, inverse));
-        // z axis: contiguous rows.
-        for row in self.data.chunks_mut(nz) {
-            transform(row, &tz, inverse);
-        }
-        // y axis.
-        let mut buf = vec![Complex64::ZERO; ny];
-        for i in 0..nx {
-            for k in 0..nz {
-                for j in 0..ny {
-                    buf[j] = self.data[(i * ny + j) * nz + k];
+        // z axis: transpose `[x·y][z]` to `[z][x·y]`, transform, transpose back.
+        let rows = nx * ny;
+        book(rows, nz);
+        if nz > 1 {
+            let mut t = vec![Complex64::ZERO; self.data.len()];
+            for (r, row) in self.data.chunks(nz).enumerate() {
+                for (k, &v) in row.iter().enumerate() {
+                    t[k * rows + r] = v;
                 }
-                transform(&mut buf, &ty, inverse);
-                for j in 0..ny {
-                    self.data[(i * ny + j) * nz + k] = buf[j];
+            }
+            transform_lanes(&mut t, rows, &tz, inverse);
+            for (r, row) in self.data.chunks_mut(nz).enumerate() {
+                for (k, v) in row.iter_mut().enumerate() {
+                    *v = t[k * rows + r];
                 }
             }
         }
-        // x axis.
-        let mut buf = vec![Complex64::ZERO; nx];
-        for j in 0..ny {
-            for k in 0..nz {
-                for (i, b) in buf.iter_mut().enumerate() {
-                    *b = self.data[(i * ny + j) * nz + k];
-                }
-                transform(&mut buf, &tx, inverse);
-                for (i, b) in buf.iter().enumerate() {
-                    self.data[(i * ny + j) * nz + k] = *b;
-                }
-            }
+        // y axis: the nz lanes of each y row, one x slab at a time.
+        book(nx * nz, ny);
+        for slab in self.data.chunks_mut(ny * nz) {
+            transform_lanes(slab, nz, &ty, inverse);
         }
+        // x axis: the ny·nz lanes of each x plane.
+        book(ny * nz, nx);
+        transform_lanes(&mut self.data, ny * nz, &tx, inverse);
     }
 }
 
@@ -461,6 +486,65 @@ mod tests {
         let err = g.to_real().iter().zip(&real).fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()));
         assert!(err <= 1e-14, "round trip error {err:e}");
         assert!(g.max_imag() <= 1e-14);
+    }
+
+    /// The per-line 3-D transform the batched axes replaced: every z, y
+    /// and x line gathered, transformed with `fft_in_place` /
+    /// `ifft_in_place`, and scattered back.
+    fn per_line(g: &Grid3, inverse: bool) -> Vec<Complex64> {
+        let (nx, ny, nz) = g.dims();
+        let mut data = g.data().to_vec();
+        let line = |data: &mut [Complex64], idx: &dyn Fn(usize) -> usize, n: usize| {
+            let mut buf: Vec<Complex64> = (0..n).map(|e| data[idx(e)]).collect();
+            if inverse {
+                ifft_in_place(&mut buf);
+            } else {
+                fft_in_place(&mut buf);
+            }
+            for (e, v) in buf.into_iter().enumerate() {
+                data[idx(e)] = v;
+            }
+        };
+        for i in 0..nx {
+            for j in 0..ny {
+                line(&mut data, &|k| (i * ny + j) * nz + k, nz);
+            }
+        }
+        for i in 0..nx {
+            for k in 0..nz {
+                line(&mut data, &|j| (i * ny + j) * nz + k, ny);
+            }
+        }
+        for j in 0..ny {
+            for k in 0..nz {
+                line(&mut data, &|i| (i * ny + j) * nz + k, nx);
+            }
+        }
+        data
+    }
+
+    fn bits(data: &[Complex64]) -> Vec<(u64, u64)> {
+        data.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn batched_axes_match_per_line_transforms_bit_for_bit() {
+        for (nx, ny, nz) in [(16, 16, 16), (4, 8, 16), (1, 2, 8), (8, 1, 4)] {
+            let mut g = Grid3::zeros(nx, ny, nz);
+            for (i, c) in g.data_mut().iter_mut().enumerate() {
+                *c = Complex64::new((i as f64 * 0.613).sin(), (i as f64 * 0.271).cos() - 0.4);
+            }
+            let mut forward = g.clone();
+            forward.fft();
+            assert_eq!(bits(forward.data()), bits(&per_line(&g, false)), "fft {nx}x{ny}x{nz}");
+            let mut inverse = forward.clone();
+            inverse.ifft();
+            assert_eq!(
+                bits(inverse.data()),
+                bits(&per_line(&forward, true)),
+                "ifft {nx}x{ny}x{nz}"
+            );
+        }
     }
 
     #[test]

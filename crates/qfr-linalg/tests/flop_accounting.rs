@@ -8,6 +8,7 @@ use qfr_linalg::batch::{execute_jobs, BatchJob, OffloadMode};
 use qfr_linalg::blas::{
     cross_term_naive, sandwich_naive, symmetric_cross_term, symmetric_sandwich,
 };
+use qfr_linalg::fft::{fft_in_place, ifft_in_place, Complex64, Grid3};
 use qfr_linalg::flops::FlopScope;
 use qfr_linalg::gemm::gemm_blocked;
 use qfr_linalg::syrk::{flops_saved_symmetry, syrk};
@@ -153,4 +154,49 @@ fn syrk_and_packed_bytes_counters_advance() {
         "four triangle-family jobs in the mixed set"
     );
     assert!(counter("linalg.batch.packed_bytes") > bytes_before);
+}
+
+/// A batched 3-D transform books what one 1-D transform per z, y and x
+/// line books: the same `linalg.fft.transforms` and `linalg.flops` deltas.
+#[test]
+fn grid_transforms_book_the_per_line_totals() {
+    let _g = lock();
+    for (nx, ny, nz) in [(16, 16, 16), (4, 8, 16), (1, 2, 8)] {
+        let real: Vec<f64> = (0..nx * ny * nz).map(|i| (i as f64 * 0.3).sin()).collect();
+        let mut grid = Grid3::from_real(nx, ny, nz, &real);
+        let transforms = counter("linalg.fft.transforms");
+        let scope = FlopScope::start();
+        grid.fft();
+        grid.ifft();
+        let grid_flops = scope.finish().flops;
+        let grid_transforms = counter("linalg.fft.transforms") - transforms;
+
+        let transforms = counter("linalg.fft.transforms");
+        let scope = FlopScope::start();
+        for (lines, n) in [(nx * ny, nz), (nx * nz, ny), (ny * nz, nx)] {
+            for _ in 0..lines {
+                let mut line = vec![Complex64::new(1.0, 0.0); n];
+                fft_in_place(&mut line);
+                ifft_in_place(&mut line);
+            }
+        }
+        let line_flops = scope.finish().flops;
+        let line_transforms = counter("linalg.fft.transforms") - transforms;
+
+        let log = |n: usize| n.trailing_zeros() as u64;
+        let expected: u64 = [(nx * ny, nz), (nx * nz, ny), (ny * nz, nx)]
+            .iter()
+            .filter(|&&(_, n)| n > 1)
+            .map(|&(lines, _)| 2 * lines as u64)
+            .sum();
+        assert_eq!(grid_transforms, line_transforms, "{nx}x{ny}x{nz} transforms");
+        assert_eq!(grid_transforms, expected, "{nx}x{ny}x{nz} transforms");
+        assert_eq!(grid_flops, line_flops, "{nx}x{ny}x{nz} flops");
+        let per_axis = |lines: usize, n: usize| 2 * lines as u64 * 5 * n as u64 * log(n);
+        assert_eq!(
+            grid_flops,
+            per_axis(nx * ny, nz) + per_axis(nx * nz, ny) + per_axis(ny * nz, nx),
+            "{nx}x{ny}x{nz} flops"
+        );
+    }
 }
