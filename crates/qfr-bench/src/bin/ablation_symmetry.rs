@@ -153,11 +153,7 @@ fn main() {
 
     // Spectra from both derivative sets must agree to 1e-10 (the merged
     // sweep is bit-identical, so the spectra are too).
-    let hessian = {
-        let mut h = engine.hessian_fd(&frag);
-        h.symmetrize_mut();
-        h
-    };
+    let hessian = engine.hessian_fd(&frag);
     let opts = RamanOptions { lanczos_steps: scaled(60, 20), sigma: 20.0, ..Default::default() };
     let spec_scattered = raman_lanczos(&hessian, &dalpha_rows(&da_ref), &opts);
     let spec_merged = raman_lanczos(&hessian, &dalpha_rows(&da), &opts);

@@ -187,6 +187,9 @@ fn build_seeded_system(args: &Args, seed: u64) -> MolecularSystem {
         let n = args.get_positive("--protein", 1);
         let protein = ProteinBuilder::new(n).seed(seed).build();
         match args.get::<f64>("--solvate") {
+            Some(pad) if !(pad.is_finite() && pad >= 0.0) => {
+                fail(format!("--solvate must be a finite number of at least 0, got {pad}"))
+            }
             Some(pad) => SolvatedSystem::build(&protein, pad, 3.1, 2.4, seed + 1),
             None => protein,
         }
@@ -413,7 +416,7 @@ fn cmd_serve(argv: &[String]) {
         &[],
     );
     let requests: usize = args.get_or("--requests", 6);
-    let distinct: usize = std::cmp::max(args.get_or("--distinct", 2), 1);
+    let distinct = args.get_positive("--distinct", 2);
     let base_seed: u64 = args.get_or("--seed", 42);
     let (lambda, lanczos) = lambda_and_lanczos(args);
     let sigma = args.get_positive_f64("--sigma");

@@ -26,7 +26,8 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Largest fragment (atoms incl. link H) the model-DFPT engine accepts:
-/// its cost is `O((3m)²)` energy evaluations per fragment.
+/// each fragment costs `6m` displaced SCFs and their response solves plus
+/// `6m` frozen-density gradients.
 pub(crate) const DFPT_FRAGMENT_CAP: usize = 12;
 
 /// Span names of one pipeline front end.

@@ -149,8 +149,9 @@ pub enum EngineKind {
     /// Calibrated analytic force field + bond polarizability (fast; the
     /// production path for large systems).
     ForceField,
-    /// Model DFPT engine (computationally faithful; `O((3m)²)` energy
-    /// evaluations per fragment — small systems only).
+    /// Model DFPT engine (computationally faithful; `6m` displaced SCFs
+    /// and `6m` frozen-density gradients per fragment — small systems
+    /// only).
     ModelDfpt,
 }
 

@@ -189,6 +189,80 @@ impl Basis {
         e
     }
 
+    /// `∂ tr(P (T + V_ext)) / ∂R` for a fixed density matrix `p`, one entry
+    /// per nuclear coordinate `3·atom + c`. Both integrals are closed forms
+    /// of s-Gaussians: `T_μν` and the overlap factor of `V_μν` depend on the
+    /// centres only through `r² = |A_μ − A_ν|²`, and each well term also
+    /// through the product centre `P = (α_μ A_μ + α_ν A_ν)/p` (which moves
+    /// both shells' atoms) and the well centre `R_C` (which moves atom C).
+    pub(crate) fn core_gradient(&self, p: &DMatrix) -> Vec<f64> {
+        let n = self.len();
+        assert_eq!(p.shape(), (n, n), "density matrix shape");
+        qfr_linalg::flops::add((n * n * (24 + self.nuclei.len() * 36)) as u64);
+        let mut grad = vec![0.0; 3 * self.nuclei.len()];
+        let mut add = |atom: usize, v: Vec3| {
+            for (g, v) in grad[3 * atom..3 * atom + 3].iter_mut().zip(v.to_array()) {
+                *g += v;
+            }
+        };
+        for i in 0..n {
+            for j in 0..n {
+                let (a, b) = (&self.shells[i], &self.shells[j]);
+                let pij = p[(i, j)];
+                let s = gaussian_overlap(a, b);
+                let pe = a.alpha + b.alpha;
+                let mu = a.alpha * b.alpha / pe;
+                let r2 = a.center.dist_sqr(b.center);
+                // T = S μ (3 − 2μ r²) with dS/dr² = −μ S.
+                let dt_dr2 = -mu * mu * s * (5.0 - 2.0 * mu * r2);
+                let prod_center = (a.center * a.alpha + b.center * b.alpha) * (1.0 / pe);
+                let k = s * (pe / std::f64::consts::PI).powf(1.5);
+                let q = pe + WELL_EXPONENT;
+                let beta = pe * WELL_EXPONENT / q;
+                let mut v = 0.0;
+                for (atom, &(rc, z)) in self.nuclei.iter().enumerate() {
+                    let d = prod_center - rc;
+                    let vc = -z
+                        * WELL_DEPTH
+                        * k
+                        * (std::f64::consts::PI / q).powf(1.5)
+                        * (-beta * d.norm_sqr()).exp();
+                    v += vc;
+                    // ∂V_C/∂P = −2β V_C (P − R_C) = −∂V_C/∂R_C; ∂P/∂A = α/p.
+                    let f = d * (2.0 * beta * vc * pij);
+                    add(atom, f);
+                    add(a.atom, f * (-a.alpha / pe));
+                    add(b.atom, f * (-b.alpha / pe));
+                }
+                // Through r²: dV/dr² = −μ V; ∂r²/∂A_μ = 2(A_μ − A_ν).
+                let f = (a.center - b.center) * (2.0 * pij * (dt_dr2 - mu * v));
+                add(a.atom, f);
+                add(b.atom, -f);
+            }
+        }
+        grad
+    }
+
+    /// `∂E_nn/∂R` of [`Basis::nuclear_repulsion`], one entry per nuclear
+    /// coordinate `3·atom + c`.
+    pub(crate) fn nuclear_repulsion_gradient(&self) -> Vec<f64> {
+        let mut grad = vec![0.0; 3 * self.nuclei.len()];
+        for a in 0..self.nuclei.len() {
+            for b in (a + 1)..self.nuclei.len() {
+                let (ra, za) = self.nuclei[a];
+                let (rb, zb) = self.nuclei[b];
+                let e =
+                    za * zb * REPULSION_AMPLITUDE * (-REPULSION_EXPONENT * ra.dist_sqr(rb)).exp();
+                let f = ((ra - rb) * (-2.0 * REPULSION_EXPONENT * e)).to_array();
+                for (c, f) in f.into_iter().enumerate() {
+                    grad[3 * a + c] += f;
+                    grad[3 * b + c] -= f;
+                }
+            }
+        }
+        grad
+    }
+
     /// Centroid of the shell centers (dipole gauge origin).
     pub fn centroid(&self) -> Vec3 {
         let mut c = Vec3::ZERO;
@@ -205,26 +279,6 @@ impl Basis {
         let n = self.len();
         qfr_linalg::flops::add((npts * n * 8) as u64);
         DMatrix::from_fn(npts, n, |p, mu| self.shells[mu].value(points[p]))
-    }
-
-    /// Rewrites the columns of `x` (a value panel of `points`, as
-    /// [`Basis::evaluate`] returns it) whose shell centre differs from
-    /// `previous`'s, and keeps the rest: an unmoved shell's column is the
-    /// same expression of the same inputs, so the panel equals a full
-    /// `evaluate` bit for bit. Books the FLOPs of a full `evaluate`, so the
-    /// counters do not depend on how many columns moved.
-    pub fn refresh_moved_columns(&self, previous: &Basis, points: &[Vec3], x: &mut DMatrix) {
-        assert_eq!(x.shape(), (points.len(), self.len()), "value panel shape");
-        assert_eq!(previous.len(), self.len(), "bases differ in size");
-        qfr_linalg::flops::add((points.len() * self.len() * 8) as u64);
-        for (mu, (sh, old)) in self.shells.iter().zip(&previous.shells).enumerate() {
-            if sh.center == old.center {
-                continue;
-            }
-            for (p, &point) in points.iter().enumerate() {
-                x[(p, mu)] = sh.value(point);
-            }
-        }
     }
 
     /// Evaluates the value panel `X` and the three gradient panels at
@@ -244,6 +298,39 @@ impl Basis {
             })
         });
         (x, grads)
+    }
+
+    /// Rewrites the columns of the value panel `x` and the gradient panels
+    /// `grads` of `points` (as [`Basis::evaluate_with_gradients`] returns
+    /// them) whose shell centre differs from `previous`'s, and keeps the
+    /// rest: each rewritten column is the expression of
+    /// `evaluate_with_gradients` (one exponential, the gradients scaled
+    /// from it), and an unmoved column is the same expression of the same
+    /// inputs, so the panels equal a full evaluation bit for bit. Books the
+    /// FLOPs of the rewritten columns.
+    pub(crate) fn refresh_moved_panels(
+        &self,
+        previous: &Basis,
+        points: &[Vec3],
+        x: &mut DMatrix,
+        grads: &mut [DMatrix; 3],
+    ) {
+        assert_eq!(x.shape(), (points.len(), self.len()), "value panel shape");
+        assert!(grads.iter().all(|g| g.shape() == x.shape()), "gradient panel shape");
+        assert_eq!(previous.len(), self.len(), "bases differ in size");
+        for (mu, (sh, old)) in self.shells.iter().zip(&previous.shells).enumerate() {
+            if sh.center == old.center {
+                continue;
+            }
+            qfr_linalg::flops::add((points.len() * (8 + 3 * 11)) as u64);
+            for (p, &point) in points.iter().enumerate() {
+                let v = sh.value(point);
+                x[(p, mu)] = v;
+                for (c, g) in grads.iter_mut().enumerate() {
+                    g[(p, mu)] = sh.gradient_factor(point, c) * v;
+                }
+            }
+        }
     }
 
     /// Evaluates the Cartesian gradient component `c` of all basis
@@ -431,12 +518,59 @@ mod tests {
         moved.positions[1].y += 0.02;
         moved.positions[2].x -= 0.02;
         let displaced = Basis::for_fragment(&moved);
-        let mut x = reference.evaluate(&pts);
-        displaced.refresh_moved_columns(&reference, &pts, &mut x);
-        assert_eq!(bits(&x), bits(&displaced.evaluate(&pts)));
+        let (ref_x, ref_grads) = reference.evaluate_with_gradients(&pts);
+        let (mut x, mut grads) = (ref_x.clone(), ref_grads.clone());
+        displaced.refresh_moved_panels(&reference, &pts, &mut x, &mut grads);
+        let (full_x, full_grads) = displaced.evaluate_with_gradients(&pts);
+        assert_eq!(bits(&x), bits(&full_x));
+        for c in 0..3 {
+            assert_eq!(bits(&grads[c]), bits(&full_grads[c]), "direction {c}");
+        }
         // The oxygen's columns were kept, the hydrogens' rewritten.
-        assert_eq!(x.col(0), reference.evaluate(&pts).col(0));
-        assert_ne!(x.col(3), reference.evaluate(&pts).col(3));
+        assert_eq!(x.col(0), ref_x.col(0));
+        assert_eq!(grads[1].col(0), ref_grads[1].col(0));
+        assert_ne!(x.col(3), ref_x.col(3));
+        assert_ne!(grads[1].col(3), ref_grads[1].col(3));
+    }
+
+    #[test]
+    fn integral_gradients_match_central_differences() {
+        let frag = water_fragment();
+        let b = Basis::for_fragment(&frag);
+        // Any fixed symmetric matrix stands in for the frozen density.
+        let p = DMatrix::from_fn(b.len(), b.len(), |i, j| 0.3 + ((i * j + i + j) as f64).sin());
+        let core = |f: &FragmentStructure| {
+            let b = Basis::for_fragment(f);
+            crate::scf::trace_product(&p, &(&b.kinetic() + &b.external_potential()))
+        };
+        let repulsion = |f: &FragmentStructure| Basis::for_fragment(f).nuclear_repulsion();
+        let (g_core, g_rep) = (b.core_gradient(&p), b.nuclear_repulsion_gradient());
+        let h = 1e-5;
+        for coord in 0..frag.dof() {
+            let shifted = |s: f64| {
+                let mut f = frag.clone();
+                let pos = &mut f.positions[coord / 3];
+                match coord % 3 {
+                    0 => pos.x += s,
+                    1 => pos.y += s,
+                    _ => pos.z += s,
+                }
+                f
+            };
+            let (fp, fm) = (shifted(h), shifted(-h));
+            let fd_core = (core(&fp) - core(&fm)) / (2.0 * h);
+            let fd_rep = (repulsion(&fp) - repulsion(&fm)) / (2.0 * h);
+            assert!(
+                (fd_core - g_core[coord]).abs() < 1e-6,
+                "core {coord}: {fd_core} vs {}",
+                g_core[coord]
+            );
+            assert!(
+                (fd_rep - g_rep[coord]).abs() < 1e-6,
+                "repulsion {coord}: {fd_rep} vs {}",
+                g_rep[coord]
+            );
+        }
     }
 
     #[test]

@@ -3,18 +3,19 @@
 //!
 //! This is the *computationally faithful* engine: polarizability
 //! derivatives come from real DFPT response solves at displaced geometries
-//! (exactly the leader/worker workload of Fig. 3), and the Hessian from a
-//! frozen-density (Harris-style) functional second difference. Cost is one
-//! reference SCF, whose density warm-starts every displaced solve, plus
-//! `O((3m)²)` energy evaluations and `6m` response solves per fragment, so
-//! it is reserved for small fragments (waters, dimers) and validation; the
+//! (exactly the leader/worker workload of Fig. 3), and the Hessian from
+//! central differences of the analytic gradient of a frozen-density
+//! (Harris-style) functional. Cost is one reference SCF, whose density
+//! warm-starts every displaced solve, plus `2·3m` gradient evaluations (one
+//! Poisson solve each) and `6m` response solves per fragment, so it is
+//! reserved for small fragments (waters, dimers) and validation; the
 //! production spectra path uses `qfr-model`'s analytic engine (see
 //! DESIGN.md). The model energy units are taken as mdyn/Å unscaled, so
 //! both engines feed the same downstream pipeline.
 
 use crate::basis::Basis;
 use crate::response::{alpha_from, polarizability, solve_responses, ResponseConfig, ResponseTask};
-use crate::scf::{ScfConfig, ScfResult, ScfSolver};
+use crate::scf::{ScfConfig, ScfResult, ScfSolver, CX};
 use qfr_fragment::{FragmentEngine, FragmentResponse, FragmentStructure};
 use qfr_linalg::DMatrix;
 use rayon::prelude::*;
@@ -81,53 +82,58 @@ impl DfptEngine {
         ScfSolver { config: self.config.scf }.solve_from(&f, &reference.p)
     }
 
-    /// Finite-difference Hessian of the frozen-density energy (solves its
-    /// own reference SCF).
+    /// Finite-difference Hessian of the frozen-density functional (solves
+    /// its own reference SCF).
     pub fn hessian_fd(&self, frag: &FragmentStructure) -> DMatrix {
         self.hessian_around(frag, &self.reference(frag))
     }
 
-    /// The frozen-density Hessian around `reference`. The reference basis
-    /// is evaluated on the reference grid once; each displaced energy
-    /// copies those panels and recomputes only the columns of shells whose
-    /// centre moved (a displacement moves one or two atoms), which equals a
-    /// full re-evaluation bit for bit.
+    /// The frozen-density Hessian around `reference`: column `j` is
+    /// `(g(R + h e_j) − g(R − h e_j)) / 2h` of the analytic gradient
+    /// [`frozen_gradient`], so `2·dof` gradients (one Poisson solve each),
+    /// then symmetrized. The reference value and gradient panels are
+    /// evaluated on the reference grid once; each displaced geometry copies
+    /// them and recomputes only the columns of shells whose centre moved,
+    /// which equals a full re-evaluation bit for bit. Gradients run in
+    /// parallel and are collected in index order, so the result does not
+    /// depend on the thread count.
     fn hessian_around(&self, frag: &FragmentStructure, reference: &ScfResult) -> DMatrix {
         let _span = qfr_obs::span("dfpt.engine.hessian_fd");
+        let dof = frag.dof();
+        let h = DISPLACEMENT;
         let points = &reference.grid.points;
         let batches = reference.grid.batches(self.config.scf.batch_size);
         let ref_basis = Basis::for_fragment(frag);
-        let ref_panels: Vec<DMatrix> =
-            batches.iter().map(|b| ref_basis.evaluate(&points[b.clone()])).collect();
-        let e0 = frozen_energy(&ref_basis, reference, &ref_panels);
-        fd_hessian(frag, e0, |displaced| {
-            let basis = Basis::for_fragment(displaced);
-            let panels: Vec<DMatrix> = batches
-                .iter()
-                .zip(&ref_panels)
-                .map(|(b, x)| {
-                    let mut x = x.clone();
-                    basis.refresh_moved_columns(&ref_basis, &points[b.clone()], &mut x);
-                    x
-                })
-                .collect();
-            frozen_energy(&basis, reference, &panels)
-        })
-    }
-
-    /// The Hessian of [`DfptEngine::hessian_around`] with every displaced
-    /// basis evaluated in full: the oracle the column reuse is checked
-    /// against.
-    #[cfg(test)]
-    fn hessian_full_evaluation(&self, frag: &FragmentStructure, reference: &ScfResult) -> DMatrix {
-        let batches = reference.grid.batches(self.config.scf.batch_size);
-        let energy = |f: &FragmentStructure| {
-            let basis = Basis::for_fragment(f);
-            let panels: Vec<DMatrix> =
-                batches.iter().map(|b| basis.evaluate(&reference.grid.points[b.clone()])).collect();
-            frozen_energy(&basis, reference, &panels)
-        };
-        fd_hessian(frag, energy(frag), energy)
+        let ref_panels: Vec<Panels> =
+            batches.iter().map(|b| ref_basis.evaluate_with_gradients(&points[b.clone()])).collect();
+        let gradients: Vec<Vec<f64>> = (0..2 * dof)
+            .into_par_iter()
+            .map(|g| {
+                let mut f = frag.clone();
+                apply_shift(&mut f, g / 2, if g % 2 == 0 { h } else { -h });
+                let basis = Basis::for_fragment(&f);
+                let panels: Vec<Panels> = batches
+                    .iter()
+                    .zip(&ref_panels)
+                    .map(|(b, (x, grads))| {
+                        let (mut x, mut grads) = (x.clone(), grads.clone());
+                        basis.refresh_moved_panels(
+                            &ref_basis,
+                            &points[b.clone()],
+                            &mut x,
+                            &mut grads,
+                        );
+                        (x, grads)
+                    })
+                    .collect();
+                frozen_gradient(&basis, reference, &panels)
+            })
+            .collect();
+        let mut hess = DMatrix::from_fn(dof, dof, |i, j| {
+            (gradients[2 * j][i] - gradients[2 * j + 1][i]) / (2.0 * h)
+        });
+        hess.symmetrize_mut();
+        hess
     }
 
     /// Polarizability derivatives by central differences of the DFPT
@@ -311,80 +317,82 @@ impl DfptEngine {
     }
 }
 
-/// Frozen-density (Harris-style) energy of the geometry `basis` was built
-/// for: the SCF density matrix of the reference geometry is kept fixed
-/// while the integrals and grid terms are re-evaluated. The frozen density
-/// is transported rigidly: `panels` hold `basis` evaluated on the
-/// *reference* grid, one panel per batch.
-fn frozen_energy(basis: &Basis, reference: &ScfResult, panels: &[DMatrix]) -> f64 {
-    let t = basis.kinetic();
-    let v = basis.external_potential();
-    let h_core = &t + &v;
-    let e_core = crate::scf::trace_product(&reference.p, &h_core);
-    let grid = &reference.grid;
-    let mut density = Vec::with_capacity(grid.len());
-    for x in panels {
-        let xp = qfr_linalg::gemm::matmul(x, &reference.p);
-        for row in 0..x.rows() {
-            let nd: f64 = xp.row(row).iter().zip(x.row(row)).map(|(a, b)| a * b).sum();
-            density.push(nd.max(0.0));
-        }
-    }
-    let v_h = grid.solve_poisson(&density);
-    let e_h: f64 = 0.5 * density.iter().zip(&v_h).map(|(&n, &vh)| n * vh).sum::<f64>() * grid.dv;
-    let e_x: f64 =
-        -0.75 * crate::scf::CX * density.iter().map(|&n| n.powf(4.0 / 3.0)).sum::<f64>() * grid.dv;
-    e_core + e_h + e_x + basis.nuclear_repulsion()
-}
+/// A value panel and its three gradient panels, as
+/// [`Basis::evaluate_with_gradients`] returns them.
+type Panels = (DMatrix, [DMatrix; 3]);
 
-/// Finite-difference Hessian of `energy` around `frag`, whose own energy is
-/// `e0`: central second differences on the diagonal, mixed differences off
-/// it.
-fn fd_hessian(
-    frag: &FragmentStructure,
-    e0: f64,
-    energy: impl Fn(&FragmentStructure) -> f64 + Sync,
-) -> DMatrix {
-    let dof = frag.dof();
-    let h = DISPLACEMENT;
-    let displaced = |i: usize, s1: f64, j: usize, s2: f64| -> f64 {
-        let mut f = frag.clone();
-        apply_shift(&mut f, i, s1 * h);
-        apply_shift(&mut f, j, s2 * h);
-        energy(&f)
-    };
-
-    let mut hess = DMatrix::zeros(dof, dof);
-    // Diagonal: central second difference. The displaced energies are
-    // independent, so evaluate them in parallel; collecting into an
-    // index-ordered Vec keeps every downstream combination (and thus the
-    // result) bit-identical to the serial loop.
-    let singles: Vec<(f64, f64)> = (0..dof)
-        .into_par_iter()
-        .map(|i| (displaced(i, 1.0, i, 0.0), displaced(i, -1.0, i, 0.0)))
-        .collect();
-    for i in 0..dof {
-        hess[(i, i)] = (singles[i].0 + singles[i].1 - 2.0 * e0) / (h * h);
-    }
-    // Off-diagonal: mixed difference using the cached singles. The pair
-    // list is flattened so rayon can balance the triangular workload;
-    // results come back in pair order and are written serially.
-    let pairs: Vec<(usize, usize)> =
-        (0..dof).flat_map(|i| ((i + 1)..dof).map(move |j| (i, j))).collect();
-    let mixed: Vec<f64> = pairs
-        .par_iter()
-        .map(|&(i, j)| {
-            let epp = displaced(i, 1.0, j, 1.0);
-            let emm = displaced(i, -1.0, j, -1.0);
-            (epp + emm + 2.0 * e0 - singles[i].0 - singles[i].1 - singles[j].0 - singles[j].1)
-                / (2.0 * h * h)
+/// The frozen density `max(0, Σ_μν X_rμ P_μν X_rν)` on the reference grid
+/// from the value panels `values` (one per batch), with the `X P` panels it
+/// was formed from.
+fn frozen_density<'a>(
+    reference: &ScfResult,
+    values: impl Iterator<Item = &'a DMatrix>,
+) -> (Vec<f64>, Vec<DMatrix>) {
+    let mut density = Vec::with_capacity(reference.grid.len());
+    let xps = values
+        .map(|x| {
+            let xp = qfr_linalg::gemm::matmul(x, &reference.p);
+            for row in 0..x.rows() {
+                let nd: f64 = xp.row(row).iter().zip(x.row(row)).map(|(a, b)| a * b).sum();
+                density.push(nd.max(0.0));
+            }
+            xp
         })
         .collect();
-    for (&(i, j), &v) in pairs.iter().zip(&mixed) {
-        hess[(i, j)] = v;
-        hess[(j, i)] = v;
+    (density, xps)
+}
+
+/// Analytic gradient, one entry per coordinate `3·atom + c`, of the
+/// frozen-density (Harris-style) energy of the geometry `basis` was built
+/// for: the SCF density matrix `P` of the reference geometry is kept fixed
+/// while the integrals and grid terms follow the nuclei, and the density is
+/// transported rigidly — `panels` hold `basis` and its gradient evaluated
+/// on the *reference* grid, one pair per batch. The energy is
+///
+/// `E = tr(P (T + V_ext)) + E_H[n] + E_x[n] + E_nn`, `n = max(0, diag(X P Xᵀ))`,
+///
+/// and its gradient is [`Basis::core_gradient`] plus
+/// [`Basis::nuclear_repulsion_gradient`] plus the grid term
+/// `dv Σ_r (v_H + v_x)(r) ∂n(r)/∂R_{A,c}` with
+/// `∂n/∂R_{A,c} = −2 Σ_{μ∈A} G_c[r,μ] (X P)[r,μ]` (0 where the clamp
+/// holds) and `v_x = −C_X n^{1/3}`. The Poisson operator is a real symmetric
+/// circulant, so its solution `v_H` is exactly `∂E_H/∂n`: one Poisson solve
+/// per gradient.
+fn frozen_gradient(basis: &Basis, reference: &ScfResult, panels: &[Panels]) -> Vec<f64> {
+    let grid = &reference.grid;
+    let (density, xps) = frozen_density(reference, panels.iter().map(|(x, _)| x));
+    let v_h = grid.solve_poisson(&density);
+    let n = basis.len();
+    qfr_linalg::flops::add((grid.len() * (n * 9 + 4)) as u64);
+    // Σ_r w(r) G_c[r,μ] (XP)[r,μ] per shell μ, folded onto atoms below.
+    let mut per_shell = vec![[0.0; 3]; n];
+    let mut offset = 0;
+    for ((x, grads), xp) in panels.iter().zip(&xps) {
+        for row in 0..x.rows() {
+            let r = offset + row;
+            if density[r] <= 0.0 {
+                continue;
+            }
+            let w = -2.0 * grid.dv * (v_h[r] - CX * density[r].powf(1.0 / 3.0));
+            let xp_row = xp.row(row);
+            for (c, g) in grads.iter().enumerate() {
+                for ((acc, &gv), &xpv) in per_shell.iter_mut().zip(g.row(row)).zip(xp_row) {
+                    acc[c] += w * gv * xpv;
+                }
+            }
+        }
+        offset += x.rows();
     }
-    hess
+    let mut grad = basis.core_gradient(&reference.p);
+    for (g, rep) in grad.iter_mut().zip(basis.nuclear_repulsion_gradient()) {
+        *g += rep;
+    }
+    for (shell, acc) in basis.shells.iter().zip(&per_shell) {
+        for (g, a) in grad[3 * shell.atom..3 * shell.atom + 3].iter_mut().zip(acc) {
+            *g += a;
+        }
+    }
+    grad
 }
 
 fn apply_shift(frag: &mut FragmentStructure, coord: usize, amount: f64) {
@@ -406,8 +414,7 @@ impl FragmentEngine for DfptEngine {
         // are derived from the shared SCF result.
         let reference = self.reference(frag);
         let (dalpha, dmu) = self.sweep_around(frag, &reference);
-        let mut hessian = self.hessian_around(frag, &reference);
-        hessian.symmetrize_mut();
+        let hessian = self.hessian_around(frag, &reference);
         let resp = FragmentResponse { hessian, dalpha, dmu };
         resp.check_shape(frag);
         resp
@@ -435,6 +442,180 @@ mod tests {
         .structure(&sys)
     }
 
+    /// The `water2_dfpt` dimer.
+    fn water_dimer() -> FragmentStructure {
+        let sys = WaterBoxBuilder::new(2).seed(42).build();
+        let jobs = qfr_fragment::Decomposition::new(&sys, Default::default()).jobs;
+        jobs.iter().max_by_key(|j| j.size()).expect("a two-water box has jobs").structure(&sys)
+    }
+
+    /// Frozen-density energy whose gradient [`frozen_gradient`] is: the
+    /// oracle the analytic gradient and the gradient Hessian are checked
+    /// against. `values` hold `basis` evaluated on the reference grid.
+    fn frozen_energy(basis: &Basis, reference: &ScfResult, values: &[DMatrix]) -> f64 {
+        let h_core = &basis.kinetic() + &basis.external_potential();
+        let e_core = crate::scf::trace_product(&reference.p, &h_core);
+        let grid = &reference.grid;
+        let (density, _) = frozen_density(reference, values.iter());
+        let v_h = grid.solve_poisson(&density);
+        let e_h: f64 =
+            0.5 * density.iter().zip(&v_h).map(|(&n, &vh)| n * vh).sum::<f64>() * grid.dv;
+        let e_x: f64 =
+            -0.75 * CX * density.iter().map(|&n| n.powf(4.0 / 3.0)).sum::<f64>() * grid.dv;
+        e_core + e_h + e_x + basis.nuclear_repulsion()
+    }
+
+    /// [`frozen_energy`] at `frag` around `reference`, every panel
+    /// evaluated in full.
+    fn energy_at(engine: &DfptEngine, frag: &FragmentStructure, reference: &ScfResult) -> f64 {
+        let basis = Basis::for_fragment(frag);
+        let points = &reference.grid.points;
+        let values: Vec<DMatrix> = reference
+            .grid
+            .batches(engine.config.scf.batch_size)
+            .iter()
+            .map(|b| basis.evaluate(&points[b.clone()]))
+            .collect();
+        frozen_energy(&basis, reference, &values)
+    }
+
+    /// [`frozen_gradient`] at `frag` around `reference`, every panel
+    /// evaluated in full.
+    fn gradient_at(
+        engine: &DfptEngine,
+        frag: &FragmentStructure,
+        reference: &ScfResult,
+    ) -> Vec<f64> {
+        let basis = Basis::for_fragment(frag);
+        let points = &reference.grid.points;
+        let panels: Vec<Panels> = reference
+            .grid
+            .batches(engine.config.scf.batch_size)
+            .iter()
+            .map(|b| basis.evaluate_with_gradients(&points[b.clone()]))
+            .collect();
+        frozen_gradient(&basis, reference, &panels)
+    }
+
+    /// Energy-difference Hessian of `energy` around `frag`, whose own
+    /// energy is `e0`: central second differences on the diagonal, mixed
+    /// differences off it (1 + 2·dof + dof(dof−1) energies).
+    fn fd_hessian(
+        frag: &FragmentStructure,
+        e0: f64,
+        energy: impl Fn(&FragmentStructure) -> f64 + Sync,
+    ) -> DMatrix {
+        let dof = frag.dof();
+        let h = DISPLACEMENT;
+        let displaced = |i: usize, s1: f64, j: usize, s2: f64| -> f64 {
+            let mut f = frag.clone();
+            apply_shift(&mut f, i, s1 * h);
+            apply_shift(&mut f, j, s2 * h);
+            energy(&f)
+        };
+        let singles: Vec<(f64, f64)> = (0..dof)
+            .into_par_iter()
+            .map(|i| (displaced(i, 1.0, i, 0.0), displaced(i, -1.0, i, 0.0)))
+            .collect();
+        let mut hess = DMatrix::zeros(dof, dof);
+        for i in 0..dof {
+            hess[(i, i)] = (singles[i].0 + singles[i].1 - 2.0 * e0) / (h * h);
+        }
+        let pairs: Vec<(usize, usize)> =
+            (0..dof).flat_map(|i| ((i + 1)..dof).map(move |j| (i, j))).collect();
+        let mixed: Vec<f64> = pairs
+            .par_iter()
+            .map(|&(i, j)| {
+                let epp = displaced(i, 1.0, j, 1.0);
+                let emm = displaced(i, -1.0, j, -1.0);
+                (epp + emm + 2.0 * e0 - singles[i].0 - singles[i].1 - singles[j].0 - singles[j].1)
+                    / (2.0 * h * h)
+            })
+            .collect();
+        for (&(i, j), &v) in pairs.iter().zip(&mixed) {
+            hess[(i, j)] = v;
+            hess[(j, i)] = v;
+        }
+        hess
+    }
+
+    /// Largest `|g − (E(R + h e_i) − E(R − h e_i)) / 2h|` over all
+    /// coordinates, at a geometry moved off the reference (so the frozen
+    /// density is not the SCF density there).
+    fn gradient_error(frag: &FragmentStructure, h: f64) -> f64 {
+        let engine = DfptEngine::new();
+        let reference = engine.reference(frag);
+        let mut at = frag.clone();
+        apply_shift(&mut at, 0, 0.013);
+        apply_shift(&mut at, 4, -0.021);
+        let g = gradient_at(&engine, &at, &reference);
+        (0..frag.dof())
+            .map(|i| {
+                let energy = |s: f64| {
+                    let mut f = at.clone();
+                    apply_shift(&mut f, i, s * h);
+                    energy_at(&engine, &f, &reference)
+                };
+                (g[i] - (energy(1.0) - energy(-1.0)) / (2.0 * h)).abs()
+            })
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn analytic_gradient_matches_central_energy_differences() {
+        for (name, frag) in [("monomer", water_fragment()), ("dimer", water_dimer())] {
+            let coarse = gradient_error(&frag, 1e-3);
+            let fine = gradient_error(&frag, 1e-4);
+            assert!(coarse < 1e-4, "{name}: error {coarse:.3e} at h = 1e-3");
+            assert!(
+                fine * 50.0 <= coarse,
+                "{name}: error must fall >= 50x from h = 1e-3 to 1e-4: {coarse:.3e} -> {fine:.3e}"
+            );
+        }
+    }
+
+    #[test]
+    fn gradient_hessian_matches_the_energy_difference_oracle() {
+        let engine = DfptEngine::new();
+        let frag = water_fragment();
+        let reference = engine.reference(&frag);
+        let from_gradients = engine.hessian_around(&frag, &reference);
+        let from_energies = fd_hessian(&frag, energy_at(&engine, &frag, &reference), |f| {
+            energy_at(&engine, f, &reference)
+        });
+        let scale = from_energies.max_abs();
+        let diff = from_gradients.max_abs_diff(&from_energies);
+        assert!(diff <= 5e-3 * scale, "max |ΔH| {diff:.3e} vs max |H| {scale:.3e}");
+    }
+
+    #[test]
+    fn reused_panels_match_full_evaluation_bit_for_bit() {
+        // A displaced gradient from refreshed reference panels equals one
+        // from a full evaluation of the displaced basis.
+        let engine = DfptEngine::new();
+        let frag = water_fragment();
+        let reference = engine.reference(&frag);
+        let points = &reference.grid.points;
+        let ref_basis = Basis::for_fragment(&frag);
+        let mut moved = frag.clone();
+        apply_shift(&mut moved, 5, -DISPLACEMENT);
+        let basis = Basis::for_fragment(&moved);
+        let panels: Vec<Panels> = reference
+            .grid
+            .batches(engine.config.scf.batch_size)
+            .iter()
+            .map(|b| {
+                let (mut x, mut grads) = ref_basis.evaluate_with_gradients(&points[b.clone()]);
+                basis.refresh_moved_panels(&ref_basis, &points[b.clone()], &mut x, &mut grads);
+                (x, grads)
+            })
+            .collect();
+        let reused = frozen_gradient(&basis, &reference, &panels);
+        let full = gradient_at(&engine, &moved, &reference);
+        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&reused), bits(&full));
+    }
+
     #[test]
     fn fd_hessian_symmetric_by_construction() {
         let engine = DfptEngine::new();
@@ -446,18 +627,6 @@ mod tests {
         let max_diag = h.diagonal().iter().cloned().fold(f64::MIN, f64::max);
         assert!(max_diag > 0.0, "no restoring force found: {:?}", h.diagonal());
     }
-
-    #[test]
-    fn reused_columns_match_full_evaluation_bit_for_bit() {
-        let engine = DfptEngine::new();
-        let frag = water_fragment();
-        let reference = engine.reference(&frag);
-        let reused = engine.hessian_around(&frag, &reference);
-        let full = engine.hessian_full_evaluation(&frag, &reference);
-        let bits = |m: &DMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&reused), bits(&full));
-    }
-
     #[test]
     fn engine_produces_valid_response_shapes() {
         let engine = DfptEngine::new();

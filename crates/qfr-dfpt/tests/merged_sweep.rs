@@ -1,12 +1,14 @@
 //! Pins the merged displaced-SCF sweep against the scattered reference
 //! paths: bit-identical `dalpha`/`dmu` and the predicted drop in
-//! displaced-geometry SCF solves.
+//! displaced-geometry SCF solves; and the Hessian's cost of one Poisson
+//! solve per displaced gradient.
 //!
 //! This lives in its own integration-test binary (one `#[test]`) because it
 //! reads process-global deterministic counters; sharing a process with other
 //! counter-bumping tests would race the deltas.
 
 use qfr_dfpt::engine::DfptEngine;
+use qfr_dfpt::ScfSolver;
 use qfr_fragment::{FragmentJob, FragmentStructure, JobKind};
 use qfr_geom::WaterBoxBuilder;
 
@@ -61,4 +63,15 @@ fn merged_sweep_is_bit_identical_and_halves_scf_solves() {
     let (da2, dm2) = engine.displaced_sweep(&frag);
     assert_eq!(da.as_slice(), da2.as_slice());
     assert_eq!(dm.as_slice(), dm2.as_slice());
+
+    // The gradient Hessian: past its own reference SCF, one Poisson solve
+    // per displaced gradient, 2·dof in all.
+    let poisson = || qfr_obs::counter::value_of("dfpt.poisson.solves").unwrap_or(0);
+    let before = poisson();
+    ScfSolver { config: engine.config.scf }.solve(&frag);
+    let reference_solves = poisson() - before;
+    let before = poisson();
+    engine.hessian_fd(&frag);
+    let hessian_solves = poisson() - before;
+    assert_eq!(hessian_solves - reference_solves, 2 * dof as u64, "Poisson solves of hessian_fd");
 }
