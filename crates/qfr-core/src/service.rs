@@ -156,6 +156,10 @@ pub enum ServiceError {
     Workflow(WorkflowError),
     /// A fragment compute or the coordinator panicked.
     Lost,
+    /// The request's coordinator thread could not be started (the OS
+    /// refused a thread); the request was not admitted and its slot is
+    /// free again.
+    Spawn(std::io::Error),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -168,6 +172,7 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Lost => {
                 write!(f, "request lost: a fragment compute or its coordinator panicked")
             }
+            ServiceError::Spawn(e) => write!(f, "could not start the request coordinator: {e}"),
         }
     }
 }
@@ -204,12 +209,40 @@ struct Admission {
     running: usize,
 }
 
-/// A request's claim on a running slot, taken once one is free: dropping
-/// it gives back the running slot and the admitted one, also when the
-/// coordinator panics.
-struct Admitted<'a>(&'a ServiceInner);
+/// A request's admitted slot, counted in `in_flight`. Dropping it gives
+/// the slot back, so neither a coordinator that panics nor one that never
+/// starts leaks capacity.
+struct Reservation(Arc<ServiceInner>);
 
-impl<'a> Admitted<'a> {
+impl Reservation {
+    /// Admits one more request, or sheds it with
+    /// [`ServiceError::Saturated`] when `max_active + max_queued` are
+    /// already in flight.
+    fn admit(inner: &Arc<ServiceInner>) -> Result<Self, ServiceError> {
+        let capacity = inner.config.max_active + inner.config.max_queued;
+        let mut adm = inner.admission();
+        if adm.in_flight >= capacity {
+            REJECTED.incr();
+            return Err(ServiceError::Saturated { in_flight: adm.in_flight, capacity });
+        }
+        adm.in_flight += 1;
+        PEAK_IN_FLIGHT.record_max(adm.in_flight as u64);
+        Ok(Self(Arc::clone(inner)))
+    }
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        self.0.admission().in_flight -= 1;
+        self.0.admission_cv.notify_all();
+    }
+}
+
+/// A request's claim on a running slot, taken once one is free: dropping
+/// it gives the running slot back, also when the coordinator panics.
+struct Running<'a>(&'a ServiceInner);
+
+impl<'a> Running<'a> {
     /// Waits for a running slot; admitted requests beyond `max_active`
     /// wait here.
     fn wait(inner: &'a ServiceInner) -> Self {
@@ -222,12 +255,9 @@ impl<'a> Admitted<'a> {
     }
 }
 
-impl Drop for Admitted<'_> {
+impl Drop for Running<'_> {
     fn drop(&mut self) {
-        let mut adm = self.0.admission();
-        adm.running -= 1;
-        adm.in_flight -= 1;
-        drop(adm);
+        self.0.admission().running -= 1;
         self.0.admission_cv.notify_all();
     }
 }
@@ -295,30 +325,22 @@ impl SpectrumService {
     }
 
     /// Submits a request. Returns immediately: either a handle to wait
-    /// on, or [`ServiceError::Saturated`] when admission control sheds it.
+    /// on, [`ServiceError::Saturated`] when admission control sheds it, or
+    /// [`ServiceError::Spawn`] when its coordinator thread cannot start.
     pub fn submit(&self, request: SpectrumRequest) -> Result<RequestHandle, ServiceError> {
-        let capacity = self.inner.config.max_active + self.inner.config.max_queued;
-        {
-            let mut adm = self.inner.admission();
-            if adm.in_flight >= capacity {
-                REJECTED.incr();
-                return Err(ServiceError::Saturated { in_flight: adm.in_flight, capacity });
-            }
-            adm.in_flight += 1;
-            PEAK_IN_FLIGHT.record_max(adm.in_flight as u64);
-        }
+        let reservation = Reservation::admit(&self.inner)?;
         REQUESTS.incr();
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let inner = Arc::clone(&self.inner);
+        // A failed spawn drops the closure, and with it the reservation.
         let coordinator = std::thread::Builder::new()
             .name(format!("qfr-serve-{id}"))
             .spawn(move || {
-                // The guard drops before the result is joined, so a caller
+                // Both guards drop before the result is joined, so a caller
                 // who saw its request finish also sees the capacity freed.
-                let _admitted = Admitted::wait(&inner);
-                inner.serve(request)
+                let _running = Running::wait(&reservation.0);
+                reservation.0.serve(request)
             })
-            .expect("spawn request coordinator");
+            .map_err(ServiceError::Spawn)?;
         Ok(RequestHandle { id, coordinator })
     }
 }
@@ -480,6 +502,27 @@ mod tests {
             Err(ServiceError::Workflow(WorkflowError::EmptySystem)) => {}
             other => panic!("expected empty-system rejection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_reservation_dropped_unspawned_gives_its_slot_back() {
+        // What a failed coordinator spawn does: the closure holding the
+        // reservation drops without running.
+        let service = SpectrumService::new(ServiceConfig {
+            workers: 1,
+            max_active: 1,
+            max_queued: 0,
+            ..ServiceConfig::default()
+        });
+        let reservation = Reservation::admit(&service.inner).unwrap();
+        assert_eq!(service.in_flight(), 1);
+        let shed = Reservation::admit(&service.inner);
+        assert!(matches!(shed, Err(ServiceError::Saturated { .. })), "got {:?}", shed.err());
+        let unspawned = move || drop(reservation);
+        drop(unspawned);
+        assert_eq!(service.in_flight(), 0, "the dropped reservation gave back its slot");
+        let system = WaterBoxBuilder::new(1).seed(4).build();
+        assert!(wait_within(service.submit(SpectrumRequest::new(system)).unwrap()).is_ok());
     }
 
     #[test]

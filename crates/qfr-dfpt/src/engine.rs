@@ -7,14 +7,17 @@
 //! central differences of the analytic gradient of a frozen-density
 //! (Harris-style) functional. Cost is one reference SCF, whose density
 //! warm-starts every displaced solve, plus `2·3m` gradient evaluations (one
-//! Poisson solve each) and `6m` response solves per fragment, so it is
-//! reserved for small fragments (waters, dimers) and validation; the
-//! production spectra path uses `qfr-model`'s analytic engine (see
-//! DESIGN.md). The model energy units are taken as mdyn/Å unscaled, so
-//! both engines feed the same downstream pipeline.
+//! Poisson solve each) and `6m` displaced SCFs with three field responses
+//! each per fragment. Each displaced geometry runs start to finish on its
+//! own (SCF, responses, α and μ) and then drops its state, so the peak is
+//! about one geometry per thread. The engine is reserved for small
+//! fragments (waters, dimers) and validation; the production spectra path
+//! uses `qfr-model`'s analytic engine (see DESIGN.md). The model energy
+//! units are taken as mdyn/Å unscaled, so both engines feed the same
+//! downstream pipeline.
 
 use crate::basis::Basis;
-use crate::response::{alpha_from, polarizability, solve_responses, ResponseConfig, ResponseTask};
+use crate::response::{polarizability, ResponseConfig};
 use crate::scf::{ScfConfig, ScfResult, ScfSolver, CX};
 use qfr_fragment::{FragmentEngine, FragmentResponse, FragmentStructure};
 use qfr_linalg::DMatrix;
@@ -190,13 +193,12 @@ impl DfptEngine {
     /// `dfpt.engine.scf_solves`; each derivative block served from an
     /// already-solved geometry bumps `dfpt.engine.scf_reused`.
     ///
-    /// This is the cross-fragment gather point of the response phase: the
-    /// `2·dof` geometries are solved first (stage 1), then *all* `6·dof`
-    /// field-response tasks go through one [`solve_responses`] set so the
-    /// batched accelerator sees the whole sweep's job stream at once
-    /// (stage 2). Each task's result is independent of its batch
-    /// companions, so both blocks stay bit-identical to the scattered
-    /// per-geometry path.
+    /// Each geometry is a pipeline of its own, as a worker runs one
+    /// displacement in the paper: its SCF, then its three field responses
+    /// in one [`crate::response::solve_responses`] set (the gather window
+    /// of the batched executor), then one α and one μ column, after which
+    /// its state drops. Geometries run in parallel, so about one state per
+    /// thread is alive at a time.
     ///
     /// Solves its own reference SCF; every displaced solve warm-starts from
     /// it, exactly as in the scattered paths.
@@ -209,37 +211,19 @@ impl DfptEngine {
         let dof = frag.dof();
         let h = DISPLACEMENT;
         let comps = alpha_components();
-        // Stage 1: one SCF per displaced geometry (g = 2i for +h, 2i+1 for
-        // -h), solved in parallel and collected in index order.
-        let scfs: Vec<ScfResult> = (0..2 * dof)
+        // One pipeline per displaced geometry (g = 2i for +h, 2i+1 for -h),
+        // run in parallel and collected in index order. The per-geometry
+        // `CyclePhases` are dropped: they read the process-global FLOP
+        // counter, which concurrent geometries share.
+        let per_geometry: Vec<([f64; 6], [f64; 3])> = (0..2 * dof)
             .into_par_iter()
             .map(|g| {
-                self.displaced_scf(frag, reference, g / 2, if g % 2 == 0 { 1.0 } else { -1.0 })
-            })
-            .collect();
-        // Stage 2: gather all 6·dof field responses into one lockstep set.
-        let tasks: Vec<ResponseTask<'_>> = scfs
-            .iter()
-            .flat_map(|scf| {
-                let dipole = scf.basis.dipole();
-                dipole.into_iter().map(move |d| ResponseTask { scf, h1_ext: d.scaled(-1.0) })
-            })
-            .collect();
-        let (results, _phases) = solve_responses(&tasks, &self.config.response);
-        let per_geometry: Vec<([f64; 6], [f64; 3])> = (0..2 * dof)
-            .map(|g| {
-                let scf = &scfs[g];
-                let alpha = alpha_from(
-                    scf,
-                    [&results[3 * g].p1, &results[3 * g + 1].p1, &results[3 * g + 2].p1],
-                );
+                let sign = if g % 2 == 0 { 1.0 } else { -1.0 };
+                let scf = self.displaced_scf(frag, reference, g / 2, sign);
+                let alpha = polarizability(&scf, &self.config.response).0;
                 SCF_REUSED.incr();
-                let mu = Self::scf_dipole(scf);
-                let mut acol = [0.0; 6];
-                for (ci, &(p, q)) in comps.iter().enumerate() {
-                    acol[ci] = alpha[(p, q)];
-                }
-                (acol, [mu[0], mu[1], mu[2]])
+                let mu = Self::scf_dipole(&scf);
+                (comps.map(|(p, q)| alpha[(p, q)]), mu)
             })
             .collect();
         let mut dalpha = DMatrix::zeros(6, dof);

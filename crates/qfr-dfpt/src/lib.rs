@@ -33,8 +33,8 @@
 //! batched executor [`qfr_linalg::batch::execute_jobs`] — the paper's
 //! elastic workload offloading executed for real (Section V-C, DESIGN.md
 //! §10). The [`response::solve_responses`] set driver additionally gathers
-//! jobs *across* response tasks (field directions × displaced geometries)
-//! in deterministic lockstep.
+//! the jobs of one ground state's three field directions in deterministic
+//! lockstep; the engine runs each displaced geometry as its own pipeline.
 
 #![forbid(unsafe_code)]
 
@@ -49,5 +49,5 @@ pub use basis::Basis;
 pub use displacement::{displacement_cycle, CycleProfile, DisplacementConfig};
 pub use engine::{DfptEngine, DfptEngineConfig};
 pub use grid::RealSpaceGrid;
-pub use response::{polarizability, solve_responses, ResponseConfig, ResponseResult, ResponseTask};
+pub use response::{polarizability, solve_responses, ResponseConfig, ResponseResult};
 pub use scf::{ScfConfig, ScfResult, ScfSolver};

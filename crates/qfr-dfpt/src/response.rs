@@ -21,9 +21,10 @@
 //! 4 is *gathered* into kernel-tagged job streams and run through the
 //! batched executor [`qfr_linalg::batch::execute_jobs`] — one launch per
 //! size class instead of one kernel call per matrix. [`solve_responses`]
-//! runs a whole *set* of response tasks (field directions × displaced
-//! geometries) in deterministic lockstep, so jobs gather across tasks;
-//! [`solve_response`] is the single-task wrapper.
+//! runs several perturbations of one ground state (the three field
+//! directions of a polarizability) in deterministic lockstep, so jobs
+//! gather across them; [`solve_response`] is the single-perturbation
+//! wrapper.
 
 use crate::scf::{ScfResult, CX};
 use qfr_linalg::batch::{execute_jobs, BatchJob};
@@ -147,20 +148,10 @@ pub fn field_response(scf: &ScfResult, c: usize, cfg: &ResponseConfig) -> Respon
 /// wrapper around [`solve_responses`]; the returned `phases` are the set
 /// totals (identical, for one task).
 pub fn solve_response(scf: &ScfResult, h1_ext: &DMatrix, cfg: &ResponseConfig) -> ResponseResult {
-    let tasks = [ResponseTask { scf, h1_ext: h1_ext.clone() }];
-    let (mut results, phases) = solve_responses(&tasks, cfg);
+    let (mut results, phases) = solve_responses(scf, std::slice::from_ref(h1_ext), cfg);
     let mut out = results.pop().expect("one task in, one result out");
     out.phases = phases;
     out
-}
-
-/// One `(SCF state, bare perturbation)` entry of a gathered response set.
-#[derive(Debug)]
-pub struct ResponseTask<'a> {
-    /// The converged ground state the response is computed against.
-    pub scf: &'a ScfResult,
-    /// The bare perturbation matrix (symmetric).
-    pub h1_ext: DMatrix,
 }
 
 /// Per-`ScfResult` precomputation shared by every task on that state:
@@ -207,53 +198,40 @@ fn row_dot(a: &DMatrix, b: &DMatrix, row: usize) -> f64 {
     a.row(row).iter().zip(b.row(row)).map(|(u, v)| u * v).sum()
 }
 
-/// Runs a whole set of response tasks in deterministic lockstep: each
-/// four-phase cycle gathers the dense-algebra jobs of *all* tasks into one
+/// Runs the responses of one ground state to several bare perturbations
+/// (`h1_exts`, each symmetric) in deterministic lockstep: each four-phase
+/// cycle gathers the dense-algebra jobs of *all* tasks into one
 /// kernel-tagged stream, executes it batched
 /// ([`qfr_linalg::batch::execute_jobs`]), and scatters results back in
-/// task/batch index order.
+/// task/batch index order. The grid panels are built once and shared by
+/// every task.
 ///
 /// Determinism and independence: every job is computed over its own
 /// operands regardless of batch companions, and scatter-back is indexed,
-/// so each task's result is bit-identical whether it is solved alone, in
-/// this set, or in a different set.
-/// Panel precomputation is deduplicated across tasks sharing an
-/// [`ScfResult`] (the three field directions of a polarizability).
+/// so each task's result is bit-identical whether it is solved alone or
+/// in any set.
 ///
 /// Returns the per-task results (their `phases` fields are zero) plus the
 /// set-level [`CyclePhases`] totals.
 pub fn solve_responses(
-    tasks: &[ResponseTask<'_>],
+    scf: &ScfResult,
+    h1_exts: &[DMatrix],
     cfg: &ResponseConfig,
 ) -> (Vec<ResponseResult>, CyclePhases) {
-    let t_count = tasks.len();
+    let t_count = h1_exts.len();
     if t_count == 0 {
         return (Vec::new(), CyclePhases::default());
     }
-    // Deduplicate panel builds by ScfResult identity.
-    let mut uniq: Vec<&ScfResult> = Vec::new();
-    let panel_of: Vec<usize> = tasks
-        .iter()
-        .map(|t| match uniq.iter().position(|u| std::ptr::eq(*u, t.scf)) {
-            Some(i) => i,
-            None => {
-                uniq.push(t.scf);
-                uniq.len() - 1
-            }
-        })
-        .collect();
-    let panels: Vec<ScfPanels> =
-        uniq.par_iter().map(|scf| build_panels(scf, cfg.batch_size)).collect();
+    let pan = build_panels(scf, cfg.batch_size);
+    let n = scf.basis.len();
+    let npts = scf.grid.len();
 
     let mut phases = CyclePhases::default();
     // Arc-held so each cycle's job stream shares one H1/P1 per task across
     // all of its batches.
-    let mut h1s: Vec<Arc<DMatrix>> = tasks.iter().map(|t| Arc::new(t.h1_ext.clone())).collect();
-    let mut p1s: Vec<Arc<DMatrix>> = tasks
-        .iter()
-        .map(|t| Arc::new(DMatrix::zeros(t.scf.basis.len(), t.scf.basis.len())))
-        .collect();
-    let mut n1s: Vec<Vec<f64>> = tasks.iter().map(|t| vec![0.0; t.scf.grid.len()]).collect();
+    let mut h1s: Vec<Arc<DMatrix>> = h1_exts.iter().map(|h| Arc::new(h.clone())).collect();
+    let mut p1s: Vec<Arc<DMatrix>> = (0..t_count).map(|_| Arc::new(DMatrix::zeros(n, n))).collect();
+    let mut n1s: Vec<Vec<f64>> = vec![vec![0.0; npts]; t_count];
     let mut v1s: Vec<Vec<f64>> = n1s.clone();
 
     for _cycle in 0..CYCLES {
@@ -265,21 +243,12 @@ pub fn solve_responses(
         // so Cᵀ H1 C is a congruence and P1 = C m Cᵀ a similarity — both
         // triangle-only batched jobs.
         let (new_p1s, dt, fl) = measured("dfpt.p1", || {
-            let cong: Vec<BatchJob> = h1s
-                .iter()
-                .enumerate()
-                .map(|(t_idx, h1)| {
-                    BatchJob::congruence(panels[panel_of[t_idx]].c.clone(), h1.clone())
-                })
-                .collect();
+            let cong: Vec<BatchJob> =
+                h1s.iter().map(|h1| BatchJob::congruence(pan.c.clone(), h1.clone())).collect();
             let h1_mos = execute_jobs(&cong, Default::default());
-            let sims: Vec<BatchJob> = tasks
+            let sims: Vec<BatchJob> = h1_mos
                 .iter()
-                .enumerate()
-                .zip(&h1_mos)
-                .map(|((t_idx, t), h1_mo)| {
-                    let scf = t.scf;
-                    let n = scf.basis.len();
+                .map(|h1_mo| {
                     let mut m = DMatrix::zeros(n, n);
                     qfr_linalg::flops::add((n * n * 4) as u64);
                     for i in 0..n {
@@ -296,7 +265,7 @@ pub fn solve_responses(
                             m[(a, i)] = w;
                         }
                     }
-                    BatchJob::similarity(panels[panel_of[t_idx]].c.clone(), m)
+                    BatchJob::similarity(pan.c.clone(), m)
                 })
                 .collect();
             execute_jobs(&sims, Default::default())
@@ -311,20 +280,15 @@ pub fn solve_responses(
         // Reduced path: since `P1 = P1ᵀ` the halves are equal, so `∇n1 =
         // 2·rowdot(X P1, G)` — the GEMM is shared with the n(1) evaluation.
         let jobs_per_batch = if cfg.use_symmetry_reduction { 1 } else { 4 };
+        let jobs_per_task = jobs_per_batch * pan.x_panels.len();
         let ((new_n1s, grads), dt, fl) = measured("dfpt.n1", || {
-            let mut jobs: Vec<BatchJob> = Vec::new();
-            let mut base = Vec::with_capacity(t_count);
-            for (t_idx, _) in tasks.iter().enumerate() {
-                let pan = &panels[panel_of[t_idx]];
-                base.push(jobs.len());
+            let mut jobs: Vec<BatchJob> = Vec::with_capacity(t_count * jobs_per_task);
+            for p1 in &p1s {
                 for (bi, x) in pan.x_panels.iter().enumerate() {
-                    jobs.push(BatchJob::gemm(x.clone(), p1s[t_idx].clone()));
+                    jobs.push(BatchJob::gemm(x.clone(), p1.clone()));
                     if !cfg.use_symmetry_reduction {
-                        for dir in 0..3 {
-                            jobs.push(BatchJob::gemm(
-                                pan.g_panels[bi][dir].clone(),
-                                p1s[t_idx].clone(),
-                            ));
+                        for g in &pan.g_panels[bi] {
+                            jobs.push(BatchJob::gemm(g.clone(), p1.clone()));
                         }
                     }
                 }
@@ -334,9 +298,7 @@ pub fn solve_responses(
             (0..t_count)
                 .into_par_iter()
                 .map(|t_idx| {
-                    let pan = &panels[panel_of[t_idx]];
-                    let products = &products[base[t_idx]..];
-                    let npts = tasks[t_idx].scf.grid.len();
+                    let products = &products[t_idx * jobs_per_task..];
                     let mut n1 = Vec::with_capacity(npts);
                     let mut grad: [Vec<f64>; 3] = std::array::from_fn(|_| Vec::with_capacity(npts));
                     for (bi, x) in pan.x_panels.iter().enumerate() {
@@ -376,10 +338,7 @@ pub fn solve_responses(
             (0..t_count)
                 .into_par_iter()
                 .map(|t_idx| {
-                    let scf = tasks[t_idx].scf;
-                    let pan = &panels[panel_of[t_idx]];
-                    let n1 = &n1s[t_idx];
-                    let grad_n1 = &grads[t_idx];
+                    let (n1, grad_n1) = (&n1s[t_idx], &grads[t_idx]);
                     let v_h1 = scf.grid.solve_poisson(n1);
                     qfr_linalg::flops::add(8 * n1.len() as u64);
                     let mut v = Vec::with_capacity(n1.len());
@@ -409,49 +368,30 @@ pub fn solve_responses(
             // The weighted copies are per job by necessity (the plain X
             // operand is shared); each task builds its own on the rayon
             // facade, and the streams concatenate in task order.
-            let per_task: Vec<Vec<BatchJob>> = (0..t_count)
+            let jobs: Vec<BatchJob> = v1s
+                .par_iter()
+                .flat_map_iter(|v1| {
+                    pan.batches.iter().zip(&pan.x_panels).map(|(b, x)| {
+                        let mut xw = (**x).clone();
+                        qfr_linalg::flops::add((x.rows() * n) as u64);
+                        for (row, gi) in b.clone().enumerate() {
+                            let w = v1[gi] * scf.grid.dv;
+                            for v in xw.row_mut(row) {
+                                *v *= w;
+                            }
+                        }
+                        BatchJob::symmetric_product(xw, x.clone())
+                    })
+                })
+                .collect();
+            let outs = execute_jobs(&jobs, Default::default());
+            // Per-task sums of the batch outputs, in batch order.
+            let per_task = pan.batches.len();
+            (0..t_count)
                 .into_par_iter()
                 .map(|t_idx| {
-                    let scf = tasks[t_idx].scf;
-                    let pan = &panels[panel_of[t_idx]];
-                    let n = scf.basis.len();
-                    pan.batches
-                        .iter()
-                        .zip(&pan.x_panels)
-                        .map(|(b, x)| {
-                            let mut xw = (**x).clone();
-                            qfr_linalg::flops::add((x.rows() * n) as u64);
-                            for (row, gi) in b.clone().enumerate() {
-                                let w = v1s[t_idx][gi] * scf.grid.dv;
-                                for v in xw.row_mut(row) {
-                                    *v *= w;
-                                }
-                            }
-                            BatchJob::symmetric_product(xw, x.clone())
-                        })
-                        .collect()
-                })
-                .collect();
-            let counts: Vec<usize> = per_task.iter().map(Vec::len).collect();
-            let jobs: Vec<BatchJob> = per_task.into_iter().flatten().collect();
-            let outs = execute_jobs(&jobs, Default::default());
-            let mut rest = &outs[..];
-            let per_task_outs: Vec<&[DMatrix]> = counts
-                .iter()
-                .map(|&c| {
-                    let (head, tail) = rest.split_at(c);
-                    rest = tail;
-                    head
-                })
-                .collect();
-            // Per-task sums of the batch outputs, in batch order.
-            per_task_outs
-                .par_iter()
-                .enumerate()
-                .map(|(t_idx, outs)| {
-                    let n = tasks[t_idx].scf.basis.len();
                     let mut m = DMatrix::zeros(n, n);
-                    for out in outs.iter() {
+                    for out in &outs[t_idx * per_task..(t_idx + 1) * per_task] {
                         m += out;
                     }
                     m
@@ -462,14 +402,13 @@ pub fn solve_responses(
         phases.h1_flops += fl;
 
         // Damped update of each task's total perturbation.
-        for (t_idx, task) in tasks.iter().enumerate() {
-            let n = task.scf.basis.len();
-            let target = &task.h1_ext + &h1_grids[t_idx];
+        for ((h1, h1_ext), h1_grid) in h1s.iter_mut().zip(h1_exts).zip(&h1_grids) {
+            let target = h1_ext + h1_grid;
             qfr_linalg::flops::add((3 * n * n) as u64);
             let next = DMatrix::from_fn(n, n, |i, j| {
-                (1.0 - MIXING) * h1s[t_idx][(i, j)] + MIXING * target[(i, j)]
+                (1.0 - MIXING) * h1[(i, j)] + MIXING * target[(i, j)]
             });
-            h1s[t_idx] = Arc::new(next);
+            *h1 = Arc::new(next);
         }
     }
 
@@ -498,26 +437,16 @@ pub fn solve_responses(
 /// out-of-plane response vanishes, so α is positive *semi*-definite.
 pub fn polarizability(scf: &ScfResult, cfg: &ResponseConfig) -> (DMatrix, CyclePhases) {
     let dipole = scf.basis.dipole();
-    let tasks: Vec<ResponseTask<'_>> =
-        (0..3).map(|c| ResponseTask { scf, h1_ext: dipole[c].scaled(-1.0) }).collect();
-    let (results, phases) = solve_responses(&tasks, cfg);
-    let alpha = alpha_from(scf, [&results[0].p1, &results[1].p1, &results[2].p1]);
-    (alpha, phases)
-}
-
-/// Assembles the symmetrized polarizability tensor from the three field
-/// response density matrices (shared with the merged displaced-SCF sweep
-/// in `crate::engine`).
-pub(crate) fn alpha_from(scf: &ScfResult, p1s: [&DMatrix; 3]) -> DMatrix {
-    let dipole = scf.basis.dipole();
+    let h1_exts: Vec<DMatrix> = dipole.iter().map(|d| d.scaled(-1.0)).collect();
+    let (results, phases) = solve_responses(scf, &h1_exts, cfg);
     let mut alpha = DMatrix::zeros(3, 3);
-    for (c, p1) in p1s.iter().enumerate() {
+    for (c, result) in results.iter().enumerate() {
         for (cp, d) in dipole.iter().enumerate() {
-            alpha[(c, cp)] = crate::scf::trace_product(p1, d);
+            alpha[(c, cp)] = crate::scf::trace_product(&result.p1, d);
         }
     }
     alpha.symmetrize_mut();
-    alpha
+    (alpha, phases)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! process-global deterministic counters; sharing a process with other
 //! counter-bumping tests would race the deltas.
 
-use qfr_dfpt::response::{solve_response, solve_responses, ResponseTask};
+use qfr_dfpt::response::{solve_response, solve_responses};
 use qfr_dfpt::scf::CX;
 use qfr_dfpt::{DfptEngineConfig, ResponseConfig, ScfResult, ScfSolver};
 use qfr_fragment::{Decomposition, FragmentStructure};
@@ -100,10 +100,8 @@ fn engine_streams(scf: &ScfResult, batch_size: usize) -> Vec<(&'static str, Vec<
         .collect();
 
     // Real response state: the three field responses of a polarizability.
-    let dipole = scf.basis.dipole();
-    let tasks: Vec<ResponseTask<'_>> =
-        dipole.iter().map(|d| ResponseTask { scf, h1_ext: d.scaled(-1.0) }).collect();
-    let (responses, _) = solve_responses(&tasks, &ResponseConfig::default());
+    let h1_exts: Vec<DMatrix> = scf.basis.dipole().iter().map(|d| d.scaled(-1.0)).collect();
+    let (responses, _) = solve_responses(scf, &h1_exts, &ResponseConfig::default());
 
     let c = Arc::new(scf.c.clone());
     let congruence: Vec<BatchJob> =
@@ -188,19 +186,17 @@ fn batched_offload_is_bit_identical_and_counted() {
 
     // Set solve: a task's result is independent of its companions.
     let response = config.response;
-    let dipole = scf.basis.dipole();
-    let tasks: Vec<ResponseTask<'_>> =
-        dipole.iter().map(|d| ResponseTask { scf: &scf, h1_ext: d.scaled(-1.0) }).collect();
-    let (set_results, _) = solve_responses(&tasks, &response);
+    let h1_exts: Vec<DMatrix> = scf.basis.dipole().iter().map(|d| d.scaled(-1.0)).collect();
+    let (set_results, _) = solve_responses(&scf, &h1_exts, &response);
     for (c, result) in set_results.iter().enumerate() {
-        let solo = solve_response(&scf, &tasks[c].h1_ext, &response);
+        let solo = solve_response(&scf, &h1_exts[c], &response);
         assert_eq!(result.p1.as_slice(), solo.p1.as_slice(), "task {c}: set vs solo P1");
         assert_eq!(result.h1.as_slice(), solo.h1.as_slice(), "task {c}: set vs solo H1");
         assert_eq!(result.n1, solo.n1, "task {c}: set vs solo n1");
     }
 
     // Determinism: a repeat set solve reproduces every bit.
-    let (again, _) = solve_responses(&tasks, &response);
+    let (again, _) = solve_responses(&scf, &h1_exts, &response);
     for (a, b) in set_results.iter().zip(&again) {
         assert_eq!(a.p1.as_slice(), b.p1.as_slice());
     }
