@@ -17,7 +17,7 @@
 //! downstream pipeline.
 
 use crate::basis::Basis;
-use crate::response::{polarizability, ResponseConfig};
+use crate::response::{polarizability, polarizability_with, ResponseConfig};
 use crate::scf::{ScfConfig, ScfResult, ScfSolver, CX};
 use qfr_fragment::{FragmentEngine, FragmentResponse, FragmentStructure};
 use qfr_linalg::DMatrix;
@@ -220,9 +220,11 @@ impl DfptEngine {
             .map(|g| {
                 let sign = if g % 2 == 0 { 1.0 } else { -1.0 };
                 let scf = self.displaced_scf(frag, reference, g / 2, sign);
-                let alpha = polarizability(&scf, &self.config.response).0;
+                // One set of dipole matrices serves both α and μ.
+                let dipole = scf.basis.dipole();
+                let alpha = polarizability_with(&scf, &dipole, &self.config.response).0;
                 SCF_REUSED.incr();
-                let mu = Self::scf_dipole(&scf);
+                let mu = Self::scf_dipole(&scf, &dipole);
                 (comps.map(|(p, q)| alpha[(p, q)]), mu)
             })
             .collect();
@@ -249,10 +251,10 @@ fn alpha_components() -> [(usize, usize); 6] {
 }
 
 impl DfptEngine {
-    /// Ground-state dipole of the model: electronic `-tr(P D)` plus the
-    /// nuclear-well moments about the basis centroid.
-    fn scf_dipole(scf: &crate::scf::ScfResult) -> [f64; 3] {
-        let dip = scf.basis.dipole();
+    /// Ground-state dipole of the model: electronic `-tr(P D)` from the
+    /// dipole matrices `dip` of `scf.basis`, plus the nuclear-well moments
+    /// about the basis centroid.
+    fn scf_dipole(scf: &crate::scf::ScfResult, dip: &[DMatrix; 3]) -> [f64; 3] {
         let centroid = scf.basis.centroid();
         let mut out = [0.0; 3];
         for c in 0..3 {
@@ -281,7 +283,10 @@ impl DfptEngine {
         let cols: Vec<[f64; 3]> = (0..dof)
             .into_par_iter()
             .map(|i| {
-                let mu_at = |s: f64| Self::scf_dipole(&self.displaced_scf(frag, &reference, i, s));
+                let mu_at = |s: f64| {
+                    let scf = self.displaced_scf(frag, &reference, i, s);
+                    Self::scf_dipole(&scf, &scf.basis.dipole())
+                };
                 let mp = mu_at(1.0);
                 let mm = mu_at(-1.0);
                 let mut col = [0.0; 3];

@@ -156,15 +156,21 @@ pub fn solve_response(scf: &ScfResult, h1_ext: &DMatrix, cfg: &ResponseConfig) -
 
 /// Per-`ScfResult` precomputation shared by every task on that state:
 /// grid batches, basis value/gradient panels, the MO coefficients, and the
-/// ground-state density gradient for the model gradient kernel. Panels and
-/// `C` are `Arc`-shared so the gathered job streams reference one copy
-/// across every batch/task/cycle instead of cloning per job.
+/// ground-state parts of the phase-3 kernels (the density gradient, the
+/// LDA factor and the squared density). Panels and `C` are `Arc`-shared so
+/// the gathered job streams reference one copy across every
+/// batch/task/cycle instead of cloning per job.
 struct ScfPanels {
     batches: Vec<std::ops::Range<usize>>,
     x_panels: Vec<Arc<DMatrix>>,
     g_panels: Vec<[Arc<DMatrix>; 3]>,
     c: Arc<DMatrix>,
     grad_n: [Vec<f64>; 3],
+    /// `-(CX/3)·nd^{-2/3}` per point, `nd = max(n, 1e-10)`: the LDA kernel
+    /// `f_xc = d v_x / d n` without its `n(1)` factor.
+    fxc: Vec<f64>,
+    /// `nd·nd` per point: the model gradient kernel's denominator.
+    nd2: Vec<f64>,
 }
 
 fn build_panels(scf: &ScfResult, batch_size: usize) -> ScfPanels {
@@ -190,7 +196,33 @@ fn build_panels(scf: &ScfResult, batch_size: usize) -> ScfPanels {
         }
         out
     });
-    ScfPanels { batches, x_panels, g_panels, c: Arc::new(scf.c.clone()), grad_n }
+    // The ground state does not change across cycles or tasks, so neither
+    // do these; each is the left-to-right prefix of phase 3's expression.
+    let nd = || scf.density.iter().map(|&d| d.max(1e-10));
+    let fxc = nd().map(|nd| -(CX / 3.0) * nd.powf(-2.0 / 3.0)).collect();
+    let nd2 = nd().map(|nd| nd * nd).collect();
+    ScfPanels { batches, x_panels, g_panels, c: Arc::new(scf.c.clone()), grad_n, fxc, nd2 }
+}
+
+/// Phase 3's pointwise sum `v(1) = v_H[n(1)] + f_xc·n(1) + GRADIENT_KERNEL ·
+/// (∇n·∇n(1)) / nd²` from the Hartree response `v_h1`, with the
+/// ground-state factors read from `pan`.
+fn response_potential(
+    pan: &ScfPanels,
+    v_h1: &[f64],
+    n1: &[f64],
+    grad_n1: &[Vec<f64>; 3],
+) -> Vec<f64> {
+    (0..n1.len())
+        .map(|i| {
+            // LDA kernel: f_xc = d v_x / d n = -(1/3) Cx n^{-2/3}.
+            let lda = pan.fxc[i] * n1[i];
+            // Model gradient kernel: couples ∇n and ∇n(1).
+            let grad_term: f64 =
+                (0..3).map(|d| pan.grad_n[d][i] * grad_n1[d][i]).sum::<f64>() / pan.nd2[i];
+            v_h1[i] + lda + GRADIENT_KERNEL * grad_term
+        })
+        .collect()
 }
 
 /// `Σ_k a[row, k] · b[row, k]`, summed in column order.
@@ -333,7 +365,10 @@ pub fn solve_responses(
         // ---- Phase 3: Poisson + kernels. --------------------------------
         // Tasks are independent; FLOPs land in the process-global counter
         // the surrounding FlopScope reads, so parallelism keeps the phase
-        // totals (and all values) deterministic.
+        // totals (and all values) deterministic. The kernels' ground-state
+        // factors come from `pan`, computed once per ground state, not
+        // once per task and cycle; the booked FLOPs are the pointwise
+        // expression's, as before.
         let (new_v1s, dt, fl) = measured("dfpt.v1", || {
             (0..t_count)
                 .into_par_iter()
@@ -341,18 +376,7 @@ pub fn solve_responses(
                     let (n1, grad_n1) = (&n1s[t_idx], &grads[t_idx]);
                     let v_h1 = scf.grid.solve_poisson(n1);
                     qfr_linalg::flops::add(8 * n1.len() as u64);
-                    let mut v = Vec::with_capacity(n1.len());
-                    for i in 0..n1.len() {
-                        let nd = scf.density[i].max(1e-10);
-                        // LDA kernel: f_xc = d v_x / d n = -(1/3) Cx n^{-2/3}.
-                        let lda = -(CX / 3.0) * nd.powf(-2.0 / 3.0) * n1[i];
-                        // Model gradient kernel: couples ∇n and ∇n(1).
-                        let grad_term: f64 =
-                            (0..3).map(|d| pan.grad_n[d][i] * grad_n1[d][i]).sum::<f64>()
-                                / (nd * nd);
-                        v.push(v_h1[i] + lda + GRADIENT_KERNEL * grad_term);
-                    }
-                    v
+                    response_potential(&pan, &v_h1, n1, grad_n1)
                 })
                 .collect::<Vec<_>>()
         });
@@ -436,7 +460,16 @@ pub fn solve_responses(
 /// `H1_ext = -D_c`). For planar fragments in the s-only basis the
 /// out-of-plane response vanishes, so α is positive *semi*-definite.
 pub fn polarizability(scf: &ScfResult, cfg: &ResponseConfig) -> (DMatrix, CyclePhases) {
-    let dipole = scf.basis.dipole();
+    polarizability_with(scf, &scf.basis.dipole(), cfg)
+}
+
+/// [`polarizability`] from the dipole matrices `dipole` of `scf.basis`,
+/// for a caller that needs them for more than this.
+pub(crate) fn polarizability_with(
+    scf: &ScfResult,
+    dipole: &[DMatrix; 3],
+    cfg: &ResponseConfig,
+) -> (DMatrix, CyclePhases) {
     let h1_exts: Vec<DMatrix> = dipole.iter().map(|d| d.scaled(-1.0)).collect();
     let (results, phases) = solve_responses(scf, &h1_exts, cfg);
     let mut alpha = DMatrix::zeros(3, 3);
@@ -548,6 +581,28 @@ mod tests {
         let b = field_response(&scf, 0, &ResponseConfig::default());
         assert_eq!(a.h1.max_abs_diff(&b.h1), 0.0);
         assert_eq!(a.n1, b.n1);
+    }
+
+    #[test]
+    fn hoisted_kernel_matches_the_pointwise_expression_bit_for_bit() {
+        // One cycle's v(1): the first n(1) of a field response and its
+        // Hartree potential, with a ∇n(1) stand-in that varies per point.
+        let scf = fast_scf().solve(&water_fragment());
+        let pan = build_panels(&scf, ResponseConfig::default().batch_size);
+        let n1 = field_response(&scf, 0, &ResponseConfig::default()).n1;
+        let grad_n1: [Vec<f64>; 3] =
+            std::array::from_fn(|d| n1.iter().map(|x| x * (d as f64 - 0.7)).collect());
+        let v_h1 = scf.grid.solve_poisson(&n1);
+        let hoisted = response_potential(&pan, &v_h1, &n1, &grad_n1);
+        assert_eq!(hoisted.len(), n1.len());
+        for (i, v) in hoisted.iter().enumerate() {
+            let nd = scf.density[i].max(1e-10);
+            let lda = -(CX / 3.0) * nd.powf(-2.0 / 3.0) * n1[i];
+            let grad_term: f64 =
+                (0..3).map(|d| pan.grad_n[d][i] * grad_n1[d][i]).sum::<f64>() / (nd * nd);
+            let pointwise = v_h1[i] + lda + GRADIENT_KERNEL * grad_term;
+            assert_eq!(v.to_bits(), pointwise.to_bits(), "point {i}");
+        }
     }
 
     #[test]

@@ -157,7 +157,9 @@ impl ScfSolver {
         let mut c = DMatrix::zeros(n, n);
         let mut eps = vec![0.0; n];
         let mut density = vec![0.0; setup.grid.len()];
-        let mut energy = 0.0;
+        // The last iteration's Hartree potential: the energy needs it once,
+        // after the loop.
+        let mut v_h_last = None;
         let mut iterations = 0;
         let mut converged = false;
 
@@ -177,14 +179,16 @@ impl ScfSolver {
             let p_new = density_matrix(&c, &occ);
             let delta = p.max_abs_diff(&p_new);
             p = Arc::new(p_new);
-            energy = setup.energy(&p, &rho, &v_h);
             density = rho;
+            v_h_last = Some(v_h);
 
             if delta < cfg.convergence && error_max < COMMUTATOR_FACTOR * cfg.convergence {
                 converged = true;
                 break;
             }
         }
+        // The final iteration's `(P, n, v_H)`, whichever way the loop ended.
+        let energy = v_h_last.map_or(0.0, |v_h| setup.energy(&p, &density, &v_h));
         SCF_ITERATIONS.add(iterations as u64);
         if !converged {
             SCF_UNCONVERGED.incr();
@@ -547,6 +551,27 @@ mod tests {
     #[should_panic(expected = "n x n")]
     fn warm_start_rejects_a_density_of_another_basis() {
         let _ = fast().solve_from(&water_fragment(), &DMatrix::zeros(3, 3));
+    }
+
+    #[test]
+    fn energy_is_the_final_iterations() {
+        // Converged exit, `max_iterations` exit, and no iteration at all:
+        // the energy is that of the last `(P, n, v_H)`, where `v_H` is the
+        // Poisson solve of the returned density.
+        let frag = water_fragment();
+        for max_iterations in [60, 3, 0] {
+            let cfg = ScfConfig { max_iterations, ..fast().config };
+            let res = ScfSolver { config: cfg }.solve(&frag);
+            assert_eq!(res.converged, max_iterations == 60);
+            let expected = if max_iterations == 0 {
+                0.0
+            } else {
+                let setup = Setup::new(&frag, &cfg);
+                let v_h = setup.grid.solve_poisson(&res.density);
+                setup.energy(&res.p, &res.density, &v_h)
+            };
+            assert_eq!(res.energy.to_bits(), expected.to_bits(), "max_iterations {max_iterations}");
+        }
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! - [`gemm_naive`] — the triple loop, the correctness reference every
 //!   bit-parity test compares against;
 //! - [`gemm_blocked`] — cache-blocked i-k-j loop order (row-major friendly);
+//!   an output at most 16 columns wide (the DFPT `X·P` panels, `n` = basis
+//!   size) instead keeps each row in a `[f64; n]` register accumulator
+//!   across the whole inner sweep, chosen by shape, bit for bit the same;
 //! - [`gemm_packed`] — packed-panel microkernel GEMM (`crate::pack` +
 //!   `crate::microkernel`, DESIGN.md §10), the highest-throughput path.
 //!   Whether its `ic` macro-loop runs under rayon is read from the operand
@@ -118,10 +121,20 @@ pub fn gemm_blocked(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64, beta:
 
 /// Uncounted body of [`gemm_blocked`]: what batched jobs run for a GEMM
 /// or a transform's first product. The executor books their FLOPs on its
-/// dispatching thread, and they are no `linalg.gemm.calls`.
+/// dispatching thread, and they are no `linalg.gemm.calls`. Outputs at
+/// most `NARROW` columns wide take [`narrow_core`], chosen by shape alone.
 pub(crate) fn blocked_core(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64, beta: f64) {
     let (m, k) = a.shape();
     let n = b.cols();
+    macro_rules! narrow {
+        ($($w:literal)*) => {
+            match n {
+                $($w => return narrow_core::<$w>(c, a, b, alpha, beta),)*
+                _ => {}
+            }
+        };
+    }
+    narrow!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
     scale_rows(c, beta, 0, m);
     for i0 in (0..m).step_by(BLOCK) {
         let i1 = (i0 + BLOCK).min(m);
@@ -132,6 +145,76 @@ pub(crate) fn blocked_core(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64
                 tile_kernel(c, a, b, alpha, i0, i1, p0, p1, j0, j1);
             }
         }
+    }
+}
+
+/// Widest output, in columns, that the narrow GEMM and triangle cores hold
+/// in registers: two `[f64; 16]` row accumulators fill the sixteen SSE2
+/// registers.
+pub(crate) const NARROW: usize = 16;
+
+/// [`blocked_core`] for outputs `W ≤ NARROW` columns wide. Each output row
+/// is a `[f64; W]` accumulator kept across the whole ascending `p` sweep,
+/// and rows go in pairs that share each `B`-row load, so `C` is read and
+/// written once instead of once per `p`. Per entry this is the tiled fold
+/// exactly (β-scaled start, `+= (α a[i,p]) b[p,j]` for ascending `p`,
+/// skipped where `α a[i,p] == 0`, no fused multiply-add), hence the same
+/// bits as [`gemm_naive`].
+fn narrow_core<const W: usize>(c: &mut DMatrix, a: &DMatrix, b: &DMatrix, alpha: f64, beta: f64) {
+    let k = a.cols();
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let mut pairs = c.as_mut_slice().chunks_exact_mut(2 * W);
+    for (i, pair) in pairs.by_ref().enumerate() {
+        let (c0, c1) = pair.split_at_mut(W);
+        let (a0, a1) = a[2 * i * k..(2 * i + 2) * k].split_at(k);
+        let (mut acc0, mut acc1) = (narrow_start::<W>(c0, beta), narrow_start::<W>(c1, beta));
+        for ((brow, &x0), &x1) in b.chunks_exact(W).zip(a0).zip(a1) {
+            let brow: &[f64; W] = brow.try_into().expect("B row is W wide");
+            let (s0, s1) = (alpha * x0, alpha * x1);
+            if s0 != 0.0 {
+                narrow_axpy(&mut acc0, s0, brow);
+            }
+            if s1 != 0.0 {
+                narrow_axpy(&mut acc1, s1, brow);
+            }
+        }
+        c0.copy_from_slice(&acc0);
+        c1.copy_from_slice(&acc1);
+    }
+    // An odd last row runs alone.
+    let c0 = pairs.into_remainder();
+    if !c0.is_empty() {
+        let a0 = &a[a.len() - k..];
+        let mut acc0 = narrow_start::<W>(c0, beta);
+        for (brow, &x0) in b.chunks_exact(W).zip(a0) {
+            let s0 = alpha * x0;
+            if s0 != 0.0 {
+                narrow_axpy(&mut acc0, s0, brow.try_into().expect("B row is W wide"));
+            }
+        }
+        c0.copy_from_slice(&acc0);
+    }
+}
+
+/// A narrow accumulator's start: the row of `C` scaled as [`scale_rows`]
+/// scales it (`β = 1` keeps it, `β = 0` clears it, else `x·β`).
+#[inline(always)]
+pub(crate) fn narrow_start<const W: usize>(row: &[f64], beta: f64) -> [f64; W] {
+    let mut acc: [f64; W] = row.try_into().expect("C row is W wide");
+    if beta == 0.0 {
+        acc = [0.0; W];
+    } else if beta != 1.0 {
+        acc.iter_mut().for_each(|x| *x *= beta);
+    }
+    acc
+}
+
+/// `acc[j] += s · row[j]`, one rounded product and one rounded sum per
+/// entry.
+#[inline(always)]
+pub(crate) fn narrow_axpy<const W: usize>(acc: &mut [f64; W], s: f64, row: &[f64; W]) {
+    for j in 0..W {
+        acc[j] += s * row[j];
     }
 }
 
@@ -321,6 +404,42 @@ mod tests {
         gemm_naive(&mut c1, &a, &b, 2.0, 0.5);
         gemm_packed(&mut c2, &a, &b, 2.0, 0.5);
         assert_eq!(c1.as_slice(), c2.as_slice());
+    }
+
+    #[test]
+    fn narrow_widths_match_naive_bit_for_bit() {
+        // Widths 1..=16 take the register-resident rows, 17 the tiles; odd
+        // `m` leaves a lone last row. `A` has exact zeros, and its row 1 and
+        // last row are all zero, so the skip keeps `C`'s −0.0 entries there
+        // under β = 1, in a row pair and in the lone row.
+        let bits = |m: &DMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in 1..=17 {
+            for k in [1, 63, 64, 65, 512] {
+                for m in [1, 6, 7] {
+                    let mut a = sample(m, k, 20 + n as u64);
+                    a.as_mut_slice().iter_mut().step_by(5).for_each(|x| *x = 0.0);
+                    if m > 1 {
+                        a.row_mut(1).fill(0.0);
+                        a.row_mut(m - 1).fill(0.0);
+                    }
+                    let b = sample(k, n, 40 + k as u64);
+                    let mut c0 = sample(m, n, 60);
+                    c0.as_mut_slice().iter_mut().step_by(3).for_each(|x| *x = -0.0);
+                    for alpha in [1.0, -0.5] {
+                        for beta in [0.0, 1.0, 0.3] {
+                            let (mut naive, mut blocked) = (c0.clone(), c0.clone());
+                            gemm_naive(&mut naive, &a, &b, alpha, beta);
+                            gemm_blocked(&mut blocked, &a, &b, alpha, beta);
+                            assert_eq!(
+                                bits(&blocked),
+                                bits(&naive),
+                                "m={m} n={n} k={k} α={alpha} β={beta}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

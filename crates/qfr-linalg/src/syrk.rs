@@ -18,7 +18,9 @@
 //! All of them run one triangle kernel over two `k x n` row views `V`, `W`:
 //! `C[i][i..] += α V[p][i] · W[p][i..]` for ascending `p` from a β-scaled
 //! `C`, then the mirror. The batched executor (`crate::batch`) runs the
-//! same kernel and the same transform body, uncounted.
+//! same kernel and the same transform body, uncounted. For `n ≤ 16` the
+//! kernel holds row pairs in register accumulators across all of `p` and
+//! stores only `j ≥ i`: the same fold per entry, so the same bits.
 //!
 //! FLOPs are accounted at the *reduced* count (the work actually done), and
 //! the difference to the general-GEMM count is accumulated in the
@@ -30,7 +32,7 @@
 //! disjoint output rows). Kernel selection depends only on operand shapes,
 //! so same-seed runs produce byte-identical results and counter reports.
 
-use crate::gemm::Trans;
+use crate::gemm::{narrow_axpy, narrow_start, Trans, NARROW};
 use crate::matrix::DMatrix;
 use rayon::prelude::*;
 
@@ -163,13 +165,15 @@ pub(crate) fn account_triangle(n: usize, k: usize) {
 }
 
 /// The one triangle kernel, uncounted: `C = α Vᵀ W + β C` on the upper
-/// triangle for the `k x n` row views `V`, `W`, then the mirror. Rows are
-/// β-scaled, then take `C[i][i..] += (α V[p][i]) · W[p][i..]` for
-/// ascending `p` — the per-entry order of `gemm_naive` on `Vᵀ`, so the
-/// innermost loop writes independent entries and vectorizes without FP
-/// reassociation. Serially the `p` loop is outermost (both row views stream
-/// once, `C` stays in cache); past `PAR_WORK_THRESHOLD` multiply-adds each
-/// row is its own rayon task. Each entry is the same fold either way.
+/// triangle for the `k x n` row views `V`, `W`, then the mirror. Each
+/// stored entry `C[i][j]`, `j ≥ i`, is one fold: its β-scaled start, then
+/// `+= (α V[p][i]) · W[p][j]` for ascending `p` — the per-entry order of
+/// `gemm_naive` on `Vᵀ`, without its zero skip. The loop nest follows the
+/// shape only, never the bits: past `PAR_WORK_THRESHOLD` multiply-adds
+/// each row is its own rayon task ([`triangle_fold`]); up to `NARROW`
+/// columns, row pairs accumulate in registers ([`narrow_rows`]); otherwise
+/// [`triangle_fold`] runs serially with `p` outermost, so both row views
+/// stream once and `C` stays in cache.
 pub(crate) fn triangle_core(alpha: f64, v: &DMatrix, w: &DMatrix, beta: f64, c: &mut DMatrix) {
     assert_eq!(v.shape(), w.shape(), "triangle kernel: A and B shapes differ");
     let (k, n) = v.shape();
@@ -178,35 +182,98 @@ pub(crate) fn triangle_core(alpha: f64, v: &DMatrix, w: &DMatrix, beta: f64, c: 
         return;
     }
     let (v, w) = (v.as_slice(), w.as_slice());
-    // Rows `i0..` of `C`, held contiguously in `rows`.
-    let fold = |i0: usize, rows: &mut [f64]| {
-        for (i, crow) in (i0..).zip(rows.chunks_mut(n)) {
-            if beta == 0.0 {
-                crow[i..].fill(0.0);
-            } else if beta != 1.0 {
-                crow[i..].iter_mut().for_each(|x| *x *= beta);
-            }
-        }
-        for p in 0..k {
-            let (vrow, wrow) = (&v[p * n..(p + 1) * n], &w[p * n..(p + 1) * n]);
-            for (i, crow) in (i0..).zip(rows.chunks_mut(n)) {
-                let vpi = alpha * vrow[i];
-                for (cv, wv) in crow[i..].iter_mut().zip(&wrow[i..]) {
-                    *cv += vpi * wv;
-                }
-            }
-        }
-    };
     if n * n * k / 2 >= crate::gemm::PAR_WORK_THRESHOLD {
-        c.as_mut_slice().par_chunks_mut(n).enumerate().for_each(|(i, crow)| fold(i, crow));
+        c.as_mut_slice()
+            .par_chunks_mut(n)
+            .enumerate()
+            .for_each(|(i, crow)| triangle_fold(alpha, v, w, n, beta, i, crow));
+    } else if n <= NARROW {
+        for i0 in (0..n).step_by(2) {
+            macro_rules! narrow {
+                ($($r:literal)*) => {
+                    match n - i0 {
+                        $($r => narrow_rows::<$r>(alpha, v, w, i0, beta, c.as_mut_slice()),)*
+                        _ => unreachable!("narrow rows are 1..=NARROW wide"),
+                    }
+                };
+            }
+            narrow!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+        }
     } else {
-        fold(0, c.as_mut_slice());
+        triangle_fold(alpha, v, w, n, beta, 0, c.as_mut_slice());
     }
-    // Mirror the computed triangle: exact symmetry by construction.
-    for i in 0..n {
-        for j in (i + 1)..n {
+    mirror_upper(c);
+}
+
+/// The upper-triangle fold over rows `i0..` of `C`, held contiguously in
+/// `rows`: β-scale each row from its diagonal on, then for ascending `p`
+/// `C[i][i..] += (α V[p][i]) · W[p][i..]`, whose innermost loop writes
+/// independent entries and vectorizes without FP reassociation.
+fn triangle_fold(
+    alpha: f64,
+    v: &[f64],
+    w: &[f64],
+    n: usize,
+    beta: f64,
+    i0: usize,
+    rows: &mut [f64],
+) {
+    for (i, crow) in (i0..).zip(rows.chunks_mut(n)) {
+        if beta == 0.0 {
+            crow[i..].fill(0.0);
+        } else if beta != 1.0 {
+            crow[i..].iter_mut().for_each(|x| *x *= beta);
+        }
+    }
+    for (vrow, wrow) in v.chunks_exact(n).zip(w.chunks_exact(n)) {
+        for (i, crow) in (i0..).zip(rows.chunks_mut(n)) {
+            let vpi = alpha * vrow[i];
+            for (cv, wv) in crow[i..].iter_mut().zip(&wrow[i..]) {
+                *cv += vpi * wv;
+            }
+        }
+    }
+}
+
+/// Copies the upper triangle of square `c` onto the lower: exact symmetry
+/// by construction.
+fn mirror_upper(c: &mut DMatrix) {
+    for i in 0..c.rows() {
+        for j in (i + 1)..c.cols() {
             c[(j, i)] = c[(i, j)];
         }
+    }
+}
+
+/// Rows `i0` and, for `R ≥ 2`, `i0 + 1` of the upper triangle of an
+/// `n x n` output, over the `R = n − i0` columns `i0..n`: both rows are
+/// `[f64; R]` accumulators held across the whole ascending `p` sweep and
+/// share each `W`-row load. Per stored entry (`j ≥ i`) this is
+/// [`triangle_core`]'s fold exactly: β-scaled start, `+= (α V[p][i])
+/// W[p][j]` for ascending `p`, no fused multiply-add. Row `i0 + 1` also
+/// folds its one entry left of the diagonal, which is never stored.
+fn narrow_rows<const R: usize>(
+    alpha: f64,
+    v: &[f64],
+    w: &[f64],
+    i0: usize,
+    beta: f64,
+    c: &mut [f64],
+) {
+    let n = i0 + R;
+    let (top, next) = c[i0 * n..].split_at_mut(n);
+    let mut acc0 = narrow_start::<R>(&top[i0..], beta);
+    let mut acc1 = if R >= 2 { narrow_start::<R>(&next[i0..n], beta) } else { [0.0; R] };
+    for (vrow, wrow) in v.chunks_exact(n).zip(w.chunks_exact(n)) {
+        let wrow: &[f64; R] = wrow[i0..].try_into().expect("W row tail is R wide");
+        narrow_axpy(&mut acc0, alpha * vrow[i0], wrow);
+        if R >= 2 {
+            narrow_axpy(&mut acc1, alpha * vrow[i0 + 1], wrow);
+        }
+    }
+    top[i0..].copy_from_slice(&acc0);
+    if R >= 2 {
+        next[i0 + 1..n].copy_from_slice(&acc1[1..]);
     }
 }
 
@@ -301,6 +368,34 @@ mod tests {
         let reference = matmul(&a, &a.transpose());
         assert!(c.max_abs_diff(&reference) < 1e-10);
         assert!(c.is_symmetric(0.0));
+    }
+
+    #[test]
+    fn narrow_rows_match_the_general_fold_bit_for_bit() {
+        // Widths 1..=16 take the register-resident row pairs, 17 the
+        // general fold; `V` has exact zeros and `C` has −0.0 entries, which
+        // β = 1 keeps as the start of their folds.
+        let bits = |m: &DMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in 1..=17 {
+            for k in [1, 63, 64, 65, 512] {
+                let mut v = sample(k, n, 20 + n as u64);
+                v.as_mut_slice().iter_mut().step_by(5).for_each(|x| *x = 0.0);
+                let w = sample(k, n, 40 + k as u64);
+                let mut c0 = sample(n, n, 60);
+                c0.as_mut_slice().iter_mut().step_by(3).for_each(|x| *x = -0.0);
+                for alpha in [1.0, -0.5] {
+                    for beta in [0.0, 1.0, 0.3] {
+                        let mut general = c0.clone();
+                        let out = general.as_mut_slice();
+                        triangle_fold(alpha, v.as_slice(), w.as_slice(), n, beta, 0, out);
+                        mirror_upper(&mut general);
+                        let mut c = c0.clone();
+                        triangle_core(alpha, &v, &w, beta, &mut c);
+                        assert_eq!(bits(&c), bits(&general), "n={n} k={k} α={alpha} β={beta}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
