@@ -415,7 +415,7 @@ fn cmd_serve(argv: &[String]) {
         "--metrics",
         &[],
     );
-    let requests: usize = args.get_or("--requests", 6);
+    let requests = args.get_positive("--requests", 6);
     let distinct = args.get_positive("--distinct", 2);
     let base_seed: u64 = args.get_or("--seed", 42);
     let (lambda, lanczos) = lambda_and_lanczos(args);

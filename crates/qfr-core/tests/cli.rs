@@ -101,10 +101,11 @@ fn malformed_command_lines_exit_2_with_one_line() {
     assert_usage_error(&["serve", "--waters", "8", "--lanczos", "0"], "--lanczos");
     assert_usage_error(&["decompose", "--waters", "8", "--lambda", "-1"], "--lambda");
     // A solvation pad must be finite and at least 0 (0 is a valid pad), and
-    // at least one seed variant must be served.
+    // at least one seed variant and one request must be served.
     assert_usage_error(&["spectrum", "--protein", "2", "--solvate", "-1"], "--solvate");
     assert_usage_error(&["spectrum", "--protein", "2", "--solvate", "nan"], "--solvate");
     assert_usage_error(&["serve", "--waters", "8", "--distinct", "0"], "--distinct");
+    assert_usage_error(&["serve", "--waters", "8", "--requests", "0"], "--requests");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -13,12 +13,14 @@
 //! the n(1) phase, which the elastic offloading scheme of `qfr-sched`
 //! batches.
 
+use crate::grid::GridPanels;
 use crate::response::{solve_response, CyclePhases, ResponseConfig, ResponseResult};
-use crate::scf::ScfResult;
+use crate::scf::{effective_potential, ScfResult};
 use qfr_fragment::FragmentStructure;
 use qfr_linalg::batch::BatchJob;
 use qfr_linalg::blas;
 use qfr_linalg::DMatrix;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Finite-difference step for the core matrices (Å).
@@ -121,19 +123,17 @@ fn core_difference(frag: &FragmentStructure, cfg: &DisplacementConfig) -> DMatri
 /// the number of GEMM invocations issued.
 fn pulay_kernel(scf: &ScfResult, cfg: &DisplacementConfig) -> (DMatrix, usize) {
     let n = scf.basis.len();
-    let batches = scf.grid.batches(cfg.response.batch_size);
+    let panels = GridPanels::new(&scf.basis, &scf.grid, cfg.response.batch_size, false);
     let mut total = DMatrix::zeros(n, n);
     let mut gemm_calls = 0;
     // Effective potential from the converged ground state: v_H + v_x.
     let v_h = scf.grid.solve_poisson(&scf.density);
-    for b in &batches {
-        let pts = &scf.grid.points[b.clone()];
-        let x = scf.basis.evaluate(pts);
-        let g_full = scf.basis.evaluate_gradient(pts, cfg.direction);
+    let v_eff = effective_potential(&v_h, &scf.density);
+    for (bi, b) in panels.batches.iter().enumerate() {
+        let mut g = scf.basis.evaluate_gradient(&scf.grid.points[b.clone()], cfg.direction);
         // Mask the gradient to the displaced atom's shells; moving atom A
         // changes only its own basis functions (∂χ_μ/∂R_A = -∇χ_μ for
         // μ ∈ A).
-        let mut g = g_full;
         for (mu, shell) in scf.basis.shells.iter().enumerate() {
             if shell.atom != cfg.atom {
                 for row in 0..g.rows() {
@@ -148,14 +148,8 @@ fn pulay_kernel(scf: &ScfResult, cfg: &DisplacementConfig) -> (DMatrix, usize) {
         // Weight the value panel by v_eff dv. The model basis-motion kernel
         // is then exactly the Fig. 6(a) expression over (X̃, G):
         // W = X̃ᵀX̃ + X̃ᵀG + GᵀX̃.
-        let mut xw = x.clone();
-        qfr_linalg::flops::add((2 * x.rows() * n) as u64);
-        for (row, gi) in b.clone().enumerate() {
-            let v = (v_h[gi] - crate::scf::CX * scf.density[gi].powf(1.0 / 3.0)) * scf.grid.dv;
-            for val in xw.row_mut(row) {
-                *val *= v;
-            }
-        }
+        let xw = panels.weighted(bi, &v_eff);
+        qfr_linalg::flops::add((2 * xw.rows() * n) as u64);
         let term = if cfg.response.use_symmetry_reduction {
             gemm_calls += 1;
             blas::symmetric_cross_term(&xw, &g)
@@ -173,12 +167,8 @@ fn pulay_kernel(scf: &ScfResult, cfg: &DisplacementConfig) -> (DMatrix, usize) {
 /// batch. The elastic offloading experiments (Fig. 9 / `qfr-sched`) batch
 /// these by stride-32 size class.
 pub fn n1_phase_gemm_jobs(scf: &ScfResult, p1: &DMatrix, batch_size: usize) -> Vec<BatchJob> {
-    let p1 = std::sync::Arc::new(p1.clone());
-    scf.grid
-        .batches(batch_size)
-        .into_iter()
-        .map(|b| BatchJob::gemm(scf.basis.evaluate(&scf.grid.points[b]), p1.clone()))
-        .collect()
+    let panels = GridPanels::new(&scf.basis, &scf.grid, batch_size, false);
+    panels.product_jobs(&Arc::new(p1.clone()), false).collect()
 }
 
 #[cfg(test)]

@@ -5,7 +5,10 @@
 //! derivatives come from real DFPT response solves at displaced geometries
 //! (exactly the leader/worker workload of Fig. 3), and the Hessian from
 //! central differences of the analytic gradient of a frozen-density
-//! (Harris-style) functional. Cost is one reference SCF, whose density
+//! (Harris-style) functional. Every derivative goes through one driver,
+//! `central_differences`: it runs a closure at each of the `2·dof`
+//! geometries `R ± h e_j` in parallel, collects the results in index order
+//! and differences them. Cost is one reference SCF, whose density
 //! warm-starts every displaced solve, plus `2·3m` gradient evaluations (one
 //! Poisson solve each) and `6m` displaced SCFs with three field responses
 //! each per fragment. Each displaced geometry runs start to finish on its
@@ -17,11 +20,13 @@
 //! downstream pipeline.
 
 use crate::basis::Basis;
-use crate::response::{polarizability, polarizability_with, ResponseConfig};
-use crate::scf::{ScfConfig, ScfResult, ScfSolver, CX};
+use crate::grid::GridPanels;
+use crate::response::{polarizability_with, ResponseConfig};
+use crate::scf::{exchange_potential, ScfConfig, ScfResult, ScfSolver};
 use qfr_fragment::{FragmentEngine, FragmentResponse, FragmentStructure};
 use qfr_linalg::DMatrix;
 use rayon::prelude::*;
+use std::sync::Arc;
 
 static FRAGMENTS_COMPUTED: qfr_obs::Counter =
     qfr_obs::Counter::deterministic("dfpt.engine.fragments");
@@ -59,6 +64,10 @@ pub struct DfptEngine {
     pub config: DfptEngineConfig,
 }
 
+/// The six independent components of the symmetric polarizability tensor,
+/// in the fixed `(xx, yy, zz, xy, xz, yz)` order used across the pipeline.
+const ALPHA_COMPONENTS: [(usize, usize); 6] = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)];
+
 impl DfptEngine {
     /// Engine with default configuration.
     pub fn new() -> Self {
@@ -70,19 +79,19 @@ impl DfptEngine {
         ScfSolver { config: self.config.scf }.solve(frag)
     }
 
-    /// SCF at `frag` with coordinate `coord` shifted by `sign · h`,
-    /// warm-started from the reference density matrix.
-    fn displaced_scf(
-        &self,
-        frag: &FragmentStructure,
-        reference: &ScfResult,
-        coord: usize,
-        sign: f64,
-    ) -> ScfResult {
-        let mut f = frag.clone();
-        apply_shift(&mut f, coord, sign * DISPLACEMENT);
+    /// SCF at the displaced geometry `frag`, warm-started from the
+    /// reference density matrix.
+    fn displaced_scf(&self, frag: &FragmentStructure, reference: &ScfResult) -> ScfResult {
         SCF_SOLVES.incr();
-        ScfSolver { config: self.config.scf }.solve_from(&f, &reference.p)
+        ScfSolver { config: self.config.scf }.solve_from(frag, &reference.p)
+    }
+
+    /// The six α components of the DFPT polarizability at `scf`. Its
+    /// `CyclePhases` are dropped: they read the process-global FLOP
+    /// counter, which concurrent geometries share.
+    fn alpha_column(&self, scf: &ScfResult, dipole: &[DMatrix; 3]) -> Vec<f64> {
+        let alpha = polarizability_with(scf, dipole, &self.config.response).0;
+        ALPHA_COMPONENTS.iter().map(|&(p, q)| alpha[(p, q)]).collect()
     }
 
     /// Finite-difference Hessian of the frozen-density functional (solves
@@ -91,49 +100,21 @@ impl DfptEngine {
         self.hessian_around(frag, &self.reference(frag))
     }
 
-    /// The frozen-density Hessian around `reference`: column `j` is
-    /// `(g(R + h e_j) − g(R − h e_j)) / 2h` of the analytic gradient
-    /// [`frozen_gradient`], so `2·dof` gradients (one Poisson solve each),
-    /// then symmetrized. The reference value and gradient panels are
-    /// evaluated on the reference grid once; each displaced geometry copies
-    /// them and recomputes only the columns of shells whose centre moved,
-    /// which equals a full re-evaluation bit for bit. Gradients run in
-    /// parallel and are collected in index order, so the result does not
-    /// depend on the thread count.
+    /// The frozen-density Hessian around `reference`: the central
+    /// differences of the analytic gradient [`frozen_gradient`] (one
+    /// Poisson solve each), symmetrized. The reference value and gradient
+    /// panels are evaluated on the reference grid once; each displaced
+    /// geometry takes a [`GridPanels::moved`] copy, which recomputes only
+    /// the columns of shells whose centre moved.
     fn hessian_around(&self, frag: &FragmentStructure, reference: &ScfResult) -> DMatrix {
         let _span = qfr_obs::span("dfpt.engine.hessian_fd");
-        let dof = frag.dof();
-        let h = DISPLACEMENT;
-        let points = &reference.grid.points;
-        let batches = reference.grid.batches(self.config.scf.batch_size);
         let ref_basis = Basis::for_fragment(frag);
-        let ref_panels: Vec<Panels> =
-            batches.iter().map(|b| ref_basis.evaluate_with_gradients(&points[b.clone()])).collect();
-        let gradients: Vec<Vec<f64>> = (0..2 * dof)
-            .into_par_iter()
-            .map(|g| {
-                let mut f = frag.clone();
-                apply_shift(&mut f, g / 2, if g % 2 == 0 { h } else { -h });
-                let basis = Basis::for_fragment(&f);
-                let panels: Vec<Panels> = batches
-                    .iter()
-                    .zip(&ref_panels)
-                    .map(|(b, (x, grads))| {
-                        let (mut x, mut grads) = (x.clone(), grads.clone());
-                        basis.refresh_moved_panels(
-                            &ref_basis,
-                            &points[b.clone()],
-                            &mut x,
-                            &mut grads,
-                        );
-                        (x, grads)
-                    })
-                    .collect();
-                frozen_gradient(&basis, reference, &panels)
-            })
-            .collect();
-        let mut hess = DMatrix::from_fn(dof, dof, |i, j| {
-            (gradients[2 * j][i] - gradients[2 * j + 1][i]) / (2.0 * h)
+        let ref_panels =
+            GridPanels::new(&ref_basis, &reference.grid, self.config.scf.batch_size, true);
+        let mut hess = central_differences(frag, |f| {
+            let basis = Basis::for_fragment(f);
+            let panels = ref_panels.moved(&ref_basis, &basis, &reference.grid);
+            frozen_gradient(&basis, reference, &panels)
         });
         hess.symmetrize_mut();
         hess
@@ -150,123 +131,10 @@ impl DfptEngine {
     pub fn dalpha_fd(&self, frag: &FragmentStructure) -> DMatrix {
         let _span = qfr_obs::span("dfpt.engine.dalpha_fd");
         let reference = self.reference(frag);
-        let dof = frag.dof();
-        let h = DISPLACEMENT;
-        let comps = alpha_components();
-        // Independent displacements: solve in parallel, collect in index
-        // order so the assembled matrix is bit-identical to a serial sweep.
-        let cols: Vec<[f64; 6]> = (0..dof)
-            .into_par_iter()
-            .map(|i| {
-                let alpha_at = |s: f64| {
-                    let scf = self.displaced_scf(frag, &reference, i, s);
-                    polarizability(&scf, &self.config.response).0
-                };
-                let ap = alpha_at(1.0);
-                let am = alpha_at(-1.0);
-                let mut col = [0.0; 6];
-                for (ci, &(p, q)) in comps.iter().enumerate() {
-                    col[ci] = (ap[(p, q)] - am[(p, q)]) / (2.0 * h);
-                }
-                col
-            })
-            .collect();
-        let mut out = DMatrix::zeros(6, dof);
-        for (i, col) in cols.iter().enumerate() {
-            for (ci, &v) in col.iter().enumerate() {
-                out[(ci, i)] = v;
-            }
-        }
-        out
-    }
-
-    /// One displaced-SCF sweep computing *both* derivative blocks: for every
-    /// degree of freedom the `±h` geometries are solved exactly once and the
-    /// polarizability **and** dipole are derived from the shared
-    /// [`ScfResult`] — half the SCF solves of running [`DfptEngine::dalpha_fd`]
-    /// followed by [`DfptEngine::dmu_fd`] (2·dof instead of 4·dof).
-    ///
-    /// Returns `(dalpha 6 x dof, dmu 3 x dof)`. The per-entry arithmetic is
-    /// the exact expressions of the scattered paths, and displacements are
-    /// reduced in index order, so both blocks are bit-identical to the
-    /// scattered results. Counters: each solve bumps
-    /// `dfpt.engine.scf_solves`; each derivative block served from an
-    /// already-solved geometry bumps `dfpt.engine.scf_reused`.
-    ///
-    /// Each geometry is a pipeline of its own, as a worker runs one
-    /// displacement in the paper: its SCF, then its three field responses
-    /// in one [`crate::response::solve_responses`] set (the gather window
-    /// of the batched executor), then one α and one μ column, after which
-    /// its state drops. Geometries run in parallel, so about one state per
-    /// thread is alive at a time.
-    ///
-    /// Solves its own reference SCF; every displaced solve warm-starts from
-    /// it, exactly as in the scattered paths.
-    pub fn displaced_sweep(&self, frag: &FragmentStructure) -> (DMatrix, DMatrix) {
-        self.sweep_around(frag, &self.reference(frag))
-    }
-
-    fn sweep_around(&self, frag: &FragmentStructure, reference: &ScfResult) -> (DMatrix, DMatrix) {
-        let _span = qfr_obs::span("dfpt.engine.displaced_sweep");
-        let dof = frag.dof();
-        let h = DISPLACEMENT;
-        let comps = alpha_components();
-        // One pipeline per displaced geometry (g = 2i for +h, 2i+1 for -h),
-        // run in parallel and collected in index order. The per-geometry
-        // `CyclePhases` are dropped: they read the process-global FLOP
-        // counter, which concurrent geometries share.
-        let per_geometry: Vec<([f64; 6], [f64; 3])> = (0..2 * dof)
-            .into_par_iter()
-            .map(|g| {
-                let sign = if g % 2 == 0 { 1.0 } else { -1.0 };
-                let scf = self.displaced_scf(frag, reference, g / 2, sign);
-                // One set of dipole matrices serves both α and μ.
-                let dipole = scf.basis.dipole();
-                let alpha = polarizability_with(&scf, &dipole, &self.config.response).0;
-                SCF_REUSED.incr();
-                let mu = Self::scf_dipole(&scf, &dipole);
-                (comps.map(|(p, q)| alpha[(p, q)]), mu)
-            })
-            .collect();
-        let mut dalpha = DMatrix::zeros(6, dof);
-        let mut dmu = DMatrix::zeros(3, dof);
-        for i in 0..dof {
-            let (ap, mp) = &per_geometry[2 * i];
-            let (am, mm) = &per_geometry[2 * i + 1];
-            for ci in 0..6 {
-                dalpha[(ci, i)] = (ap[ci] - am[ci]) / (2.0 * h);
-            }
-            for p in 0..3 {
-                dmu[(p, i)] = (mp[p] - mm[p]) / (2.0 * h);
-            }
-        }
-        (dalpha, dmu)
-    }
-}
-
-/// The six independent components of the symmetric polarizability tensor,
-/// in the fixed `(xx, yy, zz, xy, xz, yz)` order used across the pipeline.
-fn alpha_components() -> [(usize, usize); 6] {
-    [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
-}
-
-impl DfptEngine {
-    /// Ground-state dipole of the model: electronic `-tr(P D)` from the
-    /// dipole matrices `dip` of `scf.basis`, plus the nuclear-well moments
-    /// about the basis centroid.
-    fn scf_dipole(scf: &crate::scf::ScfResult, dip: &[DMatrix; 3]) -> [f64; 3] {
-        let centroid = scf.basis.centroid();
-        let mut out = [0.0; 3];
-        for c in 0..3 {
-            out[c] = -crate::scf::trace_product(&scf.p, &dip[c]);
-        }
-        for &(pos, z) in &scf.basis.nuclei {
-            let rel = pos - centroid;
-            out[0] += z * rel.x;
-            out[1] += z * rel.y;
-            out[2] += z * rel.z;
-        }
-        out
+        central_differences(frag, |f| {
+            let scf = self.displaced_scf(f, &reference);
+            self.alpha_column(&scf, &scf.basis.dipole())
+        })
     }
 
     /// Dipole derivatives by central differences of the SCF dipole
@@ -278,57 +146,94 @@ impl DfptEngine {
     pub fn dmu_fd(&self, frag: &FragmentStructure) -> DMatrix {
         let _span = qfr_obs::span("dfpt.engine.dmu_fd");
         let reference = self.reference(frag);
+        central_differences(frag, |f| {
+            let scf = self.displaced_scf(f, &reference);
+            scf_dipole(&scf, &scf.basis.dipole()).to_vec()
+        })
+    }
+
+    /// One displaced-SCF sweep computing *both* derivative blocks: each
+    /// displaced geometry is solved once and its polarizability **and**
+    /// dipole are derived from the shared [`ScfResult`] — half the SCF
+    /// solves of running [`DfptEngine::dalpha_fd`] followed by
+    /// [`DfptEngine::dmu_fd`] (2·dof instead of 4·dof).
+    ///
+    /// Returns `(dalpha 6 x dof, dmu 3 x dof)`, bit-identical to the
+    /// scattered paths: the same closure results through the same driver.
+    /// Each solve bumps `dfpt.engine.scf_solves`; each derivative block
+    /// served from an already-solved geometry bumps
+    /// `dfpt.engine.scf_reused`.
+    ///
+    /// Each geometry is a pipeline of its own, as a worker runs one
+    /// displacement in the paper: its SCF, then its three field responses
+    /// in one [`crate::response::solve_responses`] set (the gather window
+    /// of the batched executor), then one α and one μ column, after which
+    /// its state drops. Solves its own reference SCF; every displaced solve
+    /// warm-starts from it, exactly as in the scattered paths.
+    pub fn displaced_sweep(&self, frag: &FragmentStructure) -> (DMatrix, DMatrix) {
+        self.sweep_around(frag, &self.reference(frag))
+    }
+
+    fn sweep_around(&self, frag: &FragmentStructure, reference: &ScfResult) -> (DMatrix, DMatrix) {
+        let _span = qfr_obs::span("dfpt.engine.displaced_sweep");
+        let both = central_differences(frag, |f| {
+            let scf = self.displaced_scf(f, reference);
+            // One set of dipole matrices serves both α and μ.
+            let dipole = scf.basis.dipole();
+            let mut column = self.alpha_column(&scf, &dipole);
+            SCF_REUSED.incr();
+            column.extend(scf_dipole(&scf, &dipole));
+            column
+        });
         let dof = frag.dof();
-        let h = DISPLACEMENT;
-        let cols: Vec<[f64; 3]> = (0..dof)
-            .into_par_iter()
-            .map(|i| {
-                let mu_at = |s: f64| {
-                    let scf = self.displaced_scf(frag, &reference, i, s);
-                    Self::scf_dipole(&scf, &scf.basis.dipole())
-                };
-                let mp = mu_at(1.0);
-                let mm = mu_at(-1.0);
-                let mut col = [0.0; 3];
-                for p in 0..3 {
-                    col[p] = (mp[p] - mm[p]) / (2.0 * h);
-                }
-                col
-            })
-            .collect();
-        let mut out = DMatrix::zeros(3, dof);
-        for (i, col) in cols.iter().enumerate() {
-            for (p, &v) in col.iter().enumerate() {
-                out[(p, i)] = v;
-            }
-        }
-        out
+        (
+            DMatrix::from_fn(6, dof, |i, j| both[(i, j)]),
+            DMatrix::from_fn(3, dof, |i, j| both[(6 + i, j)]),
+        )
     }
 }
 
-/// A value panel and its three gradient panels, as
-/// [`Basis::evaluate_with_gradients`] returns them.
-type Panels = (DMatrix, [DMatrix; 3]);
-
-/// The frozen density `max(0, Σ_μν X_rμ P_μν X_rν)` on the reference grid
-/// from the value panels `values` (one per batch), with the `X P` panels it
-/// was formed from.
-fn frozen_density<'a>(
-    reference: &ScfResult,
-    values: impl Iterator<Item = &'a DMatrix>,
-) -> (Vec<f64>, Vec<DMatrix>) {
-    let mut density = Vec::with_capacity(reference.grid.len());
-    let xps = values
-        .map(|x| {
-            let xp = qfr_linalg::gemm::matmul(x, &reference.p);
-            for row in 0..x.rows() {
-                let nd: f64 = xp.row(row).iter().zip(x.row(row)).map(|(a, b)| a * b).sum();
-                density.push(nd.max(0.0));
-            }
-            xp
+/// Central differences over the `2·dof` displaced geometries of `frag`:
+/// geometry `g` moves coordinate `g / 2` by `+h` for even `g` and by `−h`
+/// for odd `g`. `f` runs at each of them on the rayon facade and the
+/// results are collected in index order, so the matrix, whose column `j`
+/// is `(f(R + h e_j) − f(R − h e_j)) / 2h`, does not depend on the thread
+/// count.
+fn central_differences(
+    frag: &FragmentStructure,
+    f: impl Fn(&FragmentStructure) -> Vec<f64> + Sync,
+) -> DMatrix {
+    let dof = frag.dof();
+    let h = DISPLACEMENT;
+    let values: Vec<Vec<f64>> = (0..2 * dof)
+        .into_par_iter()
+        .map(|g| {
+            let mut displaced = frag.clone();
+            apply_shift(&mut displaced, g / 2, if g % 2 == 0 { h } else { -h });
+            f(&displaced)
         })
         .collect();
-    (density, xps)
+    let rows = values.first().map_or(0, Vec::len);
+    assert!(values.iter().all(|v| v.len() == rows), "every geometry gives {rows} values");
+    DMatrix::from_fn(rows, dof, |i, j| (values[2 * j][i] - values[2 * j + 1][i]) / (2.0 * h))
+}
+
+/// Ground-state dipole of the model: electronic `-tr(P D)` from the dipole
+/// matrices `dip` of `scf.basis`, plus the nuclear-well moments about the
+/// basis centroid.
+fn scf_dipole(scf: &ScfResult, dip: &[DMatrix; 3]) -> [f64; 3] {
+    let centroid = scf.basis.centroid();
+    let mut out = [0.0; 3];
+    for c in 0..3 {
+        out[c] = -crate::scf::trace_product(&scf.p, &dip[c]);
+    }
+    for &(pos, z) in &scf.basis.nuclei {
+        let rel = pos - centroid;
+        out[0] += z * rel.x;
+        out[1] += z * rel.y;
+        out[2] += z * rel.z;
+    }
+    out
 }
 
 /// Analytic gradient, one entry per coordinate `3·atom + c`, of the
@@ -336,7 +241,7 @@ fn frozen_density<'a>(
 /// for: the SCF density matrix `P` of the reference geometry is kept fixed
 /// while the integrals and grid terms follow the nuclei, and the density is
 /// transported rigidly — `panels` hold `basis` and its gradient evaluated
-/// on the *reference* grid, one pair per batch. The energy is
+/// on the *reference* grid. The energy is
 ///
 /// `E = tr(P (T + V_ext)) + E_H[n] + E_x[n] + E_nn`, `n = max(0, diag(X P Xᵀ))`,
 ///
@@ -347,22 +252,20 @@ fn frozen_density<'a>(
 /// holds) and `v_x = −C_X n^{1/3}`. The Poisson operator is a real symmetric
 /// circulant, so its solution `v_H` is exactly `∂E_H/∂n`: one Poisson solve
 /// per gradient.
-fn frozen_gradient(basis: &Basis, reference: &ScfResult, panels: &[Panels]) -> Vec<f64> {
+fn frozen_gradient(basis: &Basis, reference: &ScfResult, panels: &GridPanels) -> Vec<f64> {
     let grid = &reference.grid;
-    let (density, xps) = frozen_density(reference, panels.iter().map(|(x, _)| x));
+    let (density, xps) = panels.density(&Arc::new(reference.p.clone()));
     let v_h = grid.solve_poisson(&density);
     let n = basis.len();
     qfr_linalg::flops::add((grid.len() * (n * 9 + 4)) as u64);
     // Σ_r w(r) G_c[r,μ] (XP)[r,μ] per shell μ, folded onto atoms below.
     let mut per_shell = vec![[0.0; 3]; n];
-    let mut offset = 0;
-    for ((x, grads), xp) in panels.iter().zip(&xps) {
-        for row in 0..x.rows() {
-            let r = offset + row;
+    for ((b, grads), xp) in panels.batches.iter().zip(&panels.gradients).zip(&xps) {
+        for (row, r) in b.clone().enumerate() {
             if density[r] <= 0.0 {
                 continue;
             }
-            let w = -2.0 * grid.dv * (v_h[r] - CX * density[r].powf(1.0 / 3.0));
+            let w = -2.0 * grid.dv * (v_h[r] + exchange_potential(density[r]));
             let xp_row = xp.row(row);
             for (c, g) in grads.iter().enumerate() {
                 for ((acc, &gv), &xpv) in per_shell.iter_mut().zip(g.row(row)).zip(xp_row) {
@@ -370,7 +273,6 @@ fn frozen_gradient(basis: &Basis, reference: &ScfResult, panels: &[Panels]) -> V
                 }
             }
         }
-        offset += x.rows();
     }
     let mut grad = basis.core_gradient(&reference.p);
     for (g, rep) in grad.iter_mut().zip(basis.nuclear_repulsion_gradient()) {
@@ -417,6 +319,7 @@ impl FragmentEngine for DfptEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scf::CX;
     use qfr_fragment::{FragmentJob, JobKind};
     use qfr_geom::WaterBoxBuilder;
 
@@ -440,12 +343,12 @@ mod tests {
 
     /// Frozen-density energy whose gradient [`frozen_gradient`] is: the
     /// oracle the analytic gradient and the gradient Hessian are checked
-    /// against. `values` hold `basis` evaluated on the reference grid.
-    fn frozen_energy(basis: &Basis, reference: &ScfResult, values: &[DMatrix]) -> f64 {
+    /// against. `panels` hold `basis` evaluated on the reference grid.
+    fn frozen_energy(basis: &Basis, reference: &ScfResult, panels: &GridPanels) -> f64 {
         let h_core = &basis.kinetic() + &basis.external_potential();
         let e_core = crate::scf::trace_product(&reference.p, &h_core);
         let grid = &reference.grid;
-        let (density, _) = frozen_density(reference, values.iter());
+        let (density, _) = panels.density(&Arc::new(reference.p.clone()));
         let v_h = grid.solve_poisson(&density);
         let e_h: f64 =
             0.5 * density.iter().zip(&v_h).map(|(&n, &vh)| n * vh).sum::<f64>() * grid.dv;
@@ -458,14 +361,12 @@ mod tests {
     /// evaluated in full.
     fn energy_at(engine: &DfptEngine, frag: &FragmentStructure, reference: &ScfResult) -> f64 {
         let basis = Basis::for_fragment(frag);
-        let points = &reference.grid.points;
-        let values: Vec<DMatrix> = reference
-            .grid
-            .batches(engine.config.scf.batch_size)
-            .iter()
-            .map(|b| basis.evaluate(&points[b.clone()]))
-            .collect();
-        frozen_energy(&basis, reference, &values)
+        let batch_size = engine.config.scf.batch_size;
+        frozen_energy(
+            &basis,
+            reference,
+            &GridPanels::new(&basis, &reference.grid, batch_size, false),
+        )
     }
 
     /// [`frozen_gradient`] at `frag` around `reference`, every panel
@@ -476,14 +377,12 @@ mod tests {
         reference: &ScfResult,
     ) -> Vec<f64> {
         let basis = Basis::for_fragment(frag);
-        let points = &reference.grid.points;
-        let panels: Vec<Panels> = reference
-            .grid
-            .batches(engine.config.scf.batch_size)
-            .iter()
-            .map(|b| basis.evaluate_with_gradients(&points[b.clone()]))
-            .collect();
-        frozen_gradient(&basis, reference, &panels)
+        let batch_size = engine.config.scf.batch_size;
+        frozen_gradient(
+            &basis,
+            reference,
+            &GridPanels::new(&basis, &reference.grid, batch_size, true),
+        )
     }
 
     /// Energy-difference Hessian of `energy` around `frag`, whose own
@@ -551,6 +450,56 @@ mod tests {
     }
 
     #[test]
+    fn driver_columns_are_the_derivatives_of_a_quadratic() {
+        // In `u = R − R₀ + c` (small values keep rounding far below the
+        // bound), row 0 is linear with a distinct slope per coordinate and
+        // row 1 a non-symmetric quadratic form plus a linear term. Central
+        // differences of a quadratic are exact, so every column must equal
+        // the analytic derivative up to rounding; a swapped column or a
+        // flipped ±h shows as an error of order one.
+        let frag = water_dimer();
+        let dof = frag.dof();
+        let at = |f: &FragmentStructure| -> Vec<f64> {
+            let coords = f.positions.iter().flat_map(|p| p.to_array());
+            let reference = frag.positions.iter().flat_map(|p| p.to_array());
+            coords
+                .zip(reference)
+                .enumerate()
+                .map(|(i, (x, x0))| x - x0 + 0.05 * (i as f64).cos())
+                .collect()
+        };
+        let slope = |j: usize| 1.0 + j as f64 / dof as f64;
+        let a = |i: usize, j: usize| 0.01 * ((2 * i + 3 * j) as f64).sin();
+        let b = |i: usize| 0.1 * ((7 * i) as f64).cos();
+        let d = central_differences(&frag, |f| {
+            let u = at(f);
+            let linear: f64 = u.iter().enumerate().map(|(j, uj)| slope(j) * uj).sum();
+            let mut quadratic = 0.0;
+            for (i, ui) in u.iter().enumerate() {
+                quadratic += b(i) * ui;
+                for (j, uj) in u.iter().enumerate() {
+                    quadratic += 0.5 * a(i, j) * ui * uj;
+                }
+            }
+            vec![linear, quadratic]
+        });
+        let u = at(&frag);
+        assert_eq!(d.shape(), (2, dof));
+        for j in 0..dof {
+            let gradient = b(j)
+                + u.iter().enumerate().map(|(i, ui)| 0.5 * (a(i, j) + a(j, i)) * ui).sum::<f64>();
+            for (row, exact) in [(0, slope(j)), (1, gradient)] {
+                let err = (d[(row, j)] - exact).abs();
+                assert!(
+                    err <= 1e-12,
+                    "row {row}, column {j}: {} vs {exact} ({err:.1e})",
+                    d[(row, j)]
+                );
+            }
+        }
+    }
+
+    #[test]
     fn analytic_gradient_matches_central_energy_differences() {
         for (name, frag) in [("monomer", water_fragment()), ("dimer", water_dimer())] {
             let coarse = gradient_error(&frag, 1e-3);
@@ -584,21 +533,16 @@ mod tests {
         let engine = DfptEngine::new();
         let frag = water_fragment();
         let reference = engine.reference(&frag);
-        let points = &reference.grid.points;
         let ref_basis = Basis::for_fragment(&frag);
         let mut moved = frag.clone();
         apply_shift(&mut moved, 5, -DISPLACEMENT);
         let basis = Basis::for_fragment(&moved);
-        let panels: Vec<Panels> = reference
-            .grid
-            .batches(engine.config.scf.batch_size)
-            .iter()
-            .map(|b| {
-                let (mut x, mut grads) = ref_basis.evaluate_with_gradients(&points[b.clone()]);
-                basis.refresh_moved_panels(&ref_basis, &points[b.clone()], &mut x, &mut grads);
-                (x, grads)
-            })
-            .collect();
+        let batch_size = engine.config.scf.batch_size;
+        let panels = GridPanels::new(&ref_basis, &reference.grid, batch_size, true).moved(
+            &ref_basis,
+            &basis,
+            &reference.grid,
+        );
         let reused = frozen_gradient(&basis, &reference, &panels);
         let full = gradient_at(&engine, &moved, &reference);
         let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();

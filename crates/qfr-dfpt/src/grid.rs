@@ -6,11 +6,19 @@
 //! [`qfr_linalg::fft::Grid3`] layout. The grid also defines the *batching*
 //! of points used by the GEMM-heavy DFPT phases: each batch of `batch_size`
 //! points becomes one `X` panel (`npts x nbasis`), which is exactly the
-//! granularity the elastic offloading scheme packs.
+//! granularity the elastic offloading scheme packs. `GridPanels` holds
+//! those panels and builds the two job streams every grid phase runs on
+//! them: the `X_b·M` products and the `X_bᵀ diag(w·dv) X_b` integrals.
 
+use crate::basis::Basis;
 use qfr_fragment::FragmentStructure;
 use qfr_geom::Vec3;
+use qfr_linalg::batch::{execute_jobs, BatchJob};
 use qfr_linalg::fft::Grid3;
+use qfr_linalg::DMatrix;
+use rayon::prelude::*;
+use std::ops::Range;
+use std::sync::Arc;
 
 static POISSON_SOLVES: qfr_obs::Counter = qfr_obs::Counter::deterministic("dfpt.poisson.solves");
 
@@ -149,6 +157,139 @@ impl RealSpaceGrid {
     }
 }
 
+/// A basis evaluated on a grid's point batches: the value panel `X_b`
+/// (`points × basis`) of every batch and, when asked for, its three
+/// gradient panels. Panels live behind `Arc`, so the job streams built here
+/// reference one copy across every job, task and cycle.
+#[derive(Debug)]
+pub(crate) struct GridPanels {
+    /// Point ranges of the batches, in grid order.
+    pub(crate) batches: Vec<Range<usize>>,
+    /// `X_b`, one per batch.
+    pub(crate) values: Vec<Arc<DMatrix>>,
+    /// `∂X_b/∂r_c` for `c = x, y, z`, one triple per batch; empty when the
+    /// panels were built without gradients.
+    pub(crate) gradients: Vec<[Arc<DMatrix>; 3]>,
+    /// The grid's volume element, which weights every integral.
+    pub(crate) dv: f64,
+}
+
+impl GridPanels {
+    /// Evaluates `basis` on the batches of `batch_size` points of `grid`,
+    /// with the gradient panels if `gradients` (from one exponential per
+    /// value, [`Basis::evaluate_with_gradients`]).
+    pub(crate) fn new(
+        basis: &Basis,
+        grid: &RealSpaceGrid,
+        batch_size: usize,
+        gradients: bool,
+    ) -> Self {
+        let batches = grid.batches(batch_size);
+        let points = |b: &Range<usize>| &grid.points[b.clone()];
+        let (values, gradients) = if gradients {
+            batches
+                .iter()
+                .map(|b| {
+                    let (x, g) = basis.evaluate_with_gradients(points(b));
+                    (Arc::new(x), g.map(Arc::new))
+                })
+                .unzip()
+        } else {
+            (batches.iter().map(|b| Arc::new(basis.evaluate(points(b)))).collect(), Vec::new())
+        };
+        Self { batches, values, gradients, dv: grid.dv }
+    }
+
+    /// These panels of `previous` on `grid`, re-evaluated for `basis`: the
+    /// columns of shells that moved are rewritten
+    /// ([`Basis::refresh_moved_panels`]), so the copy equals a full
+    /// evaluation bit for bit. Needs the gradient panels.
+    pub(crate) fn moved(&self, previous: &Basis, basis: &Basis, grid: &RealSpaceGrid) -> Self {
+        assert_eq!(self.gradients.len(), self.values.len(), "moved panels need gradients");
+        let (values, gradients) = self
+            .batches
+            .iter()
+            .zip(self.values.iter().zip(&self.gradients))
+            .map(|(b, (x, g))| {
+                let (mut x, mut g) = ((**x).clone(), g.each_ref().map(|g| (**g).clone()));
+                basis.refresh_moved_panels(previous, &grid.points[b.clone()], &mut x, &mut g);
+                (Arc::new(x), g.map(Arc::new))
+            })
+            .unzip();
+        Self { batches: self.batches.clone(), values, gradients, dv: self.dv }
+    }
+
+    /// The `X_b·M` jobs, batch by batch; with `gradients`, each batch's
+    /// value job is followed by its three `∂X_b/∂r_c · M` jobs.
+    pub(crate) fn product_jobs<'a>(
+        &'a self,
+        m: &'a Arc<DMatrix>,
+        gradients: bool,
+    ) -> impl Iterator<Item = BatchJob> + 'a {
+        self.values.iter().enumerate().flat_map(move |(bi, x)| {
+            let grads = if gradients { &self.gradients[bi][..] } else { &[] };
+            std::iter::once(x).chain(grads).map(|a| BatchJob::gemm(a.clone(), m.clone()))
+        })
+    }
+
+    /// The grid density `max(0, Σ_μν X_rμ P_μν X_rν)` of the density matrix
+    /// `p`, with the `X_b·P` products it was formed from.
+    pub(crate) fn density(&self, p: &Arc<DMatrix>) -> (Vec<f64>, Vec<DMatrix>) {
+        // Allocated before the products: in the other order a one-thread
+        // `qfr spectrum --dfpt` run takes 5x the minor page faults, as
+        // glibc trims and re-grows the heap once per displaced geometry.
+        let mut density = Vec::with_capacity(self.batches.last().map_or(0, |b| b.end));
+        let jobs: Vec<BatchJob> = self.product_jobs(p, false).collect();
+        let xps = execute_jobs(&jobs, Default::default());
+        for (x, xp) in self.values.iter().zip(&xps) {
+            for row in 0..x.rows() {
+                let nd: f64 = xp.row(row).iter().zip(x.row(row)).map(|(a, b)| a * b).sum();
+                density.push(nd.max(0.0));
+            }
+        }
+        (density, xps)
+    }
+
+    /// `X_b` with row `r` scaled by `w[r] · dv` (grid-point indices).
+    pub(crate) fn weighted(&self, batch: usize, w: &[f64]) -> DMatrix {
+        let mut xw = (*self.values[batch]).clone();
+        for (row, gi) in self.batches[batch].clone().enumerate() {
+            let scale = w[gi] * self.dv;
+            for v in xw.row_mut(row) {
+                *v *= scale;
+            }
+        }
+        xw
+    }
+
+    /// `Σ_b X_bᵀ diag(w·dv) X_b` for every weight vector of `ws`: each
+    /// task's weighted copies are built on the rayon facade, all jobs run
+    /// as one stream, and each task's outputs are summed in batch order.
+    pub(crate) fn potentials(&self, ws: &[Vec<f64>]) -> Vec<DMatrix> {
+        let jobs: Vec<BatchJob> = ws
+            .par_iter()
+            .flat_map_iter(|w| {
+                self.values.iter().enumerate().map(move |(bi, x)| {
+                    qfr_linalg::flops::add((x.rows() * x.cols()) as u64);
+                    BatchJob::symmetric_product(self.weighted(bi, w), x.clone())
+                })
+            })
+            .collect();
+        let outs = execute_jobs(&jobs, Default::default());
+        let (n, per_task) = (self.values[0].cols(), self.values.len());
+        (0..ws.len())
+            .into_par_iter()
+            .map(|t| {
+                let mut m = DMatrix::zeros(n, n);
+                for out in &outs[t * per_task..(t + 1) * per_task] {
+                    m += out;
+                }
+                m
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +346,57 @@ mod tests {
             assert_eq!(w[0].end, w[1].start, "batches must be contiguous");
         }
         assert!(batches[0].len() <= 100);
+    }
+
+    #[test]
+    fn panel_streams_match_per_batch_products_bit_for_bit() {
+        // The gathered streams against the per-batch products they stand
+        // for: the clamped row dots of X_b·P (P has negative entries, so
+        // the clamp acts), and per weight vector the batch-order sum of
+        // X_bᵀ diag(w·dv) X_b, two weight vectors sharing one stream.
+        let frag = water_fragment();
+        let grid = RealSpaceGrid::for_fragment(&frag, 0.5, 2.0, 16);
+        let basis = Basis::for_fragment(&frag);
+        let n = basis.len();
+        let panels = GridPanels::new(&basis, &grid, 100, false);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let direct: Vec<(Range<usize>, DMatrix)> = grid
+            .batches(100)
+            .into_iter()
+            .map(|b| (b.clone(), basis.evaluate(&grid.points[b])))
+            .collect();
+
+        let p = Arc::new(DMatrix::from_fn(n, n, |i, j| ((3 * i + j) as f64).sin()));
+        let (density, _) = panels.density(&p);
+        let mut expected = Vec::new();
+        for (_, x) in &direct {
+            let xp = qfr_linalg::gemm::matmul(x, &p);
+            for row in 0..x.rows() {
+                let nd: f64 = (0..n).map(|k| xp[(row, k)] * x[(row, k)]).sum();
+                expected.push(nd.max(0.0));
+            }
+        }
+        assert_eq!(bits(&density), bits(&expected));
+        assert!(density.contains(&0.0) && density.iter().any(|&d| d > 0.0));
+
+        let ws: Vec<Vec<f64>> = (1..3)
+            .map(|t| (0..grid.len()).map(|i| ((i * t) as f64 * 0.1).cos()).collect())
+            .collect();
+        for (w, got) in ws.iter().zip(panels.potentials(&ws)) {
+            let mut want = DMatrix::zeros(n, n);
+            for (b, x) in &direct {
+                let mut xw = x.clone();
+                for (row, gi) in b.clone().enumerate() {
+                    for v in xw.row_mut(row) {
+                        *v *= w[gi] * grid.dv;
+                    }
+                }
+                let mut out = DMatrix::zeros(n, n);
+                qfr_linalg::syrk::symmetric_product(1.0, &xw, x, 0.0, &mut out);
+                want += &out;
+            }
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+        }
     }
 
     #[test]

@@ -20,12 +20,15 @@
 //! Execution model (DESIGN.md §10): the GEMM/SYRK work of phases 1, 2 and
 //! 4 is *gathered* into kernel-tagged job streams and run through the
 //! batched executor [`qfr_linalg::batch::execute_jobs`] — one launch per
-//! size class instead of one kernel call per matrix. [`solve_responses`]
-//! runs several perturbations of one ground state (the three field
-//! directions of a polarizability) in deterministic lockstep, so jobs
-//! gather across them; [`solve_response`] is the single-perturbation
-//! wrapper.
+//! size class instead of one kernel call per matrix. Phases 2 and 4 run on
+//! the ground state's `grid::GridPanels`: phase 2 is its `X_b·P1` stream
+//! (with the `∂X_b·P1` jobs on the naive path), phase 4 its
+//! `X_bᵀ diag(v1·dv) X_b` stream. [`solve_responses`] runs several
+//! perturbations of one ground state (the three field directions of a
+//! polarizability) in deterministic lockstep, so jobs gather across them;
+//! [`solve_response`] is the single-perturbation wrapper.
 
+use crate::grid::GridPanels;
 use crate::scf::{ScfResult, CX};
 use qfr_linalg::batch::{execute_jobs, BatchJob};
 use qfr_linalg::gemm;
@@ -154,16 +157,13 @@ pub fn solve_response(scf: &ScfResult, h1_ext: &DMatrix, cfg: &ResponseConfig) -
     out
 }
 
-/// Per-`ScfResult` precomputation shared by every task on that state:
-/// grid batches, basis value/gradient panels, the MO coefficients, and the
+/// Per-`ScfResult` precomputation shared by every task on that state: the
+/// basis value and gradient panels, the MO coefficients, and the
 /// ground-state parts of the phase-3 kernels (the density gradient, the
-/// LDA factor and the squared density). Panels and `C` are `Arc`-shared so
-/// the gathered job streams reference one copy across every
-/// batch/task/cycle instead of cloning per job.
+/// LDA factor and the squared density). `C` is `Arc`-shared like the
+/// panels, so phase 1's jobs reference one copy.
 struct ScfPanels {
-    batches: Vec<std::ops::Range<usize>>,
-    x_panels: Vec<Arc<DMatrix>>,
-    g_panels: Vec<[Arc<DMatrix>; 3]>,
+    grid: GridPanels,
     c: Arc<DMatrix>,
     grad_n: [Vec<f64>; 3],
     /// `-(CX/3)·nd^{-2/3}` per point, `nd = max(n, 1e-10)`: the LDA kernel
@@ -174,21 +174,13 @@ struct ScfPanels {
 }
 
 fn build_panels(scf: &ScfResult, batch_size: usize) -> ScfPanels {
-    let batches = scf.grid.batches(batch_size);
-    // One exponential per basis value: the gradient panels scale it.
-    let (x_panels, g_panels): (Vec<Arc<DMatrix>>, Vec<[Arc<DMatrix>; 3]>) = batches
-        .iter()
-        .map(|b| {
-            let (x, g) = scf.basis.evaluate_with_gradients(&scf.grid.points[b.clone()]);
-            (Arc::new(x), g.map(Arc::new))
-        })
-        .unzip();
+    let grid = GridPanels::new(&scf.basis, &scf.grid, batch_size, true);
     // Ground-state density gradient (for the model gradient kernel). The
     // X·P products are shared across the three directions.
-    let xps: Vec<DMatrix> = x_panels.iter().map(|x| gemm::matmul(x, &scf.p)).collect();
+    let xps: Vec<DMatrix> = grid.values.iter().map(|x| gemm::matmul(x, &scf.p)).collect();
     let grad_n: [Vec<f64>; 3] = std::array::from_fn(|dir| {
         let mut out = Vec::with_capacity(scf.grid.len());
-        for ((x, g), xp) in x_panels.iter().zip(&g_panels).zip(&xps) {
+        for ((x, g), xp) in grid.values.iter().zip(&grid.gradients).zip(&xps) {
             for row in 0..x.rows() {
                 let v: f64 = xp.row(row).iter().zip(g[dir].row(row)).map(|(a, b)| a * b).sum();
                 out.push(2.0 * v);
@@ -201,7 +193,7 @@ fn build_panels(scf: &ScfResult, batch_size: usize) -> ScfPanels {
     let nd = || scf.density.iter().map(|&d| d.max(1e-10));
     let fxc = nd().map(|nd| -(CX / 3.0) * nd.powf(-2.0 / 3.0)).collect();
     let nd2 = nd().map(|nd| nd * nd).collect();
-    ScfPanels { batches, x_panels, g_panels, c: Arc::new(scf.c.clone()), grad_n, fxc, nd2 }
+    ScfPanels { grid, c: Arc::new(scf.c.clone()), grad_n, fxc, nd2 }
 }
 
 /// Phase 3's pointwise sum `v(1) = v_H[n(1)] + f_xc·n(1) + GRADIENT_KERNEL ·
@@ -311,20 +303,12 @@ pub fn solve_responses(
         // + rowdot(G P1, X)` — two GEMMs plus two reductions per direction.
         // Reduced path: since `P1 = P1ᵀ` the halves are equal, so `∇n1 =
         // 2·rowdot(X P1, G)` — the GEMM is shared with the n(1) evaluation.
-        let jobs_per_batch = if cfg.use_symmetry_reduction { 1 } else { 4 };
-        let jobs_per_task = jobs_per_batch * pan.x_panels.len();
+        let naive = !cfg.use_symmetry_reduction;
+        let jobs_per_batch = if naive { 4 } else { 1 };
+        let jobs_per_task = jobs_per_batch * pan.grid.values.len();
         let ((new_n1s, grads), dt, fl) = measured("dfpt.n1", || {
-            let mut jobs: Vec<BatchJob> = Vec::with_capacity(t_count * jobs_per_task);
-            for p1 in &p1s {
-                for (bi, x) in pan.x_panels.iter().enumerate() {
-                    jobs.push(BatchJob::gemm(x.clone(), p1.clone()));
-                    if !cfg.use_symmetry_reduction {
-                        for g in &pan.g_panels[bi] {
-                            jobs.push(BatchJob::gemm(g.clone(), p1.clone()));
-                        }
-                    }
-                }
-            }
+            let jobs: Vec<BatchJob> =
+                p1s.iter().flat_map(|p1| pan.grid.product_jobs(p1, naive)).collect();
             let products = execute_jobs(&jobs, Default::default());
             // Row reductions, one task per rayon item, collected in task order.
             (0..t_count)
@@ -333,7 +317,7 @@ pub fn solve_responses(
                     let products = &products[t_idx * jobs_per_task..];
                     let mut n1 = Vec::with_capacity(npts);
                     let mut grad: [Vec<f64>; 3] = std::array::from_fn(|_| Vec::with_capacity(npts));
-                    for (bi, x) in pan.x_panels.iter().enumerate() {
+                    for (bi, x) in pan.grid.values.iter().enumerate() {
                         let rows = x.rows();
                         let xp = &products[bi * jobs_per_batch];
                         qfr_linalg::flops::add((2 * rows * x.cols()) as u64);
@@ -341,7 +325,7 @@ pub fn solve_responses(
                             n1.push(row_dot(xp, x, row));
                         }
                         for (dir, gvec) in grad.iter_mut().enumerate() {
-                            let g = &pan.g_panels[bi][dir];
+                            let g = &pan.grid.gradients[bi][dir];
                             if cfg.use_symmetry_reduction {
                                 qfr_linalg::flops::add((2 * rows * x.cols()) as u64);
                                 gvec.extend((0..rows).map(|row| 2.0 * row_dot(xp, g, row)));
@@ -385,43 +369,9 @@ pub fn solve_responses(
         phases.poisson_flops += fl;
 
         // ---- Phase 4: response Hamiltonians. -----------------------------
-        // X^T diag(w) X is symmetric; per-batch triangle jobs, accumulated
-        // in batch order (IEEE addition is commutative, so the indexed sum
-        // equals the former in-place β=1 accumulation).
-        let (h1_grids, dt, fl) = measured("dfpt.h1", || {
-            // The weighted copies are per job by necessity (the plain X
-            // operand is shared); each task builds its own on the rayon
-            // facade, and the streams concatenate in task order.
-            let jobs: Vec<BatchJob> = v1s
-                .par_iter()
-                .flat_map_iter(|v1| {
-                    pan.batches.iter().zip(&pan.x_panels).map(|(b, x)| {
-                        let mut xw = (**x).clone();
-                        qfr_linalg::flops::add((x.rows() * n) as u64);
-                        for (row, gi) in b.clone().enumerate() {
-                            let w = v1[gi] * scf.grid.dv;
-                            for v in xw.row_mut(row) {
-                                *v *= w;
-                            }
-                        }
-                        BatchJob::symmetric_product(xw, x.clone())
-                    })
-                })
-                .collect();
-            let outs = execute_jobs(&jobs, Default::default());
-            // Per-task sums of the batch outputs, in batch order.
-            let per_task = pan.batches.len();
-            (0..t_count)
-                .into_par_iter()
-                .map(|t_idx| {
-                    let mut m = DMatrix::zeros(n, n);
-                    for out in &outs[t_idx * per_task..(t_idx + 1) * per_task] {
-                        m += out;
-                    }
-                    m
-                })
-                .collect::<Vec<_>>()
-        });
+        // `Σ_b X_bᵀ diag(v1·dv) X_b` per task: one triangle job per batch
+        // and task, in one stream, each task's outputs summed in batch order.
+        let (h1_grids, dt, fl) = measured("dfpt.h1", || pan.grid.potentials(&v1s));
         phases.h1_seconds += dt;
         phases.h1_flops += fl;
 

@@ -8,21 +8,20 @@
 //! guess, [`ScfSolver::solve_from`] from a given density matrix — the
 //! finite-difference engine warm-starts every displaced geometry from its
 //! reference. Everything is deterministic: fixed grid, fixed iteration cap,
-//! fixed extrapolation depth. The density and Fock builds gather one job
-//! per grid batch and run each stream through the batched executor
-//! [`qfr_linalg::batch::execute_jobs`].
+//! fixed extrapolation depth. The basis is evaluated on the grid batches
+//! once per solve (`grid::GridPanels`); every iteration's density is its
+//! `X_b·P` stream and its Fock matrix its `X_bᵀ diag(v_eff·dv) X_b`
+//! stream, each one launch of the batched executor.
 
 use crate::basis::Basis;
-use crate::grid::RealSpaceGrid;
+use crate::grid::{GridPanels, RealSpaceGrid};
 use qfr_fragment::FragmentStructure;
-use qfr_linalg::batch::{execute_jobs, BatchJob};
 use qfr_linalg::cholesky::Cholesky;
 use qfr_linalg::eigen::symmetric_eigen;
 use qfr_linalg::gemm;
 use qfr_linalg::lu::Lu;
 use qfr_linalg::DMatrix;
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::sync::Arc;
 
 static SCF_SOLVES: qfr_obs::Counter = qfr_obs::Counter::deterministic("dfpt.scf.solves");
@@ -33,6 +32,16 @@ static SCF_UNCONVERGED: qfr_obs::Counter = qfr_obs::Counter::deterministic("dfpt
 
 /// LDA exchange constant `(3/π)^{1/3}`.
 pub const CX: f64 = 0.984745;
+
+/// The LDA exchange potential `v_x = −C_X n^{1/3}` at density `n`.
+pub(crate) fn exchange_potential(n: f64) -> f64 {
+    -CX * n.powf(1.0 / 3.0)
+}
+
+/// The effective potential `v_H + v_x[n]` per grid point.
+pub(crate) fn effective_potential(v_h: &[f64], density: &[f64]) -> Vec<f64> {
+    v_h.iter().zip(density).map(|(&vh, &nd)| vh + exchange_potential(nd)).collect()
+}
 
 /// Fock/error pairs the Pulay extrapolation spans.
 const DIIS_DEPTH: usize = 8;
@@ -224,8 +233,7 @@ struct Setup {
     s: DMatrix,
     l_inv: DMatrix,
     h_core: DMatrix,
-    batches: Vec<Range<usize>>,
-    x_panels: Vec<Arc<DMatrix>>,
+    panels: GridPanels,
 }
 
 impl Setup {
@@ -239,63 +247,18 @@ impl Setup {
         let t = basis.kinetic();
         let v_ext = basis.external_potential();
         let h_core = &t + &v_ext;
-        // Pre-evaluate basis panels per batch (reused every iteration).
-        // Panels and the density matrix live behind `Arc` so the gathered
-        // job streams *reference* them instead of cloning one copy per
-        // batch job.
-        let batches = grid.batches(cfg.batch_size);
-        let x_panels =
-            batches.iter().map(|b| Arc::new(basis.evaluate(&grid.points[b.clone()]))).collect();
-        Self { basis, grid, s, l_inv, h_core, batches, x_panels }
+        // The value panels are evaluated once and reused every iteration.
+        let panels = GridPanels::new(&basis, &grid, cfg.batch_size, false);
+        Self { basis, grid, s, l_inv, h_core, panels }
     }
 
     /// `F[P]`, with the grid density of `P` and its Hartree potential.
     fn fock(&self, p: &Arc<DMatrix>) -> (DMatrix, Vec<f64>, Vec<f64>) {
-        let n = self.basis.len();
-        // Density on the grid: n_i = x_i^T P x_i per batch. The X·P
-        // products are gathered into one job stream and executed batched.
-        let mut density = Vec::with_capacity(self.grid.len());
-        let density_jobs: Vec<BatchJob> =
-            self.x_panels.iter().map(|x| BatchJob::gemm(x.clone(), p.clone())).collect(); // Arc clones
-        let xps = execute_jobs(&density_jobs, Default::default());
-        for ((b, x), xp) in self.batches.iter().zip(&self.x_panels).zip(&xps) {
-            qfr_linalg::flops::add((2 * x.rows() * n) as u64);
-            for row in 0..x.rows() {
-                let v: f64 = xp.row(row).iter().zip(x.row(row)).map(|(a, b)| a * b).sum();
-                density.push(v.max(0.0));
-            }
-            debug_assert_eq!(density.len(), b.end);
-        }
-        // Effective potential on the grid.
+        let (density, _) = self.panels.density(p);
+        qfr_linalg::flops::add((2 * density.len() * self.basis.len()) as u64);
         let v_h = self.grid.solve_poisson(&density);
-        let v_eff: Vec<f64> =
-            density.iter().zip(&v_h).map(|(&nd, &vh)| vh - CX * nd.powf(1.0 / 3.0)).collect();
-        // V_eff matrix: sum over batches of X^T diag(v dv) X. Each batch is
-        // a symmetric-product job (half the GEMM work); results are
-        // accumulated in batch order, which is bitwise equal to the former
-        // in-place β=1 accumulation because IEEE addition is commutative.
-        let fock_jobs: Vec<BatchJob> = self
-            .batches
-            .iter()
-            .zip(&self.x_panels)
-            .map(|(b, x)| {
-                // The weighted copy is per-job by necessity; the plain X
-                // operand is shared.
-                let mut xw = (**x).clone();
-                qfr_linalg::flops::add((x.rows() * n) as u64);
-                for (row, gi) in b.clone().enumerate() {
-                    let w = v_eff[gi] * self.grid.dv;
-                    for v in xw.row_mut(row) {
-                        *v *= w;
-                    }
-                }
-                BatchJob::symmetric_product(xw, x.clone())
-            })
-            .collect();
-        let mut v_mat = DMatrix::zeros(n, n);
-        for out in execute_jobs(&fock_jobs, Default::default()) {
-            v_mat += &out;
-        }
+        let v_eff = effective_potential(&v_h, &density);
+        let v_mat = self.panels.potentials(std::slice::from_ref(&v_eff)).remove(0);
         (&self.h_core + &v_mat, density, v_h)
     }
 
@@ -345,14 +308,8 @@ pub(crate) fn density_matrix(c: &DMatrix, occ: &[f64]) -> DMatrix {
     p
 }
 
-/// `tr(A B)` for symmetric-compatible shapes (public alias for tests and
-/// downstream observables).
-pub fn trace_product_public(a: &DMatrix, b: &DMatrix) -> f64 {
-    trace_product(a, b)
-}
-
 /// `tr(A B)` for symmetric-compatible shapes.
-pub(crate) fn trace_product(a: &DMatrix, b: &DMatrix) -> f64 {
+pub fn trace_product(a: &DMatrix, b: &DMatrix) -> f64 {
     assert_eq!(a.cols(), b.rows());
     let mut tr = 0.0;
     for i in 0..a.rows() {

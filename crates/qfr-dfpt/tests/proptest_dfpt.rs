@@ -50,7 +50,7 @@ proptest! {
     fn scf_electron_conservation(seed in 0u64..200, jitter in 0.0..0.1f64) {
         let frag = jittered_water(seed, jitter);
         let scf = fast_scf().solve(&frag);
-        let tr = qfr_dfpt::scf::trace_product_public(&scf.p, &scf.s);
+        let tr = qfr_dfpt::scf::trace_product(&scf.p, &scf.s);
         prop_assert!((tr - scf.basis.n_electrons).abs() < 1e-6, "tr(PS) = {tr}");
         prop_assert!(scf.energy < 0.0, "unbound: {}", scf.energy);
     }
@@ -61,7 +61,7 @@ proptest! {
         let frag = jittered_water(seed, 0.05);
         let scf = fast_scf().solve(&frag);
         let resp = field_response(&scf, c, &ResponseConfig::default());
-        let tr = qfr_dfpt::scf::trace_product_public(&resp.p1, &scf.s);
+        let tr = qfr_dfpt::scf::trace_product(&resp.p1, &scf.s);
         prop_assert!(tr.abs() < 1e-7, "tr(P1 S) = {tr}");
         prop_assert!(resp.p1.is_symmetric(1e-9));
     }
