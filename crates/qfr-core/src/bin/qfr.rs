@@ -193,8 +193,8 @@ fn build_seeded_system(args: &Args, seed: u64) -> MolecularSystem {
             Some(pad) => SolvatedSystem::build(&protein, pad, 3.1, 2.4, seed + 1),
             None => protein,
         }
-    } else if let Some(n) = args.get("--waters") {
-        WaterBoxBuilder::new(n).seed(seed).build()
+    } else if args.has("--waters") {
+        WaterBoxBuilder::new(args.get_positive("--waters", 1)).seed(seed).build()
     } else {
         usage()
     }
@@ -428,11 +428,11 @@ fn cmd_serve(argv: &[String]) {
         engine: EngineKind::ForceField,
         cache: Some(std::sync::Arc::new(FragmentCache::with_capacity(args.cache_bytes()))),
     };
+    let variants: Vec<MolecularSystem> =
+        (0..distinct).map(|d| build_seeded_system(args, base_seed + d as u64)).collect();
     println!("service: {config:?}");
     let service = SpectrumService::new(config);
 
-    let variants: Vec<MolecularSystem> =
-        (0..distinct).map(|d| build_seeded_system(args, base_seed + d as u64)).collect();
     let sigma = sigma.unwrap_or(if variants[0].n_waters > 0 { 20.0 } else { 5.0 });
 
     let mut handles = Vec::new();

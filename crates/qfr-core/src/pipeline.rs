@@ -137,15 +137,12 @@ pub(crate) struct Fold<'j, R = FragmentResponse> {
 }
 
 impl<'j, R: Borrow<FragmentResponse>> Fold<'j, R> {
-    /// An empty fold over every atom of an `n_atoms` system.
+    /// An empty fold over every atom of an `n_atoms` system; laying out
+    /// the operator's pattern counts as folding time.
     pub(crate) fn new(jobs: &'j [FragmentJob], n_atoms: usize) -> Self {
-        Self {
-            jobs,
-            acc: RowRangeAccumulator::new(0..n_atoms, n_atoms),
-            next: 0,
-            early: BTreeMap::new(),
-            fold_s: 0.0,
-        }
+        let start = Instant::now();
+        let acc = RowRangeAccumulator::new(jobs, 0..n_atoms, n_atoms);
+        Self { jobs, acc, next: 0, early: BTreeMap::new(), fold_s: start.elapsed().as_secs_f64() }
     }
 
     /// Job `index`'s response, or `None` to leave the job out. Folds it at
@@ -288,16 +285,19 @@ impl<'a> Pipeline<'a> {
     /// and feeds every job's response to the Eq. (1) fold as it arrives;
     /// the fold is then finished and mass-weighted in place. Folding
     /// interleaves with the engine but is timed as assembly: `engine_s`
-    /// leaves it out, `assemble_s` is fold, finish and mass weighting.
+    /// leaves it out, `assemble_s` is pattern, fold, finish and mass weighting.
     pub(crate) fn assemble_in_core<T, E>(
         &mut self,
         jobs: &[FragmentJob],
         serve: impl FnOnce(&mut Fold) -> Result<T, E>,
     ) -> Result<(MassWeighted, T), E> {
         let system = self.system;
-        let mut fold = Fold::new(jobs, system.n_atoms());
-        let served = self.responses(|| serve(&mut fold))?;
-        let fold_s = fold.fold_s;
+        let (fold, served) = self.responses(|| {
+            let mut fold = Fold::new(jobs, system.n_atoms());
+            let served = serve(&mut fold);
+            (fold, served)
+        });
+        let (served, fold_s) = (served?, fold.fold_s);
         let mw = self.operator(|| MassWeighted::in_place(fold.finish(), &system.masses()));
         self.timings.engine_s -= fold_s;
         self.timings.assemble_s += fold_s;

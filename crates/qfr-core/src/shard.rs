@@ -196,7 +196,7 @@ where
     F: FnMut(&FragmentJob) -> FragmentResponse,
 {
     assert!(tile_rows > 0, "tile_rows must be positive");
-    let mut acc = RowRangeAccumulator::new(plan.range(shard), plan.n_atoms);
+    let mut acc = RowRangeAccumulator::new(jobs, plan.range(shard), plan.n_atoms);
     for job in jobs {
         if acc.touches(job) {
             acc.add(job, &compute(job));
@@ -423,7 +423,7 @@ mod tests {
         let path = shard_path(&dir, 0);
         build_shard(&path, &sys, jobs, &plan, 0, tile_rows, fp, compute).unwrap();
         let store = ShardStore::open(&dir, plan, tile_rows, base).unwrap();
-        let mut acc = RowRangeAccumulator::new(0..sys.n_atoms(), sys.n_atoms());
+        let mut acc = RowRangeAccumulator::new(jobs, 0..sys.n_atoms(), sys.n_atoms());
         jobs.iter().for_each(|job| acc.add(job, &compute(job)));
         let want = MassWeighted::in_place(acc.finish(), &sys.masses());
         Spilled { store, want, path }

@@ -96,6 +96,11 @@ fn malformed_command_lines_exit_2_with_one_line() {
         assert_usage_error(&["spectrum", "--waters", "8", flag, value], flag);
     }
     assert_usage_error(&["spectrum", "--protein", "0"], "--protein");
+    // An empty water box is refused up front, not run (and failed, or
+    // decomposed into nothing) on zero atoms.
+    for command in ["spectrum", "decompose", "serve"] {
+        assert_usage_error(&[command, "--waters", "0"], "--waters must be at least 1");
+    }
     assert_usage_error(&["serve", "--waters", "8", "--sigma", "0"], "--sigma");
     assert_usage_error(&["serve", "--waters", "8", "--lambda", "nan"], "--lambda");
     assert_usage_error(&["serve", "--waters", "8", "--lanczos", "0"], "--lanczos");
@@ -107,19 +112,6 @@ fn malformed_command_lines_exit_2_with_one_line() {
     assert_usage_error(&["serve", "--waters", "8", "--distinct", "0"], "--distinct");
     assert_usage_error(&["serve", "--waters", "8", "--requests", "0"], "--requests");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// An admitted `qfr serve` request that fails makes the run fail: every
-/// request on an empty system is refused by validation, and the command
-/// exits 1 with one `error:` line after reporting each failure.
-#[test]
-fn serve_exits_1_when_a_request_fails() {
-    let out = qfr(&["serve", "--waters", "0", "--requests", "2"]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}\nstderr: {stderr}");
-    assert_eq!(stdout.matches(": failed (").count(), 2, "{stdout}");
-    assert_eq!(stderr.lines().collect::<Vec<_>>(), ["error: 2 of 2 admitted requests failed"]);
 }
 
 #[test]

@@ -36,36 +36,69 @@ pub struct AssembledSystem {
     pub atoms: Range<usize>,
 }
 
-/// The Eq. (1) fold over the rows of one contiguous atom range. Memory is
-/// `O(pattern)`: one 3×3 block per coupled atom pair, summed in place.
+/// The Eq. (1) fold over the rows of one contiguous atom range, in the
+/// range's final CSR buffers: [`new`](Self::new) lays out a zeroed 3×3 block
+/// for every atom pair a job couples, [`add`](Self::add) sums into it, and
+/// [`finish`](Self::finish) drops the exact zeros in place.
 #[derive(Debug, Clone)]
 pub struct RowRangeAccumulator {
     atoms: Range<usize>,
     n_atoms: usize,
-    /// Per owned atom, its 3×3 Hessian blocks (row-major, from `+0.0`)
-    /// keyed by column atom, ascending.
-    blocks: Vec<Vec<(u32, [f64; 9])>>,
+    /// Owned atom `a`'s block columns, ascending, are the atoms
+    /// `partners[row_ptr[3a] / 9..row_ptr[3a + 3] / 9]`, and row `3a + d`
+    /// holds row `d` of each block. `col_idx` is empty until `finish`.
+    partners: Vec<u32>,
+    row_ptr: Vec<usize>,
+    col_idx: Vec<u32>,
+    values: Vec<f64>,
     dalpha: [Vec<f64>; 6],
     dmu: [Vec<f64>; 3],
 }
 
 impl RowRangeAccumulator {
-    /// Empty accumulator for the rows of `atoms` in an `n_atoms` system.
+    /// Zeroed accumulator for the rows of `atoms` in an `n_atoms` system,
+    /// with a slot for every atom pair some job of `jobs` couples.
     ///
     /// # Panics
-    /// Panics if the range reaches past `n_atoms`, or `3·n_atoms` past
-    /// `u32::MAX` (the CSR index type).
-    pub fn new(atoms: Range<usize>, n_atoms: usize) -> Self {
+    /// Panics if the range reaches past `n_atoms`, `3·n_atoms` past
+    /// `u32::MAX` (the CSR index type), or a job atom is not an atom of the
+    /// system.
+    pub fn new(jobs: &[FragmentJob], atoms: Range<usize>, n_atoms: usize) -> Self {
         assert!(atoms.start <= atoms.end && atoms.end <= n_atoms, "{atoms:?} out of {n_atoms}");
         assert!(n_atoms <= (u32::MAX / 3) as usize, "3·{n_atoms} dofs exceed u32 index range");
-        let span = 3 * atoms.len();
-        Self {
-            blocks: vec![Vec::new(); atoms.len()],
-            dalpha: std::array::from_fn(|_| vec![0.0; span]),
-            dmu: std::array::from_fn(|_| vec![0.0; span]),
-            atoms,
-            n_atoms,
+        // Jobs by owned atom. Out of range, a row atom would pass for another
+        // shard's and a column would reach the CSR arrays unchecked.
+        let mut by_atom = vec![Vec::new(); atoms.len()];
+        for (j, job) in jobs.iter().enumerate() {
+            for &a in &job.atoms {
+                assert!(a < n_atoms, "atom index out of {n_atoms} for {:?}", job.kind);
+                if atoms.contains(&a) {
+                    by_atom[a - atoms.start].push(j);
+                }
+            }
         }
+        // Each owned atom's partners, listed once: `stamp[b]` is the last
+        // owned atom that listed `b`.
+        let (mut stamp, mut partners, mut row_ptr) = (vec![u32::MAX; n_atoms], Vec::new(), vec![0]);
+        for (o, owned_jobs) in (0..).zip(by_atom) {
+            let first = partners.len();
+            for &b in owned_jobs.into_iter().flat_map(|j| &jobs[j].atoms) {
+                if std::mem::replace(&mut stamp[b], o) != o {
+                    partners.push(b as u32);
+                }
+            }
+            partners[first..].sort_unstable();
+            let width = 3 * (partners.len() - first);
+            row_ptr.extend((1..=3).map(|da| 9 * first + da * width));
+        }
+        partners.shrink_to_fit();
+        // Zeroed in one pass, not page by page where the fold first writes:
+        // first touches in address order cost less than scattered ones.
+        let (nnz, zeros) = (row_ptr[3 * atoms.len()], |_| vec![0.0; 3 * atoms.len()]);
+        let (mut values, col_idx) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        values.resize(nnz, 0.0);
+        let (dalpha, dmu) = (std::array::from_fn(zeros), std::array::from_fn(zeros));
+        Self { partners, row_ptr, col_idx, values, dalpha, dmu, atoms, n_atoms }
     }
 
     /// True when `job` has an atom in the range: rows to [`add`](Self::add).
@@ -73,101 +106,84 @@ impl RowRangeAccumulator {
         job.atoms.iter().any(|a| self.atoms.contains(a))
     }
 
-    /// Folds one response in. `resp` must cover the job's atoms in order
-    /// (real atoms first, then link hydrogens), exactly as produced by
-    /// engines running on [`crate::FragmentStructure`]. Callers add jobs in
-    /// global job order: a `(row, col)` slot sums its addends in add order.
+    /// Folds one response in. `job` must be one of the jobs the accumulator
+    /// was built from, and `resp` must cover its atoms in order (real atoms
+    /// first, then link hydrogens), exactly as produced by engines running
+    /// on [`crate::FragmentStructure`]. Callers add jobs in global job
+    /// order: a `(row, col)` slot sums its addends in add order.
     ///
     /// # Panics
-    /// Panics if a response matrix is not shaped for the job's atoms, or a
-    /// job atom is not an atom of the system.
+    /// Panics if a response matrix is not shaped for the job's atoms, or the
+    /// job couples an atom pair that no job of the accumulator's list does.
     pub fn add(&mut self, job: &FragmentJob, resp: &FragmentResponse) {
         let m3 = 3 * job.size();
         assert_eq!(resp.hessian.shape(), (m3, m3), "hessian shape mismatch for {:?}", job.kind);
         assert_eq!(resp.dalpha.shape(), (6, m3), "dalpha shape mismatch for {:?}", job.kind);
         assert_eq!(resp.dmu.shape(), (3, m3), "dmu shape mismatch for {:?}", job.kind);
-        // Out of range, a row atom would pass for another shard's and a
-        // column would reach the CSR arrays unchecked.
-        assert!(
-            job.atoms.iter().all(|&a| a < self.n_atoms),
-            "atom index out of {} for {:?}",
-            self.n_atoms,
-            job.kind
-        );
         let coeff = job.coefficient;
         for (la, &ga) in job.atoms.iter().enumerate() {
             if !self.atoms.contains(&ga) {
                 continue;
             }
             let owned = ga - self.atoms.start;
-            let row_blocks = &mut self.blocks[owned];
+            let rows = &self.row_ptr[3 * owned..3 * owned + 4];
+            let cols = &self.partners[rows[0] / 9..rows[3] / 9];
+            // Job atoms ascend: a column is most often the slot after the last.
+            let mut k = 0;
             for (lb, &gb) in job.atoms.iter().enumerate() {
-                let at = match row_blocks.binary_search_by_key(&(gb as u32), |&(col, _)| col) {
-                    Ok(at) => at,
-                    Err(at) => {
-                        row_blocks.insert(at, (gb as u32, [0.0; 9]));
-                        at
-                    }
-                };
-                let block = &mut row_blocks[at].1;
-                for da in 0..3 {
-                    for db in 0..3 {
-                        // A zero addend is skipped, not added: slots are
-                        // never `-0.0`, so it could not change one.
-                        let v = resp.hessian[(3 * la + da, 3 * lb + db)];
-                        if v != 0.0 {
-                            block[3 * da + db] += coeff * v;
-                        }
+                if cols.get(k).is_none_or(|&c| c as usize != gb) {
+                    k = cols.partition_point(|&c| (c as usize) < gb);
+                    let found = cols.get(k).is_some_and(|&c| c as usize == gb);
+                    assert!(found, "{:?} is not in the accumulator's job list", job.kind);
+                }
+                // A zero addend leaves a slot's bits as they are: a slot
+                // starts at `+0.0` and is never `-0.0`.
+                for (da, &row) in rows[..3].iter().enumerate() {
+                    let src = &resp.hessian.row(3 * la + da)[3 * lb..][..3];
+                    for (slot, v) in self.values[row + 3 * k..][..3].iter_mut().zip(src) {
+                        *slot += coeff * v;
                     }
                 }
+                k += 1;
             }
-            let row = 3 * owned;
-            for (comp, dvec) in self.dalpha.iter_mut().enumerate() {
+            let sources = (0..6).map(|c| resp.dalpha.row(c)).chain((0..3).map(|c| resp.dmu.row(c)));
+            for (dvec, src) in self.dalpha.iter_mut().chain(&mut self.dmu).zip(sources) {
                 for da in 0..3 {
-                    dvec[row + da] += coeff * resp.dalpha[(comp, 3 * la + da)];
-                }
-            }
-            for (comp, dvec) in self.dmu.iter_mut().enumerate() {
-                for da in 0..3 {
-                    dvec[row + da] += coeff * resp.dmu[(comp, 3 * la + da)];
+                    dvec[3 * owned + da] += coeff * src[3 * la + da];
                 }
             }
         }
     }
 
-    /// Compresses the rows: each atom's blocks are walked once per dof row,
-    /// columns ascending, and slots that are exactly zero (never touched, or
-    /// cancelled) are dropped.
+    /// Compresses the rows in place: slots that are exactly zero (never
+    /// touched, or cancelled) are dropped, the rest move down in row order
+    /// beside their column index, and both buffers shrink to what is kept.
     pub fn finish(self) -> AssembledSystem {
-        let nonzero = |block: &[f64; 9]| block.iter().filter(|&&v| v != 0.0).count();
-        let nnz = self.blocks.iter().flatten().map(|(_, block)| nonzero(block)).sum();
-        let mut row_ptr = Vec::with_capacity(3 * self.atoms.len() + 1);
-        let mut col_idx: Vec<u32> = Vec::with_capacity(nnz);
-        let mut values: Vec<f64> = Vec::with_capacity(nnz);
-        row_ptr.push(0);
-        // By value: an atom's blocks are freed once its rows are emitted.
-        for row_blocks in self.blocks {
+        let Self { atoms, n_atoms, partners, mut row_ptr, mut col_idx, mut values, dalpha, dmu } =
+            self;
+        let mut lo = 0;
+        for owned in 0..atoms.len() {
+            let hi = row_ptr[3 * owned + 3];
+            let cols = &partners[lo / 9..hi / 9];
             for da in 0..3 {
-                for (col, block) in &row_blocks {
-                    for db in 0..3 {
-                        let v = block[3 * da + db];
-                        if v != 0.0 {
-                            col_idx.push(3 * col + db as u32);
-                            values.push(v);
+                for (slot, &col) in (lo + 3 * da * cols.len()..).step_by(3).zip(cols) {
+                    for (db, i) in (0..3).zip(slot..) {
+                        if values[i] != 0.0 {
+                            values[col_idx.len()] = values[i];
+                            col_idx.push(3 * col + db);
                         }
                     }
                 }
-                row_ptr.push(values.len());
+                row_ptr[3 * owned + da + 1] = col_idx.len();
             }
+            lo = hi;
         }
-        let (rows, cols) = (3 * self.atoms.len(), 3 * self.n_atoms);
-        AssembledSystem {
-            hessian: CsrMatrix::from_raw_parts(rows, cols, row_ptr, col_idx, values),
-            dalpha: self.dalpha,
-            dmu: self.dmu,
-            n_atoms: self.n_atoms,
-            atoms: self.atoms,
-        }
+        values.truncate(col_idx.len());
+        values.shrink_to_fit();
+        col_idx.shrink_to_fit();
+        let hessian =
+            CsrMatrix::from_raw_parts(3 * atoms.len(), 3 * n_atoms, row_ptr, col_idx, values);
+        AssembledSystem { hessian, dalpha, dmu, n_atoms, atoms }
     }
 }
 
@@ -182,10 +198,8 @@ pub fn assemble(
     n_atoms: usize,
 ) -> AssembledSystem {
     assert_eq!(jobs.len(), responses.len(), "one response per job required");
-    let mut acc = RowRangeAccumulator::new(0..n_atoms, n_atoms);
-    for (job, resp) in jobs.iter().zip(responses) {
-        acc.add(job, resp);
-    }
+    let mut acc = RowRangeAccumulator::new(jobs, 0..n_atoms, n_atoms);
+    jobs.iter().zip(responses).for_each(|(job, resp)| acc.add(job, resp));
     acc.finish()
 }
 
@@ -351,6 +365,35 @@ mod tests {
         assert!((mw.dalpha[0][0] - 1.0).abs() < 1e-12, "2/sqrt(4)");
         assert!((mw.dalpha[0][3] - 0.5).abs() < 1e-12, "2/sqrt(16)");
         assert_eq!(mw.dim(), 6);
+    }
+
+    /// `finish` compacts in place: the matrix owns the accumulator's own
+    /// buffers, so the operator is never held twice.
+    #[test]
+    fn finish_hands_over_its_own_buffers() {
+        let jobs = vec![
+            job(JobKind::WaterMonomer { w: 0 }, 1.0, vec![0, 1]),
+            job(JobKind::WaterMonomer { w: 1 }, 1.0, vec![1, 2]),
+        ];
+        let mut acc = RowRangeAccumulator::new(&jobs, 0..3, 3);
+        // Only diagonal entries are non-zero: most slots are dropped.
+        acc.add(&jobs[0], &unit_response(2, 2.0, 1.0));
+        acc.add(&jobs[1], &unit_response(2, 2.0, 1.0));
+        let ptrs = (acc.row_ptr.as_ptr(), acc.col_idx.as_ptr(), acc.values.as_ptr());
+        let asm = acc.finish();
+        assert_eq!(asm.hessian.nnz(), 9);
+        let (row_ptr, col_idx, values) = asm.hessian.raw_parts();
+        assert_eq!((row_ptr.as_ptr(), col_idx.as_ptr(), values.as_ptr()), ptrs);
+    }
+
+    /// A job the accumulator was not built from may couple a pair it has no
+    /// slot for; it is refused by name, not folded somewhere else.
+    #[test]
+    #[should_panic(expected = "WaterMonomer { w: 9 } is not in the accumulator's job list")]
+    fn job_outside_the_list_panics() {
+        let jobs = vec![job(JobKind::WaterMonomer { w: 0 }, 1.0, vec![0, 1])];
+        let mut acc = RowRangeAccumulator::new(&jobs, 0..3, 3);
+        acc.add(&job(JobKind::WaterMonomer { w: 9 }, 1.0, vec![1, 2]), &unit_response(2, 1.0, 1.0));
     }
 
     #[test]

@@ -97,8 +97,9 @@ fn weighted_bits(parts: &[AssembledSystem], masses: &[f64]) -> OperatorBits {
     stacked(weighted.iter().map(|w| (&w.hessian, &w.dalpha, &w.dmu)))
 }
 
-/// Folds the `kept` jobs into one accumulator per range, each fed only the
-/// jobs that touch it, in job order.
+/// Folds the `kept` jobs into one accumulator per range, each built from
+/// every job and fed only the kept jobs that touch it, in job order: slots
+/// of pairs only left-out jobs couple stay zero and must not be stored.
 fn fold_ranges(
     ranges: &[Range<usize>],
     n_atoms: usize,
@@ -108,7 +109,7 @@ fn fold_ranges(
 ) -> Vec<AssembledSystem> {
     (ranges.iter())
         .map(|range| {
-            let mut acc = RowRangeAccumulator::new(range.clone(), n_atoms);
+            let mut acc = RowRangeAccumulator::new(jobs, range.clone(), n_atoms);
             for (k, (job, resp)) in jobs.iter().zip(responses).enumerate() {
                 if kept(k) && acc.touches(job) {
                     acc.add(job, resp);
@@ -388,7 +389,7 @@ proptest! {
         assert_extraction_matches_scan(&sys, &d.jobs, "random system");
     }
 
-    /// The block accumulator is the triplet fold: same `row_ptr`, `col_idx`
+    /// The pattern accumulator is the triplet fold: same `row_ptr`, `col_idx`
     /// and value bits, raw and mass-weighted, over any row partition and job
     /// subset — with zeros of both signs among the addends, the negative
     /// merged-monomer coefficients of a real decomposition, and one job
