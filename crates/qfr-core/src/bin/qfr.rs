@@ -20,6 +20,7 @@ use qfr_core::{
     EngineKind, HessianOperator, RamanWorkflow, ResponseSource, RunPlan, ServiceConfig,
     ShardConfig, SpectrumRequest, SpectrumService, WorkflowError,
 };
+use qfr_fragment::MAX_ATOMS;
 use qfr_geom::{io, MolecularSystem, ProteinBuilder, SolvatedSystem, WaterBoxBuilder};
 
 /// A usage error: one line on stderr, exit status 2.
@@ -185,19 +186,45 @@ fn build_seeded_system(args: &Args, seed: u64) -> MolecularSystem {
         })
     } else if args.has("--protein") {
         let n = args.get_positive("--protein", 1);
-        let protein = ProteinBuilder::new(n).seed(seed).build();
-        match args.get::<f64>("--solvate") {
-            Some(pad) if !(pad.is_finite() && pad >= 0.0) => {
-                fail(format!("--solvate must be a finite number of at least 0, got {pad}"))
+        let pad = args.get::<f64>("--solvate");
+        if let Some(pad) = pad.filter(|pad| !(pad.is_finite() && *pad >= 0.0)) {
+            fail(format!("--solvate must be a finite number of at least 0, got {pad}"))
+        }
+        let builder = ProteinBuilder::new(n).seed(seed);
+        let Some(atoms) = builder.atom_count(MAX_ATOMS) else {
+            too_large(format!("--protein {n}"))
+        };
+        let protein = builder.build();
+        match pad {
+            Some(pad) => {
+                let waters = SolvatedSystem::sites(&protein, pad, WATER_SPACING);
+                if atoms as f64 + 3.0 * waters > MAX_ATOMS as f64 {
+                    let pad = args.value("--solvate").unwrap_or_default();
+                    too_large(format!("--protein {n} --solvate {pad}"))
+                }
+                SolvatedSystem::build(&protein, pad, WATER_SPACING, 2.4, seed + 1)
             }
-            Some(pad) => SolvatedSystem::build(&protein, pad, 3.1, 2.4, seed + 1),
             None => protein,
         }
     } else if args.has("--waters") {
-        WaterBoxBuilder::new(args.get_positive("--waters", 1)).seed(seed).build()
+        let n = args.get_positive("--waters", 1);
+        if n > MAX_ATOMS / 3 {
+            too_large(format!("--waters {n}"))
+        }
+        WaterBoxBuilder::new(n).seed(seed).build()
     } else {
         usage()
     }
+}
+
+/// Grid spacing (Å) of the solvation shell: liquid water density.
+const WATER_SPACING: f64 = 3.1;
+
+/// A system request whose atom count passes what the operators index,
+/// worked out from the sizes asked for before anything is built: a
+/// solvated protein counts every site of its water grid as a water.
+fn too_large(request: String) -> ! {
+    fail(format!("{request} asks for more than {MAX_ATOMS} atoms, the most a system may have"))
 }
 
 /// The run plan the mode flags describe. `--dense` and `--shards` pick

@@ -10,7 +10,7 @@ use crate::report::{RamanResult, RecoverySummary, StageTimings};
 use crate::workflow::{EngineKind, ResponseSource, WorkflowError};
 use qfr_cache::{FragmentCache, HitKind};
 use qfr_fragment::{
-    AssembledSystem, Decomposition, DecompositionParams, FragmentEngine, FragmentJob,
+    AssembledSystem, Coupling, Decomposition, DecompositionParams, FragmentEngine, FragmentJob,
     FragmentResponse, FragmentStructure, MassWeighted, RowRangeAccumulator,
 };
 use qfr_geom::{BondAdjacency, MolecularSystem};
@@ -113,10 +113,22 @@ pub(crate) fn dispatch(
     }
 }
 
-/// Jobs per window of [`fold_in_windows`]: enough to keep every core busy
-/// between two folds, few enough that a window's responses stay a small
-/// fraction of the assembled operator.
+/// Most jobs per window of [`fold_in_windows`]: enough to keep every core
+/// busy between two folds of small fragments.
 const WINDOW: usize = 128;
+
+/// Most response bytes per window of [`fold_in_windows`]: seven of the
+/// largest capped residues (61 atoms, 0.27 MiB each), so large fragments
+/// still keep two threads busy while a window stays small beside the
+/// operator.
+const WINDOW_BYTES: usize = 2 << 20;
+
+/// Bytes of `job`'s response: a `3m x 3m` Hessian and nine derivative
+/// rows of `3m`, f64.
+fn response_bytes(job: &FragmentJob) -> usize {
+    let m = job.size();
+    8 * (9 * m * m + 27 * m)
+}
 
 /// The Eq. (1) fold of one in-core run, fed `(job index, response)` in any
 /// order. An arrival ahead of the next job waits in a reorder buffer; the
@@ -137,11 +149,12 @@ pub(crate) struct Fold<'j, R = FragmentResponse> {
 }
 
 impl<'j, R: Borrow<FragmentResponse>> Fold<'j, R> {
-    /// An empty fold over every atom of an `n_atoms` system; laying out
-    /// the operator's pattern counts as folding time.
-    pub(crate) fn new(jobs: &'j [FragmentJob], n_atoms: usize) -> Self {
+    /// An empty fold over every atom of an `n_atoms` system, with slots
+    /// for the pairs `coupling` admits; laying out the operator's pattern
+    /// counts as folding time.
+    pub(crate) fn new(jobs: &'j [FragmentJob], n_atoms: usize, coupling: Option<Coupling>) -> Self {
         let start = Instant::now();
-        let acc = RowRangeAccumulator::new(jobs, 0..n_atoms, n_atoms);
+        let acc = RowRangeAccumulator::new(jobs, 0..n_atoms, n_atoms, coupling);
         Self { jobs, acc, next: 0, early: BTreeMap::new(), fold_s: start.elapsed().as_secs_f64() }
     }
 
@@ -190,25 +203,38 @@ impl<'j, R: Borrow<FragmentResponse>> Fold<'j, R> {
 }
 
 /// Serves every job of `fold` through `compute`, folding as it goes. In
-/// parallel, job-order windows of [`WINDOW`] jobs are computed on the rayon
-/// facade, then folded; otherwise each job is folded as it is computed on
-/// the calling thread. At most one window of responses is ever alive.
+/// parallel, job-order windows are computed on the rayon facade, then
+/// folded; a window closes at [`WINDOW`] jobs or before the next job's
+/// response would take it past [`WINDOW_BYTES`]. In sequence each job is
+/// folded as it is computed on the calling thread. At most one window of
+/// responses is ever alive.
 pub(crate) fn fold_in_windows<R: Borrow<FragmentResponse> + Send>(
     fold: &mut Fold<R>,
     parallel: bool,
     compute: impl Fn(&FragmentJob) -> R + Sync,
 ) {
-    let jobs = fold.jobs;
-    let window = if parallel { WINDOW } else { 1 };
-    for (w, chunk) in jobs.chunks(window).enumerate() {
+    let (jobs, most) = (fold.jobs, if parallel { WINDOW } else { 1 });
+    let mut start = 0;
+    while start < jobs.len() {
+        // The window's first job, then every next one that fits.
+        let (mut end, mut bytes) = (start + 1, response_bytes(&jobs[start]));
+        while end < jobs.len() && end - start < most {
+            bytes += response_bytes(&jobs[end]);
+            if bytes > WINDOW_BYTES {
+                break;
+            }
+            end += 1;
+        }
+        let chunk = &jobs[start..end];
         let resps: Vec<R> = if parallel {
             chunk.par_iter().map(&compute).collect()
         } else {
             chunk.iter().map(&compute).collect()
         };
-        for (k, resp) in resps.into_iter().enumerate() {
-            fold.push(w * window + k, Some(resp));
+        for (k, resp) in (start..).zip(resps) {
+            fold.push(k, Some(resp));
         }
+        start = end;
     }
 }
 
@@ -283,17 +309,19 @@ impl<'a> Pipeline<'a> {
 
     /// Stages 2 and 3 for the in-core operator: `serve` runs the work items
     /// and feeds every job's response to the Eq. (1) fold as it arrives;
-    /// the fold is then finished and mass-weighted in place. Folding
-    /// interleaves with the engine but is timed as assembly: `engine_s`
-    /// leaves it out, `assemble_s` is pattern, fold, finish and mass weighting.
+    /// the fold is then finished and mass-weighted in place. The fold's
+    /// pattern holds the pairs `coupling` admits. Folding interleaves with
+    /// the engine but is timed as assembly: `engine_s` leaves it out,
+    /// `assemble_s` is pattern, fold, finish and mass weighting.
     pub(crate) fn assemble_in_core<T, E>(
         &mut self,
         jobs: &[FragmentJob],
+        coupling: Option<Coupling>,
         serve: impl FnOnce(&mut Fold) -> Result<T, E>,
     ) -> Result<(MassWeighted, T), E> {
         let system = self.system;
         let (fold, served) = self.responses(|| {
-            let mut fold = Fold::new(jobs, system.n_atoms());
+            let mut fold = Fold::new(jobs, system.n_atoms(), coupling);
             let served = serve(&mut fold);
             (fold, served)
         });
@@ -353,18 +381,28 @@ impl<'a> Pipeline<'a> {
 mod tests {
     use super::*;
     use qfr_fragment::assemble::assemble;
-    use qfr_geom::WaterBoxBuilder;
+    use qfr_geom::{ProteinBuilder, SolvatedSystem, WaterBoxBuilder};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// A water box with a few windows of jobs, its jobs and their responses
+    /// A system with a few windows of jobs, its jobs and their responses
     /// in job order.
-    fn fixture() -> (MolecularSystem, Vec<FragmentJob>, Vec<FragmentResponse>) {
-        let system = WaterBoxBuilder::new(64).seed(8).build();
+    fn fixture(
+        system: MolecularSystem,
+    ) -> (MolecularSystem, Vec<FragmentJob>, Vec<FragmentResponse>) {
         let jobs = Decomposition::new(&system, DecompositionParams::default()).jobs;
         assert!(jobs.len() > 2 * WINDOW, "only {} jobs", jobs.len());
         let engine = qfr_model::ForceFieldEngine::new();
         let responses = jobs.iter().map(|job| engine.compute(&job.structure(&system))).collect();
         (system, jobs, responses)
+    }
+
+    fn water_box() -> MolecularSystem {
+        WaterBoxBuilder::new(64).seed(8).build()
+    }
+
+    /// Capped residues of up to 61 atoms lead the job list.
+    fn solvated_protein() -> MolecularSystem {
+        SolvatedSystem::build(&ProteinBuilder::new(20).seed(5).build(), 0.0, 3.1, 2.4, 6)
     }
 
     fn assert_same_bits(got: &AssembledSystem, want: &AssembledSystem) {
@@ -381,7 +419,7 @@ mod tests {
     /// sees them from several pool workers, fold to the job-order bits.
     #[test]
     fn permuted_arrivals_fold_to_job_order_bits() {
-        let (system, jobs, responses) = fixture();
+        let (system, jobs, responses) = fixture(water_box());
         let want = assemble(&jobs, &responses, system.n_atoms());
         let mut order: Vec<usize> = (0..jobs.len()).collect();
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
@@ -389,18 +427,20 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             order.swap(i, (state >> 33) as usize % (i + 1));
         }
-        let mut fold = Fold::new(&jobs, system.n_atoms());
+        let mut fold = Fold::new(&jobs, system.n_atoms(), None);
         for i in order {
             fold.push(i, Some(&responses[i]));
         }
         assert_same_bits(&fold.finish(), &want);
     }
 
-    /// Live responses of the stage: the current count and its peak.
+    /// Live responses of the stage: their count and bytes, and the peaks.
     #[derive(Default)]
     struct Live {
         now: AtomicUsize,
         peak: AtomicUsize,
+        bytes: AtomicUsize,
+        peak_bytes: AtomicUsize,
     }
 
     /// A response that counts itself live from creation to drop.
@@ -409,10 +449,19 @@ mod tests {
         live: &'a Live,
     }
 
+    /// The bytes of `resp`'s matrices.
+    fn held_bytes(resp: &FragmentResponse) -> usize {
+        let matrices = [&resp.hessian, &resp.dalpha, &resp.dmu];
+        matrices.iter().map(|m| 8 * m.rows() * m.cols()).sum()
+    }
+
     impl<'a> Counted<'a> {
         fn new(resp: FragmentResponse, live: &'a Live) -> Self {
             let now = live.now.fetch_add(1, Ordering::SeqCst) + 1;
             live.peak.fetch_max(now, Ordering::SeqCst);
+            let size = held_bytes(&resp);
+            let bytes = live.bytes.fetch_add(size, Ordering::SeqCst) + size;
+            live.peak_bytes.fetch_max(bytes, Ordering::SeqCst);
             Self { resp, live }
         }
     }
@@ -420,6 +469,7 @@ mod tests {
     impl Drop for Counted<'_> {
         fn drop(&mut self) {
             self.live.now.fetch_sub(1, Ordering::SeqCst);
+            self.live.bytes.fetch_sub(held_bytes(&self.resp), Ordering::SeqCst);
         }
     }
 
@@ -430,23 +480,39 @@ mod tests {
     }
 
     /// `run()`'s responses stage holds at most one window of responses in
-    /// parallel and one response in sequence, and folds to the job-order
-    /// bits either way.
+    /// parallel and one response in sequence — a window of at most
+    /// [`WINDOW`] jobs and, past its first response, [`WINDOW_BYTES`] — and
+    /// folds to the job-order bits either way, in the pattern the engine's
+    /// coupling admits.
     #[test]
     fn windowed_stage_holds_at_most_one_window() {
-        let (system, jobs, responses) = fixture();
-        let want = assemble(&jobs, &responses, system.n_atoms());
         let engine = qfr_model::ForceFieldEngine::new();
-        for (parallel, bound) in [(true, WINDOW), (false, 1)] {
-            let live = Live::default();
-            let mut fold = Fold::new(&jobs, system.n_atoms());
-            fold_in_windows(&mut fold, parallel, |job| {
-                Counted::new(engine.compute(&job.structure(&system)), &live)
-            });
-            assert_same_bits(&fold.finish(), &want);
-            let peak = live.peak.load(Ordering::SeqCst);
-            assert!(peak <= bound, "parallel {parallel}: {peak} responses alive, bound {bound}");
-            assert_eq!(live.now.load(Ordering::SeqCst), 0, "a folded response was kept");
+        for system in [water_box(), solvated_protein()] {
+            let (system, jobs, responses) = fixture(system);
+            let want = assemble(&jobs, &responses, system.n_atoms());
+            let adjacency = BondAdjacency::new(&system);
+            let largest = jobs.iter().map(response_bytes).max().unwrap_or(0);
+            for (parallel, bound) in [(true, WINDOW), (false, 1)] {
+                let live = Live::default();
+                let coupling = Coupling::of(&engine, &system, &adjacency);
+                let mut fold = Fold::new(&jobs, system.n_atoms(), coupling);
+                fold_in_windows(&mut fold, parallel, |job| {
+                    Counted::new(engine.compute(&job.structure(&system)), &live)
+                });
+                assert_same_bits(&fold.finish(), &want);
+                let peak = live.peak.load(Ordering::SeqCst);
+                assert!(
+                    peak <= bound,
+                    "parallel {parallel}: {peak} responses alive, bound {bound}"
+                );
+                let peak_bytes = live.peak_bytes.load(Ordering::SeqCst);
+                let byte_bound = if parallel { WINDOW_BYTES + largest } else { largest };
+                assert!(
+                    peak_bytes <= byte_bound,
+                    "parallel {parallel}: {peak_bytes} response bytes alive, bound {byte_bound}"
+                );
+                assert_eq!(live.now.load(Ordering::SeqCst), 0, "a folded response was kept");
+            }
         }
     }
 }

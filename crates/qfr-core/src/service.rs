@@ -40,7 +40,7 @@ use crate::pipeline::{self, Pipeline, SERVICE};
 use crate::report::{RamanResult, RecoverySummary};
 use crate::workflow::{EngineKind, WorkflowError};
 use qfr_cache::FragmentCache;
-use qfr_fragment::{DecompositionParams, FragmentEngine};
+use qfr_fragment::{Coupling, DecompositionParams, FragmentEngine};
 use qfr_geom::MolecularSystem;
 use qfr_solver::RamanOptions;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -364,7 +364,8 @@ impl ServiceInner {
         let jobs = &decomposition.jobs;
         FRAGMENTS.add(jobs.len() as u64);
 
-        let (mw, cache_hits) = pipeline.assemble_in_core(jobs, |fold| {
+        let coupling = Coupling::of(&*self.engine, system, &adjacency);
+        let (mw, cache_hits) = pipeline.assemble_in_core(jobs, coupling, |fold| {
             // One pool job per window of this request's fragments, in job
             // order; each sends `(index, response, hit)` per fragment.
             let (tx, rx) = mpsc::channel();

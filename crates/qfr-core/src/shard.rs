@@ -44,7 +44,7 @@
 
 use crate::checkpoint::CheckpointError;
 use crate::container::{self, BlockReader, Container, Header};
-use qfr_fragment::{FragmentJob, FragmentResponse, MassWeighted, RowRangeAccumulator};
+use qfr_fragment::{Coupling, FragmentJob, FragmentResponse, MassWeighted, RowRangeAccumulator};
 use qfr_geom::MolecularSystem;
 use qfr_linalg::CsrMatrix;
 use qfr_solver::{CsrTile, TileSource};
@@ -174,13 +174,7 @@ fn header(plan: &ShardPlan, shard: usize, tile_rows: usize, fingerprint: u64) ->
     }
 }
 
-/// Accumulates, mass-weights and spills one shard.
-///
-/// `compute` produces the response of one fragment job (through the
-/// engine, or the attached cache — responses are bit-identical either
-/// way); it is invoked once per job whose atoms intersect the shard's
-/// range, in global job order. The save is atomic; on success the
-/// `shard.bytes_spilled` and `shard.shards_built` counters advance.
+/// [`build_shard_coupled`] with a slot for every pair a job holds.
 #[allow(clippy::too_many_arguments)]
 pub fn build_shard<F>(
     path: &Path,
@@ -190,13 +184,39 @@ pub fn build_shard<F>(
     shard: usize,
     tile_rows: usize,
     fingerprint: u64,
+    compute: F,
+) -> Result<(), CheckpointError>
+where
+    F: FnMut(&FragmentJob) -> FragmentResponse,
+{
+    build_shard_coupled(path, sys, jobs, plan, shard, tile_rows, fingerprint, None, compute)
+}
+
+/// Accumulates, mass-weights and spills one shard, with slots for the
+/// pairs `coupling` admits.
+///
+/// `compute` produces the response of one fragment job (through the
+/// engine, or the attached cache — responses are bit-identical either
+/// way); it is invoked once per job whose atoms intersect the shard's
+/// range, in global job order. The save is atomic; on success the
+/// `shard.bytes_spilled` and `shard.shards_built` counters advance.
+#[allow(clippy::too_many_arguments)]
+pub fn build_shard_coupled<F>(
+    path: &Path,
+    sys: &MolecularSystem,
+    jobs: &[FragmentJob],
+    plan: &ShardPlan,
+    shard: usize,
+    tile_rows: usize,
+    fingerprint: u64,
+    coupling: Option<Coupling>,
     mut compute: F,
 ) -> Result<(), CheckpointError>
 where
     F: FnMut(&FragmentJob) -> FragmentResponse,
 {
     assert!(tile_rows > 0, "tile_rows must be positive");
-    let mut acc = RowRangeAccumulator::new(jobs, plan.range(shard), plan.n_atoms);
+    let mut acc = RowRangeAccumulator::new(jobs, plan.range(shard), plan.n_atoms, coupling);
     for job in jobs {
         if acc.touches(job) {
             acc.add(job, &compute(job));
@@ -423,7 +443,7 @@ mod tests {
         let path = shard_path(&dir, 0);
         build_shard(&path, &sys, jobs, &plan, 0, tile_rows, fp, compute).unwrap();
         let store = ShardStore::open(&dir, plan, tile_rows, base).unwrap();
-        let mut acc = RowRangeAccumulator::new(jobs, 0..sys.n_atoms(), sys.n_atoms());
+        let mut acc = RowRangeAccumulator::new(jobs, 0..sys.n_atoms(), sys.n_atoms(), None);
         jobs.iter().for_each(|job| acc.add(job, &compute(job)));
         let want = MassWeighted::in_place(acc.finish(), &sys.masses());
         Spilled { store, want, path }

@@ -8,7 +8,7 @@ use crate::report::{RamanResult, RecoverySummary};
 use crate::shard::{self, ShardPlan, ShardStore};
 use qfr_cache::FragmentCache;
 use qfr_fragment::{
-    Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentResponse,
+    Coupling, Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentResponse,
 };
 use qfr_geom::{BondAdjacency, MolecularSystem};
 use qfr_sched::FragmentWorkItem;
@@ -485,7 +485,8 @@ impl Run<'_> {
             Ok(None)
         };
         let jobs = &self.decomposition.jobs;
-        let (mw, recovery) = pipeline.assemble_in_core(jobs, |fold| {
+        let coupling = Coupling::of(self.engine, &self.workflow.system, self.adjacency);
+        let (mw, recovery) = pipeline.assemble_in_core(jobs, coupling, |fold| {
             match (&self.plan.source, &self.plan.checkpoint) {
                 (ResponseSource::Rayon, None) => stream(fold, true),
                 (ResponseSource::Sequential, None) => stream(fold, false),
@@ -533,6 +534,7 @@ impl Run<'_> {
             scheduler @ ResponseSource::Scheduler(_) => scheduler,
             _ => &ResponseSource::Sequential,
         };
+        let coupling = Coupling::of(self.engine, system, self.adjacency);
         let guards: Vec<Mutex<()>> = (0..plan.k()).map(|_| Mutex::new(())).collect();
         let failure = Mutex::new(None);
         let report = pipeline.responses(|| {
@@ -546,7 +548,7 @@ impl Run<'_> {
                     return true;
                 }
                 let jobs = &self.decomposition.jobs;
-                let built = shard::build_shard(
+                let built = shard::build_shard_coupled(
                     &path(s),
                     system,
                     jobs,
@@ -554,6 +556,7 @@ impl Run<'_> {
                     s,
                     cfg.tile_rows,
                     fp(s),
+                    coupling,
                     |job| self.response(job),
                 );
                 if let Err(e) = built {

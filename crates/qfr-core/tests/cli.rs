@@ -36,7 +36,22 @@ fn with<'a>(extra: &[&'a str]) -> Vec<&'a str> {
 }
 
 fn assert_usage_error(args: &[&str], mentions: &str) {
-    let out = qfr(args);
+    assert_one_error_line(qfr(args), args, mentions);
+}
+
+/// `args` must be refused before the system is built: run under a 1 GiB
+/// address-space cap, a build starts and aborts instead of exhausting the
+/// host's memory.
+fn assert_refused_unbuilt(args: &[&str], mentions: &str) {
+    let out = Command::new("sh")
+        .args(["-c", r#"ulimit -v 1048576 && exec "$0" "$@""#, env!("CARGO_BIN_EXE_qfr")])
+        .args(args)
+        .output()
+        .expect("spawn qfr under sh");
+    assert_one_error_line(out, args, mentions);
+}
+
+fn assert_one_error_line(out: Output, args: &[&str], mentions: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2; stderr: {stderr}");
     assert_eq!(stderr.lines().count(), 1, "{args:?} must print one line, got: {stderr}");
@@ -109,6 +124,11 @@ fn malformed_command_lines_exit_2_with_one_line() {
     // at least one seed variant and one request must be served.
     assert_usage_error(&["spectrum", "--protein", "2", "--solvate", "-1"], "--solvate");
     assert_usage_error(&["spectrum", "--protein", "2", "--solvate", "nan"], "--solvate");
+    // A system past the operators' index range is refused from the sizes
+    // asked for, not built first.
+    let limit = "more than 1431655765 atoms";
+    assert_refused_unbuilt(&["spectrum", "--protein", "2", "--solvate", "1e9"], limit);
+    assert_refused_unbuilt(&["spectrum", "--waters", "2000000000"], limit);
     assert_usage_error(&["serve", "--waters", "8", "--distinct", "0"], "--distinct");
     assert_usage_error(&["serve", "--waters", "8", "--requests", "0"], "--requests");
     std::fs::remove_dir_all(&dir).ok();

@@ -11,13 +11,66 @@
 //! of one contiguous atom range: [`assemble`] is the range `0..n_atoms`, an
 //! out-of-core shard its own. A `(row, col)` slot receives the same add
 //! sequence from whichever accumulator owns its row, so a partition's rows
-//! stack to the whole-system operator bit for bit. [`MassWeighted`] then
+//! stack to the whole-system operator bit for bit. An engine that promises
+//! a [`Coupling`] gets slots only for the pairs it can couple; every other
+//! pair would fold to an exact zero, which `finish` drops anyway, so the
+//! operator's bits do not depend on it. [`MassWeighted`] then
 //! forms `H = M^{-1/2} E(2) M^{-1/2}` and `d = M^{-1/2} (∂α/∂ξ)` for the
 //! Lanczos/GAGQ spectral solver (Eq. (5)).
 
-use crate::fragment::{FragmentJob, FragmentResponse};
+use crate::fragment::{FragmentEngine, FragmentJob, FragmentResponse};
+use qfr_geom::{BondAdjacency, MolecularSystem};
 use qfr_linalg::CsrMatrix;
 use std::ops::Range;
+
+/// Largest system the operators index: `3·MAX_ATOMS` dofs fit the CSR
+/// index type, `u32`.
+pub const MAX_ATOMS: usize = (u32::MAX / 3) as usize;
+
+/// The atom pairs an engine's Hessian can couple in one system
+/// ([`FragmentEngine::coupling_cutoff`]): a block between two real atoms
+/// is exactly zero unless they lie within `cutoff` Å of each other or
+/// within two bonds in the system's bond graph.
+#[derive(Debug, Clone, Copy)]
+pub struct Coupling<'a> {
+    cutoff: f64,
+    system: &'a MolecularSystem,
+    adjacency: &'a BondAdjacency,
+}
+
+impl<'a> Coupling<'a> {
+    /// The coupling `engine` promises on `system`, or `None` when it
+    /// promises none. `adjacency` must index `system`.
+    pub fn of(
+        engine: &dyn FragmentEngine,
+        system: &'a MolecularSystem,
+        adjacency: &'a BondAdjacency,
+    ) -> Option<Self> {
+        assert_eq!(adjacency.n_atoms(), system.n_atoms(), "bond adjacency of another system");
+        Some(Self { cutoff: engine.coupling_cutoff()?, system, adjacency })
+    }
+
+    /// True when the contract lets atoms `a` and `b` couple. The distance
+    /// is the one the engine measures: fragment positions are copies.
+    pub fn admits(&self, a: usize, b: usize) -> bool {
+        let at = |x: usize| self.system.atoms[x].position;
+        at(a).dist(at(b)) <= self.cutoff
+            || a == b
+            || self.bonded(a).any(|n| n == b || self.bonded(n).any(|m| m == b))
+    }
+
+    /// The atoms bonded to `a`.
+    fn bonded(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
+        self.adjacency.incident(a).iter().map(move |&k| {
+            let bond = &self.system.bonds[k as usize];
+            if bond.i == a {
+                bond.j
+            } else {
+                bond.i
+            }
+        })
+    }
+}
 
 /// Assembled (unweighted) operators over the rows of one atom range.
 #[derive(Debug, Clone)]
@@ -38,8 +91,8 @@ pub struct AssembledSystem {
 
 /// The Eq. (1) fold over the rows of one contiguous atom range, in the
 /// range's final CSR buffers: [`new`](Self::new) lays out a zeroed 3×3 block
-/// for every atom pair a job couples, [`add`](Self::add) sums into it, and
-/// [`finish`](Self::finish) drops the exact zeros in place.
+/// for every atom pair a job holds and the coupling admits, [`add`](Self::add)
+/// sums into it, and [`finish`](Self::finish) drops the exact zeros in place.
 #[derive(Debug, Clone)]
 pub struct RowRangeAccumulator {
     atoms: Range<usize>,
@@ -57,15 +110,24 @@ pub struct RowRangeAccumulator {
 
 impl RowRangeAccumulator {
     /// Zeroed accumulator for the rows of `atoms` in an `n_atoms` system,
-    /// with a slot for every atom pair some job of `jobs` couples.
+    /// with a slot for every atom pair some job of `jobs` holds and
+    /// `coupling` admits (every such pair when it is `None`).
     ///
     /// # Panics
-    /// Panics if the range reaches past `n_atoms`, `3·n_atoms` past
-    /// `u32::MAX` (the CSR index type), or a job atom is not an atom of the
-    /// system.
-    pub fn new(jobs: &[FragmentJob], atoms: Range<usize>, n_atoms: usize) -> Self {
+    /// Panics if the range reaches past `n_atoms`, `n_atoms` past
+    /// [`MAX_ATOMS`], a job atom is not an atom of the system, or the
+    /// coupling's system has another atom count.
+    pub fn new(
+        jobs: &[FragmentJob],
+        atoms: Range<usize>,
+        n_atoms: usize,
+        coupling: Option<Coupling>,
+    ) -> Self {
         assert!(atoms.start <= atoms.end && atoms.end <= n_atoms, "{atoms:?} out of {n_atoms}");
-        assert!(n_atoms <= (u32::MAX / 3) as usize, "3·{n_atoms} dofs exceed u32 index range");
+        assert!(n_atoms <= MAX_ATOMS, "3·{n_atoms} dofs exceed u32 index range");
+        if let Some(c) = &coupling {
+            assert_eq!(c.system.n_atoms(), n_atoms, "coupling of another system");
+        }
         // Jobs by owned atom. Out of range, a row atom would pass for another
         // shard's and a column would reach the CSR arrays unchecked.
         let mut by_atom = vec![Vec::new(); atoms.len()];
@@ -81,9 +143,10 @@ impl RowRangeAccumulator {
         // owned atom that listed `b`.
         let (mut stamp, mut partners, mut row_ptr) = (vec![u32::MAX; n_atoms], Vec::new(), vec![0]);
         for (o, owned_jobs) in (0..).zip(by_atom) {
-            let first = partners.len();
+            let (first, a) = (partners.len(), atoms.start + o as usize);
             for &b in owned_jobs.into_iter().flat_map(|j| &jobs[j].atoms) {
-                if std::mem::replace(&mut stamp[b], o) != o {
+                let fresh = std::mem::replace(&mut stamp[b], o) != o;
+                if fresh && coupling.is_none_or(|c| c.admits(a, b)) {
                     partners.push(b as u32);
                 }
             }
@@ -112,9 +175,13 @@ impl RowRangeAccumulator {
     /// on [`crate::FragmentStructure`]. Callers add jobs in global job
     /// order: a `(row, col)` slot sums its addends in add order.
     ///
+    /// A block whose atom pair has no slot must be exactly zero (`-0.0`
+    /// counts), and is skipped: it would have left a zeroed slot as it was.
+    ///
     /// # Panics
     /// Panics if a response matrix is not shaped for the job's atoms, or the
-    /// job couples an atom pair that no job of the accumulator's list does.
+    /// job puts a non-zero block on an atom pair that has no slot: a pair no
+    /// job of the accumulator's list holds, or one the coupling rules out.
     pub fn add(&mut self, job: &FragmentJob, resp: &FragmentResponse) {
         let m3 = 3 * job.size();
         assert_eq!(resp.hessian.shape(), (m3, m3), "hessian shape mismatch for {:?}", job.kind);
@@ -131,16 +198,24 @@ impl RowRangeAccumulator {
             // Job atoms ascend: a column is most often the slot after the last.
             let mut k = 0;
             for (lb, &gb) in job.atoms.iter().enumerate() {
+                let block = |da: usize| &resp.hessian.row(3 * la + da)[3 * lb..][..3];
                 if cols.get(k).is_none_or(|&c| c as usize != gb) {
                     k = cols.partition_point(|&c| (c as usize) < gb);
-                    let found = cols.get(k).is_some_and(|&c| c as usize == gb);
-                    assert!(found, "{:?} is not in the accumulator's job list", job.kind);
+                    if cols.get(k).is_none_or(|&c| c as usize != gb) {
+                        let zero = (0..3).flat_map(block).all(|&v| v == 0.0);
+                        assert!(
+                            zero,
+                            "{:?} is not in the accumulator's job list, or breaks its engine's \
+                             coupling contract: atoms {ga} and {gb} have no slot",
+                            job.kind
+                        );
+                        continue;
+                    }
                 }
                 // A zero addend leaves a slot's bits as they are: a slot
                 // starts at `+0.0` and is never `-0.0`.
                 for (da, &row) in rows[..3].iter().enumerate() {
-                    let src = &resp.hessian.row(3 * la + da)[3 * lb..][..3];
-                    for (slot, v) in self.values[row + 3 * k..][..3].iter_mut().zip(src) {
+                    for (slot, v) in self.values[row + 3 * k..][..3].iter_mut().zip(block(da)) {
                         *slot += coeff * v;
                     }
                 }
@@ -198,7 +273,7 @@ pub fn assemble(
     n_atoms: usize,
 ) -> AssembledSystem {
     assert_eq!(jobs.len(), responses.len(), "one response per job required");
-    let mut acc = RowRangeAccumulator::new(jobs, 0..n_atoms, n_atoms);
+    let mut acc = RowRangeAccumulator::new(jobs, 0..n_atoms, n_atoms, None);
     jobs.iter().zip(responses).for_each(|(job, resp)| acc.add(job, resp));
     acc.finish()
 }
@@ -375,7 +450,7 @@ mod tests {
             job(JobKind::WaterMonomer { w: 0 }, 1.0, vec![0, 1]),
             job(JobKind::WaterMonomer { w: 1 }, 1.0, vec![1, 2]),
         ];
-        let mut acc = RowRangeAccumulator::new(&jobs, 0..3, 3);
+        let mut acc = RowRangeAccumulator::new(&jobs, 0..3, 3, None);
         // Only diagonal entries are non-zero: most slots are dropped.
         acc.add(&jobs[0], &unit_response(2, 2.0, 1.0));
         acc.add(&jobs[1], &unit_response(2, 2.0, 1.0));
@@ -392,8 +467,74 @@ mod tests {
     #[should_panic(expected = "WaterMonomer { w: 9 } is not in the accumulator's job list")]
     fn job_outside_the_list_panics() {
         let jobs = vec![job(JobKind::WaterMonomer { w: 0 }, 1.0, vec![0, 1])];
-        let mut acc = RowRangeAccumulator::new(&jobs, 0..3, 3);
+        let mut acc = RowRangeAccumulator::new(&jobs, 0..3, 3, None);
         acc.add(&job(JobKind::WaterMonomer { w: 9 }, 1.0, vec![1, 2]), &unit_response(2, 1.0, 1.0));
+    }
+
+    /// An engine that couples nothing farther apart than 4.5 Å.
+    struct Coupled;
+
+    impl FragmentEngine for Coupled {
+        fn compute(&self, _: &crate::FragmentStructure) -> FragmentResponse {
+            unreachable!("the fold never computes")
+        }
+
+        fn name(&self) -> &'static str {
+            "coupled"
+        }
+
+        fn coupling_cutoff(&self) -> Option<f64> {
+            Some(4.5)
+        }
+    }
+
+    /// Atoms 0 and 1 bonded, 1 Å apart; atom 2 10 Å away and unbonded. A
+    /// job over all three, with every diagonal block and block (0, 1) set.
+    fn far_atom() -> (MolecularSystem, FragmentJob, FragmentResponse) {
+        use qfr_geom::system::{Atom, Bond};
+        use qfr_geom::Element;
+        let mut system = MolecularSystem::default();
+        for x in [0.0, 1.0, 10.0] {
+            system.atoms.push(Atom { element: Element::O, position: Vec3::new(x, 0.0, 0.0) });
+        }
+        system.bonds.push(Bond::new(0, 1, 1, Element::O, Element::O));
+        let mut resp = unit_response(3, 2.0, 1.0);
+        resp.hessian[(0, 3)] = 0.5;
+        resp.hessian[(3, 0)] = 0.5;
+        (system, job(JobKind::WaterMonomer { w: 7 }, 1.0, vec![0, 1, 2]), resp)
+    }
+
+    /// The coupled pattern leaves out the pairs with atom 2. A zero block
+    /// there, `-0.0` included, is skipped and the fold keeps the bits of
+    /// the dense pattern.
+    #[test]
+    fn zero_blocks_outside_the_coupling_fold_to_the_dense_bits() {
+        let (system, job, mut resp) = far_atom();
+        resp.hessian[(2, 6)] = -0.0;
+        resp.hessian[(7, 4)] = -0.0;
+        let adjacency = BondAdjacency::new(&system);
+        let coupling = Coupling::of(&Coupled, &system, &adjacency);
+        let mut acc = RowRangeAccumulator::new(std::slice::from_ref(&job), 0..3, 3, coupling);
+        assert_eq!(acc.values.len(), 9 * 5, "pairs (0, 0), (0, 1), (1, 0), (1, 1), (2, 2)");
+        acc.add(&job, &resp);
+        let want = assemble(&[job], &[resp], 3);
+        let got = acc.finish();
+        assert_eq!(got.hessian, want.hessian);
+        assert_eq!(got.dalpha, want.dalpha);
+    }
+
+    /// A non-zero block on a pair the coupling rules out is an engine
+    /// breaking its promise: refused by job and atom pair, not dropped.
+    #[test]
+    #[should_panic(expected = "WaterMonomer { w: 7 } is not in the accumulator's job list, or \
+                               breaks its engine's coupling contract: atoms 1 and 2 have no slot")]
+    fn non_zero_block_outside_the_coupling_panics() {
+        let (system, job, mut resp) = far_atom();
+        resp.hessian[(4, 8)] = 1e-300;
+        let adjacency = BondAdjacency::new(&system);
+        let coupling = Coupling::of(&Coupled, &system, &adjacency);
+        let mut acc = RowRangeAccumulator::new(std::slice::from_ref(&job), 0..3, 3, coupling);
+        acc.add(&job, &resp);
     }
 
     #[test]

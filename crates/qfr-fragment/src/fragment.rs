@@ -249,6 +249,14 @@ pub trait FragmentEngine: Sync {
 
     /// Human-readable engine name (reporting).
     fn name(&self) -> &'static str;
+
+    /// The distance (Å) past which this engine's Hessian couples no two
+    /// real atoms more than two bonds apart: the promise the Eq. (1) fold
+    /// lays out its pattern by ([`crate::assemble::Coupling`]). The default,
+    /// `None`, promises nothing, and every pair a job holds gets a slot.
+    fn coupling_cutoff(&self) -> Option<f64> {
+        None
+    }
 }
 
 #[cfg(test)]

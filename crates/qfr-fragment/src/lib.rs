@@ -31,7 +31,7 @@ pub mod graph;
 pub mod key;
 pub mod stats;
 
-pub use assemble::{AssembledSystem, MassWeighted, RowRangeAccumulator};
+pub use assemble::{AssembledSystem, Coupling, MassWeighted, RowRangeAccumulator, MAX_ATOMS};
 pub use decompose::{Decomposition, DecompositionParams};
 pub use fragment::{FragmentEngine, FragmentJob, FragmentResponse, FragmentStructure, JobKind};
 pub use graph::{partition_covalent, CovalentPartitioning, Partition};

@@ -109,7 +109,7 @@ fn fold_ranges(
 ) -> Vec<AssembledSystem> {
     (ranges.iter())
         .map(|range| {
-            let mut acc = RowRangeAccumulator::new(jobs, range.clone(), n_atoms);
+            let mut acc = RowRangeAccumulator::new(jobs, range.clone(), n_atoms, None);
             for (k, (job, resp)) in jobs.iter().zip(responses).enumerate() {
                 if kept(k) && acc.touches(job) {
                     acc.add(job, resp);

@@ -115,15 +115,34 @@ impl ProteinBuilder {
         self
     }
 
+    /// The atoms [`build`](Self::build) places, counted from the residue
+    /// sequence alone: `None` once the count passes `limit`, so a chain too
+    /// long for it costs at most `limit / 7` residue draws.
+    pub fn atom_count(&self, limit: usize) -> Option<usize> {
+        // Two terminal hydrogens beside each residue's in-chain atoms.
+        let mut count = 2;
+        for kind in self.residues(&mut StdRng::seed_from_u64(self.seed)) {
+            count += kind.chain_atom_count();
+            if count > limit {
+                return None;
+            }
+        }
+        Some(count)
+    }
+
+    /// The residue sequence, drawn from `rng` unless it was given.
+    fn residues<'a>(&'a self, rng: &'a mut StdRng) -> impl Iterator<Item = ResidueKind> + 'a {
+        let given = self.sequence.iter().flatten().copied();
+        let n_drawn = if self.sequence.is_some() { 0 } else { self.n_residues };
+        let drawn =
+            (0..n_drawn).map(|_| ResidueKind::ALL[rng.random_range(0..ResidueKind::ALL.len())]);
+        given.chain(drawn)
+    }
+
     /// Builds the molecular system (protein only, no waters).
     pub fn build(&self) -> MolecularSystem {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let sequence: Vec<ResidueKind> = match &self.sequence {
-            Some(s) => s.clone(),
-            None => (0..self.n_residues)
-                .map(|_| ResidueKind::ALL[rng.random_range(0..ResidueKind::ALL.len())])
-                .collect(),
-        };
+        let sequence: Vec<ResidueKind> = self.residues(&mut rng).collect();
 
         // ------------------------------------------------------------------
         // Pass 1: place all heavy atoms in global coordinates.
@@ -369,13 +388,9 @@ impl SolvatedSystem {
         let mut sys = protein.clone();
 
         let positions: Vec<Vec3> = protein.atoms.iter().map(|a| a.position).collect();
-        let (lo, hi) = bounding_box(&positions);
         let cl = crate::neighbor::CellList::new(&positions, exclusion.max(1.0));
-
-        let nx = (((hi.x - lo.x) + 2.0 * padding) / spacing).floor() as usize + 1;
-        let ny = (((hi.y - lo.y) + 2.0 * padding) / spacing).floor() as usize + 1;
-        let nz = (((hi.z - lo.z) + 2.0 * padding) / spacing).floor() as usize + 1;
-        let start = lo - Vec3::new(padding, padding, padding);
+        let (start, sites) = grid(&positions, padding, spacing);
+        let [nx, ny, nz] = sites.map(|n| n as usize);
         let mut n_waters = 0;
         for i in 0..nx {
             for j in 0..ny {
@@ -392,6 +407,23 @@ impl SolvatedSystem {
         sys.n_waters = n_waters;
         sys
     }
+
+    /// The grid sites [`build`](Self::build) tries, each a water unless it
+    /// is excluded, counted without placing any: an f64, which no padding
+    /// overflows.
+    pub fn sites(protein: &MolecularSystem, padding: f64, spacing: f64) -> f64 {
+        let positions: Vec<Vec3> = protein.atoms.iter().map(|a| a.position).collect();
+        grid(&positions, padding, spacing).1.iter().product()
+    }
+}
+
+/// The solvation grid around `positions`: its first site and its site
+/// count along x, y and z.
+fn grid(positions: &[Vec3], padding: f64, spacing: f64) -> (Vec3, [f64; 3]) {
+    let (lo, hi) = bounding_box(positions);
+    let extent = (hi - lo).to_array();
+    let start = lo - Vec3::new(padding, padding, padding);
+    (start, extent.map(|e| ((e + 2.0 * padding) / spacing).floor() + 1.0))
 }
 
 fn bounding_box(positions: &[Vec3]) -> (Vec3, Vec3) {
@@ -425,6 +457,26 @@ mod tests {
             let mid = sys.residues[1];
             assert_eq!(mid.len, kind.chain_atom_count(), "{kind:?} in-chain atom count");
         }
+    }
+
+    /// The counts that size a request before it is built agree with what
+    /// the builders place: the exact protein atom count, stopped at its
+    /// limit, and the solvation sites each water comes from.
+    #[test]
+    fn counts_ahead_of_the_build_match_it() {
+        for (n, seed) in [(1, 1), (7, 2), (40, 42)] {
+            let builder = ProteinBuilder::new(n).seed(seed);
+            let protein = builder.build();
+            let atoms = protein.n_atoms();
+            assert_eq!(builder.atom_count(atoms), Some(atoms), "{n} residues, seed {seed}");
+            assert_eq!(builder.atom_count(atoms - 1), None);
+            let solvated = SolvatedSystem::build(&protein, 2.0, 3.1, 2.4, seed);
+            let sites = SolvatedSystem::sites(&protein, 2.0, 3.1);
+            assert!(solvated.n_waters > 0 && solvated.n_waters as f64 <= sites);
+        }
+        let given = ProteinBuilder::new(2).sequence(vec![ResidueKind::Gly, ResidueKind::Trp]);
+        assert_eq!(given.atom_count(usize::MAX), Some(given.build().n_atoms()));
+        assert!(SolvatedSystem::sites(&ProteinBuilder::new(2).build(), 1e300, 3.1).is_infinite());
     }
 
     #[test]

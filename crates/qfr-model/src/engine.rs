@@ -50,6 +50,12 @@ impl FragmentEngine for ForceFieldEngine {
     fn name(&self) -> &'static str {
         "force-field"
     }
+
+    /// Stretches join bonded atoms, bends span at most two bonds, and
+    /// non-bonded terms reach no further than the cutoff.
+    fn coupling_cutoff(&self) -> Option<f64> {
+        Some(self.params.nonbonded_cutoff)
+    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,16 @@
 //! Property tests for the force-field engine: PSD Hessians, acoustic sum
-//! rule, and finite-difference consistency on random geometries.
+//! rule, finite-difference consistency on random geometries, and the
+//! coupling contract on random systems.
 
 use proptest::prelude::*;
-use qfr_fragment::{FragmentEngine, FragmentJob, FragmentStructure, JobKind};
+use qfr_fragment::{
+    Coupling, Decomposition, DecompositionParams, FragmentEngine, FragmentJob, FragmentStructure,
+    JobKind,
+};
 use qfr_geom::system::{Bond, BondClass};
-use qfr_geom::{Element, Vec3, WaterBoxBuilder};
+use qfr_geom::{
+    BondAdjacency, Element, MolecularSystem, ProteinBuilder, SolvatedSystem, Vec3, WaterBoxBuilder,
+};
 use qfr_linalg::eigen::symmetric_eigen;
 use qfr_model::polarizability::{alpha, dalpha, displaced, COMPONENTS};
 use qfr_model::ForceFieldEngine;
@@ -110,5 +116,49 @@ proptest! {
         for (a, b) in h1.iter().zip(&h2) {
             prop_assert!((a - b).abs() < 1e-8, "rotation changed the spectrum: {a} vs {b}");
         }
+    }
+}
+
+/// Asserts that every non-zero Hessian block of every job response of
+/// `sys` joins two atoms the engine's coupling admits.
+fn assert_coupling_kept(sys: &MolecularSystem) -> Result<(), TestCaseError> {
+    let engine = ForceFieldEngine::new();
+    let adjacency = BondAdjacency::new(sys);
+    let coupling = Coupling::of(&engine, sys, &adjacency).expect("the force field couples");
+    for job in Decomposition::new(sys, DecompositionParams::default()).jobs {
+        let h = engine.compute(&job.structure_with(sys, &adjacency)).hessian;
+        for (la, &a) in job.atoms.iter().enumerate() {
+            for (lb, &b) in job.atoms.iter().enumerate() {
+                let zero =
+                    (0..3).all(|p| h.row(3 * la + p)[3 * lb..][..3].iter().all(|&v| v == 0.0));
+                prop_assert!(
+                    zero || coupling.admits(a, b),
+                    "{:?} couples atoms {a} and {b}",
+                    job.kind
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The force field keeps the coupling contract the Eq. (1) fold lays
+    /// out its pattern by, on water boxes and on solvated proteins whose
+    /// short rows put chain turns, where bonded and geminal pairs lie past
+    /// the cutoff, in most cases.
+    #[test]
+    fn responses_keep_the_coupling_contract(
+        waters in 2..48usize,
+        residues in 2..9usize,
+        per_row in 2..5usize,
+        pad in 0.0..3.0f64,
+        seed in 0u64..100_000,
+    ) {
+        assert_coupling_kept(&WaterBoxBuilder::new(waters).seed(seed).build())?;
+        let protein = ProteinBuilder::new(residues).fold(per_row, 2).seed(seed).build();
+        assert_coupling_kept(&SolvatedSystem::build(&protein, pad, 3.1, 2.4, seed + 1))?;
     }
 }
