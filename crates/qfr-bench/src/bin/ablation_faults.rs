@@ -162,8 +162,14 @@ fn main() {
         // Every run's final save is complete, so each kill point thins a
         // full checkpoint.
         let keep = n_jobs * keep_pct / 100;
-        qfr_core::checkpoint::drop_jobs(&ckpt, &d, wf.system(), |j| j >= keep)
-            .expect("partial checkpoint");
+        qfr_core::checkpoint::drop_jobs(
+            &ckpt,
+            &d,
+            wf.system(),
+            qfr_model::ForceFieldEngine::NAME,
+            |j| j >= keep,
+        )
+        .expect("partial checkpoint");
         let restarted = wf.execute(sched()).expect("restarted run");
         assert_eq!(
             restarted.spectrum.intensities, reference.spectrum.intensities,

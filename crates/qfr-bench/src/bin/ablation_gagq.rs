@@ -6,11 +6,21 @@
 //! similarity vs dense diagonalization) as a function of the step count k,
 //! with and without the augmentation, plus the extra cost of the
 //! (2k−1)-point rule.
+//!
+//! It then times the rules of one k = 140 panel (seven Raman and three IR
+//! start vectors of a 128-water box) on one thread, one by one and as the
+//! solver runs them, in interleaved lanes of `gagq::LANES`, and records the
+//! ratio as `lockstep_speedup`; the two must agree bit for bit.
 
 use qfr_bench::{header, row, scaled, write_record};
 use qfr_core::RamanWorkflow;
-use qfr_geom::WaterBoxBuilder;
-use qfr_solver::RamanOptions;
+use qfr_fragment::{assemble, FragmentEngine, MassWeighted};
+use qfr_geom::{BondAdjacency, WaterBoxBuilder};
+use qfr_linalg::flops::FlopScope;
+use qfr_linalg::vecops;
+use qfr_solver::gagq::{averaged_quadrature, quadrature_rules, Quadrature, LANES};
+use qfr_solver::{lanczos_panel, LanczosResult, RamanOptions};
+use std::time::Instant;
 
 fn main() {
     let n_waters = scaled(40, 12);
@@ -59,5 +69,88 @@ fn main() {
          cost'."
     );
 
+    records.push(lockstep());
     write_record("ablation_gagq", &format!("[{}]", records.join(",")));
+}
+
+/// The Lanczos results of the ten-column Raman + IR panel of a 128-water
+/// box at k = 140, as the solver builds it.
+fn panel() -> Vec<LanczosResult> {
+    let wf = RamanWorkflow::new(WaterBoxBuilder::new(128).seed(42).build());
+    let (system, d) = (wf.system(), wf.decompose());
+    let adjacency = BondAdjacency::new(system);
+    let engine = qfr_model::ForceFieldEngine::new();
+    let responses: Vec<_> = (d.jobs.iter())
+        .map(|job| engine.compute(&job.structure_with(system, &adjacency)))
+        .collect();
+    let mw = MassWeighted::new(
+        &assemble::assemble(&d.jobs, &responses, system.n_atoms()),
+        &system.masses(),
+    );
+    let mut d_iso = vec![0.0; mw.dim()];
+    for c in 0..3 {
+        vecops::axpy(1.0, &mw.dalpha[c], &mut d_iso);
+    }
+    let starts: Vec<&[f64]> =
+        std::iter::once(&d_iso).chain(&mw.dalpha).chain(&mw.dmu).map(Vec::as_slice).collect();
+    lanczos_panel(&mw.hessian, &starts, 140)
+}
+
+/// Best of `reps` timings of `f` in milliseconds, with its last result.
+fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..reps {
+        let t = Instant::now();
+        out = Some(f());
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+    }
+    (best, out.expect("at least one rep"))
+}
+
+fn bits(rules: &[Quadrature]) -> Vec<u64> {
+    rules.iter().flat_map(|q| q.nodes.iter().chain(&q.weights)).map(|x| x.to_bits()).collect()
+}
+
+/// One-by-one against lane-group timing of the panel's GAGQ rules.
+fn lockstep() -> String {
+    let results = panel();
+    let scope = FlopScope::start();
+    let reference: Vec<Quadrature> = results.iter().map(averaged_quadrature).collect();
+    // A first-row rotation books 17 + 6 flops.
+    let rotations = scope.finish().flops / 23;
+    let (mut serial_ms, mut lanes_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        let (t, serial) =
+            best_ms(3, || results.iter().map(averaged_quadrature).collect::<Vec<_>>());
+        serial_ms = serial_ms.min(t);
+        let (t, lanes) = best_ms(3, || {
+            results.chunks(LANES).flat_map(|g| quadrature_rules(g, true)).collect::<Vec<_>>()
+        });
+        lanes_ms = lanes_ms.min(t);
+        assert_eq!(bits(&serial), bits(&reference), "one-by-one rules are not reproducible");
+        assert_eq!(bits(&lanes), bits(&reference), "lane rules differ from one-by-one rules");
+    }
+    let speedup = serial_ms / lanes_ms;
+    let nodes = reference.iter().map(Quadrature::len).max().unwrap_or(0);
+    header("GAGQ rules of one k = 140 panel, one thread");
+    row(
+        &["rules", "nodes", "rotations", "1-by-1 ms", "lanes ms", "speedup"],
+        &[6, 6, 10, 10, 10, 8],
+    );
+    row(
+        &[
+            &results.len().to_string(),
+            &nodes.to_string(),
+            &rotations.to_string(),
+            &format!("{serial_ms:.2}"),
+            &format!("{lanes_ms:.2}"),
+            &format!("{speedup:.2}"),
+        ],
+        &[6, 6, 10, 10, 10, 8],
+    );
+    format!(
+        "{{\"rules\":{},\"lanes\":{LANES},\"rotations\":{rotations},\"serial_ms\":{serial_ms},\"lanes_ms\":{lanes_ms},\"lockstep_speedup\":{speedup}}}",
+        results.len()
+    )
 }

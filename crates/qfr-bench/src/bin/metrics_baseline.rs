@@ -112,8 +112,14 @@ fn run_pinned_workloads() {
         )
     };
     wf.execute(sched()).expect("checkpointed run");
-    qfr_core::checkpoint::drop_jobs(&ckpt, &wf.decompose(), wf.system(), |j| j % 3 != 0)
-        .expect("partial checkpoint");
+    qfr_core::checkpoint::drop_jobs(
+        &ckpt,
+        &wf.decompose(),
+        wf.system(),
+        qfr_model::ForceFieldEngine::NAME,
+        |j| j % 3 != 0,
+    )
+    .expect("partial checkpoint");
     let restarted = wf.execute(sched()).expect("restarted run");
     assert!(
         restarted.recovery.as_ref().is_some_and(|r| r.resumed_jobs > 0),

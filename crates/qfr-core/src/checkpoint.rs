@@ -16,10 +16,12 @@
 //! loads stream each response between its matrices and the file.
 //!
 //! The fingerprint folds every fragment's [`qfr_fragment::exact_key`]
-//! (elements, link-H flags, bonds, raw position bits) into the digest, so a
-//! checkpoint taken before atoms moved never validates. Versions 1 and 2
-//! keyed files by atom indices, counts and coefficients only — blind to
-//! geometry — and they and v3 (presence bitmap) are rejected on read.
+//! (elements, link-H flags, bonds, raw position bits) and the name of the
+//! engine that computed the responses into the digest, so a checkpoint
+//! taken before atoms moved, or by another engine, never validates.
+//! Versions 1 and 2 keyed files by atom indices, counts and coefficients
+//! only — blind to geometry — and they and v3 (presence bitmap) are
+//! rejected on read.
 
 use crate::container::{self, BlockReader, Container, Header};
 use qfr_fragment::{exact_key, Decomposition, FragmentResponse};
@@ -67,12 +69,23 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Geometry-aware FNV-1a fingerprint of a decomposition: per job it folds
-/// the atom indices, the coefficient, and the materialized fragment's
-/// [`exact_key`] — elements, link-hydrogen flags, bonds, and the raw
-/// position bits. A checkpoint taken before atoms moved, elements changed,
-/// or link hydrogens were re-placed therefore does not validate.
+/// [`engine_fingerprint`] of a run with the default force-field engine.
 pub fn fingerprint(decomposition: &Decomposition, sys: &MolecularSystem) -> u64 {
+    engine_fingerprint(decomposition, sys, qfr_model::ForceFieldEngine::NAME)
+}
+
+/// Geometry-aware FNV-1a fingerprint of a decomposition's responses as
+/// `engine` (a [`qfr_fragment::FragmentEngine::name`]) computes them: per
+/// job it folds the atom indices, the coefficient, and the materialized
+/// fragment's [`exact_key`] — elements, link-hydrogen flags, bonds, and the
+/// raw position bits — then the engine name. A checkpoint taken before
+/// atoms moved, elements changed, or link hydrogens were re-placed, or by
+/// another engine, therefore does not validate.
+pub fn engine_fingerprint(
+    decomposition: &Decomposition,
+    sys: &MolecularSystem,
+    engine: &str,
+) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     let mut mix = |v: u64| {
         h ^= v;
@@ -92,15 +105,17 @@ pub fn fingerprint(decomposition: &Decomposition, sys: &MolecularSystem) -> u64 
         mix(key as u64);
         mix((key >> 64) as u64);
     }
+    mix(engine.len() as u64);
+    engine.bytes().for_each(|b| mix(b.into()));
     h
 }
 
-fn header(decomposition: &Decomposition, sys: &MolecularSystem) -> Header {
+fn header(decomposition: &Decomposition, sys: &MolecularSystem, engine: &str) -> Header {
     let n_jobs = decomposition.jobs.len();
     Header {
         magic: MAGIC,
         version: VERSION,
-        fingerprint: fingerprint(decomposition, sys),
+        fingerprint: engine_fingerprint(decomposition, sys, engine),
         words: vec![n_jobs as u64],
         n_blocks: n_jobs,
     }
@@ -130,14 +145,16 @@ fn validate_response(m: usize, resp: &FragmentResponse) -> Result<(), Checkpoint
 /// completed. Writes one block per job, empty for absent ones, atomically.
 /// Call repeatedly as a run fills in — each save is a superset rewrite, so
 /// a crash between saves loses at most the work since the previous save.
+/// `engine` names the engine that computed the responses.
 pub fn save_partial(
     path: &Path,
     decomposition: &Decomposition,
     sys: &MolecularSystem,
+    engine: &str,
     slots: &[Option<FragmentResponse>],
 ) -> Result<(), CheckpointError> {
     assert_eq!(decomposition.jobs.len(), slots.len(), "one slot per job");
-    container::write(path, &header(decomposition, sys), |j, out| {
+    container::write(path, &header(decomposition, sys, engine), |j, out| {
         let Some(resp) = &slots[j] else { return Ok(()) };
         let m = decomposition.jobs[j].size();
         validate_response(m, resp)?;
@@ -152,14 +169,15 @@ pub fn save_partial(
 
 /// Loads a (possibly partial) checkpoint: `slots[j]` is `Some` iff the file
 /// holds job `j`'s response. Verifies the fingerprint against the current
-/// decomposition *and geometry*; a complete checkpoint is simply one with
-/// every slot present.
+/// decomposition, geometry *and engine*; a complete checkpoint is simply
+/// one with every slot present.
 pub fn load_partial(
     path: &Path,
     decomposition: &Decomposition,
     sys: &MolecularSystem,
+    engine: &str,
 ) -> Result<Vec<Option<FragmentResponse>>, CheckpointError> {
-    let file = Container::open(path, &header(decomposition, sys))?;
+    let file = Container::open(path, &header(decomposition, sys, engine))?;
     let load = |(j, job): (usize, &qfr_fragment::FragmentJob)| {
         let (m, len) = (job.size(), file.block_len(j));
         if len == 0 {
@@ -194,16 +212,17 @@ pub fn drop_jobs(
     path: &Path,
     decomposition: &Decomposition,
     sys: &MolecularSystem,
+    engine: &str,
     mut pick: impl FnMut(usize) -> bool,
 ) -> Result<usize, CheckpointError> {
-    let mut slots = load_partial(path, decomposition, sys)?;
+    let mut slots = load_partial(path, decomposition, sys, engine)?;
     let mut dropped = 0;
     for (j, slot) in slots.iter_mut().enumerate() {
         if pick(j) && slot.take().is_some() {
             dropped += 1;
         }
     }
-    save_partial(path, decomposition, sys, &slots)?;
+    save_partial(path, decomposition, sys, engine, &slots)?;
     Ok(dropped)
 }
 
@@ -214,6 +233,8 @@ mod tests {
     use qfr_fragment::{DecompositionParams, FragmentEngine};
     use qfr_geom::{ProteinBuilder, WaterBoxBuilder};
     use qfr_model::ForceFieldEngine;
+
+    const FF: &str = ForceFieldEngine::NAME;
 
     fn setup() -> (qfr_geom::MolecularSystem, Decomposition, Vec<FragmentResponse>) {
         responses_of(WaterBoxBuilder::new(6).seed(1).build())
@@ -238,8 +259,8 @@ mod tests {
         let dir = std::env::temp_dir().join("qfr_ckpt_test_rt");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("responses.qfrc");
-        save_partial(&path, &d, &sys, &full(&responses)).unwrap();
-        let loaded = load_partial(&path, &d, &sys).unwrap();
+        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
+        let loaded = load_partial(&path, &d, &sys, FF).unwrap();
         assert_eq!(loaded.len(), responses.len());
         for (a, b) in loaded.iter().zip(&responses) {
             let a = a.as_ref().expect("every job present");
@@ -258,11 +279,11 @@ mod tests {
         let dir = std::env::temp_dir().join("qfr_ckpt_test_chunks");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("protein.qfrc");
-        save_partial(&path, &d, &sys, &full(&responses)).unwrap();
-        let file = Container::open(&path, &header(&d, &sys)).unwrap();
+        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
+        let file = Container::open(&path, &header(&d, &sys, FF)).unwrap();
         let longest = (0..d.jobs.len()).map(|j| file.block_len(j)).max().unwrap();
         assert!(longest > CHUNK, "longest block is {longest} bytes, within one chunk");
-        let loaded = load_partial(&path, &d, &sys).unwrap();
+        let loaded = load_partial(&path, &d, &sys, FF).unwrap();
         let bits = |m: &DMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (j, (a, b)) in loaded.iter().zip(&responses).enumerate() {
             let a = a.as_ref().expect("every job present");
@@ -283,12 +304,12 @@ mod tests {
         let dir = std::env::temp_dir().join("qfr_ckpt_test_mword");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("responses.qfrc");
-        save_partial(&path, &d, &sys, &full(&responses)).unwrap();
+        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let (m, block0) = (d.jobs[0].size(), 16 + 8 * (1 + d.jobs.len()));
         bytes[block0..block0 + 4].copy_from_slice(&(m as u32 + 1).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let err = load_partial(&path, &d, &sys).unwrap_err();
+        let err = load_partial(&path, &d, &sys, FF).unwrap_err();
         assert!(matches!(err, CheckpointError::Format(_)), "{err}");
         let want = format!("checkpoint format error: job 0: block is not a {m}-atom response");
         assert_eq!(err.to_string(), want);
@@ -301,12 +322,32 @@ mod tests {
         let dir = std::env::temp_dir().join("qfr_ckpt_test_fp");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("responses.qfrc");
-        save_partial(&path, &d, &sys, &full(&responses)).unwrap();
+        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
         // A different box has a different decomposition.
         let other_sys = WaterBoxBuilder::new(7).seed(2).build();
         let other = Decomposition::new(&other_sys, DecompositionParams::default());
-        let err = load_partial(&path, &other, &other_sys).unwrap_err();
+        let err = load_partial(&path, &other, &other_sys, FF).unwrap_err();
         assert!(matches!(err, CheckpointError::FingerprintMismatch { .. }), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Responses of one engine never resume a run of another: the file
+    /// written by one fails the other's load with the fingerprint error.
+    #[test]
+    fn fingerprint_rejects_other_engine() {
+        let (sys, d, responses) = setup();
+        let dir = std::env::temp_dir().join("qfr_ckpt_test_engine");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("responses.qfrc");
+        let dfpt = qfr_dfpt::DfptEngine::new().name();
+        assert_eq!(engine_fingerprint(&d, &sys, FF), fingerprint(&d, &sys));
+        assert_ne!(engine_fingerprint(&d, &sys, dfpt), fingerprint(&d, &sys));
+        for (saved, loaded) in [(dfpt, FF), (FF, dfpt)] {
+            save_partial(&path, &d, &sys, saved, &full(&responses)).unwrap();
+            let err = load_partial(&path, &d, &sys, loaded).unwrap_err();
+            assert!(matches!(err, CheckpointError::FingerprintMismatch { .. }), "{err}");
+            assert!(load_partial(&path, &d, &sys, saved).is_ok(), "{saved} reloads its own file");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -317,7 +358,7 @@ mod tests {
         let path = dir.join("garbage.qfrc");
         std::fs::write(&path, b"not a checkpoint at all").unwrap();
         let (sys, d, _) = setup();
-        let err = load_partial(&path, &d, &sys).unwrap_err();
+        let err = load_partial(&path, &d, &sys, FF).unwrap_err();
         assert!(matches!(err, CheckpointError::Format(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -328,10 +369,10 @@ mod tests {
         let dir = std::env::temp_dir().join("qfr_ckpt_test_trunc");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("responses.qfrc");
-        save_partial(&path, &d, &sys, &full(&responses)).unwrap();
+        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        let err = load_partial(&path, &d, &sys).unwrap_err();
+        let err = load_partial(&path, &d, &sys, FF).unwrap_err();
         assert!(matches!(err, CheckpointError::Format(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -362,8 +403,8 @@ mod tests {
         // Every other job present.
         let slots: Vec<Option<FragmentResponse>> =
             responses.iter().enumerate().map(|(j, r)| (j % 2 == 0).then(|| r.clone())).collect();
-        save_partial(&path, &d, &sys, &slots).unwrap();
-        let loaded = load_partial(&path, &d, &sys).unwrap();
+        save_partial(&path, &d, &sys, FF, &slots).unwrap();
+        let loaded = load_partial(&path, &d, &sys, FF).unwrap();
         assert_eq!(loaded.len(), slots.len());
         for (j, (a, b)) in loaded.iter().zip(&slots).enumerate() {
             match (a, b) {
@@ -388,13 +429,13 @@ mod tests {
         let dir = std::env::temp_dir().join("qfr_ckpt_test_legacy");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("legacy.qfrc");
-        save_partial(&path, &d, &sys, &full(&responses)).unwrap();
+        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
         let current = std::fs::read(&path).unwrap();
         for version in [1u32, 2, 3] {
             let mut legacy = current.clone();
             legacy[4..8].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &legacy).unwrap();
-            let err = load_partial(&path, &d, &sys).unwrap_err();
+            let err = load_partial(&path, &d, &sys, FF).unwrap_err();
             assert!(matches!(err, CheckpointError::Format(_)), "v{version}: {err}");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -409,13 +450,13 @@ mod tests {
         // Corrupt dalpha: the old writer validated only the hessian, wrote
         // the file, and the reader misparsed every later block.
         responses[0].dalpha = DMatrix::zeros(5, 5);
-        let err = save_partial(&path, &d, &sys, &full(&responses)).unwrap_err();
+        let err = save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap_err();
         assert!(matches!(err, CheckpointError::Format(_)), "{err}");
         assert!(!path.exists(), "a rejected save must not leave a file behind");
         // Same for dmu.
         let (_, _, mut responses) = setup();
         responses[1].dmu = DMatrix::zeros(1, 1);
-        let err = save_partial(&path, &d, &sys, &full(&responses)).unwrap_err();
+        let err = save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap_err();
         assert!(matches!(err, CheckpointError::Format(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -429,8 +470,8 @@ mod tests {
         let dir = std::env::temp_dir().join("qfr_ckpt_test_tmpname");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("clean.qfrc");
-        save_partial(&path, &d, &sys, &full(&responses)).unwrap();
-        save_partial(&path, &d, &sys, &full(&responses)).unwrap();
+        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
+        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
@@ -451,7 +492,7 @@ mod tests {
         let dir = std::env::temp_dir().join("qfr_ckpt_test_displaced");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("displaced.qfrc");
-        save_partial(&path, &d, &sys, &full(&responses)).unwrap();
+        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
         // Displace the geometry; the decomposition's job list (indices,
         // coefficients, link-H count) is structurally identical.
         let mut moved = sys.clone();
@@ -461,7 +502,7 @@ mod tests {
         }
         let d_moved = Decomposition::new(&moved, DecompositionParams::default());
         assert_eq!(d_moved.jobs.len(), d.jobs.len(), "same job structure");
-        let err = load_partial(&path, &d_moved, &moved).unwrap_err();
+        let err = load_partial(&path, &d_moved, &moved, FF).unwrap_err();
         assert!(matches!(err, CheckpointError::FingerprintMismatch { .. }), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -479,7 +520,7 @@ mod tests {
         // file writes fine, the rename onto it fails.
         let target = dir.join("is_a_dir.qfrc");
         std::fs::create_dir_all(target.join("occupied")).unwrap();
-        let err = save_partial(&target, &d, &sys, &full(&responses)).unwrap_err();
+        let err = save_partial(&target, &d, &sys, FF, &full(&responses)).unwrap_err();
         assert!(matches!(err, CheckpointError::Io(_)), "{err}");
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()

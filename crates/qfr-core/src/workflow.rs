@@ -2,7 +2,7 @@
 //! pipeline ([`RamanWorkflow::execute`]), and the `run_*` facades that name
 //! its common plans.
 
-use crate::checkpoint::{load_partial, save_partial, CheckpointError};
+use crate::checkpoint::{engine_fingerprint, load_partial, save_partial, CheckpointError};
 use crate::pipeline::{self, dispatch, Fold, Pipeline, WORKFLOW};
 use crate::report::{RamanResult, RecoverySummary};
 use crate::shard::{self, ShardPlan, ShardStore};
@@ -389,13 +389,13 @@ impl Run<'_> {
     fn stored_responses(&self) -> Result<StoredResponses, WorkflowError> {
         let system = &self.workflow.system;
         let jobs = &self.decomposition.jobs;
-        let checkpoint = self.plan.checkpoint.as_deref();
+        let (checkpoint, engine) = (self.plan.checkpoint.as_deref(), self.engine.name());
         let save = |slots: &[Option<FragmentResponse>], reason: &str| {
             let Some(path) = checkpoint else { return };
             CHECKPOINT_SAVES.incr();
             qfr_obs::trace::instant("checkpoint.save", &[]);
             // A failed save must not fail the run.
-            if let Err(e) = save_partial(path, self.decomposition, system, slots) {
+            if let Err(e) = save_partial(path, self.decomposition, system, engine, slots) {
                 eprintln!("warning: {reason} checkpoint save failed: {e}");
             }
         };
@@ -403,7 +403,9 @@ impl Run<'_> {
         // Resume: an absent file is a cold start; one that exists but does
         // not load stops the run before the final save can overwrite it.
         let cold = || vec![None; jobs.len()];
-        let resumed = match checkpoint.map(|path| load_partial(path, self.decomposition, system)) {
+        let resumed = match checkpoint
+            .map(|path| load_partial(path, self.decomposition, system, engine))
+        {
             None => cold(),
             Some(Err(CheckpointError::Io(e))) if e.kind() == std::io::ErrorKind::NotFound => cold(),
             Some(loaded) => loaded.map_err(WorkflowError::Checkpoint)?,
@@ -509,7 +511,7 @@ impl Run<'_> {
     fn sharded(&self, cfg: &ShardConfig, pipeline: &mut Pipeline) -> Result<Solved, WorkflowError> {
         let system = &self.workflow.system;
         let plan = ShardPlan::new(system.n_atoms(), cfg.shards);
-        let base = crate::checkpoint::fingerprint(self.decomposition, system);
+        let base = engine_fingerprint(self.decomposition, system, self.engine.name());
         let fp = |s: usize| shard::shard_fingerprint(base, &plan, s, cfg.tile_rows);
         let path = |s: usize| shard::shard_path(&cfg.spill, s);
         let valid = |s: usize| shard::shard_file_valid(&path(s), &plan, s, cfg.tile_rows, fp(s));

@@ -193,6 +193,26 @@ fn unloadable_checkpoint_exits_1_and_is_left_untouched() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checkpoint the model-DFPT engine wrote does not resume a force-field
+/// run of the same system: exit 1 with one line, the file left as it is.
+#[test]
+fn checkpoint_of_another_engine_exits_1_and_is_left_untouched() {
+    let dir = temp_dir("other_engine");
+    let checkpoint = dir.join("dfpt.qfrc");
+    let path = checkpoint.to_str().expect("utf-8 temp path");
+    let dimer = ["spectrum", "--waters", "2", "--lanczos", "20", "--checkpoint", path];
+    let first = qfr(&[&dimer[..], &["--dfpt"]].concat());
+    assert!(first.status.success(), "{}", String::from_utf8_lossy(&first.stderr));
+    let written = std::fs::read(&checkpoint).expect("model-DFPT checkpoint");
+    let out = qfr(&dimer);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one line, got: {stderr}");
+    assert!(stderr.starts_with("error: ") && stderr.contains("checkpoint"), "{stderr}");
+    assert_eq!(std::fs::read(&checkpoint).expect("reread"), written, "checkpoint overwritten");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// An output file that cannot be written is a run error (exit 1, one line
 /// naming the flag and the path), not a panic after the run.
 #[test]

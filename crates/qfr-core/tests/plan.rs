@@ -14,6 +14,8 @@ use qfr_geom::WaterBoxBuilder;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+const FF: &str = qfr_model::ForceFieldEngine::NAME;
+
 static GUARD: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -153,14 +155,14 @@ fn plain_checkpoint_run_recomputes_only_missing_jobs() {
     // Blank every third slot — byte-wise what a periodic save of a killed
     // scheduled run leaves behind.
     let d = wf.decompose();
-    let missing = drop_jobs(&path, &d, wf.system(), |j| j % 3 == 0).expect("drop jobs");
+    let missing = drop_jobs(&path, &d, wf.system(), FF, |j| j % 3 == 0).expect("drop jobs");
     assert_eq!(missing, n_jobs.div_ceil(3), "final save holds every job");
 
     let before = engine_fragments();
     let resumed = wf.run_with_checkpoint(&path).expect("resumed run");
     assert_eq!(engine_fragments() - before, missing as u64, "only the missing jobs recompute");
     assert_bit_identical(&resumed, &fresh, "resumed run");
-    let slots = load_partial(&path, &d, wf.system()).expect("reload checkpoint");
+    let slots = load_partial(&path, &d, wf.system(), FF).expect("reload checkpoint");
     assert!(slots.iter().all(Option::is_some), "the resumed run completes the file");
 
     let before = engine_fragments();
@@ -206,7 +208,7 @@ fn unloadable_checkpoint_is_a_typed_error_and_left_untouched() {
     }
     // The file is another system's, not garbage: it still loads for it.
     std::fs::write(&path, &foreign).expect("restore checkpoint");
-    let slots = load_partial(&path, &other.decompose(), other.system()).expect("load");
+    let slots = load_partial(&path, &other.decompose(), other.system(), FF).expect("load");
     assert!(slots.iter().all(Option::is_some));
     std::fs::remove_dir_all(&dir).ok();
 }

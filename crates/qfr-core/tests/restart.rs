@@ -18,6 +18,8 @@ use qfr_geom::{ProteinBuilder, SolvatedSystem, WaterBoxBuilder};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+const FF: &str = qfr_model::ForceFieldEngine::NAME;
+
 static GUARD: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -73,7 +75,7 @@ fn restart_recomputes_only_missing_jobs_and_reproduces_the_spectrum() {
     // when half the jobs are still outstanding.
     let wf = workflow();
     let missing =
-        drop_jobs(&path, &wf.decompose(), wf.system(), |j| j % 2 == 0).expect("drop jobs");
+        drop_jobs(&path, &wf.decompose(), wf.system(), FF, |j| j % 2 == 0).expect("drop jobs");
     let present = n_jobs - missing;
     assert!(missing > 0 && present > 0, "partial scenario must have both kinds");
 
@@ -152,7 +154,7 @@ fn same_seed_restart_sequences_emit_identical_counter_reports() {
         std::fs::remove_file(&path).ok();
         let wf = workflow();
         wf.execute(sched_plan(&path, runtime())).expect("first run");
-        drop_jobs(&path, &wf.decompose(), wf.system(), |j| j % 3 != 0).expect("drop jobs");
+        drop_jobs(&path, &wf.decompose(), wf.system(), FF, |j| j % 3 != 0).expect("drop jobs");
         wf.execute(sched_plan(&path, runtime())).expect("restarted run");
         (qfr_obs::counter::deterministic_report(), qfr_obs::counter::deterministic_json())
     };
@@ -171,14 +173,15 @@ fn same_seed_restart_sequences_emit_identical_counter_reports() {
 
 /// Checkpoints and shard spills are keyed by this value, so files written
 /// before a change to the structure extraction resume after it only while
-/// these literals (printed by the build that wrote them) stand.
+/// these literals (printed by the build that wrote them) stand. They are
+/// the force-field engine's: the engine's name is folded in last.
 #[test]
 fn fingerprint_of_fixed_systems_is_pinned() {
     let protein = ProteinBuilder::new(20).seed(42).build();
     let solvated = SolvatedSystem::build(&protein, 6.0, 3.1, 2.4, 43);
     let water = WaterBoxBuilder::new(27).seed(42).build();
     for (system, jobs, pinned) in
-        [(solvated, 7178, 0x1676_25ea_6c9b_a7b4_u64), (water, 141, 0x420d_97b9_34e8_43d8)]
+        [(solvated, 7178, 0xead3_ee82_97b6_a5ad_u64), (water, 141, 0x8d0b_d628_ac67_af21)]
     {
         let decomposition = RamanWorkflow::new(system.clone()).decompose();
         assert_eq!(decomposition.jobs.len(), jobs);

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use qfr_core::shard::{shard_path, ShardPlan};
-use qfr_core::{HessianOperator, RamanWorkflow, ResponseSource, RunPlan, ShardConfig};
+use qfr_core::{EngineKind, HessianOperator, RamanWorkflow, ResponseSource, RunPlan, ShardConfig};
 use qfr_geom::WaterBoxBuilder;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -159,6 +159,27 @@ fn foreign_geometry_spill_is_rejected_and_rebuilt() {
     assert_eq!(shards_resumed() - before_resumed, 0, "no stale shard may resume");
     assert_eq!(sharded.spectrum.intensities, reference.spectrum.intensities);
     assert_eq!(sharded.hessian_nnz, reference.hessian_nnz);
+
+    std::fs::remove_dir_all(&spill).ok();
+}
+
+/// Shards the force field spilled are never resumed by a model-DFPT run of
+/// the same system: the spill fingerprint folds the engine's name.
+#[test]
+fn foreign_engine_spill_is_rejected_and_rebuilt() {
+    let _g = lock();
+    let spill = temp_spill("foreign_engine");
+    let k = 2;
+    let dimer = RamanWorkflow::new(WaterBoxBuilder::new(2).seed(42).build()).lanczos_steps(20);
+    dimer.run_sharded(ShardConfig::new(k, &spill).tile_rows(7)).expect("force-field spill");
+
+    let (before_built, before_resumed) = (shards_built(), shards_resumed());
+    dimer
+        .engine(EngineKind::ModelDfpt)
+        .run_sharded(ShardConfig::new(k, &spill).tile_rows(7))
+        .expect("model-DFPT run over the force-field spill");
+    assert_eq!(shards_built() - before_built, k as u64, "every foreign shard rebuilds");
+    assert_eq!(shards_resumed() - before_resumed, 0, "no foreign shard may resume");
 
     std::fs::remove_dir_all(&spill).ok();
 }

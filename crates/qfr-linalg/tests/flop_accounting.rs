@@ -12,6 +12,7 @@ use qfr_linalg::fft::{fft_in_place, ifft_in_place, Complex64, Grid3};
 use qfr_linalg::flops::FlopScope;
 use qfr_linalg::gemm::gemm_blocked;
 use qfr_linalg::syrk::{flops_saved_symmetry, syrk};
+use qfr_linalg::tridiag::{gauss_quadrature_nodes, gauss_quadrature_nodes_batch, tql2};
 use qfr_linalg::{DMatrix, Trans};
 use std::sync::Mutex;
 
@@ -199,4 +200,40 @@ fn grid_transforms_book_the_per_line_totals() {
             "{nx}x{ny}x{nz} flops"
         );
     }
+}
+
+/// A batched first-row solve books exactly what its problems book one by
+/// one, `rotations × (17 + 6)` each; an empty problem books nothing.
+#[test]
+fn lane_batch_books_the_sum_of_its_one_by_one_solves() {
+    let _g = lock();
+    let problems: Vec<(Vec<f64>, Vec<f64>)> = [0, 1, 2, 9, 40, 123]
+        .iter()
+        .map(|&n| {
+            let d = sample(1, n, n as u64 + 40);
+            let e = sample(1, n.saturating_sub(1), n as u64 + 41);
+            (d.as_slice().to_vec(), e.as_slice().to_vec())
+        })
+        .collect();
+    let refs: Vec<(&[f64], &[f64])> =
+        problems.iter().map(|(d, e)| (d.as_slice(), e.as_slice())).collect();
+    let one_by_one: u64 = (refs.iter())
+        .map(|&(d, e)| {
+            let s = FlopScope::start();
+            let _ = gauss_quadrature_nodes(d, e);
+            s.finish().flops
+        })
+        .sum();
+    let s = FlopScope::start();
+    let _ = gauss_quadrature_nodes_batch(&refs);
+    assert_eq!(s.finish().flops, one_by_one);
+    assert!(one_by_one > 0 && one_by_one % 23 == 0, "{one_by_one} is not whole rotations");
+
+    // The dense path: every rotation also turns all n rows of V.
+    let (mut d, mut e) = (problems[4].0.clone(), problems[4].1.clone());
+    e.insert(0, 0.0);
+    let mut v = DMatrix::identity(d.len());
+    let s = FlopScope::start();
+    tql2(&mut d, &mut e, Some(&mut v));
+    assert_eq!(s.finish().flops % (17 + 6 * 40), 0);
 }

@@ -23,6 +23,9 @@ pub struct ForceFieldEngine {
 }
 
 impl ForceFieldEngine {
+    /// The engine's [`FragmentEngine::name`].
+    pub const NAME: &'static str = "force-field";
+
     /// Engine with default calibrated parameters.
     pub fn new() -> Self {
         Self::default()
@@ -48,7 +51,7 @@ impl FragmentEngine for ForceFieldEngine {
     }
 
     fn name(&self) -> &'static str {
-        "force-field"
+        Self::NAME
     }
 
     /// Stretches join bonded atoms, bends span at most two bonds, and

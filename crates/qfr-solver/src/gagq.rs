@@ -9,9 +9,13 @@
 //! a `(2k−1)`-node rule at the cost of one tridiagonal eigensolve — the
 //! technique the paper adopts from Shao et al. \[35\] and
 //! Reichel–Spalević–Tang \[36\].
+//!
+//! [`quadrature_rules`] solves the eigenproblems of many Lanczos results as
+//! interleaved lanes of one batched QL ([`gauss_quadrature_nodes_batch`]);
+//! each rule is bit-identical to its one-by-one solve.
 
 use crate::lanczos::LanczosResult;
-use qfr_linalg::tridiag::gauss_quadrature_nodes;
+use qfr_linalg::tridiag::gauss_quadrature_nodes_batch;
 
 /// A quadrature rule: paired nodes (eigenvalue units) and non-negative
 /// weights, scaled so that applying it to `f == 1` yields `|d|²`.
@@ -40,22 +44,46 @@ impl Quadrature {
     }
 }
 
+/// Rules per batched eigensolve in the spectral solver. On ten 279-node
+/// rules, one thread, 2 lanes ran 1.6× faster than one by one and 4 to 7
+/// lanes 1.9–2.0×: by then the core is full, and more lanes only lengthen
+/// the group.
+pub const LANES: usize = 5;
+
 static GAGQ_RULES: qfr_obs::Counter = qfr_obs::Counter::deterministic("solver.gagq.rules");
 
-/// The Gauss rule of the tridiagonal `(diag, sub)`, scaled by `|d|²`.
-fn scaled_rule(lz: &LanczosResult, diag: &[f64], sub: &[f64]) -> Quadrature {
-    GAGQ_RULES.incr();
-    let (nodes, mut weights) = gauss_quadrature_nodes(diag, sub);
-    let scale = lz.start_norm * lz.start_norm;
-    for w in &mut weights {
-        *w *= scale;
-    }
-    Quadrature { nodes, weights }
+/// The Gauss (`gagq == false`) or averaged rule of every Lanczos result,
+/// their tridiagonal eigensolves run as the lanes of one batch: rule `j`
+/// is bit-identical to [`gauss_quadrature`] / [`averaged_quadrature`] of
+/// `results[j]` whatever else the batch holds.
+pub fn quadrature_rules(results: &[LanczosResult], gagq: bool) -> Vec<Quadrature> {
+    let augmented: Vec<Option<(Vec<f64>, Vec<f64>)>> =
+        results.iter().map(|lz| if gagq { augmented(lz) } else { None }).collect();
+    let problems: Vec<(&[f64], &[f64])> = (results.iter().zip(&augmented))
+        .map(|(lz, aug)| match aug {
+            Some((diag, sub)) => (diag.as_slice(), sub.as_slice()),
+            None => (lz.alpha.as_slice(), lz.beta.as_slice()),
+        })
+        .collect();
+    GAGQ_RULES.add(results.len() as u64);
+    (gauss_quadrature_nodes_batch(&problems).into_iter().zip(results))
+        .map(|((nodes, mut weights), lz)| {
+            let scale = lz.start_norm * lz.start_norm;
+            for w in &mut weights {
+                *w *= scale;
+            }
+            Quadrature { nodes, weights }
+        })
+        .collect()
+}
+
+fn one_rule(lz: &LanczosResult, gagq: bool) -> Quadrature {
+    quadrature_rules(std::slice::from_ref(lz), gagq).pop().expect("one result, one rule")
 }
 
 /// The plain k-node Gauss rule from a Lanczos result.
 pub fn gauss_quadrature(lz: &LanczosResult) -> Quadrature {
-    scaled_rule(lz, &lz.alpha, &lz.beta)
+    one_rule(lz, false)
 }
 
 /// Spalević's generalized averaged rule with `2m−1` nodes from an `m`-step
@@ -68,9 +96,15 @@ pub fn gauss_quadrature(lz: &LanczosResult) -> Quadrature {
 /// β_m. Falls back to the plain Gauss rule when `m < 2` or when the Lanczos
 /// run broke down (β_m = 0, meaning the Gauss rule is already exact).
 pub fn averaged_quadrature(lz: &LanczosResult) -> Quadrature {
+    one_rule(lz, true)
+}
+
+/// `(diag, sub)` of the averaged rule's `T̂`, or `None` where it falls back
+/// to Gauss.
+fn augmented(lz: &LanczosResult) -> Option<(Vec<f64>, Vec<f64>)> {
     let m = lz.steps();
     if m < 2 || lz.beta_last == 0.0 {
-        return gauss_quadrature(lz);
+        return None;
     }
     let size = 2 * m - 1;
     let mut diag = Vec::with_capacity(size);
@@ -86,7 +120,7 @@ pub fn averaged_quadrature(lz: &LanczosResult) -> Quadrature {
     }
     debug_assert_eq!(diag.len(), size);
     debug_assert_eq!(sub.len(), size - 1);
-    scaled_rule(lz, &diag, &sub)
+    Some((diag, sub))
 }
 
 #[cfg(test)]

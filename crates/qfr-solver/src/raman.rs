@@ -22,7 +22,7 @@
 //!
 //! with `S_v(ω) = vᵀ g_σ(ω−H) v`.
 
-use crate::gagq::{averaged_quadrature, gauss_quadrature, Quadrature};
+use crate::gagq::{quadrature_rules, Quadrature, LANES};
 use crate::lanczos::lanczos_panel;
 use crate::spectrum::SpectralDensity;
 use qfr_linalg::eigen::symmetric_eigen;
@@ -73,14 +73,17 @@ pub type RamanSpectrum = SpectralDensity;
 pub(crate) const COMPONENT_MULTIPLICITY: [f64; 6] = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0];
 
 /// The Gauss/GAGQ rule of every start vector, from one lockstep panel run;
-/// the per-column rules are independent and run in parallel.
+/// groups of [`LANES`] rules solve as lanes of one eigensolve, the groups
+/// in parallel.
 pub(crate) fn quadratures(
     h: &dyn MatVec,
     starts: &[&[f64]],
     opts: &RamanOptions,
 ) -> Vec<Quadrature> {
-    let rule = if opts.use_gagq { averaged_quadrature } else { gauss_quadrature };
-    lanczos_panel(h, starts, opts.lanczos_steps).par_iter().map(rule).collect()
+    let mut results = lanczos_panel(h, starts, opts.lanczos_steps);
+    (results.par_chunks_mut(LANES))
+        .flat_map_iter(|group| quadrature_rules(group, opts.use_gagq))
+        .collect()
 }
 
 /// Rules of the seven Raman start vectors — `d_iso = d_xx + d_yy + d_zz`,
@@ -223,7 +226,7 @@ mod tests {
             let lz = crate::lanczos(&h, d, k);
             assert_eq!(lz.steps(), k);
             let norm2 = vecops::dot(d, d);
-            for q in [gauss_quadrature(&lz), averaged_quadrature(&lz)] {
+            for q in [crate::gauss_quadrature(&lz), crate::averaged_quadrature(&lz)] {
                 let mass = q.apply(|_| 1.0);
                 assert!((mass - norm2).abs() < 1e-8 * norm2, "mass {mass} vs {norm2}");
                 assert!(q.weights.iter().all(|&w| w >= 0.0), "negative weight");
