@@ -129,7 +129,7 @@ fn main() {
 
     // Checkpoint/restart sweep through the *real* workflow: kill a
     // checkpointed scheduled run at increasing completion fractions
-    // (simulated by thinning the final checkpoint) and measure how much of
+    // (simulated by thinning its journal) and measure how much of
     // the engine stage the restart skips. The restarted spectrum is
     // asserted bit-identical to the uninterrupted one — restart is a pure
     // scheduling change, never a numerical one.
@@ -143,7 +143,6 @@ fn main() {
         .lanczos_steps(60);
     let sched = || RunPlan {
         checkpoint: Some(ckpt.clone()),
-        checkpoint_interval: 8,
         ..RunPlan::new(
             ResponseSource::Scheduler(qfr_sched::RuntimeConfig {
                 n_leaders: 4,
@@ -159,8 +158,8 @@ fn main() {
     row(&["kill at", "resumed", "recomputed", "engine s", "vs cold"], &[10, 9, 11, 10, 9]);
     let cold_engine = reference.timings.engine_s;
     for keep_pct in [0usize, 25, 50, 75, 90] {
-        // Every run's final save is complete, so each kill point thins a
-        // full checkpoint.
+        // Every run journals every job, so each kill point thins a full
+        // journal.
         let keep = n_jobs * keep_pct / 100;
         qfr_core::checkpoint::drop_jobs(
             &ckpt,

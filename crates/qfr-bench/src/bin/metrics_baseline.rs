@@ -101,7 +101,6 @@ fn run_pinned_workloads() {
         RamanWorkflow::new(WaterBoxBuilder::new(10).seed(11).build()).sigma(25.0).lanczos_steps(40);
     let sched = || RunPlan {
         checkpoint: Some(ckpt.clone()),
-        checkpoint_interval: 4,
         ..RunPlan::new(
             ResponseSource::Scheduler(qfr_sched::RuntimeConfig {
                 n_leaders: 2,

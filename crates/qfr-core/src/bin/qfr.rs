@@ -150,7 +150,7 @@ fn usage() -> ! {
          [--dfpt]\n                \
          [--dense | --shards K [--spill DIR] [--tile-rows N]]\n                \
          [--sched LEADERS [--workers W]]\n                \
-         [--checkpoint FILE [--checkpoint-interval N]]\n                \
+         [--checkpoint FILE]\n                \
          [--cache [--cache-mb MB] [--warm N]]\n                \
          [--trace FILE] [--metrics] [--metrics-out FILE]\n  \
          qfr decompose (--protein N | --waters N | --scenario NAME)\n                \
@@ -249,12 +249,8 @@ fn run_plan(args: &Args) -> RunPlan {
         }),
         None => ResponseSource::Rayon,
     };
-    // Periodic saves rewrite the whole file, so only the scheduled path —
-    // where a killed run is the expected case — defaults to them.
-    let interval = if args.has("--sched") { 64 } else { 0 };
     RunPlan {
         checkpoint: args.value("--checkpoint").map(std::path::PathBuf::from),
-        checkpoint_interval: args.get_or("--checkpoint-interval", interval),
         ..RunPlan::new(source, operator)
     }
 }
@@ -263,14 +259,13 @@ fn cmd_spectrum(argv: &[String]) {
     let args = &Args::parse(
         argv,
         "--sigma --lambda --lanczos --temperature --json --xyz --shards \
-         --spill --tile-rows --sched --workers --checkpoint --checkpoint-interval \
+         --spill --tile-rows --sched --workers --checkpoint \
          --cache-mb --warm --trace --metrics-out",
         "--ir --dense --dfpt --cache --metrics",
         &[
             ("--spill", "--shards"),
             ("--tile-rows", "--shards"),
             ("--workers", "--sched"),
-            ("--checkpoint-interval", "--checkpoint"),
             ("--cache-mb", "--cache"),
             ("--warm", "--cache"),
         ],

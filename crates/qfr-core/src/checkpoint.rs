@@ -1,44 +1,49 @@
-//! Checkpoint / restart of per-fragment engine results.
+//! Checkpoint / restart of per-fragment engine results: a [`Journal`] a run
+//! appends each [`FragmentResponse`] to as it settles, so a re-run of the
+//! same system, λ and engine reads back what the file holds and computes
+//! only the rest.
 //!
-//! The engine stage dominates wall time for large systems (millions of
-//! fragment jobs); on the paper's machines such runs checkpoint as a matter
-//! of course. This module persists the per-job [`FragmentResponse`] blocks
-//! keyed by a fingerprint of the decomposition, so a re-run with the same
-//! system and λ resumes directly at assembly.
-//!
-//! Format v4 is a file of the crate's one `container` codec: magic `QFRC`,
-//! version 4, the fingerprint, one geometry word (the job count) and one
-//! block per job. An empty block is an absent job; a present one holds `m`
-//! (u32, atoms incl. link H), the `3m×3m` Hessian, `6×3m` ∂α/∂ξ and `3×3m`
-//! ∂μ/∂ξ as f64 arrays — exactly `4 + 8·(9m² + 27m)` bytes, which the
-//! reader checks against the decomposition before it reads the block. A
-//! *partial* save writes more empty blocks; every save is atomic. Saves and
-//! loads stream each response between its matrices and the file.
-//!
-//! The fingerprint folds every fragment's [`qfr_fragment::exact_key`]
-//! (elements, link-H flags, bonds, raw position bits) and the name of the
-//! engine that computed the responses into the digest, so a checkpoint
-//! taken before atoms moved, or by another engine, never validates.
-//! Versions 1 and 2 keyed files by atom indices, counts and coefficients
-//! only — blind to geometry — and they and v3 (presence bitmap) are
-//! rejected on read.
+//! Format v5 is a journal of the crate's one `container` codec: magic
+//! `QFRC`, version 5, the fingerprint, the job count, then one record per
+//! settled job: its index and `m` (u64 each, `m` atoms incl. link H), then
+//! the `3m×3m` Hessian, `6×3m` ∂α/∂ξ and `3×3m` ∂μ/∂ξ as f64 arrays. A
+//! last record cut short — a run killed mid-append — is dropped; an index
+//! past the job count, a job recorded twice, an `m` that is not the job's
+//! size, or a wrong magic, version, fingerprint or job count is a
+//! [`CheckpointError`]. The fingerprint folds every fragment's
+//! [`qfr_fragment::exact_key`] (elements, link-H flags, bonds, raw position
+//! bits) and the engine's name, so a checkpoint taken before atoms moved,
+//! or by another engine, never validates.
 
-use crate::container::{self, BlockReader, Container, Header};
-use qfr_fragment::{exact_key, Decomposition, FragmentResponse};
+use crate::container::{self, BlockReader, BlockWriter, Container, Header};
+use qfr_fragment::{exact_key, Decomposition, FragmentJob, FragmentResponse};
 use qfr_geom::{BondAdjacency, MolecularSystem};
 use qfr_linalg::DMatrix;
 use std::path::Path;
+use std::sync::Mutex;
 
 const MAGIC: &[u8; 4] = b"QFRC";
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
+
+// Records appended: each settled job is appended once, whatever the
+// scheduling, so the count is deterministic and CI-gated.
+static CHECKPOINT_SAVES: qfr_obs::Counter =
+    qfr_obs::Counter::deterministic("core.checkpoint.saves");
 
 /// Errors from checkpoint and shard spill I/O.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Underlying filesystem failure.
     Io(std::io::Error),
-    /// Not a checkpoint file, or an incompatible version.
+    /// Not a checkpoint file, or a malformed one.
     Format(String),
+    /// A file of another format version.
+    Version {
+        /// Version stored in the file.
+        found: u32,
+        /// The version this build reads.
+        expected: u32,
+    },
     /// The checkpoint belongs to a different system/decomposition.
     FingerprintMismatch {
         /// Fingerprint stored in the file.
@@ -53,6 +58,9 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint io error: {e}"),
             CheckpointError::Format(m) => write!(f, "checkpoint format error: {m}"),
+            CheckpointError::Version { found, expected } => {
+                write!(f, "checkpoint format version {found}, this build reads {expected}")
+            }
             CheckpointError::FingerprintMismatch { found, expected } => write!(
                 f,
                 "checkpoint belongs to a different run (fingerprint {found:#x}, expected {expected:#x})"
@@ -111,20 +119,18 @@ pub fn engine_fingerprint(
 }
 
 fn header(decomposition: &Decomposition, sys: &MolecularSystem, engine: &str) -> Header {
-    let n_jobs = decomposition.jobs.len();
     Header {
         magic: MAGIC,
         version: VERSION,
         fingerprint: engine_fingerprint(decomposition, sys, engine),
-        words: vec![n_jobs as u64],
-        n_blocks: n_jobs,
+        words: vec![decomposition.jobs.len() as u64],
+        n_blocks: 0,
     }
 }
 
 /// Checks every matrix of a response against the shapes implied by the
 /// job size `m`: `3m×3m` Hessian, `6×3m` ∂α/∂ξ, `3×3m` ∂μ/∂ξ. A malformed
-/// response is rejected before its block is written, and fails the save
-/// with the target untouched.
+/// response is rejected before any of its bytes are written.
 fn validate_response(m: usize, resp: &FragmentResponse) -> Result<(), CheckpointError> {
     let checks = [
         ("hessian", resp.hessian.shape(), (3 * m, 3 * m)),
@@ -141,73 +147,138 @@ fn validate_response(m: usize, resp: &FragmentResponse) -> Result<(), Checkpoint
     Ok(())
 }
 
-/// Saves a *partial* result set: `slots[j]` is `Some` iff job `j` has
-/// completed. Writes one block per job, empty for absent ones, atomically.
-/// Call repeatedly as a run fills in — each save is a superset rewrite, so
-/// a crash between saves loses at most the work since the previous save.
-/// `engine` names the engine that computed the responses.
-pub fn save_partial(
-    path: &Path,
-    decomposition: &Decomposition,
-    sys: &MolecularSystem,
-    engine: &str,
-    slots: &[Option<FragmentResponse>],
+/// Encodes job `j`'s record: its index, `m`, then the three matrices,
+/// whose shapes [`validate_response`] has checked.
+fn put_record(
+    out: &mut BlockWriter,
+    j: usize,
+    m: usize,
+    resp: &FragmentResponse,
 ) -> Result<(), CheckpointError> {
-    assert_eq!(decomposition.jobs.len(), slots.len(), "one slot per job");
-    container::write(path, &header(decomposition, sys, engine), |j, out| {
-        let Some(resp) = &slots[j] else { return Ok(()) };
-        let m = decomposition.jobs[j].size();
-        validate_response(m, resp)?;
-        out.u32(m as u32)?;
-        for matrix in [&resp.hessian, &resp.dalpha, &resp.dmu] {
-            matrix.as_slice().iter().try_for_each(|&v| out.f64(v))?;
-        }
-        Ok(())
-    })?;
+    out.u64(j as u64)?;
+    out.u64(m as u64)?;
+    for matrix in [&resp.hessian, &resp.dalpha, &resp.dmu] {
+        matrix.as_slice().iter().try_for_each(|&v| out.f64(v))?;
+    }
     Ok(())
 }
 
-/// Loads a (possibly partial) checkpoint: `slots[j]` is `Some` iff the file
-/// holds job `j`'s response. Verifies the fingerprint against the current
-/// decomposition, geometry *and engine*; a complete checkpoint is simply
-/// one with every slot present.
-pub fn load_partial(
-    path: &Path,
-    decomposition: &Decomposition,
-    sys: &MolecularSystem,
-    engine: &str,
-) -> Result<Vec<Option<FragmentResponse>>, CheckpointError> {
-    let file = Container::open(path, &header(decomposition, sys, engine))?;
-    let load = |(j, job): (usize, &qfr_fragment::FragmentJob)| {
-        let (m, len) = (job.size(), file.block_len(j));
-        if len == 0 {
-            return Ok(None);
+/// A response checkpoint of one decomposition, open to read back the jobs
+/// it held when opened and to append the ones a run settles.
+pub struct Journal<'d> {
+    jobs: &'d [FragmentJob],
+    file: Container,
+    /// The record of each job the file held when opened; a job without
+    /// one has a number past the whole records.
+    record_of: Vec<u32>,
+    /// `None` once an append failed.
+    out: Mutex<Option<BlockWriter>>,
+}
+
+impl<'d> Journal<'d> {
+    /// Opens the checkpoint at `path` for `decomposition`'s responses as
+    /// `engine` computes them on `sys`; an absent file is created empty. A
+    /// file whose fingerprint (of the decomposition, geometry *and*
+    /// engine), records or format do not match is an error and keeps its
+    /// bytes; only a torn last record is cut off.
+    pub fn open(
+        path: &Path,
+        decomposition: &'d Decomposition,
+        sys: &MolecularSystem,
+        engine: &str,
+    ) -> Result<Self, CheckpointError> {
+        let jobs = &decomposition.jobs[..];
+        let header = header(decomposition, sys, engine);
+        if !path.exists() {
+            container::write(path, &header, 0, |_, _| Ok(()))?;
         }
-        let bad = || CheckpointError::Format(format!("job {j}: block is not a {m}-atom response"));
-        if len != 4 + 8 * (9 * m * m + 27 * m) {
-            return Err(bad());
-        }
-        let mut block = BlockReader::new(&file, j);
-        if block.read_vec(1, u32::from_le_bytes)?[0] as usize != m {
-            return Err(bad());
-        }
+        let (mut record_of, mut records) = (vec![u32::MAX; jobs.len()], 0);
+        let file = Container::open_journal(path, &header, 2, |head| {
+            let (j, m) = (head[0] as usize, head[1]);
+            let why = match (record_of.get(j), jobs.get(j).map(FragmentJob::size)) {
+                (Some(&u32::MAX), Some(size)) if m == size as u64 => {
+                    record_of[j] = records;
+                    records += 1;
+                    return Ok(8 * (9 * m * m + 27 * m));
+                }
+                (Some(&u32::MAX), Some(size)) => {
+                    format!("job {j}: record of {m} atoms, not {size}")
+                }
+                (Some(_), _) => format!("job {j} recorded twice"),
+                _ => format!("record of job {j}, past the {} jobs", jobs.len()),
+            };
+            Err(CheckpointError::Format(why))
+        })?;
+        let out = Mutex::new(Some(container::append(path, file.extent().1)?));
+        CHECKPOINT_SAVES.add(0); // every checkpointed run reports its count
+        Ok(Self { jobs, file, record_of, out })
+    }
+
+    /// Number of jobs the file held when opened.
+    pub fn resumed(&self) -> usize {
+        self.file.extent().0
+    }
+
+    /// Whether the file held job `j` when opened.
+    pub fn holds(&self, j: usize) -> bool {
+        (self.record_of[j] as usize) < self.file.extent().0
+    }
+
+    /// Job `j`'s response as the file holds it.
+    ///
+    /// # Panics
+    /// Panics if the file did not hold job `j` when opened.
+    pub fn read(&self, j: usize) -> Result<FragmentResponse, CheckpointError> {
+        assert!(self.holds(j), "job {j} is not in the journal");
+        let m = self.jobs[j].size();
+        let mut block = BlockReader::new(&self.file, self.record_of[j] as usize);
+        block.read_vec(2, u64::from_le_bytes)?;
         let mut matrix = |rows, cols| {
             block
                 .read_vec(rows * cols, f64::from_le_bytes)
                 .map(|v| DMatrix::from_vec(rows, cols, v))
         };
-        Ok(Some(FragmentResponse {
+        Ok(FragmentResponse {
             hessian: matrix(3 * m, 3 * m)?,
             dalpha: matrix(6, 3 * m)?,
             dmu: matrix(3, 3 * m)?,
-        }))
-    };
-    decomposition.jobs.iter().enumerate().map(load).collect()
+        })
+    }
+
+    /// Appends the `(job index, response)` pairs and hands them to the
+    /// operating system. A malformed response fails the append before its
+    /// bytes are written. After an error the journal appends nothing more:
+    /// its tail may be torn, which the next resume drops.
+    pub fn append<'r>(
+        &self,
+        settled: impl IntoIterator<Item = (usize, &'r FragmentResponse)>,
+    ) -> Result<(), CheckpointError> {
+        let mut out = self.out.lock().expect("journal poisoned");
+        let Some(writer) = out.as_mut() else { return Ok(()) };
+        let appended = settled.into_iter().try_for_each(|(j, resp)| {
+            let m = self.jobs[j].size();
+            validate_response(m, resp)?;
+            put_record(writer, j, m, resp)?;
+            CHECKPOINT_SAVES.incr();
+            Ok(())
+        });
+        let flushed = appended.and_then(|()| writer.flush(false));
+        if flushed.is_err() {
+            *out = None;
+        }
+        flushed
+    }
+
+    /// Waits until every appended record is on the disk.
+    pub fn sync(&self) -> Result<(), CheckpointError> {
+        let mut out = self.out.lock().expect("journal poisoned");
+        out.as_mut().map_or(Ok(()), |writer| writer.flush(true))
+    }
 }
 
-/// Drops the jobs `pick` selects (by job index) from the checkpoint at
-/// `path` and saves it back — the file a run killed with exactly those jobs
-/// outstanding leaves behind. Returns how many present jobs it dropped.
+/// Rewrites the checkpoint at `path` without the records of the jobs `pick`
+/// selects (by job index) — the file a run killed with exactly those jobs
+/// outstanding leaves behind. Returns how many records it dropped.
 pub fn drop_jobs(
     path: &Path,
     decomposition: &Decomposition,
@@ -215,15 +286,14 @@ pub fn drop_jobs(
     engine: &str,
     mut pick: impl FnMut(usize) -> bool,
 ) -> Result<usize, CheckpointError> {
-    let mut slots = load_partial(path, decomposition, sys, engine)?;
-    let mut dropped = 0;
-    for (j, slot) in slots.iter_mut().enumerate() {
-        if pick(j) && slot.take().is_some() {
-            dropped += 1;
-        }
-    }
-    save_partial(path, decomposition, sys, engine, &slots)?;
-    Ok(dropped)
+    let journal = Journal::open(path, decomposition, sys, engine)?;
+    let kept: Vec<usize> =
+        (0..decomposition.jobs.len()).filter(|&j| journal.holds(j) && !pick(j)).collect();
+    container::write(path, &header(decomposition, sys, engine), kept.len(), |i, out| {
+        let j = kept[i];
+        put_record(out, j, decomposition.jobs[j].size(), &journal.read(j)?)
+    })?;
+    Ok(journal.resumed() - kept.len())
 }
 
 #[cfg(test)]
@@ -249,69 +319,86 @@ mod tests {
         (sys, d, responses)
     }
 
-    fn full(responses: &[FragmentResponse]) -> Vec<Option<FragmentResponse>> {
-        responses.iter().cloned().map(Some).collect()
+    /// A fresh directory for one test.
+    fn temp_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Journals the responses of the jobs `keep` selects at `path`, in job
+    /// order.
+    fn save(
+        path: &Path,
+        d: &Decomposition,
+        sys: &MolecularSystem,
+        engine: &str,
+        responses: &[FragmentResponse],
+        keep: impl Fn(usize) -> bool,
+    ) {
+        std::fs::remove_file(path).ok();
+        let journal = Journal::open(path, d, sys, engine).unwrap();
+        journal.append(responses.iter().enumerate().filter(|(j, _)| keep(*j))).unwrap();
+        journal.sync().unwrap();
+    }
+
+    fn assert_bits(got: &FragmentResponse, want: &FragmentResponse, j: usize) {
+        let bits = |m: &DMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let pairs =
+            [(&got.hessian, &want.hessian), (&got.dalpha, &want.dalpha), (&got.dmu, &want.dmu)];
+        for (got, want) in pairs {
+            assert_eq!(got.shape(), want.shape(), "job {j}");
+            assert_eq!(bits(got), bits(want), "job {j}");
+        }
     }
 
     #[test]
     fn round_trip_bitexact() {
         let (sys, d, responses) = setup();
-        let dir = std::env::temp_dir().join("qfr_ckpt_test_rt");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("qfr_ckpt_test_rt");
         let path = dir.join("responses.qfrc");
-        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
-        let loaded = load_partial(&path, &d, &sys, FF).unwrap();
-        assert_eq!(loaded.len(), responses.len());
-        for (a, b) in loaded.iter().zip(&responses) {
-            let a = a.as_ref().expect("every job present");
-            assert_eq!(a.hessian.max_abs_diff(&b.hessian), 0.0, "bit-exact hessian");
-            assert_eq!(a.dalpha.max_abs_diff(&b.dalpha), 0.0);
-            assert_eq!(a.dmu.max_abs_diff(&b.dmu), 0.0);
+        save(&path, &d, &sys, FF, &responses, |_| true);
+        let loaded = Journal::open(&path, &d, &sys, FF).unwrap();
+        assert_eq!(loaded.resumed(), responses.len());
+        for (j, want) in responses.iter().enumerate() {
+            assert_bits(&loaded.read(j).unwrap(), want, j);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Protein fragments of up to 61 atoms make blocks several chunks long;
-    /// every response still reads back bit for bit.
+    /// Protein fragments of up to 61 atoms make records several chunks
+    /// long; every response still reads back bit for bit.
     #[test]
     fn multi_chunk_blocks_round_trip_bitexact() {
         let (sys, d, responses) = responses_of(ProteinBuilder::new(6).build());
-        let dir = std::env::temp_dir().join("qfr_ckpt_test_chunks");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("qfr_ckpt_test_chunks");
         let path = dir.join("protein.qfrc");
-        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
-        let file = Container::open(&path, &header(&d, &sys, FF)).unwrap();
-        let longest = (0..d.jobs.len()).map(|j| file.block_len(j)).max().unwrap();
-        assert!(longest > CHUNK, "longest block is {longest} bytes, within one chunk");
-        let loaded = load_partial(&path, &d, &sys, FF).unwrap();
-        let bits = |m: &DMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for (j, (a, b)) in loaded.iter().zip(&responses).enumerate() {
-            let a = a.as_ref().expect("every job present");
-            let pairs = [(&a.hessian, &b.hessian), (&a.dalpha, &b.dalpha), (&a.dmu, &b.dmu)];
-            for (got, want) in pairs {
-                assert_eq!(got.shape(), want.shape(), "job {j}");
-                assert_eq!(bits(got), bits(want), "job {j}");
-            }
+        save(&path, &d, &sys, FF, &responses, |_| true);
+        let loaded = Journal::open(&path, &d, &sys, FF).unwrap();
+        let longest = (0..d.jobs.len()).map(|r| loaded.file.block_len(r)).max().unwrap();
+        assert!(longest > CHUNK, "longest record is {longest} bytes, within one chunk");
+        for (j, want) in responses.iter().enumerate() {
+            assert_bits(&loaded.read(j).unwrap(), want, j);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A block of the right length whose `m` word names another fragment
-    /// size is rejected with the job's format error.
+    /// A record whose `m` word names another fragment size is rejected
+    /// with the job's format error.
     #[test]
     fn m_word_disagreeing_with_its_job_rejected() {
         let (sys, d, responses) = setup();
-        let dir = std::env::temp_dir().join("qfr_ckpt_test_mword");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("qfr_ckpt_test_mword");
         let path = dir.join("responses.qfrc");
-        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
+        save(&path, &d, &sys, FF, &responses, |_| true);
         let mut bytes = std::fs::read(&path).unwrap();
-        let (m, block0) = (d.jobs[0].size(), 16 + 8 * (1 + d.jobs.len()));
-        bytes[block0..block0 + 4].copy_from_slice(&(m as u32 + 1).to_le_bytes());
+        // The header is 24 bytes; record 0 (job 0) starts with its index.
+        let m = d.jobs[0].size();
+        bytes[32..40].copy_from_slice(&(m as u64 + 1).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let err = load_partial(&path, &d, &sys, FF).unwrap_err();
-        assert!(matches!(err, CheckpointError::Format(_)), "{err}");
-        let want = format!("checkpoint format error: job 0: block is not a {m}-atom response");
+        let err = Journal::open(&path, &d, &sys, FF).err().unwrap();
+        let want = format!("checkpoint format error: job 0: record of {} atoms, not {m}", m + 1);
         assert_eq!(err.to_string(), want);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -319,14 +406,13 @@ mod tests {
     #[test]
     fn fingerprint_rejects_other_system() {
         let (sys, d, responses) = setup();
-        let dir = std::env::temp_dir().join("qfr_ckpt_test_fp");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("qfr_ckpt_test_fp");
         let path = dir.join("responses.qfrc");
-        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
+        save(&path, &d, &sys, FF, &responses, |_| true);
         // A different box has a different decomposition.
         let other_sys = WaterBoxBuilder::new(7).seed(2).build();
         let other = Decomposition::new(&other_sys, DecompositionParams::default());
-        let err = load_partial(&path, &other, &other_sys, FF).unwrap_err();
+        let err = Journal::open(&path, &other, &other_sys, FF).err().unwrap();
         assert!(matches!(err, CheckpointError::FingerprintMismatch { .. }), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -336,44 +422,70 @@ mod tests {
     #[test]
     fn fingerprint_rejects_other_engine() {
         let (sys, d, responses) = setup();
-        let dir = std::env::temp_dir().join("qfr_ckpt_test_engine");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("qfr_ckpt_test_engine");
         let path = dir.join("responses.qfrc");
         let dfpt = qfr_dfpt::DfptEngine::new().name();
         assert_eq!(engine_fingerprint(&d, &sys, FF), fingerprint(&d, &sys));
         assert_ne!(engine_fingerprint(&d, &sys, dfpt), fingerprint(&d, &sys));
         for (saved, loaded) in [(dfpt, FF), (FF, dfpt)] {
-            save_partial(&path, &d, &sys, saved, &full(&responses)).unwrap();
-            let err = load_partial(&path, &d, &sys, loaded).unwrap_err();
+            save(&path, &d, &sys, saved, &responses, |_| true);
+            let err = Journal::open(&path, &d, &sys, loaded).err().unwrap();
             assert!(matches!(err, CheckpointError::FingerprintMismatch { .. }), "{err}");
-            assert!(load_partial(&path, &d, &sys, saved).is_ok(), "{saved} reloads its own file");
+            assert!(Journal::open(&path, &d, &sys, saved).is_ok(), "{saved} reloads its own file");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn garbage_file_rejected() {
-        let dir = std::env::temp_dir().join("qfr_ckpt_test_bad");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("qfr_ckpt_test_bad");
         let path = dir.join("garbage.qfrc");
         std::fs::write(&path, b"not a checkpoint at all").unwrap();
         let (sys, d, _) = setup();
-        let err = load_partial(&path, &d, &sys, FF).unwrap_err();
+        let err = Journal::open(&path, &d, &sys, FF).err().unwrap();
         assert!(matches!(err, CheckpointError::Format(_)), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), b"not a checkpoint at all");
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A file cut inside its header is no journal at all.
     #[test]
     fn truncated_file_rejected() {
         let (sys, d, responses) = setup();
-        let dir = std::env::temp_dir().join("qfr_ckpt_test_trunc");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("qfr_ckpt_test_trunc");
         let path = dir.join("responses.qfrc");
-        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
+        save(&path, &d, &sys, FF, &responses, |_| true);
         let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        let err = load_partial(&path, &d, &sys, FF).unwrap_err();
-        assert!(matches!(err, CheckpointError::Format(_)), "{err}");
+        for cut in [4, 16, 23] {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let err = Journal::open(&path, &d, &sys, FF).err().unwrap();
+            assert!(matches!(err, CheckpointError::Format(_)), "{cut} bytes: {err}");
+            assert_eq!(std::fs::read(&path).unwrap(), &full[..cut], "file touched");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A last record cut anywhere — inside its head words or its matrices —
+    /// is dropped on load, and cut off by a resume, which appends after the
+    /// last whole record.
+    #[test]
+    fn torn_last_record_is_dropped() {
+        let (sys, d, responses) = setup();
+        let dir = temp_dir("qfr_ckpt_test_torn");
+        let path = dir.join("responses.qfrc");
+        save(&path, &d, &sys, FF, &responses, |_| true);
+        let full = std::fs::read(&path).unwrap();
+        let last = d.jobs.len() - 1;
+        let record = 16 + 8 * (9 * d.jobs[last].size().pow(2) + 27 * d.jobs[last].size());
+        for cut in [1, 8, 15, 16, record - 1] {
+            std::fs::write(&path, &full[..full.len() - cut]).unwrap();
+            let loaded = Journal::open(&path, &d, &sys, FF).unwrap();
+            assert_eq!(loaded.resumed(), d.jobs.len() - 1, "cut {cut}");
+            assert!(!loaded.holds(last), "cut {cut}");
+            let resumed = Journal::open(&path, &d, &sys, FF).unwrap();
+            resumed.append([(last, &responses[last])]).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), full, "cut {cut}: resume re-appends");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -394,90 +506,115 @@ mod tests {
         assert_ne!(f1, fingerprint(&d, &mutated));
     }
 
+    /// Jobs appended out of order read back by job index; absent ones are
+    /// not held.
     #[test]
     fn partial_round_trip_preserves_presence() {
         let (sys, d, responses) = setup();
-        let dir = std::env::temp_dir().join("qfr_ckpt_test_partial");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("qfr_ckpt_test_partial");
         let path = dir.join("partial.qfrc");
-        // Every other job present.
-        let slots: Vec<Option<FragmentResponse>> =
-            responses.iter().enumerate().map(|(j, r)| (j % 2 == 0).then(|| r.clone())).collect();
-        save_partial(&path, &d, &sys, FF, &slots).unwrap();
-        let loaded = load_partial(&path, &d, &sys, FF).unwrap();
-        assert_eq!(loaded.len(), slots.len());
-        for (j, (a, b)) in loaded.iter().zip(&slots).enumerate() {
-            match (a, b) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.hessian.max_abs_diff(&b.hessian), 0.0, "job {j}");
-                    assert_eq!(a.dalpha.max_abs_diff(&b.dalpha), 0.0, "job {j}");
-                    assert_eq!(a.dmu.max_abs_diff(&b.dmu), 0.0, "job {j}");
-                }
-                (None, None) => {}
-                _ => panic!("presence mismatch at job {j}"),
+        let journal = Journal::open(&path, &d, &sys, FF).unwrap();
+        let even = (0..responses.len()).rev().filter(|j| j % 2 == 0);
+        journal.append(even.map(|j| (j, &responses[j]))).unwrap();
+        let loaded = Journal::open(&path, &d, &sys, FF).unwrap();
+        assert_eq!(loaded.resumed(), responses.len().div_ceil(2));
+        for (j, want) in responses.iter().enumerate() {
+            assert_eq!(loaded.holds(j), j % 2 == 0, "job {j}");
+            if loaded.holds(j) {
+                assert_bits(&loaded.read(j).unwrap(), want, j);
             }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Versions 1 and 2 keyed files by a geometry-blind fingerprint, and v3
-    /// carried a presence bitmap; their headers are rejected outright
-    /// rather than trusted.
+    /// Files of an older format version (v1 and v2 were geometry-blind, v3
+    /// had a presence bitmap, v4 rewrote one block per job) are a typed
+    /// version error, never trusted.
     #[test]
     fn v1_and_v2_headers_rejected() {
         let (sys, d, responses) = setup();
-        let dir = std::env::temp_dir().join("qfr_ckpt_test_legacy");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("qfr_ckpt_test_legacy");
         let path = dir.join("legacy.qfrc");
-        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
+        save(&path, &d, &sys, FF, &responses, |_| true);
         let current = std::fs::read(&path).unwrap();
-        for version in [1u32, 2, 3] {
+        for version in [1u32, 2, 3, 4] {
             let mut legacy = current.clone();
             legacy[4..8].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &legacy).unwrap();
-            let err = load_partial(&path, &d, &sys, FF).unwrap_err();
-            assert!(matches!(err, CheckpointError::Format(_)), "v{version}: {err}");
+            let err = Journal::open(&path, &d, &sys, FF).err().unwrap();
+            assert!(
+                matches!(err, CheckpointError::Version { found, expected: 5 } if found == version),
+                "v{version}: {err}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), legacy, "v{version}: file touched");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Index past the job count and a job recorded twice are format errors.
+    #[test]
+    fn foreign_and_duplicate_records_rejected() {
+        let (sys, d, responses) = setup();
+        let dir = temp_dir("qfr_ckpt_test_records");
+        let path = dir.join("responses.qfrc");
+        save(&path, &d, &sys, FF, &responses, |j| j < 2);
+        let good = std::fs::read(&path).unwrap();
+        let second = 24 + 16 + 8 * (9 * d.jobs[0].size().pow(2) + 27 * d.jobs[0].size());
+        let n = d.jobs.len() as u64;
+        for (index, want) in [
+            (n, format!("record of job {n}, past the {n} jobs")),
+            (0, "job 0 recorded twice".into()),
+        ] {
+            let mut bytes = good.clone();
+            bytes[second..second + 8].copy_from_slice(&index.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = Journal::open(&path, &d, &sys, FF).err().unwrap();
+            assert_eq!(err.to_string(), format!("checkpoint format error: {want}"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A malformed response is refused before any of its bytes reach the
+    /// file, and the journal then appends nothing more.
+    #[test]
+    fn malformed_response_shapes_rejected_before_write() {
+        let (sys, d, mut responses) = setup();
+        let dir = temp_dir("qfr_ckpt_test_shape");
+        let path = dir.join("bad.qfrc");
+        let good = responses[1].clone();
+        responses[0].dalpha = DMatrix::zeros(5, 5);
+        responses[1].dmu = DMatrix::zeros(1, 1);
+        for bad in [0, 1] {
+            std::fs::remove_file(&path).ok();
+            let journal = Journal::open(&path, &d, &sys, FF).unwrap();
+            let empty = std::fs::read(&path).unwrap();
+            let err = journal.append([(bad, &responses[bad])]).unwrap_err();
+            assert!(matches!(err, CheckpointError::Format(_)), "{err}");
+            journal.append([(1, &good)]).unwrap();
+            journal.sync().unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), empty, "job {bad}: the journal wrote on");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn malformed_response_shapes_rejected_before_write() {
-        let (sys, d, mut responses) = setup();
-        let dir = std::env::temp_dir().join("qfr_ckpt_test_shape");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.qfrc");
-        // Corrupt dalpha: the old writer validated only the hessian, wrote
-        // the file, and the reader misparsed every later block.
-        responses[0].dalpha = DMatrix::zeros(5, 5);
-        let err = save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap_err();
-        assert!(matches!(err, CheckpointError::Format(_)), "{err}");
-        assert!(!path.exists(), "a rejected save must not leave a file behind");
-        // Same for dmu.
-        let (_, _, mut responses) = setup();
-        responses[1].dmu = DMatrix::zeros(1, 1);
-        let err = save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap_err();
-        assert!(matches!(err, CheckpointError::Format(_)), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn temp_names_are_unique_per_write() {
-        // Two successive saves to one path leave no temp droppings in the
-        // directory. That the pid+sequence temp names never repeat is
+        // Two successive rewrites of one path leave no temp droppings in
+        // the directory. That the pid+sequence temp names never repeat is
         // `container::tests::temp_sequence_never_repeats`.
         let (sys, d, responses) = setup();
-        let dir = std::env::temp_dir().join("qfr_ckpt_test_tmpname");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("qfr_ckpt_test_tmpname");
         let path = dir.join("clean.qfrc");
-        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
-        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
+        save(&path, &d, &sys, FF, &responses, |_| true);
+        assert_eq!(drop_jobs(&path, &d, &sys, FF, |j| j == 0).unwrap(), 1);
+        assert_eq!(drop_jobs(&path, &d, &sys, FF, |j| j == 1).unwrap(), 1);
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
             .collect();
         assert!(leftovers.is_empty(), "temp files must be renamed away: {leftovers:?}");
+        assert_eq!(Journal::open(&path, &d, &sys, FF).unwrap().resumed(), d.jobs.len() - 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -489,10 +626,9 @@ mod tests {
     #[test]
     fn displaced_geometry_checkpoint_rejected() {
         let (sys, d, responses) = setup();
-        let dir = std::env::temp_dir().join("qfr_ckpt_test_displaced");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("qfr_ckpt_test_displaced");
         let path = dir.join("displaced.qfrc");
-        save_partial(&path, &d, &sys, FF, &full(&responses)).unwrap();
+        save(&path, &d, &sys, FF, &responses, |_| true);
         // Displace the geometry; the decomposition's job list (indices,
         // coefficients, link-H count) is structurally identical.
         let mut moved = sys.clone();
@@ -502,32 +638,35 @@ mod tests {
         }
         let d_moved = Decomposition::new(&moved, DecompositionParams::default());
         assert_eq!(d_moved.jobs.len(), d.jobs.len(), "same job structure");
-        let err = load_partial(&path, &d_moved, &moved, FF).unwrap_err();
+        let err = Journal::open(&path, &d_moved, &moved, FF).err().unwrap();
         assert!(matches!(err, CheckpointError::FingerprintMismatch { .. }), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A failed save must leave no `.{name}.{pid}.{seq}.tmp` droppings:
+    /// A failed write must leave no `.{name}.{pid}.{seq}.tmp` droppings:
     /// the drop guard cleans the temp on every error exit, here a rename
-    /// failure forced by saving onto a path that is a directory.
+    /// failure forced by rewriting onto a path that became a directory.
     #[test]
     fn failed_save_leaves_no_temp_files() {
         let (sys, d, responses) = setup();
-        let dir = std::env::temp_dir().join("qfr_ckpt_test_failsave");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("qfr_ckpt_test_failsave");
+        let path = dir.join("journal.qfrc");
+        save(&path, &d, &sys, FF, &responses, |_| true);
+        let header = header(&d, &sys, FF);
         // The target path is an existing non-empty directory: the temp
         // file writes fine, the rename onto it fails.
         let target = dir.join("is_a_dir.qfrc");
         std::fs::create_dir_all(target.join("occupied")).unwrap();
-        let err = save_partial(&target, &d, &sys, FF, &full(&responses)).unwrap_err();
+        let err = container::write(&target, &header, 0, |_, _| Ok(())).unwrap_err();
+        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        let err = Journal::open(&target, &d, &sys, FF).err().unwrap();
         assert!(matches!(err, CheckpointError::Io(_)), "{err}");
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
             .collect();
-        assert!(leftovers.is_empty(), "failed save must clean its temp: {leftovers:?}");
+        assert!(leftovers.is_empty(), "failed write must clean its temp: {leftovers:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,25 +1,26 @@
 //! The one binary container behind response checkpoints (`.qfrc`) and shard
 //! spills (`.qfrs`), and the crate's only code that turns blocks into bytes:
 //! magic (4 bytes), version `u32`, fingerprint `u64`, the file kind's
-//! geometry words (`u64` each), one `u64` length per block, then the
-//! blocks, all little-endian.
+//! geometry words (`u64` each), then the blocks, all little-endian. A
+//! *table* file has one `u64` length per block before the blocks; a
+//! *journal*'s blocks are records up to the end of the file, each sized by
+//! its first words, and it grows by appends.
 //!
-//! The reader states the header it expects, so [`Container::open`] reads
-//! only the header and length table: magic, version, fingerprint and
-//! geometry must match, and header plus Σ lengths must equal the file
-//! length, else a typed [`CheckpointError`]. A [`BlockReader`] decodes one
-//! block front to back and [`write`] hands each block a [`BlockWriter`],
-//! both a [`CHUNK`] at a time, so no block or file is ever held whole;
-//! what a block holds, and what an empty one means, is the file kind's
-//! business. Writes are atomic: a pid+sequence temp file beside the target
-//! is written, fsynced and renamed over it, and a drop guard removes it on
-//! any failure exit, panics included. The directory is then fsynced best
-//! effort: the rename has already committed the file, so a failed
-//! directory sync is not a failed write.
+//! The reader states the header it expects: magic, version, fingerprint
+//! and geometry must match, and a table file's length must be header plus
+//! Σ lengths, else a typed [`CheckpointError`]. A journal's last record cut
+//! short is left out, and an append cuts it off. A [`BlockReader`] decodes
+//! one block front to back and a [`BlockWriter`] encodes them, a [`CHUNK`]
+//! at a time, so no block or file is ever held whole; what a block holds is
+//! the file kind's business. Whole-file writes are atomic: a pid+sequence
+//! temp file beside the target is written, fsynced and renamed over it, and
+//! a drop guard removes it on any failure exit, panics included. The
+//! directory is then fsynced best effort: the rename has already committed
+//! the file, so a failed directory sync is not a failed write.
 
 use crate::checkpoint::CheckpointError;
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -40,6 +41,7 @@ pub(crate) struct Header {
     pub(crate) fingerprint: u64,
     /// The file kind's geometry words.
     pub(crate) words: Vec<u64>,
+    /// Blocks of a table file; 0 for a journal.
     pub(crate) n_blocks: usize,
 }
 
@@ -54,12 +56,14 @@ fn format_error<T>(why: impl Into<String>) -> Result<T, CheckpointError> {
     Err(CheckpointError::Format(why.into()))
 }
 
-/// Writes `header` and its blocks to `path` atomically, block `i` streamed
-/// by `put(i, out)`. Returns the file length; an error from `put` leaves
-/// `path` as it was.
+/// Writes `header` and `n` blocks to `path` atomically, block `i`
+/// streamed by `put(i, out)`: a table file when the header counts its
+/// blocks (then `n` is that count), else a journal of `n` records. Returns
+/// the file length; an error from `put` leaves `path` as it was.
 pub(crate) fn write(
     path: &Path,
     header: &Header,
+    n: usize,
     mut put: impl FnMut(usize, &mut BlockWriter) -> Result<(), CheckpointError>,
 ) -> Result<u64, CheckpointError> {
     let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -72,14 +76,16 @@ pub(crate) fn write(
     out.u32(header.version)?;
     [header.fingerprint].iter().chain(&header.words).try_for_each(|&word| out.u64(word))?;
     // Block lengths are known only once written: reserve the table here
-    // and fill it in last.
+    // and fill it in last. A journal has none.
     let table_at = out.at;
     out.put(&vec![0; 8 * header.n_blocks])?;
     let mut table = Vec::with_capacity(8 * header.n_blocks);
-    for i in 0..header.n_blocks {
+    for i in 0..n {
         let start = out.at;
         put(i, &mut out)?;
-        table.extend((out.at - start).to_le_bytes());
+        if header.n_blocks > 0 {
+            table.extend((out.at - start).to_le_bytes());
+        }
     }
     let mut file = out.file.into_inner().map_err(|e| e.into_error())?;
     file.seek(SeekFrom::Start(table_at))?;
@@ -95,8 +101,9 @@ pub(crate) fn write(
     Ok(out.at)
 }
 
-/// The little-endian encoder [`write`] hands each block's `put`: words go
-/// through one [`CHUNK`]-byte buffer straight to the temp file.
+/// The little-endian encoder [`write`] hands each block's `put`, and
+/// [`append`] a journal's records: words go through one [`CHUNK`]-byte
+/// buffer straight to the file.
 pub(crate) struct BlockWriter {
     file: BufWriter<File>,
     /// Bytes written so far.
@@ -121,46 +128,41 @@ impl BlockWriter {
     pub(crate) fn f64(&mut self, v: f64) -> Result<(), CheckpointError> {
         self.put(&v.to_le_bytes())
     }
+
+    /// Hands every word so far to the operating system, and with `durable`
+    /// waits until they are on the disk.
+    pub(crate) fn flush(&mut self, durable: bool) -> Result<(), CheckpointError> {
+        self.file.flush()?;
+        if durable {
+            self.file.get_ref().sync_data()?;
+        }
+        Ok(())
+    }
 }
 
-/// An open file whose header and length table matched.
+/// The encoder that appends records to the journal at `path` after the
+/// `len` bytes of its whole records ([`Container::extent`]), a torn tail
+/// past them cut off first.
+pub(crate) fn append(path: &Path, len: u64) -> Result<BlockWriter, CheckpointError> {
+    let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
+    file.set_len(len)?;
+    file.seek(SeekFrom::Start(len))?;
+    Ok(BlockWriter { file: BufWriter::with_capacity(CHUNK, file), at: len })
+}
+
+/// An open file whose header matched, and its blocks: a table file's
+/// blocks, or a journal's whole records.
 pub(crate) struct Container {
     file: Mutex<File>,
-    /// Byte offset of each block, then the file length.
+    /// Byte offset of each block, then the end of the last one.
     offsets: Vec<u64>,
 }
 
 impl Container {
-    /// Opens `path` and checks it against `expected`.
+    /// Opens the table file at `path` and checks it against `expected`.
     pub(crate) fn open(path: &Path, expected: &Header) -> Result<Self, CheckpointError> {
-        let mut file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let head_len = expected.len();
-        let mut head = vec![0u8; head_len.min(file_len) as usize];
-        file.read_exact(&mut head)?;
-        if head.len() < 16 {
-            return format_error(format!("{file_len}-byte file has no header"));
-        }
-        if &head[..4] != expected.magic {
-            return format_error("bad magic");
-        }
-        let version = words(&head[4..8]).map(u32::from_le_bytes).next().expect("one word");
-        if version != expected.version {
-            return format_error(format!("unsupported version {version}"));
-        }
-        let found = words(&head[8..16]).map(u64::from_le_bytes).next().expect("one word");
-        if found != expected.fingerprint {
-            let expected = expected.fingerprint;
-            return Err(CheckpointError::FingerprintMismatch { found, expected });
-        }
-        if file_len < head_len {
-            return format_error(format!("{file_len}-byte file is shorter than its header"));
-        }
-        let mut table = words(&head[16..]).map(u64::from_le_bytes);
-        if expected.words.iter().any(|&word| table.next() != Some(word)) {
-            return format_error("geometry does not match");
-        }
-        let mut offsets = vec![head_len];
+        let (file, file_len, table) = open_header(path, expected)?;
+        let mut offsets = vec![expected.len()];
         for len in table {
             let Some(end) = offsets[offsets.len() - 1].checked_add(len) else {
                 return format_error("block lengths overflow");
@@ -174,6 +176,41 @@ impl Container {
             ));
         }
         Ok(Self { file: Mutex::new(file), offsets })
+    }
+
+    /// Opens the journal at `path`, checks its header against `expected`
+    /// and reads the first `head` words of every record: `rest_len` checks
+    /// them and returns the record's bytes past them. A last record cut
+    /// short is left out; an error from `rest_len` fails the open.
+    pub(crate) fn open_journal(
+        path: &Path,
+        expected: &Header,
+        head: usize,
+        mut rest_len: impl FnMut(&[u64]) -> Result<u64, CheckpointError>,
+    ) -> Result<Self, CheckpointError> {
+        let (file, file_len, _) = open_header(path, expected)?;
+        let mut offsets = vec![expected.len()];
+        let mut reader = BufReader::with_capacity(CHUNK, file);
+        let mut bytes = vec![0u8; 8 * head];
+        loop {
+            let at = offsets[offsets.len() - 1] + bytes.len() as u64;
+            if at > file_len {
+                break;
+            }
+            reader.read_exact(&mut bytes)?;
+            let rest = rest_len(&words(&bytes).map(u64::from_le_bytes).collect::<Vec<_>>())?;
+            if file_len - at < rest {
+                break;
+            }
+            reader.seek_relative(rest as i64)?;
+            offsets.push(at + rest);
+        }
+        Ok(Self { file: Mutex::new(reader.into_inner()), offsets })
+    }
+
+    /// Number of blocks, and the bytes up to the end of the last one.
+    pub(crate) fn extent(&self) -> (usize, u64) {
+        (self.offsets.len() - 1, self.offsets[self.offsets.len() - 1])
     }
 
     /// Length of block `i` in bytes.
@@ -194,6 +231,39 @@ impl Container {
         file.read_exact(buf)?;
         Ok(())
     }
+}
+
+/// Opens `path`, checks its header against `expected` and returns the file,
+/// its length and the words of its length table.
+fn open_header(path: &Path, expected: &Header) -> Result<(File, u64, Vec<u64>), CheckpointError> {
+    let mut file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let head_len = expected.len();
+    let mut head = vec![0u8; head_len.min(file_len) as usize];
+    file.read_exact(&mut head)?;
+    if head.len() < 16 {
+        return format_error(format!("{file_len}-byte file has no header"));
+    }
+    if &head[..4] != expected.magic {
+        return format_error("bad magic");
+    }
+    let found = words(&head[4..8]).map(u32::from_le_bytes).next().expect("one word");
+    if found != expected.version {
+        return Err(CheckpointError::Version { found, expected: expected.version });
+    }
+    let found = words(&head[8..16]).map(u64::from_le_bytes).next().expect("one word");
+    if found != expected.fingerprint {
+        let expected = expected.fingerprint;
+        return Err(CheckpointError::FingerprintMismatch { found, expected });
+    }
+    if file_len < head_len {
+        return format_error(format!("{file_len}-byte file is shorter than its header"));
+    }
+    let mut table = words(&head[16..]).map(u64::from_le_bytes);
+    if expected.words.iter().any(|&word| table.next() != Some(word)) {
+        return format_error("geometry does not match");
+    }
+    Ok((file, file_len, table.collect()))
 }
 
 /// Reads one block front to back in pieces of at most [`CHUNK`] bytes
@@ -269,7 +339,7 @@ mod tests {
     /// Block `i` holds `i % 3` copies of the byte `i`: every third block is
     /// empty.
     fn write_sample(path: &Path, fingerprint: u64) -> u64 {
-        write(path, &header(fingerprint, 7), |i, out| out.put(&vec![i as u8; i % 3])).unwrap()
+        write(path, &header(fingerprint, 7), 7, |i, out| out.put(&vec![i as u8; i % 3])).unwrap()
     }
 
     fn open_err(path: &Path, expected: &Header) -> CheckpointError {
@@ -302,9 +372,10 @@ mod tests {
         write_sample(&path, 11);
         let err = open_err(&path, &header(12, 7));
         assert!(matches!(err, CheckpointError::FingerprintMismatch { found: 11, expected: 12 }));
+        let err = open_err(&path, &Header { version: 6, ..header(11, 7) });
+        assert!(matches!(err, CheckpointError::Version { found: 7, expected: 6 }), "{err}");
         for expected in [
             Header { magic: b"TSET", ..header(11, 7) },
-            Header { version: 6, ..header(11, 7) },
             Header { words: vec![3, 6], ..header(11, 7) },
             header(11, 6),
         ] {
@@ -336,7 +407,7 @@ mod tests {
     #[test]
     fn failed_put_writes_nothing() {
         let path = temp_file("failed_put");
-        let err = write(&path, &header(11, 3), |i, _| match i {
+        let err = write(&path, &header(11, 3), 3, |i, _| match i {
             2 => Err(CheckpointError::Format("refused".into())),
             _ => Ok(()),
         });
@@ -350,7 +421,7 @@ mod tests {
     #[test]
     fn sample_file_bytes_are_pinned() {
         let path = temp_file("pinned");
-        let len = write(&path, &header(11, 3), |i, out| match i {
+        let len = write(&path, &header(11, 3), 3, |i, out| match i {
             0 => out.u32(7).and_then(|()| out.f64(-2.5)),
             1 => Ok(()),
             _ => out.u64(0x0102_0304_0506_0708),
@@ -385,7 +456,7 @@ mod tests {
             let temps = entries.filter(|e| e.path().extension().is_some_and(|x| x == "tmp"));
             temps.map(|e| e.metadata().unwrap().len()).collect()
         };
-        let err = write(&path, &header(11, 3), |i, out| {
+        let err = write(&path, &header(11, 3), 3, |i, out| {
             if i < 2 {
                 return out.put(&vec![i as u8; CHUNK + 1]);
             }
@@ -397,6 +468,37 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), old, "the target must keep its old bytes");
         assert_eq!(temp_lens(), Vec::<u64>::new(), "the temp file must be removed");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Journal records of a one-word head `[n]` followed by `n` bytes:
+    /// opening finds every whole record, a last record cut short in its
+    /// head or body is left out, and an append first cuts it off.
+    #[test]
+    fn journal_drops_a_torn_tail_and_appends_after_whole_records() {
+        let path = temp_file("journal");
+        let journal = Header { n_blocks: 0, ..header(11, 0) };
+        let open = |path: &Path| Container::open_journal(path, &journal, 1, |head| Ok(head[0]));
+        let put = |n: usize, out: &mut BlockWriter| out.u64(n as u64).and(out.put(&vec![7; n]));
+        write(&path, &journal, 4, |i, out| put(i, out)).unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        assert_eq!(whole.len(), 32 + 4 * 8 + 6);
+        let file = open(&path).unwrap();
+        assert_eq!(file.extent(), (4, whole.len() as u64));
+        let mut record = BlockReader::new(&file, 3);
+        assert_eq!(record.read_vec(1, u64::from_le_bytes).unwrap(), [3]);
+        assert_eq!(record.read_vec(3, u8::from_le_bytes).unwrap(), [7; 3]);
+        let err = Container::open_journal(&path, &journal, 1, |_| format_error("refused"));
+        assert!(matches!(err, Err(CheckpointError::Format(_))));
+        for cut in 1..=11 {
+            std::fs::write(&path, &whole[..whole.len() - cut]).unwrap();
+            let file = open(&path).unwrap();
+            assert_eq!(file.extent().0, 3, "cut {cut}");
+            let mut out = append(&path, file.extent().1).unwrap();
+            put(3, &mut out).unwrap();
+            out.flush(true).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), whole, "cut {cut}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     /// A fixed `.tmp` suffix let two concurrent runs clobber each other's

@@ -7,7 +7,7 @@
 //! fragment's response ([`response`]), lives here exactly once.
 
 use crate::report::{RamanResult, RecoverySummary, StageTimings};
-use crate::workflow::{EngineKind, ResponseSource, WorkflowError};
+use crate::workflow::{EngineKind, WorkflowError};
 use qfr_cache::{FragmentCache, HitKind};
 use qfr_fragment::{
     AssembledSystem, Coupling, Decomposition, DecompositionParams, FragmentEngine, FragmentJob,
@@ -85,32 +85,33 @@ pub(crate) fn response(
     }
 }
 
-/// The one executor switch: runs `work(item.id)` for every item on the
-/// plan's response source. `work` returns `false` on failure — the
-/// scheduler retries or quarantines the item, the in-order loop stops at
-/// the first failure. Only the scheduler has recovery to report.
+/// Runs `work(item.id)` for every item: on the fault-tolerant scheduler
+/// with `runtime`, else in order on the calling thread. `work` returns
+/// `false` on failure — the scheduler retries or quarantines the item's
+/// task, the in-order loop stops at the first failure. `settle` gets the
+/// items of each task once, as it is credited; in order, an item at a
+/// time. Only the scheduler has recovery to report.
 pub(crate) fn dispatch(
-    source: &ResponseSource,
+    runtime: Option<&qfr_sched::RuntimeConfig>,
     items: Vec<FragmentWorkItem>,
+    mut settle: impl FnMut(&[FragmentWorkItem]) + Send,
     work: impl Fn(usize) -> bool + Sync,
 ) -> Option<RunReport> {
-    match source {
-        ResponseSource::Rayon => {
-            items.par_iter().for_each(|item| {
-                work(item.id as usize);
-            });
-            None
+    let Some(runtime) = runtime else {
+        for item in &items {
+            if !work(item.id as usize) {
+                break;
+            }
+            settle(std::slice::from_ref(item));
         }
-        ResponseSource::Sequential => {
-            let _ = items.iter().all(|item| work(item.id as usize));
-            None
-        }
-        ResponseSource::Scheduler(runtime) => Some(qfr_sched::run_master_leader_worker(
-            Box::new(qfr_sched::SizeSensitivePolicy::with_defaults(items)),
-            |item| work(item.id as usize),
-            runtime.clone(),
-        )),
-    }
+        return None;
+    };
+    Some(qfr_sched::run_master_leader_worker_settled(
+        Box::new(qfr_sched::SizeSensitivePolicy::with_defaults(items)),
+        |item| work(item.id as usize),
+        |task| settle(&task.fragments),
+        runtime.clone(),
+    ))
 }
 
 /// Most jobs per window of [`fold_in_windows`]: enough to keep every core
@@ -187,6 +188,11 @@ impl<'j, R: Borrow<FragmentResponse>> Fold<'j, R> {
         self.fold_s += start.elapsed().as_secs_f64();
     }
 
+    /// Index of the next job to fold, unless every job has arrived.
+    pub(crate) fn next(&self) -> Option<usize> {
+        (self.next < self.jobs.len()).then_some(self.next)
+    }
+
     /// The assembled (unweighted) operators.
     ///
     /// # Panics
@@ -202,17 +208,19 @@ impl<'j, R: Borrow<FragmentResponse>> Fold<'j, R> {
     }
 }
 
-/// Serves every job of `fold` through `compute`, folding as it goes. In
-/// parallel, job-order windows are computed on the rayon facade, then
-/// folded; a window closes at [`WINDOW`] jobs or before the next job's
-/// response would take it past [`WINDOW_BYTES`]. In sequence each job is
-/// folded as it is computed on the calling thread. At most one window of
-/// responses is ever alive.
-pub(crate) fn fold_in_windows<R: Borrow<FragmentResponse> + Send>(
+/// Serves every job of `fold` through `compute(job index)`, folding as it
+/// goes. In parallel, job-order windows are computed on the rayon facade,
+/// handed to `settle(first job index, responses)`, then folded; a window
+/// closes at [`WINDOW`] jobs or before the next job's response would take
+/// it past [`WINDOW_BYTES`]. In sequence each job is a window of its own,
+/// computed on the calling thread. At most one window of responses is ever
+/// alive. The first error of a window's `compute` stops the stage.
+pub(crate) fn fold_in_windows<R: Borrow<FragmentResponse> + Send, E: Send>(
     fold: &mut Fold<R>,
     parallel: bool,
-    compute: impl Fn(&FragmentJob) -> R + Sync,
-) {
+    compute: impl Fn(usize) -> Result<R, E> + Sync,
+    mut settle: impl FnMut(usize, &[R]),
+) -> Result<(), E> {
     let (jobs, most) = (fold.jobs, if parallel { WINDOW } else { 1 });
     let mut start = 0;
     while start < jobs.len() {
@@ -225,17 +233,19 @@ pub(crate) fn fold_in_windows<R: Borrow<FragmentResponse> + Send>(
             }
             end += 1;
         }
-        let chunk = &jobs[start..end];
-        let resps: Vec<R> = if parallel {
-            chunk.par_iter().map(&compute).collect()
+        let resps: Vec<Result<R, E>> = if parallel {
+            (start..end).into_par_iter().map(&compute).collect()
         } else {
-            chunk.iter().map(&compute).collect()
+            (start..end).map(&compute).collect()
         };
+        let resps = resps.into_iter().collect::<Result<Vec<R>, E>>()?;
+        settle(start, &resps);
         for (k, resp) in (start..).zip(resps) {
             fold.push(k, Some(resp));
         }
         start = end;
     }
+    Ok(())
 }
 
 /// Scheduler recovery counters at the workflow level; `resumed` counts the
@@ -496,9 +506,11 @@ mod tests {
                 let live = Live::default();
                 let coupling = Coupling::of(&engine, &system, &adjacency);
                 let mut fold = Fold::new(&jobs, system.n_atoms(), coupling);
-                fold_in_windows(&mut fold, parallel, |job| {
-                    Counted::new(engine.compute(&job.structure(&system)), &live)
-                });
+                let compute = |k: usize| {
+                    let resp = engine.compute(&jobs[k].structure(&system));
+                    Ok::<_, ()>(Counted::new(resp, &live))
+                };
+                fold_in_windows(&mut fold, parallel, compute, |_, _| {}).unwrap();
                 assert_same_bits(&fold.finish(), &want);
                 let peak = live.peak.load(Ordering::SeqCst);
                 assert!(

@@ -226,7 +226,7 @@ where
     let span = dof_span(&plan.range(shard));
     let (row_ptr, col_idx, values) = mw.hessian.raw_parts();
     let header = header(plan, shard, tile_rows, fingerprint);
-    let len = container::write(path, &header, |block, out| {
+    let len = container::write(path, &header, header.n_blocks, |block, out| {
         if block == 0 {
             return mw.dalpha.iter().chain(&mw.dmu).flatten().try_for_each(|&v| out.f64(v));
         }

@@ -2,7 +2,7 @@
 //! pipeline ([`RamanWorkflow::execute`]), and the `run_*` facades that name
 //! its common plans.
 
-use crate::checkpoint::{engine_fingerprint, load_partial, save_partial, CheckpointError};
+use crate::checkpoint::{engine_fingerprint, CheckpointError, Journal};
 use crate::pipeline::{self, dispatch, Fold, Pipeline, WORKFLOW};
 use crate::report::{RamanResult, RecoverySummary};
 use crate::shard::{self, ShardPlan, ShardStore};
@@ -13,17 +13,12 @@ use qfr_fragment::{
 use qfr_geom::{BondAdjacency, MolecularSystem};
 use qfr_sched::FragmentWorkItem;
 use qfr_solver::{RamanOptions, RamanSpectrum, ShardedOperator};
-use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-// Checkpoint lifecycle counters. Save counts trigger on the exact number of
-// first-time slot fills (each job fills its slot exactly once, whatever the
-// scheduling), and resume counts are a pure function of the checkpoint
-// contents — both are deterministic and CI-gated.
-static CHECKPOINT_SAVES: qfr_obs::Counter =
-    qfr_obs::Counter::deterministic("core.checkpoint.saves");
+// Jobs read back from a checkpoint: a pure function of the file, so
+// deterministic and CI-gated.
 static CHECKPOINT_JOBS_RESUMED: qfr_obs::Counter =
     qfr_obs::Counter::deterministic("core.checkpoint.jobs_resumed");
 
@@ -56,7 +51,7 @@ impl ShardConfig {
 }
 
 /// First axis of a [`RunPlan`]: who executes the per-fragment work items.
-/// Every source serves a job the same way — checkpoint slot, then the
+/// Every source serves a job the same way — checkpoint record, then the
 /// attached cache, then the engine — so the spectrum does not depend on it.
 #[derive(Debug, Clone)]
 pub enum ResponseSource {
@@ -100,22 +95,19 @@ pub struct RunPlan {
     pub source: ResponseSource,
     /// How the Hessian is applied.
     pub operator: HessianOperator,
-    /// When set, per-job responses present in this file (same system/λ)
-    /// pre-fill their slots and only the missing jobs are computed; the
-    /// slots are persisted when the response stage ends. An absent file is
-    /// a cold start; one that does not load is [`WorkflowError::Checkpoint`]
-    /// and is left untouched. A quarantined job's salvaged response is
-    /// excluded from the save, so the next run re-attempts it.
+    /// When set, the response journal ([`Journal`]) of this run: jobs the
+    /// file holds (same system/λ/engine) are read back, the others are
+    /// computed, and each is appended as it settles — before it is folded.
+    /// An absent file is a cold start; one that does not load is
+    /// [`WorkflowError::Checkpoint`] and is left untouched. A quarantined
+    /// job never reaches the file, so the next run re-attempts it.
     pub checkpoint: Option<PathBuf>,
-    /// Also persist after every `checkpoint_interval` newly computed jobs
-    /// (0: only at the end).
-    pub checkpoint_interval: usize,
 }
 
 impl RunPlan {
     /// A plan without a checkpoint.
     pub fn new(source: ResponseSource, operator: HessianOperator) -> Self {
-        Self { source, operator, checkpoint: None, checkpoint_interval: 0 }
+        Self { source, operator, checkpoint: None }
     }
 
     /// The combinations a plan cannot honour, rejected before any work or
@@ -125,7 +117,7 @@ impl RunPlan {
         use ResponseSource::Scheduler;
         let why = match (&self.source, &self.operator) {
             (_, Sharded(_)) if self.checkpoint.is_some() => {
-                "a response checkpoint needs an operator that stores responses (in-core or dense)"
+                "a sharded run takes no response checkpoint: it resumes from its spill directory"
             }
             (_, Sharded(cfg)) if cfg.shards == 0 || cfg.tile_rows == 0 => {
                 "sharding needs a positive shard count and tile height"
@@ -350,9 +342,24 @@ impl RamanWorkflow {
 /// Spectra, stored Hessian non-zeros and scheduler recovery of one run.
 type Solved = ((RamanSpectrum, RamanSpectrum), usize, Option<RecoverySummary>);
 
-/// One slot per job (empty: quarantined or never finished) and the
-/// scheduler recovery of the responses stage.
-type StoredResponses = (Vec<Option<FragmentResponse>>, Option<RecoverySummary>);
+/// Appends settled `(job index, response)` pairs to the plan's journal, if
+/// any. A failed append must not fail the run: it warns, once.
+fn append<'r>(
+    journal: Option<&Journal>,
+    settled: impl Iterator<Item = (usize, &'r FragmentResponse)>,
+) {
+    if let Some(Err(e)) = journal.map(|journal| journal.append(settled)) {
+        eprintln!("warning: checkpoint append failed: {e}");
+    }
+}
+
+/// One job of a scheduled run: not yet computed, computed while its task
+/// awaits credit, or settled (handed to the journal and the fold).
+enum Slot {
+    Open,
+    Held(FragmentResponse),
+    Settled,
+}
 
 /// One `execute` call past `prepare`: the responses and operator stages.
 struct Run<'a> {
@@ -382,128 +389,127 @@ impl Run<'_> {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Responses stage of a checkpointed or scheduled in-core plan: one
-    /// slot per job, pre-filled from the checkpoint, the missing ones
-    /// dispatched on the plan's source. An empty slot in the result is a
-    /// job that was quarantined or never finished.
-    fn stored_responses(&self) -> Result<StoredResponses, WorkflowError> {
-        let system = &self.workflow.system;
-        let jobs = &self.decomposition.jobs;
-        let (checkpoint, engine) = (self.plan.checkpoint.as_deref(), self.engine.name());
-        let save = |slots: &[Option<FragmentResponse>], reason: &str| {
-            let Some(path) = checkpoint else { return };
-            CHECKPOINT_SAVES.incr();
-            qfr_obs::trace::instant("checkpoint.save", &[]);
-            // A failed save must not fail the run.
-            if let Err(e) = save_partial(path, self.decomposition, system, engine, slots) {
-                eprintln!("warning: {reason} checkpoint save failed: {e}");
-            }
-        };
-
-        // Resume: an absent file is a cold start; one that exists but does
-        // not load stops the run before the final save can overwrite it.
-        let cold = || vec![None; jobs.len()];
-        let resumed = match checkpoint
-            .map(|path| load_partial(path, self.decomposition, system, engine))
-        {
-            None => cold(),
-            Some(Err(CheckpointError::Io(e))) if e.kind() == std::io::ErrorKind::NotFound => cold(),
-            Some(loaded) => loaded.map_err(WorkflowError::Checkpoint)?,
-        };
-        let resumed_jobs = resumed.iter().flatten().count();
-        if resumed_jobs > 0 {
-            CHECKPOINT_JOBS_RESUMED.add(resumed_jobs as u64);
-            qfr_obs::trace::instant("checkpoint.resume", &[("jobs", resumed_jobs as i64)]);
-            // A loaded checkpoint is a pre-warmed cache slice: sibling runs
-            // sharing the cache hit on its responses.
-            if let Some(cache) = &self.workflow.cache {
-                for (job, resp) in jobs.iter().zip(&resumed) {
-                    if let Some(resp) = resp {
-                        let frag = job.structure_with(system, self.adjacency);
-                        cache.insert_precomputed(&frag, resp.clone());
-                    }
-                }
-            }
+    /// Job `k`'s response read back from `journal`. A resumed response is
+    /// a pre-warmed cache slice: sibling runs sharing the cache hit on it.
+    fn read_back(&self, journal: &Journal, k: usize) -> Result<FragmentResponse, WorkflowError> {
+        let resp = journal.read(k).map_err(WorkflowError::Checkpoint)?;
+        if let Some(cache) = &self.workflow.cache {
+            let frag =
+                self.decomposition.jobs[k].structure_with(&self.workflow.system, self.adjacency);
+            cache.insert_precomputed(&frag, resp.clone());
         }
-        // Item ids are job indices.
-        let items: Vec<FragmentWorkItem> = (jobs.iter().zip(&resumed).enumerate())
-            .filter(|(_, (_, slot))| slot.is_none())
-            .map(|(i, (job, _))| FragmentWorkItem::new(i as u32, job.size() as u32))
-            .collect();
-        let slots: Vec<Mutex<Option<FragmentResponse>>> =
-            resumed.into_iter().map(Mutex::new).collect();
-
-        let filled = AtomicUsize::new(0);
-        let interval = self.plan.checkpoint_interval;
-        let report = dispatch(&self.plan.source, items, |i| {
-            // Exactly-once compute: the slot lock is held across the engine
-            // call, so a retry or straggler re-issue of a computed job
-            // blocks until the first copy fills the slot, then skips. Each
-            // job is computed once however many copies were dispatched,
-            // which keeps the engine-level counters deterministic.
-            let mut slot = slots[i].lock().expect("slot poisoned");
-            if slot.is_none() {
-                *slot = Some(self.response(&jobs[i]));
-                drop(slot);
-                // fetch_add hands every first fill a unique count, so the
-                // number of periodic saves is deterministic.
-                let count = filled.fetch_add(1, Ordering::SeqCst) + 1;
-                if checkpoint.is_some() && interval > 0 && count % interval == 0 {
-                    // try_lock: a slot whose engine call is still running
-                    // is simply absent from this snapshot.
-                    let snapshot: Vec<Option<FragmentResponse>> =
-                        slots.iter().map(|s| s.try_lock().ok().and_then(|g| g.clone())).collect();
-                    save(&snapshot, "periodic");
-                }
-            }
-            true
-        });
-
-        // A response salvaged from a quarantined task is untrusted: it is
-        // kept out of the save (so a restart recomputes it) and out of the
-        // assembly.
-        let quarantined: HashSet<u32> =
-            report.iter().flat_map(|r| r.quarantined_fragments.iter().copied()).collect();
-        let slots: Vec<Option<FragmentResponse>> = (slots.into_iter().enumerate())
-            .map(|(i, slot)| {
-                let slot = slot.into_inner().expect("slot poisoned");
-                slot.filter(|_| !quarantined.contains(&(i as u32)))
-            })
-            .collect();
-        save(&slots, "final");
-        let recovery =
-            report.map(|r| pipeline::recovery_summary(&r, resumed_jobs, self.cache_hits()));
-        Ok((slots, recovery))
+        Ok(resp)
     }
 
-    /// In-core CSR operator (and its dense-reference variant). Without a
-    /// checkpoint, rayon and sequential responses stream into the fold in
-    /// job-order windows; a checkpointed or scheduled plan must see every
-    /// response at once (to snapshot them, or to leave quarantined ones
-    /// out), so it folds its slot vector when the stage ends.
-    fn assembled(&self, dense: bool, pipeline: &mut Pipeline) -> Result<Solved, WorkflowError> {
-        let stream = |fold: &mut Fold, parallel| {
-            pipeline::fold_in_windows(fold, parallel, |job| self.response(job));
-            Ok(None)
-        };
-        let jobs = &self.decomposition.jobs;
-        let coupling = Coupling::of(self.engine, &self.workflow.system, self.adjacency);
-        let (mw, recovery) = pipeline.assemble_in_core(jobs, coupling, |fold| {
-            match (&self.plan.source, &self.plan.checkpoint) {
-                (ResponseSource::Rayon, None) => stream(fold, true),
-                (ResponseSource::Sequential, None) => stream(fold, false),
-                _ => {
-                    let (slots, recovery) = self.stored_responses()?;
-                    for (i, slot) in slots.into_iter().enumerate() {
-                        fold.push(i, slot);
-                    }
-                    Ok(recovery)
-                }
+    /// Feeds `fold` the jobs from its next one on while `journal` holds
+    /// them; with `rest`, every job still missing, absent if not held.
+    fn resume_into(
+        &self,
+        fold: &mut Fold,
+        journal: Option<&Journal>,
+        rest: bool,
+    ) -> Result<(), WorkflowError> {
+        while let Some(k) = fold.next() {
+            match journal.filter(|journal| journal.holds(k)) {
+                Some(journal) => fold.push(k, Some(self.read_back(journal, k)?)),
+                None if rest => fold.push(k, None),
+                None => break,
             }
+        }
+        Ok(())
+    }
+
+    /// In-core CSR operator (and its dense-reference variant). Rayon and
+    /// sequential responses stream into the fold in job-order windows, a
+    /// scheduled response when its task is credited; with a checkpoint,
+    /// every fresh response is appended and flushed before it is folded.
+    fn assembled(&self, dense: bool, pipeline: &mut Pipeline) -> Result<Solved, WorkflowError> {
+        let system = &self.workflow.system;
+        let engine = self.engine.name();
+        let journal = (self.plan.checkpoint.as_deref())
+            .map(|path| Journal::open(path, self.decomposition, system, engine))
+            .transpose()
+            .map_err(WorkflowError::Checkpoint)?;
+        let journal = journal.as_ref();
+        if let Some(resumed) = journal.map(Journal::resumed).filter(|&n| n > 0) {
+            CHECKPOINT_JOBS_RESUMED.add(resumed as u64);
+            qfr_obs::trace::instant("checkpoint.resume", &[("jobs", resumed as i64)]);
+        }
+        let jobs = &self.decomposition.jobs;
+        let coupling = Coupling::of(self.engine, system, self.adjacency);
+        let (mw, recovery) = pipeline.assemble_in_core(jobs, coupling, |fold| {
+            let parallel = match &self.plan.source {
+                ResponseSource::Scheduler(runtime) => {
+                    return self.scheduled(fold, runtime, journal).map(Some);
+                }
+                source => matches!(source, ResponseSource::Rayon),
+            };
+            let held = |k| journal.filter(|journal| journal.holds(k));
+            let compute = |k| match held(k) {
+                Some(journal) => self.read_back(journal, k),
+                None => Ok(self.response(&jobs[k])),
+            };
+            pipeline::fold_in_windows(fold, parallel, compute, |start, window| {
+                let fresh = (start..).zip(window).filter(|(k, _)| held(*k).is_none());
+                append(journal, fresh);
+            })?;
+            Ok(None)
         })?;
+        if let Some(Err(e)) = journal.map(Journal::sync) {
+            eprintln!("warning: checkpoint sync failed: {e}");
+        }
         let dense_of = dense.then_some(&mw.hessian);
         let spectra = pipeline.solve(&mw.hessian, dense_of, &mw.dalpha, &mw.dmu);
         Ok((spectra, mw.hessian.nnz(), recovery))
+    }
+
+    /// Responses of a scheduled in-core plan. Jobs `journal` holds are not
+    /// dispatched: each is read back when the fold reaches it. A computed
+    /// response is held in its job's slot until the scheduler credits its
+    /// task, then appended and folded. A quarantined or unfinished job
+    /// folds as absent and never reaches the journal.
+    fn scheduled(
+        &self,
+        fold: &mut Fold,
+        runtime: &qfr_sched::RuntimeConfig,
+        journal: Option<&Journal>,
+    ) -> Result<RecoverySummary, WorkflowError> {
+        let jobs = &self.decomposition.jobs;
+        let held = |k: usize| journal.is_some_and(|journal| journal.holds(k));
+        // Item ids are job indices.
+        let items = (0..jobs.len()).filter(|&k| !held(k));
+        let items = items.map(|k| FragmentWorkItem::new(k as u32, jobs[k].size() as u32)).collect();
+        let slots: Vec<Mutex<Slot>> = jobs.iter().map(|_| Mutex::new(Slot::Open)).collect();
+        let lock = |k: usize| slots[k].lock().expect("slot poisoned");
+        // Exactly-once compute: the slot lock is held across the engine
+        // call, so a retry or straggler copy of a job waits for the first
+        // copy, then skips — the engine counters stay deterministic.
+        let work = |k| {
+            let mut slot = lock(k);
+            if matches!(*slot, Slot::Open) {
+                *slot = Slot::Held(self.response(&jobs[k]));
+            }
+            true
+        };
+        let mut read_back = self.resume_into(fold, journal, false);
+        let settle = |task: &[FragmentWorkItem]| {
+            let settled: Vec<_> = (task.iter().map(|item| item.id as usize))
+                .map(|k| match std::mem::replace(&mut *lock(k), Slot::Settled) {
+                    Slot::Held(resp) => (k, resp),
+                    _ => unreachable!("job {k} settled without a response"),
+                })
+                .collect();
+            append(journal, settled.iter().map(|(k, resp)| (*k, resp)));
+            settled.into_iter().for_each(|(k, resp)| fold.push(k, Some(resp)));
+            if read_back.is_ok() {
+                read_back = self.resume_into(fold, journal, false);
+            }
+        };
+        let report = dispatch(Some(runtime), items, settle, work).expect("the scheduler reports");
+        read_back?;
+        self.resume_into(fold, journal, true)?;
+        let resumed = journal.map_or(0, Journal::resumed);
+        Ok(pipeline::recovery_summary(&report, resumed, self.cache_hits()))
     }
 
     /// Out-of-core operator: work items are shards, built straight to
@@ -532,43 +538,42 @@ impl Run<'_> {
 
         // Unscheduled builds go in shard order whatever the source, so
         // exactly one shard's builders and one live response are resident.
-        let source = match &self.plan.source {
-            scheduler @ ResponseSource::Scheduler(_) => scheduler,
-            _ => &ResponseSource::Sequential,
+        let runtime = match &self.plan.source {
+            ResponseSource::Scheduler(runtime) => Some(runtime),
+            _ => None,
         };
         let coupling = Coupling::of(self.engine, system, self.adjacency);
         let guards: Vec<Mutex<()>> = (0..plan.k()).map(|_| Mutex::new(())).collect();
         let failure = Mutex::new(None);
-        let report = pipeline.responses(|| {
-            dispatch(source, items, |s| {
-                // Exactly-once build: the guard serializes copies of one
-                // shard, and a retry or straggler re-issue finds the first
-                // copy's file valid and skips — `shard.shards_built` stays
-                // a pure function of the missing-shard set.
-                let _g = guards[s].lock().expect("shard guard poisoned");
-                if valid(s) {
-                    return true;
-                }
-                let jobs = &self.decomposition.jobs;
-                let built = shard::build_shard_coupled(
-                    &path(s),
-                    system,
-                    jobs,
-                    &plan,
-                    s,
-                    cfg.tile_rows,
-                    fp(s),
-                    coupling,
-                    |job| self.response(job),
-                );
-                if let Err(e) = built {
-                    eprintln!("warning: shard {s} build failed: {e}");
-                    *failure.lock().expect("failure slot poisoned") = Some(e);
-                    return false;
-                }
-                true
-            })
-        });
+        // Exactly-once build: the guard serializes copies of one shard, and
+        // a retry or straggler re-issue finds the first copy's file valid
+        // and skips — `shard.shards_built` stays a pure function of the
+        // missing-shard set.
+        let build = |s: usize| {
+            let _g = guards[s].lock().expect("shard guard poisoned");
+            if valid(s) {
+                return true;
+            }
+            let jobs = &self.decomposition.jobs;
+            let built = shard::build_shard_coupled(
+                &path(s),
+                system,
+                jobs,
+                &plan,
+                s,
+                cfg.tile_rows,
+                fp(s),
+                coupling,
+                |job| self.response(job),
+            );
+            if let Err(e) = built {
+                eprintln!("warning: shard {s} build failed: {e}");
+                *failure.lock().expect("failure slot poisoned") = Some(e);
+                return false;
+            }
+            true
+        };
+        let report = pipeline.responses(|| dispatch(runtime, items, |_| {}, build));
         let recovery = match report {
             // No scheduler, no retry: a failed build fails the run.
             None => match failure.into_inner().expect("failure slot poisoned") {

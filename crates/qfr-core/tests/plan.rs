@@ -5,7 +5,7 @@
 //! `model.engine.fragments` is a process global, so every test takes
 //! `GUARD` and reads deltas inside the critical section.
 
-use qfr_core::checkpoint::{drop_jobs, load_partial, CheckpointError};
+use qfr_core::checkpoint::{drop_jobs, CheckpointError, Journal};
 use qfr_core::{
     HessianOperator, RamanResult, RamanWorkflow, ResponseSource, RunPlan, ShardConfig,
     WorkflowError,
@@ -80,7 +80,6 @@ fn every_plan_cell_matches_run_or_is_rejected() {
                 let checkpoint = dir.join(format!("{cell}.qfrc"));
                 let plan = RunPlan {
                     checkpoint: checkpointed.then(|| checkpoint.clone()),
-                    checkpoint_interval: 4,
                     ..RunPlan::new(source.clone(), operator.clone())
                 };
                 let stores_responses = matches!(operator_name, "in-core" | "dense");
@@ -136,7 +135,7 @@ fn malformed_plan_shapes_are_rejected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A complete checkpoint is a partial one with every slot present: the
+/// A complete checkpoint is a partial one with every job recorded: the
 /// unscheduled path resumes a partial file and computes only the rest.
 #[test]
 fn plain_checkpoint_run_recomputes_only_missing_jobs() {
@@ -152,18 +151,18 @@ fn plain_checkpoint_run_recomputes_only_missing_jobs() {
     assert_eq!(engine_fragments() - before, n_jobs as u64, "cold run computes every job");
     assert_bit_identical(&first, &fresh, "cold checkpointed run");
 
-    // Blank every third slot — byte-wise what a periodic save of a killed
-    // scheduled run leaves behind.
+    // Drop every third record — what a run killed before those jobs
+    // settled leaves behind.
     let d = wf.decompose();
     let missing = drop_jobs(&path, &d, wf.system(), FF, |j| j % 3 == 0).expect("drop jobs");
-    assert_eq!(missing, n_jobs.div_ceil(3), "final save holds every job");
+    assert_eq!(missing, n_jobs.div_ceil(3), "the cold run journaled every job");
 
     let before = engine_fragments();
     let resumed = wf.run_with_checkpoint(&path).expect("resumed run");
     assert_eq!(engine_fragments() - before, missing as u64, "only the missing jobs recompute");
     assert_bit_identical(&resumed, &fresh, "resumed run");
-    let slots = load_partial(&path, &d, wf.system(), FF).expect("reload checkpoint");
-    assert!(slots.iter().all(Option::is_some), "the resumed run completes the file");
+    let journal = Journal::open(&path, &d, wf.system(), FF).expect("reload checkpoint");
+    assert_eq!(journal.resumed(), n_jobs, "the resumed run completes the file");
 
     let before = engine_fragments();
     let again = wf.run_with_checkpoint(&path).expect("fully resumed run");
@@ -173,9 +172,8 @@ fn plain_checkpoint_run_recomputes_only_missing_jobs() {
 }
 
 /// A checkpoint that exists but does not load — another system's, cut
-/// short, or not a checkpoint at all — stops the run with a typed error
-/// before any engine work, and the file keeps its bytes: the final save
-/// never overwrites it.
+/// inside its header, or not a checkpoint at all — stops the run with a
+/// typed error before any engine work, and the file keeps its bytes.
 #[test]
 fn unloadable_checkpoint_is_a_typed_error_and_left_untouched() {
     let _g = lock();
@@ -189,7 +187,7 @@ fn unloadable_checkpoint_is_a_typed_error_and_left_untouched() {
     let own = std::fs::read(&own).expect("read checkpoint");
     let cases: [(&str, &[u8]); 3] = [
         ("another system", &foreign),
-        ("truncated", &own[..own.len() - 1]),
+        ("truncated", &own[..20]),
         ("garbage", b"not a checkpoint at all"),
     ];
     for (case, bytes) in cases {
@@ -208,7 +206,83 @@ fn unloadable_checkpoint_is_a_typed_error_and_left_untouched() {
     }
     // The file is another system's, not garbage: it still loads for it.
     std::fs::write(&path, &foreign).expect("restore checkpoint");
-    let slots = load_partial(&path, &other.decompose(), other.system(), FF).expect("load");
-    assert!(slots.iter().all(Option::is_some));
+    let d = other.decompose();
+    let journal = Journal::open(&path, &d, other.system(), FF).expect("load");
+    assert_eq!(journal.resumed(), d.jobs.len());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn resumed_jobs() -> u64 {
+    qfr_obs::counter::value_of("core.checkpoint.jobs_resumed").unwrap_or(0)
+}
+
+/// A journal cut inside its last record resumes without that record alone:
+/// every other job is read back, only the cut one recomputes, and the run
+/// completes the file.
+#[test]
+fn journal_cut_mid_record_loses_only_that_record() {
+    let _g = lock();
+    let dir = temp_dir("torn");
+    let path = dir.join("torn.qfrc");
+    let wf = workflow();
+    let fresh = wf.run_with_checkpoint(&path).expect("cold checkpointed run");
+    let n_jobs = fresh.stats.n_jobs;
+    let whole = std::fs::read(&path).expect("read checkpoint");
+    std::fs::write(&path, &whole[..whole.len() - 100]).expect("cut checkpoint");
+
+    let (resumed, computed) = (resumed_jobs(), engine_fragments());
+    let again = wf.run_with_checkpoint(&path).expect("resumed run");
+    assert_eq!(resumed_jobs() - resumed, n_jobs as u64 - 1, "records - 1 resume");
+    assert_eq!(engine_fragments() - computed, 1, "only the cut record recomputes");
+    assert_bit_identical(&again, &fresh, "torn resume");
+    assert_eq!(std::fs::read(&path).expect("reread"), whole, "the run re-appends that record");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Any damage but a torn tail — a record of a job past the job count, a job
+/// recorded twice, an `m` that is not the job's size, another format
+/// version — is `WorkflowError::Checkpoint` before any engine work, with
+/// the file unchanged.
+#[test]
+fn corrupt_journal_is_a_typed_error_and_left_untouched() {
+    let _g = lock();
+    let dir = temp_dir("corrupt");
+    let path = dir.join("corrupt.qfrc");
+    let wf = workflow();
+    wf.run_with_checkpoint(&path).expect("cold checkpointed run");
+    let good = std::fs::read(&path).expect("read checkpoint");
+    let d = wf.decompose();
+    // Header: magic, version, fingerprint, job count. Each record: job
+    // index, m, then its matrices; the first is job 0's.
+    let m0 = d.jobs[0].size();
+    let second = 24 + 16 + 8 * (9 * m0 * m0 + 27 * m0);
+    let word = |at: usize, v: u64| {
+        let mut bytes = good.clone();
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        bytes
+    };
+    let mut v4 = good.clone();
+    v4[4..8].copy_from_slice(&4u32.to_le_bytes());
+    let cases = [
+        ("job past the count", word(second, d.jobs.len() as u64)),
+        ("duplicate job", word(second, 0)),
+        ("wrong m", word(32, m0 as u64 + 3)),
+        ("v4 file", v4),
+    ];
+    for (case, bytes) in cases {
+        std::fs::write(&path, &bytes).expect("write checkpoint");
+        let before = engine_fragments();
+        match wf.run_with_checkpoint(&path) {
+            Err(WorkflowError::Checkpoint(CheckpointError::Version { found: 4, expected: 5 })) => {
+                assert_eq!(case, "v4 file");
+            }
+            Err(WorkflowError::Checkpoint(CheckpointError::Format(why))) => {
+                assert_ne!(case, "v4 file", "{why}");
+            }
+            other => panic!("{case}: expected a checkpoint error, got {:?}", other.err()),
+        }
+        assert_eq!(engine_fragments() - before, 0, "{case}: no engine work");
+        assert_eq!(std::fs::read(&path).expect("reread"), bytes, "{case}: file touched");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,9 +1,9 @@
 //! Checkpoint/restart integration tests for the scheduled runtime.
 //!
-//! These exercise the partial-checkpoint format end to end: a run is
-//! "killed" after a partial save (simulated by blanking slots of a saved
-//! checkpoint — byte-wise exactly what a periodic mid-run save writes),
-//! then rerun with the same seed. The deterministic engine counter
+//! These exercise the response journal end to end: a run is "killed" with
+//! some jobs outstanding (simulated by rewriting its journal without their
+//! records — byte-wise what a run killed before they settled leaves
+//! behind), then rerun with the same seed. The deterministic engine counter
 //! (`model.engine.fragments`) proves that *only* the missing and
 //! quarantined jobs re-execute, and the final spectrum must be
 //! bit-identical to an uninterrupted run.
@@ -12,7 +12,7 @@
 //! resets them inside the critical section (same pattern as the
 //! observability suite) — exact-count assertions are safe here.
 
-use qfr_core::checkpoint::{drop_jobs, fingerprint};
+use qfr_core::checkpoint::{drop_jobs, fingerprint, Journal};
 use qfr_core::{HessianOperator, RamanWorkflow, ResponseSource, RunPlan};
 use qfr_geom::{ProteinBuilder, SolvatedSystem, WaterBoxBuilder};
 use std::path::{Path, PathBuf};
@@ -45,13 +45,25 @@ fn runtime() -> qfr_sched::RuntimeConfig {
     qfr_sched::RuntimeConfig { n_leaders: 2, workers_per_leader: 2, ..Default::default() }
 }
 
-/// A scheduled in-core run on `runtime`, saving to `checkpoint` every four
-/// completions.
+/// A scheduled in-core run on `runtime`, journaling to `checkpoint`.
 fn sched_plan(checkpoint: &Path, runtime: qfr_sched::RuntimeConfig) -> RunPlan {
     RunPlan {
         checkpoint: Some(checkpoint.to_path_buf()),
-        checkpoint_interval: 4,
         ..RunPlan::new(ResponseSource::Scheduler(runtime), HessianOperator::InCore)
+    }
+}
+
+/// The runtime of [`runtime`] with a permanent fault on job 0: its task
+/// quarantines after two attempts.
+fn faulty_runtime() -> qfr_sched::RuntimeConfig {
+    qfr_sched::RuntimeConfig {
+        faults: qfr_sched::FaultPlan::none().permanent([0]),
+        recovery: qfr_sched::RecoveryPolicy {
+            max_attempts: 2,
+            backoff_base: 1e-4,
+            straggler_factor: Some(4.0),
+        },
+        ..runtime()
     }
 }
 
@@ -70,9 +82,8 @@ fn restart_recomputes_only_missing_jobs_and_reproduces_the_spectrum() {
     assert_eq!(engine_fragments(), n_jobs as u64, "each job computed exactly once");
     assert_eq!(reference.recovery.as_ref().unwrap().resumed_jobs, 0, "cold start resumes nothing");
 
-    // "Kill" the run after a partial save: blank every other job from the
-    // complete checkpoint — byte-wise the same file a periodic save writes
-    // when half the jobs are still outstanding.
+    // "Kill" the run with every other job outstanding: rewrite the
+    // complete journal without their records.
     let wf = workflow();
     let missing =
         drop_jobs(&path, &wf.decompose(), wf.system(), FF, |j| j % 2 == 0).expect("drop jobs");
@@ -110,18 +121,9 @@ fn restart_reattempts_quarantined_jobs() {
     let n_jobs = reference.stats.n_jobs;
 
     // Checkpointed run with a permanently failing fragment: its task
-    // quarantines, and the final save must *exclude* the quarantined
-    // jobs' salvaged responses so a restart re-attempts them.
-    let faulty_runtime = qfr_sched::RuntimeConfig {
-        faults: qfr_sched::FaultPlan::none().permanent([0]),
-        recovery: qfr_sched::RecoveryPolicy {
-            max_attempts: 2,
-            backoff_base: 1e-4,
-            straggler_factor: Some(4.0),
-        },
-        ..runtime()
-    };
-    let faulty = workflow().execute(sched_plan(&path, faulty_runtime)).expect("faulty run");
+    // quarantines, and its computed responses must never reach the journal
+    // so a restart re-attempts them.
+    let faulty = workflow().execute(sched_plan(&path, faulty_runtime())).expect("faulty run");
     let quarantined = faulty.recovery.as_ref().unwrap().quarantined_jobs;
     assert!(quarantined > 0, "the permanent failure must quarantine its task");
     assert!(!faulty.recovery.as_ref().unwrap().is_complete());
@@ -137,6 +139,39 @@ fn restart_reattempts_quarantined_jobs() {
     assert!(rec.is_complete());
     assert_eq!(restarted.spectrum.wavenumbers, reference.spectrum.wavenumbers);
     assert_eq!(restarted.spectrum.intensities, reference.spectrum.intensities);
+
+    std::fs::remove_file(&path).ok();
+    qfr_obs::reset_all();
+}
+
+/// A quarantined task's responses are computed (the attempts fail only
+/// after their fragments ran) but never settle: the journal holds every
+/// job except that task's, and a restart recomputes exactly those.
+#[test]
+fn quarantined_task_never_reaches_the_journal() {
+    let _g = lock();
+    qfr_obs::reset_all();
+    let path = temp_path("quarantine_journal.qfrc");
+    std::fs::remove_file(&path).ok();
+
+    let wf = workflow();
+    let d = wf.decompose();
+    let faulty = wf.execute(sched_plan(&path, faulty_runtime())).expect("faulty run");
+    let quarantined = faulty.recovery.as_ref().unwrap().quarantined_jobs;
+    assert!(quarantined > 0, "the permanent failure must quarantine its task");
+    assert_eq!(engine_fragments(), d.jobs.len() as u64, "quarantined jobs ran too");
+    let journal = Journal::open(&path, &d, wf.system(), FF).expect("load journal");
+    assert!(!journal.holds(0), "job 0's task reached the journal");
+    assert_eq!(journal.resumed(), d.jobs.len() - quarantined, "every other job is journaled");
+    let saves = qfr_obs::counter::value_of("core.checkpoint.saves");
+    assert_eq!(saves, Some(journal.resumed() as u64), "one record per settled job");
+
+    let before = engine_fragments();
+    let restarted = wf.execute(sched_plan(&path, runtime())).expect("restarted run");
+    assert_eq!(engine_fragments() - before, quarantined as u64, "exactly that task recomputes");
+    assert!(restarted.recovery.as_ref().unwrap().is_complete());
+    let journal = Journal::open(&path, &d, wf.system(), FF).expect("reload journal");
+    assert_eq!(journal.resumed(), d.jobs.len(), "the restart completes the journal");
 
     std::fs::remove_file(&path).ok();
     qfr_obs::reset_all();

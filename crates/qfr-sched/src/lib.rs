@@ -54,6 +54,8 @@ pub use fault::{FaultForecast, FaultPlan, RecoveryPolicy};
 pub use machine::MachineModel;
 pub use offload::{offload_comparison, ModeledAccelerator, OffloadReport};
 pub use pool::WorkerPool;
-pub use runtime::{run_master_leader_worker, RunReport, RuntimeConfig};
+pub use runtime::{
+    run_master_leader_worker, run_master_leader_worker_settled, RunReport, RuntimeConfig,
+};
 pub use simulator::{simulate, SimConfig, SimReport};
 pub use task::{cost_model, shard_range_workload, FragmentWorkItem, Task};

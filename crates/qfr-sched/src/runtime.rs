@@ -238,16 +238,17 @@ where
 
 /// One leader: pulls assignments until the master shuts it down and returns
 /// its busy seconds (first successful executions only).
-fn leader_loop<F>(
+fn leader_loop<F, S>(
     leader: usize,
     cfg: &RuntimeConfig,
     workload: &F,
-    arbiter: &Mutex<Arbiter>,
+    arbiter: &Mutex<(Arbiter, S)>,
     mailbox: Receiver<LeaderMsg>,
     to_master: Sender<MasterMsg>,
 ) -> f64
 where
     F: Fn(&FragmentWorkItem) -> bool + Sync,
+    S: FnMut(&Task),
 {
     let death_quota = cfg.faults.death_after(leader);
     let mut busy = 0.0;
@@ -286,7 +287,9 @@ where
         drop(exec_span);
         executed += 1;
         if ok {
-            if arbiter.lock().first_success(&task) {
+            let mut arbiter = arbiter.lock();
+            if arbiter.0.first_success(&task) {
+                (arbiter.1)(&task);
                 busy += seconds;
                 ledger::credit_completion(task.id, attempt, leader);
             } else {
@@ -342,13 +345,32 @@ pub fn run_master_leader_worker<F>(
 where
     F: Fn(&FragmentWorkItem) -> bool + Sync,
 {
+    run_master_leader_worker_settled(policy, workload, |_| {}, cfg)
+}
+
+/// [`run_master_leader_worker`] that hands every task to `settle` once, when
+/// its first successful copy credits it and before the master hears of it:
+/// when the run returns, every credited task has settled, and a straggler
+/// or stale copy never settles again. Calls are serialized. A quarantined
+/// task never settles, unless a stale copy of it succeeds later and is
+/// credited after all.
+pub fn run_master_leader_worker_settled<F, S>(
+    policy: Box<dyn Policy>,
+    workload: F,
+    settle: S,
+    cfg: RuntimeConfig,
+) -> RunReport
+where
+    F: Fn(&FragmentWorkItem) -> bool + Sync,
+    S: FnMut(&Task) + Send,
+{
     assert!(cfg.workers_per_leader > 0, "need at least one worker per leader");
     let ledger = Ledger::new(policy, cfg.recovery, cfg.n_leaders);
     let (to_master, inbox) = unbounded();
     // Unbounded so the master's final None broadcast can never block.
     let (mailboxes, mailbox_rxs): (Vec<_>, Vec<_>) =
         (0..cfg.n_leaders).map(|_| unbounded::<LeaderMsg>()).unzip();
-    let arbiter = Mutex::new(Arbiter::default());
+    let arbiter = Mutex::new((Arbiter::default(), settle));
 
     let t0 = Instant::now();
     let (mut totals, leader_busy) = std::thread::scope(|scope| {
@@ -370,7 +392,7 @@ where
     });
     let makespan = t0.elapsed().as_secs_f64();
 
-    let arbiter = arbiter.into_inner();
+    let (arbiter, _) = arbiter.into_inner();
     // Salvage reconciliation: under an *impure* workload a straggler copy of
     // an earlier attempt can succeed (and credit its fragments) after the
     // master eagerly quarantined the task — the stale ack is dropped, but
@@ -551,6 +573,41 @@ mod tests {
         assert_eq!(report.unfinished_fragments, 0);
         assert!(!report.is_complete());
         assert_eq!(report.tasks_executed, 7);
+    }
+
+    /// A stalled first copy re-issued to the idle leader and a task that
+    /// quarantines: `settle` sees every credited fragment exactly once,
+    /// whichever copy wins, and never the quarantined one.
+    #[test]
+    fn settle_sees_each_credited_task_once() {
+        let frags = water_dimer_workload(10);
+        let first = AtomicUsize::new(0);
+        let mut settled = Vec::new();
+        let report = run_master_leader_worker_settled(
+            Box::new(SortedSingletonPolicy::new(frags)),
+            |f| {
+                if f.id == 0 && first.fetch_add(1, Ordering::SeqCst) == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                }
+                true
+            },
+            |task: &Task| settled.extend(task.fragment_ids()),
+            RuntimeConfig {
+                n_leaders: 2,
+                workers_per_leader: 1,
+                prefetch: false,
+                recovery: RecoveryPolicy {
+                    max_attempts: 2,
+                    backoff_base: 1e-4,
+                    straggler_factor: Some(5.0),
+                },
+                faults: FaultPlan::none().permanent([3]),
+            },
+        );
+        settled.sort_unstable();
+        assert_eq!(settled, [0, 1, 2, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(report.quarantined_fragments, vec![3]);
+        assert_eq!(report.tasks_executed, 9);
     }
 
     #[test]
